@@ -100,17 +100,39 @@ class GhoshTable:
     boundary: np.ndarray        # boundary terms f(k, a, b)
     information: np.ndarray     # posterior Fisher information J(k)
     ghosh: np.ndarray           # (f - 1)^2 / J
+    failure: str | None = None  # why the Ghosh bound is invalid; raised by ghosh_table
 
 
-def ghosh_table(prior: PriorDensity, m: int, model: GhzParityModel,
-                center: str = "mean", tol: Tolerances = DEFAULTS) -> GhoshTable:
-    """Vectorised Ghosh bound components for all tallies k = 0..m at once.
+def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel,
+                      center: str = "mean", tol: Tolerances = DEFAULTS) -> GhoshTable:
+    """Per-tally posterior summary for all tallies k = 0..m, from one posterior table.
 
-    ``center`` selects the estimate the variance is taken about: the posterior
-    mean (default) or the posterior mode ("map").
+    The posterior-mean estimator and ``ghosh_table`` both read it, so the
+    (m+1) x nodes table is built once per (prior, m) rather than once per
+    consumer.  The result is memoised in the prior's single
+    ``posterior_slot``, keyed by (m, model, center, tol); the slot holds only
+    the summary's length-(m+1) vectors.  The slot is replaced by one store of
+    a (key, summary) tuple, so a concurrent caller can only miss it, never
+    read a summary of another key.
+
+    A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
+    the posterior means stay available for priors whose Ghosh bound is
+    undefined.  ``center`` selects the estimate the variance is taken about:
+    the posterior mean (default) or the posterior mode ("map").
     """
     if center not in ("mean", "map"):
         raise ModelError(f"center must be 'mean' or 'map', got {center!r}")
+    key = (m, model, center, tol)
+    entry = prior.posterior_slot[0]
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    table = _summarise(prior, m, model, center, tol)
+    prior.posterior_slot[0] = (key, table)
+    return table
+
+
+def _summarise(prior: PriorDensity, m: int, model: GhzParityModel,
+               center: str, tol: Tolerances) -> GhoshTable:
     grid = prior.grid
     dens, ddens, marginal = posterior_table(prior, m, model)
     nodes, w = grid.nodes, grid.weights
@@ -122,14 +144,14 @@ def ghosh_table(prior: PriorDensity, m: int, model: GhzParityModel,
         centers = nodes[np.argmax(dens, axis=1)]
     variance = ((nodes[None, :] - centers[:, None]) ** 2 * dens) @ w
 
+    failure = None
     zero = dens == 0.0
     if np.any(zero):
         floor = tol.derivative_noise_rel * np.max(np.abs(ddens), axis=1, keepdims=True)
         bad = zero & (np.abs(ddens) > floor)
         if np.any(bad):
             k_bad = int(np.flatnonzero(np.any(bad, axis=1))[0])
-            raise NonIntegrablePosteriorError(
-                f"posterior for tally k={k_bad} has a zero with nonzero slope")
+            failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(zero, 0.0, ddens**2 / np.where(zero, 1.0, dens))
     information = integrand @ w
@@ -138,14 +160,29 @@ def ghosh_table(prior: PriorDensity, m: int, model: GhzParityModel,
     boundary = b * dens[:, -1] - a * dens[:, 0] - means * (dens[:, -1] - dens[:, 0])
     num = (boundary - 1.0) ** 2
     degenerate = information <= 0.0
-    if np.any(degenerate & (num > 1e-18)):
-        k_bad = int(np.flatnonzero(degenerate & (num > 1e-18))[0])
-        raise NonIntegrablePosteriorError(
-            f"zero posterior information with nonzero numerator at tally k={k_bad}")
+    undefined = degenerate & (num > 1e-18)
+    if failure is None and np.any(undefined):
+        k_bad = int(np.flatnonzero(undefined)[0])
+        failure = f"zero posterior information with nonzero numerator at tally k={k_bad}"
     ghosh = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, information))
+    for v in (marginal, means, centers, variance, boundary, information, ghosh):
+        v.flags.writeable = False
     return GhoshTable(m=m, marginal=marginal, mean=means, center=centers,
                       variance=variance, boundary=boundary,
-                      information=information, ghosh=ghosh)
+                      information=information, ghosh=ghosh, failure=failure)
+
+
+def ghosh_table(prior: PriorDensity, m: int, model: GhzParityModel,
+                center: str = "mean", tol: Tolerances = DEFAULTS) -> GhoshTable:
+    """Vectorised Ghosh bound components for all tallies k = 0..m at once.
+
+    Returns the memoised ``posterior_summary``, or raises its Ghosh-validity
+    failure as ``NonIntegrablePosteriorError``.
+    """
+    table = posterior_summary(prior, m, model, center=center, tol=tol)
+    if table.failure is not None:
+        raise NonIntegrablePosteriorError(table.failure)
+    return table
 
 
 def averaged_ghosh(theta0: float, m: int, model: GhzParityModel, prior: PriorDensity,

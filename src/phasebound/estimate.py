@@ -26,7 +26,7 @@ from .model import (
     ModelError,
     PhaseDomain,
     tally_pmf_dtheta_matrix,
-    tally_pmf_matrix,
+    tally_pmf_with_dtheta,
 )
 from .numerics import NumericalFailure, PriorDensity, QuadratureGrid, integrate
 
@@ -122,8 +122,8 @@ def build_posterior(prior: PriorDensity, tally: OutcomeTally, model: GhzParityMo
     prior_values = prior.values if grid is prior.grid else prior.density(grid.nodes)
     prior_deriv = prior.derivative if grid is prior.grid else prior.density_derivative(grid.nodes)
 
-    like = tally_pmf_matrix(model, tally.m, grid.nodes)[tally.k_plus]
-    dlike = tally_pmf_dtheta_matrix(model, tally.m, grid.nodes)[tally.k_plus]
+    like, dlike = tally_pmf_with_dtheta(model, tally.m, grid.nodes)
+    like, dlike = like[tally.k_plus], dlike[tally.k_plus]
     raw = like * prior_values
     marginal = integrate(raw, grid)
     if marginal <= 0.0 or not math.isfinite(marginal):
@@ -195,16 +195,16 @@ class PosteriorMeanEstimator(_PosteriorEstimator):
     name = "bayes_mean"
 
     def _compute_values(self, m: int) -> np.ndarray:
-        dens, _, _ = posterior_table(self.prior, m, self.model)
-        return (dens * self.prior.grid.nodes) @ self.prior.grid.weights
+        from .bbound import posterior_summary  # local import: bbound imports this module
+        return posterior_summary(self.prior, m, self.model).mean
 
 
 class PosteriorModeEstimator(_PosteriorEstimator):
     name = "bayes_map"
 
     def _compute_values(self, m: int) -> np.ndarray:
-        dens, _, _ = posterior_table(self.prior, m, self.model)
-        return self.prior.grid.nodes[np.argmax(dens, axis=1)]
+        from .bbound import posterior_summary  # local import: bbound imports this module
+        return posterior_summary(self.prior, m, self.model, center="map").center
 
 
 class ConstantEstimator(Estimator):
@@ -226,18 +226,23 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel
     Returns ``(density, derivative, marginal)`` with the first two of shape
     (m+1, nodes) and the marginal tally distribution of length m+1.  Rows with
     an underflowed marginal raise, naming the offending tally.
+
+    The likelihood and its derivative come from ``tally_pmf_with_dtheta`` and
+    are turned into the posterior arrays in place, so the table holds two
+    (m+1)-row arrays plus one temporary.
     """
     grid = prior.grid
-    like = tally_pmf_matrix(model, m, grid.nodes)
-    dlike = tally_pmf_dtheta_matrix(model, m, grid.nodes)
-    raw = like * prior.values
-    marginal = raw @ grid.weights
+    density, derivative = tally_pmf_with_dtheta(model, m, grid.nodes)
+    derivative *= prior.values
+    derivative += density * prior.derivative
+    density *= prior.values
+    marginal = density @ grid.weights
     bad = ~(np.isfinite(marginal) & (marginal > 0.0))
     if np.any(bad):
         raise DegeneratePosteriorError(
             f"posterior normalisation underflowed for tally k={int(np.flatnonzero(bad)[0])}, m={m}")
-    density = raw / marginal[:, None]
-    derivative = (dlike * prior.values + like * prior.derivative) / marginal[:, None]
+    density /= marginal[:, None]
+    derivative /= marginal[:, None]
     return density, derivative, marginal
 
 

@@ -244,7 +244,8 @@ def solve_spd(matrix, rhs, tol: Tolerances = DEFAULTS) -> SpdSolution:
         raise NumericalFailure("non-finite Gram matrix or right-hand side")
 
     eigs = np.linalg.eigvalsh(B)
-    cond = math.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
+    with np.errstate(over="ignore"):     # a subnormal eigs[0] overflows to inf
+        cond = math.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
     ridge_used = eigs[0] <= 0 or cond > tol.condition_cap
     ill = False
     if not ridge_used:
@@ -282,6 +283,10 @@ class PriorDensity:
     ``values`` are renormalised so the grid quadrature is exactly 1; the same
     correction is applied to ``derivative`` and the off-grid evaluators, so
     boundary values, interior values, and integrals stay mutually consistent.
+
+    ``posterior_slot`` is a one-entry memo owned by
+    ``bbound.posterior_summary``: it holds the (key, summary) pair of the last
+    per-tally posterior summary computed under this prior.
     """
 
     kind: str
@@ -293,6 +298,8 @@ class PriorDensity:
     alpha: float | None = None
     _pdf: object = field(default=None, repr=False, compare=False)
     _dpdf: object = field(default=None, repr=False, compare=False)
+    posterior_slot: list = field(default_factory=lambda: [None], init=False,
+                                 repr=False, compare=False)
 
     @property
     def boundary_values(self) -> tuple[float, float]:

@@ -1,8 +1,12 @@
 import math
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import phasebound.bbound as bbound_module
 from phasebound.bbound import (
     GhoshInputs,
     NonIntegrablePosteriorError,
@@ -13,11 +17,19 @@ from phasebound.bbound import (
     ghosh_table,
     lbvm_reference,
     posterior_fisher_information,
+    posterior_summary,
 )
+from phasebound.cli import main
 from phasebound.engine import OutcomeTally
-from phasebound.estimate import build_posterior, posterior_mean, posterior_variance
+from phasebound.estimate import (
+    PosteriorMeanEstimator,
+    build_posterior,
+    posterior_mean,
+    posterior_table,
+    posterior_variance,
+)
 from phasebound.model import PhaseDomain
-from phasebound.numerics import custom_prior, family45_prior, integrate
+from phasebound.numerics import QuadratureGrid, custom_prior, family45_prior, integrate
 
 T0 = math.pi / 4
 
@@ -31,6 +43,11 @@ FLAT11_VARIANCE = 0.10429557471369053
 def _inputs(post, domain=None):
     return GhoshInputs(posterior=post, theta_bl=posterior_mean(post),
                        domain=domain or PhaseDomain())
+
+
+def _interior_zero_prior(grid):
+    # density identically zero below 0.7 but claimed slope 1 everywhere
+    return custom_prior(grid, np.maximum(grid.nodes - 0.7, 0.0), np.ones(grid.node_count))
 
 
 class TestBoundaryTerm:
@@ -95,12 +112,9 @@ class TestGhoshBound:
             assert worst <= 1e-9, f"{name}, m={m}: ghosh exceeds variance by {worst}"
 
     def test_interior_zero_posterior_rejected(self, model, grid):
-        # density identically zero below 0.7 but claimed slope 1 everywhere:
-        # (p')^2/p diverges there
-        values = np.maximum(grid.nodes - 0.7, 0.0)
-        prior = custom_prior(grid, values, np.ones(grid.node_count))
+        # (p')^2/p diverges where the density is zero with slope 1
         with pytest.raises(NonIntegrablePosteriorError):
-            ghosh_table(prior, 1, model)
+            ghosh_table(_interior_zero_prior(grid), 1, model)
 
 
 class TestAveragedGhosh:
@@ -142,3 +156,94 @@ class TestLbvmReference:
             ref = lbvm_reference(T0, m, model, grid)
             distances.append(float(np.max(np.abs(post.density - ref.density))))
         assert distances[0] > distances[1] > distances[2]
+
+
+@pytest.fixture
+def posterior_calls(monkeypatch):
+    """Counts posterior_table builds per m, as seen by posterior_summary."""
+    calls = Counter()
+
+    def counting(prior, m, model):
+        calls[m] += 1
+        return posterior_table(prior, m, model)
+
+    monkeypatch.setattr(bbound_module, "posterior_table", counting)
+    return calls
+
+
+class TestPosteriorSummary:
+    def test_estimator_and_ghosh_table_share_one_build(self, model, grid, posterior_calls):
+        prior = family45_prior(10.0, grid)
+        for m in (1, 2, 7):
+            means = PosteriorMeanEstimator(model, prior).values(m)
+            table = ghosh_table(prior, m, model)
+            np.testing.assert_array_equal(means, np.clip(table.mean, 0.0, math.pi / 2))
+        assert posterior_calls == {1: 1, 2: 1, 7: 1}
+
+    def test_mean_is_grid_average_of_table(self, model, grid):
+        prior = family45_prior(-10.0, grid)
+        dens, _, marginal = posterior_table(prior, 9, model)
+        summary = posterior_summary(prior, 9, model)
+        np.testing.assert_array_equal(summary.mean, (dens * grid.nodes) @ grid.weights)
+        np.testing.assert_array_equal(summary.marginal, marginal)
+
+    def test_memo_holds_only_length_m_vectors(self, model, grid):
+        prior = family45_prior(10.0, grid)
+        m = 12
+        ghosh_table(prior, m, model)
+        key, summary = prior.posterior_slot[0]
+        assert key[0] == m
+        arrays = [v for v in vars(summary).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 7
+        assert all(a.size <= m + 1 and not a.flags.writeable for a in arrays)
+
+    def test_key_change_rebuilds(self, model, grid, posterior_calls):
+        prior = family45_prior(1.0, grid)
+        mean_centre = ghosh_table(prior, 4, model)
+        map_centre = ghosh_table(prior, 4, model, center="map")
+        assert posterior_calls == {4: 2}
+        np.testing.assert_array_equal(mean_centre.mean, map_centre.mean)
+        assert not np.array_equal(mean_centre.center, map_centre.center)
+
+    def test_failed_ghosh_check_keeps_posterior_mean(self, model, grid):
+        prior = _interior_zero_prior(grid)
+        with pytest.raises(NonIntegrablePosteriorError):
+            ghosh_table(prior, 1, model)
+        values = PosteriorMeanEstimator(model, prior).values(1)
+        dens, _, _ = posterior_table(prior, 1, model)
+        np.testing.assert_array_equal(values, (dens * grid.nodes) @ grid.weights)
+        with pytest.raises(NonIntegrablePosteriorError):     # raised again from the memo
+            ghosh_table(prior, 1, model)
+
+    def test_concurrent_callers_get_their_own_m(self, model):
+        # more threads than cores, switching often, all sharing one prior's slot
+        grid = QuadratureGrid.simpson(0.0, math.pi / 2, 201)
+        prior = family45_prior(10.0, grid)
+        ms = [1, 2, 3, 4, 5, 6] * 8
+        expected = {m: posterior_summary(family45_prior(10.0, grid), m, model).variance
+                    for m in set(ms)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda m: posterior_summary(prior, m, model), ms,
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for m, summary in zip(ms, got):
+            assert summary.m == m
+            np.testing.assert_array_equal(summary.variance, expected[m])
+
+
+class TestCliPosteriorBuilds:
+    ARGS = ["--prior.alpha", "10", "--grid.nodes", "401"]
+
+    def test_one_build_per_fig3_row(self, tmp_path, posterior_calls):
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", *self.ARGS, "--m.list", "1,2,3,5,8", "--out", str(out)]) == 0
+        assert posterior_calls == {1: 1, 2: 1, 3: 1, 5: 1, 8: 1}
+
+    def test_one_build_per_bounds_cell(self, tmp_path, posterior_calls):
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", *self.ARGS, "--m.list", "6", "--out", str(out)]) == 0
+        assert posterior_calls == {6: 1}

@@ -15,6 +15,7 @@ from phasebound.model import (
     tally_pmf,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
+    tally_pmf_with_dtheta,
     tally_probability,
 )
 
@@ -157,6 +158,46 @@ class TestPmfDerivative:
     def test_finite_at_deterministic_endpoints(self, model):
         d = tally_pmf_dtheta_matrix(model, 5, np.array([0.0, math.pi / 2]))
         assert np.all(np.isfinite(d))
+
+
+class TestPmfWithDerivative:
+    """The B_(m-1)-derived pair against the log-domain kernels."""
+
+    THETAS = np.linspace(0.0, math.pi / 2, 2001)
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 1000])
+    def test_pmf_matches_log_domain_kernel(self, model, m):
+        pmf, _ = tally_pmf_with_dtheta(model, m, self.THETAS)
+        ref = tally_pmf_matrix(model, m, self.THETAS)
+        rel = np.abs(pmf - ref) / np.maximum(ref, np.finfo(float).tiny)
+        assert float(np.max(rel)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 1000])
+    def test_derivative_matches_log_domain_kernel(self, model, m):
+        _, dpmf = tally_pmf_with_dtheta(model, m, self.THETAS)
+        ref = tally_pmf_dtheta_matrix(model, m, self.THETAS)
+        scale = np.maximum(np.max(np.abs(ref), axis=0), np.finfo(float).tiny)
+        assert float(np.max(np.abs(dpmf - ref) / scale)) <= 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 1000])
+    def test_deterministic_channels(self, model, m):
+        pmf, dpmf = tally_pmf_with_dtheta(model, m, np.array([0.0, math.pi / 2]))
+        unit = np.zeros(m + 1)
+        unit[m] = 1.0
+        np.testing.assert_array_equal(pmf[:, 0], unit)      # p_+ = 1: every shot is +1
+        np.testing.assert_array_equal(pmf[:, 1], unit[::-1])  # p_+ = 0: every shot is -1
+        assert np.all(np.isfinite(dpmf))
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 1000])
+    def test_derivative_columns_sum_to_zero(self, model, m):
+        _, dpmf = tally_pmf_with_dtheta(model, m, self.THETAS)
+        scale = np.max(np.abs(dpmf), axis=0)
+        assert np.all(np.abs(dpmf.sum(axis=0)) <= 1e-12 * scale + 1e-300)
+
+    def test_no_shots(self, model):
+        pmf, dpmf = tally_pmf_with_dtheta(model, 0, self.THETAS[:5])
+        np.testing.assert_array_equal(pmf, np.ones((1, 5)))
+        np.testing.assert_array_equal(dpmf, np.zeros((1, 5)))
 
 
 class TestDomainsAndPoints:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,14 @@ class TestSolveSpd:
     def test_ridge_on_singular(self):
         b = np.array([[1.0, 1.0], [1.0, 1.0]])
         sol = solve_spd(b, np.array([1.0, -1.0]))
+        assert sol.ridge_used
+
+    def test_subnormal_eigenvalue_gives_infinite_condition(self):
+        # eigs[-1] / eigs[0] overflows for a subnormal smallest eigenvalue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_spd(np.diag([5e-324, 1.0]), np.array([1.0, 1.0]))
+        assert sol.condition == math.inf
         assert sol.ridge_used
 
     def test_rejects_asymmetric(self):

@@ -180,6 +180,32 @@ class TestZivZakai:
         assert coarse == pytest.approx(fine, rel=1e-3)
 
 
+def _ziv_zakai_min_oracle(prior, m, model, n=201):
+    """Ziv-Zakai with P_min = sum_k min(w0 p(k|theta0), w1 p(k|theta0+h)), free of cancellation."""
+    g = QuadratureGrid.simpson(prior.domain.a, prior.domain.b, n)
+    pmf = tally_pmf_matrix(model, m, g.nodes)
+    p = prior.density(g.nodes)
+    h_weights = QuadratureGrid.simpson(0.0, prior.domain.width, n).weights
+    total = 0.0
+    for i in range(1, n):
+        w0, w1 = p[:n - i], p[i:]
+        both = (w0 > 0.0) & (w1 > 0.0)
+        s = np.where(both, w0 + w1, 1.0)
+        p_min = np.minimum(w0 / s * pmf[:, :n - i], w1 / s * pmf[:, i:]).sum(axis=0)
+        inner = np.sum(np.where(both, g.weights[:n - i] * s * p_min, 0.0))
+        total += h_weights[i] * (g.nodes[i] - g.a) * inner
+    return 0.5 * total
+
+
+class TestZivZakaiOracle:
+    @pytest.mark.parametrize("m", [1, 2, 5, 20])
+    def test_matches_min_form(self, model, grid, flat, m):
+        for prior in (flat, family45_prior(-10.0, grid), family45_prior(10.0, grid),
+                      family45_prior(100.0, grid)):
+            oracle = _ziv_zakai_min_oracle(prior, m, model)
+            assert ziv_zakai(prior, m, model) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
 class TestVarianceChain:
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
     @pytest.mark.parametrize("m", [1, 5, 20, 50])

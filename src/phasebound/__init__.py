@@ -63,14 +63,13 @@ from .fbound import (
     echrb,
     hierarchy_report,
 )
-from .model import GhzParityModel, ModelPoint, PhaseDomain, fisher_information, tally_probability
+from .model import GhzParityModel, ModelPoint, PhaseDomain, tally_probability
 from .numerics import (
     DEFAULTS,
     NumericalFailure,
     PriorDensity,
     QuadratureGrid,
     Tolerances,
-    bessel_i0,
     custom_prior,
     family45_prior,
     flat_prior,

@@ -40,6 +40,7 @@ from .estimate import (
 from .fbound import (
     BarankinConfig,
     HierarchyViolationError,
+    check_chain,
     chrb,
     crlb,
     echrb,
@@ -81,7 +82,6 @@ class RunConfig:
     m_list: list[int] | None = None
     m_max: int | None = None
     grid_nodes: int = DEFAULTS.posterior_nodes
-    seed: int = 0
     output_path: str | None = None
 
     KEYS = {
@@ -94,7 +94,6 @@ class RunConfig:
         "m.list": "m_list",
         "m.max": "m_max",
         "grid.nodes": "grid_nodes",
-        "seed": "seed",
         "output.path": "output_path",
     }
 
@@ -107,7 +106,7 @@ class RunConfig:
                 value = [int(part) for part in raw.split(",") if part.strip()]
                 if not value:
                     raise ValueError("empty m.list")
-            elif key in ("model.N", "m.max", "grid.nodes", "seed"):
+            elif key in ("model.N", "m.max", "grid.nodes"):
                 value = int(raw)
             elif key in ("theta0", "domain.a", "domain.b", "prior.alpha"):
                 value = float(raw)
@@ -125,9 +124,9 @@ class RunConfig:
         if self.m_list is not None:
             ms = self.m_list
         else:
-            ms = list(range(1, (self.m_max or 100) + 1))
-        if any(m < 1 for m in ms):
-            raise ConfigError("sample sizes must be >= 1")
+            ms = list(range(1, (100 if self.m_max is None else self.m_max) + 1))
+        if not ms or any(m < 1 for m in ms):
+            raise ConfigError("sample sizes (m.list entries and m.max) must be >= 1")
         return ms
 
     def build(self):
@@ -161,7 +160,6 @@ class RunConfig:
             ("prior.alpha", "" if alpha is None else _fmt(alpha)),
             ("m.list", ",".join(str(m) for m in self.sample_sizes())),
             ("grid.nodes", str(self.grid_nodes)),
-            ("seed", str(self.seed)),
             ("output.path", out_path or ""),
         ]
         lines = [f"# phasebound {__version__} {command}"]
@@ -242,11 +240,8 @@ def cmd_fig2(cfg: RunConfig, out_path: str | None):
         ch = chrb(cfg.theta0, m, model, config, domain)
         ech = echrb(cfg.theta0, m, model, config, domain,
                     seed_lambdas=[ch.argmax["lambda"]])
-        if ech.value - ch.value < DEFAULTS.chain_slack \
-                or ch.value - c.value < DEFAULTS.chain_slack:
-            raise HierarchyViolationError(
-                f"bound ordering violated at m={m}: "
-                f"echrb={ech.value}, chrb={ch.value}, crlb={c.value}")
+        check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
+                    DEFAULTS, f"m={m}, theta0={cfg.theta0!r}")
         return (m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])
 
     rows = _sweep(row, cfg.sample_sizes())

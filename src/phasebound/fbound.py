@@ -55,6 +55,19 @@ class HierarchyViolationError(NumericalFailure):
     """A bound chain inequality failed beyond the optimizer slack."""
 
 
+def check_chain(chain, tol: Tolerances, cell: str) -> None:
+    """Assert an ordered [(name, value), ...] chain, each value >= the next.
+
+    A step may fall short by ``-tol.chain_slack`` (absolute); a larger gap
+    raises ``HierarchyViolationError`` naming both bounds, their values and
+    ``cell``.
+    """
+    for (upper, u), (lower, v) in zip(chain, chain[1:]):
+        if u - v < tol.chain_slack:
+            raise HierarchyViolationError(
+                f"{upper}={u!r} < {lower}={v!r} beyond slack {tol.chain_slack} at {cell}")
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One named bound value with its optimizer coordinates and diagnostics."""
@@ -212,7 +225,6 @@ def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m, tol):
 def echrb(theta0: float, m: int, model: GhzParityModel,
           config: BarankinConfig | None = None,
           domain: PhaseDomain | None = None,
-          grid_points: int | None = None,
           seed_lambdas=(),
           refine_rounds: int = 3,
           tol: Tolerances = DEFAULTS) -> BoundReport:
@@ -228,17 +240,14 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
     domain = domain or PhaseDomain()
     if m < 1:
         raise ModelError("m must be >= 1")
-    grid_points = grid_points or tol.echrb_grid
     p0p, p0m = _single_shot_probs(model, theta0)
     lo, hi = domain.a - theta0, domain.b - theta0
 
-    base1 = np.linspace(lo, hi, grid_points)
+    l1s = l2s = np.linspace(lo, hi, tol.echrb_grid)
     if len(seed_lambdas):
-        base1 = np.unique(np.concatenate([base1, np.asarray(seed_lambdas, dtype=float)]))
-    base2 = np.linspace(lo, hi, grid_points)
+        l1s = np.unique(np.concatenate([l2s, np.asarray(seed_lambdas, dtype=float)]))
 
     best = (-math.inf, math.nan, math.nan)
-    l1s, l2s = base1, base2
     for round_idx in range(refine_rounds + 1):
         L1, L2 = np.meshgrid(l1s, l2s, indexing="ij")
         g, _ = _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m, tol)
@@ -262,7 +271,7 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
     return BoundReport(
         name="echrb", value=value,
         argmax={"lambda1": l1, "lambda2": l2, "a_coefficient": float(a_star[0])},
-        diagnostics={"grid_points": int(grid_points), "refine_rounds": refine_rounds})
+        diagnostics={"grid_points": tol.echrb_grid, "refine_rounds": refine_rounds})
 
 
 def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
@@ -420,9 +429,5 @@ def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
                                 diagnostics={**bb_report.diagnostics, "floored_by": "echrb"})
 
     reports = [bb_report, echrb_report, chrb_report, crlb_report]
-    for upper, lower in zip(reports, reports[1:]):
-        if upper.value - lower.value < tol.chain_slack:
-            raise HierarchyViolationError(
-                f"{upper.name}={upper.value} < {lower.name}={lower.value} "
-                f"beyond slack {tol.chain_slack}")
+    check_chain([(r.name, r.value) for r in reports], tol, f"m={m}, theta0={theta0!r}")
     return reports

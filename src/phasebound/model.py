@@ -136,22 +136,6 @@ class ModelPoint:
         return self
 
 
-def prob_plus(model: GhzParityModel, theta):
-    return model.prob_plus(theta)
-
-
-def prob_minus(model: GhzParityModel, theta):
-    return model.prob_minus(theta)
-
-
-def dprob_dtheta(model: GhzParityModel, theta, outcome: int = +1):
-    return model.dprob_dtheta(theta, outcome)
-
-
-def fisher_information(model: GhzParityModel, theta):
-    return model.fisher_information(theta)
-
-
 def fisher_information_from_table(probs, dprobs) -> float:
     """Fisher information of a tabulated finite-outcome likelihood.
 

@@ -105,67 +105,6 @@ def integrate_with_error(values, grid: QuadratureGrid) -> tuple[float, float]:
     return full, abs(full - half) / 15.0
 
 
-def _bessel_i0_series(x: float) -> float:
-    # Power series sum_k (x/2)^(2k) / (k!)^2, summed to machine convergence.
-    q = (x / 2.0) ** 2
-    term = 1.0
-    total = 1.0
-    for k in range(1, 1000):
-        term *= q / (k * k)
-        total += term
-        if term < total * 1e-18:
-            break
-    return total
-
-def _bessel_i0_asymptotic(x: float) -> float:
-    # I0(x) ~ e^x / sqrt(2 pi x) * sum_k a_k / x^k with
-    # a_k = prod_{j<=k} (2j-1)^2 / (8^k k!); truncated at the smallest term.
-    total = 1.0
-    term = 1.0
-    for k in range(1, 40):
-        factor = (2 * k - 1) ** 2 / (8.0 * k * x)
-        new = term * factor
-        if new >= term:
-            break
-        term = new
-        total += term
-        if term < total * 1e-18:
-            break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
-
-_BESSEL_CROSSOVER = 20.0
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I0: power series up to |x| = 20, asymptotic beyond."""
-    x = abs(float(x))
-    if x > 700.0:
-        raise OverflowError(f"bessel_i0 overflows for |x| > 700, got {x}")
-    if x <= _BESSEL_CROSSOVER:
-        return _bessel_i0_series(x)
-    return _bessel_i0_asymptotic(x)
-
-
-def log_bessel_i0(x: float) -> float:
-    """log I0(x) without overflow, for arbitrarily large arguments."""
-    x = abs(float(x))
-    if x <= _BESSEL_CROSSOVER:
-        return math.log(_bessel_i0_series(x))
-    total = 1.0
-    term = 1.0
-    for k in range(1, 40):
-        factor = (2 * k - 1) ** 2 / (8.0 * k * x)
-        new = term * factor
-        if new >= term:
-            break
-        term = new
-        total += term
-        if term < total * 1e-18:
-            break
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
-
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -238,10 +177,10 @@ def solve_spd(matrix, rhs, tol: Tolerances = DEFAULTS) -> SpdSolution:
         raise ModelError(f"matrix shape {B.shape} does not match rhs size {n}")
     if n > 6:
         raise ModelError("SPD solves are capped at n <= 6 test points")
-    if not np.allclose(B, B.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(B).max()))):
-        raise ModelError("matrix is not symmetric")
     if not np.all(np.isfinite(B)) or not np.all(np.isfinite(d)):
         raise NumericalFailure("non-finite Gram matrix or right-hand side")
+    if not np.allclose(B, B.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(B).max()))):
+        raise ModelError("matrix is not symmetric")
 
     eigs = np.linalg.eigvalsh(B)
     with np.errstate(over="ignore"):     # a subnormal eigs[0] overflows to inf
@@ -355,9 +294,6 @@ def flat_prior(domain: PhaseDomain | None = None,
                            lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0)
 
 
-_FAMILY45_LOG_SWITCH = 600.0
-
-
 def family45_prior(alpha: float, grid: QuadratureGrid | None = None) -> PriorDensity:
     """One-parameter prior family (2/pi)(e^{alpha sin^2(2 theta)} - 1) / (e^{alpha/2} I0(alpha/2) - 1).
 
@@ -365,7 +301,6 @@ def family45_prior(alpha: float, grid: QuadratureGrid | None = None) -> PriorDen
     alpha.  Negative alpha broadens the density toward flat; large positive
     alpha concentrates it near pi/4 (approximately Gaussian with variance
     1/(8 alpha)).  alpha = 0 uses the limiting form (4/pi) sin^2(2 theta).
-    Arguments beyond e^alpha overflow are handled in the log domain.
     """
     alpha = float(alpha)
     grid = grid or QuadratureGrid.simpson(0.0, math.pi / 2)
@@ -380,36 +315,19 @@ def family45_prior(alpha: float, grid: QuadratureGrid | None = None) -> PriorDen
         def dpdf(t):
             return (8.0 / math.pi) * np.sin(4.0 * np.asarray(t, dtype=float))
 
-    elif alpha <= _FAMILY45_LOG_SWITCH:
-        denom = math.expm1(alpha / 2.0 + log_bessel_i0(alpha / 2.0))
-        c = (2.0 / math.pi) / denom
-
-        def pdf(t, _c=c):
-            s2 = np.sin(2.0 * np.asarray(t, dtype=float)) ** 2
-            return _c * np.expm1(alpha * s2)
-
-        def dpdf(t, _c=c):
-            t = np.asarray(t, dtype=float)
-            s2 = np.sin(2.0 * t) ** 2
-            return _c * np.exp(alpha * s2) * 2.0 * alpha * np.sin(4.0 * t)
-
     else:
-        # log-domain branch: numerator e^{alpha s^2} - 1 = e^{alpha s^2}(1 - e^{-alpha s^2})
-        log_denom = alpha / 2.0 + log_bessel_i0(alpha / 2.0)
-        log_denom += math.log1p(-math.exp(-log_denom))
-        log_c = math.log(2.0 / math.pi) - log_denom
+        # e^{-max(alpha, 0)} (e^{alpha s^2} - 1), up to sign: no factor overflows,
+        # and _finalize_prior normalises on the grid.
+        shift = max(alpha, 0.0)
 
-        def pdf(t, _lc=log_c):
+        def pdf(t):
+            s2 = np.sin(2.0 * np.asarray(t, dtype=float)) ** 2
+            return np.exp(shift * (s2 - 1.0)) * -np.expm1(-abs(alpha) * s2)
+
+        def dpdf(t):
             t = np.asarray(t, dtype=float)
             s2 = np.sin(2.0 * t) ** 2
-            with np.errstate(divide="ignore"):
-                body = alpha * s2 + np.log1p(-np.exp(-alpha * s2))
-            return np.where(s2 > 0.0, np.exp(_lc + body), 0.0)
-
-        def dpdf(t, _lc=log_c):
-            t = np.asarray(t, dtype=float)
-            s2 = np.sin(2.0 * t) ** 2
-            return np.exp(_lc + alpha * s2) * 2.0 * alpha * np.sin(4.0 * t)
+            return np.exp(alpha * s2 - shift) * 2.0 * abs(alpha) * np.sin(4.0 * t)
 
     values = np.asarray(pdf(grid.nodes), dtype=float)
     deriv = np.asarray(dpdf(grid.nodes), dtype=float)

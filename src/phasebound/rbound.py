@@ -32,7 +32,7 @@ import numpy as np
 
 from .bbound import ghosh_table
 from .estimate import Estimator
-from .fbound import HierarchyViolationError
+from .fbound import check_chain
 from .model import (
     GhzParityModel,
     ModelError,
@@ -56,7 +56,7 @@ from .numerics import (
 
 __all__ = [
     "HypothesisTestCell", "PriorDensity", "flat_prior", "family45_prior",
-    "custom_prior", "avg_estimator_variance", "avg_mse", "avg_mse_decomposition",
+    "custom_prior", "avg_estimator_variance", "avg_mse",
     "van_trees", "pmin", "decision_rule_error_probability", "ziv_zakai",
     "acrlb", "fvtb", "estimator_chain_report", "agbr",
     "bayes_avg_posterior_variance", "bayes_chain_report", "tally_marginal",
@@ -74,18 +74,20 @@ class HypothesisTestCell:
     empty: bool = False
 
 
-def _outer_grid(prior: PriorDensity, node_count: int | None,
-                tol: Tolerances) -> QuadratureGrid:
-    return QuadratureGrid.simpson(prior.domain.a, prior.domain.b,
-                                  node_count or tol.outer_nodes)
+def _outer_grid(prior: PriorDensity, tol: Tolerances) -> QuadratureGrid:
+    return QuadratureGrid.simpson(prior.domain.a, prior.domain.b, tol.outer_nodes)
+
+
+def _cell(m: int, prior: PriorDensity) -> str:
+    where = f"{prior.kind} prior" if prior.alpha is None else f"alpha={prior.alpha:g}"
+    return f"m={m}, {where}"
 
 
 def avg_estimator_variance(estimator: Estimator, prior_true: PriorDensity,
                            m: int, model: GhzParityModel,
-                           outer_nodes: int | None = None,
                            tol: Tolerances = DEFAULTS) -> float:
     """Estimator variance averaged over the fluctuation density of theta0."""
-    g = _outer_grid(prior_true, outer_nodes, tol)
+    g = _outer_grid(prior_true, tol)
     p = prior_true.density(g.nodes)
     pmf = tally_pmf_matrix(model, m, g.nodes)
     v = estimator.values(m)
@@ -95,30 +97,14 @@ def avg_estimator_variance(estimator: Estimator, prior_true: PriorDensity,
 
 
 def avg_mse(estimator: Estimator, prior_true: PriorDensity, m: int,
-            model: GhzParityModel, outer_nodes: int | None = None,
-            tol: Tolerances = DEFAULTS) -> float:
+            model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
     """Mean square error averaged over the fluctuation density of theta0."""
-    g = _outer_grid(prior_true, outer_nodes, tol)
+    g = _outer_grid(prior_true, tol)
     p = prior_true.density(g.nodes)
     pmf = tally_pmf_matrix(model, m, g.nodes)
     v = estimator.values(m)
     mse = ((v[:, None] - g.nodes[None, :]) ** 2 * pmf).sum(axis=0)
     return integrate(mse * p, g)
-
-
-def avg_mse_decomposition(estimator: Estimator, prior_true: PriorDensity, m: int,
-                          model: GhzParityModel, outer_nodes: int | None = None,
-                          tol: Tolerances = DEFAULTS) -> tuple[float, float, float]:
-    """(avg MSE, avg variance, averaged squared bias), all on one grid."""
-    g = _outer_grid(prior_true, outer_nodes, tol)
-    p = prior_true.density(g.nodes)
-    pmf = tally_pmf_matrix(model, m, g.nodes)
-    v = estimator.values(m)
-    means = v @ pmf
-    var = ((v[:, None] - means[None, :]) ** 2 * pmf).sum(axis=0)
-    mse = ((v[:, None] - g.nodes[None, :]) ** 2 * pmf).sum(axis=0)
-    bias_sq = (means - g.nodes) ** 2
-    return integrate(mse * p, g), integrate(var * p, g), integrate(bias_sq * p, g)
 
 
 def _require_vanishing_boundary(prior: PriorDensity, assume_boundary: bool, what: str):
@@ -201,7 +187,7 @@ def decision_rule_error_probability(theta0: float, h: float, prior_true: PriorDe
 
 
 def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
-              node_count: int | None = None, tol: Tolerances = DEFAULTS) -> float:
+              tol: Tolerances = DEFAULTS) -> float:
     """Ziv-Zakai bound on the averaged MSE from a continuum of binary tests.
 
     (1/2) integral over h in (0, b - a] of h times the theta0-integral of
@@ -225,7 +211,7 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
     """
     if m < 1:
         raise ModelError("m must be >= 1")
-    n = node_count or tol.zzb_nodes
+    n = tol.zzb_nodes
     g = QuadratureGrid.simpson(prior_true.domain.a, prior_true.domain.b, n)
     nodes, w_theta = g.nodes, g.weights
     pmf = tally_pmf_matrix(model, m, nodes)
@@ -251,10 +237,9 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
 
 
 def acrlb(estimator: Estimator, prior_true: PriorDensity, m: int,
-          model: GhzParityModel, outer_nodes: int | None = None,
-          tol: Tolerances = DEFAULTS) -> float:
+          model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
     """Averaged Cramer-Rao bound: integral of (d<est>/dtheta0)^2/(m F) p(theta0)."""
-    g = _outer_grid(prior_true, outer_nodes, tol)
+    g = _outer_grid(prior_true, tol)
     p = prior_true.density(g.nodes)
     bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
     fisher = model.fisher_information(g.nodes)
@@ -262,15 +247,15 @@ def acrlb(estimator: Estimator, prior_true: PriorDensity, m: int,
 
 
 def fvtb(estimator: Estimator, prior_true: PriorDensity, m: int,
-         model: GhzParityModel, outer_nodes: int | None = None,
-         assume_boundary: bool = False, tol: Tolerances = DEFAULTS) -> float:
+         model: GhzParityModel, assume_boundary: bool = False,
+         tol: Tolerances = DEFAULTS) -> float:
     """Van Trees-style bound on the averaged estimator variance (bias enters).
 
     (integral of d<est>/dtheta0 p)^2 over (m <F> + J_prior); same boundary
     condition as the Van Trees bound.
     """
     _require_vanishing_boundary(prior_true, assume_boundary, "the variance Van Trees bound")
-    g = _outer_grid(prior_true, outer_nodes, tol)
+    g = _outer_grid(prior_true, tol)
     p = prior_true.density(g.nodes)
     bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
     numerator = integrate(bias_derivative * p, g) ** 2
@@ -289,27 +274,23 @@ class EstimatorChainReport:
 
 
 def estimator_chain_report(estimator: Estimator, prior_true: PriorDensity, m: int,
-                           model: GhzParityModel, outer_nodes: int | None = None,
+                           model: GhzParityModel,
                            tol: Tolerances = DEFAULTS) -> EstimatorChainReport:
     """Evaluate and assert the averaged-variance bound chain."""
     report = EstimatorChainReport(
-        avg_variance=avg_estimator_variance(estimator, prior_true, m, model, outer_nodes, tol),
-        acrlb=acrlb(estimator, prior_true, m, model, outer_nodes, tol),
-        fvtb=fvtb(estimator, prior_true, m, model, outer_nodes, tol=tol),
+        avg_variance=avg_estimator_variance(estimator, prior_true, m, model, tol),
+        acrlb=acrlb(estimator, prior_true, m, model, tol),
+        fvtb=fvtb(estimator, prior_true, m, model, tol=tol),
     )
-    chain = (("avg_variance", report.avg_variance), ("acrlb", report.acrlb),
-             ("fvtb", report.fvtb))
-    for (n1, v1), (n2, v2) in zip(chain, chain[1:]):
-        if v1 - v2 < tol.chain_slack:
-            raise HierarchyViolationError(f"{n1}={v1} < {n2}={v2}")
+    check_chain([("avg_variance", report.avg_variance), ("acrlb", report.acrlb),
+                 ("fvtb", report.fvtb)], tol, _cell(m, prior_true))
     return report
 
 
 def tally_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel,
-                   outer_nodes: int | None = None,
                    tol: Tolerances = DEFAULTS) -> np.ndarray:
     """Record distribution p(k) = integral of p(k|theta0) p(theta0) dtheta0."""
-    g = _outer_grid(prior_true, outer_nodes, tol)
+    g = _outer_grid(prior_true, tol)
     p = prior_true.density(g.nodes)
     return tally_pmf_matrix(model, m, g.nodes) @ (g.weights * p)
 
@@ -321,8 +302,8 @@ def _matched(prior_bayes: PriorDensity, prior_true: PriorDensity) -> bool:
 
 
 def agbr(prior_bayes: PriorDensity, prior_true: PriorDensity, m: int,
-         model: GhzParityModel, outer_nodes: int | None = None,
-         verify_chain: bool = True, tol: Tolerances = DEFAULTS) -> float:
+         model: GhzParityModel, verify_chain: bool = True,
+         tol: Tolerances = DEFAULTS) -> float:
     """Averaged Ghosh bound for a random phase: sum_k GB(k) p(k).
 
     The Bayesian prior behind the posteriors may differ from the physical
@@ -330,22 +311,19 @@ def agbr(prior_bayes: PriorDensity, prior_true: PriorDensity, m: int,
     the chain posterior variance >= aGBr >= VTB is asserted.
     """
     table = ghosh_table(prior_bayes, m, model, tol=tol)
-    weights = tally_marginal(prior_true, m, model, outer_nodes, tol)
+    weights = tally_marginal(prior_true, m, model, tol)
     value = float(np.sum(table.ghosh * weights))
     if verify_chain and _matched(prior_bayes, prior_true) \
             and prior_bayes.vanishes_at_boundaries:
         bayes_var = float(np.sum(table.variance * weights))
         vtb = van_trees(prior_true, m, model, tol=tol)
-        for (n1, v1), (n2, v2) in ((("posterior_variance", bayes_var), ("agbr", value)),
-                                   (("agbr", value), ("van_trees", vtb))):
-            if v1 - v2 < tol.chain_slack:
-                raise HierarchyViolationError(f"{n1}={v1} < {n2}={v2}")
+        check_chain([("posterior_variance", bayes_var), ("agbr", value), ("van_trees", vtb)],
+                    tol, _cell(m, prior_true))
     return value
 
 
 def bayes_avg_posterior_variance(prior_bayes: PriorDensity, prior_true: PriorDensity,
                                  m: int, model: GhzParityModel,
-                                 outer_nodes: int | None = None,
                                  tol: Tolerances = DEFAULTS) -> float:
     """Posterior variance averaged over the record distribution of a random phase.
 
@@ -356,7 +334,7 @@ def bayes_avg_posterior_variance(prior_bayes: PriorDensity, prior_true: PriorDen
     if m == 0:
         return prior_bayes.variance()
     table = ghosh_table(prior_bayes, m, model, tol=tol)
-    weights = tally_marginal(prior_true, m, model, outer_nodes, tol)
+    weights = tally_marginal(prior_true, m, model, tol)
     return float(np.sum(table.variance * weights))
 
 
@@ -370,19 +348,15 @@ class BayesChainReport:
 
 
 def bayes_chain_report(prior: PriorDensity, m: int, model: GhzParityModel,
-                       outer_nodes: int | None = None,
                        tol: Tolerances = DEFAULTS) -> BayesChainReport:
     """Evaluate and assert the matched-prior Bayesian bound chain."""
     table = ghosh_table(prior, m, model, tol=tol)
-    weights = tally_marginal(prior, m, model, outer_nodes, tol)
+    weights = tally_marginal(prior, m, model, tol)
     report = BayesChainReport(
         bayes_variance=float(np.sum(table.variance * weights)),
         agbr=float(np.sum(table.ghosh * weights)),
         van_trees=van_trees(prior, m, model, tol=tol),
     )
-    chain = (("bayes_variance", report.bayes_variance), ("agbr", report.agbr),
-             ("van_trees", report.van_trees))
-    for (n1, v1), (n2, v2) in zip(chain, chain[1:]):
-        if v1 - v2 < tol.chain_slack:
-            raise HierarchyViolationError(f"{n1}={v1} < {n2}={v2}")
+    check_chain([("bayes_variance", report.bayes_variance), ("agbr", report.agbr),
+                 ("van_trees", report.van_trees)], tol, _cell(m, prior))
     return report

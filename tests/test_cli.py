@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -63,6 +64,13 @@ class TestConfigParsing:
 
     def test_even_grid_rejected(self):
         assert main(["fig1", "--grid.nodes", "100", "--m.list", "1"]) == 2
+
+    @pytest.mark.parametrize("command,m_max", [("bounds", "-3"), ("fig1", "-3"), ("fig1", "0")])
+    def test_m_max_below_one_rejected(self, tmp_path, capsys, command, m_max):
+        out = tmp_path / "o.csv"
+        assert main([command, "--m.max", m_max, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFig1:
@@ -183,6 +191,18 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli_module._COMMANDS, "fig2", boom)
         assert main(["fig2", "--m.list", "1"]) == 4
+
+    def test_fig2_chain_violation_names_cell(self, monkeypatch, capsys):
+        real_chrb = cli_module.chrb
+
+        def inflated_chrb(*args, **kwargs):
+            report = real_chrb(*args, **kwargs)
+            return dataclasses.replace(report, value=10.0 * report.value)
+
+        monkeypatch.setattr(cli_module, "chrb", inflated_chrb)
+        assert main(["fig2", "--m.list", "3"]) == 4
+        err = capsys.readouterr().err
+        assert "echrb=" in err and "chrb=" in err and "m=3" in err
 
     def test_success_to_stdout(self, capsys):
         assert main(["fig1", "--m.list", "1"]) == 0

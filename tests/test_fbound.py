@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from phasebound.fbound import (
     BarankinConfig,
+    HierarchyViolationError,
     NoAdmissibleOffsetError,
     _echrb_grid_eval,
     _single_shot_probs,
     barankin,
     barankin_at,
+    check_chain,
     chrb,
     chrb_objective,
     crlb,
@@ -120,8 +123,10 @@ class TestExtendedChapmanRobbins:
 
     def test_refinement_never_decreases(self, model, domain):
         # nested grids: 2r-1 points contain the r-point grid
-        coarse = echrb(T0, 7, model, domain=domain, grid_points=41, refine_rounds=0).value
-        fine = echrb(T0, 7, model, domain=domain, grid_points=81, refine_rounds=0).value
+        coarse = echrb(T0, 7, model, domain=domain, refine_rounds=0,
+                       tol=dataclasses.replace(DEFAULTS, echrb_grid=41)).value
+        fine = echrb(T0, 7, model, domain=domain, refine_rounds=0,
+                     tol=dataclasses.replace(DEFAULTS, echrb_grid=81)).value
         assert fine >= coarse - 1e-12
 
 
@@ -180,6 +185,20 @@ class TestBiasedCrlbDominance:
             risk = frequentist_risk(est, T0, m, model)
             bound = crlb(T0, m, model, bias_derivative=risk.bias_derivative).value
             assert risk.variance >= bound - 1e-9
+
+
+class TestCheckChain:
+    def test_ordered_chain_and_gap_within_slack_pass(self):
+        check_chain([("bb", 3.0), ("echrb", 2.0), ("chrb", 2.0), ("crlb", 1.0)], DEFAULTS, "m=1")
+        check_chain([("upper", 1.0), ("lower", 1.0 + 0.5e-9)], DEFAULTS, "m=1")
+
+    def test_gap_beyond_slack_names_both_bounds_and_cell(self):
+        with pytest.raises(HierarchyViolationError) as info:
+            check_chain([("bb", 3.0), ("chrb", 1.0), ("crlb", 1.0 + 2e-9)], DEFAULTS,
+                        "m=7, alpha=10")
+        message = str(info.value)
+        assert "chrb=1.0" in message and "crlb=1.000000002" in message
+        assert "m=7, alpha=10" in message
 
 
 class TestHierarchy:

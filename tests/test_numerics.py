@@ -11,14 +11,13 @@ from phasebound.model import ModelError
 from phasebound.numerics import (
     AllNanGridError,
     NonIntegrablePriorError,
+    NumericalFailure,
     QuadratureGrid,
-    bessel_i0,
     custom_prior,
     family45_prior,
     fisher_information_of_density,
     integrate,
     integrate_with_error,
-    log_bessel_i0,
     maximize_1d,
     prior_fisher_information,
     solve_spd,
@@ -64,45 +63,6 @@ class TestSimpsonQuadrature:
         values[5] = math.nan
         with pytest.raises(Exception):
             integrate(values, grid)
-
-
-class TestBesselI0:
-    def test_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
-
-    def test_reference_values(self):
-        # power-series reference values
-        assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-14)
-        assert bessel_i0(5.0) == pytest.approx(27.239871823604442, rel=1e-14)
-
-    def test_against_scipy(self):
-        for x in np.concatenate([np.linspace(0, 20, 41), np.linspace(20.5, 120, 25), [500.0, 700.0]]):
-            assert bessel_i0(float(x)) == pytest.approx(float(scipy.special.i0(x)), rel=1e-12)
-
-    def test_branch_crossover_consistency(self):
-        from phasebound.numerics import _bessel_i0_asymptotic, _bessel_i0_series
-        assert _bessel_i0_asymptotic(20.0) == pytest.approx(_bessel_i0_series(20.0), rel=1e-11)
-
-    def test_monotone_and_at_least_one(self):
-        xs = np.linspace(0.0, 60.0, 200)
-        vals = [bessel_i0(float(x)) for x in xs]
-        assert all(v >= 1.0 for v in vals)
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_even(self):
-        assert bessel_i0(-3.0) == bessel_i0(3.0)
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            bessel_i0(701.0)
-
-    def test_log_variant(self):
-        for x in (0.5, 20.0, 300.0, 5000.0):
-            if x <= 700:
-                assert log_bessel_i0(x) == pytest.approx(math.log(bessel_i0(x)), abs=1e-12)
-        # large-argument asymptote: log I0(x) ~ x - log(2 pi x)/2
-        assert log_bessel_i0(5000.0) == pytest.approx(
-            5000.0 - 0.5 * math.log(2 * math.pi * 5000.0), rel=1e-6)
 
 
 class TestMaximize1d:
@@ -190,6 +150,11 @@ class TestSolveSpd:
         with pytest.raises(ModelError):
             solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
+    def test_nan_gram_is_numerical_failure(self):
+        # NaN must not reach the symmetry check, whose tolerance it turns into NaN
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solve_spd(np.array([[1.0, math.nan], [math.nan, 1.0]]), np.array([1.0, 1.0]))
+
 
 class TestPriorFamilies:
     def test_flat_norm(self, flat, grid):
@@ -223,6 +188,30 @@ class TestPriorFamilies:
         assert peak == pytest.approx(math.pi / 4, abs=1e-3)
         # approximately Gaussian with variance 1/(8 alpha)
         assert prior.variance() == pytest.approx(1.0 / (8 * 1e4), rel=0.02)
+
+    @pytest.mark.parametrize("alpha", [-1000.0, -100.0, -10.0, 1.0, 10.0, 100.0,
+                                       599.0, 601.0, 1000.0])
+    def test_family_matches_analytic_normaliser(self, grid, alpha):
+        # (2/pi)(e^{a s^2} - 1) / (e^{a/2} I0(a/2) - 1), with I0(x) = i0e(x) e^{|x|}
+        # rewritten so that no factor overflows
+        s2 = np.sin(2.0 * grid.nodes) ** 2
+        if alpha > 0:
+            exact = (2 / math.pi) * np.exp(alpha * (s2 - 1.0)) * -np.expm1(-alpha * s2) \
+                / (scipy.special.i0e(alpha / 2) - math.exp(-alpha))
+        else:
+            exact = (2 / math.pi) * -np.expm1(alpha * s2) / (1.0 - scipy.special.i0e(-alpha / 2))
+        prior = family45_prior(alpha, grid)
+        resolved = exact > 1e-300
+        rel = np.abs(prior.values[resolved] - exact[resolved]) / exact[resolved]
+        assert float(np.max(rel)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [-1e5, 1e5])
+    def test_extreme_alpha_builds_finite_values(self, grid, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prior = family45_prior(alpha, grid)
+        assert np.all(np.isfinite(prior.values)) and np.all(np.isfinite(prior.derivative))
+        assert abs(integrate(prior.values, grid) - 1.0) < 1e-9
 
     def test_derivative_matches_finite_differences(self, grid):
         prior = family45_prior(10.0, grid)

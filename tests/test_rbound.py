@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from phasebound.estimate import (
 from phasebound.engine import OutcomeTally
 from phasebound.model import GhzParityModel, tally_pmf_matrix
 from phasebound.numerics import (
+    DEFAULTS,
     NonIntegrablePriorError,
     QuadratureGrid,
     family45_prior,
@@ -27,7 +29,6 @@ from phasebound.rbound import (
     agbr,
     avg_estimator_variance,
     avg_mse,
-    avg_mse_decomposition,
     bayes_avg_posterior_variance,
     bayes_chain_report,
     decision_rule_error_probability,
@@ -67,7 +68,8 @@ class TestAveragedRisks:
         prior = family45_prior(1e4, fine)
         est = MaximumLikelihoodEstimator(model, domain)
         fixed = frequentist_risk(est, T0, 10, model).variance
-        averaged = avg_estimator_variance(est, prior, 10, model, outer_nodes=4001)
+        averaged = avg_estimator_variance(est, prior, 10, model,
+                                          tol=dataclasses.replace(DEFAULTS, outer_nodes=4001))
         assert averaged == pytest.approx(fixed, rel=0.01)
 
     def test_constant_estimator_avg_mse_closed_form(self, model, flat):
@@ -87,7 +89,12 @@ class TestAveragedRisks:
         else:
             prior = family45_prior(1.0, grid)
             est = PosteriorMeanEstimator(model, prior)
-        mse, var, bias_sq = avg_mse_decomposition(est, prior, m, model)
+        mse = avg_mse(est, prior, m, model)
+        var = avg_estimator_variance(est, prior, m, model)
+        # averaged squared bias, on the same outer rule
+        g = QuadratureGrid.simpson(domain.a, domain.b, DEFAULTS.outer_nodes)
+        means = est.values(m) @ tally_pmf_matrix(model, m, g.nodes)
+        bias_sq = integrate((means - g.nodes) ** 2 * prior.density(g.nodes), g)
         assert mse == pytest.approx(var + bias_sq, abs=1e-10)
         assert mse >= var - 1e-12
 
@@ -175,8 +182,8 @@ class TestZivZakai:
 
     def test_stable_under_grid_refinement(self, model, grid):
         prior = family45_prior(1.0, grid)
-        coarse = ziv_zakai(prior, 5, model, node_count=201)
-        fine = ziv_zakai(prior, 5, model, node_count=401)
+        coarse = ziv_zakai(prior, 5, model, tol=dataclasses.replace(DEFAULTS, zzb_nodes=201))
+        fine = ziv_zakai(prior, 5, model, tol=dataclasses.replace(DEFAULTS, zzb_nodes=401))
         assert coarse == pytest.approx(fine, rel=1e-3)
 
 
@@ -273,8 +280,8 @@ class TestRandomPhaseBayes:
         # assembled from per-tally posteriors and the same outer rule.
         prior = family45_prior(1.0, grid)
         m = 5
-        value = bayes_avg_posterior_variance(prior, prior, m, model,
-                                             outer_nodes=grid.node_count)
+        value = bayes_avg_posterior_variance(
+            prior, prior, m, model, tol=dataclasses.replace(DEFAULTS, outer_nodes=grid.node_count))
         pmf = tally_pmf_matrix(model, m, grid.nodes)
         joint = pmf * prior.values
         oracle = 0.0

@@ -135,6 +135,12 @@ class RunConfig:
             domain = PhaseDomain(self.domain_a, self.domain_b)
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
+        if model.n_qubits * domain.width > math.pi * (1.0 + 1e-12):
+            # cos(N theta) then takes some value twice on [a, b]: the phase
+            # is not identifiable and the bounds diverge at the aliased offset
+            raise ConfigError(
+                f"domain [{domain.a!r}, {domain.b!r}] is not identifiable for model.N="
+                f"{model.n_qubits}: N*(b-a) = {model.n_qubits * domain.width!r} exceeds pi")
         if not domain.contains(self.theta0):
             raise ConfigError(f"theta0={self.theta0} outside the domain")
         if self.grid_nodes < 3 or self.grid_nodes % 2 == 0:

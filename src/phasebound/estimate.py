@@ -77,6 +77,23 @@ class Posterior:
         return float(self.density[0]), float(self.density[-1])
 
 
+def _on_monotone_branch(model: GhzParityModel, domain: PhaseDomain) -> bool:
+    """True when [a, b] sits inside [0, pi/N], where cos(N theta) is monotone."""
+    return domain.a >= -1e-12 and domain.b <= math.pi / model.n_qubits + 1e-12
+
+
+def _branch_mle(k_plus, m: int, model: GhzParityModel, domain: PhaseDomain) -> np.ndarray:
+    """Closed-form MLE (1/N) arccos((k_+ - k_-)/m), clipped, for an array of k_+.
+
+    ``math.acos`` is applied per element: ``np.arccos`` differs from it in
+    the last bit for some arguments, and both ``mle`` and the estimator table
+    go through this one function so that they agree bit for bit.
+    """
+    x = (2 * np.atleast_1d(k_plus) - m) / m
+    acos = np.array([math.acos(v) for v in x.tolist()])
+    return domain.clip(acos / model.n_qubits)
+
+
 def mle(tally: OutcomeTally, model: GhzParityModel | None = None,
         domain: PhaseDomain | None = None) -> float:
     """Maximum-likelihood phase for a tally: (1/N) arccos((k_+ - k_-)/m), clipped.
@@ -90,18 +107,17 @@ def mle(tally: OutcomeTally, model: GhzParityModel | None = None,
     domain = domain or PhaseDomain()
     if tally.m < 1:
         raise ModelError("MLE requires at least one shot")
-    n = model.n_qubits
-    if domain.a >= -1e-12 and domain.b <= math.pi / n + 1e-12:
-        x = (tally.k_plus - tally.k_minus) / tally.m
-        return float(domain.clip(math.acos(max(-1.0, min(1.0, x))) / n))
+    if _on_monotone_branch(model, domain):
+        return float(_branch_mle(tally.k_plus, tally.m, model, domain)[0])
     from .numerics import maximize_1d  # local import: rarely-used fallback
 
     def loglik(theta):
         pp = model.prob_plus(theta)
         pm = 1.0 - pp
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             val = tally.k_plus * np.log(pp) + tally.k_minus * np.log(pm)
-        return float(val) if math.isfinite(val) else -math.inf
+        val = np.where(np.isfinite(val), val, -np.inf)
+        return float(val) if val.ndim == 0 else val
 
     arg, _ = maximize_1d(loglik, domain.a, domain.b, coarse_points=1001)
     return float(arg)
@@ -181,6 +197,8 @@ class MaximumLikelihoodEstimator(Estimator):
     name = "mle"
 
     def _compute_values(self, m: int) -> np.ndarray:
+        if m >= 1 and _on_monotone_branch(self.model, self.domain):
+            return _branch_mle(np.arange(m + 1), m, self.model, self.domain)
         return np.array([mle(OutcomeTally(k, m), self.model, self.domain)
                          for k in range(m + 1)])
 

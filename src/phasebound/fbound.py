@@ -27,6 +27,16 @@ All suprema use deterministic grids plus golden-section refinement; reported
 values are lower estimates of the true suprema (finite grids, finite n), and
 ``hierarchy_report`` seeds each bound with its predecessor's argmax so the
 chain BB >= EChRB >= ChRB >= CRLB holds by construction.
+
+The grids are evaluated as whole arrays.  Every objective handed to
+``maximize_1d`` takes an array or a float: the coarse grid arrives as one
+array, golden-section points as floats, and each element is computed with
+the same arithmetic as a lone float would be, so the two stages agree bit for
+bit.  ``chrb_objective`` (the ChRB ratio) works elementwise this way; the
+Barankin coordinate objective loops over the points it is given, one
+``barankin_at`` solve each.  The EChRB grid is an outer product: the
+per-offset terms are computed once per axis and only the cross moment is a
+full 2-D array.
 """
 
 from __future__ import annotations
@@ -138,30 +148,37 @@ def crlb(theta0: float, m: int, model: GhzParityModel,
                        diagnostics={"fisher_information": fisher})
 
 
-def chrb_objective(theta0: float, m: int, model: GhzParityModel, lam: float,
+def chrb_objective(theta0: float, m: int, model: GhzParityModel, lam,
                    config: BarankinConfig | None = None,
-                   domain: PhaseDomain | None = None) -> float:
-    """Chapman-Robbins ratio at one offset lambda (no supremum)."""
+                   domain: PhaseDomain | None = None):
+    """Chapman-Robbins ratio at offset lambda (no supremum); float or array, as ``lam`` is."""
     config = config or BarankinConfig()
     domain = domain or PhaseDomain()
     p0p, p0m = _single_shot_probs(model, theta0)
     return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, DEFAULTS)
 
 
+def _mean_shift(config: BarankinConfig, theta0: float, t):
+    """Biased estimator-mean difference mean_function(t) - mean_function(theta0), elementwise."""
+    return np.vectorize(config.mean_function, otypes=[float])(t) - config.mean_function(theta0)
+
+
 def _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, tol):
-    if abs(lam) < tol.offset_floor:
-        return -math.inf
+    """Two-point ratio num / (s^m - 1) at offsets ``lam``, elementwise.
+
+    Offsets below ``tol.offset_floor`` or leaving the domain, and those with
+    a non-positive denominator, give -inf; a non-finite denominator gives 0.
+    Returns a float for a float ``lam`` and an array for an array.
+    """
+    lam = np.asarray(lam, dtype=float)
     t = theta0 + lam
-    if t < domain.a - 1e-15 or t > domain.b + 1e-15:
-        return -math.inf
-    if config.unbiased:
-        num = lam * lam
-    else:
-        num = (config.mean_function(t) - config.mean_function(theta0)) ** 2
+    num = lam * lam if config.unbiased else _mean_shift(config, theta0, t) ** 2
     den = _gram_power(m, _pair_increment(model, theta0, t, t, p0p, p0m))
-    if den <= 0.0:
-        return -math.inf
-    return num / den if math.isfinite(den) else 0.0
+    excluded = ((np.abs(lam) < tol.offset_floor) | (t < domain.a - 1e-15)
+                | (t > domain.b + 1e-15) | (den <= 0.0))
+    # a NaN or infinite denominator gives num / inf = 0
+    value = np.where(excluded, -np.inf, num / np.where(den > 0.0, den, np.inf))
+    return float(value) if value.ndim == 0 else value
 
 
 def chrb(theta0: float, m: int, model: GhzParityModel,
@@ -184,7 +201,7 @@ def chrb(theta0: float, m: int, model: GhzParityModel,
     if hi - lo <= 2 * tol.offset_floor:
         raise NoAdmissibleOffsetError("no admissible offsets in the domain")
 
-    def objective(lam: float) -> float:
+    def objective(lam):
         return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, tol)
 
     try:
@@ -196,7 +213,12 @@ def chrb(theta0: float, m: int, model: GhzParityModel,
 
 
 def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m, tol):
-    """EChRB objective on offset grids, optimal A in closed form; -inf where excluded."""
+    """EChRB objective on offset grids, optimal A in closed form; -inf where excluded.
+
+    ``L1`` and ``L2`` broadcast against each other: paired 1-D arrays give one
+    value per pair, and a column ``l1s[:, None]`` against a row ``l2s[None, :]``
+    gives the whole grid while every per-offset term is computed once per axis.
+    """
     q = p0p * p0m
     d1 = model.prob_plus(theta0 + L1) - p0p
     d2 = model.prob_plus(theta0 + L2) - p0p
@@ -206,10 +228,8 @@ def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m, tol):
     if config.unbiased:
         e1, e2 = L1, L2
     else:
-        mean_fn = np.vectorize(config.mean_function)
-        mean0 = config.mean_function(theta0)
-        e1 = mean_fn(theta0 + L1) - mean0
-        e2 = mean_fn(theta0 + L2) - mean0
+        e1 = _mean_shift(config, theta0, theta0 + L1)
+        e2 = _mean_shift(config, theta0, theta0 + L2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_star = (e1 * c1 - e2 * c0) / (e2 * c1 - e1 * c2)
         den = c0 + 2.0 * a_star * c1 + a_star**2 * c2
@@ -249,15 +269,15 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
 
     best = (-math.inf, math.nan, math.nan)
     for round_idx in range(refine_rounds + 1):
-        L1, L2 = np.meshgrid(l1s, l2s, indexing="ij")
-        g, _ = _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m, tol)
+        g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], l2s[None, :],
+                                config, p0p, p0m, tol)
         if np.all(g == -np.inf):
             if round_idx == 0:
                 raise NoAdmissibleOffsetError("every (lambda1, lambda2) cell was excluded")
             break
         i, j = np.unravel_index(int(np.argmax(g)), g.shape)
         if g[i, j] > best[0]:
-            best = (float(g[i, j]), float(L1[i, j]), float(L2[i, j]))
+            best = (float(g[i, j]), float(l1s[i]), float(l2s[j]))
         if round_idx == refine_rounds:
             break
         span1 = (l1s[-1] - l1s[0]) / max(l1s.size - 1, 1)
@@ -310,11 +330,7 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
         for j in range(i, n):
             B[i, j] = B[j, i] = _gram_power(
                 m, _pair_increment(model, theta0, pts[i], pts[j], p0p, p0m))
-    if config.unbiased:
-        d = np.array(pts) - theta0
-    else:
-        mean0 = config.mean_function(theta0)
-        d = np.array([config.mean_function(t) - mean0 for t in pts])
+    d = np.array(pts) - theta0 if config.unbiased else _mean_shift(config, theta0, np.array(pts))
     sol = solve_spd(B, d, tol=tol)
     return BoundReport(
         name="barankin", value=max(sol.quadratic_form, 0.0),
@@ -363,10 +379,11 @@ def barankin(theta0: float, m: int, model: GhzParityModel,
         for _ in range(sweeps):
             improved = False
             for i in range(n):
-                def coord_obj(t: float, _i=i, _pts=pts) -> float:
-                    trial = list(_pts)
-                    trial[_i] = t
-                    return evaluate(trial)
+                def coord_obj(ts, _i=i, _pts=pts):
+                    # one barankin_at solve per candidate, for a float or an array
+                    vals = [evaluate(_pts[:_i] + [float(t)] + _pts[_i + 1:])
+                            for t in np.atleast_1d(ts)]
+                    return vals[0] if np.ndim(ts) == 0 else np.array(vals)
 
                 try:
                     arg, v = maximize_1d(coord_obj, lo, hi, coarse_points=coarse_points)

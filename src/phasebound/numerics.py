@@ -112,8 +112,13 @@ def maximize_1d(f, lo: float, hi: float, coarse_points: int = DEFAULTS.chrb_coar
                 refine_tol: float | None = None) -> tuple[float, float]:
     """Deterministic supremum search: coarse grid, then golden-section refinement.
 
-    ``f`` may return -inf or NaN to exclude points.  The returned value is the
-    best sample seen, so it never falls below the coarse-grid maximum.
+    ``f`` must accept both an array and a float.  The coarse stage calls it
+    once with the whole ``coarse_points`` grid as an ndarray and takes the
+    array it returns (one value per point, elementwise as if each point were
+    passed alone); golden-section refinement then calls it with one float at
+    a time and expects a float back.  ``f`` may return -inf or NaN to exclude
+    points.  The returned value is the best sample seen, so it never falls
+    below the coarse-grid maximum.
     """
     if not lo < hi:
         raise ModelError(f"search interval requires lo < hi, got [{lo}, {hi}]")
@@ -121,8 +126,8 @@ def maximize_1d(f, lo: float, hi: float, coarse_points: int = DEFAULTS.chrb_coar
         refine_tol = DEFAULTS.golden_rel_tol * (hi - lo)
 
     xs = np.linspace(lo, hi, coarse_points)
-    vals = np.array([f(float(x)) for x in xs], dtype=float)
-    vals[~np.isfinite(vals)] = -np.inf
+    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    vals = np.where(np.isfinite(vals), vals, -np.inf)
     if np.all(vals == -np.inf):
         raise AllNanGridError("objective invalid on the whole coarse grid")
     i = int(np.argmax(vals))

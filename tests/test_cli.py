@@ -72,6 +72,23 @@ class TestConfigParsing:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    def test_non_identifiable_domain_rejected(self, tmp_path, capsys, command):
+        # N = 3 on [0, pi/2]: N (b - a) = 3 pi / 2 > pi, so cos(N theta) aliases
+        out = tmp_path / "o.csv"
+        assert main([command, "--model.N", "3", "--m.list", "1,2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "model.N=3" in err
+        assert "[0.0, 1.5707963267948966]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n,b", [(2, math.pi / 2), (3, math.pi / 3)])
+    def test_domain_of_width_pi_over_n_accepted(self, tmp_path, n, b):
+        out = tmp_path / "o.csv"
+        assert main(["fig2", "--model.N", str(n), "--domain.a", "0", "--domain.b", repr(b),
+                     "--theta0", repr(b / 2), "--m.list", "1", "--out", str(out)]) == 0
+        assert out.exists()
+
 
 class TestFig1:
     def test_header_and_bias(self, tmp_path):

@@ -20,7 +20,7 @@ from phasebound.estimate import (
     posterior_table,
     posterior_variance,
 )
-from phasebound.model import tally_probability
+from phasebound.model import PhaseDomain, tally_probability
 from phasebound.numerics import family45_prior, integrate
 
 # analytic values for the flat-prior single-shot (+1) posterior (4/pi) cos^2:
@@ -47,6 +47,25 @@ class TestMle:
             grid_argmax = thetas[int(np.argmax(probs))]
             assert mle(OutcomeTally(k, m), model, domain) == pytest.approx(
                 grid_argmax, abs=2 * (domain.b - domain.a) / 20_000)
+
+    def test_estimator_table_equals_per_tally_mle(self, model, domain):
+        # the closed-form table over k = 0..m against one mle() call per tally,
+        # and against the scalar formula written out
+        est = MaximumLikelihoodEstimator(model, domain)
+        for m in range(1, 301):
+            per_tally = [mle(OutcomeTally(k, m), model, domain) for k in range(m + 1)]
+            formula = [float(domain.clip(math.acos(max(-1.0, min(1.0, (2 * k - m) / m))) / 2))
+                       for k in range(m + 1)]
+            assert est.values(m).tolist() == per_tally == formula
+
+    def test_estimator_table_equals_per_tally_mle_off_branch(self, model):
+        # [-0.3, 1.2] leaves the monotone branch [0, pi/2]: numerical fallback
+        # (a sparse m sweep, since each tally runs its own supremum search)
+        off_branch = PhaseDomain(-0.3, 1.2)
+        est = MaximumLikelihoodEstimator(model, off_branch)
+        for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300):
+            per_tally = [mle(OutcomeTally(k, m), model, off_branch) for k in range(m + 1)]
+            assert est.values(m).tolist() == per_tally
 
 
 class TestPosteriorConstruction:

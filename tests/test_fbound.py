@@ -227,3 +227,37 @@ class TestHierarchy:
                 chrb(mirrored, m, model, domain=domain).value, abs=1e-9)
             assert echrb(theta0, m, model, domain=domain).value == pytest.approx(
                 echrb(mirrored, m, model, domain=domain).value, abs=1e-9)
+
+
+class TestArrayObjectives:
+    """Whole-grid evaluation must equal point-by-point evaluation bit for bit."""
+
+    BIASED = BarankinConfig(unbiased=False,
+                            mean_function=lambda t: t - 0.1 * math.sin(4.0 * t))
+
+    @pytest.mark.parametrize("m", [1, 20, 300, 1000])
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_chrb_coarse_grid_equals_per_point(self, model, domain, m, biased):
+        config = self.BIASED if biased else BarankinConfig()
+        lams = np.linspace(domain.a - T0, domain.b - T0, DEFAULTS.chrb_coarse)
+        whole = chrb_objective(T0, m, model, lams, config, domain)
+        per_point = np.array([chrb_objective(T0, m, model, float(lam), config, domain)
+                              for lam in lams])
+        assert isinstance(chrb_objective(T0, m, model, float(lams[7]), config, domain), float)
+        assert whole.shape == lams.shape
+        assert np.array_equal(whole, per_point)
+        assert np.isfinite(whole).sum() >= DEFAULTS.chrb_coarse - 2
+
+    @pytest.mark.parametrize("m", [1, 300])
+    def test_echrb_broadcast_grid_equals_per_pair(self, model, domain, m):
+        p0p, p0m = _single_shot_probs(model, T0)
+        lams = np.linspace(domain.a - T0, domain.b - T0, DEFAULTS.echrb_grid)
+        g, a_star = _echrb_grid_eval(T0, m, model, lams[:, None], lams[None, :],
+                                     BarankinConfig(), p0p, p0m, DEFAULTS)
+        assert g.shape == a_star.shape == (lams.size, lams.size)
+        for i, l1 in enumerate(lams):
+            for j, l2 in enumerate(lams):
+                gp, ap = _echrb_grid_eval(T0, m, model, np.asarray([l1]), np.asarray([l2]),
+                                          BarankinConfig(), p0p, p0m, DEFAULTS)
+                assert g[i, j] == gp[0]
+                assert a_star[i, j] == ap[0] or (np.isnan(a_star[i, j]) and np.isnan(ap[0]))

@@ -71,7 +71,7 @@ class TestMaximize1d:
         assert abs(arg) < 1e-9 and abs(val) < 1e-16
 
     def test_chapman_robbins_single_shot_objective(self):
-        arg, val = maximize_1d(lambda x: x * x / math.sin(2 * x) ** 2, 1e-6, math.pi / 4)
+        arg, val = maximize_1d(lambda x: x * x / np.sin(2 * x) ** 2, 1e-6, math.pi / 4)
         assert arg == pytest.approx(math.pi / 4, abs=1e-9)
         assert val == pytest.approx((math.pi / 4) ** 2, rel=1e-12)
 
@@ -84,9 +84,23 @@ class TestMaximize1d:
         with pytest.raises(AllNanGridError):
             maximize_1d(lambda x: math.nan, 0.0, 1.0, coarse_points=11)
 
+    def test_coarse_stage_is_one_array_call(self):
+        # one call with the whole grid, then only float calls (golden section)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return -(x - 0.3) ** 2
+
+        arg, _ = maximize_1d(f, -1.0, 1.0, coarse_points=57)
+        assert isinstance(seen[0], np.ndarray) and seen[0].shape == (57,)
+        np.testing.assert_array_equal(seen[0], np.linspace(-1.0, 1.0, 57))
+        assert all(isinstance(x, float) for x in seen[1:]) and len(seen) > 2
+        assert arg == pytest.approx(0.3, abs=1e-9)
+
     def test_excluded_interior_point(self):
         # -inf holes must not derail the bracket search
-        arg, val = maximize_1d(lambda x: -math.inf if abs(x) < 1e-4 else -abs(x),
+        arg, val = maximize_1d(lambda x: np.where(np.abs(x) < 1e-4, -np.inf, -np.abs(x)),
                                -1.0, 1.0, coarse_points=41)
         assert val > -2e-4
 

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -7,14 +8,34 @@ import pytest
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _traced_names():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TRACED
+    return tracer
 
 
-@pytest.mark.parametrize("module,name", _traced_names())
+@pytest.mark.parametrize("module,name", _tracer_module().TRACED)
 def test_traced_function_exists(module, name):
     # the benchmark's --trace 1 pass wraps each of these by name
     assert callable(getattr(importlib.import_module(f"phasebound.{module}"), name, None))
+
+
+def test_chrb_objective_calls_stay_batched(tmp_path):
+    # the coarse grid is one objective call, so a chrb costs 1 + ~40
+    # golden-section calls; a per-point coarse loop would cost ~440
+    import phasebound.cli as cli
+    from phasebound import GhzParityModel, fbound
+
+    tracer_module = _tracer_module()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        fbound.chrb(math.pi / 4, 20, GhzParityModel(2))
+        chrb_evals = tracer.calls[tracer_module.OBJECTIVE]
+        assert cli.main(["fig2", "--m.list", "20", "--out", str(tmp_path / "fig2.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["fbound.chrb"] == 2
+    assert 1 < chrb_evals <= 60
+    assert tracer.calls[tracer_module.OBJECTIVE] <= 60 * tracer.calls["fbound.chrb"]

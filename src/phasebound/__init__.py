@@ -41,13 +41,11 @@ from .estimate import (
     MaximumLikelihoodEstimator,
     Posterior,
     PosteriorMeanEstimator,
-    PosteriorModeEstimator,
     RiskReport,
     build_posterior,
     frequentist_risk,
     mle,
     mle_asymptotic_density,
-    posterior_map,
     posterior_mean,
     posterior_variance,
 )

@@ -95,8 +95,7 @@ class GhoshTable:
     m: int
     marginal: np.ndarray        # p_mar(k), sums to 1 over k
     mean: np.ndarray            # posterior means theta_BL(k)
-    center: np.ndarray          # centre used for the variance (mean or MAP)
-    variance: np.ndarray        # posterior variance about the centre
+    variance: np.ndarray        # posterior variance about the mean
     boundary: np.ndarray        # boundary terms f(k, a, b)
     information: np.ndarray     # posterior Fisher information J(k)
     ghosh: np.ndarray           # (f - 1)^2 / J
@@ -104,45 +103,38 @@ class GhoshTable:
 
 
 def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel,
-                      center: str = "mean", tol: Tolerances = DEFAULTS) -> GhoshTable:
+                      tol: Tolerances = DEFAULTS) -> GhoshTable:
     """Per-tally posterior summary for all tallies k = 0..m, from one posterior table.
 
     The posterior-mean estimator and ``ghosh_table`` both read it, so the
     (m+1) x nodes table is built once per (prior, m) rather than once per
     consumer.  The result is memoised in the prior's single
-    ``posterior_slot``, keyed by (m, model, center, tol); the slot holds only
+    ``posterior_slot``, keyed by (m, model, tol); the slot holds only
     the summary's length-(m+1) vectors.  The slot is replaced by one store of
     a (key, summary) tuple, so a concurrent caller can only miss it, never
     read a summary of another key.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
-    undefined.  ``center`` selects the estimate the variance is taken about:
-    the posterior mean (default) or the posterior mode ("map").
+    undefined.
     """
-    if center not in ("mean", "map"):
-        raise ModelError(f"center must be 'mean' or 'map', got {center!r}")
-    key = (m, model, center, tol)
+    key = (m, model, tol)
     entry = prior.posterior_slot[0]
     if entry is not None and entry[0] == key:
         return entry[1]
-    table = _summarise(prior, m, model, center, tol)
+    table = _summarise(prior, m, model, tol)
     prior.posterior_slot[0] = (key, table)
     return table
 
 
 def _summarise(prior: PriorDensity, m: int, model: GhzParityModel,
-               center: str, tol: Tolerances) -> GhoshTable:
+               tol: Tolerances) -> GhoshTable:
     grid = prior.grid
     dens, ddens, marginal = posterior_table(prior, m, model)
     nodes, w = grid.nodes, grid.weights
 
     means = (dens * nodes) @ w
-    if center == "mean":
-        centers = means
-    else:
-        centers = nodes[np.argmax(dens, axis=1)]
-    variance = ((nodes[None, :] - centers[:, None]) ** 2 * dens) @ w
+    variance = ((nodes[None, :] - means[:, None]) ** 2 * dens) @ w
 
     failure = None
     zero = dens == 0.0
@@ -165,43 +157,41 @@ def _summarise(prior: PriorDensity, m: int, model: GhzParityModel,
         k_bad = int(np.flatnonzero(undefined)[0])
         failure = f"zero posterior information with nonzero numerator at tally k={k_bad}"
     ghosh = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, information))
-    for v in (marginal, means, centers, variance, boundary, information, ghosh):
+    for v in (marginal, means, variance, boundary, information, ghosh):
         v.flags.writeable = False
-    return GhoshTable(m=m, marginal=marginal, mean=means, center=centers,
-                      variance=variance, boundary=boundary,
+    return GhoshTable(m=m, marginal=marginal, mean=means, variance=variance, boundary=boundary,
                       information=information, ghosh=ghosh, failure=failure)
 
 
 def ghosh_table(prior: PriorDensity, m: int, model: GhzParityModel,
-                center: str = "mean", tol: Tolerances = DEFAULTS) -> GhoshTable:
+                tol: Tolerances = DEFAULTS) -> GhoshTable:
     """Vectorised Ghosh bound components for all tallies k = 0..m at once.
 
     Returns the memoised ``posterior_summary``, or raises its Ghosh-validity
     failure as ``NonIntegrablePosteriorError``.
     """
-    table = posterior_summary(prior, m, model, center=center, tol=tol)
+    table = posterior_summary(prior, m, model, tol=tol)
     if table.failure is not None:
         raise NonIntegrablePosteriorError(table.failure)
     return table
 
 
 def averaged_ghosh(theta0: float, m: int, model: GhzParityModel, prior: PriorDensity,
-                   center: str = "mean", tol: Tolerances = DEFAULTS) -> float:
+                   tol: Tolerances = DEFAULTS) -> float:
     """Likelihood-averaged Ghosh bound: sum_k GB(k) p(k | theta0).
 
     Lower-bounds the likelihood-averaged posterior variance; per-tally
     failures propagate with the offending tally named.
     """
-    table = ghosh_table(prior, m, model, center=center, tol=tol)
+    table = ghosh_table(prior, m, model, tol=tol)
     weights = tally_pmf(model, theta0, m)
     return float(np.sum(table.ghosh * weights))
 
 
 def averaged_posterior_variance(theta0: float, m: int, model: GhzParityModel,
-                                prior: PriorDensity, center: str = "mean",
-                                tol: Tolerances = DEFAULTS) -> float:
+                                prior: PriorDensity, tol: Tolerances = DEFAULTS) -> float:
     """Likelihood average of the posterior variance at fixed theta0."""
-    table = ghosh_table(prior, m, model, center=center, tol=tol)
+    table = ghosh_table(prior, m, model, tol=tol)
     weights = tally_pmf(model, theta0, m)
     return float(np.sum(table.variance * weights))
 

@@ -28,10 +28,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
-from .bbound import averaged_ghosh, averaged_posterior_variance, ghosh_table
+from .bbound import averaged_ghosh, averaged_posterior_variance
 from .estimate import (
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
@@ -46,7 +44,7 @@ from .fbound import (
     echrb,
     hierarchy_report,
 )
-from .model import GhzParityModel, ModelError, PhaseDomain, tally_pmf
+from .model import GhzParityModel, ModelError, PhaseDomain, require_identifiable
 from .numerics import (
     DEFAULTS,
     NumericalFailure,
@@ -133,14 +131,9 @@ class RunConfig:
         try:
             model = GhzParityModel(self.model_n)
             domain = PhaseDomain(self.domain_a, self.domain_b)
+            require_identifiable(model, domain)
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
-        if model.n_qubits * domain.width > math.pi * (1.0 + 1e-12):
-            # cos(N theta) then takes some value twice on [a, b]: the phase
-            # is not identifiable and the bounds diverge at the aliased offset
-            raise ConfigError(
-                f"domain [{domain.a!r}, {domain.b!r}] is not identifiable for model.N="
-                f"{model.n_qubits}: N*(b-a) = {model.n_qubits * domain.width!r} exceeds pi")
         if not domain.contains(self.theta0):
             raise ConfigError(f"theta0={self.theta0} outside the domain")
         if self.grid_nodes < 3 or self.grid_nodes % 2 == 0:
@@ -281,13 +274,11 @@ def cmd_fig3(cfg: RunConfig, out_path: str | None):
 
         def row(m: int):
             risk = frequentist_risk(estimator, cfg.theta0, m, model)
-            table = ghosh_table(prior, m, model)
-            weights = tally_pmf(model, cfg.theta0, m)
             return (m,
                     m * risk.variance,
                     risk.bias_derivative**2 / fisher,
-                    m * float(np.sum(table.variance * weights)),
-                    m * float(np.sum(table.ghosh * weights)))
+                    m * averaged_posterior_variance(cfg.theta0, m, model, prior),
+                    m * averaged_ghosh(cfg.theta0, m, model, prior))
 
         rows = _sweep(row, cfg.sample_sizes())
         _emit(_csv(cfg.echo_lines("fig3", alpha, path),

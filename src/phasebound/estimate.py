@@ -123,30 +123,22 @@ def mle(tally: OutcomeTally, model: GhzParityModel | None = None,
     return float(arg)
 
 
-def build_posterior(prior: PriorDensity, tally: OutcomeTally, model: GhzParityModel,
-                    grid: QuadratureGrid | None = None) -> Posterior:
-    """Posterior density proportional to likelihood times prior, grid-normalised.
+def build_posterior(prior: PriorDensity, tally: OutcomeTally, model: GhzParityModel) -> Posterior:
+    """Posterior density proportional to likelihood times prior, on the prior's grid.
 
     The returned ``marginal`` is the tally's marginal probability
     p_mar(k) = integral of p(k|theta) p_pri(theta); these sum to one over k.
     """
-    grid = grid or prior.grid
-    if grid is not prior.grid and (grid.a != prior.grid.a or grid.b != prior.grid.b):
-        raise ModelError("posterior grid must span the prior's domain")
-    if grid.node_count < 3:
-        raise ModelError("posterior grid needs at least 3 nodes")
-    prior_values = prior.values if grid is prior.grid else prior.density(grid.nodes)
-    prior_deriv = prior.derivative if grid is prior.grid else prior.density_derivative(grid.nodes)
-
+    grid = prior.grid
     like, dlike = tally_pmf_with_dtheta(model, tally.m, grid.nodes)
     like, dlike = like[tally.k_plus], dlike[tally.k_plus]
-    raw = like * prior_values
+    raw = like * prior.values
     marginal = integrate(raw, grid)
     if marginal <= 0.0 or not math.isfinite(marginal):
         raise DegeneratePosteriorError(
             f"posterior normalisation underflowed for tally k={tally.k_plus}, m={tally.m}")
     density = raw / marginal
-    derivative = (dlike * prior_values + like * prior_deriv) / marginal
+    derivative = (dlike * prior.values + like * prior.derivative) / marginal
     density.flags.writeable = False
     derivative.flags.writeable = False
     return Posterior(grid=grid, density=density, density_derivative=derivative,
@@ -155,11 +147,6 @@ def build_posterior(prior: PriorDensity, tally: OutcomeTally, model: GhzParityMo
 
 def posterior_mean(post: Posterior) -> float:
     return integrate(post.grid.nodes * post.density, post.grid)
-
-
-def posterior_map(post: Posterior) -> float:
-    """Smallest grid node attaining the density maximum (deterministic ties)."""
-    return float(post.grid.nodes[int(np.argmax(post.density))])
 
 
 def posterior_variance(post: Posterior, center: float | None = None) -> float:
@@ -203,26 +190,16 @@ class MaximumLikelihoodEstimator(Estimator):
                          for k in range(m + 1)])
 
 
-class _PosteriorEstimator(Estimator):
+class PosteriorMeanEstimator(Estimator):
+    name = "bayes_mean"
+
     def __init__(self, model: GhzParityModel, prior: PriorDensity):
         super().__init__(model, prior.domain)
         self.prior = prior
 
-
-class PosteriorMeanEstimator(_PosteriorEstimator):
-    name = "bayes_mean"
-
     def _compute_values(self, m: int) -> np.ndarray:
         from .bbound import posterior_summary  # local import: bbound imports this module
         return posterior_summary(self.prior, m, self.model).mean
-
-
-class PosteriorModeEstimator(_PosteriorEstimator):
-    name = "bayes_map"
-
-    def _compute_values(self, m: int) -> np.ndarray:
-        from .bbound import posterior_summary  # local import: bbound imports this module
-        return posterior_summary(self.prior, m, self.model, center="map").center
 
 
 class ConstantEstimator(Estimator):

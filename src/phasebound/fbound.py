@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GhzParityModel, ModelError, PhaseDomain
+from .model import GhzParityModel, ModelError, PhaseDomain, require_identifiable
 from .numerics import (
     DEFAULTS,
     AllNanGridError,
@@ -109,7 +109,10 @@ class BarankinConfig:
             raise ModelError("biased bounds need a mean_function")
 
 
-def _single_shot_probs(model: GhzParityModel, theta0: float) -> tuple[float, float]:
+def _single_shot_probs(model: GhzParityModel, theta0: float,
+                       domain: PhaseDomain) -> tuple[float, float]:
+    """p_+ and p_- at theta0, after checking that ``domain`` is identifiable."""
+    require_identifiable(model, domain)
     p0p = float(model.prob_plus(theta0))
     p0m = 1.0 - p0p
     if p0p <= 0.0 or p0m <= 0.0:
@@ -154,7 +157,7 @@ def chrb_objective(theta0: float, m: int, model: GhzParityModel, lam,
     """Chapman-Robbins ratio at offset lambda (no supremum); float or array, as ``lam`` is."""
     config = config or BarankinConfig()
     domain = domain or PhaseDomain()
-    p0p, p0m = _single_shot_probs(model, theta0)
+    p0p, p0m = _single_shot_probs(model, theta0, domain)
     return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, DEFAULTS)
 
 
@@ -196,7 +199,7 @@ def chrb(theta0: float, m: int, model: GhzParityModel,
     domain = domain or PhaseDomain()
     if m < 1:
         raise ModelError("m must be >= 1")
-    p0p, p0m = _single_shot_probs(model, theta0)
+    p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
     if hi - lo <= 2 * tol.offset_floor:
         raise NoAdmissibleOffsetError("no admissible offsets in the domain")
@@ -260,7 +263,7 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
     domain = domain or PhaseDomain()
     if m < 1:
         raise ModelError("m must be >= 1")
-    p0p, p0m = _single_shot_probs(model, theta0)
+    p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
 
     l1s = l2s = np.linspace(lo, hi, tol.echrb_grid)
@@ -314,7 +317,7 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
     n = len(pts)
     if not 1 <= n <= 6:
         raise ModelError("between 1 and 6 test points are required")
-    p0p, p0m = _single_shot_probs(model, theta0)
+    p0p, p0m = _single_shot_probs(model, theta0, domain)
     for t in pts:
         if t < domain.a - 1e-15 or t > domain.b + 1e-15:
             raise ModelError(f"test point {t} outside the phase domain")
@@ -342,23 +345,18 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
 def barankin(theta0: float, m: int, model: GhzParityModel,
              config: BarankinConfig,
              domain: PhaseDomain | None = None,
-             sweeps: int = 6,
-             coarse_points: int = 51,
-             extra_starts: bool = True,
              tol: Tolerances = DEFAULTS) -> BoundReport:
     """Barankin bound with the test-point placement improved by coordinate search.
 
-    Starts from ``config.test_points`` (plus deterministic evenly-spread
-    alternatives unless ``extra_starts`` is off), then cyclically re-optimises
-    one test point at a time with the 1D grid-plus-golden search.
-    Deterministic throughout; the result is a lower estimate of the supremum
-    over placements of this family size.
+    Starts from ``config.test_points``, then re-optimises one test point at a
+    time with a 25-point grid-plus-golden search, for at most two sweeps over
+    the points.  Deterministic throughout; the result is a lower estimate of
+    the supremum over placements of this family size.
     """
     domain = domain or PhaseDomain()
+    require_identifiable(model, domain)
     if not config.test_points:
         raise ModelError("config.test_points must provide an initial placement")
-    n = len(config.test_points)
-    lo, hi = domain.a, domain.b
 
     def evaluate(pts) -> float:
         try:
@@ -366,40 +364,30 @@ def barankin(theta0: float, m: int, model: GhzParityModel,
         except (ModelError, NumericalFailure):
             return -math.inf
 
-    starts = [list(config.test_points)]
-    if extra_starts:
-        spread = [lo + (i + 0.5) * (hi - lo) / n for i in range(n)]
-        starts += [spread, list(reversed(spread))]
-    best_pts, best_val = None, -math.inf
-    for start in starts:
-        pts = list(start)
-        val = evaluate(pts)
-        if not math.isfinite(val):
-            continue
-        for _ in range(sweeps):
-            improved = False
-            for i in range(n):
-                def coord_obj(ts, _i=i, _pts=pts):
-                    # one barankin_at solve per candidate, for a float or an array
-                    vals = [evaluate(_pts[:_i] + [float(t)] + _pts[_i + 1:])
-                            for t in np.atleast_1d(ts)]
-                    return vals[0] if np.ndim(ts) == 0 else np.array(vals)
-
-                try:
-                    arg, v = maximize_1d(coord_obj, lo, hi, coarse_points=coarse_points)
-                except AllNanGridError:
-                    continue
-                if v > val + 1e-12 * max(1.0, abs(val)):
-                    pts[i] = arg
-                    val = v
-                    improved = True
-            if not improved:
-                break
-        if val > best_val:
-            best_val, best_pts = val, list(pts)
-    if best_pts is None:
+    pts = list(config.test_points)
+    val = evaluate(pts)
+    if not math.isfinite(val):
         raise NoAdmissibleOffsetError("no admissible test-point placement found")
-    return barankin_at(theta0, m, model, best_pts, config, domain, tol)
+    for _ in range(2):
+        improved = False
+        for i in range(len(pts)):
+            def coord_obj(ts, _i=i, _pts=pts):
+                # one barankin_at solve per candidate, for a float or an array
+                vals = [evaluate(_pts[:_i] + [float(t)] + _pts[_i + 1:])
+                        for t in np.atleast_1d(ts)]
+                return vals[0] if np.ndim(ts) == 0 else np.array(vals)
+
+            try:
+                arg, v = maximize_1d(coord_obj, domain.a, domain.b, coarse_points=25)
+            except AllNanGridError:
+                continue
+            if v > val + 1e-12 * max(1.0, abs(val)):
+                pts[i] = arg
+                val = v
+                improved = True
+        if not improved:
+            break
+    return barankin_at(theta0, m, model, pts, config, domain, tol)
 
 
 def _admissible_seed(lam: float, lo: float, hi: float, sep: float) -> float:
@@ -435,7 +423,7 @@ def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
     try:
         bb_report = barankin(theta0, m, model,
                              BarankinConfig(test_points=(theta0 + l1, theta0 + l2)),
-                             domain, sweeps=2, coarse_points=25, extra_starts=False, tol=tol)
+                             domain, tol)
     except (ModelError, NumericalFailure):
         bb_report = BoundReport(name="barankin", value=-math.inf)
     if bb_report.value < echrb_report.value:

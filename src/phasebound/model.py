@@ -21,7 +21,7 @@ Three tally kernels serve different paths, and each path keeps the one whose
 rounding its outputs were recorded with:
 
 * ``tally_pmf_matrix`` (and ``tally_pmf`` for one phase) evaluates
-  C(m,k) p_+^k p_-^(m-k) in the log domain.  The fixed-phase sums, the
+  C(m,k) p_+^k p_-^(m-k) in the log domain, through ``tally_probability``.  The fixed-phase sums, the
   theta0 integrals (``tally_marginal``, ``avg_*``) and Ziv-Zakai use it.
 * ``tally_pmf_dtheta_matrix`` assembles the pmf derivative from two further
   exp-matrices; ``frequentist_risk``, ``acrlb`` and ``fvtb`` use it.
@@ -117,6 +117,20 @@ class GhzParityModel:
         return np.full(theta.shape, n2)
 
 
+def require_identifiable(model: GhzParityModel, domain: PhaseDomain) -> None:
+    """Raise ``ModelError`` unless N (b - a) <= pi (up to 1e-12 relative).
+
+    On a wider domain cos(N theta) takes some value twice, so the phase is
+    not identifiable and the Barankin-type bounds diverge at the aliased
+    offset.
+    """
+    n = model.n_qubits
+    if n * domain.width > math.pi * (1.0 + 1e-12):
+        raise ModelError(
+            f"domain [{domain.a!r}, {domain.b!r}] is not identifiable for model.N="
+            f"{n}: N*(b-a) = {n * domain.width!r} exceeds pi")
+
+
 @dataclass(frozen=True)
 class ModelPoint:
     """True phase and sample size at which risks and bounds are evaluated."""
@@ -194,11 +208,7 @@ def tally_pmf(model: GhzParityModel, theta: float, m: int) -> np.ndarray:
 def tally_pmf_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
     """Tally probabilities for every k at every phase; shape (m+1, len(thetas))."""
     thetas = np.asarray(thetas, dtype=float)
-    k = np.arange(m + 1)[:, None]
-    pp = model.prob_plus(thetas)[None, :]
-    pm = 1.0 - pp
-    logc = log_binomial(m, k.ravel())[:, None]
-    return np.exp(logc + xlogy(k, pp) + xlogy(m - k, pm))
+    return tally_probability(model, thetas[None, :], m, np.arange(m + 1)[:, None])
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:

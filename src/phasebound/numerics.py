@@ -38,7 +38,6 @@ class Tolerances:
 
     posterior_nodes: int = 2001       # Simpson nodes for posterior/prior grids
     outer_nodes: int = 201            # Simpson nodes for integrals over theta0
-    zzb_nodes: int = 201              # nodes per axis of the Ziv-Zakai double integral
     chrb_coarse: int = 401            # coarse points for the 1D supremum search
     echrb_grid: int = 101             # points per axis of the (lambda1, lambda2) grid
     golden_rel_tol: float = 1e-10     # golden-section bracket width, relative to interval
@@ -108,8 +107,8 @@ def integrate_with_error(values, grid: QuadratureGrid) -> tuple[float, float]:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def maximize_1d(f, lo: float, hi: float, coarse_points: int = DEFAULTS.chrb_coarse,
-                refine_tol: float | None = None) -> tuple[float, float]:
+def maximize_1d(f, lo: float, hi: float,
+                coarse_points: int = DEFAULTS.chrb_coarse) -> tuple[float, float]:
     """Deterministic supremum search: coarse grid, then golden-section refinement.
 
     ``f`` must accept both an array and a float.  The coarse stage calls it
@@ -122,8 +121,7 @@ def maximize_1d(f, lo: float, hi: float, coarse_points: int = DEFAULTS.chrb_coar
     """
     if not lo < hi:
         raise ModelError(f"search interval requires lo < hi, got [{lo}, {hi}]")
-    if refine_tol is None:
-        refine_tol = DEFAULTS.golden_rel_tol * (hi - lo)
+    refine_tol = DEFAULTS.golden_rel_tol * (hi - lo)
 
     xs = np.linspace(lo, hi, coarse_points)
     vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)

@@ -107,17 +107,15 @@ def avg_mse(estimator: Estimator, prior_true: PriorDensity, m: int,
     return integrate(mse * p, g)
 
 
-def _require_vanishing_boundary(prior: PriorDensity, assume_boundary: bool, what: str):
-    if prior.vanishes_at_boundaries or assume_boundary:
-        return
-    raise NonIntegrablePriorError(
-        f"{what} requires the fluctuation density to vanish at the domain "
-        f"boundaries (or an explicit assume_boundary=True); the {prior.kind} "
-        f"prior does not")
+def _require_vanishing_boundary(prior: PriorDensity, what: str):
+    if not prior.vanishes_at_boundaries:
+        raise NonIntegrablePriorError(
+            f"{what} requires the fluctuation density to vanish at the domain "
+            f"boundaries; the {prior.kind} prior does not")
 
 
 def van_trees(prior_true: PriorDensity, m: int, model: GhzParityModel,
-              assume_boundary: bool = False, tol: Tolerances = DEFAULTS) -> float:
+              tol: Tolerances = DEFAULTS) -> float:
     """Van Trees bound 1 / (m <F> + J_prior) on the averaged mean square error.
 
     <F> is the Fisher information averaged over the fluctuation density (equal
@@ -127,7 +125,7 @@ def van_trees(prior_true: PriorDensity, m: int, model: GhzParityModel,
     """
     if m < 1:
         raise ModelError("m must be >= 1")
-    _require_vanishing_boundary(prior_true, assume_boundary, "the Van Trees bound")
+    _require_vanishing_boundary(prior_true, "the Van Trees bound")
     avg_fisher = integrate(model.fisher_information(prior_true.grid.nodes)
                            * prior_true.values, prior_true.grid)
     j_prior = prior_fisher_information(prior_true, tol=tol)
@@ -191,12 +189,12 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
     """Ziv-Zakai bound on the averaged MSE from a continuum of binary tests.
 
     (1/2) integral over h in (0, b - a] of h times the theta0-integral of
-    (p(theta0) + p(theta0 + h)) P_min(theta0, theta0 + h).  Both integrals use
-    Simpson rules with a shared node spacing, so every shifted phase lands on
-    the master grid and the tally distributions are evaluated once.  The
-    density is extended by zero outside the domain, which truncates the h
-    range at the domain width; cells where either hypothesis has zero weight
-    contribute nothing.
+    (p(theta0) + p(theta0 + h)) P_min(theta0, theta0 + h).  The theta0 axis is
+    the outer grid every other theta0 integral uses, and the h axis has the
+    same node spacing, so every shifted phase lands on that grid and the tally
+    distributions are evaluated once.  The density is extended by zero outside
+    the domain, which truncates the h range at the domain width; cells where
+    either hypothesis has zero weight contribute nothing.
 
     P_min is taken in the total-variation form 1/2 (1 - sum_k |w0 p0 - w1 p1|),
     which cancels when P_min is small.  Against the cancellation-free
@@ -211,9 +209,8 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
     """
     if m < 1:
         raise ModelError("m must be >= 1")
-    n = tol.zzb_nodes
-    g = QuadratureGrid.simpson(prior_true.domain.a, prior_true.domain.b, n)
-    nodes, w_theta = g.nodes, g.weights
+    g = _outer_grid(prior_true, tol)
+    n, nodes, w_theta = g.node_count, g.nodes, g.weights
     pmf = tally_pmf_matrix(model, m, nodes)
     p = prior_true.density(nodes)
     h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
@@ -247,14 +244,13 @@ def acrlb(estimator: Estimator, prior_true: PriorDensity, m: int,
 
 
 def fvtb(estimator: Estimator, prior_true: PriorDensity, m: int,
-         model: GhzParityModel, assume_boundary: bool = False,
-         tol: Tolerances = DEFAULTS) -> float:
+         model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
     """Van Trees-style bound on the averaged estimator variance (bias enters).
 
     (integral of d<est>/dtheta0 p)^2 over (m <F> + J_prior); same boundary
     condition as the Van Trees bound.
     """
-    _require_vanishing_boundary(prior_true, assume_boundary, "the variance Van Trees bound")
+    _require_vanishing_boundary(prior_true, "the variance Van Trees bound")
     g = _outer_grid(prior_true, tol)
     p = prior_true.density(g.nodes)
     bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
@@ -302,24 +298,18 @@ def _matched(prior_bayes: PriorDensity, prior_true: PriorDensity) -> bool:
 
 
 def agbr(prior_bayes: PriorDensity, prior_true: PriorDensity, m: int,
-         model: GhzParityModel, verify_chain: bool = True,
-         tol: Tolerances = DEFAULTS) -> float:
+         model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
     """Averaged Ghosh bound for a random phase: sum_k GB(k) p(k).
 
     The Bayesian prior behind the posteriors may differ from the physical
     fluctuation density.  When they coincide and the boundary terms vanish,
-    the chain posterior variance >= aGBr >= VTB is asserted.
+    the value comes from ``bayes_chain_report``, which asserts the chain
+    posterior variance >= aGBr >= VTB.
     """
+    if _matched(prior_bayes, prior_true) and prior_bayes.vanishes_at_boundaries:
+        return bayes_chain_report(prior_bayes, m, model, tol).agbr
     table = ghosh_table(prior_bayes, m, model, tol=tol)
-    weights = tally_marginal(prior_true, m, model, tol)
-    value = float(np.sum(table.ghosh * weights))
-    if verify_chain and _matched(prior_bayes, prior_true) \
-            and prior_bayes.vanishes_at_boundaries:
-        bayes_var = float(np.sum(table.variance * weights))
-        vtb = van_trees(prior_true, m, model, tol=tol)
-        check_chain([("posterior_variance", bayes_var), ("agbr", value), ("van_trees", vtb)],
-                    tol, _cell(m, prior_true))
-    return value
+    return float(np.sum(table.ghosh * tally_marginal(prior_true, m, model, tol)))
 
 
 def bayes_avg_posterior_variance(prior_bayes: PriorDensity, prior_true: PriorDensity,

@@ -9,13 +9,11 @@ from phasebound.estimate import (
     DegeneratePosteriorError,
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
-    PosteriorModeEstimator,
     bias_derivative_fd,
     build_posterior,
     frequentist_risk,
     mle,
     mle_asymptotic_density,
-    posterior_map,
     posterior_mean,
     posterior_table,
     posterior_variance,
@@ -137,10 +135,6 @@ class TestPosteriorSummaries:
             for k in range(m + 1):
                 assert abs(maps[k] - mle(OutcomeTally(k, m), model, domain)) <= cell
 
-    def test_map_tie_breaks_to_smallest_node(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(0, 0), model)  # constant density
-        assert posterior_map(post) == flat.grid.nodes[0]
-
 
 class TestFrequentistRisk:
     def test_mle_unbiased_at_symmetry_point(self, model, domain):
@@ -149,11 +143,10 @@ class TestFrequentistRisk:
             risk = frequentist_risk(est, math.pi / 4, m, model)
             assert abs(risk.mean - math.pi / 4) < 1e-12
 
-    def test_variance_mse_bias_identity(self, model, domain, grid, flat):
+    def test_variance_mse_bias_identity(self, model, domain, flat):
         estimators = [
             MaximumLikelihoodEstimator(model, domain),
             PosteriorMeanEstimator(model, flat),
-            PosteriorModeEstimator(model, family45_prior(1.0, grid)),
         ]
         cells = [(0.3, 1), (0.3, 4), (math.pi / 4, 2), (math.pi / 4, 9),
                  (1.1, 3), (1.1, 16), (0.8, 25)]

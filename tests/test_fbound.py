@@ -19,7 +19,7 @@ from phasebound.fbound import (
     echrb,
     hierarchy_report,
 )
-from phasebound.model import ModelError
+from phasebound.model import GhzParityModel, ModelError, PhaseDomain
 from phasebound.numerics import DEFAULTS, NumericalFailure
 
 T0 = math.pi / 4
@@ -99,7 +99,7 @@ class TestExtendedChapmanRobbins:
         # with the coefficient A forced to 0 the three-point ratio collapses
         # to the two-point one: c0 alone must reproduce the ChRB objective
         from phasebound.fbound import _gram_power, _pair_increment
-        p0p, p0m = _single_shot_probs(model, T0)
+        p0p, p0m = _single_shot_probs(model, T0, domain)
         m = 4
         for lam in (0.2, -0.5, 0.7):
             c0 = _gram_power(m, _pair_increment(model, T0, T0 + lam, T0 + lam, p0p, p0m))
@@ -143,7 +143,7 @@ class TestBarankin:
     def test_two_points_dominate_echrb_at_same_offsets(self, model, domain):
         m = 5
         for l1, l2 in ((0.0785, -0.7), (0.3, 0.6), (-0.5, 0.2)):
-            p0p, p0m = _single_shot_probs(model, T0)
+            p0p, p0m = _single_shot_probs(model, T0, domain)
             g, _ = _echrb_grid_eval(T0, m, model, np.asarray([l1]), np.asarray([l2]),
                                     BarankinConfig(), p0p, p0m, DEFAULTS)
             bb = barankin_at(T0, m, model, [T0 + l1, T0 + l2], domain=domain).value
@@ -250,7 +250,7 @@ class TestArrayObjectives:
 
     @pytest.mark.parametrize("m", [1, 300])
     def test_echrb_broadcast_grid_equals_per_pair(self, model, domain, m):
-        p0p, p0m = _single_shot_probs(model, T0)
+        p0p, p0m = _single_shot_probs(model, T0, domain)
         lams = np.linspace(domain.a - T0, domain.b - T0, DEFAULTS.echrb_grid)
         g, a_star = _echrb_grid_eval(T0, m, model, lams[:, None], lams[None, :],
                                      BarankinConfig(), p0p, p0m, DEFAULTS)
@@ -261,3 +261,33 @@ class TestArrayObjectives:
                                           BarankinConfig(), p0p, p0m, DEFAULTS)
                 assert g[i, j] == gp[0]
                 assert a_star[i, j] == ap[0] or (np.isnan(a_star[i, j]) and np.isnan(ap[0]))
+
+
+class TestIdentifiability:
+    # N (b - a) = 3 pi / 2 > pi: cos(3 theta) takes some value twice on [0, pi/2],
+    # and chrb used to return m * ChRB = 2.3e20 at the aliased offset pi/6.
+    # Each entry point maps (model, domain, theta0) to the values it reports.
+    ENTRY_POINTS = {
+        "chrb": lambda model, domain, t0: [chrb(t0, 20, model, domain=domain).value],
+        "chrb_objective": lambda model, domain, t0: [
+            chrb_objective(t0, 20, model, 0.1, domain=domain)],
+        "echrb": lambda model, domain, t0: [echrb(t0, 20, model, domain=domain).value],
+        "barankin_at": lambda model, domain, t0: [
+            barankin_at(t0, 20, model, [t0 + 0.1], domain=domain).value],
+        "barankin": lambda model, domain, t0: [barankin(
+            t0, 20, model, BarankinConfig(test_points=(t0 + 0.1, t0 - 0.1)), domain).value],
+        "hierarchy_report": lambda model, domain, t0: [
+            r.value for r in hierarchy_report(t0, 20, model, domain)],
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_identifiable_domain_raises(self, domain, entry):
+        with pytest.raises(ModelError, match="not identifiable for model.N=3"):
+            self.ENTRY_POINTS[entry](GhzParityModel(3), domain, T0)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_width_pi_over_n_accepted(self, entry):
+        # N (b - a) = pi, up to the rounding of pi / 3
+        values = self.ENTRY_POINTS[entry](GhzParityModel(3), PhaseDomain(0.0, math.pi / 3),
+                                          math.pi / 6)
+        assert all(math.isfinite(v) and v > 0.0 for v in values)

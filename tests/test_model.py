@@ -17,6 +17,7 @@ from phasebound.model import (
     tally_pmf_matrix,
     tally_pmf_with_dtheta,
     tally_probability,
+    require_identifiable,
 )
 
 
@@ -204,6 +205,15 @@ class TestDomainsAndPoints:
     def test_domain_validation(self):
         with pytest.raises(ModelError):
             PhaseDomain(1.0, 1.0)
+
+    @pytest.mark.parametrize("n,b", [(2, math.pi / 2), (3, math.pi / 3), (3, 0.5)])
+    def test_identifiable_domain_accepted(self, n, b):
+        require_identifiable(GhzParityModel(n), PhaseDomain(0.0, b))
+
+    @pytest.mark.parametrize("n,a,b", [(3, 0.0, math.pi / 2), (2, -0.3, 1.5), (1, 0.0, 3.2)])
+    def test_non_identifiable_domain_rejected(self, n, a, b):
+        with pytest.raises(ModelError, match=f"model.N={n}: N\\*\\(b-a\\)"):
+            require_identifiable(GhzParityModel(n), PhaseDomain(a, b))
 
     def test_default_domain(self):
         d = PhaseDomain()

@@ -109,11 +109,6 @@ class TestVanTrees:
         with pytest.raises(NonIntegrablePriorError):
             van_trees(flat, 5, model)
 
-    def test_flat_prior_allowed_with_explicit_assumption(self, model, flat):
-        # J_prior = 0 for the flat density once the edge condition is asserted
-        assert van_trees(flat, 5, model, assume_boundary=True) == pytest.approx(
-            1.0 / (5 * 4.0), rel=1e-9)
-
     def test_bounds_avg_mse_of_matched_bayes_estimator(self, model, grid):
         prior = family45_prior(10.0, grid)
         est = PosteriorMeanEstimator(model, prior)
@@ -182,8 +177,8 @@ class TestZivZakai:
 
     def test_stable_under_grid_refinement(self, model, grid):
         prior = family45_prior(1.0, grid)
-        coarse = ziv_zakai(prior, 5, model, tol=dataclasses.replace(DEFAULTS, zzb_nodes=201))
-        fine = ziv_zakai(prior, 5, model, tol=dataclasses.replace(DEFAULTS, zzb_nodes=401))
+        coarse = ziv_zakai(prior, 5, model, tol=dataclasses.replace(DEFAULTS, outer_nodes=201))
+        fine = ziv_zakai(prior, 5, model, tol=dataclasses.replace(DEFAULTS, outer_nodes=401))
         assert coarse == pytest.approx(fine, rel=1e-3)
 
 

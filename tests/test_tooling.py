@@ -1,11 +1,16 @@
+import dataclasses
 import importlib
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import pytest
 
+from phasebound.numerics import Tolerances
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "phasebound"
 
 
 def _tracer_module():
@@ -39,3 +44,10 @@ def test_chrb_objective_calls_stay_batched(tmp_path):
     assert tracer.calls["fbound.chrb"] == 2
     assert 1 < chrb_evals <= 60
     assert tracer.calls[tracer_module.OBJECTIVE] <= 60 * tracer.calls["fbound.chrb"]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
+def test_tolerance_field_is_read(name):
+    # a field no module reads is a setting that changes nothing
+    source = "\n".join(p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py")))
+    assert re.search(rf"\.{name}\b", source), f"Tolerances.{name} is never read"

@@ -354,7 +354,7 @@ def barankin(theta0: float, m: int, model: GhzParityModel,
     the supremum over placements of this family size.
     """
     domain = domain or PhaseDomain()
-    require_identifiable(model, domain)
+    require_identifiable(model, domain)     # evaluate() below turns ModelError into -inf
     if not config.test_points:
         raise ModelError("config.test_points must provide an initial placement")
 

@@ -104,15 +104,17 @@ class GhoshTable:
 
 def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel,
                       tol: Tolerances = DEFAULTS) -> GhoshTable:
-    """Per-tally posterior summary for all tallies k = 0..m, from one posterior table.
+    """Per-tally posterior summary for all tallies k = 0..m.
 
     The posterior-mean estimator and ``ghosh_table`` both read it, so the
-    (m+1) x nodes table is built once per (prior, m) rather than once per
-    consumer.  The result is memoised in the prior's single
-    ``posterior_slot``, keyed by (m, model, tol); the slot holds only
-    the summary's length-(m+1) vectors.  The slot is replaced by one store of
-    a (key, summary) tuple, so a concurrent caller can only miss it, never
-    read a summary of another key.
+    posterior table is built once per (prior, m) rather than once per
+    consumer.  It is built in blocks of tallies of at most ``_BLOCK_CELLS``
+    cells each (131 rows on 2001 nodes), and every returned quantity is one
+    number per tally, so memory stays O(block x nodes) however large m is.
+    The result is memoised in the prior's single ``posterior_slot``, keyed by
+    (m, model, tol); the slot holds only the summary's length-(m+1) vectors.
+    The slot is replaced by one store of a (key, summary) tuple, so a
+    concurrent caller can only miss it, never read a summary of another key.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
@@ -127,29 +129,36 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel,
     return table
 
 
+# Cells (rows x nodes) of one block of the posterior table: 2 MB per float64 array.
+_BLOCK_CELLS = 1 << 18
+
+
 def _summarise(prior: PriorDensity, m: int, model: GhzParityModel,
                tol: Tolerances) -> GhoshTable:
     grid = prior.grid
-    dens, ddens, marginal = posterior_table(prior, m, model)
     nodes, w = grid.nodes, grid.weights
-
-    means = (dens * nodes) @ w
-    variance = ((nodes[None, :] - means[:, None]) ** 2 * dens) @ w
-
-    failure = None
-    zero = dens == 0.0
-    if np.any(zero):
-        floor = tol.derivative_noise_rel * np.max(np.abs(ddens), axis=1, keepdims=True)
-        bad = zero & (np.abs(ddens) > floor)
-        if np.any(bad):
-            k_bad = int(np.flatnonzero(np.any(bad, axis=1))[0])
-            failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(zero, 0.0, ddens**2 / np.where(zero, 1.0, dens))
-    information = integrand @ w
-
     a, b = grid.a, grid.b
-    boundary = b * dens[:, -1] - a * dens[:, 0] - means * (dens[:, -1] - dens[:, 0])
+    rows = max(_BLOCK_CELLS // grid.node_count, 1)
+    marginal, means, variance, boundary, information = (np.empty(m + 1) for _ in range(5))
+    failure = None
+    for k0 in range(0, m + 1, rows):
+        k1 = min(k0 + rows, m + 1)
+        dens, ddens, marginal[k0:k1] = posterior_table(prior, m, model, k0, k1)
+        mean = means[k0:k1] = (dens * nodes) @ w
+        variance[k0:k1] = ((nodes[None, :] - mean[:, None]) ** 2 * dens) @ w
+
+        zero = dens == 0.0
+        if failure is None and np.any(zero):
+            floor = tol.derivative_noise_rel * np.max(np.abs(ddens), axis=1, keepdims=True)
+            bad = zero & (np.abs(ddens) > floor)
+            if np.any(bad):
+                k_bad = k0 + int(np.flatnonzero(np.any(bad, axis=1))[0])
+                failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(zero, 0.0, ddens**2 / np.where(zero, 1.0, dens))
+        information[k0:k1] = integrand @ w
+        boundary[k0:k1] = b * dens[:, -1] - a * dens[:, 0] - mean * (dens[:, -1] - dens[:, 0])
+
     num = (boundary - 1.0) ** 2
     degenerate = information <= 0.0
     undefined = degenerate & (num > 1e-18)

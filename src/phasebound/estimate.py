@@ -130,8 +130,9 @@ def build_posterior(prior: PriorDensity, tally: OutcomeTally, model: GhzParityMo
     p_mar(k) = integral of p(k|theta) p_pri(theta); these sum to one over k.
     """
     grid = prior.grid
-    like, dlike = tally_pmf_with_dtheta(model, tally.m, grid.nodes)
-    like, dlike = like[tally.k_plus], dlike[tally.k_plus]
+    k = tally.k_plus
+    like, dlike = tally_pmf_with_dtheta(model, tally.m, grid.nodes, k, k + 1)
+    like, dlike = like[0], dlike[0]
     raw = like * prior.values
     marginal = integrate(raw, grid)
     if marginal <= 0.0 or not math.isfinite(marginal):
@@ -214,28 +215,31 @@ class ConstantEstimator(Estimator):
         return np.full(m + 1, self.value)
 
 
-def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalised posterior densities and derivatives for every tally at once.
+def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int = 0,
+                    k1: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalised posterior densities and derivatives for the tallies k0 <= k < k1.
 
     Returns ``(density, derivative, marginal)`` with the first two of shape
-    (m+1, nodes) and the marginal tally distribution of length m+1.  Rows with
-    an underflowed marginal raise, naming the offending tally.
+    (k1 - k0, nodes) and the marginal tally probabilities of length k1 - k0;
+    the default range is every tally, k = 0..m.  A row with an underflowed
+    marginal raises, naming its tally k0 + i.
 
     The likelihood and its derivative come from ``tally_pmf_with_dtheta`` and
     are turned into the posterior arrays in place, so the table holds two
-    (m+1)-row arrays plus one temporary.
+    arrays of k1 - k0 rows plus one temporary.  ``bbound.posterior_summary``
+    asks for blocks of rows, so that its memory stays O(block x nodes).
     """
     grid = prior.grid
-    density, derivative = tally_pmf_with_dtheta(model, m, grid.nodes)
+    density, derivative = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1)
     derivative *= prior.values
     derivative += density * prior.derivative
     density *= prior.values
     marginal = density @ grid.weights
     bad = ~(np.isfinite(marginal) & (marginal > 0.0))
     if np.any(bad):
+        k_bad = k0 + int(np.flatnonzero(bad)[0])
         raise DegeneratePosteriorError(
-            f"posterior normalisation underflowed for tally k={int(np.flatnonzero(bad)[0])}, m={m}")
+            f"posterior normalisation underflowed for tally k={k_bad}, m={m}")
     density /= marginal[:, None]
     derivative /= marginal[:, None]
     return density, derivative, marginal

@@ -34,6 +34,12 @@ rounding its outputs were recorded with:
   the same B_(m-1); pairing this derivative with the log-domain pmf drifts by
   about 1e-12 at m = 5000.  Routing the other paths through it instead would
   move their results by up to 4e-10 against the recorded references.
+
+``tally_pmf_matrix`` and ``tally_pmf_with_dtheta`` take an optional row range
+k0 <= k < k1 (default: every tally).  Every entry is computed elementwise, so
+a range is bit for bit the matching slice of the full array; the derived
+kernel then reads only the rows k0-1 .. k1-1 of B_(m-1).  This lets the
+posterior summary stream a large-m table in blocks of tallies.
 """
 
 from __future__ import annotations
@@ -205,10 +211,24 @@ def tally_pmf(model: GhzParityModel, theta: float, m: int) -> np.ndarray:
     return tally_probability(model, float(theta), m, np.arange(m + 1))
 
 
-def tally_pmf_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
-    """Tally probabilities for every k at every phase; shape (m+1, len(thetas))."""
+def _row_range(m: int, k0: int, k1: int | None) -> tuple[int, int]:
+    """Validated tally rows k0 <= k < k1; ``k1=None`` means through k = m."""
+    k1 = m + 1 if k1 is None else k1
+    if not 0 <= k0 < k1 <= m + 1:
+        raise ModelError(f"tally rows [{k0}, {k1}) must be a nonempty part of [0, {m + 1})")
+    return k0, k1
+
+
+def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
+                     k1: int | None = None) -> np.ndarray:
+    """Tally probabilities for k0 <= k < k1 (default every k) at every phase.
+
+    Shape (k1 - k0, len(thetas)), equal bit for bit to those rows of the
+    full (m+1)-row matrix.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    return tally_probability(model, thetas[None, :], m, np.arange(m + 1)[:, None])
+    k0, k1 = _row_range(m, k0, k1)
+    return tally_probability(model, thetas[None, :], m, np.arange(k0, k1)[:, None])
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
@@ -232,32 +252,42 @@ def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray
     return model.dprob_dtheta(thetas, +1)[None, :] * (t1 - t2)
 
 
-def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Tally pmf and its d/dtheta, both derived from one B_(m-1) matrix.
+def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
+                          k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Tally pmf and its d/dtheta for k0 <= k < k1, both from one B_(m-1) matrix.
 
-    Returns two arrays of shape (m+1, len(thetas)), filled in place from
+    Returns two arrays of shape (k1 - k0, len(thetas)) (default: every tally,
+    m+1 rows), filled in place from the rows k0-1 .. k1-1 of
     B = ``tally_pmf_matrix(model, m - 1, thetas)`` with B(-1) = B(m) = 0:
 
         pmf(k)  = p_+ B(k-1) + p_- B(k)
         dpmf(k) = m p_+' [B(k-1) - B(k)]
 
-    At the deterministic channels B is a unit vector, so the pmf is exactly
-    one too and the derivative is finite without special cases.
+    Each row is bit for bit the same as in the full arrays.  At the
+    deterministic channels B is a unit vector, so the pmf is exactly one too
+    and the derivative is finite without special cases.
     """
     thetas = np.asarray(thetas, dtype=float)
+    k0, k1 = _row_range(m, k0, k1)
     if m == 0:
         return np.ones((1, thetas.size)), np.zeros((1, thetas.size))
-    prev = tally_pmf_matrix(model, m - 1, thetas)
+    lo = max(k0 - 1, 0)
+    prev = tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m))
     pp = model.prob_plus(thetas)
-    pmf = np.empty((m + 1, thetas.size))
+    rows = k1 - k0
+    top = min(k1, m) - k0      # rows 0..top-1 have a B(k) term
+    s = int(k0 == 0)           # rows s.. have a B(k-1) term
+    off = k0 - lo              # row i holds B(k) at prev[i + off], B(k-1) at prev[i + off - 1]
+    pmf = np.empty((rows, thetas.size))
     dpmf = np.empty_like(pmf)
-    np.multiply(prev, 1.0 - pp, out=pmf[:m])
-    pmf[m] = 0.0
-    np.multiply(prev, pp, out=dpmf[1:])       # dpmf holds p_+ B(k-1) for a moment
-    pmf[1:] += dpmf[1:]
-    np.negative(prev[0], out=dpmf[0])
-    np.subtract(prev[:-1], prev[1:], out=dpmf[1:m])
-    dpmf[m] = prev[m - 1]
+    np.multiply(prev[off:off + top], 1.0 - pp, out=pmf[:top])
+    pmf[top:] = 0.0
+    np.multiply(prev[off + s - 1:off + rows - 1], pp, out=dpmf[s:])   # p_+ B(k-1) for a moment
+    pmf[s:] += dpmf[s:]
+    if s:
+        np.negative(prev[0], out=dpmf[0])
+    np.subtract(prev[off + s - 1:off + top - 1], prev[off + s:off + top], out=dpmf[s:top])
+    if top < rows:
+        dpmf[top] = prev[off + top - 1]
     dpmf *= m * model.dprob_dtheta(thetas, +1)
     return pmf, dpmf

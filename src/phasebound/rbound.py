@@ -44,6 +44,7 @@ from .model import (
 from .numerics import (
     DEFAULTS,
     NonIntegrablePriorError,
+    NumericalFailure,
     PriorDensity,
     QuadratureGrid,
     Tolerances,
@@ -74,21 +75,42 @@ class HypothesisTestCell:
     empty: bool = False
 
 
-def _outer_grid(prior: PriorDensity, tol: Tolerances) -> QuadratureGrid:
-    return QuadratureGrid.simpson(prior.domain.a, prior.domain.b, tol.outer_nodes)
+# Largest |integral of the prior on the theta0 grid - 1| that still resolves the prior.
+_OUTER_MASS_TOL = 1e-10
+
+
+def _outer_grid(prior: PriorDensity, tol: Tolerances) -> tuple[QuadratureGrid, np.ndarray]:
+    """The theta0 grid of every outer integral, and the prior density on it.
+
+    Raises ``NumericalFailure`` when the grid cannot resolve the prior, that
+    is when the density integrates to 1 only within more than 1e-10 on it
+    (for the exponential-sine family from about alpha = 500 on 201 nodes);
+    the bounds of such a prior would be off by that much or more.
+    """
+    g = QuadratureGrid.simpson(prior.domain.a, prior.domain.b, tol.outer_nodes)
+    p = prior.density(g.nodes)
+    mass = integrate(p, g)
+    if not abs(mass - 1.0) <= _OUTER_MASS_TOL:
+        raise NumericalFailure(
+            f"the {g.node_count}-node theta0 grid does not resolve the prior "
+            f"({_prior_name(prior)}): it holds prior mass {mass!r}, "
+            f"off by more than {_OUTER_MASS_TOL:g}")
+    return g, p
+
+
+def _prior_name(prior: PriorDensity) -> str:
+    return f"{prior.kind} prior" if prior.alpha is None else f"alpha={prior.alpha:g}"
 
 
 def _cell(m: int, prior: PriorDensity) -> str:
-    where = f"{prior.kind} prior" if prior.alpha is None else f"alpha={prior.alpha:g}"
-    return f"m={m}, {where}"
+    return f"m={m}, {_prior_name(prior)}"
 
 
 def avg_estimator_variance(estimator: Estimator, prior_true: PriorDensity,
                            m: int, model: GhzParityModel,
                            tol: Tolerances = DEFAULTS) -> float:
     """Estimator variance averaged over the fluctuation density of theta0."""
-    g = _outer_grid(prior_true, tol)
-    p = prior_true.density(g.nodes)
+    g, p = _outer_grid(prior_true, tol)
     pmf = tally_pmf_matrix(model, m, g.nodes)
     v = estimator.values(m)
     means = v @ pmf
@@ -99,8 +121,7 @@ def avg_estimator_variance(estimator: Estimator, prior_true: PriorDensity,
 def avg_mse(estimator: Estimator, prior_true: PriorDensity, m: int,
             model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
     """Mean square error averaged over the fluctuation density of theta0."""
-    g = _outer_grid(prior_true, tol)
-    p = prior_true.density(g.nodes)
+    g, p = _outer_grid(prior_true, tol)
     pmf = tally_pmf_matrix(model, m, g.nodes)
     v = estimator.values(m)
     mse = ((v[:, None] - g.nodes[None, :]) ** 2 * pmf).sum(axis=0)
@@ -209,10 +230,9 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
     """
     if m < 1:
         raise ModelError("m must be >= 1")
-    g = _outer_grid(prior_true, tol)
+    g, p = _outer_grid(prior_true, tol)
     n, nodes, w_theta = g.node_count, g.nodes, g.weights
     pmf = tally_pmf_matrix(model, m, nodes)
-    p = prior_true.density(nodes)
     h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
 
     total = 0.0
@@ -236,8 +256,7 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
 def acrlb(estimator: Estimator, prior_true: PriorDensity, m: int,
           model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
     """Averaged Cramer-Rao bound: integral of (d<est>/dtheta0)^2/(m F) p(theta0)."""
-    g = _outer_grid(prior_true, tol)
-    p = prior_true.density(g.nodes)
+    g, p = _outer_grid(prior_true, tol)
     bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
     fisher = model.fisher_information(g.nodes)
     return integrate(bias_derivative**2 / (m * fisher) * p, g)
@@ -251,8 +270,7 @@ def fvtb(estimator: Estimator, prior_true: PriorDensity, m: int,
     condition as the Van Trees bound.
     """
     _require_vanishing_boundary(prior_true, "the variance Van Trees bound")
-    g = _outer_grid(prior_true, tol)
-    p = prior_true.density(g.nodes)
+    g, p = _outer_grid(prior_true, tol)
     bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
     numerator = integrate(bias_derivative * p, g) ** 2
     avg_fisher = integrate(model.fisher_information(g.nodes) * p, g)
@@ -286,8 +304,7 @@ def estimator_chain_report(estimator: Estimator, prior_true: PriorDensity, m: in
 def tally_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel,
                    tol: Tolerances = DEFAULTS) -> np.ndarray:
     """Record distribution p(k) = integral of p(k|theta0) p(theta0) dtheta0."""
-    g = _outer_grid(prior_true, tol)
-    p = prior_true.density(g.nodes)
+    g, p = _outer_grid(prior_true, tol)
     return tally_pmf_matrix(model, m, g.nodes) @ (g.weights * p)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,6 +24,7 @@ from phasebound.bbound import (
 from phasebound.cli import main
 from phasebound.engine import OutcomeTally
 from phasebound.estimate import (
+    DegeneratePosteriorError,
     PosteriorMeanEstimator,
     build_posterior,
     posterior_mean,
@@ -163,12 +165,16 @@ class TestLbvmReference:
 
 @pytest.fixture
 def posterior_calls(monkeypatch):
-    """Counts posterior_table builds per m, as seen by posterior_summary."""
+    """Counts posterior_table builds per m, as seen by posterior_summary.
+
+    A build is streamed in blocks of tallies; it counts once, at the block
+    that starts at tally 0.
+    """
     calls = Counter()
 
-    def counting(prior, m, model):
-        calls[m] += 1
-        return posterior_table(prior, m, model)
+    def counting(prior, m, model, k0=0, k1=None):
+        calls[m] += k0 == 0
+        return posterior_table(prior, m, model, k0, k1)
 
     monkeypatch.setattr(bbound_module, "posterior_table", counting)
     return calls
@@ -237,6 +243,64 @@ class TestPosteriorSummary:
         for m, summary in zip(ms, got):
             assert summary.m == m
             np.testing.assert_array_equal(summary.variance, expected[m])
+
+
+SUMMARY_FIELDS = ("marginal", "mean", "variance", "boundary", "information", "ghosh")
+
+
+class TestStreamedSummary:
+    """posterior_summary in forced small blocks of tallies against one block."""
+
+    @staticmethod
+    def _summary(monkeypatch, prior, m, model, rows=None):
+        # callers pass a fresh prior each time, so that the memo never answers
+        with monkeypatch.context() as patch:
+            if rows is not None:
+                patch.setattr(bbound_module, "_BLOCK_CELLS", rows * prior.grid.node_count)
+            return posterior_summary(prior, m, model)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 7, 20])
+    def test_blocks_match_one_block(self, monkeypatch, model, grid, rows, m):
+        whole = self._summary(monkeypatch, family45_prior(10.0, grid), m, model)
+        blocked = self._summary(monkeypatch, family45_prior(10.0, grid), m, model, rows)
+        for name in SUMMARY_FIELDS:
+            np.testing.assert_allclose(getattr(blocked, name), getattr(whole, name),
+                                       rtol=1e-14, atol=0.0, err_msg=name)
+        assert blocked.failure is whole.failure is None
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_underflow_names_same_tally(self, monkeypatch, model, grid, rows):
+        # support within 1e-3 of pi/2, where p_+ <= 1e-6: tallies k >= 54 of 60 underflow
+        values = np.where(grid.nodes > math.pi / 2 - 1e-3, 1.0, 0.0)
+        messages = []
+        for block in (None, rows):
+            with pytest.raises(DegeneratePosteriorError) as info:
+                self._summary(monkeypatch, custom_prior(grid, values), 60, model, block)
+            messages.append(str(info.value))
+        assert "tally k=54," in messages[0]
+        assert messages[1] == messages[0]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("m,k_bad", [(7, 2), (20, 14)])
+    def test_ghosh_failure_names_same_tally(self, monkeypatch, model, grid, rows, m, k_bad):
+        # zero below 0.05 with slope 1: the likelihood reaches that region from k = k_bad on
+        values, slope = np.maximum(grid.nodes - 0.05, 0.0), np.ones(grid.node_count)
+        whole = self._summary(monkeypatch, custom_prior(grid, values, slope), m, model)
+        blocked = self._summary(monkeypatch, custom_prior(grid, values, slope), m, model, rows)
+        assert whole.failure == f"posterior for tally k={k_bad} has a zero with nonzero slope"
+        assert blocked.failure == whole.failure
+
+    def test_memory_stays_blocked_at_large_m(self, model, grid):
+        # one 3001 x 2001 float64 table is 48 MB, and a whole-table summary holds several
+        prior = family45_prior(10.0, grid)
+        tracemalloc.start()
+        try:
+            posterior_summary(prior, 3000, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestCliPosteriorBuilds:

@@ -169,6 +169,17 @@ class TestFig4:
     def test_flat_prior_rejected(self):
         assert main(["fig4", "--prior.kind", "flat", "--m.list", "1"]) == 2
 
+    @pytest.mark.parametrize("m", ["1", "10"])
+    @pytest.mark.parametrize("alpha", ["1000", "2000", "5000"])
+    def test_unresolved_prior_is_numerical_failure(self, tmp_path, capsys, alpha, m):
+        # the 201-node theta0 grid misses 3e-5 (alpha 1000) to 9e-2 (alpha 5000) of the mass
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", "--prior.alpha", alpha, "--m.list", m, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "201-node theta0 grid" in err and f"alpha={alpha}" in err
+        assert not out.exists()
+
 
 class TestBounds:
     def test_report(self, tmp_path):

@@ -18,7 +18,7 @@ from phasebound.estimate import (
     posterior_table,
     posterior_variance,
 )
-from phasebound.model import PhaseDomain, tally_probability
+from phasebound.model import PhaseDomain, tally_pmf_with_dtheta, tally_probability
 from phasebound.numerics import family45_prior, integrate
 
 # analytic values for the flat-prior single-shot (+1) posterior (4/pi) cos^2:
@@ -98,6 +98,23 @@ class TestPosteriorConstruction:
         fd = np.gradient(post.density, grid.nodes)
         np.testing.assert_allclose(post.density_derivative[inner], fd[inner],
                                    rtol=5e-3, atol=1e-4)
+
+
+class TestBuildPosteriorRow:
+    @pytest.mark.parametrize("m", [1, 7, 1000])
+    def test_equals_full_table_row(self, model, grid, m):
+        # build_posterior computes only its tally's row; the full pair gives the same bits
+        prior = family45_prior(10.0, grid)
+        like, dlike = tally_pmf_with_dtheta(model, m, grid.nodes)
+        for k in (0, m // 2, m):
+            raw = like[k] * prior.values
+            marginal = integrate(raw, grid)
+            post = build_posterior(prior, OutcomeTally(k, m), model)
+            assert post.marginal == marginal
+            np.testing.assert_array_equal(post.density, raw / marginal)
+            np.testing.assert_array_equal(
+                post.density_derivative,
+                (dlike[k] * prior.values + like[k] * prior.derivative) / marginal)
 
 
 class TestPosteriorSummaries:

@@ -201,6 +201,41 @@ class TestPmfWithDerivative:
         np.testing.assert_array_equal(dpmf, np.zeros((1, 5)))
 
 
+class TestRowRanges:
+    """A row range of each kernel is bit for bit that slice of the full arrays."""
+
+    THETAS = np.linspace(0.0, math.pi / 2, 2001)
+
+    @staticmethod
+    def _ranges(m):
+        mid = m // 2
+        ranges = {(0, 1), (m, m + 1), (mid, mid + 1),                # single rows
+                  (0, mid + 1), (mid, m + 1), (m // 3, 2 * m // 3 + 1),  # first, last, interior
+                  (0, m + 1)}
+        return sorted((k0, k1) for k0, k1 in ranges if k0 < k1)
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 1000])
+    def test_pmf_matrix_rows(self, model, m):
+        full = tally_pmf_matrix(model, m, self.THETAS)
+        for k0, k1 in self._ranges(m):
+            np.testing.assert_array_equal(tally_pmf_matrix(model, m, self.THETAS, k0, k1),
+                                          full[k0:k1], err_msg=f"rows [{k0}, {k1})")
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 1000])
+    def test_pmf_with_dtheta_rows(self, model, m):
+        pmf, dpmf = tally_pmf_with_dtheta(model, m, self.THETAS)
+        for k0, k1 in self._ranges(m):
+            got_pmf, got_dpmf = tally_pmf_with_dtheta(model, m, self.THETAS, k0, k1)
+            np.testing.assert_array_equal(got_pmf, pmf[k0:k1], err_msg=f"rows [{k0}, {k1})")
+            np.testing.assert_array_equal(got_dpmf, dpmf[k0:k1], err_msg=f"rows [{k0}, {k1})")
+
+    @pytest.mark.parametrize("k0,k1", [(-1, 2), (2, 2), (3, 2), (0, 7), (6, 7)])
+    def test_rejects_bad_ranges(self, model, k0, k1):
+        for kernel in (tally_pmf_matrix, tally_pmf_with_dtheta):
+            with pytest.raises(ModelError):
+                kernel(model, 5, self.THETAS[:3], k0, k1)
+
+
 class TestDomainsAndPoints:
     def test_domain_validation(self):
         with pytest.raises(ModelError):

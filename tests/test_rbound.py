@@ -19,6 +19,7 @@ from phasebound.model import GhzParityModel, tally_pmf_matrix
 from phasebound.numerics import (
     DEFAULTS,
     NonIntegrablePriorError,
+    NumericalFailure,
     QuadratureGrid,
     family45_prior,
     flat_prior,
@@ -306,3 +307,25 @@ class TestRandomPhaseBayes:
         values = [bayes_avg_posterior_variance(prior, prior, m, model)
                   for m in (1, 2, 4, 8, 16)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestOuterGridResolution:
+    """Every theta0 integral refuses a prior that its 201-node grid cannot resolve."""
+
+    @pytest.mark.parametrize("alpha", [-100.0, -10.0, 1.0, 10.0, 100.0, 300.0])
+    def test_resolved_priors_accepted(self, model, grid, alpha):
+        marginal = tally_marginal(family45_prior(alpha, grid), 3, model)
+        assert marginal.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [500.0, 2000.0])
+    def test_narrow_prior_rejected(self, model, grid, alpha):
+        prior = family45_prior(alpha, grid)
+        est = MaximumLikelihoodEstimator(model, prior.domain)
+        for evaluate in (lambda: tally_marginal(prior, 3, model),
+                         lambda: avg_mse(est, prior, 3, model),
+                         lambda: avg_estimator_variance(est, prior, 3, model),
+                         lambda: acrlb(est, prior, 3, model),
+                         lambda: fvtb(est, prior, 3, model),
+                         lambda: ziv_zakai(prior, 3, model)):
+            with pytest.raises(NumericalFailure, match=f"201-node theta0 grid .*alpha={alpha:g}"):
+                evaluate()

@@ -51,3 +51,24 @@ def test_tolerance_field_is_read(name):
     # a field no module reads is a setting that changes nothing
     source = "\n".join(p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py")))
     assert re.search(rf"\.{name}\b", source), f"Tolerances.{name} is never read"
+
+
+def test_streamed_kernel_work_stays_traced(tmp_path):
+    # a large-m posterior table is built in blocks of tallies through the traced
+    # tally_pmf_matrix; each block after the first re-reads one row of B_(m-1)
+    import phasebound.bbound as bbound
+    import phasebound.cli as cli
+
+    m, nodes = 1000, 2001
+    blocks = -(-(m + 1) // (bbound._BLOCK_CELLS // nodes))
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["fig3", "--prior.alpha", "10", "--grid.nodes", str(nodes),
+                         "--m.list", str(m), "--out", str(tmp_path / "fig3.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert blocks > 1
+    assert tracer.calls["model.tally_pmf_matrix"] >= blocks
+    assert tracer.total_s["model.tally_pmf_matrix"] > 0.0
+    assert tracer.kernel_cells <= (m + 1 + blocks) * nodes

@@ -10,8 +10,8 @@ The package evaluates, for a binary-outcome interferometric likelihood
 * averaged risks and bounds for a randomly fluctuating phase: Van Trees,
   Ziv-Zakai, averaged Cramer-Rao, and the averaged Ghosh bound (``rbound``);
 * a quadrature/optimisation kernel and the prior families (``numerics``),
-  exact tally expectations plus a seeded sampler (``engine``), and a CSV
-  command-line harness (``cli``).
+  exact tally expectations (``engine``), and a CSV command-line harness
+  (``cli``).
 """
 
 __version__ = "0.1.0"
@@ -23,17 +23,9 @@ from .bbound import (
     boundary_term,
     ghosh_bound,
     ghosh_table,
-    lbvm_reference,
     posterior_fisher_information,
 )
-from .engine import (
-    OutcomeTally,
-    SeededSampler,
-    derive_seed,
-    expect_over_tallies,
-    sample_tallies,
-    sample_tally,
-)
+from .engine import OutcomeTally
 from .estimate import (
     ConstantEstimator,
     Estimator,
@@ -63,11 +55,9 @@ from .fbound import (
 )
 from .model import GhzParityModel, ModelPoint, PhaseDomain, tally_probability
 from .numerics import (
-    DEFAULTS,
     NumericalFailure,
     PriorDensity,
     QuadratureGrid,
-    Tolerances,
     custom_prior,
     family45_prior,
     flat_prior,
@@ -84,7 +74,6 @@ from .rbound import (
     avg_mse,
     bayes_avg_posterior_variance,
     bayes_chain_report,
-    decision_rule_error_probability,
     estimator_chain_report,
     fvtb,
     pmin,

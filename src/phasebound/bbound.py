@@ -18,7 +18,6 @@ frequentist error bars agree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +25,11 @@ import numpy as np
 from .estimate import Posterior, posterior_table
 from .model import GhzParityModel, ModelError, PhaseDomain, tally_pmf
 from .numerics import (
-    DEFAULTS,
+    DERIVATIVE_NOISE_REL,
     NonIntegrablePriorError,
     NumericalFailure,
     PriorDensity,
-    QuadratureGrid,
-    Tolerances,
     fisher_information_of_density,
-    integrate,
 )
 
 
@@ -61,7 +57,7 @@ def boundary_term(inputs: GhoshInputs) -> float:
     return b * pb - a * pa - inputs.theta_bl * (pb - pa)
 
 
-def posterior_fisher_information(post: Posterior, tol: Tolerances = DEFAULTS) -> float:
+def posterior_fisher_information(post: Posterior) -> float:
     """Integral of (dp_post/dtheta)^2 / p_post over the phase domain.
 
     Nodes where the density vanishes contribute nothing when the derivative
@@ -70,15 +66,15 @@ def posterior_fisher_information(post: Posterior, tol: Tolerances = DEFAULTS) ->
     """
     try:
         return fisher_information_of_density(post.density, post.density_derivative,
-                                             post.grid, tol=tol, what="posterior")
+                                             post.grid, what="posterior")
     except NonIntegrablePriorError as exc:
         raise NonIntegrablePosteriorError(str(exc)) from exc
 
 
-def ghosh_bound(inputs: GhoshInputs, tol: Tolerances = DEFAULTS) -> float:
+def ghosh_bound(inputs: GhoshInputs) -> float:
     """Ghosh lower bound (f - 1)^2 / J_post on the posterior variance."""
     f = boundary_term(inputs)
-    j = posterior_fisher_information(inputs.posterior, tol=tol)
+    j = posterior_fisher_information(inputs.posterior)
     num = (f - 1.0) ** 2
     if j <= 0.0:
         # a constant posterior has f = 1 exactly; the bound degenerates to 0
@@ -102,8 +98,7 @@ class GhoshTable:
     failure: str | None = None  # why the Ghosh bound is invalid; raised by ghosh_table
 
 
-def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel,
-                      tol: Tolerances = DEFAULTS) -> GhoshTable:
+def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     """Per-tally posterior summary for all tallies k = 0..m.
 
     The posterior-mean estimator and ``ghosh_table`` both read it, so the
@@ -112,7 +107,7 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel,
     cells each (131 rows on 2001 nodes), and every returned quantity is one
     number per tally, so memory stays O(block x nodes) however large m is.
     The result is memoised in the prior's single ``posterior_slot``, keyed by
-    (m, model, tol); the slot holds only the summary's length-(m+1) vectors.
+    (m, model); the slot holds only the summary's length-(m+1) vectors.
     The slot is replaced by one store of a (key, summary) tuple, so a
     concurrent caller can only miss it, never read a summary of another key.
 
@@ -120,11 +115,11 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel,
     the posterior means stay available for priors whose Ghosh bound is
     undefined.
     """
-    key = (m, model, tol)
+    key = (m, model)
     entry = prior.posterior_slot[0]
     if entry is not None and entry[0] == key:
         return entry[1]
-    table = _summarise(prior, m, model, tol)
+    table = _summarise(prior, m, model)
     prior.posterior_slot[0] = (key, table)
     return table
 
@@ -133,8 +128,7 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel,
 _BLOCK_CELLS = 1 << 18
 
 
-def _summarise(prior: PriorDensity, m: int, model: GhzParityModel,
-               tol: Tolerances) -> GhoshTable:
+def _summarise(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     grid = prior.grid
     nodes, w = grid.nodes, grid.weights
     a, b = grid.a, grid.b
@@ -149,7 +143,7 @@ def _summarise(prior: PriorDensity, m: int, model: GhzParityModel,
 
         zero = dens == 0.0
         if failure is None and np.any(zero):
-            floor = tol.derivative_noise_rel * np.max(np.abs(ddens), axis=1, keepdims=True)
+            floor = DERIVATIVE_NOISE_REL * np.max(np.abs(ddens), axis=1, keepdims=True)
             bad = zero & (np.abs(ddens) > floor)
             if np.any(bad):
                 k_bad = k0 + int(np.flatnonzero(np.any(bad, axis=1))[0])
@@ -172,59 +166,32 @@ def _summarise(prior: PriorDensity, m: int, model: GhzParityModel,
                       information=information, ghosh=ghosh, failure=failure)
 
 
-def ghosh_table(prior: PriorDensity, m: int, model: GhzParityModel,
-                tol: Tolerances = DEFAULTS) -> GhoshTable:
+def ghosh_table(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     """Vectorised Ghosh bound components for all tallies k = 0..m at once.
 
     Returns the memoised ``posterior_summary``, or raises its Ghosh-validity
     failure as ``NonIntegrablePosteriorError``.
     """
-    table = posterior_summary(prior, m, model, tol=tol)
+    table = posterior_summary(prior, m, model)
     if table.failure is not None:
         raise NonIntegrablePosteriorError(table.failure)
     return table
 
 
-def averaged_ghosh(theta0: float, m: int, model: GhzParityModel, prior: PriorDensity,
-                   tol: Tolerances = DEFAULTS) -> float:
+def averaged_ghosh(theta0: float, m: int, model: GhzParityModel, prior: PriorDensity) -> float:
     """Likelihood-averaged Ghosh bound: sum_k GB(k) p(k | theta0).
 
     Lower-bounds the likelihood-averaged posterior variance; per-tally
     failures propagate with the offending tally named.
     """
-    table = ghosh_table(prior, m, model, tol=tol)
+    table = ghosh_table(prior, m, model)
     weights = tally_pmf(model, theta0, m)
     return float(np.sum(table.ghosh * weights))
 
 
 def averaged_posterior_variance(theta0: float, m: int, model: GhzParityModel,
-                                prior: PriorDensity, tol: Tolerances = DEFAULTS) -> float:
+                                prior: PriorDensity) -> float:
     """Likelihood average of the posterior variance at fixed theta0."""
-    table = ghosh_table(prior, m, model, tol=tol)
+    table = ghosh_table(prior, m, model)
     weights = tally_pmf(model, theta0, m)
     return float(np.sum(table.variance * weights))
-
-
-def lbvm_reference(theta0: float, m: int, model: GhzParityModel,
-                   grid: QuadratureGrid | None = None) -> Posterior:
-    """Gaussian reference posterior: mean theta0, variance 1/(m F), renormalised.
-
-    This is the large-m limit shape of the true posterior; the returned object
-    carries the analytic density derivative so it can feed the Ghosh bound,
-    which it saturates.
-    """
-    if m < 1:
-        raise ModelError("m must be >= 1")
-    grid = grid or QuadratureGrid.simpson(PhaseDomain().a, PhaseDomain().b)
-    fisher = float(model.fisher_information(theta0))
-    scale = m * fisher
-    density = np.exp(-0.5 * scale * (grid.nodes - theta0) ** 2)
-    norm = integrate(density, grid)
-    if norm <= 0.0:
-        raise NumericalFailure("reference posterior underflowed on the grid")
-    density = density / norm
-    derivative = -scale * (grid.nodes - theta0) * density
-    density.flags.writeable = False
-    derivative.flags.writeable = False
-    return Posterior(grid=grid, density=density, density_derivative=derivative,
-                     tally=None, marginal=math.nan)

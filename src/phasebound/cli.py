@@ -46,7 +46,7 @@ from .fbound import (
 )
 from .model import GhzParityModel, ModelError, PhaseDomain, require_identifiable
 from .numerics import (
-    DEFAULTS,
+    POSTERIOR_NODES,
     NumericalFailure,
     PriorDensity,
     QuadratureGrid,
@@ -79,7 +79,7 @@ class RunConfig:
     prior_alpha: float | None = None
     m_list: list[int] | None = None
     m_max: int | None = None
-    grid_nodes: int = DEFAULTS.posterior_nodes
+    grid_nodes: int = POSTERIOR_NODES
     output_path: str | None = None
 
     KEYS = {
@@ -240,7 +240,7 @@ def cmd_fig2(cfg: RunConfig, out_path: str | None):
         ech = echrb(cfg.theta0, m, model, config, domain,
                     seed_lambdas=[ch.argmax["lambda"]])
         check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
-                    DEFAULTS, f"m={m}, theta0={cfg.theta0!r}")
+                    f"m={m}, theta0={cfg.theta0!r}")
         return (m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])
 
     rows = _sweep(row, cfg.sample_sizes())

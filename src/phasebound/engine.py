@@ -1,15 +1,8 @@
-"""Exact expectations over measurement records, plus a seeded Monte Carlo oracle.
+"""Exact expectations over measurement records.
 
 Every risk and bound in this package is an expectation over binary-outcome
-records, reduced to sums over the m+1 outcome tallies.  ``expect_over_tallies``
-is that exact sum; the sampler exists only to cross-validate it.
-
-PRNG: splitmix64, fixed here as the package's portable generator.  The state
-advances by the 64-bit golden-ratio increment 0x9E3779B97F4A7C15 and each
-output is finalised with the standard two-round xor-multiply mix; uniforms are
-the top 53 bits scaled by 2^-53.  Identical seeds give identical draw
-sequences on every platform, and ``derive_seed`` produces decorrelated
-per-task seeds for parallel sweeps.
+records, reduced to sums over the m+1 outcome tallies.
+``expect_values_over_tallies`` is that exact sum for a per-tally value vector.
 """
 
 from __future__ import annotations
@@ -21,11 +14,6 @@ import numpy as np
 
 from .model import GhzParityModel, ModelError, tally_pmf
 from .numerics import NumericalFailure
-
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 
 @dataclass(frozen=True)
@@ -50,15 +38,6 @@ class OutcomeTally:
         return math.comb(self.m, self.k_plus)
 
 
-def expect_over_tallies(f, theta0: float, m: int, model: GhzParityModel) -> float:
-    """Exact expectation of f(tally) over records of m shots at phase theta0."""
-    values = np.array([f(OutcomeTally(k, m)) for k in range(m + 1)], dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NumericalFailure(f"f produced a non-finite value at tally k={bad}")
-    return expect_values_over_tallies(values, theta0, m, model)
-
-
 def expect_values_over_tallies(values, theta0: float, m: int, model: GhzParityModel) -> float:
     """Expectation of a precomputed per-tally value vector (index k = 0..m)."""
     values = np.asarray(values, dtype=float)
@@ -67,55 +46,3 @@ def expect_values_over_tallies(values, theta0: float, m: int, model: GhzParityMo
     if not np.all(np.isfinite(values)):
         raise NumericalFailure("non-finite per-tally values")
     return float(np.sum(values * tally_pmf(model, theta0, m)))
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def derive_seed(seed: int, task_index: int) -> int:
-    """Decorrelated child seed for parallel task ``task_index``."""
-    state = (seed + (task_index + 1) * _GAMMA) & _MASK64
-    return int(_mix64(np.array([state], dtype=np.uint64))[0])
-
-
-class SeededSampler:
-    """splitmix64 uniform source; single-owner, draw index advances monotonically."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
-        self.counter = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Next ``count`` uniforms in [0, 1), each from one splitmix64 output."""
-        if count < 0:
-            raise ModelError("count must be nonnegative")
-        idx = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            states = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
-            out = _mix64(states)
-        self.counter += count
-        return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def sample_tally(sampler: SeededSampler, theta0: float, m: int,
-                 model: GhzParityModel) -> OutcomeTally:
-    """One Binomial(m, p_plus(theta0)) tally drawn by inverse CDF."""
-    k = sample_tallies(sampler, theta0, m, model, 1)[0]
-    return OutcomeTally(int(k), m)
-
-
-def sample_tallies(sampler: SeededSampler, theta0: float, m: int,
-                   model: GhzParityModel, count: int) -> np.ndarray:
-    """``count`` independent tallies; one uniform consumed per draw."""
-    if m < 1:
-        raise ModelError("sampling requires m >= 1")
-    cdf = np.cumsum(tally_pmf(model, theta0, m))
-    u = sampler.uniforms(count)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), m).astype(np.int64)

@@ -47,14 +47,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import GhzParityModel, ModelError, PhaseDomain, require_identifiable
-from .numerics import (
-    DEFAULTS,
-    AllNanGridError,
-    NumericalFailure,
-    Tolerances,
-    maximize_1d,
-    solve_spd,
-)
+from .numerics import AllNanGridError, NumericalFailure, maximize_1d, solve_spd
+
+_CHRB_COARSE = 401             # coarse points of the ChRB supremum search
+_ECHRB_GRID = 101              # points per axis of the first (lambda1, lambda2) grid
+_ECHRB_REFINE_ROUNDS = 3       # zooms of the EChRB grid around its best cell
+_OFFSET_SEPARATION = 1e-9      # least distance of test points from theta0 and each other
+_OFFSET_FLOOR = 1e-13          # offsets below this count as the excluded lambda = 0
+_CHAIN_SLACK = 1e-9            # chain-step shortfall allowed, relative below 1, absolute above
 
 
 class NoAdmissibleOffsetError(NumericalFailure):
@@ -65,17 +65,19 @@ class HierarchyViolationError(NumericalFailure):
     """A bound chain inequality failed beyond the optimizer slack."""
 
 
-def check_chain(chain, tol: Tolerances, cell: str) -> None:
+def check_chain(chain, cell: str) -> None:
     """Assert an ordered [(name, value), ...] chain, each value >= the next.
 
-    A step may fall short by ``-tol.chain_slack`` (absolute); a larger gap
-    raises ``HierarchyViolationError`` naming both bounds, their values and
-    ``cell``.
+    A step u >= v may fall short by ``_CHAIN_SLACK * min(1, max(|u|, |v|))``:
+    relative for values below 1, where the bounds of a concentrated prior
+    live, and absolute above.  A larger gap raises ``HierarchyViolationError``
+    naming both bounds, their values and ``cell``.
     """
     for (upper, u), (lower, v) in zip(chain, chain[1:]):
-        if u - v < tol.chain_slack:
+        slack = _CHAIN_SLACK * min(1.0, max(abs(u), abs(v)))
+        if u - v < -slack:
             raise HierarchyViolationError(
-                f"{upper}={u!r} < {lower}={v!r} beyond slack {tol.chain_slack} at {cell}")
+                f"{upper}={u!r} < {lower}={v!r} beyond slack {slack:.3g} at {cell}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class BarankinConfig:
             raise ModelError("at most 6 test points are supported")
         for i, t in enumerate(pts):
             for u in pts[i + 1:]:
-                if abs(t - u) < DEFAULTS.offset_separation:
+                if abs(t - u) < _OFFSET_SEPARATION:
                     raise ModelError("test points must be mutually distinct by >= 1e-9")
         if not self.unbiased and self.mean_function is None:
             raise ModelError("biased bounds need a mean_function")
@@ -158,7 +160,7 @@ def chrb_objective(theta0: float, m: int, model: GhzParityModel, lam,
     config = config or BarankinConfig()
     domain = domain or PhaseDomain()
     p0p, p0m = _single_shot_probs(model, theta0, domain)
-    return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, DEFAULTS)
+    return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m)
 
 
 def _mean_shift(config: BarankinConfig, theta0: float, t):
@@ -166,10 +168,10 @@ def _mean_shift(config: BarankinConfig, theta0: float, t):
     return np.vectorize(config.mean_function, otypes=[float])(t) - config.mean_function(theta0)
 
 
-def _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, tol):
+def _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m):
     """Two-point ratio num / (s^m - 1) at offsets ``lam``, elementwise.
 
-    Offsets below ``tol.offset_floor`` or leaving the domain, and those with
+    Offsets below ``_OFFSET_FLOOR`` or leaving the domain, and those with
     a non-positive denominator, give -inf; a non-finite denominator gives 0.
     Returns a float for a float ``lam`` and an array for an array.
     """
@@ -177,7 +179,7 @@ def _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, tol):
     t = theta0 + lam
     num = lam * lam if config.unbiased else _mean_shift(config, theta0, t) ** 2
     den = _gram_power(m, _pair_increment(model, theta0, t, t, p0p, p0m))
-    excluded = ((np.abs(lam) < tol.offset_floor) | (t < domain.a - 1e-15)
+    excluded = ((np.abs(lam) < _OFFSET_FLOOR) | (t < domain.a - 1e-15)
                 | (t > domain.b + 1e-15) | (den <= 0.0))
     # a NaN or infinite denominator gives num / inf = 0
     value = np.where(excluded, -np.inf, num / np.where(den > 0.0, den, np.inf))
@@ -186,8 +188,7 @@ def _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, tol):
 
 def chrb(theta0: float, m: int, model: GhzParityModel,
          config: BarankinConfig | None = None,
-         domain: PhaseDomain | None = None,
-         tol: Tolerances = DEFAULTS) -> BoundReport:
+         domain: PhaseDomain | None = None) -> BoundReport:
     """Chapman-Robbins bound: supremum of the two-point ratio over the offset.
 
     The admissible offsets keep theta0 + lambda inside the phase domain and
@@ -201,21 +202,21 @@ def chrb(theta0: float, m: int, model: GhzParityModel,
         raise ModelError("m must be >= 1")
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
-    if hi - lo <= 2 * tol.offset_floor:
+    if hi - lo <= 2 * _OFFSET_FLOOR:
         raise NoAdmissibleOffsetError("no admissible offsets in the domain")
 
     def objective(lam):
-        return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m, tol)
+        return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m)
 
     try:
-        arg, value = maximize_1d(objective, lo, hi, coarse_points=tol.chrb_coarse)
+        arg, value = maximize_1d(objective, lo, hi, coarse_points=_CHRB_COARSE)
     except AllNanGridError as exc:
         raise NoAdmissibleOffsetError("every candidate offset was excluded") from exc
     return BoundReport(name="chrb", value=value, argmax={"lambda": arg},
-                       diagnostics={"coarse_points": tol.chrb_coarse})
+                       diagnostics={"coarse_points": _CHRB_COARSE})
 
 
-def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m, tol):
+def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m):
     """EChRB objective on offset grids, optimal A in closed form; -inf where excluded.
 
     ``L1`` and ``L2`` broadcast against each other: paired 1-D arrays give one
@@ -240,17 +241,15 @@ def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m, tol):
         g_limit = np.where(c2 > 0.0, e2 * e2 / c2, -np.inf)
     g = np.fmax(np.where(np.isfinite(g), g, -np.inf),
                 np.where(np.isfinite(g_limit), g_limit, -np.inf))
-    bad = (np.abs(L1) < tol.offset_floor) | (np.abs(L2) < tol.offset_floor) \
-        | (np.abs(L1 - L2) < tol.offset_separation) | ~np.isfinite(c0) | (c0 <= 0.0)
+    bad = (np.abs(L1) < _OFFSET_FLOOR) | (np.abs(L2) < _OFFSET_FLOOR) \
+        | (np.abs(L1 - L2) < _OFFSET_SEPARATION) | ~np.isfinite(c0) | (c0 <= 0.0)
     return np.where(bad, -np.inf, g), a_star
 
 
 def echrb(theta0: float, m: int, model: GhzParityModel,
           config: BarankinConfig | None = None,
           domain: PhaseDomain | None = None,
-          seed_lambdas=(),
-          refine_rounds: int = 3,
-          tol: Tolerances = DEFAULTS) -> BoundReport:
+          seed_lambdas=()) -> BoundReport:
     """Extended Chapman-Robbins bound over two offsets and one free coefficient.
 
     For each admissible (lambda1, lambda2) the inner coefficient A maximises a
@@ -266,14 +265,14 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
 
-    l1s = l2s = np.linspace(lo, hi, tol.echrb_grid)
+    l1s = l2s = np.linspace(lo, hi, _ECHRB_GRID)
     if len(seed_lambdas):
         l1s = np.unique(np.concatenate([l2s, np.asarray(seed_lambdas, dtype=float)]))
 
     best = (-math.inf, math.nan, math.nan)
-    for round_idx in range(refine_rounds + 1):
+    for round_idx in range(_ECHRB_REFINE_ROUNDS + 1):
         g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], l2s[None, :],
-                                config, p0p, p0m, tol)
+                                config, p0p, p0m)
         if np.all(g == -np.inf):
             if round_idx == 0:
                 raise NoAdmissibleOffsetError("every (lambda1, lambda2) cell was excluded")
@@ -281,7 +280,7 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
         i, j = np.unravel_index(int(np.argmax(g)), g.shape)
         if g[i, j] > best[0]:
             best = (float(g[i, j]), float(l1s[i]), float(l2s[j]))
-        if round_idx == refine_rounds:
+        if round_idx == _ECHRB_REFINE_ROUNDS:
             break
         span1 = (l1s[-1] - l1s[0]) / max(l1s.size - 1, 1)
         span2 = (l2s[-1] - l2s[0]) / max(l2s.size - 1, 1)
@@ -290,17 +289,16 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
 
     value, l1, l2 = best
     _, a_star = _echrb_grid_eval(theta0, m, model, np.asarray([l1]), np.asarray([l2]),
-                                 config, p0p, p0m, tol)
+                                 config, p0p, p0m)
     return BoundReport(
         name="echrb", value=value,
         argmax={"lambda1": l1, "lambda2": l2, "a_coefficient": float(a_star[0])},
-        diagnostics={"grid_points": tol.echrb_grid, "refine_rounds": refine_rounds})
+        diagnostics={"grid_points": _ECHRB_GRID, "refine_rounds": _ECHRB_REFINE_ROUNDS})
 
 
 def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
                 config: BarankinConfig | None = None,
-                domain: PhaseDomain | None = None,
-                tol: Tolerances = DEFAULTS) -> BoundReport:
+                domain: PhaseDomain | None = None) -> BoundReport:
     """Barankin-type bound for a fixed test-point family, optimal coefficients.
 
     With the centred ratios (L_i - 1), the optimal coefficients solve
@@ -321,11 +319,11 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
     for t in pts:
         if t < domain.a - 1e-15 or t > domain.b + 1e-15:
             raise ModelError(f"test point {t} outside the phase domain")
-        if abs(t - theta0) < tol.offset_separation:
+        if abs(t - theta0) < _OFFSET_SEPARATION:
             raise ModelError("test points must differ from theta0 by >= 1e-9")
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(pts[i] - pts[j]) < tol.offset_separation:
+            if abs(pts[i] - pts[j]) < _OFFSET_SEPARATION:
                 raise ModelError("test points must be mutually distinct by >= 1e-9")
 
     B = np.empty((n, n))
@@ -334,7 +332,7 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
             B[i, j] = B[j, i] = _gram_power(
                 m, _pair_increment(model, theta0, pts[i], pts[j], p0p, p0m))
     d = np.array(pts) - theta0 if config.unbiased else _mean_shift(config, theta0, np.array(pts))
-    sol = solve_spd(B, d, tol=tol)
+    sol = solve_spd(B, d)
     return BoundReport(
         name="barankin", value=max(sol.quadratic_form, 0.0),
         argmax={"test_points": pts, "coefficients": tuple(sol.coefficients)},
@@ -344,8 +342,7 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
 
 def barankin(theta0: float, m: int, model: GhzParityModel,
              config: BarankinConfig,
-             domain: PhaseDomain | None = None,
-             tol: Tolerances = DEFAULTS) -> BoundReport:
+             domain: PhaseDomain | None = None) -> BoundReport:
     """Barankin bound with the test-point placement improved by coordinate search.
 
     Starts from ``config.test_points``, then re-optimises one test point at a
@@ -360,7 +357,7 @@ def barankin(theta0: float, m: int, model: GhzParityModel,
 
     def evaluate(pts) -> float:
         try:
-            return barankin_at(theta0, m, model, pts, config, domain, tol).value
+            return barankin_at(theta0, m, model, pts, config, domain).value
         except (ModelError, NumericalFailure):
             return -math.inf
 
@@ -387,7 +384,7 @@ def barankin(theta0: float, m: int, model: GhzParityModel,
                 improved = True
         if not improved:
             break
-    return barankin_at(theta0, m, model, pts, config, domain, tol)
+    return barankin_at(theta0, m, model, pts, config, domain)
 
 
 def _admissible_seed(lam: float, lo: float, hi: float, sep: float) -> float:
@@ -398,24 +395,23 @@ def _admissible_seed(lam: float, lo: float, hi: float, sep: float) -> float:
 
 
 def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
-                     domain: PhaseDomain | None = None,
-                     tol: Tolerances = DEFAULTS) -> list[BoundReport]:
+                     domain: PhaseDomain | None = None) -> list[BoundReport]:
     """All four unbiased bounds, ordered [barankin, echrb, chrb, crlb].
 
     Each bound's search is seeded with the previous argmax, so the chain
     BB >= EChRB >= ChRB >= CRLB holds by construction up to solver slack;
-    a violation beyond ``tol.chain_slack`` raises ``HierarchyViolationError``
+    a violation beyond ``check_chain``'s slack raises ``HierarchyViolationError``
     naming the offending pair.
     """
     domain = domain or PhaseDomain()
     config = BarankinConfig()
     crlb_report = crlb(theta0, m, model)
-    chrb_report = chrb(theta0, m, model, config, domain, tol)
+    chrb_report = chrb(theta0, m, model, config, domain)
     echrb_report = echrb(theta0, m, model, config, domain,
-                         seed_lambdas=[chrb_report.argmax["lambda"]], tol=tol)
+                         seed_lambdas=[chrb_report.argmax["lambda"]])
 
     lo, hi = domain.a - theta0, domain.b - theta0
-    sep = tol.offset_separation
+    sep = _OFFSET_SEPARATION
     l1 = _admissible_seed(echrb_report.argmax["lambda1"], lo, hi, sep)
     l2 = _admissible_seed(echrb_report.argmax["lambda2"], lo, hi, sep)
     if abs(l1 - l2) < sep:
@@ -423,7 +419,7 @@ def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
     try:
         bb_report = barankin(theta0, m, model,
                              BarankinConfig(test_points=(theta0 + l1, theta0 + l2)),
-                             domain, tol)
+                             domain)
     except (ModelError, NumericalFailure):
         bb_report = BoundReport(name="barankin", value=-math.inf)
     if bb_report.value < echrb_report.value:
@@ -434,5 +430,5 @@ def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
                                 diagnostics={**bb_report.diagnostics, "floored_by": "echrb"})
 
     reports = [bb_report, echrb_report, chrb_report, crlb_report]
-    check_chain([(r.name, r.value) for r in reports], tol, f"m={m}, theta0={theta0!r}")
+    check_chain([(r.name, r.value) for r in reports], f"m={m}, theta0={theta0!r}")
     return reports

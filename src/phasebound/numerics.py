@@ -2,8 +2,9 @@
 
 Composite Simpson quadrature is used everywhere so that every integrand,
 prior, and likelihood is evaluated on one shared set of nodes; this keeps
-sweeps cacheable and the emitted numbers bit-stable.  All tunable tolerances
-live in a single ``Tolerances`` record.
+sweeps cacheable and the emitted numbers bit-stable.  Grid sizes and
+tolerances are fixed module constants, each in the module that reads it; the
+two shared ones, ``POSTERIOR_NODES`` and ``DERIVATIVE_NOISE_REL``, live here.
 """
 
 from __future__ import annotations
@@ -32,24 +33,11 @@ class NonIntegrablePriorError(NumericalFailure):
     """Prior Fisher information does not exist (zero density, nonzero slope)."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central tuning record for every grid size and tolerance."""
-
-    posterior_nodes: int = 2001       # Simpson nodes for posterior/prior grids
-    outer_nodes: int = 201            # Simpson nodes for integrals over theta0
-    chrb_coarse: int = 401            # coarse points for the 1D supremum search
-    echrb_grid: int = 101             # points per axis of the (lambda1, lambda2) grid
-    golden_rel_tol: float = 1e-10     # golden-section bracket width, relative to interval
-    offset_separation: float = 1e-9   # minimum distance of test points from theta0/each other
-    offset_floor: float = 1e-13       # offsets below this are treated as the excluded lambda=0
-    ridge_scale: float = 1e-12        # Tikhonov ridge, times trace(B)/n
-    condition_cap: float = 1e12       # condition number above which the ridge engages
-    chain_slack: float = -1e-9        # permitted slack when asserting bound hierarchies
-    derivative_noise_rel: float = 1e-12  # |p'| below this (relative) counts as vanishing
-
-
-DEFAULTS = Tolerances()
+POSTERIOR_NODES = 2001          # Simpson nodes of the default posterior/prior grid
+DERIVATIVE_NOISE_REL = 1e-12    # |p'| below this (relative to max |p'|) counts as vanishing
+_GOLDEN_REL_TOL = 1e-10         # golden-section bracket width, relative to the interval
+_RIDGE_SCALE = 1e-12            # Tikhonov ridge, times trace(B)/n
+_CONDITION_CAP = 1e12           # condition number above which the ridge engages
 
 
 @dataclass(frozen=True)
@@ -62,7 +50,7 @@ class QuadratureGrid:
     weights: np.ndarray = field(repr=False)
 
     @classmethod
-    def simpson(cls, a: float, b: float, node_count: int = DEFAULTS.posterior_nodes) -> "QuadratureGrid":
+    def simpson(cls, a: float, b: float, node_count: int = POSTERIOR_NODES) -> "QuadratureGrid":
         if node_count < 3 or node_count % 2 == 0:
             raise ModelError(f"Simpson grid needs an odd node count >= 3, got {node_count}")
         if not a < b:
@@ -107,8 +95,7 @@ def integrate_with_error(values, grid: QuadratureGrid) -> tuple[float, float]:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def maximize_1d(f, lo: float, hi: float,
-                coarse_points: int = DEFAULTS.chrb_coarse) -> tuple[float, float]:
+def maximize_1d(f, lo: float, hi: float, coarse_points: int) -> tuple[float, float]:
     """Deterministic supremum search: coarse grid, then golden-section refinement.
 
     ``f`` must accept both an array and a float.  The coarse stage calls it
@@ -121,7 +108,7 @@ def maximize_1d(f, lo: float, hi: float,
     """
     if not lo < hi:
         raise ModelError(f"search interval requires lo < hi, got [{lo}, {hi}]")
-    refine_tol = DEFAULTS.golden_rel_tol * (hi - lo)
+    refine_tol = _GOLDEN_REL_TOL * (hi - lo)
 
     xs = np.linspace(lo, hi, coarse_points)
     vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
@@ -164,12 +151,12 @@ class SpdSolution:
     ill_conditioned: bool
 
 
-def solve_spd(matrix, rhs, tol: Tolerances = DEFAULTS) -> SpdSolution:
+def solve_spd(matrix, rhs) -> SpdSolution:
     """Solve B a = d for symmetric positive-definite B, with ridge fallback.
 
     Returns the coefficients, the quadratic form d^T a = d^T B^-1 d, and a
     condition estimate.  If B is not numerically SPD, a ridge of
-    ``tol.ridge_scale * trace(B)/n`` is added; the solution is flagged
+    ``_RIDGE_SCALE * trace(B)/n`` is added; the solution is flagged
     ill-conditioned when doubling the ridge moves the quadratic form by more
     than 1e-6 relative.
     """
@@ -188,13 +175,13 @@ def solve_spd(matrix, rhs, tol: Tolerances = DEFAULTS) -> SpdSolution:
     eigs = np.linalg.eigvalsh(B)
     with np.errstate(over="ignore"):     # a subnormal eigs[0] overflows to inf
         cond = math.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
-    ridge_used = eigs[0] <= 0 or cond > tol.condition_cap
+    ridge_used = eigs[0] <= 0 or cond > _CONDITION_CAP
     ill = False
     if not ridge_used:
         a = np.linalg.solve(B, d)
         form = float(d @ a)
     else:
-        ridge = tol.ridge_scale * float(np.trace(B)) / n
+        ridge = _RIDGE_SCALE * float(np.trace(B)) / n
         if ridge <= 0 or not math.isfinite(ridge):
             raise IndefiniteMatrixError("Gram matrix has nonpositive trace")
         forms = []
@@ -361,7 +348,6 @@ def custom_prior(grid: QuadratureGrid, values, derivative=None) -> PriorDensity:
 
 
 def fisher_information_of_density(values, derivative, grid: QuadratureGrid,
-                                  tol: Tolerances = DEFAULTS,
                                   what: str = "density") -> float:
     """Integral of (p')^2 / p with the vanishing-term convention.
 
@@ -373,7 +359,7 @@ def fisher_information_of_density(values, derivative, grid: QuadratureGrid,
     derivative = np.asarray(derivative, dtype=float)
     zero = values == 0.0
     if np.any(zero):
-        floor = tol.derivative_noise_rel * float(np.max(np.abs(derivative), initial=0.0))
+        floor = DERIVATIVE_NOISE_REL * float(np.max(np.abs(derivative), initial=0.0))
         if np.any(zero & (np.abs(derivative) > floor)):
             raise NonIntegrablePriorError(
                 f"{what} has zero values with nonzero slope; (p')^2/p is not integrable")
@@ -381,6 +367,6 @@ def fisher_information_of_density(values, derivative, grid: QuadratureGrid,
     return integrate(integrand, grid)
 
 
-def prior_fisher_information(prior: PriorDensity, tol: Tolerances = DEFAULTS) -> float:
+def prior_fisher_information(prior: PriorDensity) -> float:
     return fisher_information_of_density(prior.values, prior.derivative, prior.grid,
-                                         tol=tol, what=f"{prior.kind} prior")
+                                         what=f"{prior.kind} prior")

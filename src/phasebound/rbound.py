@@ -39,15 +39,12 @@ from .model import (
     tally_pmf,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
-    tally_probability,
 )
 from .numerics import (
-    DEFAULTS,
     NonIntegrablePriorError,
     NumericalFailure,
     PriorDensity,
     QuadratureGrid,
-    Tolerances,
     custom_prior,
     family45_prior,
     flat_prior,
@@ -58,7 +55,7 @@ from .numerics import (
 __all__ = [
     "HypothesisTestCell", "PriorDensity", "flat_prior", "family45_prior",
     "custom_prior", "avg_estimator_variance", "avg_mse",
-    "van_trees", "pmin", "decision_rule_error_probability", "ziv_zakai",
+    "van_trees", "pmin", "ziv_zakai",
     "acrlb", "fvtb", "estimator_chain_report", "agbr",
     "bayes_avg_posterior_variance", "bayes_chain_report", "tally_marginal",
     "EstimatorChainReport", "BayesChainReport",
@@ -75,11 +72,13 @@ class HypothesisTestCell:
     empty: bool = False
 
 
+# Simpson nodes of the theta0 grid of every outer integral.
+_OUTER_NODES = 201
 # Largest |integral of the prior on the theta0 grid - 1| that still resolves the prior.
 _OUTER_MASS_TOL = 1e-10
 
 
-def _outer_grid(prior: PriorDensity, tol: Tolerances) -> tuple[QuadratureGrid, np.ndarray]:
+def _outer_grid(prior: PriorDensity) -> tuple[QuadratureGrid, np.ndarray]:
     """The theta0 grid of every outer integral, and the prior density on it.
 
     Raises ``NumericalFailure`` when the grid cannot resolve the prior, that
@@ -87,7 +86,7 @@ def _outer_grid(prior: PriorDensity, tol: Tolerances) -> tuple[QuadratureGrid, n
     (for the exponential-sine family from about alpha = 500 on 201 nodes);
     the bounds of such a prior would be off by that much or more.
     """
-    g = QuadratureGrid.simpson(prior.domain.a, prior.domain.b, tol.outer_nodes)
+    g = QuadratureGrid.simpson(prior.domain.a, prior.domain.b, _OUTER_NODES)
     p = prior.density(g.nodes)
     mass = integrate(p, g)
     if not abs(mass - 1.0) <= _OUTER_MASS_TOL:
@@ -107,10 +106,9 @@ def _cell(m: int, prior: PriorDensity) -> str:
 
 
 def avg_estimator_variance(estimator: Estimator, prior_true: PriorDensity,
-                           m: int, model: GhzParityModel,
-                           tol: Tolerances = DEFAULTS) -> float:
+                           m: int, model: GhzParityModel) -> float:
     """Estimator variance averaged over the fluctuation density of theta0."""
-    g, p = _outer_grid(prior_true, tol)
+    g, p = _outer_grid(prior_true)
     pmf = tally_pmf_matrix(model, m, g.nodes)
     v = estimator.values(m)
     means = v @ pmf
@@ -119,9 +117,9 @@ def avg_estimator_variance(estimator: Estimator, prior_true: PriorDensity,
 
 
 def avg_mse(estimator: Estimator, prior_true: PriorDensity, m: int,
-            model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
+            model: GhzParityModel) -> float:
     """Mean square error averaged over the fluctuation density of theta0."""
-    g, p = _outer_grid(prior_true, tol)
+    g, p = _outer_grid(prior_true)
     pmf = tally_pmf_matrix(model, m, g.nodes)
     v = estimator.values(m)
     mse = ((v[:, None] - g.nodes[None, :]) ** 2 * pmf).sum(axis=0)
@@ -135,8 +133,7 @@ def _require_vanishing_boundary(prior: PriorDensity, what: str):
             f"boundaries; the {prior.kind} prior does not")
 
 
-def van_trees(prior_true: PriorDensity, m: int, model: GhzParityModel,
-              tol: Tolerances = DEFAULTS) -> float:
+def van_trees(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     """Van Trees bound 1 / (m <F> + J_prior) on the averaged mean square error.
 
     <F> is the Fisher information averaged over the fluctuation density (equal
@@ -149,7 +146,7 @@ def van_trees(prior_true: PriorDensity, m: int, model: GhzParityModel,
     _require_vanishing_boundary(prior_true, "the Van Trees bound")
     avg_fisher = integrate(model.fisher_information(prior_true.grid.nodes)
                            * prior_true.values, prior_true.grid)
-    j_prior = prior_fisher_information(prior_true, tol=tol)
+    j_prior = prior_fisher_information(prior_true)
     return 1.0 / (m * avg_fisher + j_prior)
 
 
@@ -178,35 +175,7 @@ def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
     return HypothesisTestCell(theta0=theta0, h=h, pmin=min(max(value, 0.0), 0.5))
 
 
-def decision_rule_error_probability(theta0: float, h: float, prior_true: PriorDensity,
-                                    m: int, model: GhzParityModel) -> float:
-    """Error probability of the optimal likelihood-ratio test, simulated tally by tally.
-
-    Independent reference for ``pmin``: for each tally the rule compares the
-    weighted likelihoods and picks the larger; the accumulated probability of
-    deciding wrongly equals the minimum error probability.
-    """
-    if not h > 0.0:
-        raise ModelError("h must be > 0")
-    w0 = float(prior_true.density(theta0))
-    w1 = float(prior_true.density(theta0 + h))
-    total = w0 + w1
-    if total == 0.0:
-        return math.nan
-    w0, w1 = w0 / total, w1 / total
-    error = 0.0
-    for k in range(m + 1):
-        like0 = tally_probability(model, theta0, m, k)
-        like1 = tally_probability(model, theta0 + h, m, k)
-        if w0 * like0 > w1 * like1:
-            error += w1 * like1      # rule picks hypothesis 0; wrong when 1 holds
-        else:
-            error += w0 * like0      # rule picks hypothesis 1; wrong when 0 holds
-    return error
-
-
-def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
-              tol: Tolerances = DEFAULTS) -> float:
+def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     """Ziv-Zakai bound on the averaged MSE from a continuum of binary tests.
 
     (1/2) integral over h in (0, b - a] of h times the theta0-integral of
@@ -230,7 +199,7 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
     """
     if m < 1:
         raise ModelError("m must be >= 1")
-    g, p = _outer_grid(prior_true, tol)
+    g, p = _outer_grid(prior_true)
     n, nodes, w_theta = g.node_count, g.nodes, g.weights
     pmf = tally_pmf_matrix(model, m, nodes)
     h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
@@ -254,27 +223,27 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
 
 
 def acrlb(estimator: Estimator, prior_true: PriorDensity, m: int,
-          model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
+          model: GhzParityModel) -> float:
     """Averaged Cramer-Rao bound: integral of (d<est>/dtheta0)^2/(m F) p(theta0)."""
-    g, p = _outer_grid(prior_true, tol)
+    g, p = _outer_grid(prior_true)
     bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
     fisher = model.fisher_information(g.nodes)
     return integrate(bias_derivative**2 / (m * fisher) * p, g)
 
 
 def fvtb(estimator: Estimator, prior_true: PriorDensity, m: int,
-         model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
+         model: GhzParityModel) -> float:
     """Van Trees-style bound on the averaged estimator variance (bias enters).
 
     (integral of d<est>/dtheta0 p)^2 over (m <F> + J_prior); same boundary
     condition as the Van Trees bound.
     """
     _require_vanishing_boundary(prior_true, "the variance Van Trees bound")
-    g, p = _outer_grid(prior_true, tol)
+    g, p = _outer_grid(prior_true)
     bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
     numerator = integrate(bias_derivative * p, g) ** 2
     avg_fisher = integrate(model.fisher_information(g.nodes) * p, g)
-    j_prior = prior_fisher_information(prior_true, tol=tol)
+    j_prior = prior_fisher_information(prior_true)
     return numerator / (m * avg_fisher + j_prior)
 
 
@@ -288,23 +257,21 @@ class EstimatorChainReport:
 
 
 def estimator_chain_report(estimator: Estimator, prior_true: PriorDensity, m: int,
-                           model: GhzParityModel,
-                           tol: Tolerances = DEFAULTS) -> EstimatorChainReport:
+                           model: GhzParityModel) -> EstimatorChainReport:
     """Evaluate and assert the averaged-variance bound chain."""
     report = EstimatorChainReport(
-        avg_variance=avg_estimator_variance(estimator, prior_true, m, model, tol),
-        acrlb=acrlb(estimator, prior_true, m, model, tol),
-        fvtb=fvtb(estimator, prior_true, m, model, tol=tol),
+        avg_variance=avg_estimator_variance(estimator, prior_true, m, model),
+        acrlb=acrlb(estimator, prior_true, m, model),
+        fvtb=fvtb(estimator, prior_true, m, model),
     )
     check_chain([("avg_variance", report.avg_variance), ("acrlb", report.acrlb),
-                 ("fvtb", report.fvtb)], tol, _cell(m, prior_true))
+                 ("fvtb", report.fvtb)], _cell(m, prior_true))
     return report
 
 
-def tally_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel,
-                   tol: Tolerances = DEFAULTS) -> np.ndarray:
+def tally_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel) -> np.ndarray:
     """Record distribution p(k) = integral of p(k|theta0) p(theta0) dtheta0."""
-    g, p = _outer_grid(prior_true, tol)
+    g, p = _outer_grid(prior_true)
     return tally_pmf_matrix(model, m, g.nodes) @ (g.weights * p)
 
 
@@ -315,7 +282,7 @@ def _matched(prior_bayes: PriorDensity, prior_true: PriorDensity) -> bool:
 
 
 def agbr(prior_bayes: PriorDensity, prior_true: PriorDensity, m: int,
-         model: GhzParityModel, tol: Tolerances = DEFAULTS) -> float:
+         model: GhzParityModel) -> float:
     """Averaged Ghosh bound for a random phase: sum_k GB(k) p(k).
 
     The Bayesian prior behind the posteriors may differ from the physical
@@ -324,14 +291,13 @@ def agbr(prior_bayes: PriorDensity, prior_true: PriorDensity, m: int,
     posterior variance >= aGBr >= VTB.
     """
     if _matched(prior_bayes, prior_true) and prior_bayes.vanishes_at_boundaries:
-        return bayes_chain_report(prior_bayes, m, model, tol).agbr
-    table = ghosh_table(prior_bayes, m, model, tol=tol)
-    return float(np.sum(table.ghosh * tally_marginal(prior_true, m, model, tol)))
+        return bayes_chain_report(prior_bayes, m, model).agbr
+    table = ghosh_table(prior_bayes, m, model)
+    return float(np.sum(table.ghosh * tally_marginal(prior_true, m, model)))
 
 
 def bayes_avg_posterior_variance(prior_bayes: PriorDensity, prior_true: PriorDensity,
-                                 m: int, model: GhzParityModel,
-                                 tol: Tolerances = DEFAULTS) -> float:
+                                 m: int, model: GhzParityModel) -> float:
     """Posterior variance averaged over the record distribution of a random phase.
 
     With matched priors this equals the joint-density average of
@@ -340,8 +306,8 @@ def bayes_avg_posterior_variance(prior_bayes: PriorDensity, prior_true: PriorDen
     """
     if m == 0:
         return prior_bayes.variance()
-    table = ghosh_table(prior_bayes, m, model, tol=tol)
-    weights = tally_marginal(prior_true, m, model, tol)
+    table = ghosh_table(prior_bayes, m, model)
+    weights = tally_marginal(prior_true, m, model)
     return float(np.sum(table.variance * weights))
 
 
@@ -354,16 +320,15 @@ class BayesChainReport:
     van_trees: float
 
 
-def bayes_chain_report(prior: PriorDensity, m: int, model: GhzParityModel,
-                       tol: Tolerances = DEFAULTS) -> BayesChainReport:
+def bayes_chain_report(prior: PriorDensity, m: int, model: GhzParityModel) -> BayesChainReport:
     """Evaluate and assert the matched-prior Bayesian bound chain."""
-    table = ghosh_table(prior, m, model, tol=tol)
-    weights = tally_marginal(prior, m, model, tol)
+    table = ghosh_table(prior, m, model)
+    weights = tally_marginal(prior, m, model)
     report = BayesChainReport(
         bayes_variance=float(np.sum(table.variance * weights)),
         agbr=float(np.sum(table.ghosh * weights)),
-        van_trees=van_trees(prior, m, model, tol=tol),
+        van_trees=van_trees(prior, m, model),
     )
     check_chain([("bayes_variance", report.bayes_variance), ("agbr", report.agbr),
-                 ("van_trees", report.van_trees)], tol, _cell(m, prior))
+                 ("van_trees", report.van_trees)], _cell(m, prior))
     return report

@@ -9,14 +9,16 @@ import math
 
 import numpy as np
 
-from phasebound.bbound import averaged_ghosh, ghosh_table, lbvm_reference
-from phasebound.cli import main as cli_main
-from phasebound.engine import (
-    OutcomeTally,
+from oracles import (
     SeededSampler,
+    decision_rule_error_probability,
     expect_over_tallies,
+    lbvm_reference,
     sample_tallies,
 )
+from phasebound.bbound import averaged_ghosh, ghosh_table
+from phasebound.cli import main as cli_main
+from phasebound.engine import OutcomeTally
 from phasebound.estimate import (
     GhzParityModel,
     MaximumLikelihoodEstimator,
@@ -32,7 +34,6 @@ from phasebound.rbound import (
     avg_estimator_variance,
     avg_mse,
     bayes_chain_report,
-    decision_rule_error_probability,
     fvtb,
     pmin,
     ziv_zakai,

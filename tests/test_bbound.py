@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 import phasebound.bbound as bbound_module
+from oracles import lbvm_reference
 from phasebound.bbound import (
     GhoshInputs,
     NonIntegrablePosteriorError,
@@ -17,7 +17,6 @@ from phasebound.bbound import (
     boundary_term,
     ghosh_bound,
     ghosh_table,
-    lbvm_reference,
     posterior_fisher_information,
     posterior_summary,
 )
@@ -31,9 +30,8 @@ from phasebound.estimate import (
     posterior_table,
     posterior_variance,
 )
-from phasebound.model import PhaseDomain
+from phasebound.model import GhzParityModel, PhaseDomain
 from phasebound.numerics import (
-    DEFAULTS,
     QuadratureGrid,
     custom_prior,
     family45_prior,
@@ -207,13 +205,14 @@ class TestPosteriorSummary:
         assert all(a.size <= m + 1 and not a.flags.writeable for a in arrays)
 
     def test_key_change_rebuilds(self, model, grid, posterior_calls):
+        # the memo key is (m, model): another model at the same m is a new build
         prior = family45_prior(1.0, grid)
         default = ghosh_table(prior, 4, model)
-        other_tol = ghosh_table(prior, 4, model,
-                                tol=dataclasses.replace(DEFAULTS, derivative_noise_rel=1e-11))
+        other_model = ghosh_table(prior, 4, GhzParityModel(1))
         assert posterior_calls == {4: 2}
-        np.testing.assert_array_equal(default.mean, other_tol.mean)
-        assert other_tol is not default
+        assert other_model is not default
+        assert ghosh_table(prior, 4, GhzParityModel(1)) is other_model
+        assert posterior_calls == {4: 2}
 
     def test_failed_ghosh_check_keeps_posterior_mean(self, model, grid):
         prior = _interior_zero_prior(grid)

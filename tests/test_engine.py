@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from phasebound.engine import (
-    OutcomeTally,
+from oracles import (
     SeededSampler,
     derive_seed,
     expect_over_tallies,
-    expect_values_over_tallies,
     sample_tallies,
     sample_tally,
 )
+from phasebound.engine import OutcomeTally, expect_values_over_tallies
 from phasebound.model import ModelError
 from phasebound.numerics import NumericalFailure
 

@@ -1,9 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import phasebound.fbound as fbound_module
 from phasebound.fbound import (
     BarankinConfig,
     HierarchyViolationError,
@@ -20,7 +20,7 @@ from phasebound.fbound import (
     hierarchy_report,
 )
 from phasebound.model import GhzParityModel, ModelError, PhaseDomain
-from phasebound.numerics import DEFAULTS, NumericalFailure
+from phasebound.numerics import NumericalFailure
 
 T0 = math.pi / 4
 CHRB_M1 = (math.pi / 4) ** 2  # 0.61685027506808491, supremum at lambda = +/- pi/4
@@ -121,12 +121,13 @@ class TestExtendedChapmanRobbins:
         ech = echrb(T0, m, model, domain=domain).value
         assert ch <= ech <= 1.5 * ch
 
-    def test_refinement_never_decreases(self, model, domain):
+    def test_refinement_never_decreases(self, model, domain, monkeypatch):
         # nested grids: 2r-1 points contain the r-point grid
-        coarse = echrb(T0, 7, model, domain=domain, refine_rounds=0,
-                       tol=dataclasses.replace(DEFAULTS, echrb_grid=41)).value
-        fine = echrb(T0, 7, model, domain=domain, refine_rounds=0,
-                     tol=dataclasses.replace(DEFAULTS, echrb_grid=81)).value
+        monkeypatch.setattr(fbound_module, "_ECHRB_REFINE_ROUNDS", 0)
+        monkeypatch.setattr(fbound_module, "_ECHRB_GRID", 41)
+        coarse = echrb(T0, 7, model, domain=domain).value
+        monkeypatch.setattr(fbound_module, "_ECHRB_GRID", 81)
+        fine = echrb(T0, 7, model, domain=domain).value
         assert fine >= coarse - 1e-12
 
 
@@ -145,7 +146,7 @@ class TestBarankin:
         for l1, l2 in ((0.0785, -0.7), (0.3, 0.6), (-0.5, 0.2)):
             p0p, p0m = _single_shot_probs(model, T0, domain)
             g, _ = _echrb_grid_eval(T0, m, model, np.asarray([l1]), np.asarray([l2]),
-                                    BarankinConfig(), p0p, p0m, DEFAULTS)
+                                    BarankinConfig(), p0p, p0m)
             bb = barankin_at(T0, m, model, [T0 + l1, T0 + l2], domain=domain).value
             assert bb >= float(g[0]) - 1e-9
 
@@ -189,16 +190,26 @@ class TestBiasedCrlbDominance:
 
 class TestCheckChain:
     def test_ordered_chain_and_gap_within_slack_pass(self):
-        check_chain([("bb", 3.0), ("echrb", 2.0), ("chrb", 2.0), ("crlb", 1.0)], DEFAULTS, "m=1")
-        check_chain([("upper", 1.0), ("lower", 1.0 + 0.5e-9)], DEFAULTS, "m=1")
+        check_chain([("bb", 3.0), ("echrb", 2.0), ("chrb", 2.0), ("crlb", 1.0)], "m=1")
+        check_chain([("upper", 1.0), ("lower", 1.0 + 0.5e-9)], "m=1")
 
     def test_gap_beyond_slack_names_both_bounds_and_cell(self):
         with pytest.raises(HierarchyViolationError) as info:
-            check_chain([("bb", 3.0), ("chrb", 1.0), ("crlb", 1.0 + 2e-9)], DEFAULTS,
-                        "m=7, alpha=10")
+            check_chain([("bb", 3.0), ("chrb", 1.0), ("crlb", 1.0 + 2e-9)], "m=7, alpha=10")
         message = str(info.value)
         assert "chrb=1.0" in message and "crlb=1.000000002" in message
         assert "m=7, alpha=10" in message
+
+    @pytest.mark.parametrize("value,gap", [
+        (6.2e-5, 4e-13),                        # aGBr below VTB at alpha = 500
+        (2.4e10, float(np.spacing(2.4e10))),    # 3.8e-6, the least gap there
+    ])
+    def test_slack_is_relative_below_one_and_absolute_above(self, value, gap):
+        with pytest.raises(HierarchyViolationError):
+            check_chain([("agbr", value), ("van_trees", value + gap)], "m=1, alpha=500")
+
+    def test_gap_within_relative_slack_passes(self):
+        check_chain([("agbr", 6.2e-5), ("van_trees", 6.2e-5 + 4e-15)], "m=1, alpha=500")
 
 
 class TestHierarchy:
@@ -239,26 +250,26 @@ class TestArrayObjectives:
     @pytest.mark.parametrize("biased", [False, True])
     def test_chrb_coarse_grid_equals_per_point(self, model, domain, m, biased):
         config = self.BIASED if biased else BarankinConfig()
-        lams = np.linspace(domain.a - T0, domain.b - T0, DEFAULTS.chrb_coarse)
+        lams = np.linspace(domain.a - T0, domain.b - T0, fbound_module._CHRB_COARSE)
         whole = chrb_objective(T0, m, model, lams, config, domain)
         per_point = np.array([chrb_objective(T0, m, model, float(lam), config, domain)
                               for lam in lams])
         assert isinstance(chrb_objective(T0, m, model, float(lams[7]), config, domain), float)
         assert whole.shape == lams.shape
         assert np.array_equal(whole, per_point)
-        assert np.isfinite(whole).sum() >= DEFAULTS.chrb_coarse - 2
+        assert np.isfinite(whole).sum() >= fbound_module._CHRB_COARSE - 2
 
     @pytest.mark.parametrize("m", [1, 300])
     def test_echrb_broadcast_grid_equals_per_pair(self, model, domain, m):
         p0p, p0m = _single_shot_probs(model, T0, domain)
-        lams = np.linspace(domain.a - T0, domain.b - T0, DEFAULTS.echrb_grid)
+        lams = np.linspace(domain.a - T0, domain.b - T0, fbound_module._ECHRB_GRID)
         g, a_star = _echrb_grid_eval(T0, m, model, lams[:, None], lams[None, :],
-                                     BarankinConfig(), p0p, p0m, DEFAULTS)
+                                     BarankinConfig(), p0p, p0m)
         assert g.shape == a_star.shape == (lams.size, lams.size)
         for i, l1 in enumerate(lams):
             for j, l2 in enumerate(lams):
                 gp, ap = _echrb_grid_eval(T0, m, model, np.asarray([l1]), np.asarray([l2]),
-                                          BarankinConfig(), p0p, p0m, DEFAULTS)
+                                          BarankinConfig(), p0p, p0m)
                 assert g[i, j] == gp[0]
                 assert a_star[i, j] == ap[0] or (np.isnan(a_star[i, j]) and np.isnan(ap[0]))
 

@@ -67,16 +67,17 @@ class TestSimpsonQuadrature:
 
 class TestMaximize1d:
     def test_parabola(self):
-        arg, val = maximize_1d(lambda x: -x * x, -1.0, 1.0)
+        arg, val = maximize_1d(lambda x: -x * x, -1.0, 1.0, coarse_points=401)
         assert abs(arg) < 1e-9 and abs(val) < 1e-16
 
     def test_chapman_robbins_single_shot_objective(self):
-        arg, val = maximize_1d(lambda x: x * x / np.sin(2 * x) ** 2, 1e-6, math.pi / 4)
+        arg, val = maximize_1d(lambda x: x * x / np.sin(2 * x) ** 2, 1e-6, math.pi / 4,
+                               coarse_points=401)
         assert arg == pytest.approx(math.pi / 4, abs=1e-9)
         assert val == pytest.approx((math.pi / 4) ** 2, rel=1e-12)
 
     def test_monotone_gives_boundary(self):
-        arg, val = maximize_1d(lambda x: 3.0 * x, 0.0, 2.0)
+        arg, val = maximize_1d(lambda x: 3.0 * x, 0.0, 2.0, coarse_points=401)
         assert arg == pytest.approx(2.0, abs=1e-9)
         assert val == pytest.approx(6.0, rel=1e-9)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasebound.rbound as rbound_module
+from oracles import decision_rule_error_probability
 from phasebound.estimate import (
     ConstantEstimator,
     MaximumLikelihoodEstimator,
@@ -17,7 +18,6 @@ from phasebound.estimate import (
 from phasebound.engine import OutcomeTally
 from phasebound.model import GhzParityModel, tally_pmf_matrix
 from phasebound.numerics import (
-    DEFAULTS,
     NonIntegrablePriorError,
     NumericalFailure,
     QuadratureGrid,
@@ -32,7 +32,6 @@ from phasebound.rbound import (
     avg_mse,
     bayes_avg_posterior_variance,
     bayes_chain_report,
-    decision_rule_error_probability,
     estimator_chain_report,
     fvtb,
     pmin,
@@ -64,13 +63,13 @@ class TestAveragedRisks:
             oracle_var, abs=1e-12)
         assert avg_mse(est, flat, m, model) == pytest.approx(oracle_mse, abs=1e-12)
 
-    def test_delta_like_prior_recovers_fixed_phase_variance(self, model, domain):
+    def test_delta_like_prior_recovers_fixed_phase_variance(self, model, domain, monkeypatch):
         fine = QuadratureGrid.simpson(0.0, math.pi / 2, 16001)
         prior = family45_prior(1e4, fine)
         est = MaximumLikelihoodEstimator(model, domain)
         fixed = frequentist_risk(est, T0, 10, model).variance
-        averaged = avg_estimator_variance(est, prior, 10, model,
-                                          tol=dataclasses.replace(DEFAULTS, outer_nodes=4001))
+        monkeypatch.setattr(rbound_module, "_OUTER_NODES", 4001)
+        averaged = avg_estimator_variance(est, prior, 10, model)
         assert averaged == pytest.approx(fixed, rel=0.01)
 
     def test_constant_estimator_avg_mse_closed_form(self, model, flat):
@@ -93,7 +92,7 @@ class TestAveragedRisks:
         mse = avg_mse(est, prior, m, model)
         var = avg_estimator_variance(est, prior, m, model)
         # averaged squared bias, on the same outer rule
-        g = QuadratureGrid.simpson(domain.a, domain.b, DEFAULTS.outer_nodes)
+        g = QuadratureGrid.simpson(domain.a, domain.b, rbound_module._OUTER_NODES)
         means = est.values(m) @ tally_pmf_matrix(model, m, g.nodes)
         bias_sq = integrate((means - g.nodes) ** 2 * prior.density(g.nodes), g)
         assert mse == pytest.approx(var + bias_sq, abs=1e-10)
@@ -176,10 +175,12 @@ class TestZivZakai:
         value = ziv_zakai(flat, 3, model)
         assert 0.0 < value < (math.pi / 2) ** 2
 
-    def test_stable_under_grid_refinement(self, model, grid):
+    def test_stable_under_grid_refinement(self, model, grid, monkeypatch):
         prior = family45_prior(1.0, grid)
-        coarse = ziv_zakai(prior, 5, model, tol=dataclasses.replace(DEFAULTS, outer_nodes=201))
-        fine = ziv_zakai(prior, 5, model, tol=dataclasses.replace(DEFAULTS, outer_nodes=401))
+        monkeypatch.setattr(rbound_module, "_OUTER_NODES", 201)
+        coarse = ziv_zakai(prior, 5, model)
+        monkeypatch.setattr(rbound_module, "_OUTER_NODES", 401)
+        fine = ziv_zakai(prior, 5, model)
         assert coarse == pytest.approx(fine, rel=1e-3)
 
 
@@ -271,13 +272,13 @@ class TestRandomPhaseBayes:
         value = agbr(flat, prior_true, 4, model)
         assert 0.0 < value < (math.pi / 2) ** 2
 
-    def test_bayes_variance_matches_joint_density_oracle(self, model, grid):
+    def test_bayes_variance_matches_joint_density_oracle(self, model, grid, monkeypatch):
         # Independent path: sum_k integral p(k|theta) p(theta) (theta - mean_k)^2,
         # assembled from per-tally posteriors and the same outer rule.
         prior = family45_prior(1.0, grid)
         m = 5
-        value = bayes_avg_posterior_variance(
-            prior, prior, m, model, tol=dataclasses.replace(DEFAULTS, outer_nodes=grid.node_count))
+        monkeypatch.setattr(rbound_module, "_OUTER_NODES", grid.node_count)
+        value = bayes_avg_posterior_variance(prior, prior, m, model)
         pmf = tally_pmf_matrix(model, m, grid.nodes)
         joint = pmf * prior.values
         oracle = 0.0

@@ -1,13 +1,11 @@
-import dataclasses
+import ast
 import importlib
 import importlib.util
+import inspect
 import math
-import re
 from pathlib import Path
 
 import pytest
-
-from phasebound.numerics import Tolerances
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SRC = Path(__file__).resolve().parents[1] / "src" / "phasebound"
@@ -46,11 +44,46 @@ def test_chrb_objective_calls_stay_batched(tmp_path):
     assert tracer.calls[tracer_module.OBJECTIVE] <= 60 * tracer.calls["fbound.chrb"]
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
-def test_tolerance_field_is_read(name):
-    # a field no module reads is a setting that changes nothing
-    source = "\n".join(p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py")))
-    assert re.search(rf"\.{name}\b", source), f"Tolerances.{name} is never read"
+# Fixed grid sizes and tolerances, each a constant of the module that owns it.
+CONSTANTS = [
+    ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
+    ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
+    ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
+    ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
+    ("fbound", "_OFFSET_SEPARATION"), ("fbound", "_OFFSET_FLOOR"), ("fbound", "_CHAIN_SLACK"),
+]
+
+
+@pytest.mark.parametrize("module,name", CONSTANTS)
+def test_constant_is_read(module, name):
+    # a constant no code reads is a setting that changes nothing; docstrings,
+    # imports and the assignment itself do not count as reads
+    assert hasattr(importlib.import_module(f"phasebound.{module}"), name)
+    reads = sum(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                for path in SRC.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    assert reads > 0, f"{module}.{name} is never read"
+
+
+def test_no_public_callable_takes_tol():
+    # the grid sizes and tolerances are fixed; no call can set them
+    import phasebound
+
+    modules = [phasebound] + [importlib.import_module(f"phasebound.{p.stem}")
+                              for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    offenders = []
+    for mod in modules:
+        assert not hasattr(mod, "Tolerances") and not hasattr(mod, "DEFAULTS"), mod.__name__
+        for attr, value in vars(mod).items():
+            if attr.startswith("_") or not callable(value):
+                continue
+            try:
+                params = inspect.signature(value).parameters
+            except (TypeError, ValueError):
+                continue
+            if "tol" in params:
+                offenders.append(f"{mod.__name__}.{attr}")
+    assert offenders == []
 
 
 def test_streamed_kernel_work_stays_traced(tmp_path):

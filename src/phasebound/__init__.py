@@ -42,7 +42,6 @@ from .estimate import (
     posterior_variance,
 )
 from .fbound import (
-    BarankinConfig,
     BoundReport,
     HierarchyViolationError,
     barankin,

@@ -36,7 +36,6 @@ from .estimate import (
     frequentist_risk,
 )
 from .fbound import (
-    BarankinConfig,
     HierarchyViolationError,
     check_chain,
     chrb,
@@ -142,10 +141,11 @@ class RunConfig:
         return model, domain, grid
 
     def make_prior(self, grid: QuadratureGrid, alpha: float | None) -> PriorDensity:
+        """The configured prior on ``grid``; the flat prior ignores ``alpha``."""
         try:
             if self.prior_kind == "flat":
                 return flat_prior(PhaseDomain(grid.a, grid.b), grid)
-            return family45_prior(10.0 if alpha is None else alpha, grid)
+            return family45_prior(alpha, grid)
         except (ModelError, NumericalFailure) as exc:
             raise ConfigError(f"cannot build prior: {exc}") from exc
 
@@ -232,12 +232,11 @@ def cmd_fig1(cfg: RunConfig, out_path: str | None):
 def cmd_fig2(cfg: RunConfig, out_path: str | None):
     """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax."""
     model, domain, _ = cfg.build()
-    config = BarankinConfig()
 
     def row(m: int):
         c = crlb(cfg.theta0, m, model)
-        ch = chrb(cfg.theta0, m, model, config, domain)
-        ech = echrb(cfg.theta0, m, model, config, domain,
+        ch = chrb(cfg.theta0, m, model, domain)
+        ech = echrb(cfg.theta0, m, model, domain,
                     seed_lambdas=[ch.argmax["lambda"]])
         check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
                     f"m={m}, theta0={cfg.theta0!r}")
@@ -316,7 +315,8 @@ def cmd_bounds(cfg: RunConfig, out_path: str | None):
     """Single-cell summary of every bound at (theta0, m = last of the sweep)."""
     model, domain, grid = cfg.build()
     m = cfg.sample_sizes()[-1]
-    alpha = cfg.prior_alpha
+    # one cell, so an unset family45 alpha takes 10 rather than the fig3/fig4 battery
+    alpha = 10.0 if cfg.prior_kind == "family45" and cfg.prior_alpha is None else cfg.prior_alpha
     prior = cfg.make_prior(grid, alpha)
     mle_est = MaximumLikelihoodEstimator(model, domain)
     bl_est = PosteriorMeanEstimator(model, prior)

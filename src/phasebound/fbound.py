@@ -12,7 +12,9 @@ and the centred entries E[(L_i - 1)(L_j - 1)] = s^m - 1 are evaluated as
 expm1(m * log1p(s - 1)): exact even when the offsets shrink to zero, which is
 where the suprema migrate as m grows.
 
-Bounds, from weakest to tightest:
+Bounds, from weakest to tightest.  ``chrb``, ``echrb`` and the Barankin
+bounds hold for unbiased estimators; bias enters only through ``crlb``'s
+``bias_derivative``.
 
 * ``crlb`` - (d<est>/dtheta0)^2 / (m F);
 * ``chrb`` - two-point Chapman-Robbins ratio, supremum over one offset;
@@ -90,27 +92,6 @@ class BoundReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class BarankinConfig:
-    """Test-point family and bias handling for the Barankin-type bounds."""
-
-    test_points: tuple = ()
-    unbiased: bool = True
-    mean_function: object = None
-
-    def __post_init__(self):
-        pts = tuple(float(t) for t in self.test_points)
-        object.__setattr__(self, "test_points", pts)
-        if len(pts) > 6:
-            raise ModelError("at most 6 test points are supported")
-        for i, t in enumerate(pts):
-            for u in pts[i + 1:]:
-                if abs(t - u) < _OFFSET_SEPARATION:
-                    raise ModelError("test points must be mutually distinct by >= 1e-9")
-        if not self.unbiased and self.mean_function is None:
-            raise ModelError("biased bounds need a mean_function")
-
-
 def _single_shot_probs(model: GhzParityModel, theta0: float,
                        domain: PhaseDomain) -> tuple[float, float]:
     """p_+ and p_- at theta0, after checking that ``domain`` is identifiable."""
@@ -154,22 +135,15 @@ def crlb(theta0: float, m: int, model: GhzParityModel,
 
 
 def chrb_objective(theta0: float, m: int, model: GhzParityModel, lam,
-                   config: BarankinConfig | None = None,
                    domain: PhaseDomain | None = None):
     """Chapman-Robbins ratio at offset lambda (no supremum); float or array, as ``lam`` is."""
-    config = config or BarankinConfig()
     domain = domain or PhaseDomain()
     p0p, p0m = _single_shot_probs(model, theta0, domain)
-    return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m)
+    return _chrb_value(theta0, m, model, lam, domain, p0p, p0m)
 
 
-def _mean_shift(config: BarankinConfig, theta0: float, t):
-    """Biased estimator-mean difference mean_function(t) - mean_function(theta0), elementwise."""
-    return np.vectorize(config.mean_function, otypes=[float])(t) - config.mean_function(theta0)
-
-
-def _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m):
-    """Two-point ratio num / (s^m - 1) at offsets ``lam``, elementwise.
+def _chrb_value(theta0, m, model, lam, domain, p0p, p0m):
+    """Two-point ratio lambda^2 / (s^m - 1) at offsets ``lam``, elementwise.
 
     Offsets below ``_OFFSET_FLOOR`` or leaving the domain, and those with
     a non-positive denominator, give -inf; a non-finite denominator gives 0.
@@ -177,17 +151,15 @@ def _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m):
     """
     lam = np.asarray(lam, dtype=float)
     t = theta0 + lam
-    num = lam * lam if config.unbiased else _mean_shift(config, theta0, t) ** 2
     den = _gram_power(m, _pair_increment(model, theta0, t, t, p0p, p0m))
     excluded = ((np.abs(lam) < _OFFSET_FLOOR) | (t < domain.a - 1e-15)
                 | (t > domain.b + 1e-15) | (den <= 0.0))
-    # a NaN or infinite denominator gives num / inf = 0
-    value = np.where(excluded, -np.inf, num / np.where(den > 0.0, den, np.inf))
+    # a NaN or infinite denominator gives lambda^2 / inf = 0
+    value = np.where(excluded, -np.inf, lam * lam / np.where(den > 0.0, den, np.inf))
     return float(value) if value.ndim == 0 else value
 
 
 def chrb(theta0: float, m: int, model: GhzParityModel,
-         config: BarankinConfig | None = None,
          domain: PhaseDomain | None = None) -> BoundReport:
     """Chapman-Robbins bound: supremum of the two-point ratio over the offset.
 
@@ -196,7 +168,6 @@ def chrb(theta0: float, m: int, model: GhzParityModel,
     refinement; the reported value is the best evaluated point, hence a lower
     estimate of the true supremum.
     """
-    config = config or BarankinConfig()
     domain = domain or PhaseDomain()
     if m < 1:
         raise ModelError("m must be >= 1")
@@ -206,17 +177,16 @@ def chrb(theta0: float, m: int, model: GhzParityModel,
         raise NoAdmissibleOffsetError("no admissible offsets in the domain")
 
     def objective(lam):
-        return _chrb_value(theta0, m, model, lam, config, domain, p0p, p0m)
+        return _chrb_value(theta0, m, model, lam, domain, p0p, p0m)
 
     try:
         arg, value = maximize_1d(objective, lo, hi, coarse_points=_CHRB_COARSE)
     except AllNanGridError as exc:
         raise NoAdmissibleOffsetError("every candidate offset was excluded") from exc
-    return BoundReport(name="chrb", value=value, argmax={"lambda": arg},
-                       diagnostics={"coarse_points": _CHRB_COARSE})
+    return BoundReport(name="chrb", value=value, argmax={"lambda": arg})
 
 
-def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m):
+def _echrb_grid_eval(theta0, m, model, L1, L2, p0p, p0m):
     """EChRB objective on offset grids, optimal A in closed form; -inf where excluded.
 
     ``L1`` and ``L2`` broadcast against each other: paired 1-D arrays give one
@@ -229,16 +199,11 @@ def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m):
     c0 = _gram_power(m, d1 * d1 / q)
     c1 = _gram_power(m, d1 * d2 / q)
     c2 = _gram_power(m, d2 * d2 / q) + 1.0
-    if config.unbiased:
-        e1, e2 = L1, L2
-    else:
-        e1 = _mean_shift(config, theta0, theta0 + L1)
-        e2 = _mean_shift(config, theta0, theta0 + L2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_star = (e1 * c1 - e2 * c0) / (e2 * c1 - e1 * c2)
+        a_star = (L1 * c1 - L2 * c0) / (L2 * c1 - L1 * c2)
         den = c0 + 2.0 * a_star * c1 + a_star**2 * c2
-        g = np.where(den > 0.0, (e1 + a_star * e2) ** 2 / den, -np.inf)
-        g_limit = np.where(c2 > 0.0, e2 * e2 / c2, -np.inf)
+        g = np.where(den > 0.0, (L1 + a_star * L2) ** 2 / den, -np.inf)
+        g_limit = np.where(c2 > 0.0, L2 * L2 / c2, -np.inf)
     g = np.fmax(np.where(np.isfinite(g), g, -np.inf),
                 np.where(np.isfinite(g_limit), g_limit, -np.inf))
     bad = (np.abs(L1) < _OFFSET_FLOOR) | (np.abs(L2) < _OFFSET_FLOOR) \
@@ -247,7 +212,6 @@ def _echrb_grid_eval(theta0, m, model, L1, L2, config, p0p, p0m):
 
 
 def echrb(theta0: float, m: int, model: GhzParityModel,
-          config: BarankinConfig | None = None,
           domain: PhaseDomain | None = None,
           seed_lambdas=()) -> BoundReport:
     """Extended Chapman-Robbins bound over two offsets and one free coefficient.
@@ -258,7 +222,6 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
     grid (optionally seeded with extra lambda1 candidates) and refined by
     deterministic zooming around the best cell.
     """
-    config = config or BarankinConfig()
     domain = domain or PhaseDomain()
     if m < 1:
         raise ModelError("m must be >= 1")
@@ -271,8 +234,7 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
 
     best = (-math.inf, math.nan, math.nan)
     for round_idx in range(_ECHRB_REFINE_ROUNDS + 1):
-        g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], l2s[None, :],
-                                config, p0p, p0m)
+        g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], l2s[None, :], p0p, p0m)
         if np.all(g == -np.inf):
             if round_idx == 0:
                 raise NoAdmissibleOffsetError("every (lambda1, lambda2) cell was excluded")
@@ -289,27 +251,23 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
 
     value, l1, l2 = best
     _, a_star = _echrb_grid_eval(theta0, m, model, np.asarray([l1]), np.asarray([l2]),
-                                 config, p0p, p0m)
+                                 p0p, p0m)
     return BoundReport(
         name="echrb", value=value,
-        argmax={"lambda1": l1, "lambda2": l2, "a_coefficient": float(a_star[0])},
-        diagnostics={"grid_points": _ECHRB_GRID, "refine_rounds": _ECHRB_REFINE_ROUNDS})
+        argmax={"lambda1": l1, "lambda2": l2, "a_coefficient": float(a_star[0])})
 
 
 def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
-                config: BarankinConfig | None = None,
                 domain: PhaseDomain | None = None) -> BoundReport:
     """Barankin-type bound for a fixed test-point family, optimal coefficients.
 
     With the centred ratios (L_i - 1), the optimal coefficients solve
     B a = d with B_ij = E[(L_i - 1)(L_j - 1)] = s(t_i, t_j)^m - 1 and
-    d_i = t_i - theta0 (or mean differences for biased estimators); the value
-    is the quadratic form d^T B^{-1} d.  A single test point reproduces the
-    Chapman-Robbins ratio at that offset.  Ill-conditioning is repaired by a
-    ridge (which can only lower the value, keeping it a valid bound) and
-    reported in the diagnostics.
+    d_i = t_i - theta0; the value is the quadratic form d^T B^{-1} d.  A
+    single test point reproduces the Chapman-Robbins ratio at that offset.
+    Ill-conditioning is repaired by a ridge (which can only lower the value,
+    keeping it a valid bound) and reported in the diagnostics.
     """
-    config = config or BarankinConfig()
     domain = domain or PhaseDomain()
     pts = tuple(float(t) for t in test_points)
     n = len(pts)
@@ -331,7 +289,7 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
         for j in range(i, n):
             B[i, j] = B[j, i] = _gram_power(
                 m, _pair_increment(model, theta0, pts[i], pts[j], p0p, p0m))
-    d = np.array(pts) - theta0 if config.unbiased else _mean_shift(config, theta0, np.array(pts))
+    d = np.array(pts) - theta0
     sol = solve_spd(B, d)
     return BoundReport(
         name="barankin", value=max(sol.quadratic_form, 0.0),
@@ -340,31 +298,27 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
                      "ill_conditioned": sol.ill_conditioned})
 
 
-def barankin(theta0: float, m: int, model: GhzParityModel,
-             config: BarankinConfig,
+def barankin(theta0: float, m: int, model: GhzParityModel, test_points,
              domain: PhaseDomain | None = None) -> BoundReport:
     """Barankin bound with the test-point placement improved by coordinate search.
 
-    Starts from ``config.test_points``, then re-optimises one test point at a
-    time with a 25-point grid-plus-golden search, for at most two sweeps over
-    the points.  Deterministic throughout; the result is a lower estimate of
-    the supremum over placements of this family size.
+    Starts from ``test_points``, which ``barankin_at`` validates, then
+    re-optimises one test point at a time with a 25-point grid-plus-golden
+    search, for at most two sweeps over the points.  Deterministic throughout;
+    the result is a lower estimate of the supremum over placements of this
+    family size.
     """
     domain = domain or PhaseDomain()
-    require_identifiable(model, domain)     # evaluate() below turns ModelError into -inf
-    if not config.test_points:
-        raise ModelError("config.test_points must provide an initial placement")
+    start = barankin_at(theta0, m, model, test_points, domain)
 
     def evaluate(pts) -> float:
         try:
-            return barankin_at(theta0, m, model, pts, config, domain).value
+            return barankin_at(theta0, m, model, pts, domain).value
         except (ModelError, NumericalFailure):
             return -math.inf
 
-    pts = list(config.test_points)
-    val = evaluate(pts)
-    if not math.isfinite(val):
-        raise NoAdmissibleOffsetError("no admissible test-point placement found")
+    pts = list(start.argmax["test_points"])
+    val = start.value
     for _ in range(2):
         improved = False
         for i in range(len(pts)):
@@ -384,7 +338,7 @@ def barankin(theta0: float, m: int, model: GhzParityModel,
                 improved = True
         if not improved:
             break
-    return barankin_at(theta0, m, model, pts, config, domain)
+    return barankin_at(theta0, m, model, pts, domain)
 
 
 def _admissible_seed(lam: float, lo: float, hi: float, sep: float) -> float:
@@ -404,10 +358,9 @@ def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
     naming the offending pair.
     """
     domain = domain or PhaseDomain()
-    config = BarankinConfig()
     crlb_report = crlb(theta0, m, model)
-    chrb_report = chrb(theta0, m, model, config, domain)
-    echrb_report = echrb(theta0, m, model, config, domain,
+    chrb_report = chrb(theta0, m, model, domain)
+    echrb_report = echrb(theta0, m, model, domain,
                          seed_lambdas=[chrb_report.argmax["lambda"]])
 
     lo, hi = domain.a - theta0, domain.b - theta0
@@ -417,9 +370,7 @@ def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
     if abs(l1 - l2) < sep:
         l2 = _admissible_seed(l2 + (2 * sep if l2 + 2 * sep <= hi else -2 * sep), lo, hi, sep)
     try:
-        bb_report = barankin(theta0, m, model,
-                             BarankinConfig(test_points=(theta0 + l1, theta0 + l2)),
-                             domain)
+        bb_report = barankin(theta0, m, model, (theta0 + l1, theta0 + l2), domain)
     except (ModelError, NumericalFailure):
         bb_report = BoundReport(name="barankin", value=-math.inf)
     if bb_report.value < echrb_report.value:

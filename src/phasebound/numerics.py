@@ -184,17 +184,13 @@ def solve_spd(matrix, rhs) -> SpdSolution:
         ridge = _RIDGE_SCALE * float(np.trace(B)) / n
         if ridge <= 0 or not math.isfinite(ridge):
             raise IndefiniteMatrixError("Gram matrix has nonpositive trace")
-        forms = []
-        for r in (ridge, 2.0 * ridge):
-            try:
-                a = np.linalg.solve(B + r * np.eye(n), d)
-            except np.linalg.LinAlgError as exc:
-                raise IndefiniteMatrixError("ridge repair failed") from exc
-            forms.append(float(d @ a))
-        form = forms[0]
-        a = np.linalg.solve(B + ridge * np.eye(n), d)
-        denom = max(abs(forms[0]), abs(forms[1]), 1e-300)
-        ill = abs(forms[0] - forms[1]) / denom > 1e-6
+        try:
+            a, a_doubled = (np.linalg.solve(B + r * np.eye(n), d) for r in (ridge, 2.0 * ridge))
+        except np.linalg.LinAlgError as exc:
+            raise IndefiniteMatrixError("ridge repair failed") from exc
+        form, form_doubled = float(d @ a), float(d @ a_doubled)
+        denom = max(abs(form), abs(form_doubled), 1e-300)
+        ill = abs(form - form_doubled) / denom > 1e-6
     if not math.isfinite(form):
         raise IndefiniteMatrixError("quadratic form is non-finite")
     return SpdSolution(coefficients=a, quadratic_form=form, condition=cond,
@@ -207,11 +203,12 @@ def solve_spd(matrix, rhs) -> SpdSolution:
 
 @dataclass(frozen=True)
 class PriorDensity:
-    """Density on [a, b], held on a quadrature grid plus analytic evaluators.
+    """Density on [a, b], held on a quadrature grid plus an off-grid density evaluator.
 
     ``values`` are renormalised so the grid quadrature is exactly 1; the same
-    correction is applied to ``derivative`` and the off-grid evaluators, so
-    boundary values, interior values, and integrals stay mutually consistent.
+    correction is applied to ``derivative`` (on the grid) and to ``density``
+    (anywhere), so boundary values, interior values, and integrals stay
+    mutually consistent.
 
     ``posterior_slot`` is a one-entry memo owned by
     ``bbound.posterior_summary``: it holds the (key, summary) pair of the last
@@ -226,7 +223,6 @@ class PriorDensity:
     vanishes_at_boundaries: bool
     alpha: float | None = None
     _pdf: object = field(default=None, repr=False, compare=False)
-    _dpdf: object = field(default=None, repr=False, compare=False)
     posterior_slot: list = field(default_factory=lambda: [None], init=False,
                                  repr=False, compare=False)
 
@@ -241,12 +237,6 @@ class PriorDensity:
         out = np.where(inside, self._pdf(theta), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def density_derivative(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        inside = (theta >= self.domain.a) & (theta <= self.domain.b)
-        out = np.where(inside, self._dpdf(theta), 0.0)
-        return float(out) if out.ndim == 0 else out
-
     def mean(self) -> float:
         return integrate(self.grid.nodes * self.values, self.grid)
 
@@ -255,7 +245,7 @@ class PriorDensity:
         return integrate((self.grid.nodes - mu) ** 2 * self.values, self.grid)
 
 
-def _finalize_prior(kind, domain, grid, raw_values, raw_derivative, vanishes, alpha, pdf, dpdf):
+def _finalize_prior(kind, domain, grid, raw_values, raw_derivative, vanishes, alpha, pdf):
     norm = integrate(raw_values, grid)
     if norm <= 0 or not math.isfinite(norm):
         raise NumericalFailure(f"prior normalisation integral is {norm}")
@@ -267,7 +257,6 @@ def _finalize_prior(kind, domain, grid, raw_values, raw_derivative, vanishes, al
         kind=kind, domain=domain, grid=grid, values=values, derivative=derivative,
         vanishes_at_boundaries=vanishes, alpha=alpha,
         _pdf=lambda t, _f=pdf, _n=norm: _f(t) / _n,
-        _dpdf=lambda t, _f=dpdf, _n=norm: _f(t) / _n,
     )
 
 
@@ -280,8 +269,7 @@ def flat_prior(domain: PhaseDomain | None = None,
     values = np.full(grid.node_count, c)
     deriv = np.zeros(grid.node_count)
     return _finalize_prior("flat", domain, grid, values, deriv, False, None,
-                           lambda t: np.full(np.shape(t), c) if np.ndim(t) else c,
-                           lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0)
+                           lambda t: np.full(np.shape(t), c) if np.ndim(t) else c)
 
 
 def family45_prior(alpha: float, grid: QuadratureGrid | None = None) -> PriorDensity:
@@ -321,7 +309,7 @@ def family45_prior(alpha: float, grid: QuadratureGrid | None = None) -> PriorDen
 
     values = np.asarray(pdf(grid.nodes), dtype=float)
     deriv = np.asarray(dpdf(grid.nodes), dtype=float)
-    return _finalize_prior("family45", domain, grid, values, deriv, True, alpha, pdf, dpdf)
+    return _finalize_prior("family45", domain, grid, values, deriv, True, alpha, pdf)
 
 
 def custom_prior(grid: QuadratureGrid, values, derivative=None) -> PriorDensity:
@@ -341,10 +329,7 @@ def custom_prior(grid: QuadratureGrid, values, derivative=None) -> PriorDensity:
     def pdf(t, _n=nodes, _v=values):
         return np.interp(np.asarray(t, dtype=float), _n, _v)
 
-    def dpdf(t, _n=nodes, _d=derivative):
-        return np.interp(np.asarray(t, dtype=float), _n, _d)
-
-    return _finalize_prior("custom", domain, grid, values, derivative, vanishes, None, pdf, dpdf)
+    return _finalize_prior("custom", domain, grid, values, derivative, vanishes, None, pdf)
 
 
 def fisher_information_of_density(values, derivative, grid: QuadratureGrid,

@@ -192,6 +192,16 @@ class TestBounds:
         assert {"crlb", "chrb", "echrb", "barankin", "van_trees",
                 "ziv_zakai", "averaged_ghosh"} <= names
 
+    def test_unset_alpha_echoes_the_alpha_used(self, tmp_path):
+        # bounds computes one cell, at alpha = 10 when prior.alpha is unset
+        unset, pinned = tmp_path / "unset.csv", tmp_path / "pinned.csv"
+        args = ["bounds", "--m.list", "2", "--grid.nodes", "401"]
+        assert main([*args, "--out", str(unset)]) == 0
+        assert main([*args, "--prior.alpha", "10", "--out", str(pinned)]) == 0
+        comments, header, rows = read_rows(unset)
+        assert "# prior.alpha=10" in comments
+        assert (header, rows) == read_rows(pinned)[1:]
+
 
 class TestDeterminism:
     def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):

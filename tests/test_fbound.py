@@ -5,7 +5,6 @@ import pytest
 
 import phasebound.fbound as fbound_module
 from phasebound.fbound import (
-    BarankinConfig,
     HierarchyViolationError,
     NoAdmissibleOffsetError,
     _echrb_grid_eval,
@@ -145,8 +144,7 @@ class TestBarankin:
         m = 5
         for l1, l2 in ((0.0785, -0.7), (0.3, 0.6), (-0.5, 0.2)):
             p0p, p0m = _single_shot_probs(model, T0, domain)
-            g, _ = _echrb_grid_eval(T0, m, model, np.asarray([l1]), np.asarray([l2]),
-                                    BarankinConfig(), p0p, p0m)
+            g, _ = _echrb_grid_eval(T0, m, model, np.asarray([l1]), np.asarray([l2]), p0p, p0m)
             bb = barankin_at(T0, m, model, [T0 + l1, T0 + l2], domain=domain).value
             assert bb >= float(g[0]) - 1e-9
 
@@ -164,18 +162,20 @@ class TestBarankin:
         assert report.diagnostics["ill_conditioned"]
 
     def test_coordinate_search_improves_start(self, model, domain):
-        config = BarankinConfig(test_points=(T0 + 0.1, T0 - 0.1))
-        start = barankin_at(T0, 6, model, config.test_points, domain=domain).value
-        searched = barankin(T0, 6, model, config, domain=domain).value
+        test_points = (T0 + 0.1, T0 - 0.1)
+        start = barankin_at(T0, 6, model, test_points, domain=domain).value
+        searched = barankin(T0, 6, model, test_points, domain=domain).value
         assert searched >= start - 1e-12
 
     def test_validation(self, model, domain):
-        with pytest.raises(ModelError):
-            barankin_at(T0, 3, model, [], domain=domain)
-        with pytest.raises(ModelError):
-            barankin_at(T0, 3, model, [0.4, 0.4 + 1e-12], domain=domain)
-        with pytest.raises(ModelError):
-            BarankinConfig(test_points=tuple(0.1 * i for i in range(1, 8)))
+        # barankin_at validates every placement, barankin's start included
+        for bound in (barankin_at, barankin):
+            with pytest.raises(ModelError):
+                bound(T0, 3, model, [], domain=domain)
+            with pytest.raises(ModelError):
+                bound(T0, 3, model, [0.4, 0.4 + 1e-12], domain=domain)
+            with pytest.raises(ModelError):
+                bound(T0, 3, model, [0.1 * i for i in range(1, 8)], domain=domain)
 
 
 class TestBiasedCrlbDominance:
@@ -243,18 +243,13 @@ class TestHierarchy:
 class TestArrayObjectives:
     """Whole-grid evaluation must equal point-by-point evaluation bit for bit."""
 
-    BIASED = BarankinConfig(unbiased=False,
-                            mean_function=lambda t: t - 0.1 * math.sin(4.0 * t))
-
     @pytest.mark.parametrize("m", [1, 20, 300, 1000])
-    @pytest.mark.parametrize("biased", [False, True])
-    def test_chrb_coarse_grid_equals_per_point(self, model, domain, m, biased):
-        config = self.BIASED if biased else BarankinConfig()
+    def test_chrb_coarse_grid_equals_per_point(self, model, domain, m):
         lams = np.linspace(domain.a - T0, domain.b - T0, fbound_module._CHRB_COARSE)
-        whole = chrb_objective(T0, m, model, lams, config, domain)
-        per_point = np.array([chrb_objective(T0, m, model, float(lam), config, domain)
+        whole = chrb_objective(T0, m, model, lams, domain)
+        per_point = np.array([chrb_objective(T0, m, model, float(lam), domain)
                               for lam in lams])
-        assert isinstance(chrb_objective(T0, m, model, float(lams[7]), config, domain), float)
+        assert isinstance(chrb_objective(T0, m, model, float(lams[7]), domain), float)
         assert whole.shape == lams.shape
         assert np.array_equal(whole, per_point)
         assert np.isfinite(whole).sum() >= fbound_module._CHRB_COARSE - 2
@@ -263,13 +258,12 @@ class TestArrayObjectives:
     def test_echrb_broadcast_grid_equals_per_pair(self, model, domain, m):
         p0p, p0m = _single_shot_probs(model, T0, domain)
         lams = np.linspace(domain.a - T0, domain.b - T0, fbound_module._ECHRB_GRID)
-        g, a_star = _echrb_grid_eval(T0, m, model, lams[:, None], lams[None, :],
-                                     BarankinConfig(), p0p, p0m)
+        g, a_star = _echrb_grid_eval(T0, m, model, lams[:, None], lams[None, :], p0p, p0m)
         assert g.shape == a_star.shape == (lams.size, lams.size)
         for i, l1 in enumerate(lams):
             for j, l2 in enumerate(lams):
                 gp, ap = _echrb_grid_eval(T0, m, model, np.asarray([l1]), np.asarray([l2]),
-                                          BarankinConfig(), p0p, p0m)
+                                          p0p, p0m)
                 assert g[i, j] == gp[0]
                 assert a_star[i, j] == ap[0] or (np.isnan(a_star[i, j]) and np.isnan(ap[0]))
 
@@ -285,8 +279,8 @@ class TestIdentifiability:
         "echrb": lambda model, domain, t0: [echrb(t0, 20, model, domain=domain).value],
         "barankin_at": lambda model, domain, t0: [
             barankin_at(t0, 20, model, [t0 + 0.1], domain=domain).value],
-        "barankin": lambda model, domain, t0: [barankin(
-            t0, 20, model, BarankinConfig(test_points=(t0 + 0.1, t0 - 0.1)), domain).value],
+        "barankin": lambda model, domain, t0: [
+            barankin(t0, 20, model, (t0 + 0.1, t0 - 0.1), domain).value],
         "hierarchy_report": lambda model, domain, t0: [
             r.value for r in hierarchy_report(t0, 20, model, domain)],
     }

@@ -7,6 +7,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasebound.numerics as numerics_module
 from phasebound.model import ModelError
 from phasebound.numerics import (
     AllNanGridError,
@@ -150,8 +151,12 @@ class TestSolveSpd:
 
     def test_ridge_on_singular(self):
         b = np.array([[1.0, 1.0], [1.0, 1.0]])
-        sol = solve_spd(b, np.array([1.0, -1.0]))
+        d = np.array([1.0, -1.0])
+        sol = solve_spd(b, d)
         assert sol.ridge_used
+        ridge = numerics_module._RIDGE_SCALE * float(np.trace(b)) / 2
+        assert np.array_equal(sol.coefficients, np.linalg.solve(b + ridge * np.eye(2), d))
+        assert sol.quadratic_form == float(d @ sol.coefficients)
 
     def test_subnormal_eigenvalue_gives_infinite_condition(self):
         # eigs[-1] / eigs[0] overflows for a subnormal smallest eigenvalue
@@ -232,8 +237,10 @@ class TestPriorFamilies:
         prior = family45_prior(10.0, grid)
         step = 1e-7
         for theta in (0.3, 0.7, 1.2):
-            fd = (prior.density(theta + step) - prior.density(theta - step)) / (2 * step)
-            assert prior.density_derivative(theta) == pytest.approx(fd, rel=1e-5)
+            i = int(np.argmin(np.abs(grid.nodes - theta)))
+            node = grid.nodes[i]
+            fd = (prior.density(node + step) - prior.density(node - step)) / (2 * step)
+            assert prior.derivative[i] == pytest.approx(fd, rel=1e-5)
 
     def test_wrong_domain_rejected(self):
         with pytest.raises(ModelError):

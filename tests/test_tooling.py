@@ -65,8 +65,9 @@ def test_constant_is_read(module, name):
     assert reads > 0, f"{module}.{name} is never read"
 
 
-def test_no_public_callable_takes_tol():
-    # the grid sizes and tolerances are fixed; no call can set them
+@pytest.mark.parametrize("setting", ["tol", "config"])
+def test_no_public_callable_takes_setting(setting):
+    # the grid sizes, tolerances and bound family are fixed; no call can set them
     import phasebound
 
     modules = [phasebound] + [importlib.import_module(f"phasebound.{p.stem}")
@@ -81,7 +82,7 @@ def test_no_public_callable_takes_tol():
                 params = inspect.signature(value).parameters
             except (TypeError, ValueError):
                 continue
-            if "tol" in params:
+            if setting in params:
                 offenders.append(f"{mod.__name__}.{attr}")
     assert offenders == []
 

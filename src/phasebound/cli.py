@@ -249,8 +249,13 @@ def cmd_fig2(cfg: RunConfig, out_path: str | None):
 
 
 def _alpha_outputs(cfg: RunConfig, out_path: str | None):
-    """(alpha, per-alpha output path) pairs; multi-alpha requires --out."""
-    if cfg.prior_kind == "flat" or cfg.prior_alpha is not None:
+    """(alpha, per-alpha output path) pairs; multi-alpha requires --out.
+
+    The flat prior ignores alpha, so its one pair carries none to echo.
+    """
+    if cfg.prior_kind == "flat":
+        return [(None, out_path)]
+    if cfg.prior_alpha is not None:
         return [(cfg.prior_alpha, out_path)]
     if out_path is None:
         raise ConfigError("the default alpha battery writes one file per alpha; "
@@ -315,8 +320,12 @@ def cmd_bounds(cfg: RunConfig, out_path: str | None):
     """Single-cell summary of every bound at (theta0, m = last of the sweep)."""
     model, domain, grid = cfg.build()
     m = cfg.sample_sizes()[-1]
-    # one cell, so an unset family45 alpha takes 10 rather than the fig3/fig4 battery
-    alpha = 10.0 if cfg.prior_kind == "family45" and cfg.prior_alpha is None else cfg.prior_alpha
+    # one cell, so an unset family45 alpha takes 10 rather than the fig3/fig4
+    # battery; the flat prior ignores alpha and echoes none
+    if cfg.prior_kind == "flat":
+        alpha = None
+    else:
+        alpha = 10.0 if cfg.prior_alpha is None else cfg.prior_alpha
     prior = cfg.make_prior(grid, alpha)
     mle_est = MaximumLikelihoodEstimator(model, domain)
     bl_est = PosteriorMeanEstimator(model, prior)

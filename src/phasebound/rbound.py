@@ -36,7 +36,6 @@ from .fbound import check_chain
 from .model import (
     GhzParityModel,
     ModelError,
-    tally_pmf,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
 )
@@ -150,6 +149,48 @@ def van_trees(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     return 1.0 / (m * avg_fisher + j_prior)
 
 
+def _pmin_columns(pmf: np.ndarray, first: np.ndarray, second: np.ndarray,
+                  a: np.ndarray, b: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
+    """P_min = 1/2 (1 - TV) of many weighted pairs of tally distributions.
+
+    ``pmf`` holds one tally distribution per column, at single-shot
+    probabilities ``p_plus``.  Pair t tests column first[t], weighted a[t],
+    against column second[t], weighted b[t] (a + b = 1), and
+    TV = sum_k |a pmf[k, first] - b pmf[k, second]|.
+
+    The likelihood ratio of two tally distributions is monotone in k, so the
+    summand changes sign at one crossing tally k*, and with the column CDFs
+    C[k] = sum_{k' < k} pmf[k'] and D(k) = a C[k, first] - b C[k, second],
+    TV = D(m+1) - 2 D(k*) when the second distribution lies lower (smaller
+    p_plus) and its negative otherwise.  The orientation comes from p_plus
+    pair by pair, not from the order of the columns.  k* is found for every
+    pair at once by bisection on a pmf[k, first] >= b pmf[k, second] over the
+    union of the two columns' nonzero supports.  Outside it both tallies are
+    zero, so the predicate (0 >= 0) holds on both sides of the crossing;
+    inside it both are zero only between the two supports, where the
+    predicate already agrees with the orientation.
+    """
+    rows = pmf.shape[0]
+    cdf = np.zeros((rows + 1, pmf.shape[1]))
+    np.cumsum(pmf, axis=0, out=cdf[1:])
+    nonzero = pmf > 0.0
+    start = nonzero.argmax(axis=0)
+    stop = rows - nonzero[::-1].argmax(axis=0)
+    lo = np.minimum(start[first], start[second])
+    hi = np.maximum(stop[first], stop[second])
+    down = p_plus[second] < p_plus[first]
+    active = lo < hi
+    while active.any():
+        mid = np.minimum((lo + hi) // 2, rows - 1)   # finished pairs may sit at lo = rows
+        hit = (a * pmf[mid, first] >= b * pmf[mid, second]) == down
+        hi = np.where(active & hit, mid, hi)
+        lo = np.where(active & ~hit, mid + 1, lo)
+        active = lo < hi
+    d_end = a * cdf[-1, first] - b * cdf[-1, second]
+    tv = d_end - 2.0 * (a * cdf[lo, first] - b * cdf[lo, second])
+    return np.clip(0.5 * (1.0 - np.where(down, tv, -tv)), 0.0, 0.5)
+
+
 def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
          model: GhzParityModel) -> HypothesisTestCell:
     """Minimum error probability for discriminating theta0 from theta0 + h.
@@ -157,7 +198,8 @@ def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
     The hypotheses are weighted by the fluctuation density (extended by zero
     outside the domain).  A cell whose two prior weights are both zero is
     flagged empty.  The value is the total-variation form
-    1/2 (1 - sum_k |w0 p(k|theta0) - w1 p(k|theta0+h)|).
+    1/2 (1 - sum_k |w0 p(k|theta0) - w1 p(k|theta0+h)|), evaluated at the
+    crossing tally exactly as ``ziv_zakai`` evaluates it.
     """
     if not h > 0.0:
         raise ModelError("pmin requires h > 0")
@@ -168,11 +210,11 @@ def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
         return HypothesisTestCell(theta0=theta0, h=h, pmin=math.nan, empty=True)
     if w0 == 0.0 or w1 == 0.0:
         return HypothesisTestCell(theta0=theta0, h=h, pmin=0.0)
-    w0, w1 = w0 / total, w1 / total
-    p0 = tally_pmf(model, theta0, m)
-    p1 = tally_pmf(model, theta0 + h, m)
-    value = 0.5 * (1.0 - float(np.sum(np.abs(w0 * p0 - w1 * p1))))
-    return HypothesisTestCell(theta0=theta0, h=h, pmin=min(max(value, 0.0), 0.5))
+    thetas = np.array([theta0, theta0 + h])
+    value = _pmin_columns(tally_pmf_matrix(model, m, thetas), np.array([0]), np.array([1]),
+                          np.array([w0 / total]), np.array([w1 / total]),
+                          model.prob_plus(thetas))
+    return HypothesisTestCell(theta0=theta0, h=h, pmin=float(value[0]))
 
 
 def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
@@ -186,39 +228,36 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     the domain, which truncates the h range at the domain width; cells where
     either hypothesis has zero weight contribute nothing.
 
-    P_min is taken in the total-variation form 1/2 (1 - sum_k |w0 p0 - w1 p1|),
-    which cancels when P_min is small.  Against the cancellation-free
-    sum_k min(w0 p0, w1 p1), the bound for alpha = 10 is off by 1.8e-12
-    relative at m = 100 and 1.9e-10 at m = 5000 (at most 4e-14 for m <= 20
-    and the priors of the tests).  Since the
-    likelihood ratio of two tally distributions is monotone in k, the min
-    form also follows from the two CDFs at the crossing tally, in
-    O(n m + n^2) instead of O(n^2 m); that form matches the min-sum oracle to
-    4e-16.  It is not used yet because the recorded reference outputs carry
-    the cancellation error of this form and would have to be re-recorded.
+    Every test pair of nodes is evaluated at once from the column CDFs of the
+    one pmf matrix and a crossing tally per pair (see ``_pmin_columns``): the
+    pmf and CDFs cost O(n m), the bisection O(n^2 log m), against O(n^2 m)
+    for a sum over tallies per pair.  The theta0 sums for each shift are one
+    ``np.add.reduceat`` over the pairs, which are ordered by shift.
+
+    P_min stays in the total-variation form 1/2 (1 - TV), which cancels when
+    P_min is small.  Against the cancellation-free
+    sum_k min(w0 p0, w1 p1), which the same CDFs give at the crossing tally,
+    the bound for alpha = 10 is off by 1.8e-12 relative at m = 100 and
+    1.9e-10 at m = 5000 (at most 4e-14 for m <= 20 and the priors of the
+    tests).  The recorded reference outputs carry that cancellation error, so
+    switching to the min form means re-recording them.
     """
     if m < 1:
         raise ModelError("m must be >= 1")
     g, p = _outer_grid(prior_true)
-    n, nodes, w_theta = g.node_count, g.nodes, g.weights
-    pmf = tally_pmf_matrix(model, m, nodes)
+    n, nodes = g.node_count, g.nodes
+    first, second = np.triu_indices(n, 1)
+    order = np.argsort(second - first, kind="stable")
+    first, second = first[order], second[order]
+    keep = (p[first] > 0.0) & (p[second] > 0.0)
+    first, second = first[keep], second[keep]
+    s = p[first] + p[second]
+    p_min = _pmin_columns(tally_pmf_matrix(model, m, nodes), first, second,
+                          p[first] / s, p[second] / s, model.prob_plus(nodes))
+    shifts, starts = np.unique(second - first, return_index=True)
+    inner = np.add.reduceat(g.weights[first] * s * p_min, starts)
     h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
-
-    total = 0.0
-    for i in range(1, n):
-        h = nodes[i] - g.a
-        shifted = np.zeros(n)
-        shifted[:n - i] = p[i:]
-        both = (p > 0.0) & (shifted > 0.0)
-        if not np.any(both):
-            continue
-        idx = np.flatnonzero(both)
-        s = p[idx] + shifted[idx]
-        tv = np.abs((p[idx] / s) * pmf[:, idx]
-                    - (shifted[idx] / s) * pmf[:, idx + i]).sum(axis=0)
-        p_min = np.clip(0.5 * (1.0 - tv), 0.0, 0.5)
-        inner = float(np.sum(w_theta[idx] * s * p_min))
-        total += h_weights[i] * h * inner
+    total = float(np.sum(h_weights[shifts] * (nodes[shifts] - g.a) * inner))
     return max(0.5 * total, 0.0)
 
 

@@ -9,6 +9,8 @@ the package also computes, by an independent route:
   ``sample_tallies``, ``derive_seed``) for Monte Carlo checks of those sums;
 * ``decision_rule_error_probability`` - the error probability of the optimal
   likelihood-ratio test, tally by tally, against ``rbound.pmin``;
+* ``ziv_zakai_shift_loop`` - the Ziv-Zakai bound as a loop over shifts that
+  sums |w0 p0 - w1 p1| over every tally, against ``rbound.ziv_zakai``;
 * ``lbvm_reference`` - the Gaussian (Bernstein-von Mises) reference posterior
   that saturates the Ghosh bound.
 
@@ -27,8 +29,16 @@ import numpy as np
 
 from phasebound.engine import OutcomeTally, expect_values_over_tallies
 from phasebound.estimate import Posterior
-from phasebound.model import GhzParityModel, ModelError, PhaseDomain, tally_pmf, tally_probability
+from phasebound.model import (
+    GhzParityModel,
+    ModelError,
+    PhaseDomain,
+    tally_pmf,
+    tally_pmf_matrix,
+    tally_probability,
+)
 from phasebound.numerics import NumericalFailure, PriorDensity, QuadratureGrid, integrate
+from phasebound.rbound import _outer_grid
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -122,6 +132,37 @@ def decision_rule_error_probability(theta0: float, h: float, prior_true: PriorDe
         else:
             error += w0 * like0      # rule picks hypothesis 1; wrong when 0 holds
     return error
+
+
+def ziv_zakai_shift_loop(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
+    """Ziv-Zakai bound with P_min = 1/2 (1 - sum_k |w0 p0 - w1 p1|), one shift at a time.
+
+    Same outer grid, shift axis and total-variation form as ``rbound.ziv_zakai``,
+    but every test pair sums its tallies directly, in O(n^2 m).
+    """
+    if m < 1:
+        raise ModelError("m must be >= 1")
+    g, p = _outer_grid(prior_true)
+    n, nodes, w_theta = g.node_count, g.nodes, g.weights
+    pmf = tally_pmf_matrix(model, m, nodes)
+    h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
+
+    total = 0.0
+    for i in range(1, n):
+        h = nodes[i] - g.a
+        shifted = np.zeros(n)
+        shifted[:n - i] = p[i:]
+        both = (p > 0.0) & (shifted > 0.0)
+        if not np.any(both):
+            continue
+        idx = np.flatnonzero(both)
+        s = p[idx] + shifted[idx]
+        tv = np.abs((p[idx] / s) * pmf[:, idx]
+                    - (shifted[idx] / s) * pmf[:, idx + i]).sum(axis=0)
+        p_min = np.clip(0.5 * (1.0 - tv), 0.0, 0.5)
+        inner = float(np.sum(w_theta[idx] * s * p_min))
+        total += h_weights[i] * h * inner
+    return max(0.5 * total, 0.0)
 
 
 def lbvm_reference(theta0: float, m: int, model: GhzParityModel,

@@ -89,6 +89,17 @@ class TestConfigParsing:
                      "--theta0", repr(b / 2), "--m.list", "1", "--out", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("command", ["fig3", "bounds"])
+    def test_flat_prior_echoes_no_alpha(self, tmp_path, command):
+        # the flat prior ignores alpha, so a given one is not echoed as if it were used
+        given, unset = tmp_path / "given.csv", tmp_path / "unset.csv"
+        args = [command, "--prior.kind", "flat", "--m.list", "1", "--grid.nodes", "401"]
+        assert main([*args, "--prior.alpha", "5", "--out", str(given)]) == 0
+        assert main([*args, "--out", str(unset)]) == 0
+        comments, header, rows = read_rows(given)
+        assert "# prior.alpha=" in comments
+        assert (header, rows) == read_rows(unset)[1:]
+
 
 class TestFig1:
     def test_header_and_bias(self, tmp_path):

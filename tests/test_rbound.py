@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasebound.rbound as rbound_module
-from oracles import decision_rule_error_probability
+from oracles import decision_rule_error_probability, ziv_zakai_shift_loop
 from phasebound.estimate import (
     ConstantEstimator,
     MaximumLikelihoodEstimator,
@@ -21,6 +21,7 @@ from phasebound.numerics import (
     NonIntegrablePriorError,
     NumericalFailure,
     QuadratureGrid,
+    custom_prior,
     family45_prior,
     flat_prior,
     integrate,
@@ -208,6 +209,33 @@ class TestZivZakaiOracle:
                       family45_prior(100.0, grid)):
             oracle = _ziv_zakai_min_oracle(prior, m, model)
             assert ziv_zakai(prior, m, model) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+class TestZivZakaiShiftLoop:
+    # the crossing-tally evaluation reproduces the per-tally sum of |w0 p0 - w1 p1|
+    @pytest.mark.parametrize("alpha,m", [
+        *[(alpha, m) for alpha in (10.0, -10.0, 1.0, 100.0) for m in (1, 2, 3, 20, 100, 1000)],
+        (10.0, 5000),   # the two supports of a wide test pair underflow apart
+    ])
+    def test_family45(self, model, grid, alpha, m):
+        prior = family45_prior(alpha, grid)
+        assert ziv_zakai(prior, m, model) == pytest.approx(
+            ziv_zakai_shift_loop(prior, m, model), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 20])
+    def test_flat_prior(self, model, flat, m):
+        # the endpoints are deterministic channels, p_plus in {0, 1}
+        assert ziv_zakai(flat, m, model) == pytest.approx(
+            ziv_zakai_shift_loop(flat, m, model), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 3, 20, 100])
+    def test_p_plus_not_monotone_on_domain(self, model, m):
+        # on [-0.3, 1.2] p_plus = cos^2(theta) rises up to 0 and falls after it,
+        # so test pairs on opposite sides of 0 have opposite orientation
+        g = QuadratureGrid.simpson(-0.3, 1.2)
+        prior = custom_prior(g, np.sin(math.pi * (g.nodes + 0.3) / 1.5) ** 2)
+        assert ziv_zakai(prior, m, model) == pytest.approx(
+            ziv_zakai_shift_loop(prior, m, model), rel=1e-13, abs=0.0)
 
 
 class TestVarianceChain:

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,20 @@ def test_streamed_kernel_work_stays_traced(tmp_path):
     assert tracer.calls["model.tally_pmf_matrix"] >= blocks
     assert tracer.total_s["model.tally_pmf_matrix"] > 0.0
     assert tracer.kernel_cells <= (m + 1 + blocks) * nodes
+
+
+def test_ziv_zakai_peak_memory():
+    # one (m+1) x 201 pmf (7.7 MiB at m = 5000) and its column CDFs; a loop over
+    # shifts that builds (m+1)-row temporaries per shift peaks near 30 MiB
+    from phasebound import GhzParityModel, QuadratureGrid, family45_prior
+    from phasebound.rbound import ziv_zakai
+
+    prior = family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2))
+    model = GhzParityModel(2)
+    tracemalloc.start()
+    try:
+        ziv_zakai(prior, 5000, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import Posterior, posterior_table
+from .estimate import Posterior, PosteriorMeanEstimator, posterior_table
 from .model import GhzParityModel, ModelError, PhaseDomain, tally_pmf
 from .numerics import (
     DERIVATIVE_NOISE_REL,
@@ -98,37 +98,23 @@ class GhoshTable:
     failure: str | None = None  # why the Ghosh bound is invalid; raised by ghosh_table
 
 
+# Cells (rows x nodes) of one block of the posterior table: 2 MB per float64 array.
+_BLOCK_CELLS = 1 << 18
+
+
 def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     """Per-tally posterior summary for all tallies k = 0..m.
 
-    The posterior-mean estimator and ``ghosh_table`` both read it, so the
-    posterior table is built once per (prior, m) rather than once per
-    consumer.  It is built in blocks of tallies of at most ``_BLOCK_CELLS``
-    cells each (131 rows on 2001 nodes), and every returned quantity is one
-    number per tally, so memory stays O(block x nodes) however large m is.
-    The result is memoised in the prior's single ``posterior_slot``, keyed by
-    (m, model); the slot holds only the summary's length-(m+1) vectors.
-    The slot is replaced by one store of a (key, summary) tuple, so a
-    concurrent caller can only miss it, never read a summary of another key.
+    Built in blocks of tallies of at most ``_BLOCK_CELLS`` cells each (131
+    rows on 2001 nodes); every returned quantity is one number per tally, so
+    memory stays O(block x nodes) however large m is.  Nothing is cached
+    here: ``PosteriorMeanEstimator.summary`` builds it once per m and serves
+    both the posterior means and ``ghosh_table``.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
     undefined.
     """
-    key = (m, model)
-    entry = prior.posterior_slot[0]
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    table = _summarise(prior, m, model)
-    prior.posterior_slot[0] = (key, table)
-    return table
-
-
-# Cells (rows x nodes) of one block of the posterior table: 2 MB per float64 array.
-_BLOCK_CELLS = 1 << 18
-
-
-def _summarise(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     grid = prior.grid
     nodes, w = grid.nodes, grid.weights
     a, b = grid.a, grid.b
@@ -166,32 +152,31 @@ def _summarise(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable
                       information=information, ghosh=ghosh, failure=failure)
 
 
-def ghosh_table(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
+def ghosh_table(bayes: PosteriorMeanEstimator, m: int) -> GhoshTable:
     """Vectorised Ghosh bound components for all tallies k = 0..m at once.
 
-    Returns the memoised ``posterior_summary``, or raises its Ghosh-validity
-    failure as ``NonIntegrablePosteriorError``.
+    Returns ``bayes.summary(m)``, which its posterior means share, or raises
+    its Ghosh-validity failure as ``NonIntegrablePosteriorError``.
     """
-    table = posterior_summary(prior, m, model)
+    table = bayes.summary(m)
     if table.failure is not None:
         raise NonIntegrablePosteriorError(table.failure)
     return table
 
 
-def averaged_ghosh(theta0: float, m: int, model: GhzParityModel, prior: PriorDensity) -> float:
+def averaged_ghosh(theta0: float, m: int, bayes: PosteriorMeanEstimator) -> float:
     """Likelihood-averaged Ghosh bound: sum_k GB(k) p(k | theta0).
 
     Lower-bounds the likelihood-averaged posterior variance; per-tally
     failures propagate with the offending tally named.
     """
-    table = ghosh_table(prior, m, model)
-    weights = tally_pmf(model, theta0, m)
+    table = ghosh_table(bayes, m)
+    weights = tally_pmf(bayes.model, theta0, m)
     return float(np.sum(table.ghosh * weights))
 
 
-def averaged_posterior_variance(theta0: float, m: int, model: GhzParityModel,
-                                prior: PriorDensity) -> float:
+def averaged_posterior_variance(theta0: float, m: int, bayes: PosteriorMeanEstimator) -> float:
     """Likelihood average of the posterior variance at fixed theta0."""
-    table = ghosh_table(prior, m, model)
-    weights = tally_pmf(model, theta0, m)
+    table = ghosh_table(bayes, m)
+    weights = tally_pmf(bayes.model, theta0, m)
     return float(np.sum(table.variance * weights))

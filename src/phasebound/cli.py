@@ -197,8 +197,11 @@ def _emit(lines: list[str], out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
 
 
 def _csv(header_lines: list[str], columns: list[str], rows: list[tuple]) -> list[str]:
@@ -281,8 +284,8 @@ def cmd_fig3(cfg: RunConfig, out_path: str | None):
             return (m,
                     m * risk.variance,
                     risk.bias_derivative**2 / fisher,
-                    m * averaged_posterior_variance(cfg.theta0, m, model, prior),
-                    m * averaged_ghosh(cfg.theta0, m, model, prior))
+                    m * averaged_posterior_variance(cfg.theta0, m, estimator),
+                    m * averaged_ghosh(cfg.theta0, m, estimator))
 
         rows = _sweep(row, cfg.sample_sizes())
         _emit(_csv(cfg.echo_lines("fig3", alpha, path),
@@ -303,9 +306,10 @@ def cmd_fig4(cfg: RunConfig, out_path: str | None):
     inv_f = 1.0 / float(model.fisher_information(cfg.theta0))
     for alpha, path in _alpha_outputs(cfg, out_path):
         prior = cfg.make_prior(grid, alpha)
+        estimator = PosteriorMeanEstimator(model, prior)
 
         def row(m: int):
-            chain = bayes_chain_report(prior, m, model)
+            chain = bayes_chain_report(estimator, m)
             zzb = ziv_zakai(prior, m, model)
             return (m, m * chain.bayes_variance, m * chain.agbr,
                     m * chain.van_trees, m * zzb, inv_f)
@@ -336,14 +340,14 @@ def cmd_bounds(cfg: RunConfig, out_path: str | None):
              ("mle_mse", risk.mse), ("mle_bias_derivative", risk.bias_derivative)]
     for report in hierarchy_report(cfg.theta0, m, model, domain):
         rows.append((report.name, report.value))
-    rows.append(("averaged_ghosh", averaged_ghosh(cfg.theta0, m, model, prior)))
+    rows.append(("averaged_ghosh", averaged_ghosh(cfg.theta0, m, bl_est)))
     rows.append(("bayes_avg_posterior_variance_fixed",
-                 averaged_posterior_variance(cfg.theta0, m, model, prior)))
+                 averaged_posterior_variance(cfg.theta0, m, bl_est)))
     rows.append(("avg_estimator_variance", avg_estimator_variance(bl_est, prior, m, model)))
     rows.append(("avg_mse", avg_mse(bl_est, prior, m, model)))
     rows.append(("ziv_zakai", ziv_zakai(prior, m, model)))
     if prior.vanishes_at_boundaries:
-        chain = bayes_chain_report(prior, m, model)
+        chain = bayes_chain_report(bl_est, m)
         rows += [("van_trees", chain.van_trees), ("agbr", chain.agbr),
                  ("bayes_avg_posterior_variance", chain.bayes_variance)]
     _emit(_csv(cfg.echo_lines("bounds", alpha, out_path),

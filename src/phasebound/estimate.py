@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .model import (
     tally_pmf_with_dtheta,
 )
 from .numerics import NumericalFailure, PriorDensity, QuadratureGrid, integrate
+
+if TYPE_CHECKING:
+    from .bbound import GhoshTable
 
 
 class DegeneratePosteriorError(NumericalFailure):
@@ -197,10 +201,21 @@ class PosteriorMeanEstimator(Estimator):
     def __init__(self, model: GhzParityModel, prior: PriorDensity):
         super().__init__(model, prior.domain)
         self.prior = prior
+        self._summaries: dict[int, GhoshTable] = {}
+
+    def summary(self, m: int) -> GhoshTable:
+        """The per-tally posterior summary for m, built once and shared by every caller.
+
+        Stored without a lock, like ``values``: sweep rows have distinct m, and
+        racing first calls for one m each build an equal summary.
+        """
+        if m not in self._summaries:
+            from .bbound import posterior_summary  # local import: bbound imports this module
+            self._summaries[m] = posterior_summary(self.prior, m, self.model)
+        return self._summaries[m]
 
     def _compute_values(self, m: int) -> np.ndarray:
-        from .bbound import posterior_summary  # local import: bbound imports this module
-        return posterior_summary(self.prior, m, self.model).mean
+        return self.summary(m).mean
 
 
 class ConstantEstimator(Estimator):

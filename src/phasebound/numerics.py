@@ -208,11 +208,7 @@ class PriorDensity:
     ``values`` are renormalised so the grid quadrature is exactly 1; the same
     correction is applied to ``derivative`` (on the grid) and to ``density``
     (anywhere), so boundary values, interior values, and integrals stay
-    mutually consistent.
-
-    ``posterior_slot`` is a one-entry memo owned by
-    ``bbound.posterior_summary``: it holds the (key, summary) pair of the last
-    per-tally posterior summary computed under this prior.
+    mutually consistent; a prior caches nothing derived from it.
     """
 
     kind: str
@@ -223,8 +219,6 @@ class PriorDensity:
     vanishes_at_boundaries: bool
     alpha: float | None = None
     _pdf: object = field(default=None, repr=False, compare=False)
-    posterior_slot: list = field(default_factory=lambda: [None], init=False,
-                                 repr=False, compare=False)
 
     @property
     def boundary_values(self) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bbound import ghosh_table
-from .estimate import Estimator
+from .estimate import Estimator, PosteriorMeanEstimator
 from .fbound import check_chain
 from .model import (
     GhzParityModel,
@@ -320,23 +320,22 @@ def _matched(prior_bayes: PriorDensity, prior_true: PriorDensity) -> bool:
         and np.array_equal(prior_bayes.values, prior_true.values))
 
 
-def agbr(prior_bayes: PriorDensity, prior_true: PriorDensity, m: int,
-         model: GhzParityModel) -> float:
+def agbr(bayes: PosteriorMeanEstimator, prior_true: PriorDensity, m: int) -> float:
     """Averaged Ghosh bound for a random phase: sum_k GB(k) p(k).
 
-    The Bayesian prior behind the posteriors may differ from the physical
-    fluctuation density.  When they coincide and the boundary terms vanish,
-    the value comes from ``bayes_chain_report``, which asserts the chain
-    posterior variance >= aGBr >= VTB.
+    The Bayesian prior behind the posteriors (``bayes.prior``) may differ from
+    the physical fluctuation density.  When they coincide and the boundary
+    terms vanish, the value comes from ``bayes_chain_report``, which asserts
+    the chain posterior variance >= aGBr >= VTB.
     """
-    if _matched(prior_bayes, prior_true) and prior_bayes.vanishes_at_boundaries:
-        return bayes_chain_report(prior_bayes, m, model).agbr
-    table = ghosh_table(prior_bayes, m, model)
-    return float(np.sum(table.ghosh * tally_marginal(prior_true, m, model)))
+    if _matched(bayes.prior, prior_true) and bayes.prior.vanishes_at_boundaries:
+        return bayes_chain_report(bayes, m).agbr
+    table = ghosh_table(bayes, m)
+    return float(np.sum(table.ghosh * tally_marginal(prior_true, m, bayes.model)))
 
 
-def bayes_avg_posterior_variance(prior_bayes: PriorDensity, prior_true: PriorDensity,
-                                 m: int, model: GhzParityModel) -> float:
+def bayes_avg_posterior_variance(bayes: PosteriorMeanEstimator, prior_true: PriorDensity,
+                                 m: int) -> float:
     """Posterior variance averaged over the record distribution of a random phase.
 
     With matched priors this equals the joint-density average of
@@ -344,9 +343,9 @@ def bayes_avg_posterior_variance(prior_bayes: PriorDensity, prior_true: PriorDen
     For m = 0 it reduces to the prior variance.
     """
     if m == 0:
-        return prior_bayes.variance()
-    table = ghosh_table(prior_bayes, m, model)
-    weights = tally_marginal(prior_true, m, model)
+        return bayes.prior.variance()
+    table = ghosh_table(bayes, m)
+    weights = tally_marginal(prior_true, m, bayes.model)
     return float(np.sum(table.variance * weights))
 
 
@@ -359,9 +358,10 @@ class BayesChainReport:
     van_trees: float
 
 
-def bayes_chain_report(prior: PriorDensity, m: int, model: GhzParityModel) -> BayesChainReport:
-    """Evaluate and assert the matched-prior Bayesian bound chain."""
-    table = ghosh_table(prior, m, model)
+def bayes_chain_report(bayes: PosteriorMeanEstimator, m: int) -> BayesChainReport:
+    """Evaluate and assert the matched-prior Bayesian bound chain under ``bayes.prior``."""
+    prior, model = bayes.prior, bayes.model
+    table = ghosh_table(bayes, m)
     weights = tally_marginal(prior, m, model)
     report = BayesChainReport(
         bayes_variance=float(np.sum(table.variance * weights)),

@@ -97,8 +97,9 @@ def test_criterion_04_chrb_crlb_limit(model):
 def test_criterion_05_ghosh_dominance(model, grid, prior_battery):
     worst = -math.inf
     for prior in prior_battery.values():
+        bayes = PosteriorMeanEstimator(model, prior)
         for m in range(1, 51):
-            table = ghosh_table(prior, m, model)
+            table = ghosh_table(bayes, m)
             worst = max(worst, float(np.max(table.ghosh - table.variance)))
     ref = lbvm_reference(T0, 100, model, grid)
     from phasebound.bbound import GhoshInputs, ghosh_bound
@@ -112,9 +113,9 @@ def test_criterion_05_ghosh_dominance(model, grid, prior_battery):
 
 
 def test_criterion_06_bayes_below_frequentist_crlb(model, domain, flat):
-    scaled = [m * averaged_ghosh(T0, m, model, flat) for m in range(1, 21)]
-    below = min(scaled) < 0.25
     est = PosteriorMeanEstimator(model, flat)
+    scaled = [m * averaged_ghosh(T0, m, est) for m in range(1, 21)]
+    below = min(scaled) < 0.25
     respects = True
     for m in range(1, 51):
         risk = frequentist_risk(est, T0, m, model)
@@ -135,7 +136,7 @@ def test_criterion_07_random_parameter_chains(model, grid):
             av = avg_estimator_variance(est, prior, m, model)
             ac = acrlb(est, prior, m, model)
             fv = fvtb(est, prior, m, model)
-            chain = bayes_chain_report(prior, m, model)
+            chain = bayes_chain_report(est, m)
             if not (av >= ac - 1e-9 and ac >= fv - 1e-9):
                 ok, detail = False, f"variance chain broken: alpha={alpha}, m={m}"
                 break
@@ -174,7 +175,7 @@ def test_criterion_08_ziv_zakai_oracle(model, grid, flat):
 def test_criterion_09_convergence_at_large_m(model, grid):
     prior = family45_prior(10.0, grid)
     m = 1000
-    chain = bayes_chain_report(prior, m, model)
+    chain = bayes_chain_report(PosteriorMeanEstimator(model, prior), m)
     zz = ziv_zakai(prior, m, model)
     values = {"aGBr": chain.agbr, "VTB": chain.van_trees, "ZZB": zz,
               "BayesVar": chain.bayes_variance}

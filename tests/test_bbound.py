@@ -30,7 +30,7 @@ from phasebound.estimate import (
     posterior_table,
     posterior_variance,
 )
-from phasebound.model import GhzParityModel, PhaseDomain
+from phasebound.model import PhaseDomain
 from phasebound.numerics import (
     QuadratureGrid,
     custom_prior,
@@ -114,30 +114,33 @@ class TestGhoshBound:
     @pytest.mark.parametrize("m", [1, 3, 7, 20, 50])
     def test_dominance_battery(self, model, prior_battery, m):
         for name, prior in prior_battery.items():
-            table = ghosh_table(prior, m, model)
+            table = ghosh_table(PosteriorMeanEstimator(model, prior), m)
             worst = float(np.max(table.ghosh - table.variance))
             assert worst <= 1e-9, f"{name}, m={m}: ghosh exceeds variance by {worst}"
 
     def test_interior_zero_posterior_rejected(self, model, grid):
         # (p')^2/p diverges where the density is zero with slope 1
         with pytest.raises(NonIntegrablePosteriorError):
-            ghosh_table(_interior_zero_prior(grid), 1, model)
+            ghosh_table(PosteriorMeanEstimator(model, _interior_zero_prior(grid)), 1)
 
 
 class TestAveragedGhosh:
     def test_below_averaged_posterior_variance(self, model, prior_battery):
         for name, prior in prior_battery.items():
+            bayes = PosteriorMeanEstimator(model, prior)
             for m in (1, 4, 11, 30, 60, 100):
-                agb = averaged_ghosh(T0, m, model, prior)
-                apv = averaged_posterior_variance(T0, m, model, prior)
+                agb = averaged_ghosh(T0, m, bayes)
+                apv = averaged_posterior_variance(T0, m, bayes)
                 assert agb <= apv + 1e-9, (name, m)
 
     def test_flat_prior_large_m_approaches_crlb(self, model, flat):
         m = 1000
-        assert m * averaged_ghosh(T0, m, model, flat) == pytest.approx(0.25, rel=0.05)
+        bayes = PosteriorMeanEstimator(model, flat)
+        assert m * averaged_ghosh(T0, m, bayes) == pytest.approx(0.25, rel=0.05)
 
     def test_flat_prior_small_m_below_unbiased_crlb(self, model, flat):
-        values = [m * averaged_ghosh(T0, m, model, flat) for m in range(1, 21)]
+        bayes = PosteriorMeanEstimator(model, flat)
+        values = [m * averaged_ghosh(T0, m, bayes) for m in range(1, 21)]
         assert min(values) < 0.25
 
 
@@ -180,11 +183,12 @@ def posterior_calls(monkeypatch):
 
 class TestPosteriorSummary:
     def test_estimator_and_ghosh_table_share_one_build(self, model, grid, posterior_calls):
-        prior = family45_prior(10.0, grid)
+        bayes = PosteriorMeanEstimator(model, family45_prior(10.0, grid))
         for m in (1, 2, 7):
-            means = PosteriorMeanEstimator(model, prior).values(m)
-            table = ghosh_table(prior, m, model)
+            means = bayes.values(m)
+            table = ghosh_table(bayes, m)
             np.testing.assert_array_equal(means, np.clip(table.mean, 0.0, math.pi / 2))
+            assert table is bayes.summary(m)
         assert posterior_calls == {1: 1, 2: 1, 7: 1}
 
     def test_mean_is_grid_average_of_table(self, model, grid):
@@ -195,39 +199,28 @@ class TestPosteriorSummary:
         np.testing.assert_array_equal(summary.marginal, marginal)
 
     def test_memo_holds_only_length_m_vectors(self, model, grid):
-        prior = family45_prior(10.0, grid)
+        bayes = PosteriorMeanEstimator(model, family45_prior(10.0, grid))
         m = 12
-        ghosh_table(prior, m, model)
-        key, summary = prior.posterior_slot[0]
-        assert key[0] == m
+        ghosh_table(bayes, m)
+        summary = bayes.summary(m)
         arrays = [v for v in vars(summary).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 6
         assert all(a.size <= m + 1 and not a.flags.writeable for a in arrays)
 
-    def test_key_change_rebuilds(self, model, grid, posterior_calls):
-        # the memo key is (m, model): another model at the same m is a new build
-        prior = family45_prior(1.0, grid)
-        default = ghosh_table(prior, 4, model)
-        other_model = ghosh_table(prior, 4, GhzParityModel(1))
-        assert posterior_calls == {4: 2}
-        assert other_model is not default
-        assert ghosh_table(prior, 4, GhzParityModel(1)) is other_model
-        assert posterior_calls == {4: 2}
-
     def test_failed_ghosh_check_keeps_posterior_mean(self, model, grid):
-        prior = _interior_zero_prior(grid)
+        bayes = PosteriorMeanEstimator(model, _interior_zero_prior(grid))
         with pytest.raises(NonIntegrablePosteriorError):
-            ghosh_table(prior, 1, model)
-        values = PosteriorMeanEstimator(model, prior).values(1)
-        dens, _, _ = posterior_table(prior, 1, model)
+            ghosh_table(bayes, 1)
+        values = bayes.values(1)
+        dens, _, _ = posterior_table(bayes.prior, 1, model)
         np.testing.assert_array_equal(values, (dens * grid.nodes) @ grid.weights)
-        with pytest.raises(NonIntegrablePosteriorError):     # raised again from the memo
-            ghosh_table(prior, 1, model)
+        with pytest.raises(NonIntegrablePosteriorError):     # raised again from the same summary
+            ghosh_table(bayes, 1)
 
     def test_concurrent_callers_get_their_own_m(self, model):
-        # more threads than cores, switching often, all sharing one prior's slot
+        # more threads than cores, switching often, all sharing one estimator
         grid = QuadratureGrid.simpson(0.0, math.pi / 2, 201)
-        prior = family45_prior(10.0, grid)
+        bayes = PosteriorMeanEstimator(model, family45_prior(10.0, grid))
         ms = [1, 2, 3, 4, 5, 6] * 8
         expected = {m: posterior_summary(family45_prior(10.0, grid), m, model).variance
                     for m in set(ms)}
@@ -235,8 +228,7 @@ class TestPosteriorSummary:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(lambda m: posterior_summary(prior, m, model), ms,
-                                    timeout=120))
+                got = list(pool.map(bayes.summary, ms, timeout=120))
         finally:
             sys.setswitchinterval(interval)
         for m, summary in zip(ms, got):
@@ -252,7 +244,7 @@ class TestStreamedSummary:
 
     @staticmethod
     def _summary(monkeypatch, prior, m, model, rows=None):
-        # callers pass a fresh prior each time, so that the memo never answers
+        # posterior_summary caches nothing, so each call builds under the block size set here
         with monkeypatch.context() as patch:
             if rows is not None:
                 patch.setattr(bbound_module, "_BLOCK_CELLS", rows * prior.grid.node_count)
@@ -305,10 +297,23 @@ class TestStreamedSummary:
 class TestCliPosteriorBuilds:
     ARGS = ["--prior.alpha", "10", "--grid.nodes", "401"]
 
-    def test_one_build_per_fig3_row(self, tmp_path, posterior_calls):
-        out = tmp_path / "fig3.csv"
-        assert main(["fig3", *self.ARGS, "--m.list", "1,2,3,5,8", "--out", str(out)]) == 0
+    @pytest.mark.parametrize("command", ["fig3", "fig4"])
+    def test_one_build_per_sweep_row(self, tmp_path, posterior_calls, command):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *self.ARGS, "--m.list", "1,2,3,5,8", "--out", str(out)]) == 0
         assert posterior_calls == {1: 1, 2: 1, 3: 1, 5: 1, 8: 1}
+
+    def test_two_threads_build_once_per_fig3_row(self, tmp_path, monkeypatch, posterior_calls):
+        # rows of both threads share one estimator; switching often interleaves them
+        monkeypatch.setenv("PHASEBOUND_THREADS", "2")
+        out = tmp_path / "fig3.csv"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(["fig3", *self.ARGS, "--m.max", "40", "--out", str(out)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert posterior_calls == {m: 1 for m in range(1, 41)}
 
     def test_one_build_per_bounds_cell(self, tmp_path, posterior_calls):
         out = tmp_path / "bounds.csv"

@@ -253,6 +253,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "echrb=" in err and "chrb=" in err and "m=3" in err
 
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_out_maps_to_2(self, tmp_path, capsys, target):
+        # open() raises FileNotFoundError under a missing directory, IsADirectoryError on one
+        out = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
+        assert main(["fig1", "--m.max", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert "Traceback" not in err
+
     def test_success_to_stdout(self, capsys):
         assert main(["fig1", "--m.list", "1"]) == 0
         captured = capsys.readouterr()

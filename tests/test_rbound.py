@@ -286,18 +286,18 @@ class TestRandomPhaseBayes:
     @pytest.mark.parametrize("m", [1, 5, 25])
     def test_matched_chain(self, model, grid, m):
         prior = family45_prior(1.0, grid)
-        report = bayes_chain_report(prior, m, model)
+        report = bayes_chain_report(PosteriorMeanEstimator(model, prior), m)
         assert report.bayes_variance >= report.agbr - 1e-9
         assert report.agbr >= report.van_trees - 1e-9
 
     def test_agbr_verifies_chain_when_matched(self, model, grid):
         prior = family45_prior(1.0, grid)
-        value = agbr(prior, prior, 5, model)
+        value = agbr(PosteriorMeanEstimator(model, prior), prior, 5)
         assert value > 0.0
 
     def test_agbr_with_mismatched_priors(self, model, grid, flat):
         prior_true = family45_prior(10.0, grid)
-        value = agbr(flat, prior_true, 4, model)
+        value = agbr(PosteriorMeanEstimator(model, flat), prior_true, 4)
         assert 0.0 < value < (math.pi / 2) ** 2
 
     def test_bayes_variance_matches_joint_density_oracle(self, model, grid, monkeypatch):
@@ -306,7 +306,7 @@ class TestRandomPhaseBayes:
         prior = family45_prior(1.0, grid)
         m = 5
         monkeypatch.setattr(rbound_module, "_OUTER_NODES", grid.node_count)
-        value = bayes_avg_posterior_variance(prior, prior, m, model)
+        value = bayes_avg_posterior_variance(PosteriorMeanEstimator(model, prior), prior, m)
         pmf = tally_pmf_matrix(model, m, grid.nodes)
         joint = pmf * prior.values
         oracle = 0.0
@@ -322,19 +322,20 @@ class TestRandomPhaseBayes:
         # averaged MSE of the posterior-mean estimator, integration order swapped
         prior = family45_prior(1.0, grid)
         est = PosteriorMeanEstimator(model, prior)
-        lhs = bayes_avg_posterior_variance(prior, prior, m, model)
+        lhs = bayes_avg_posterior_variance(est, prior, m)
         rhs = avg_mse(est, prior, m, model)
         assert lhs == pytest.approx(rhs, abs=5e-9)
 
     def test_no_data_returns_prior_variance(self, model, grid):
         prior = family45_prior(10.0, grid)
-        assert bayes_avg_posterior_variance(prior, prior, 0, model) == pytest.approx(
+        bayes = PosteriorMeanEstimator(model, prior)
+        assert bayes_avg_posterior_variance(bayes, prior, 0) == pytest.approx(
             prior.variance(), abs=1e-12)
 
     def test_monotone_decrease_in_m(self, model, grid):
         prior = family45_prior(10.0, grid)
-        values = [bayes_avg_posterior_variance(prior, prior, m, model)
-                  for m in (1, 2, 4, 8, 16)]
+        bayes = PosteriorMeanEstimator(model, prior)
+        values = [bayes_avg_posterior_variance(bayes, prior, m) for m in (1, 2, 4, 8, 16)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -124,3 +125,16 @@ def test_ziv_zakai_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_readme_api_tables_name_exports():
+    # every backticked name in the API column of README's "What it computes"
+    # tables is importable from the package, so the tables cannot drift
+    import phasebound
+
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What it computes", 1)[1].split("\n## ", 1)[0]
+    api_cells = [line.rsplit("|", 2)[1] for line in section.splitlines() if line.startswith("|")]
+    names = [n for cell in api_cells for n in re.findall(r"`([A-Za-z_]\w*)", cell)]
+    assert len(names) >= 20
+    assert [n for n in names if not hasattr(phasebound, n)] == []

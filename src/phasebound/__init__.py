@@ -16,30 +16,15 @@ The package evaluates, for a binary-outcome interferometric likelihood
 
 __version__ = "0.1.0"
 
-from .bbound import (
-    GhoshInputs,
-    averaged_ghosh,
-    averaged_posterior_variance,
-    boundary_term,
-    ghosh_bound,
-    ghosh_table,
-    posterior_fisher_information,
-)
+from .bbound import averaged_ghosh, averaged_posterior_variance, ghosh_table
 from .engine import OutcomeTally
 from .estimate import (
-    ConstantEstimator,
     Estimator,
-    GaussianDescriptor,
     MaximumLikelihoodEstimator,
-    Posterior,
     PosteriorMeanEstimator,
     RiskReport,
-    build_posterior,
     frequentist_risk,
     mle,
-    mle_asymptotic_density,
-    posterior_mean,
-    posterior_variance,
 )
 from .fbound import (
     BoundReport,
@@ -52,7 +37,7 @@ from .fbound import (
     echrb,
     hierarchy_report,
 )
-from .model import GhzParityModel, ModelPoint, PhaseDomain, tally_probability
+from .model import GhzParityModel, PhaseDomain, tally_probability
 from .numerics import (
     NumericalFailure,
     PriorDensity,

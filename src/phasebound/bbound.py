@@ -22,66 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import Posterior, PosteriorMeanEstimator, posterior_table
-from .model import GhzParityModel, ModelError, PhaseDomain, tally_pmf
-from .numerics import (
-    DERIVATIVE_NOISE_REL,
-    NonIntegrablePriorError,
-    NumericalFailure,
-    PriorDensity,
-    fisher_information_of_density,
-)
+from .estimate import PosteriorMeanEstimator, posterior_table
+from .model import GhzParityModel, tally_pmf
+from .numerics import DERIVATIVE_NOISE_REL, NumericalFailure, PriorDensity
 
 
 class NonIntegrablePosteriorError(NumericalFailure):
     """The posterior Fisher information diverges (zero density, nonzero slope)."""
-
-
-@dataclass(frozen=True)
-class GhoshInputs:
-    """Posterior, estimate, and domain entering one Ghosh bound evaluation."""
-
-    posterior: Posterior
-    theta_bl: float
-    domain: PhaseDomain
-
-    def __post_init__(self):
-        if not self.domain.contains(self.theta_bl):
-            raise ModelError(f"theta_bl={self.theta_bl} outside the phase domain")
-
-
-def boundary_term(inputs: GhoshInputs) -> float:
-    """f = b p(b) - a p(a) - theta_bl (p(b) - p(a)) from posterior boundary values."""
-    pa, pb = inputs.posterior.boundary_values
-    a, b = inputs.domain.a, inputs.domain.b
-    return b * pb - a * pa - inputs.theta_bl * (pb - pa)
-
-
-def posterior_fisher_information(post: Posterior) -> float:
-    """Integral of (dp_post/dtheta)^2 / p_post over the phase domain.
-
-    Nodes where the density vanishes contribute nothing when the derivative
-    vanishes with it (up to rounding noise); a genuine zero with nonzero slope
-    makes the integral divergent and raises.
-    """
-    try:
-        return fisher_information_of_density(post.density, post.density_derivative,
-                                             post.grid, what="posterior")
-    except NonIntegrablePriorError as exc:
-        raise NonIntegrablePosteriorError(str(exc)) from exc
-
-
-def ghosh_bound(inputs: GhoshInputs) -> float:
-    """Ghosh lower bound (f - 1)^2 / J_post on the posterior variance."""
-    f = boundary_term(inputs)
-    j = posterior_fisher_information(inputs.posterior)
-    num = (f - 1.0) ** 2
-    if j <= 0.0:
-        # a constant posterior has f = 1 exactly; the bound degenerates to 0
-        if num <= 1e-18:
-            return 0.0
-        raise NonIntegrablePosteriorError("zero posterior information with nonzero numerator")
-    return num / j
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,27 @@ def _sweep(row_fn, ms: list[int]) -> list[tuple]:
         return list(pool.map(row_fn, ms))
 
 
+def _check_output(out_path: str | None):
+    """Raise ``ConfigError`` before any row is computed if ``_emit`` could not write.
+
+    The path must not be a directory, and its parent must be an existing,
+    writable directory.
+    """
+    if out_path is None:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"directory {parent!r} does not exist"
+    elif not os.access(parent, os.W_OK) or (os.path.exists(out_path)
+                                             and not os.access(out_path, os.W_OK)):
+        problem = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write output {out_path!r}: {problem}")
+
+
 def _emit(lines: list[str], out_path: str | None):
     text = "\n".join(lines) + "\n"
     if out_path is None:
@@ -214,6 +235,7 @@ def _csv(header_lines: list[str], columns: list[str], rows: list[tuple]) -> list
 def cmd_fig1(cfg: RunConfig, out_path: str | None):
     """Bias, spread, and CRLB reference of the maximum-likelihood estimator."""
     model, domain, _ = cfg.build()
+    _check_output(out_path)
     estimator = MaximumLikelihoodEstimator(model, domain)
     fisher = float(model.fisher_information(cfg.theta0))
 
@@ -235,6 +257,7 @@ def cmd_fig1(cfg: RunConfig, out_path: str | None):
 def cmd_fig2(cfg: RunConfig, out_path: str | None):
     """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax."""
     model, domain, _ = cfg.build()
+    _check_output(out_path)
 
     def row(m: int):
         c = crlb(cfg.theta0, m, model)
@@ -254,17 +277,22 @@ def cmd_fig2(cfg: RunConfig, out_path: str | None):
 def _alpha_outputs(cfg: RunConfig, out_path: str | None):
     """(alpha, per-alpha output path) pairs; multi-alpha requires --out.
 
-    The flat prior ignores alpha, so its one pair carries none to echo.
+    The flat prior ignores alpha, so its one pair carries none to echo.  Every
+    path is checked before the first row of the first alpha is computed.
     """
     if cfg.prior_kind == "flat":
-        return [(None, out_path)]
-    if cfg.prior_alpha is not None:
-        return [(cfg.prior_alpha, out_path)]
-    if out_path is None:
+        outputs = [(None, out_path)]
+    elif cfg.prior_alpha is not None:
+        outputs = [(cfg.prior_alpha, out_path)]
+    elif out_path is None:
         raise ConfigError("the default alpha battery writes one file per alpha; "
                           "an --out path is required")
-    root, ext = os.path.splitext(out_path)
-    return [(a, f"{root}_alpha{a:g}{ext or '.csv'}") for a in DEFAULT_ALPHAS]
+    else:
+        root, ext = os.path.splitext(out_path)
+        outputs = [(a, f"{root}_alpha{a:g}{ext or '.csv'}") for a in DEFAULT_ALPHAS]
+    for _, path in outputs:
+        _check_output(path)
+    return outputs
 
 
 def cmd_fig3(cfg: RunConfig, out_path: str | None):
@@ -324,6 +352,7 @@ def cmd_bounds(cfg: RunConfig, out_path: str | None):
     """Single-cell summary of every bound at (theta0, m = last of the sweep)."""
     model, domain, grid = cfg.build()
     m = cfg.sample_sizes()[-1]
+    _check_output(out_path)
     # one cell, so an unset family45 alpha takes 10 rather than the fig3/fig4
     # battery; the flat prior ignores alpha and echoes none
     if cfg.prior_kind == "flat":

@@ -7,7 +7,6 @@ records, reduced to sums over the m+1 outcome tallies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,6 @@ class OutcomeTally:
     @property
     def k_minus(self) -> int:
         return self.m - self.k_plus
-
-    def multiplicity(self) -> int:
-        """Number of raw +/-1 sequences sharing this tally, C(m, k)."""
-        return math.comb(self.m, self.k_plus)
 
 
 def expect_values_over_tallies(values, theta0: float, m: int, model: GhzParityModel) -> float:

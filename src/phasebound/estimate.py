@@ -4,8 +4,7 @@ Frequentist risks are exact tally sums: the mean, variance, and mean square
 error of an estimator satisfy MSE = variance + bias^2 identically.  The
 derivative of the estimator mean with respect to the true phase (the quantity
 that turns the unbiased Cramer-Rao bound into its biased form) is computed
-from the analytic derivative of the binomial weights, with a finite-difference
-fallback for cross-checking.
+from the analytic derivative of the binomial weights.
 
 Bayesian posteriors are held on a quadrature grid.  Densities and their
 derivatives are assembled analytically from the likelihood and prior, never by
@@ -29,7 +28,7 @@ from .model import (
     tally_pmf_dtheta_matrix,
     tally_pmf_with_dtheta,
 )
-from .numerics import NumericalFailure, PriorDensity, QuadratureGrid, integrate
+from .numerics import NumericalFailure, PriorDensity
 
 if TYPE_CHECKING:
     from .bbound import GhoshTable
@@ -40,19 +39,6 @@ class DegeneratePosteriorError(NumericalFailure):
 
 
 @dataclass(frozen=True)
-class GaussianDescriptor:
-    """Mean/variance summary of an asymptotically normal estimator."""
-
-    mean: float
-    variance: float
-
-    def density(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.exp(-((theta - self.mean) ** 2) / (2.0 * self.variance)) / math.sqrt(
-            2.0 * math.pi * self.variance)
-
-
-@dataclass(frozen=True)
 class RiskReport:
     """Frequentist risk summary of one estimator at one (theta0, m)."""
 
@@ -60,25 +46,6 @@ class RiskReport:
     variance: float
     mse: float
     bias_derivative: float
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Gridded posterior density for one tally, with its analytic derivative."""
-
-    grid: QuadratureGrid
-    density: np.ndarray
-    density_derivative: np.ndarray
-    tally: OutcomeTally | None
-    marginal: float
-
-    @property
-    def domain(self) -> PhaseDomain:
-        return PhaseDomain(self.grid.a, self.grid.b)
-
-    @property
-    def boundary_values(self) -> tuple[float, float]:
-        return float(self.density[0]), float(self.density[-1])
 
 
 def _on_monotone_branch(model: GhzParityModel, domain: PhaseDomain) -> bool:
@@ -127,40 +94,6 @@ def mle(tally: OutcomeTally, model: GhzParityModel | None = None,
     return float(arg)
 
 
-def build_posterior(prior: PriorDensity, tally: OutcomeTally, model: GhzParityModel) -> Posterior:
-    """Posterior density proportional to likelihood times prior, on the prior's grid.
-
-    The returned ``marginal`` is the tally's marginal probability
-    p_mar(k) = integral of p(k|theta) p_pri(theta); these sum to one over k.
-    """
-    grid = prior.grid
-    k = tally.k_plus
-    like, dlike = tally_pmf_with_dtheta(model, tally.m, grid.nodes, k, k + 1)
-    like, dlike = like[0], dlike[0]
-    raw = like * prior.values
-    marginal = integrate(raw, grid)
-    if marginal <= 0.0 or not math.isfinite(marginal):
-        raise DegeneratePosteriorError(
-            f"posterior normalisation underflowed for tally k={tally.k_plus}, m={tally.m}")
-    density = raw / marginal
-    derivative = (dlike * prior.values + like * prior.derivative) / marginal
-    density.flags.writeable = False
-    derivative.flags.writeable = False
-    return Posterior(grid=grid, density=density, density_derivative=derivative,
-                     tally=tally, marginal=marginal)
-
-
-def posterior_mean(post: Posterior) -> float:
-    return integrate(post.grid.nodes * post.density, post.grid)
-
-
-def posterior_variance(post: Posterior, center: float | None = None) -> float:
-    """Second moment of the posterior about ``center`` (default: its mean)."""
-    if center is None:
-        center = posterior_mean(post)
-    return integrate((post.grid.nodes - center) ** 2 * post.density, post.grid)
-
-
 class Estimator:
     """Maps outcome tallies to phases; per-m estimate vectors are cached."""
 
@@ -180,9 +113,6 @@ class Estimator:
             vals.flags.writeable = False
             self._cache[m] = vals
         return self._cache[m]
-
-    def estimate(self, tally: OutcomeTally) -> float:
-        return float(self.values(tally.m)[tally.k_plus])
 
 
 class MaximumLikelihoodEstimator(Estimator):
@@ -216,18 +146,6 @@ class PosteriorMeanEstimator(Estimator):
 
     def _compute_values(self, m: int) -> np.ndarray:
         return self.summary(m).mean
-
-
-class ConstantEstimator(Estimator):
-    """Ignores the data; useful as a degenerate reference."""
-
-    def __init__(self, value: float, domain: PhaseDomain | None = None):
-        super().__init__(GhzParityModel(), domain or PhaseDomain())
-        self.value = float(value)
-        self.name = f"constant({self.value:g})"
-
-    def _compute_values(self, m: int) -> np.ndarray:
-        return np.full(m + 1, self.value)
 
 
 def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int = 0,
@@ -275,24 +193,3 @@ def frequentist_risk(estimator: Estimator, theta0: float, m: int,
     bias_derivative = float(np.sum(v * dpmf))
     return RiskReport(mean=mean, variance=variance, mse=mse,
                       bias_derivative=bias_derivative)
-
-
-def bias_derivative_fd(estimator: Estimator, theta0: float, m: int,
-                       model: GhzParityModel, step: float | None = None) -> float:
-    """Central finite-difference cross-check of the analytic bias derivative."""
-    if step is None:
-        step = 1e-5 * estimator.domain.width
-    v = estimator.values(m)
-    up = expect_values_over_tallies(v, theta0 + step, m, model)
-    dn = expect_values_over_tallies(v, theta0 - step, m, model)
-    return (up - dn) / (2.0 * step)
-
-
-def mle_asymptotic_density(theta0: float, m: int, model: GhzParityModel) -> GaussianDescriptor:
-    """Large-m normal law of the MLE: mean theta0, variance 1/(m F(theta0))."""
-    if m < 1:
-        raise ModelError("m must be >= 1")
-    fisher = float(model.fisher_information(theta0))
-    if fisher <= 0.0:
-        raise ModelError("asymptotic variance needs F(theta0) > 0")
-    return GaussianDescriptor(mean=float(theta0), variance=1.0 / (m * fisher))

@@ -55,10 +55,6 @@ class ModelError(ValueError):
     """Invalid model construction or evaluation request."""
 
 
-class SingularModelError(ModelError):
-    """A likelihood table has p(mu|theta) = 0 with a nonzero derivative."""
-
-
 @dataclass(frozen=True)
 class PhaseDomain:
     """Closed phase interval [a, b] on which estimation takes place."""
@@ -135,43 +131,6 @@ def require_identifiable(model: GhzParityModel, domain: PhaseDomain) -> None:
         raise ModelError(
             f"domain [{domain.a!r}, {domain.b!r}] is not identifiable for model.N="
             f"{n}: N*(b-a) = {n * domain.width!r} exceeds pi")
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """True phase and sample size at which risks and bounds are evaluated."""
-
-    theta0: float
-    m: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta0):
-            raise ModelError("theta0 must be finite")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ModelError(f"m must be a positive integer, got {self.m!r}")
-
-    def validate_in(self, domain: PhaseDomain) -> "ModelPoint":
-        if not domain.contains(self.theta0):
-            raise ModelError(f"theta0={self.theta0} outside [{domain.a}, {domain.b}]")
-        return self
-
-
-def fisher_information_from_table(probs, dprobs) -> float:
-    """Fisher information of a tabulated finite-outcome likelihood.
-
-    Uses the term-wise convention 0^2/0 := 0 where an outcome has zero
-    probability and zero derivative; a zero-probability outcome with a
-    nonzero derivative makes the information undefined.
-    """
-    probs = np.asarray(probs, dtype=float)
-    dprobs = np.asarray(dprobs, dtype=float)
-    if probs.shape != dprobs.shape:
-        raise ModelError("probs and dprobs must have matching shapes")
-    zero = probs == 0.0
-    if np.any(zero & (dprobs != 0.0)):
-        raise SingularModelError("p(mu|theta)=0 with nonzero derivative")
-    terms = np.where(zero, 0.0, dprobs**2 / np.where(zero, 1.0, probs))
-    return float(np.sum(terms))
 
 
 def _validate_tally(m: int, k) -> np.ndarray:

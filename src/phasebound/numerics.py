@@ -69,11 +69,6 @@ class QuadratureGrid:
     def node_count(self) -> int:
         return self.nodes.size
 
-    def half_resolution(self) -> "QuadratureGrid":
-        if (self.node_count - 1) % 4 != 0:
-            raise ModelError("half-resolution grid requires (n-1) divisible by 4")
-        return QuadratureGrid.simpson(self.a, self.b, (self.node_count - 1) // 2 + 1)
-
 
 def integrate(values, grid: QuadratureGrid) -> float:
     values = np.asarray(values, dtype=float)
@@ -82,14 +77,6 @@ def integrate(values, grid: QuadratureGrid) -> float:
     if not np.all(np.isfinite(values)):
         raise NumericalFailure("non-finite integrand values")
     return float(np.sum(grid.weights * values))
-
-
-def integrate_with_error(values, grid: QuadratureGrid) -> tuple[float, float]:
-    """Simpson value plus a Richardson-style error estimate from half resolution."""
-    full = integrate(values, grid)
-    half_grid = grid.half_resolution()
-    half = integrate(np.asarray(values, dtype=float)[::2], half_grid)
-    return full, abs(full - half) / 15.0
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -12,7 +12,15 @@ the package also computes, by an independent route:
 * ``ziv_zakai_shift_loop`` - the Ziv-Zakai bound as a loop over shifts that
   sums |w0 p0 - w1 p1| over every tally, against ``rbound.ziv_zakai``;
 * ``lbvm_reference`` - the Gaussian (Bernstein-von Mises) reference posterior
-  that saturates the Ghosh bound.
+  that saturates the Ghosh bound, returned as a prior so that the posterior
+  summary at m = 0 evaluates it;
+* ``fisher_information_from_table`` (raising ``SingularModelError``) - the
+  Fisher information as the direct sum over outcomes, against the reduced
+  form N^2 of ``GhzParityModel.fisher_information``;
+* ``bias_derivative_fd`` - the estimator-mean derivative by central finite
+  differences, against the analytic one of ``frequentist_risk``;
+* ``ConstantEstimator`` - an estimator that ignores the data, a degenerate
+  test double with zero variance and zero bias derivative.
 
 PRNG: splitmix64.  The state advances by the 64-bit golden-ratio increment
 0x9E3779B97F4A7C15 and each output is finalised with the standard two-round
@@ -28,7 +36,7 @@ import math
 import numpy as np
 
 from phasebound.engine import OutcomeTally, expect_values_over_tallies
-from phasebound.estimate import Posterior
+from phasebound.estimate import Estimator
 from phasebound.model import (
     GhzParityModel,
     ModelError,
@@ -37,7 +45,7 @@ from phasebound.model import (
     tally_pmf_matrix,
     tally_probability,
 )
-from phasebound.numerics import NumericalFailure, PriorDensity, QuadratureGrid, integrate
+from phasebound.numerics import NumericalFailure, PriorDensity, QuadratureGrid, custom_prior
 from phasebound.rbound import _outer_grid
 
 _MASK64 = (1 << 64) - 1
@@ -166,12 +174,13 @@ def ziv_zakai_shift_loop(prior_true: PriorDensity, m: int, model: GhzParityModel
 
 
 def lbvm_reference(theta0: float, m: int, model: GhzParityModel,
-                   grid: QuadratureGrid | None = None) -> Posterior:
+                   grid: QuadratureGrid | None = None) -> PriorDensity:
     """Gaussian reference posterior: mean theta0, variance 1/(m F), renormalised.
 
-    This is the large-m limit shape of the true posterior; the returned object
-    carries the analytic density derivative so it can feed the Ghosh bound,
-    which it saturates.
+    This is the large-m limit shape of the true posterior.  It is returned as
+    a prior with the analytic density derivative, so that the m = 0 row of
+    ``PosteriorMeanEstimator(model, ref).summary(0)`` is this density and its
+    Ghosh bound, which it saturates.
     """
     if m < 1:
         raise ModelError("m must be >= 1")
@@ -179,12 +188,50 @@ def lbvm_reference(theta0: float, m: int, model: GhzParityModel,
     fisher = float(model.fisher_information(theta0))
     scale = m * fisher
     density = np.exp(-0.5 * scale * (grid.nodes - theta0) ** 2)
-    norm = integrate(density, grid)
-    if norm <= 0.0:
-        raise NumericalFailure("reference posterior underflowed on the grid")
-    density = density / norm
     derivative = -scale * (grid.nodes - theta0) * density
-    density.flags.writeable = False
-    derivative.flags.writeable = False
-    return Posterior(grid=grid, density=density, density_derivative=derivative,
-                     tally=None, marginal=math.nan)
+    return custom_prior(grid, density, derivative)
+
+
+class SingularModelError(ModelError):
+    """A likelihood table has p(mu|theta) = 0 with a nonzero derivative."""
+
+
+def fisher_information_from_table(probs, dprobs) -> float:
+    """Fisher information of a tabulated finite-outcome likelihood.
+
+    Uses the term-wise convention 0^2/0 := 0 where an outcome has zero
+    probability and zero derivative; a zero-probability outcome with a
+    nonzero derivative makes the information undefined.
+    """
+    probs = np.asarray(probs, dtype=float)
+    dprobs = np.asarray(dprobs, dtype=float)
+    if probs.shape != dprobs.shape:
+        raise ModelError("probs and dprobs must have matching shapes")
+    zero = probs == 0.0
+    if np.any(zero & (dprobs != 0.0)):
+        raise SingularModelError("p(mu|theta)=0 with nonzero derivative")
+    terms = np.where(zero, 0.0, dprobs**2 / np.where(zero, 1.0, probs))
+    return float(np.sum(terms))
+
+
+def bias_derivative_fd(estimator: Estimator, theta0: float, m: int,
+                       model: GhzParityModel, step: float | None = None) -> float:
+    """Central finite-difference cross-check of the analytic bias derivative."""
+    if step is None:
+        step = 1e-5 * estimator.domain.width
+    v = estimator.values(m)
+    up = expect_values_over_tallies(v, theta0 + step, m, model)
+    dn = expect_values_over_tallies(v, theta0 - step, m, model)
+    return (up - dn) / (2.0 * step)
+
+
+class ConstantEstimator(Estimator):
+    """Ignores the data; useful as a degenerate reference."""
+
+    def __init__(self, value: float, domain: PhaseDomain | None = None):
+        super().__init__(GhzParityModel(), domain or PhaseDomain())
+        self.value = float(value)
+        self.name = f"constant({self.value:g})"
+
+    def _compute_values(self, m: int) -> np.ndarray:
+        return np.full(m + 1, self.value)

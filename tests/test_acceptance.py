@@ -13,6 +13,7 @@ from oracles import (
     SeededSampler,
     decision_rule_error_probability,
     expect_over_tallies,
+    fisher_information_from_table,
     lbvm_reference,
     sample_tallies,
 )
@@ -24,10 +25,8 @@ from phasebound.estimate import (
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
     frequentist_risk,
-    posterior_variance,
 )
 from phasebound.fbound import chrb, chrb_objective, hierarchy_report
-from phasebound.model import PhaseDomain, fisher_information_from_table
 from phasebound.numerics import family45_prior
 from phasebound.rbound import (
     acrlb,
@@ -101,12 +100,8 @@ def test_criterion_05_ghosh_dominance(model, grid, prior_battery):
         for m in range(1, 51):
             table = ghosh_table(bayes, m)
             worst = max(worst, float(np.max(table.ghosh - table.variance)))
-    ref = lbvm_reference(T0, 100, model, grid)
-    from phasebound.bbound import GhoshInputs, ghosh_bound
-    from phasebound.estimate import posterior_mean
-    gauss_gap = abs(
-        ghosh_bound(GhoshInputs(ref, posterior_mean(ref), PhaseDomain()))
-        - posterior_variance(ref))
+    ref = PosteriorMeanEstimator(model, lbvm_reference(T0, 100, model, grid)).summary(0)
+    gauss_gap = abs(ref.ghosh[0] - ref.variance[0])
     ok = worst <= 1e-9 and gauss_gap <= 1e-6
     report(5, "Ghosh bound below posterior variance; saturated on the Gaussian", ok,
            f"worst slack {worst:.2e}, Gaussian gap {gauss_gap:.2e}")

@@ -10,27 +10,14 @@ import pytest
 import phasebound.bbound as bbound_module
 from oracles import lbvm_reference
 from phasebound.bbound import (
-    GhoshInputs,
     NonIntegrablePosteriorError,
     averaged_ghosh,
     averaged_posterior_variance,
-    boundary_term,
-    ghosh_bound,
     ghosh_table,
-    posterior_fisher_information,
     posterior_summary,
 )
 from phasebound.cli import main
-from phasebound.engine import OutcomeTally
-from phasebound.estimate import (
-    DegeneratePosteriorError,
-    PosteriorMeanEstimator,
-    build_posterior,
-    posterior_mean,
-    posterior_table,
-    posterior_variance,
-)
-from phasebound.model import PhaseDomain
+from phasebound.estimate import DegeneratePosteriorError, PosteriorMeanEstimator, posterior_table
 from phasebound.numerics import (
     QuadratureGrid,
     custom_prior,
@@ -47,11 +34,6 @@ FLAT11_GHOSH = 0.041063929018737341
 FLAT11_VARIANCE = 0.10429557471369053
 
 
-def _inputs(post, domain=None):
-    return GhoshInputs(posterior=post, theta_bl=posterior_mean(post),
-                       domain=domain or PhaseDomain())
-
-
 def _interior_zero_prior(grid):
     # density identically zero below 0.7 but claimed slope 1 everywhere
     return custom_prior(grid, np.maximum(grid.nodes - 0.7, 0.0), np.ones(grid.node_count))
@@ -60,56 +42,57 @@ def _interior_zero_prior(grid):
 class TestBoundaryTerm:
     def test_vanishing_prior_gives_zero(self, model, grid):
         for alpha in (-100.0, -10.0, 1.0, 10.0):
-            prior = family45_prior(alpha, grid)
-            for tally in (OutcomeTally(1, 1), OutcomeTally(3, 5)):
-                post = build_posterior(prior, tally, model)
-                assert abs(boundary_term(_inputs(post))) < 1e-12
+            bayes = PosteriorMeanEstimator(model, family45_prior(alpha, grid))
+            for k, m in ((1, 1), (3, 5)):
+                assert abs(bayes.summary(m).boundary[k]) < 1e-12
 
     def test_flat_single_shot_value(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(1, 1), model)
-        assert boundary_term(_inputs(post)) == pytest.approx(FLAT11_F, abs=1e-9)
+        table = PosteriorMeanEstimator(model, flat).summary(1)
+        assert table.boundary[1] == pytest.approx(FLAT11_F, abs=1e-9)
 
     def test_direct_substitution(self, model, flat, domain):
         # k = m posterior: density vanishes at b only, so f = -theta_bl*(0 - p(a))...
         # check the formula against a hand-assembled expression
-        post = build_posterior(flat, OutcomeTally(2, 2), model)
-        pa, pb = post.boundary_values
-        mean = posterior_mean(post)
+        summary = PosteriorMeanEstimator(model, flat).summary(2)
+        dens, _, _ = posterior_table(flat, 2, model)      # the one block the summary reads
+        pa, pb = float(dens[2, 0]), float(dens[2, -1])
+        mean = summary.mean[2]
         expected = domain.b * pb - domain.a * pa - mean * (pb - pa)
-        assert boundary_term(_inputs(post)) == expected
+        assert summary.boundary[2] == expected
 
 
 class TestGhoshBound:
     def test_flat_single_shot(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(1, 1), model)
-        gb = ghosh_bound(_inputs(post))
-        var = posterior_variance(post)
+        table = PosteriorMeanEstimator(model, flat).summary(1)
+        gb = table.ghosh[1]
+        var = table.variance[1]
         assert var == pytest.approx(FLAT11_VARIANCE, abs=1e-9)
         # the endpoint convention biases J down by ~3e-4 relative
         assert gb == pytest.approx(FLAT11_GHOSH, rel=1e-3)
         assert gb <= var + 1e-9
 
     def test_posterior_information_value(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(1, 1), model)
-        assert posterior_fisher_information(post) == pytest.approx(4.0, rel=1e-3)
+        table = PosteriorMeanEstimator(model, flat).summary(1)
+        assert table.information[1] == pytest.approx(4.0, rel=1e-3)
 
     def test_saturated_on_gaussian_reference(self, model, grid):
-        post = lbvm_reference(T0, 100, model, grid)
-        gb = ghosh_bound(_inputs(post))
-        var = posterior_variance(post)
+        ref = lbvm_reference(T0, 100, model, grid)
+        table = PosteriorMeanEstimator(model, ref).summary(0)
+        gb = table.ghosh[0]
+        var = table.variance[0]
         assert gb == pytest.approx(1.0 / (100 * 4), abs=1e-8)
         assert abs(gb - var) < 1e-6
 
     def test_prior_only_bound_below_prior_variance(self, model, grid):
         prior = family45_prior(10.0, grid)
-        post = build_posterior(prior, OutcomeTally(0, 0), model)
-        gb = ghosh_bound(_inputs(post))
-        assert gb <= posterior_variance(post) + 1e-9
-        assert posterior_variance(post) == pytest.approx(prior.variance(), abs=1e-12)
+        table = PosteriorMeanEstimator(model, prior).summary(0)
+        gb = table.ghosh[0]
+        assert gb <= table.variance[0] + 1e-9
+        assert table.variance[0] == pytest.approx(prior.variance(), abs=1e-12)
 
     def test_flat_posterior_degenerates_to_zero(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(0, 0), model)
-        assert ghosh_bound(_inputs(post)) == 0.0
+        table = PosteriorMeanEstimator(model, flat).summary(0)
+        assert table.ghosh[0] == 0.0
 
     @pytest.mark.parametrize("m", [1, 3, 7, 20, 50])
     def test_dominance_battery(self, model, prior_battery, m):
@@ -146,21 +129,21 @@ class TestAveragedGhosh:
 
 class TestLbvmReference:
     def test_variance_value(self, model, grid):
-        post = lbvm_reference(T0, 100, model, grid)
-        assert posterior_variance(post) == pytest.approx(0.0025, abs=1e-9)
+        ref = lbvm_reference(T0, 100, model, grid)
+        assert ref.variance() == pytest.approx(0.0025, abs=1e-9)
 
     def test_normalised(self, model, grid):
-        post = lbvm_reference(T0, 7, model, grid)
-        assert integrate(post.density, grid) == pytest.approx(1.0, abs=1e-12)
+        ref = lbvm_reference(T0, 7, model, grid)
+        assert integrate(ref.values, grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_sup_norm_distance_decreases(self, model, flat, grid):
         # the true posterior approaches the Gaussian reference as m grows
         distances = []
         for m in (10, 100, 1000):
             k = round(m * float(model.prob_plus(T0)))
-            post = build_posterior(flat, OutcomeTally(k, m), model)
+            dens, _, _ = posterior_table(flat, m, model, k, k + 1)
             ref = lbvm_reference(T0, m, model, grid)
-            distances.append(float(np.max(np.abs(post.density - ref.density))))
+            distances.append(float(np.max(np.abs(dens[0] - ref.values))))
         assert distances[0] > distances[1] > distances[2]
 
 

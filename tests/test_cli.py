@@ -255,12 +255,38 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     def test_unwritable_out_maps_to_2(self, tmp_path, capsys, target):
-        # open() raises FileNotFoundError under a missing directory, IsADirectoryError on one
+        # a path under a missing directory, or a directory itself, cannot be written
         out = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
         assert main(["fig1", "--m.max", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(out) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,args,blocker", [
+        ("fig1", ["--m.max", "30"], None),
+        ("fig3", ["--m.max", "3", "--grid.nodes", "401"], "b_alpha-10.csv"),
+    ])
+    def test_out_checked_before_first_row(self, tmp_path, monkeypatch, capsys,
+                                          command, args, blocker):
+        # fig1 under a missing directory; the fig3 alpha battery with its second
+        # file blocked by a directory of that name: nothing is computed or written
+        rows = []
+        real_risk = cli_module.frequentist_risk
+
+        def counting_risk(*a, **kw):
+            rows.append(a[2])
+            return real_risk(*a, **kw)
+
+        monkeypatch.setattr(cli_module, "frequentist_risk", counting_risk)
+        if blocker is None:
+            out = tmp_path / "missing" / "x.csv"
+        else:
+            out = tmp_path / "b.csv"
+            (tmp_path / blocker).mkdir()
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert rows == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if blocker is None else [blocker])
+        assert "config error" in capsys.readouterr().err
 
     def test_success_to_stdout(self, capsys):
         assert main(["fig1", "--m.list", "1"]) == 0

@@ -39,10 +39,6 @@ class TestOutcomeTally:
         with pytest.raises(ModelError):
             OutcomeTally(-1, 2)
 
-    def test_multiplicity(self):
-        assert OutcomeTally(2, 5).multiplicity() == 10
-        assert OutcomeTally(0, 0).multiplicity() == 1
-
     def test_k_minus(self):
         assert OutcomeTally(3, 7).k_minus == 4
 

@@ -3,23 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ConstantEstimator, bias_derivative_fd
 from phasebound.engine import OutcomeTally
 from phasebound.estimate import (
-    ConstantEstimator,
     DegeneratePosteriorError,
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
-    bias_derivative_fd,
-    build_posterior,
     frequentist_risk,
     mle,
-    mle_asymptotic_density,
-    posterior_mean,
     posterior_table,
-    posterior_variance,
 )
 from phasebound.model import PhaseDomain, tally_pmf_with_dtheta, tally_probability
-from phasebound.numerics import family45_prior, integrate
+from phasebound.numerics import custom_prior, family45_prior, integrate
 
 # analytic values for the flat-prior single-shot (+1) posterior (4/pi) cos^2:
 FLAT11_DENSITY_AT_ZERO = 4 / math.pi                 # 1.2732395447351628
@@ -68,20 +63,20 @@ class TestMle:
 
 class TestPosteriorConstruction:
     def test_flat_single_shot_density(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(1, 1), model)
-        assert post.density[0] == pytest.approx(FLAT11_DENSITY_AT_ZERO, abs=1e-9)
-        assert post.density[-1] == pytest.approx(0.0, abs=1e-15)
-        assert post.marginal == pytest.approx(0.5, abs=1e-12)
+        dens, _, marg = posterior_table(flat, 1, model, 1, 2)
+        assert dens[0, 0] == pytest.approx(FLAT11_DENSITY_AT_ZERO, abs=1e-9)
+        assert dens[0, -1] == pytest.approx(0.0, abs=1e-15)
+        assert marg[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_no_data_returns_prior(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(0, 0), model)
-        np.testing.assert_allclose(post.density, flat.values, atol=1e-14)
+        dens, _, _ = posterior_table(flat, 0, model)
+        np.testing.assert_allclose(dens[0], flat.values, atol=1e-14)
 
     def test_vanishing_prior_vanishes_in_posterior(self, model, grid):
         prior = family45_prior(10.0, grid)
-        post = build_posterior(prior, OutcomeTally(1, 1), model)
-        assert post.density[0] == 0.0
-        assert abs(post.density[-1]) < 1e-12
+        dens, _, _ = posterior_table(prior, 1, model, 1, 2)
+        assert dens[0, 0] == 0.0
+        assert abs(dens[0, -1]) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 5, 11, 17, 24, 33, 42, 50])
     def test_normalisation_battery(self, model, grid, flat, m):
@@ -93,54 +88,55 @@ class TestPosteriorConstruction:
             assert abs(marg.sum() - 1.0) < 1e-9
 
     def test_derivative_consistency(self, model, flat, grid):
-        post = build_posterior(flat, OutcomeTally(3, 5), model)
+        dens, ddens, _ = posterior_table(flat, 5, model, 3, 4)
         inner = slice(1, -1)
-        fd = np.gradient(post.density, grid.nodes)
-        np.testing.assert_allclose(post.density_derivative[inner], fd[inner],
-                                   rtol=5e-3, atol=1e-4)
+        fd = np.gradient(dens[0], grid.nodes)
+        np.testing.assert_allclose(ddens[0, inner], fd[inner], rtol=5e-3, atol=1e-4)
 
 
 class TestBuildPosteriorRow:
     @pytest.mark.parametrize("m", [1, 7, 1000])
     def test_equals_full_table_row(self, model, grid, m):
-        # build_posterior computes only its tally's row; the full pair gives the same bits
+        # a one-row posterior_table computes only its tally's row; the full pair gives the same bits
         prior = family45_prior(10.0, grid)
         like, dlike = tally_pmf_with_dtheta(model, m, grid.nodes)
         for k in (0, m // 2, m):
             raw = like[k] * prior.values
-            marginal = integrate(raw, grid)
-            post = build_posterior(prior, OutcomeTally(k, m), model)
-            assert post.marginal == marginal
-            np.testing.assert_array_equal(post.density, raw / marginal)
+            marginal = raw @ grid.weights     # posterior_table's reduction, not integrate's
+            dens, ddens, marg = posterior_table(prior, m, model, k, k + 1)
+            assert marg[0] == marginal
+            np.testing.assert_array_equal(dens[0], raw / marginal)
             np.testing.assert_array_equal(
-                post.density_derivative,
-                (dlike[k] * prior.values + like[k] * prior.derivative) / marginal)
+                ddens[0], (dlike[k] * prior.values + like[k] * prior.derivative) / marginal)
 
 
 class TestPosteriorSummaries:
     def test_single_shot_mean(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(1, 1), model)
-        assert posterior_mean(post) == pytest.approx(FLAT11_MEAN, abs=1e-10)
+        summary = PosteriorMeanEstimator(model, flat).summary(1)
+        assert summary.mean[1] == pytest.approx(FLAT11_MEAN, abs=1e-10)
 
     def test_single_shot_variance(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(1, 1), model)
-        assert posterior_variance(post) == pytest.approx(FLAT11_VARIANCE, abs=1e-10)
+        summary = PosteriorMeanEstimator(model, flat).summary(1)
+        assert summary.variance[1] == pytest.approx(FLAT11_VARIANCE, abs=1e-10)
 
     def test_symmetric_posterior_mean(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(2, 4), model)
-        assert posterior_mean(post) == pytest.approx(math.pi / 4, abs=1e-12)
+        summary = PosteriorMeanEstimator(model, flat).summary(4)
+        assert summary.mean[2] == pytest.approx(math.pi / 4, abs=1e-12)
 
-    def test_variance_minimal_at_mean(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(2, 7), model)
-        v0 = posterior_variance(post)
+    def test_variance_minimal_at_mean(self, model, flat, grid):
+        summary = PosteriorMeanEstimator(model, flat).summary(7)
+        dens, _, _ = posterior_table(flat, 7, model, 2, 3)
+        v0 = summary.variance[2]
         for center in (0.3, 0.5, 1.0):
-            assert posterior_variance(post, center) >= v0 - 1e-15
+            assert integrate((grid.nodes - center) ** 2 * dens[0], grid) >= v0 - 1e-15
 
-    def test_parallel_axis_identity(self, model, flat):
-        post = build_posterior(flat, OutcomeTally(2, 7), model)
-        mu, v0 = posterior_mean(post), posterior_variance(post)
+    def test_parallel_axis_identity(self, model, flat, grid):
+        summary = PosteriorMeanEstimator(model, flat).summary(7)
+        dens, _, _ = posterior_table(flat, 7, model, 2, 3)
+        mu, v0 = summary.mean[2], summary.variance[2]
         c = 0.9
-        assert posterior_variance(post, c) == pytest.approx(v0 + (c - mu) ** 2, abs=1e-12)
+        assert integrate((grid.nodes - c) ** 2 * dens[0], grid) == pytest.approx(
+            v0 + (c - mu) ** 2, abs=1e-12)
 
     def test_map_equals_mle_for_flat_prior(self, model, flat, domain):
         # gridded MAP agrees with the analytic MLE to one grid cell, every
@@ -212,27 +208,10 @@ class TestFrequentistRisk:
             assert np.all(v >= 0.0) and np.all(v <= math.pi / 2)
 
 
-class TestAsymptoticDensity:
-    def test_variance_value(self, model):
-        g = mle_asymptotic_density(math.pi / 4, 100, model)
-        assert g.variance == pytest.approx(0.0025, abs=1e-15)
-        assert g.mean == pytest.approx(math.pi / 4)
-
-    def test_variance_halves_when_m_doubles(self, model):
-        v1 = mle_asymptotic_density(0.5, 50, model).variance
-        v2 = mle_asymptotic_density(0.5, 100, model).variance
-        assert v1 == pytest.approx(2 * v2, rel=1e-12)
-
-    def test_total_mass(self, model, grid):
-        g = mle_asymptotic_density(math.pi / 4, 100, model)
-        assert integrate(g.density(grid.nodes), grid) == pytest.approx(1.0, abs=1e-9)
-
-
 class TestDegeneracy:
     def test_zero_likelihood_region(self, model, grid):
         # prior supported where the likelihood of k=m vanishes entirely
-        from phasebound.numerics import custom_prior
         values = np.where(grid.nodes > math.pi / 2 - 1e-4, 1.0, 0.0)
         prior = custom_prior(grid, values)
         with pytest.raises(DegeneratePosteriorError):
-            build_posterior(prior, OutcomeTally(40, 40), model)
+            posterior_table(prior, 40, model, 40, 41)

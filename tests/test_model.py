@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import SingularModelError, fisher_information_from_table
 from phasebound.model import (
     GhzParityModel,
     ModelError,
-    ModelPoint,
     PhaseDomain,
-    SingularModelError,
-    fisher_information_from_table,
     tally_pmf,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
@@ -253,10 +251,3 @@ class TestDomainsAndPoints:
     def test_default_domain(self):
         d = PhaseDomain()
         assert d.a == 0.0 and d.b == pytest.approx(math.pi / 2)
-
-    def test_model_point(self):
-        with pytest.raises(ModelError):
-            ModelPoint(0.3, 0)
-        with pytest.raises(ModelError):
-            ModelPoint(3.0, 5).validate_in(PhaseDomain())
-        ModelPoint(0.3, 5).validate_in(PhaseDomain())

@@ -18,7 +18,6 @@ from phasebound.numerics import (
     family45_prior,
     fisher_information_of_density,
     integrate,
-    integrate_with_error,
     maximize_1d,
     prior_fisher_information,
     solve_spd,
@@ -50,10 +49,6 @@ class TestSimpsonQuadrature:
             errors.append(abs(integrate(np.sin(2 * g.nodes) ** 2, g) - exact))
         assert errors[0] / max(errors[1], 1e-300) >= 8.0
         assert errors[1] / max(errors[2], 1e-300) >= 8.0
-
-    def test_error_estimate(self, grid):
-        value, err = integrate_with_error(np.sin(2 * grid.nodes) ** 2, grid)
-        assert abs(value - math.pi / 4) <= max(err * 20, 1e-12)
 
     def test_rejects_even_node_count(self):
         with pytest.raises(ModelError):

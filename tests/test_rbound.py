@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasebound.rbound as rbound_module
-from oracles import decision_rule_error_probability, ziv_zakai_shift_loop
+from oracles import ConstantEstimator, decision_rule_error_probability, ziv_zakai_shift_loop
 from phasebound.estimate import (
-    ConstantEstimator,
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
-    build_posterior,
     frequentist_risk,
-    posterior_mean,
+    posterior_table,
 )
-from phasebound.engine import OutcomeTally
 from phasebound.model import GhzParityModel, tally_pmf_matrix
 from phasebound.numerics import (
     NonIntegrablePriorError,
@@ -311,8 +308,8 @@ class TestRandomPhaseBayes:
         joint = pmf * prior.values
         oracle = 0.0
         for k in range(m + 1):
-            post = build_posterior(prior, OutcomeTally(k, m), model)
-            mean_k = posterior_mean(post)
+            dens, _, _ = posterior_table(prior, m, model, k, k + 1)
+            mean_k = integrate(grid.nodes * dens[0], grid)
             oracle += integrate(joint[k] * (grid.nodes - mean_k) ** 2, grid)
         assert value == pytest.approx(oracle, abs=1e-10)
 

@@ -127,14 +127,45 @@ def test_ziv_zakai_peak_memory():
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_readme_api_tables_name_exports():
-    # every backticked name in the API column of README's "What it computes"
-    # tables is importable from the package, so the tables cannot drift
-    import phasebound
-
+def _readme_api_names() -> list[str]:
+    """Backticked names in the API column of README's "What it computes" tables."""
     readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## What it computes", 1)[1].split("\n## ", 1)[0]
     api_cells = [line.rsplit("|", 2)[1] for line in section.splitlines() if line.startswith("|")]
-    names = [n for cell in api_cells for n in re.findall(r"`([A-Za-z_]\w*)", cell)]
+    return [n for cell in api_cells for n in re.findall(r"`([A-Za-z_]\w*)", cell)]
+
+
+def test_readme_api_tables_name_exports():
+    # every name in the tables is importable from the package, so the tables cannot drift
+    import phasebound
+
+    names = _readme_api_names()
     assert len(names) >= 20
     assert [n for n in names if not hasattr(phasebound, n)] == []
+
+
+def test_every_public_definition_is_reached():
+    # a top-level public def or class that no other code in src reads and the
+    # README tables do not list is reached by no output: delete it, or move it
+    # to tests/oracles.py if a test needs it.  The re-exports of __init__ do not count.
+    def read_names(tree):
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        return names
+
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    reached = set(_readme_api_names())
+    for stem, tree in trees.items():
+        if stem != "__init__":
+            reached |= read_names(tree)
+    unreached = [f"{stem}.{node.name}" for stem, tree in trees.items() if stem != "__init__"
+                 for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_") and node.name not in reached]
+    assert unreached == []

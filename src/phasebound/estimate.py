@@ -28,10 +28,13 @@ from .model import (
     tally_pmf_dtheta_matrix,
     tally_pmf_with_dtheta,
 )
-from .numerics import NumericalFailure, PriorDensity
+from .numerics import NumericalFailure, PriorDensity, refine_max
 
 if TYPE_CHECKING:
     from .bbound import GhoshTable
+
+
+_MLE_COARSE = 1001      # coarse grid points of the off-branch MLE search
 
 
 class DegeneratePosteriorError(NumericalFailure):
@@ -80,18 +83,31 @@ def mle(tally: OutcomeTally, model: GhzParityModel | None = None,
         raise ModelError("MLE requires at least one shot")
     if _on_monotone_branch(model, domain):
         return float(_branch_mle(tally.k_plus, tally.m, model, domain)[0])
-    from .numerics import maximize_1d  # local import: rarely-used fallback
+    return float(_searched_mle(np.array([tally.k_plus]), tally.m, model, domain)[0])
 
-    def loglik(theta):
-        pp = model.prob_plus(theta)
-        pm = 1.0 - pp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = tally.k_plus * np.log(pp) + tally.k_minus * np.log(pm)
-        val = np.where(np.isfinite(val), val, -np.inf)
-        return float(val) if val.ndim == 0 else val
 
-    arg, _ = maximize_1d(loglik, domain.a, domain.b, coarse_points=1001)
-    return float(arg)
+def _log_likelihood(pp, k_plus, k_minus):
+    """k_+ log p_+ + k_- log p_-, with -inf wherever that is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = k_plus * np.log(pp) + k_minus * np.log(1.0 - pp)
+    return np.where(np.isfinite(val), val, -np.inf)
+
+
+def _searched_mle(k_plus: np.ndarray, m: int, model: GhzParityModel,
+                  domain: PhaseDomain) -> np.ndarray:
+    """MLE of each tally in ``k_plus`` by a supremum search over [a, b].
+
+    The 1001-point coarse log-likelihood of every tally is one array over the
+    shared grid; golden-section refinement then runs per tally.
+    """
+    xs = np.linspace(domain.a, domain.b, _MLE_COARSE)
+    coarse = _log_likelihood(model.prob_plus(xs), k_plus[:, None], (m - k_plus)[:, None])
+    out = np.empty(k_plus.size)
+    for i, k in enumerate(k_plus.tolist()):
+        def loglik(theta, k=k):
+            return float(_log_likelihood(model.prob_plus(theta), k, m - k))
+        out[i] = refine_max(loglik, xs, coarse[i])[0]
+    return out
 
 
 class Estimator:
@@ -119,10 +135,11 @@ class MaximumLikelihoodEstimator(Estimator):
     name = "mle"
 
     def _compute_values(self, m: int) -> np.ndarray:
-        if m >= 1 and _on_monotone_branch(self.model, self.domain):
+        if m < 1:
+            raise ModelError("MLE requires at least one shot")
+        if _on_monotone_branch(self.model, self.domain):
             return _branch_mle(np.arange(m + 1), m, self.model, self.domain)
-        return np.array([mle(OutcomeTally(k, m), self.model, self.domain)
-                         for k in range(m + 1)])
+        return _searched_mle(np.arange(m + 1), m, self.model, self.domain)
 
 
 class PosteriorMeanEstimator(Estimator):

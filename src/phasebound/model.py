@@ -35,6 +35,21 @@ rounding its outputs were recorded with:
   about 1e-12 at m = 5000.  Routing the other paths through it instead would
   move their results by up to 4e-10 against the recorded references.
 
+log C(m, k) is log m! - log k! - log (m-k)!, read from a per-process table
+of log n! that grows to the largest m asked for.  Each entry is computed by
+the operations of the cephes ``lgam`` routine behind ``scipy.special.gammaln``
+at integer arguments, with ``math.log``: the log of the exact product
+n(n-1)...2 for n < 12, Stirling's series above.  The logs of p_+ and p_- are
+taken once per phase with ``math.log``, the libm call of
+``scipy.special.xlogy``, and k log p is one broadcast product with the k = 0
+entries set to 0.  So every kernel returns the doubles of the scipy formulas
+the references in ``perfbench/reference`` were recorded with, bit for bit
+(``tests/oracles.py`` keeps those formulas, and the tests compare with
+``==``), without importing scipy.  ``math.lgamma`` and ``np.log`` would not:
+the first differs from ``gammaln`` by up to 4 ulp at about half of the
+integers 1..20002, and numpy's vectorised log from libm's in the last bit
+on 0.3-0.7% of the probabilities.
+
 ``tally_pmf_matrix`` and ``tally_pmf_with_dtheta`` take an optional row range
 k0 <= k < k1 (default: every tally).  Every entry is computed elementwise, so
 a range is bit for bit the matching slice of the full array; the derived
@@ -48,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 
 class ModelError(ValueError):
@@ -144,10 +158,72 @@ def _validate_tally(m: int, k) -> np.ndarray:
     return k
 
 
+# Stirling's series of cephes ``lgam``: log sqrt(2 pi), and the coefficients for 13 <= x < 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) at an integer 1 <= x <= 1e8, by the operations of cephes ``lgam``."""
+    if x < 13.0:
+        z, u = 1.0, x - 1.0
+        while u >= 2.0:
+            z *= u
+            u -= 1.0
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a0, a1, a2, a3, a4 = _LGAM_A
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+
+
+_log_factorial_table = np.zeros(1)      # log n! for n < len; grown, never changed in place
+
+
+def _log_factorials(m: int) -> np.ndarray:
+    """A table of log n! for at least n = 0..m.
+
+    A larger table is built in full before it is bound, so that a thread
+    reading the old one never sees a half-filled array.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if len(table) <= m:
+        n = max(m + 1, 2 * len(table))
+        grown = np.empty(n)
+        grown[:len(table)] = table
+        grown[len(table):] = [_lgam(j + 1.0) for j in range(len(table), n)]
+        _log_factorial_table = table = grown
+    return table
+
+
 def log_binomial(m: int, k) -> np.ndarray:
-    """log C(m, k) via log-gamma, exact to rounding for all m."""
-    k = np.asarray(k, dtype=float)
-    return gammaln(m + 1.0) - gammaln(k + 1.0) - gammaln(m - k + 1.0)
+    """log C(m, k) = log m! - log k! - log (m-k)! for integer 0 <= k <= m."""
+    lf = _log_factorials(m)
+    k = np.asarray(k)
+    return lf[m] - lf[k] - lf[m - k]
+
+
+def _log(p) -> np.ndarray:
+    """log p elementwise by ``math.log``, with log 0 = -inf; p must be >= 0."""
+    p = np.asarray(p, dtype=float)
+    zero = p == 0.0
+    flat = np.where(zero, 1.0, p).ravel().tolist()
+    out = np.fromiter(map(math.log, flat), float, len(flat)).reshape(p.shape)
+    out[zero] = -math.inf
+    return out
+
+
+def _xlogy(k, logp) -> np.ndarray:
+    """k log p with 0 log 0 = 0, from integer k and ``logp = _log(p)``."""
+    with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
+        out = np.asarray(np.multiply(k, logp))
+    np.copyto(out, 0.0, where=k == 0)
+    return out
 
 
 def tally_probability(model: GhzParityModel, theta, m: int, k):
@@ -159,8 +235,7 @@ def tally_probability(model: GhzParityModel, theta, m: int, k):
     """
     k = _validate_tally(m, k)
     pp = model.prob_plus(theta)
-    pm = 1.0 - pp
-    logp = log_binomial(m, k) + xlogy(k, pp) + xlogy(m - k, pm)
+    logp = log_binomial(m, k) + _xlogy(k, _log(pp)) + _xlogy(m - k, _log(1.0 - pp))
     out = np.exp(logp)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -199,15 +274,15 @@ def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray
     """
     thetas = np.asarray(thetas, dtype=float)
     pp = model.prob_plus(thetas)[None, :]
-    pm = 1.0 - pp
+    logpp, logpm = _log(pp), _log(1.0 - pp)
     logc = log_binomial(m, np.arange(m + 1))[:, None]
     t1 = np.zeros((m + 1, thetas.size))
     t2 = np.zeros((m + 1, thetas.size))
     if m >= 1:
         k = np.arange(1, m + 1)[:, None]
-        t1[1:] = k * np.exp(logc[1:] + xlogy(k - 1, pp) + xlogy(m - k, pm))
+        t1[1:] = k * np.exp(logc[1:] + _xlogy(k - 1, logpp) + _xlogy(m - k, logpm))
         k = np.arange(0, m)[:, None]
-        t2[:m] = (m - k) * np.exp(logc[:m] + xlogy(k, pp) + xlogy(m - k - 1, pm))
+        t2[:m] = (m - k) * np.exp(logc[:m] + _xlogy(k, logpp) + _xlogy(m - k - 1, logpm))
     return model.dprob_dtheta(thetas, +1)[None, :] * (t1 - t2)
 
 

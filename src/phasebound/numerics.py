@@ -95,10 +95,22 @@ def maximize_1d(f, lo: float, hi: float, coarse_points: int) -> tuple[float, flo
     """
     if not lo < hi:
         raise ModelError(f"search interval requires lo < hi, got [{lo}, {hi}]")
-    refine_tol = _GOLDEN_REL_TOL * (hi - lo)
-
     xs = np.linspace(lo, hi, coarse_points)
-    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    return refine_max(f, xs, f(xs))
+
+
+def refine_max(f, xs: np.ndarray, coarse_values) -> tuple[float, float]:
+    """The golden-section stage of ``maximize_1d``, from given coarse samples.
+
+    ``coarse_values`` holds f at the increasing grid ``xs`` (an array, or a
+    value broadcast to it); ``f`` is then called with one float at a time.
+    Callers that search many objectives on one grid evaluate the grid for
+    all of them at once and refine each here.
+    """
+    lo, hi = float(xs[0]), float(xs[-1])
+    refine_tol = _GOLDEN_REL_TOL * (hi - lo)
+    coarse_points = xs.size
+    vals = np.broadcast_to(np.asarray(coarse_values, dtype=float), xs.shape)
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     if np.all(vals == -np.inf):
         raise AllNanGridError("objective invalid on the whole coarse grid")

@@ -20,7 +20,12 @@ the package also computes, by an independent route:
 * ``bias_derivative_fd`` - the estimator-mean derivative by central finite
   differences, against the analytic one of ``frequentist_risk``;
 * ``ConstantEstimator`` - an estimator that ignores the data, a degenerate
-  test double with zero variance and zero bias derivative.
+  test double with zero variance and zero bias derivative;
+* ``scipy_log_binomial``, ``scipy_tally_probability``,
+  ``scipy_tally_pmf_matrix`` and ``scipy_tally_pmf_dtheta_matrix`` - the
+  tally kernels written with ``scipy.special.gammaln`` and ``xlogy``, the
+  formulas the recorded references were computed with, against which the
+  package's log n! table and per-node logs must agree bit for bit.
 
 PRNG: splitmix64.  The state advances by the 64-bit golden-ratio increment
 0x9E3779B97F4A7C15 and each output is finalised with the standard two-round
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from phasebound.engine import OutcomeTally, expect_values_over_tallies
 from phasebound.estimate import Estimator
@@ -235,3 +241,42 @@ class ConstantEstimator(Estimator):
 
     def _compute_values(self, m: int) -> np.ndarray:
         return np.full(m + 1, self.value)
+
+
+def scipy_log_binomial(m: int, k) -> np.ndarray:
+    """log C(m, k) from scipy's log-gamma, exact to rounding for all m."""
+    k = np.asarray(k, dtype=float)
+    return gammaln(m + 1.0) - gammaln(k + 1.0) - gammaln(m - k + 1.0)
+
+
+def scipy_tally_probability(model: GhzParityModel, theta, m: int, k):
+    """C(m,k) p_+^k p_-^(m-k) in the log domain, with xlogy's 0 log 0 = 0."""
+    k = np.asarray(k)
+    pp = model.prob_plus(theta)
+    pm = 1.0 - pp
+    out = np.exp(scipy_log_binomial(m, k) + xlogy(k, pp) + xlogy(m - k, pm))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def scipy_tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
+                           k1: int | None = None) -> np.ndarray:
+    """Rows k0 <= k < k1 (default every k) of the tally pmf at every phase."""
+    k1 = m + 1 if k1 is None else k1
+    thetas = np.asarray(thetas, dtype=float)
+    return scipy_tally_probability(model, thetas[None, :], m, np.arange(k0, k1)[:, None])
+
+
+def scipy_tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
+    """d/dtheta of the tally pmf from the k >= 1 and k <= m-1 exp-matrices."""
+    thetas = np.asarray(thetas, dtype=float)
+    pp = model.prob_plus(thetas)[None, :]
+    pm = 1.0 - pp
+    logc = scipy_log_binomial(m, np.arange(m + 1))[:, None]
+    t1 = np.zeros((m + 1, thetas.size))
+    t2 = np.zeros((m + 1, thetas.size))
+    if m >= 1:
+        k = np.arange(1, m + 1)[:, None]
+        t1[1:] = k * np.exp(logc[1:] + xlogy(k - 1, pp) + xlogy(m - k, pm))
+        k = np.arange(0, m)[:, None]
+        t2[:m] = (m - k) * np.exp(logc[:m] + xlogy(k, pp) + xlogy(m - k - 1, pm))
+    return model.dprob_dtheta(thetas, +1)[None, :] * (t1 - t2)

@@ -14,7 +14,7 @@ from phasebound.estimate import (
     posterior_table,
 )
 from phasebound.model import PhaseDomain, tally_pmf_with_dtheta, tally_probability
-from phasebound.numerics import custom_prior, family45_prior, integrate
+from phasebound.numerics import custom_prior, family45_prior, integrate, maximize_1d
 
 # analytic values for the flat-prior single-shot (+1) posterior (4/pi) cos^2:
 FLAT11_DENSITY_AT_ZERO = 4 / math.pi                 # 1.2732395447351628
@@ -59,6 +59,23 @@ class TestMle:
         for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300):
             per_tally = [mle(OutcomeTally(k, m), model, off_branch) for k in range(m + 1)]
             assert est.values(m).tolist() == per_tally
+
+    def test_off_branch_table_equals_one_search_per_tally(self, model):
+        # the batched coarse grid against a full 1001-point maximize_1d per tally
+        off_branch = PhaseDomain(-0.3, 1.2)
+        est = MaximumLikelihoodEstimator(model, off_branch)
+
+        def search(k, m):
+            def loglik(theta):
+                pp = model.prob_plus(theta)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    val = k * np.log(pp) + (m - k) * np.log(1.0 - pp)
+                val = np.where(np.isfinite(val), val, -np.inf)
+                return float(val) if val.ndim == 0 else val
+            return maximize_1d(loglik, off_branch.a, off_branch.b, coarse_points=1001)[0]
+
+        for m in (1, 2, 7, 40):
+            assert est.values(m).tolist() == [search(k, m) for k in range(m + 1)]
 
 
 class TestPosteriorConstruction:

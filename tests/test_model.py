@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SingularModelError, fisher_information_from_table
+import phasebound.model as model_module
+from oracles import (
+    SingularModelError,
+    fisher_information_from_table,
+    scipy_log_binomial,
+    scipy_tally_pmf_dtheta_matrix,
+    scipy_tally_pmf_matrix,
+    scipy_tally_probability,
+)
 from phasebound.model import (
     GhzParityModel,
     ModelError,
     PhaseDomain,
+    log_binomial,
     tally_pmf,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
@@ -232,6 +241,90 @@ class TestRowRanges:
         for kernel in (tally_pmf_matrix, tally_pmf_with_dtheta):
             with pytest.raises(ModelError):
                 kernel(model, 5, self.THETAS[:3], k0, k1)
+
+
+def _assert_same_doubles(got, want):
+    """The same shape and type, and the same 64 bits in every entry."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert not np.any(differ), f"{int(np.sum(differ))} entries differ, first at {np.argwhere(differ)[0]}"
+
+
+class TestScipyOracle:
+    """The scipy-free kernels return the doubles of the scipy formulas, bit for bit."""
+
+    THETAS = np.linspace(0.0, math.pi / 2, 2001)     # includes p_+ = 1 and p_+ = 0
+    # Entries are elementwise in theta, so the matrix kernels are compared on four
+    # blocks of these columns: the arrays of both sides stay near 100 MB at m = 5000.
+    BLOCKS = np.array_split(THETAS, 4)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 11, 12, 13, 998, 999, 1000, 5000, 20000])
+    def test_log_binomial(self, m):
+        # log n! comes from the three branches of cephes lgam: x < 13, x < 1000, x >= 1000
+        k = np.arange(m + 1)
+        _assert_same_doubles(log_binomial(m, k), scipy_log_binomial(m, k))
+
+    def test_log_factorial_table_grows_without_writes(self, monkeypatch):
+        # a reader holding the old table sees it unchanged while a larger one is bound
+        monkeypatch.setattr(model_module, "_log_factorial_table", np.zeros(1))
+        seen = []
+        for m in (0, 1, 5, 12, 13, 40, 999, 1000, 3000):
+            k = np.arange(m + 1)
+            _assert_same_doubles(log_binomial(m, k), scipy_log_binomial(m, k))
+            table = model_module._log_factorial_table
+            assert len(table) > m
+            seen.append((table, table.copy()))
+        for table, snapshot in seen:
+            _assert_same_doubles(table, snapshot)
+            _assert_same_doubles(table, seen[-1][0][:len(table)])
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
+    def test_pmf_matrix(self, model, m):
+        k0, k1 = m // 3, 2 * m // 3 + 1
+        for cols in self.BLOCKS:
+            _assert_same_doubles(tally_pmf_matrix(model, m, cols),
+                                 scipy_tally_pmf_matrix(model, m, cols))
+            _assert_same_doubles(tally_pmf_matrix(model, m, cols, k0, k1),
+                                 scipy_tally_pmf_matrix(model, m, cols, k0, k1))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
+    def test_pmf_dtheta_matrix(self, model, m):
+        for cols in self.BLOCKS:
+            _assert_same_doubles(tally_pmf_dtheta_matrix(model, m, cols),
+                                 scipy_tally_pmf_dtheta_matrix(model, m, cols))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
+    def test_pmf_with_dtheta(self, model, m, monkeypatch):
+        # the derived kernel against itself on the scipy B_(m-1), full and row-ranged
+        ranges = [(0, m + 1), (m // 3, 2 * m // 3 + 1), (m, m + 1)]
+        for cols in self.BLOCKS:
+            got = [tally_pmf_with_dtheta(model, m, cols, k0, k1) for k0, k1 in ranges]
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "tally_pmf_matrix", scipy_tally_pmf_matrix)
+                want = [tally_pmf_with_dtheta(model, m, cols, k0, k1) for k0, k1 in ranges]
+            for (pmf, dpmf), (want_pmf, want_dpmf) in zip(got, want):
+                _assert_same_doubles(pmf, want_pmf)
+                _assert_same_doubles(dpmf, want_dpmf)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, 1.2, math.pi / 2])
+    def test_scalar_and_0d_tally_probability(self, model, theta):
+        for m in (0, 1, 2, 7, 300):
+            for k in sorted({0, 1, m // 2, m - 1, m} & set(range(m + 1))):
+                for th, kk in ((theta, k), (np.float64(theta), np.int64(k)),
+                               (np.array(theta), np.array(k)), (theta, np.array([k])),
+                               (np.array([theta, 0.0, math.pi / 2]), k)):
+                    _assert_same_doubles(tally_probability(model, th, m, kk),
+                                         scipy_tally_probability(model, th, m, kk))
+            _assert_same_doubles(tally_pmf(model, theta, m),
+                                 scipy_tally_probability(model, float(theta), m, np.arange(m + 1)))
+
+    def test_other_models(self):
+        thetas = np.linspace(0.0, math.pi / 3, 301)
+        for n in (1, 3):
+            _assert_same_doubles(tally_pmf_matrix(GhzParityModel(n), 50, thetas),
+                                 scipy_tally_pmf_matrix(GhzParityModel(n), 50, thetas))
 
 
 class TestDomainsAndPoints:

@@ -3,7 +3,10 @@ import importlib
 import importlib.util
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -48,7 +51,7 @@ def test_chrb_objective_calls_stay_batched(tmp_path):
 
 # Fixed grid sizes and tolerances, each a constant of the module that owns it.
 CONSTANTS = [
-    ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
+    ("estimate", "_MLE_COARSE"), ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
     ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
     ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
     ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
@@ -125,6 +128,30 @@ def test_ziv_zakai_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: a fresh interpreter importing the CLI loads none of it
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    probe = ("import sys, phasebound.cli; "
+             "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_no_scipy_import_in_package():
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert imports == []
 
 
 def _readme_api_names() -> list[str]:

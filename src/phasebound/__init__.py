@@ -51,12 +51,9 @@ from .numerics import (
     solve_spd,
 )
 from .rbound import (
-    HypothesisTestCell,
     acrlb,
-    agbr,
     avg_estimator_variance,
     avg_mse,
-    bayes_avg_posterior_variance,
     bayes_chain_report,
     estimator_chain_report,
     fvtb,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,13 +27,11 @@ from .model import (
     tally_pmf_dtheta_matrix,
     tally_pmf_with_dtheta,
 )
-from .numerics import NumericalFailure, PriorDensity, refine_max
-
-if TYPE_CHECKING:
-    from .bbound import GhoshTable
-
+from .numerics import DERIVATIVE_NOISE_REL, NumericalFailure, PriorDensity, refine_max
 
 _MLE_COARSE = 1001      # coarse grid points of the off-branch MLE search
+# Cells (rows x nodes) of one block of the posterior table: 2 MB per float64 array.
+_BLOCK_CELLS = 1 << 18
 
 
 class DegeneratePosteriorError(NumericalFailure):
@@ -49,6 +46,20 @@ class RiskReport:
     variance: float
     mse: float
     bias_derivative: float
+
+
+@dataclass(frozen=True)
+class GhoshTable:
+    """Per-tally Ghosh quantities for every record of m shots under one prior."""
+
+    m: int
+    marginal: np.ndarray        # p_mar(k), sums to 1 over k
+    mean: np.ndarray            # posterior means theta_BL(k)
+    variance: np.ndarray        # posterior variance about the mean
+    boundary: np.ndarray        # boundary terms f(k, a, b)
+    information: np.ndarray     # posterior Fisher information J(k)
+    ghosh: np.ndarray           # (f - 1)^2 / J
+    failure: str | None = None  # why the Ghosh bound is invalid; raised by ghosh_table
 
 
 def _on_monotone_branch(model: GhzParityModel, domain: PhaseDomain) -> bool:
@@ -113,8 +124,6 @@ def _searched_mle(k_plus: np.ndarray, m: int, model: GhzParityModel,
 class Estimator:
     """Maps outcome tallies to phases; per-m estimate vectors are cached."""
 
-    name: str = "estimator"
-
     def __init__(self, model: GhzParityModel, domain: PhaseDomain):
         self.model = model
         self.domain = domain
@@ -132,7 +141,7 @@ class Estimator:
 
 
 class MaximumLikelihoodEstimator(Estimator):
-    name = "mle"
+    """The maximum-likelihood phase of every tally (see ``mle``)."""
 
     def _compute_values(self, m: int) -> np.ndarray:
         if m < 1:
@@ -143,7 +152,7 @@ class MaximumLikelihoodEstimator(Estimator):
 
 
 class PosteriorMeanEstimator(Estimator):
-    name = "bayes_mean"
+    """The posterior mean of every tally under ``prior``."""
 
     def __init__(self, model: GhzParityModel, prior: PriorDensity):
         super().__init__(model, prior.domain)
@@ -157,7 +166,6 @@ class PosteriorMeanEstimator(Estimator):
         racing first calls for one m each build an equal summary.
         """
         if m not in self._summaries:
-            from .bbound import posterior_summary  # local import: bbound imports this module
             self._summaries[m] = posterior_summary(self.prior, m, self.model)
         return self._summaries[m]
 
@@ -176,8 +184,8 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
 
     The likelihood and its derivative come from ``tally_pmf_with_dtheta`` and
     are turned into the posterior arrays in place, so the table holds two
-    arrays of k1 - k0 rows plus one temporary.  ``bbound.posterior_summary``
-    asks for blocks of rows, so that its memory stays O(block x nodes).
+    arrays of k1 - k0 rows plus one temporary.  ``posterior_summary`` asks
+    for blocks of rows, so that its memory stays O(block x nodes).
     """
     grid = prior.grid
     density, derivative = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1)
@@ -193,6 +201,56 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
     density /= marginal[:, None]
     derivative /= marginal[:, None]
     return density, derivative, marginal
+
+
+def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
+    """Per-tally posterior summary for all tallies k = 0..m.
+
+    Built in blocks of tallies of at most ``_BLOCK_CELLS`` cells each (131
+    rows on 2001 nodes); every returned quantity is one number per tally, so
+    memory stays O(block x nodes) however large m is.  Nothing is cached
+    here: ``PosteriorMeanEstimator.summary`` builds it once per m and serves
+    both the posterior means and ``ghosh_table``.
+
+    A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
+    the posterior means stay available for priors whose Ghosh bound is
+    undefined.
+    """
+    grid = prior.grid
+    nodes, w = grid.nodes, grid.weights
+    a, b = grid.a, grid.b
+    rows = max(_BLOCK_CELLS // grid.node_count, 1)
+    marginal, means, variance, boundary, information = (np.empty(m + 1) for _ in range(5))
+    failure = None
+    for k0 in range(0, m + 1, rows):
+        k1 = min(k0 + rows, m + 1)
+        dens, ddens, marginal[k0:k1] = posterior_table(prior, m, model, k0, k1)
+        mean = means[k0:k1] = (dens * nodes) @ w
+        variance[k0:k1] = ((nodes[None, :] - mean[:, None]) ** 2 * dens) @ w
+
+        zero = dens == 0.0
+        if failure is None and np.any(zero):
+            floor = DERIVATIVE_NOISE_REL * np.max(np.abs(ddens), axis=1, keepdims=True)
+            bad = zero & (np.abs(ddens) > floor)
+            if np.any(bad):
+                k_bad = k0 + int(np.flatnonzero(np.any(bad, axis=1))[0])
+                failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(zero, 0.0, ddens**2 / np.where(zero, 1.0, dens))
+        information[k0:k1] = integrand @ w
+        boundary[k0:k1] = b * dens[:, -1] - a * dens[:, 0] - mean * (dens[:, -1] - dens[:, 0])
+
+    num = (boundary - 1.0) ** 2
+    degenerate = information <= 0.0
+    undefined = degenerate & (num > 1e-18)
+    if failure is None and np.any(undefined):
+        k_bad = int(np.flatnonzero(undefined)[0])
+        failure = f"zero posterior information with nonzero numerator at tally k={k_bad}"
+    ghosh = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, information))
+    for v in (marginal, means, variance, boundary, information, ghosh):
+        v.flags.writeable = False
+    return GhoshTable(m=m, marginal=marginal, mean=means, variance=variance, boundary=boundary,
+                      information=information, ghosh=ghosh, failure=failure)
 
 
 def frequentist_risk(estimator: Estimator, theta0: float, m: int,

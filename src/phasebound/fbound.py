@@ -230,7 +230,9 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
 
     l1s = l2s = np.linspace(lo, hi, _ECHRB_GRID)
     if len(seed_lambdas):
-        l1s = np.unique(np.concatenate([l2s, np.asarray(seed_lambdas, dtype=float)]))
+        # sorted and deduplicated; np.unique would import numpy.ma
+        l1s = np.sort(np.concatenate([l2s, np.asarray(seed_lambdas, dtype=float)]))
+        l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
 
     best = (-math.inf, math.nan, math.nan)
     for round_idx in range(_ECHRB_REFINE_ROUNDS + 1):
@@ -279,17 +281,13 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
             raise ModelError(f"test point {t} outside the phase domain")
         if abs(t - theta0) < _OFFSET_SEPARATION:
             raise ModelError("test points must differ from theta0 by >= 1e-9")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pts[i] - pts[j]) < _OFFSET_SEPARATION:
-                raise ModelError("test points must be mutually distinct by >= 1e-9")
+    t = np.array(pts)
+    # the closest pair of points is adjacent in sorted order
+    if np.any(np.diff(np.sort(t)) < _OFFSET_SEPARATION):
+        raise ModelError("test points must be mutually distinct by >= 1e-9")
 
-    B = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            B[i, j] = B[j, i] = _gram_power(
-                m, _pair_increment(model, theta0, pts[i], pts[j], p0p, p0m))
-    d = np.array(pts) - theta0
+    B = _gram_power(m, _pair_increment(model, theta0, t[:, None], t[None, :], p0p, p0m))
+    d = t - theta0
     sol = solve_spd(B, d)
     return BoundReport(
         name="barankin", value=max(sol.quadratic_form, 0.0),

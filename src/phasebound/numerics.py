@@ -219,10 +219,6 @@ class PriorDensity:
     alpha: float | None = None
     _pdf: object = field(default=None, repr=False, compare=False)
 
-    @property
-    def boundary_values(self) -> tuple[float, float]:
-        return float(self.values[0]), float(self.values[-1])
-
     def density(self, theta):
         """Density at arbitrary phases, extended by zero outside [a, b]."""
         theta = np.asarray(theta, dtype=float)

@@ -13,11 +13,11 @@ Two different risk functions carry two different bound families:
 * the averaged estimator variance keeps its bias dependence and is bounded
   by the averaged Cramer-Rao bound and its Van Trees-style companion.
 
-When the Bayesian prior coincides with the physical fluctuation density, the
-marginal-averaged posterior variance equals the averaged MSE of the posterior
-mean, so the same Van Trees and Ziv-Zakai bounds apply to it, and the
-marginal-averaged Ghosh bound sits between them:
-posterior variance >= aGBr >= VTB.
+The Bayesian posteriors take the fluctuation density itself as their prior.
+The marginal-averaged posterior variance then equals the averaged MSE of the
+posterior mean, so the same Van Trees and Ziv-Zakai bounds apply to it, and
+the marginal-averaged Ghosh bound sits between them:
+posterior variance >= aGBr >= VTB (``bayes_chain_report``).
 
 No ordering between the Van Trees and Ziv-Zakai bounds is asserted anywhere:
 neither dominates the other.
@@ -44,32 +44,9 @@ from .numerics import (
     NumericalFailure,
     PriorDensity,
     QuadratureGrid,
-    custom_prior,
-    family45_prior,
-    flat_prior,
     integrate,
     prior_fisher_information,
 )
-
-__all__ = [
-    "HypothesisTestCell", "PriorDensity", "flat_prior", "family45_prior",
-    "custom_prior", "avg_estimator_variance", "avg_mse",
-    "van_trees", "pmin", "ziv_zakai",
-    "acrlb", "fvtb", "estimator_chain_report", "agbr",
-    "bayes_avg_posterior_variance", "bayes_chain_report", "tally_marginal",
-    "EstimatorChainReport", "BayesChainReport",
-]
-
-
-@dataclass(frozen=True)
-class HypothesisTestCell:
-    """Minimum-error probability of one binary phase-discrimination test."""
-
-    theta0: float
-    h: float
-    pmin: float
-    empty: bool = False
-
 
 # Simpson nodes of the theta0 grid of every outer integral.
 _OUTER_NODES = 201
@@ -192,14 +169,14 @@ def _pmin_columns(pmf: np.ndarray, first: np.ndarray, second: np.ndarray,
 
 
 def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
-         model: GhzParityModel) -> HypothesisTestCell:
+         model: GhzParityModel) -> float:
     """Minimum error probability for discriminating theta0 from theta0 + h.
 
     The hypotheses are weighted by the fluctuation density (extended by zero
     outside the domain).  A cell whose two prior weights are both zero is
-    flagged empty.  The value is the total-variation form
-    1/2 (1 - sum_k |w0 p(k|theta0) - w1 p(k|theta0+h)|), evaluated at the
-    crossing tally exactly as ``ziv_zakai`` evaluates it.
+    empty and gives NaN; one with exactly one zero weight gives 0.  The value
+    is the total-variation form 1/2 (1 - sum_k |w0 p(k|theta0) - w1 p(k|theta0+h)|),
+    evaluated at the crossing tally exactly as ``ziv_zakai`` evaluates it.
     """
     if not h > 0.0:
         raise ModelError("pmin requires h > 0")
@@ -207,14 +184,14 @@ def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
     w1 = float(prior_true.density(theta0 + h))
     total = w0 + w1
     if total == 0.0:
-        return HypothesisTestCell(theta0=theta0, h=h, pmin=math.nan, empty=True)
+        return math.nan
     if w0 == 0.0 or w1 == 0.0:
-        return HypothesisTestCell(theta0=theta0, h=h, pmin=0.0)
+        return 0.0
     thetas = np.array([theta0, theta0 + h])
     value = _pmin_columns(tally_pmf_matrix(model, m, thetas), np.array([0]), np.array([1]),
                           np.array([w0 / total]), np.array([w1 / total]),
                           model.prob_plus(thetas))
-    return HypothesisTestCell(theta0=theta0, h=h, pmin=float(value[0]))
+    return float(value[0])
 
 
 def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
@@ -312,41 +289,6 @@ def tally_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel) -> n
     """Record distribution p(k) = integral of p(k|theta0) p(theta0) dtheta0."""
     g, p = _outer_grid(prior_true)
     return tally_pmf_matrix(model, m, g.nodes) @ (g.weights * p)
-
-
-def _matched(prior_bayes: PriorDensity, prior_true: PriorDensity) -> bool:
-    return prior_bayes is prior_true or (
-        prior_bayes.grid is prior_true.grid
-        and np.array_equal(prior_bayes.values, prior_true.values))
-
-
-def agbr(bayes: PosteriorMeanEstimator, prior_true: PriorDensity, m: int) -> float:
-    """Averaged Ghosh bound for a random phase: sum_k GB(k) p(k).
-
-    The Bayesian prior behind the posteriors (``bayes.prior``) may differ from
-    the physical fluctuation density.  When they coincide and the boundary
-    terms vanish, the value comes from ``bayes_chain_report``, which asserts
-    the chain posterior variance >= aGBr >= VTB.
-    """
-    if _matched(bayes.prior, prior_true) and bayes.prior.vanishes_at_boundaries:
-        return bayes_chain_report(bayes, m).agbr
-    table = ghosh_table(bayes, m)
-    return float(np.sum(table.ghosh * tally_marginal(prior_true, m, bayes.model)))
-
-
-def bayes_avg_posterior_variance(bayes: PosteriorMeanEstimator, prior_true: PriorDensity,
-                                 m: int) -> float:
-    """Posterior variance averaged over the record distribution of a random phase.
-
-    With matched priors this equals the joint-density average of
-    (theta - theta_BL(record))^2, the Bayesian analogue of the averaged MSE.
-    For m = 0 it reduces to the prior variance.
-    """
-    if m == 0:
-        return bayes.prior.variance()
-    table = ghosh_table(bayes, m)
-    weights = tally_marginal(prior_true, m, bayes.model)
-    return float(np.sum(table.variance * weights))
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,6 @@ class ConstantEstimator(Estimator):
     def __init__(self, value: float, domain: PhaseDomain | None = None):
         super().__init__(GhzParityModel(), domain or PhaseDomain())
         self.value = float(value)
-        self.name = f"constant({self.value:g})"
 
     def _compute_values(self, m: int) -> np.ndarray:
         return np.full(m + 1, self.value)

@@ -154,9 +154,9 @@ def test_criterion_08_ziv_zakai_oracle(model, grid, flat):
         theta0 = float(rng.uniform(0.0, math.pi / 2 - 1e-3))
         h = float(rng.uniform(1e-4, math.pi / 2 - theta0))
         m = int(rng.integers(1, 11))
-        cell = pmin(theta0, h, prior, m, model)
+        value = pmin(theta0, h, prior, m, model)
         oracle = decision_rule_error_probability(theta0, h, prior, m, model)
-        worst = max(worst, abs(cell.pmin - oracle))
+        worst = max(worst, abs(value - oracle))
     prior = family45_prior(1.0, grid)
     est = PosteriorMeanEstimator(model, prior)
     dominated = all(

@@ -7,17 +7,21 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import phasebound.bbound as bbound_module
+import phasebound.estimate as estimate_module
 from oracles import lbvm_reference
 from phasebound.bbound import (
     NonIntegrablePosteriorError,
     averaged_ghosh,
     averaged_posterior_variance,
     ghosh_table,
-    posterior_summary,
 )
 from phasebound.cli import main
-from phasebound.estimate import DegeneratePosteriorError, PosteriorMeanEstimator, posterior_table
+from phasebound.estimate import (
+    DegeneratePosteriorError,
+    PosteriorMeanEstimator,
+    posterior_summary,
+    posterior_table,
+)
 from phasebound.numerics import (
     QuadratureGrid,
     custom_prior,
@@ -160,7 +164,7 @@ def posterior_calls(monkeypatch):
         calls[m] += k0 == 0
         return posterior_table(prior, m, model, k0, k1)
 
-    monkeypatch.setattr(bbound_module, "posterior_table", counting)
+    monkeypatch.setattr(estimate_module, "posterior_table", counting)
     return calls
 
 
@@ -230,7 +234,7 @@ class TestStreamedSummary:
         # posterior_summary caches nothing, so each call builds under the block size set here
         with monkeypatch.context() as patch:
             if rows is not None:
-                patch.setattr(bbound_module, "_BLOCK_CELLS", rows * prior.grid.node_count)
+                patch.setattr(estimate_module, "_BLOCK_CELLS", rows * prior.grid.node_count)
             return posterior_summary(prior, m, model)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])

@@ -25,10 +25,8 @@ from phasebound.numerics import (
 )
 from phasebound.rbound import (
     acrlb,
-    agbr,
     avg_estimator_variance,
     avg_mse,
-    bayes_avg_posterior_variance,
     bayes_chain_report,
     estimator_chain_report,
     fvtb,
@@ -116,18 +114,16 @@ class TestVanTrees:
 
 class TestHypothesisTesting:
     def test_identical_hypotheses_give_half(self, model, flat):
-        cell = pmin(0.6, 1e-12, flat, 4, model)
-        assert cell.pmin == pytest.approx(0.5, abs=1e-6)
+        assert pmin(0.6, 1e-12, flat, 4, model) == pytest.approx(0.5, abs=1e-6)
 
     def test_orthogonal_single_shot(self, model, flat):
-        cell = pmin(0.0, math.pi / 2, flat, 1, model)
-        assert cell.pmin == pytest.approx(0.0, abs=1e-15)
+        assert pmin(0.0, math.pi / 2, flat, 1, model) == pytest.approx(0.0, abs=1e-15)
 
     def test_interior_cell_matches_decision_rule(self, model, flat):
-        cell = pmin(T0, math.pi / 8, flat, 3, model)
-        assert 0.0 < cell.pmin < 0.5
+        value = pmin(T0, math.pi / 8, flat, 3, model)
+        assert 0.0 < value < 0.5
         oracle = decision_rule_error_probability(T0, math.pi / 8, flat, 3, model)
-        assert cell.pmin == pytest.approx(oracle, abs=1e-12)
+        assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_random_cells_match_decision_rule(self, model, grid, flat):
         priors = [flat, family45_prior(1.0, grid)]
@@ -137,29 +133,27 @@ class TestHypothesisTesting:
             theta0 = rng.uniform(0.0, math.pi / 2 - 1e-3)
             h = rng.uniform(1e-4, math.pi / 2 - theta0)
             m = int(rng.integers(1, 11))
-            cell = pmin(theta0, h, prior, m, model)
+            value = pmin(theta0, h, prior, m, model)
             oracle = decision_rule_error_probability(theta0, h, prior, m, model)
-            assert cell.pmin == pytest.approx(oracle, abs=1e-12)
+            assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_empty_cell_flag(self, model, grid):
         # both hypotheses outside the domain: the zero extension kills both weights
         prior = family45_prior(10.0, grid)
-        cell = pmin(-0.5, 0.2, prior, 3, model)
-        assert cell.empty and math.isnan(cell.pmin)
+        assert math.isnan(pmin(-0.5, 0.2, prior, 3, model))
 
     def test_zero_weight_hypothesis_gives_zero(self, model, grid):
         prior = family45_prior(10.0, grid)
-        cell = pmin(0.0, 0.3, prior, 3, model)  # p(0) = 0, p(0.3) > 0
-        assert cell.pmin == 0.0 and not cell.empty
+        assert pmin(0.0, 0.3, prior, 3, model) == 0.0  # p(0) = 0, p(0.3) > 0
 
     @given(st.floats(0.01, 1.5), st.floats(0.01, 1.5), st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
     def test_pmin_in_range(self, theta0, h, m):
         model = GhzParityModel(2)
         prior = flat_prior()
-        cell = pmin(theta0, h, prior, m, model)
-        if not cell.empty:
-            assert 0.0 <= cell.pmin <= 0.5
+        value = pmin(theta0, h, prior, m, model)
+        if not math.isnan(value):
+            assert 0.0 <= value <= 0.5
 
 
 class TestZivZakai:
@@ -287,23 +281,13 @@ class TestRandomPhaseBayes:
         assert report.bayes_variance >= report.agbr - 1e-9
         assert report.agbr >= report.van_trees - 1e-9
 
-    def test_agbr_verifies_chain_when_matched(self, model, grid):
-        prior = family45_prior(1.0, grid)
-        value = agbr(PosteriorMeanEstimator(model, prior), prior, 5)
-        assert value > 0.0
-
-    def test_agbr_with_mismatched_priors(self, model, grid, flat):
-        prior_true = family45_prior(10.0, grid)
-        value = agbr(PosteriorMeanEstimator(model, flat), prior_true, 4)
-        assert 0.0 < value < (math.pi / 2) ** 2
-
     def test_bayes_variance_matches_joint_density_oracle(self, model, grid, monkeypatch):
         # Independent path: sum_k integral p(k|theta) p(theta) (theta - mean_k)^2,
         # assembled from per-tally posteriors and the same outer rule.
         prior = family45_prior(1.0, grid)
         m = 5
         monkeypatch.setattr(rbound_module, "_OUTER_NODES", grid.node_count)
-        value = bayes_avg_posterior_variance(PosteriorMeanEstimator(model, prior), prior, m)
+        value = bayes_chain_report(PosteriorMeanEstimator(model, prior), m).bayes_variance
         pmf = tally_pmf_matrix(model, m, grid.nodes)
         joint = pmf * prior.values
         oracle = 0.0
@@ -319,20 +303,14 @@ class TestRandomPhaseBayes:
         # averaged MSE of the posterior-mean estimator, integration order swapped
         prior = family45_prior(1.0, grid)
         est = PosteriorMeanEstimator(model, prior)
-        lhs = bayes_avg_posterior_variance(est, prior, m)
+        lhs = bayes_chain_report(est, m).bayes_variance
         rhs = avg_mse(est, prior, m, model)
         assert lhs == pytest.approx(rhs, abs=5e-9)
-
-    def test_no_data_returns_prior_variance(self, model, grid):
-        prior = family45_prior(10.0, grid)
-        bayes = PosteriorMeanEstimator(model, prior)
-        assert bayes_avg_posterior_variance(bayes, prior, 0) == pytest.approx(
-            prior.variance(), abs=1e-12)
 
     def test_monotone_decrease_in_m(self, model, grid):
         prior = family45_prior(10.0, grid)
         bayes = PosteriorMeanEstimator(model, prior)
-        values = [bayes_avg_posterior_variance(bayes, prior, m) for m in (1, 2, 4, 8, 16)]
+        values = [bayes_chain_report(bayes, m).bayes_variance for m in (1, 2, 4, 8, 16)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 

@@ -51,7 +51,8 @@ def test_chrb_objective_calls_stay_batched(tmp_path):
 
 # Fixed grid sizes and tolerances, each a constant of the module that owns it.
 CONSTANTS = [
-    ("estimate", "_MLE_COARSE"), ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
+    ("estimate", "_MLE_COARSE"), ("estimate", "_BLOCK_CELLS"),
+    ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
     ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
     ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
     ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
@@ -95,11 +96,11 @@ def test_no_public_callable_takes_setting(setting):
 def test_streamed_kernel_work_stays_traced(tmp_path):
     # a large-m posterior table is built in blocks of tallies through the traced
     # tally_pmf_matrix; each block after the first re-reads one row of B_(m-1)
-    import phasebound.bbound as bbound
     import phasebound.cli as cli
+    import phasebound.estimate as estimate
 
     m, nodes = 1000, 2001
-    blocks = -(-(m + 1) // (bbound._BLOCK_CELLS // nodes))
+    blocks = -(-(m + 1) // (estimate._BLOCK_CELLS // nodes))
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:
@@ -130,14 +131,29 @@ def test_ziv_zakai_peak_memory():
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only: a fresh interpreter importing the CLI loads none of it
+def _fresh_interpreter(probe: str) -> str:
+    """Stdout of ``python -c probe`` in a new process that imports this checkout's package."""
     path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
-    probe = ("import sys, phasebound.cli; "
-             "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert out.stdout.strip() == "[]", out.stdout
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: a fresh interpreter importing the CLI loads none of it
+    out = _fresh_interpreter(
+        "import sys, phasebound.cli; "
+        "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))")
+    assert out == "[]", out
+
+
+def test_hierarchy_report_loads_no_numpy_ma():
+    # np.unique without return_index imports numpy.ma, about 9 ms per fig2/bounds process
+    out = _fresh_interpreter(
+        "import math, sys; from phasebound import GhzParityModel, hierarchy_report; "
+        "hierarchy_report(math.pi / 4, 20, GhzParityModel(2)); "
+        "print('numpy.ma' in sys.modules)")
+    assert out == "False"
 
 
 def test_no_scipy_import_in_package():
@@ -174,13 +190,12 @@ def test_readme_api_tables_name_exports():
 def test_every_public_definition_is_reached():
     # a top-level public def or class that no other code in src reads and the
     # README tables do not list is reached by no output: delete it, or move it
-    # to tests/oracles.py if a test needs it.  The re-exports of __init__ do not count.
+    # to tests/oracles.py if a test needs it.  The re-exports of __init__ do not
+    # count, and neither does an import that nothing then reads.
     def read_names(tree):
         names = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)

@@ -17,14 +17,12 @@ The package evaluates, for a binary-outcome interferometric likelihood
 __version__ = "0.1.0"
 
 from .bbound import averaged_ghosh, averaged_posterior_variance, ghosh_table
-from .engine import OutcomeTally
 from .estimate import (
     Estimator,
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
     RiskReport,
     frequentist_risk,
-    mle,
 )
 from .fbound import (
     BoundReport,
@@ -37,7 +35,7 @@ from .fbound import (
     echrb,
     hierarchy_report,
 )
-from .model import GhzParityModel, PhaseDomain, tally_probability
+from .model import GhzParityModel, PhaseDomain
 from .numerics import (
     NumericalFailure,
     PriorDensity,

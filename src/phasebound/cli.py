@@ -295,6 +295,17 @@ def _alpha_outputs(cfg: RunConfig, out_path: str | None):
     return outputs
 
 
+def _fixed_theta0_chain(theta0: float, m: int, bayes: PosteriorMeanEstimator,
+                        alpha: float | None) -> tuple[float, float]:
+    """Averaged posterior variance and averaged Ghosh bound at theta0, checked in that order."""
+    post_var = averaged_posterior_variance(theta0, m, bayes)
+    agb = averaged_ghosh(theta0, m, bayes)
+    prior = "flat prior" if alpha is None else f"alpha={alpha:g}"
+    check_chain([("bayes_avg_posterior_variance_fixed", post_var), ("averaged_ghosh", agb)],
+                f"m={m}, theta0={theta0!r}, {prior}")
+    return post_var, agb
+
+
 def cmd_fig3(cfg: RunConfig, out_path: str | None):
     """Fixed-phase comparison of Bayesian and frequentist risks for one prior.
 
@@ -309,11 +320,8 @@ def cmd_fig3(cfg: RunConfig, out_path: str | None):
 
         def row(m: int):
             risk = frequentist_risk(estimator, cfg.theta0, m, model)
-            return (m,
-                    m * risk.variance,
-                    risk.bias_derivative**2 / fisher,
-                    m * averaged_posterior_variance(cfg.theta0, m, estimator),
-                    m * averaged_ghosh(cfg.theta0, m, estimator))
+            post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha)
+            return (m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)
 
         rows = _sweep(row, cfg.sample_sizes())
         _emit(_csv(cfg.echo_lines("fig3", alpha, path),
@@ -369,9 +377,8 @@ def cmd_bounds(cfg: RunConfig, out_path: str | None):
              ("mle_mse", risk.mse), ("mle_bias_derivative", risk.bias_derivative)]
     for report in hierarchy_report(cfg.theta0, m, model, domain):
         rows.append((report.name, report.value))
-    rows.append(("averaged_ghosh", averaged_ghosh(cfg.theta0, m, bl_est)))
-    rows.append(("bayes_avg_posterior_variance_fixed",
-                 averaged_posterior_variance(cfg.theta0, m, bl_est)))
+    post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est, alpha)
+    rows += [("averaged_ghosh", agb), ("bayes_avg_posterior_variance_fixed", post_var)]
     rows.append(("avg_estimator_variance", avg_estimator_variance(bl_est, prior, m, model)))
     rows.append(("avg_mse", avg_mse(bl_est, prior, m, model)))
     rows.append(("ziv_zakai", ziv_zakai(prior, m, model)))

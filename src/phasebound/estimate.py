@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import OutcomeTally, expect_values_over_tallies
+from .engine import expect_values_over_tallies
 from .model import (
     GhzParityModel,
     ModelError,
@@ -62,39 +62,15 @@ class GhoshTable:
     failure: str | None = None  # why the Ghosh bound is invalid; raised by ghosh_table
 
 
-def _on_monotone_branch(model: GhzParityModel, domain: PhaseDomain) -> bool:
-    """True when [a, b] sits inside [0, pi/N], where cos(N theta) is monotone."""
-    return domain.a >= -1e-12 and domain.b <= math.pi / model.n_qubits + 1e-12
-
-
 def _branch_mle(k_plus, m: int, model: GhzParityModel, domain: PhaseDomain) -> np.ndarray:
     """Closed-form MLE (1/N) arccos((k_+ - k_-)/m), clipped, for an array of k_+.
 
     ``math.acos`` is applied per element: ``np.arccos`` differs from it in
-    the last bit for some arguments, and both ``mle`` and the estimator table
-    go through this one function so that they agree bit for bit.
+    the last bit for some arguments, and the references were recorded with it.
     """
-    x = (2 * np.atleast_1d(k_plus) - m) / m
+    x = (2 * k_plus - m) / m
     acos = np.array([math.acos(v) for v in x.tolist()])
     return domain.clip(acos / model.n_qubits)
-
-
-def mle(tally: OutcomeTally, model: GhzParityModel | None = None,
-        domain: PhaseDomain | None = None) -> float:
-    """Maximum-likelihood phase for a tally: (1/N) arccos((k_+ - k_-)/m), clipped.
-
-    The closed form is the stationary point of the likelihood on the branch
-    where cos(N theta) is monotone; it applies whenever [a, b] sits inside
-    [0, pi/N] (the default domain for N = 2).  Outside that branch the
-    likelihood is maximised numerically on the grid.
-    """
-    model = model or GhzParityModel()
-    domain = domain or PhaseDomain()
-    if tally.m < 1:
-        raise ModelError("MLE requires at least one shot")
-    if _on_monotone_branch(model, domain):
-        return float(_branch_mle(tally.k_plus, tally.m, model, domain)[0])
-    return float(_searched_mle(np.array([tally.k_plus]), tally.m, model, domain)[0])
 
 
 def _log_likelihood(pp, k_plus, k_minus):
@@ -141,12 +117,19 @@ class Estimator:
 
 
 class MaximumLikelihoodEstimator(Estimator):
-    """The maximum-likelihood phase of every tally (see ``mle``)."""
+    """The maximum-likelihood phase of every tally, clipped to [a, b].
+
+    On the branch where cos(N theta) is monotone, that is when [a, b] sits
+    inside [0, pi/N] (the default domain for N = 2), it is the closed form
+    (1/N) arccos((k_+ - k_-)/m); elsewhere the likelihood is maximised
+    numerically on a grid.
+    """
 
     def _compute_values(self, m: int) -> np.ndarray:
         if m < 1:
             raise ModelError("MLE requires at least one shot")
-        if _on_monotone_branch(self.model, self.domain):
+        a, b = self.domain.a, self.domain.b
+        if a >= -1e-12 and b <= math.pi / self.model.n_qubits + 1e-12:   # inside [0, pi/N]
             return _branch_mle(np.arange(m + 1), m, self.model, self.domain)
         return _searched_mle(np.arange(m + 1), m, self.model, self.domain)
 

@@ -25,10 +25,11 @@ bounds hold for unbiased estimators; bias enters only through ``crlb``'s
   test points, solved through the centred Gram system; placements are
   improved by deterministic coordinate search.
 
-All suprema use deterministic grids plus golden-section refinement; reported
-values are lower estimates of the true suprema (finite grids, finite n), and
-``hierarchy_report`` seeds each bound with its predecessor's argmax so the
-chain BB >= EChRB >= ChRB >= CRLB holds by construction.
+ChRB and the Barankin coordinate search use a deterministic grid plus
+golden-section refinement, and EChRB zooms its grid around the best cell.
+Reported values are lower estimates of the true suprema (finite grids,
+finite n), and ``hierarchy_report`` seeds each bound with its predecessor's
+argmax so the chain BB >= EChRB >= ChRB >= CRLB holds by construction.
 
 The grids are evaluated as whole arrays.  Every objective handed to
 ``maximize_1d`` takes an array or a float: the coarse grid arrives as one

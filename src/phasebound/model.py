@@ -20,9 +20,9 @@ direct sum.
 Three tally kernels serve different paths, and each path keeps the one whose
 rounding its outputs were recorded with:
 
-* ``tally_pmf_matrix`` (and ``tally_pmf`` for one phase) evaluates
-  C(m,k) p_+^k p_-^(m-k) in the log domain, through ``tally_probability``.  The fixed-phase sums, the
-  theta0 integrals (``tally_marginal``, ``avg_*``) and Ziv-Zakai use it.
+* ``tally_pmf_matrix`` evaluates C(m,k) p_+^k p_-^(m-k) in the log domain.
+  The fixed-phase sums (one column, at theta0), the theta0 integrals
+  (``tally_marginal``, ``avg_*``) and Ziv-Zakai use it.
 * ``tally_pmf_dtheta_matrix`` assembles the pmf derivative from two further
   exp-matrices; ``frequentist_risk``, ``acrlb`` and ``fvtb`` use it.
 * ``tally_pmf_with_dtheta`` derives both the pmf and its derivative from the
@@ -107,16 +107,9 @@ class GhzParityModel:
         """Single-shot probability of the +1 outcome, in [0, 1]."""
         return (1.0 + np.cos(self.n_qubits * np.asarray(theta, dtype=float))) / 2.0
 
-    def prob_minus(self, theta):
-        """Single-shot probability of the -1 outcome, the exact complement."""
-        return 1.0 - self.prob_plus(theta)
-
-    def dprob_dtheta(self, theta, outcome: int = +1):
-        """Analytic d p(mu|theta) / d theta for outcome mu = +/-1."""
-        if outcome not in (+1, -1):
-            raise ModelError(f"outcome must be +1 or -1, got {outcome!r}")
-        d = -(self.n_qubits / 2.0) * np.sin(self.n_qubits * np.asarray(theta, dtype=float))
-        return d if outcome == +1 else -d
+    def dprob_dtheta(self, theta):
+        """Analytic d p(+1|theta) / d theta; the -1 outcome's is its negative."""
+        return -(self.n_qubits / 2.0) * np.sin(self.n_qubits * np.asarray(theta, dtype=float))
 
     def fisher_information(self, theta):
         """Single-shot Fisher information; identically N^2 for this model.
@@ -145,17 +138,6 @@ def require_identifiable(model: GhzParityModel, domain: PhaseDomain) -> None:
         raise ModelError(
             f"domain [{domain.a!r}, {domain.b!r}] is not identifiable for model.N="
             f"{n}: N*(b-a) = {n * domain.width!r} exceeds pi")
-
-
-def _validate_tally(m: int, k) -> np.ndarray:
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ModelError(f"m must be a nonnegative integer, got {m!r}")
-    k = np.asarray(k)
-    if not np.issubdtype(k.dtype, np.integer):
-        raise ModelError("k must be integer valued")
-    if np.any(k < 0) or np.any(k > m):
-        raise ModelError(f"tally k must satisfy 0 <= k <= m={m}")
-    return k
 
 
 # Stirling's series of cephes ``lgam``: log sqrt(2 pi), and the coefficients for 13 <= x < 1000
@@ -226,27 +208,10 @@ def _xlogy(k, logp) -> np.ndarray:
     return out
 
 
-def tally_probability(model: GhzParityModel, theta, m: int, k):
-    """Probability of observing k outcomes +1 in m shots at phase theta.
-
-    Evaluated in the log domain, so large m neither overflows the binomial
-    coefficient nor underflows the outcome powers prematurely.  The
-    conventions 0*log(0) = 0 make the deterministic channels exact.
-    """
-    k = _validate_tally(m, k)
-    pp = model.prob_plus(theta)
-    logp = log_binomial(m, k) + _xlogy(k, _log(pp)) + _xlogy(m - k, _log(1.0 - pp))
-    out = np.exp(logp)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def tally_pmf(model: GhzParityModel, theta: float, m: int) -> np.ndarray:
-    """Full tally distribution (k = 0..m) at a single phase."""
-    return tally_probability(model, float(theta), m, np.arange(m + 1))
-
-
 def _row_range(m: int, k0: int, k1: int | None) -> tuple[int, int]:
-    """Validated tally rows k0 <= k < k1; ``k1=None`` means through k = m."""
+    """Validated tally rows k0 <= k < k1 of m shots; ``k1=None`` means through k = m."""
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise ModelError(f"m must be a nonnegative integer, got {m!r}")
     k1 = m + 1 if k1 is None else k1
     if not 0 <= k0 < k1 <= m + 1:
         raise ModelError(f"tally rows [{k0}, {k1}) must be a nonempty part of [0, {m + 1})")
@@ -258,11 +223,16 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     """Tally probabilities for k0 <= k < k1 (default every k) at every phase.
 
     Shape (k1 - k0, len(thetas)), equal bit for bit to those rows of the
-    full (m+1)-row matrix.
+    full (m+1)-row matrix; one phase gives one column.  Evaluated in the log
+    domain, so large m neither overflows the binomial coefficient nor
+    underflows the outcome powers prematurely, and 0 log 0 = 0 makes the
+    deterministic channels exact.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
-    return tally_probability(model, thetas[None, :], m, np.arange(k0, k1)[:, None])
+    k = np.arange(k0, k1)[:, None]
+    pp = model.prob_plus(thetas[None, :])
+    return np.exp(log_binomial(m, k) + _xlogy(k, _log(pp)) + _xlogy(m - k, _log(1.0 - pp)))
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
@@ -283,7 +253,7 @@ def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray
         t1[1:] = k * np.exp(logc[1:] + _xlogy(k - 1, logpp) + _xlogy(m - k, logpm))
         k = np.arange(0, m)[:, None]
         t2[:m] = (m - k) * np.exp(logc[:m] + _xlogy(k, logpp) + _xlogy(m - k - 1, logpm))
-    return model.dprob_dtheta(thetas, +1)[None, :] * (t1 - t2)
+    return model.dprob_dtheta(thetas)[None, :] * (t1 - t2)
 
 
 def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
@@ -323,5 +293,5 @@ def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
     np.subtract(prev[off + s - 1:off + top - 1], prev[off + s:off + top], out=dpmf[s:top])
     if top < rows:
         dpmf[top] = prev[off + top - 1]
-    dpmf *= m * model.dprob_dtheta(thetas, +1)
+    dpmf *= m * model.dprob_dtheta(thetas)
     return pmf, dpmf

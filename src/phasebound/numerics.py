@@ -1,10 +1,11 @@
 """Shared numerical kernel: quadrature, supremum search, SPD solves, priors.
 
-Composite Simpson quadrature is used everywhere so that every integrand,
-prior, and likelihood is evaluated on one shared set of nodes; this keeps
-sweeps cacheable and the emitted numbers bit-stable.  Grid sizes and
-tolerances are fixed module constants, each in the module that reads it; the
-two shared ones, ``POSTERIOR_NODES`` and ``DERIVATIVE_NOISE_REL``, live here.
+Composite Simpson quadrature is used everywhere, on fixed node sets: the
+posterior integrals on the prior's grid, and the theta0 integrals of
+``rbound`` on their own 201-node grid.  Fixed grids keep the emitted numbers
+bit-stable.  Grid sizes and tolerances are fixed module constants, each in
+the module that reads it; the two shared ones, ``POSTERIOR_NODES`` and
+``DERIVATIVE_NOISE_REL``, live here.
 """
 
 from __future__ import annotations
@@ -225,13 +226,6 @@ class PriorDensity:
         inside = (theta >= self.domain.a) & (theta <= self.domain.b)
         out = np.where(inside, self._pdf(theta), 0.0)
         return float(out) if out.ndim == 0 else out
-
-    def mean(self) -> float:
-        return integrate(self.grid.nodes * self.values, self.grid)
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return integrate((self.grid.nodes - mu) ** 2 * self.values, self.grid)
 
 
 def _finalize_prior(kind, domain, grid, raw_values, raw_derivative, vanishes, alpha, pdf):

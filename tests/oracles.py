@@ -4,11 +4,13 @@ None of these is used by the command-line program.  Each computes a quantity
 the package also computes, by an independent route:
 
 * ``expect_over_tallies`` - the expectation of f(tally) as a Python loop over
-  the m+1 tallies, against the package's vectorised sums;
+  the m+1 tallies, each passed as an ``OutcomeTally``, against the package's
+  vectorised sums;
 * a splitmix64 sampler (``SeededSampler``, ``sample_tally``,
   ``sample_tallies``, ``derive_seed``) for Monte Carlo checks of those sums;
 * ``decision_rule_error_probability`` - the error probability of the optimal
-  likelihood-ratio test, tally by tally, against ``rbound.pmin``;
+  likelihood-ratio test, tally by tally from ``scipy_tally_probability``,
+  against ``rbound.pmin``;
 * ``ziv_zakai_shift_loop`` - the Ziv-Zakai bound as a loop over shifts that
   sums |w0 p0 - w1 p1| over every tally, against ``rbound.ziv_zakai``;
 * ``lbvm_reference`` - the Gaussian (Bernstein-von Mises) reference posterior
@@ -37,20 +39,14 @@ produces decorrelated per-task seeds.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from phasebound.engine import OutcomeTally, expect_values_over_tallies
+from phasebound.engine import expect_values_over_tallies
 from phasebound.estimate import Estimator
-from phasebound.model import (
-    GhzParityModel,
-    ModelError,
-    PhaseDomain,
-    tally_pmf,
-    tally_pmf_matrix,
-    tally_probability,
-)
+from phasebound.model import GhzParityModel, ModelError, PhaseDomain, tally_pmf_matrix
 from phasebound.numerics import NumericalFailure, PriorDensity, QuadratureGrid, custom_prior
 from phasebound.rbound import _outer_grid
 
@@ -58,6 +54,24 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+@dataclass(frozen=True)
+class OutcomeTally:
+    """Sufficient statistic of a record: k_plus outcomes +1 out of m shots."""
+
+    k_plus: int
+    m: int
+
+    def __post_init__(self):
+        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
+            raise ModelError(f"m must be a nonnegative integer, got {self.m!r}")
+        if not isinstance(self.k_plus, (int, np.integer)) or not 0 <= self.k_plus <= self.m:
+            raise ModelError(f"k_plus must lie in 0..{self.m}, got {self.k_plus!r}")
+
+    @property
+    def k_minus(self) -> int:
+        return self.m - self.k_plus
 
 
 def expect_over_tallies(f, theta0: float, m: int, model: GhzParityModel) -> float:
@@ -116,7 +130,7 @@ def sample_tallies(sampler: SeededSampler, theta0: float, m: int,
     """``count`` independent tallies; one uniform consumed per draw."""
     if m < 1:
         raise ModelError("sampling requires m >= 1")
-    cdf = np.cumsum(tally_pmf(model, theta0, m))
+    cdf = np.cumsum(scipy_tally_probability(model, float(theta0), m, np.arange(m + 1)))
     u = sampler.uniforms(count)
     return np.minimum(np.searchsorted(cdf, u, side="right"), m).astype(np.int64)
 
@@ -139,8 +153,8 @@ def decision_rule_error_probability(theta0: float, h: float, prior_true: PriorDe
     w0, w1 = w0 / total, w1 / total
     error = 0.0
     for k in range(m + 1):
-        like0 = tally_probability(model, theta0, m, k)
-        like1 = tally_probability(model, theta0 + h, m, k)
+        like0 = scipy_tally_probability(model, theta0, m, k)
+        like1 = scipy_tally_probability(model, theta0 + h, m, k)
         if w0 * like0 > w1 * like1:
             error += w1 * like1      # rule picks hypothesis 0; wrong when 1 holds
         else:
@@ -278,4 +292,4 @@ def scipy_tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.n
         t1[1:] = k * np.exp(logc[1:] + xlogy(k - 1, pp) + xlogy(m - k, pm))
         k = np.arange(0, m)[:, None]
         t2[:m] = (m - k) * np.exp(logc[:m] + xlogy(k, pp) + xlogy(m - k - 1, pm))
-    return model.dprob_dtheta(thetas, +1)[None, :] * (t1 - t2)
+    return model.dprob_dtheta(thetas)[None, :] * (t1 - t2)

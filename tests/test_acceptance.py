@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from oracles import (
+    OutcomeTally,
     SeededSampler,
     decision_rule_error_probability,
     expect_over_tallies,
@@ -19,7 +20,6 @@ from oracles import (
 )
 from phasebound.bbound import averaged_ghosh, ghosh_table
 from phasebound.cli import main as cli_main
-from phasebound.engine import OutcomeTally
 from phasebound.estimate import (
     GhzParityModel,
     MaximumLikelihoodEstimator,
@@ -53,8 +53,8 @@ def test_criterion_01_fisher_constancy():
         m = GhzParityModel(n)
         thetas = (np.arange(1000) + 0.5) / 1000 * (math.pi / 2)
         for theta in thetas:
-            probs = [m.prob_plus(theta), m.prob_minus(theta)]
-            dprobs = [m.dprob_dtheta(theta, +1), m.dprob_dtheta(theta, -1)]
+            pp, dp = m.prob_plus(theta), m.dprob_dtheta(theta)
+            probs, dprobs = [pp, 1.0 - pp], [dp, -dp]
             worst = max(worst, abs(fisher_information_from_table(probs, dprobs) - n * n))
     report(1, "Fisher information constant at N^2", worst < 1e-9, f"max |F - N^2| = {worst:.2e}")
 

@@ -253,6 +253,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "echrb=" in err and "chrb=" in err and "m=3" in err
 
+    @pytest.mark.parametrize("command", ["fig3", "bounds"])
+    def test_fixed_theta0_chain_violation_names_cell(self, monkeypatch, capsys, command):
+        # averaged posterior variance >= averaged Ghosh bound at fixed theta0
+        real_agb = cli_module.averaged_ghosh
+        monkeypatch.setattr(cli_module, "averaged_ghosh",
+                            lambda *args: 10.0 * real_agb(*args))
+        assert main([command, "--prior.alpha", "10", "--m.list", "3",
+                     "--grid.nodes", "401"]) == 4
+        err = capsys.readouterr().err
+        assert "bayes_avg_posterior_variance_fixed=" in err and "averaged_ghosh=" in err
+        assert f"m=3, theta0={math.pi / 4!r}, alpha=10" in err
+
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     def test_unwritable_out_maps_to_2(self, tmp_path, capsys, target):
         # a path under a missing directory, or a directory itself, cannot be written

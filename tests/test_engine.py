@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    OutcomeTally,
     SeededSampler,
     derive_seed,
     expect_over_tallies,
     sample_tallies,
     sample_tally,
 )
-from phasebound.engine import OutcomeTally, expect_values_over_tallies
+from phasebound.engine import expect_values_over_tallies
 from phasebound.model import ModelError
 from phasebound.numerics import NumericalFailure
 
@@ -62,7 +63,8 @@ class TestExactExpectation:
     def test_matches_sequence_enumeration(self, model, m):
         # brute force over all 2^m raw outcome sequences
         theta0 = 0.83
-        pp, pm = float(model.prob_plus(theta0)), float(model.prob_minus(theta0))
+        pp = float(model.prob_plus(theta0))
+        pm = 1.0 - pp
 
         def f(tally):
             return math.sin(tally.k_plus) + tally.k_plus**2 / (tally.m + 1)
@@ -131,10 +133,10 @@ class TestTallySampling:
 
     def test_empirical_pmf(self, model):
         # chi-square style sanity: empirical frequencies near exact pmf
-        from phasebound.model import tally_pmf
+        from phasebound.model import tally_pmf_matrix
         theta0, m, n = 0.9, 4, 50_000
         ks = sample_tallies(SeededSampler(5), theta0, m, model, n)
-        pmf = tally_pmf(model, theta0, m)
+        pmf = tally_pmf_matrix(model, m, [theta0])[:, 0]
         for k in range(m + 1):
             emp = float(np.mean(ks == k))
             se = math.sqrt(pmf[k] * (1 - pmf[k]) / n)

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import ConstantEstimator, bias_derivative_fd
-from phasebound.engine import OutcomeTally
 from phasebound.estimate import (
     DegeneratePosteriorError,
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
+    _searched_mle,
     frequentist_risk,
-    mle,
     posterior_table,
 )
-from phasebound.model import PhaseDomain, tally_pmf_with_dtheta, tally_probability
+from phasebound.model import PhaseDomain, tally_pmf_matrix, tally_pmf_with_dtheta
 from phasebound.numerics import custom_prior, family45_prior, integrate, maximize_1d
 
 # analytic values for the flat-prior single-shot (+1) posterior (4/pi) cos^2:
@@ -24,40 +23,43 @@ FLAT11_VARIANCE = 0.10429557471369053                # pi^2/12 - 1/2 - mean^2
 
 class TestMle:
     def test_balanced_tally(self, model, domain):
-        assert mle(OutcomeTally(5, 10), model, domain) == pytest.approx(math.pi / 4, abs=1e-15)
+        mle = MaximumLikelihoodEstimator(model, domain).values(10)[5]
+        assert mle == pytest.approx(math.pi / 4, abs=1e-15)
 
     def test_all_plus(self, model, domain):
-        assert mle(OutcomeTally(10, 10), model, domain) == 0.0
+        assert MaximumLikelihoodEstimator(model, domain).values(10)[10] == 0.0
 
     def test_three_of_four(self, model, domain):
-        assert mle(OutcomeTally(3, 4), model, domain) == pytest.approx(math.pi / 6, abs=1e-12)
+        mle = MaximumLikelihoodEstimator(model, domain).values(4)[3]
+        assert mle == pytest.approx(math.pi / 6, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_maximises_tally_probability(self, model, domain, m):
         thetas = np.linspace(domain.a, domain.b, 20_001)
+        probs = tally_pmf_matrix(model, m, thetas)
+        mle = MaximumLikelihoodEstimator(model, domain).values(m)
         for k in range(m + 1):
-            probs = tally_probability(model, thetas, m, k)
-            grid_argmax = thetas[int(np.argmax(probs))]
-            assert mle(OutcomeTally(k, m), model, domain) == pytest.approx(
-                grid_argmax, abs=2 * (domain.b - domain.a) / 20_000)
+            grid_argmax = thetas[int(np.argmax(probs[k]))]
+            assert mle[k] == pytest.approx(grid_argmax, abs=2 * (domain.b - domain.a) / 20_000)
 
     def test_estimator_table_equals_per_tally_mle(self, model, domain):
-        # the closed-form table over k = 0..m against one mle() call per tally,
-        # and against the scalar formula written out
+        # the closed-form table over k = 0..m against the scalar formula,
+        # written out one tally at a time
         est = MaximumLikelihoodEstimator(model, domain)
         for m in range(1, 301):
-            per_tally = [mle(OutcomeTally(k, m), model, domain) for k in range(m + 1)]
             formula = [float(domain.clip(math.acos(max(-1.0, min(1.0, (2 * k - m) / m))) / 2))
                        for k in range(m + 1)]
-            assert est.values(m).tolist() == per_tally == formula
+            assert est.values(m).tolist() == formula
 
     def test_estimator_table_equals_per_tally_mle_off_branch(self, model):
-        # [-0.3, 1.2] leaves the monotone branch [0, pi/2]: numerical fallback
-        # (a sparse m sweep, since each tally runs its own supremum search)
+        # [-0.3, 1.2] leaves the monotone branch [0, pi/2]: numerical fallback.
+        # Row k of the table equals the search run for tally k alone (a sparse
+        # m sweep, since each tally runs its own refinement)
         off_branch = PhaseDomain(-0.3, 1.2)
         est = MaximumLikelihoodEstimator(model, off_branch)
         for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300):
-            per_tally = [mle(OutcomeTally(k, m), model, off_branch) for k in range(m + 1)]
+            per_tally = [float(_searched_mle(np.array([k]), m, model, off_branch)[0])
+                         for k in range(m + 1)]
             assert est.values(m).tolist() == per_tally
 
     def test_off_branch_table_equals_one_search_per_tally(self, model):
@@ -159,11 +161,11 @@ class TestPosteriorSummaries:
         # gridded MAP agrees with the analytic MLE to one grid cell, every
         # tally up to m = 50
         cell = (domain.b - domain.a) / (flat.grid.node_count - 1)
+        mle = MaximumLikelihoodEstimator(model, domain)
         for m in range(1, 51):
             dens, _, _ = posterior_table(flat, m, model)
             maps = flat.grid.nodes[np.argmax(dens, axis=1)]
-            for k in range(m + 1):
-                assert abs(maps[k] - mle(OutcomeTally(k, m), model, domain)) <= cell
+            assert np.all(np.abs(maps - mle.values(m)) <= cell)
 
 
 class TestFrequentistRisk:

@@ -19,13 +19,16 @@ from phasebound.model import (
     ModelError,
     PhaseDomain,
     log_binomial,
-    tally_pmf,
+    require_identifiable,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
     tally_pmf_with_dtheta,
-    tally_probability,
-    require_identifiable,
 )
+
+
+def _pmf(model, theta, m):
+    """The one-phase column of the tally pmf, k = 0..m."""
+    return tally_pmf_matrix(model, m, [theta])[:, 0]
 
 
 class TestSingleShotProbabilities:
@@ -34,15 +37,11 @@ class TestSingleShotProbabilities:
 
     def test_deterministic_at_zero(self, model):
         assert model.prob_plus(0.0) == 1.0
-        assert model.prob_minus(0.0) == 0.0
+        assert np.array_equal(tally_pmf_matrix(model, 1, [0.0]), [[0.0], [1.0]])
 
     def test_direct_evaluation(self, model):
         # (1 + cos(2 pi/3)) / 2 = 1/4
         assert model.prob_plus(math.pi / 3) == pytest.approx(0.25, abs=1e-15)
-
-    def test_complement_is_exact(self, model):
-        thetas = np.linspace(0.0, math.pi / 2, 1000)
-        assert np.all(model.prob_plus(thetas) + model.prob_minus(thetas) == 1.0)
 
     @given(st.floats(-10.0, 10.0), st.integers(1, 6))
     def test_probability_in_unit_interval(self, theta, n):
@@ -56,17 +55,13 @@ class TestSingleShotProbabilities:
 
 class TestDerivative:
     def test_plus_outcome_at_pi_over_4(self, model):
-        assert model.dprob_dtheta(math.pi / 4, +1) == pytest.approx(-1.0, abs=1e-15)
+        assert model.dprob_dtheta(math.pi / 4) == pytest.approx(-1.0, abs=1e-15)
 
     def test_extremum(self, model):
-        assert model.dprob_dtheta(0.0, +1) == 0.0
+        assert model.dprob_dtheta(0.0) == 0.0
 
     def test_n3(self):
-        assert GhzParityModel(3).dprob_dtheta(math.pi / 6, +1) == pytest.approx(-1.5, abs=1e-14)
-
-    def test_outcomes_are_opposite(self, model):
-        theta = 0.3
-        assert model.dprob_dtheta(theta, +1) == -model.dprob_dtheta(theta, -1)
+        assert GhzParityModel(3).dprob_dtheta(math.pi / 6) == pytest.approx(-1.5, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_against_central_differences(self, n):
@@ -74,7 +69,7 @@ class TestDerivative:
         step = 1e-6
         for theta in np.linspace(0.05, math.pi / 2 - 0.05, 25):
             fd = (m.prob_plus(theta + step) - m.prob_plus(theta - step)) / (2 * step)
-            assert m.dprob_dtheta(theta, +1) == pytest.approx(fd, rel=1e-6)
+            assert m.dprob_dtheta(theta) == pytest.approx(fd, rel=1e-6)
 
 
 class TestFisherInformation:
@@ -87,8 +82,8 @@ class TestFisherInformation:
     def test_direct_sum_matches_reduced_form(self, model):
         thetas = (np.arange(1000) + 0.5) / 1000 * (math.pi / 2)
         for theta in thetas[::37]:
-            probs = [model.prob_plus(theta), model.prob_minus(theta)]
-            dprobs = [model.dprob_dtheta(theta, +1), model.dprob_dtheta(theta, -1)]
+            pp, dp = model.prob_plus(theta), model.dprob_dtheta(theta)
+            probs, dprobs = [pp, 1.0 - pp], [dp, -dp]
             assert fisher_information_from_table(probs, dprobs) == pytest.approx(4.0, abs=1e-9)
 
     def test_table_singularity(self):
@@ -102,21 +97,20 @@ class TestFisherInformation:
 class TestTallyProbability:
     def test_two_shot_example(self, model):
         # two sequences contribute 0.25 * 0.75 each
-        assert tally_probability(model, math.pi / 3, 2, 1) == pytest.approx(0.375, abs=1e-14)
+        assert _pmf(model, math.pi / 3, 2)[1] == pytest.approx(0.375, abs=1e-14)
 
     def test_single_shot_reduces_to_prob_plus(self, model):
         theta = 0.7
-        assert tally_probability(model, theta, 1, 1) == pytest.approx(
-            float(model.prob_plus(theta)), abs=1e-15)
+        assert _pmf(model, theta, 1)[1] == pytest.approx(float(model.prob_plus(theta)), abs=1e-15)
 
     def test_deterministic_channel(self, model):
-        assert tally_probability(model, 0.0, 5, 5) == 1.0
-        assert tally_probability(model, 0.0, 5, 2) == 0.0
+        assert _pmf(model, 0.0, 5)[5] == 1.0
+        assert _pmf(model, 0.0, 5)[2] == 0.0
 
     @pytest.mark.parametrize("m", [1, 7, 50, 300])
     def test_normalisation(self, model, m):
         for theta in np.linspace(0.0, math.pi / 2, 37):
-            assert abs(tally_pmf(model, float(theta), m).sum() - 1.0) < 1e-12
+            assert abs(_pmf(model, theta, m).sum() - 1.0) < 1e-12
 
     def test_normalisation_dense_theta_grid(self, model):
         sums = tally_pmf_matrix(model, 7, np.linspace(0.0, math.pi / 2, 1000)).sum(axis=0)
@@ -124,28 +118,30 @@ class TestTallyProbability:
 
     def test_rejects_bad_tallies(self, model):
         with pytest.raises(ModelError):
-            tally_probability(model, 0.3, 2, 3)
+            tally_pmf_matrix(model, 2, [0.3], 3, 4)
         with pytest.raises(ModelError):
-            tally_probability(model, 0.3, 2, -1)
-        with pytest.raises(ModelError):
-            tally_probability(model, 0.3, -1, 0)
+            tally_pmf_matrix(model, 2, [0.3], -1, 0)
+        for m in (-1, 2.0):
+            with pytest.raises(ModelError, match="m must be a nonnegative integer"):
+                tally_pmf_matrix(model, m, [0.3])
 
     def test_brute_force_product(self, model):
         # sum over explicit +/- sequences of length 3
         theta = 0.9
-        pp, pm = float(model.prob_plus(theta)), float(model.prob_minus(theta))
+        pp = float(model.prob_plus(theta))
+        pm = 1.0 - pp
         import itertools
         for k in range(4):
             total = sum(
                 math.prod(pp if s == 1 else pm for s in seq)
                 for seq in itertools.product((1, -1), repeat=3)
                 if sum(1 for s in seq if s == 1) == k)
-            assert tally_probability(model, theta, 3, k) == pytest.approx(total, abs=1e-14)
+            assert _pmf(model, theta, 3)[k] == pytest.approx(total, abs=1e-14)
 
     @given(st.floats(0.0, math.pi / 2), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
     def test_pmf_sums_to_one(self, theta, m):
-        assert abs(tally_pmf(GhzParityModel(2), theta, m).sum() - 1.0) < 1e-12
+        assert abs(_pmf(GhzParityModel(2), theta, m).sum() - 1.0) < 1e-12
 
 
 class TestPmfDerivative:
@@ -310,15 +306,12 @@ class TestScipyOracle:
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, 1.2, math.pi / 2])
     def test_scalar_and_0d_tally_probability(self, model, theta):
-        for m in (0, 1, 2, 7, 300):
-            for k in sorted({0, 1, m // 2, m - 1, m} & set(range(m + 1))):
-                for th, kk in ((theta, k), (np.float64(theta), np.int64(k)),
-                               (np.array(theta), np.array(k)), (theta, np.array([k])),
-                               (np.array([theta, 0.0, math.pi / 2]), k)):
-                    _assert_same_doubles(tally_probability(model, th, m, kk),
-                                         scipy_tally_probability(model, th, m, kk))
-            _assert_same_doubles(tally_pmf(model, theta, m),
-                                 scipy_tally_probability(model, float(theta), m, np.arange(m + 1)))
+        # the one-phase column, as the fixed-theta0 sums read it, against the
+        # scipy formula at a scalar phase (and at a numpy scalar and a 0-d array)
+        for m in (0, 1, 2, 7, 300, 5000):
+            want = scipy_tally_probability(model, theta, m, np.arange(m + 1))
+            for th in (theta, np.float64(theta), np.array(theta)):
+                _assert_same_doubles(tally_pmf_matrix(model, m, [th])[:, 0], want)
 
     def test_other_models(self):
         thetas = np.linspace(0.0, math.pi / 3, 301)

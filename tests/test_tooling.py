@@ -111,7 +111,8 @@ def test_streamed_kernel_work_stays_traced(tmp_path):
     assert blocks > 1
     assert tracer.calls["model.tally_pmf_matrix"] >= blocks
     assert tracer.total_s["model.tally_pmf_matrix"] > 0.0
-    assert tracer.kernel_cells <= (m + 1 + blocks) * nodes
+    # plus the row's five fixed-theta0 expectations, one (m+1)-row column each
+    assert tracer.kernel_cells <= (m + 1 + blocks) * nodes + 5 * (m + 1)
 
 
 def test_ziv_zakai_peak_memory():
@@ -188,10 +189,13 @@ def test_readme_api_tables_name_exports():
 
 
 def test_every_public_definition_is_reached():
-    # a top-level public def or class that no other code in src reads and the
-    # README tables do not list is reached by no output: delete it, or move it
-    # to tests/oracles.py if a test needs it.  The re-exports of __init__ do not
-    # count, and neither does an import that nothing then reads.
+    # a top-level public def or class, or a public method of a class, that no
+    # other code in src reads and the README tables do not list is reached by
+    # no output: delete it, or move it to tests/oracles.py if a test needs it.
+    # The re-exports of __init__ do not count, and neither does an import that
+    # nothing then reads.  Names are matched, not objects, so a method whose
+    # name is read on some other object (say ``variance``, a field of the
+    # posterior summary) counts as reached.
     def read_names(tree):
         names = set()
         for node in ast.walk(tree):
@@ -206,8 +210,12 @@ def test_every_public_definition_is_reached():
     for stem, tree in trees.items():
         if stem != "__init__":
             reached |= read_names(tree)
-    unreached = [f"{stem}.{node.name}" for stem, tree in trees.items() if stem != "__init__"
-                 for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                 and not node.name.startswith("_") and node.name not in reached]
+    definitions = [(f"{stem}.{node.name}", node) for stem, tree in trees.items()
+                   if stem != "__init__" for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    definitions += [(f"{owner}.{node.name}", node) for owner, cls in definitions
+                    if isinstance(cls, ast.ClassDef) for node in cls.body
+                    if isinstance(node, ast.FunctionDef)]
+    unreached = [name for name, node in definitions
+                 if not node.name.startswith("_") and node.name not in reached]
     assert unreached == []

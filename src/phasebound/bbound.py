@@ -18,7 +18,9 @@ frequentist error bars agree.
 
 from __future__ import annotations
 
-from .engine import expect_values_over_tallies
+import numpy as np
+
+from .engine import expect_values_over_tallies, tally_column
 from .estimate import GhoshTable, PosteriorMeanEstimator
 from .numerics import NumericalFailure
 
@@ -39,15 +41,22 @@ def ghosh_table(bayes: PosteriorMeanEstimator, m: int) -> GhoshTable:
     return table
 
 
-def averaged_ghosh(theta0: float, m: int, bayes: PosteriorMeanEstimator) -> float:
+def averaged_ghosh(theta0: float, m: int, bayes: PosteriorMeanEstimator,
+                   pmf: np.ndarray | None = None) -> float:
     """Likelihood-averaged Ghosh bound: sum_k GB(k) p(k | theta0).
 
     Lower-bounds the likelihood-averaged posterior variance; per-tally
-    failures propagate with the offending tally named.
+    failures propagate with the offending tally named.  ``pmf`` is the
+    column p(. | theta0) when the caller has built it (``tally_column``).
     """
-    return expect_values_over_tallies(ghosh_table(bayes, m).ghosh, theta0, m, bayes.model)
+    if pmf is None:
+        pmf = tally_column(theta0, m, bayes.model)
+    return expect_values_over_tallies(ghosh_table(bayes, m).ghosh, pmf)
 
 
-def averaged_posterior_variance(theta0: float, m: int, bayes: PosteriorMeanEstimator) -> float:
-    """Likelihood average of the posterior variance at fixed theta0."""
-    return expect_values_over_tallies(ghosh_table(bayes, m).variance, theta0, m, bayes.model)
+def averaged_posterior_variance(theta0: float, m: int, bayes: PosteriorMeanEstimator,
+                                pmf: np.ndarray | None = None) -> float:
+    """Likelihood average of the posterior variance at fixed theta0 (``pmf`` as above)."""
+    if pmf is None:
+        pmf = tally_column(theta0, m, bayes.model)
+    return expect_values_over_tallies(ghosh_table(bayes, m).variance, pmf)

@@ -25,11 +25,11 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
 from .bbound import averaged_ghosh, averaged_posterior_variance
+from .engine import tally_column
 from .estimate import (
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
@@ -188,6 +188,8 @@ def _sweep(row_fn, ms: list[int]) -> list[tuple]:
     workers = _thread_count()
     if workers == 1 or len(ms) == 1:
         return [row_fn(m) for m in ms]
+    from concurrent.futures import ThreadPoolExecutor    # here: it loads logging, too
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(row_fn, ms))
 
@@ -240,7 +242,8 @@ def cmd_fig1(cfg: RunConfig, out_path: str | None):
     fisher = float(model.fisher_information(cfg.theta0))
 
     def row(m: int):
-        risk = frequentist_risk(estimator, cfg.theta0, m, model)
+        risk = frequentist_risk(estimator, cfg.theta0, m, model,
+                                tally_column(cfg.theta0, m, model))
         return (m,
                 risk.mean - cfg.theta0,
                 math.sqrt(risk.variance),
@@ -296,10 +299,13 @@ def _alpha_outputs(cfg: RunConfig, out_path: str | None):
 
 
 def _fixed_theta0_chain(theta0: float, m: int, bayes: PosteriorMeanEstimator,
-                        alpha: float | None) -> tuple[float, float]:
-    """Averaged posterior variance and averaged Ghosh bound at theta0, checked in that order."""
-    post_var = averaged_posterior_variance(theta0, m, bayes)
-    agb = averaged_ghosh(theta0, m, bayes)
+                        alpha: float | None, pmf) -> tuple[float, float]:
+    """Averaged posterior variance and averaged Ghosh bound at theta0, checked in that order.
+
+    ``pmf`` is the tally column at (theta0, m), shared with the row's other sums.
+    """
+    post_var = averaged_posterior_variance(theta0, m, bayes, pmf)
+    agb = averaged_ghosh(theta0, m, bayes, pmf)
     prior = "flat prior" if alpha is None else f"alpha={alpha:g}"
     check_chain([("bayes_avg_posterior_variance_fixed", post_var), ("averaged_ghosh", agb)],
                 f"m={m}, theta0={theta0!r}, {prior}")
@@ -319,8 +325,9 @@ def cmd_fig3(cfg: RunConfig, out_path: str | None):
         estimator = PosteriorMeanEstimator(model, prior)
 
         def row(m: int):
-            risk = frequentist_risk(estimator, cfg.theta0, m, model)
-            post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha)
+            pmf = tally_column(cfg.theta0, m, model)
+            risk = frequentist_risk(estimator, cfg.theta0, m, model, pmf)
+            post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha, pmf)
             return (m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)
 
         rows = _sweep(row, cfg.sample_sizes())
@@ -372,12 +379,13 @@ def cmd_bounds(cfg: RunConfig, out_path: str | None):
     bl_est = PosteriorMeanEstimator(model, prior)
 
     rows: list[tuple] = [("m", m), ("fisher_information", float(model.fisher_information(cfg.theta0)))]
-    risk = frequentist_risk(mle_est, cfg.theta0, m, model)
+    pmf = tally_column(cfg.theta0, m, model)
+    risk = frequentist_risk(mle_est, cfg.theta0, m, model, pmf)
     rows += [("mle_mean", risk.mean), ("mle_variance", risk.variance),
              ("mle_mse", risk.mse), ("mle_bias_derivative", risk.bias_derivative)]
     for report in hierarchy_report(cfg.theta0, m, model, domain):
         rows.append((report.name, report.value))
-    post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est, alpha)
+    post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est, alpha, pmf)
     rows += [("averaged_ghosh", agb), ("bayes_avg_posterior_variance_fixed", post_var)]
     rows.append(("avg_estimator_variance", avg_estimator_variance(bl_est, prior, m, model)))
     rows.append(("avg_mse", avg_mse(bl_est, prior, m, model)))

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import expect_values_over_tallies
+from .engine import expect_values_over_tallies, tally_column
 from .model import (
     GhzParityModel,
     ModelError,
     PhaseDomain,
+    likelihood_columns,
     tally_pmf_dtheta_matrix,
     tally_pmf_with_dtheta,
 )
@@ -166,62 +167,88 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
     marginal raises, naming its tally k0 + i.
 
     The likelihood and its derivative come from ``tally_pmf_with_dtheta`` and
-    are turned into the posterior arrays in place, so the table holds two
-    arrays of k1 - k0 rows plus one temporary.  ``posterior_summary`` asks
-    for blocks of rows, so that its memory stays O(block x nodes).
+    are turned into the posterior arrays in place, on the window of nodes
+    outside of which both are zero (``likelihood_columns``).  The table holds
+    two arrays of k1 - k0 rows plus one temporary.  ``posterior_summary``
+    asks for blocks of rows, so that its memory stays O(block x nodes).
     """
     grid = prior.grid
     density, derivative = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1)
-    derivative *= prior.values
-    derivative += density * prior.derivative
-    density *= prior.values
-    marginal = density @ grid.weights
+    cols = likelihood_columns(model, m, grid.nodes, k0, k1)
+    dens, ddens = density[:, cols], derivative[:, cols]
+    ddens *= prior.values[cols]
+    ddens += dens * prior.derivative[cols]
+    dens *= prior.values[cols]
+    marginal = dens @ grid.weights[cols]
     bad = ~(np.isfinite(marginal) & (marginal > 0.0))
     if np.any(bad):
         k_bad = k0 + int(np.flatnonzero(bad)[0])
         raise DegeneratePosteriorError(
             f"posterior normalisation underflowed for tally k={k_bad}, m={m}")
-    density /= marginal[:, None]
-    derivative /= marginal[:, None]
+    dens /= marginal[:, None]
+    ddens /= marginal[:, None]
     return density, derivative, marginal
+
+
+def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1: int,
+                     out: tuple[np.ndarray, ...], check_slope: bool) -> int | None:
+    """Write the tallies k0 <= k < k1 into ``out``; return a tally with a zero of nonzero slope.
+
+    ``out`` is (marginal, mean, variance, boundary, information), each of
+    length m + 1.  The passes run on the block's window of nodes
+    (``likelihood_columns``, the window ``posterior_table`` builds it on);
+    every cell outside is an exact zero and adds nothing.  With
+    ``check_slope``, the first tally whose posterior is zero at a node where
+    |derivative| is above ``DERIVATIVE_NOISE_REL`` times its largest
+    |derivative| is returned, else None.  The block's arrays are freed on
+    return, before the next block is built.
+    """
+    marginal, means, variance, boundary, information = out
+    grid = prior.grid
+    density, derivative, marginal[k0:k1] = posterior_table(prior, m, model, k0, k1)
+    cols = likelihood_columns(model, m, grid.nodes, k0, k1)
+    dens, ddens = density[:, cols], derivative[:, cols]
+    nodes, w = grid.nodes[cols], grid.weights[cols]
+    mean = means[k0:k1] = (dens * nodes) @ w
+    variance[k0:k1] = ((nodes[None, :] - mean[:, None]) ** 2 * dens) @ w
+    first, last = density[:, 0], density[:, -1]
+    boundary[k0:k1] = grid.b * last - grid.a * first - mean * (last - first)
+
+    zero = dens == 0.0
+    bad = None
+    if check_slope and np.any(zero):
+        slope = np.abs(ddens)
+        floor = DERIVATIVE_NOISE_REL * np.max(slope, axis=1, keepdims=True)
+        bad_rows = np.flatnonzero(np.any(zero & (slope > floor), axis=1))
+        del slope              # before the two temporaries of the information pass
+        if bad_rows.size:
+            bad = k0 + int(bad_rows[0])
+    integrand = np.divide(ddens**2, dens, out=np.zeros(dens.shape), where=~zero)
+    information[k0:k1] = integrand @ w
+    return bad
 
 
 def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     """Per-tally posterior summary for all tallies k = 0..m.
 
     Built in blocks of tallies of at most ``_BLOCK_CELLS`` cells each (131
-    rows on 2001 nodes); every returned quantity is one number per tally, so
-    memory stays O(block x nodes) however large m is.  Nothing is cached
-    here: ``PosteriorMeanEstimator.summary`` builds it once per m and serves
-    both the posterior means and ``ghosh_table``.
+    rows on 2001 nodes) by ``_summarise_block``; every returned quantity is
+    one number per tally, so memory stays O(block x nodes) however large m
+    is.  Nothing is cached here: ``PosteriorMeanEstimator.summary`` builds it
+    once per m and serves both the posterior means and ``ghosh_table``.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
     undefined.
     """
-    grid = prior.grid
-    nodes, w = grid.nodes, grid.weights
-    a, b = grid.a, grid.b
-    rows = max(_BLOCK_CELLS // grid.node_count, 1)
-    marginal, means, variance, boundary, information = (np.empty(m + 1) for _ in range(5))
+    rows = max(_BLOCK_CELLS // prior.grid.node_count, 1)
+    out = marginal, means, variance, boundary, information = tuple(
+        np.empty(m + 1) for _ in range(5))
     failure = None
     for k0 in range(0, m + 1, rows):
-        k1 = min(k0 + rows, m + 1)
-        dens, ddens, marginal[k0:k1] = posterior_table(prior, m, model, k0, k1)
-        mean = means[k0:k1] = (dens * nodes) @ w
-        variance[k0:k1] = ((nodes[None, :] - mean[:, None]) ** 2 * dens) @ w
-
-        zero = dens == 0.0
-        if failure is None and np.any(zero):
-            floor = DERIVATIVE_NOISE_REL * np.max(np.abs(ddens), axis=1, keepdims=True)
-            bad = zero & (np.abs(ddens) > floor)
-            if np.any(bad):
-                k_bad = k0 + int(np.flatnonzero(np.any(bad, axis=1))[0])
-                failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(zero, 0.0, ddens**2 / np.where(zero, 1.0, dens))
-        information[k0:k1] = integrand @ w
-        boundary[k0:k1] = b * dens[:, -1] - a * dens[:, 0] - mean * (dens[:, -1] - dens[:, 0])
+        bad = _summarise_block(prior, m, model, k0, min(k0 + rows, m + 1), out, failure is None)
+        if bad is not None:
+            failure = f"posterior for tally k={bad} has a zero with nonzero slope"
 
     num = (boundary - 1.0) ** 2
     degenerate = information <= 0.0
@@ -236,17 +263,22 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
                       information=information, ghosh=ghosh, failure=failure)
 
 
-def frequentist_risk(estimator: Estimator, theta0: float, m: int,
-                     model: GhzParityModel) -> RiskReport:
+def frequentist_risk(estimator: Estimator, theta0: float, m: int, model: GhzParityModel,
+                     pmf: np.ndarray | None = None) -> RiskReport:
     """Mean, variance, MSE, and mean-derivative of an estimator, by exact sums.
 
-    The bias derivative d<theta_est>/dtheta0 uses the analytic weight
-    derivative: each tally term carries the factor (k - m p_+) p_+' / (p_+ p_-).
+    The three sums weigh with one tally pmf column at theta0, ``pmf`` when
+    the caller has built it (``tally_column``) for other sums at the same
+    (theta0, m).  The bias derivative d<theta_est>/dtheta0 uses the analytic
+    weight derivative: each tally term carries the factor
+    (k - m p_+) p_+' / (p_+ p_-).
     """
+    if pmf is None:
+        pmf = tally_column(theta0, m, model)
     v = estimator.values(m)
-    mean = expect_values_over_tallies(v, theta0, m, model)
-    variance = expect_values_over_tallies((v - mean) ** 2, theta0, m, model)
-    mse = expect_values_over_tallies((v - theta0) ** 2, theta0, m, model)
+    mean = expect_values_over_tallies(v, pmf)
+    variance = expect_values_over_tallies((v - mean) ** 2, pmf)
+    mse = expect_values_over_tallies((v - theta0) ** 2, pmf)
     dpmf = tally_pmf_dtheta_matrix(model, m, np.asarray([theta0]))[:, 0]
     bias_derivative = float(np.sum(v * dpmf))
     return RiskReport(mean=mean, variance=variance, mse=mse,

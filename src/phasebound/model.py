@@ -40,9 +40,15 @@ of log n! that grows to the largest m asked for.  Each entry is computed by
 the operations of the cephes ``lgam`` routine behind ``scipy.special.gammaln``
 at integer arguments, with ``math.log``: the log of the exact product
 n(n-1)...2 for n < 12, Stirling's series above.  The logs of p_+ and p_- are
-taken once per phase with ``math.log``, the libm call of
-``scipy.special.xlogy``, and k log p is one broadcast product with the k = 0
-entries set to 0.  So every kernel returns the doubles of the scipy formulas
+taken with ``math.log``, the libm call of ``scipy.special.xlogy``, once per
+(model, grid) in each process (``_grid_logs`` keeps them).  k log p is the
+product of a float column of k with them, and the products of the k = 0 and
+k = m rows are set to 0 by slicing.  exp is evaluated only where the
+log-sum is above -745.2: below log(2^-1075) = -745.13 it returns exactly
+0.0, so skipping it changes no bit, and there it runs about 19 times slower
+than on ordinary arguments.  The log-sums themselves are formed only on the
+span of phases where some row can pass that cut (``_live_span``).  So every
+kernel returns the doubles of the scipy formulas
 the references in ``perfbench/reference`` were recorded with, bit for bit
 (``tests/oracles.py`` keeps those formulas, and the tests compare with
 ``==``), without importing scipy.  ``math.lgamma`` and ``np.log`` would not:
@@ -53,8 +59,10 @@ on 0.3-0.7% of the probabilities.
 ``tally_pmf_matrix`` and ``tally_pmf_with_dtheta`` take an optional row range
 k0 <= k < k1 (default: every tally).  Every entry is computed elementwise, so
 a range is bit for bit the matching slice of the full array; the derived
-kernel then reads only the rows k0-1 .. k1-1 of B_(m-1).  This lets the
-posterior summary stream a large-m table in blocks of tallies.
+kernel then reads only the rows k0-1 .. k1-1 of B_(m-1), and applies its
+rules only on ``likelihood_columns``, the window of phases where those rows
+can be nonzero.  This lets the posterior summary stream a large-m table in
+blocks of tallies and work on each block's window alone.
 """
 
 from __future__ import annotations
@@ -200,11 +208,94 @@ def _log(p) -> np.ndarray:
     return out
 
 
-def _xlogy(k, logp) -> np.ndarray:
-    """k log p with 0 log 0 = 0, from integer k and ``logp = _log(p)``."""
+# (model, phase bytes) -> (log p_+, log p_-); emptied when it reaches _GRID_LOGS_KEPT grids
+_grid_log_cache: dict = {}
+_GRID_LOGS_KEPT = 32
+
+
+def _grid_logs(model: GhzParityModel, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log p_+ and log p_- at every phase of ``thetas``, computed once per (model, grid).
+
+    Keyed by the phases' bytes, so a sweep that passes the same grid for
+    every m pays the 2 len(thetas) ``math.log`` calls once per process.
+    Emptying a full cache is atomic, so threads sharing it need no lock.
+    """
+    key = (model, thetas.tobytes())
+    logs = _grid_log_cache.get(key)
+    if logs is None:
+        pp = model.prob_plus(thetas)
+        logs = _log(pp), _log(1.0 - pp)
+        for v in logs:
+            v.flags.writeable = False
+        if len(_grid_log_cache) >= _GRID_LOGS_KEPT:
+            _grid_log_cache.clear()
+        _grid_log_cache[key] = logs
+    return logs
+
+
+# exp(x) is exactly 0.0 in float64 for every x below log(2^-1075) = -745.1332...
+_EXP_ZERO_BELOW = -745.2
+
+
+def _log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
+               logpm: np.ndarray) -> np.ndarray:
+    """log c + a log p_+ + b log p_-, one row per entry of logc, a and b.
+
+    a and b are float exponent columns in which only a[0] and b[-1] can be 0;
+    those rows' products are set to 0 by slicing (0 log 0 = 0, also where
+    p = 0).  The sums are added in the order log c + a log p_+, then
+    + b log p_-.  Two arrays of the output's size are alive at a time.
+    """
     with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
-        out = np.asarray(np.multiply(k, logp))
-    np.copyto(out, 0.0, where=k == 0)
+        out = a[:, None] * logpp
+        rest = b[:, None] * logpm
+    if a[0] == 0.0:
+        out[0] = 0.0
+    if b[-1] == 0.0:
+        rest[-1] = 0.0
+    out += logc[:, None]
+    out += rest
+    return out
+
+
+def _live_span(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
+               logpm: np.ndarray) -> tuple[int, int]:
+    """Phases [lo, hi) outside of which every row of ``_log_terms`` is below the exp cut.
+
+    For each phase the log-sum L is concave in the row (log C(m, k) is), so
+    it is at most the tangent bound L(0) + max(0, L(1) - L(0)) (rows - 1)
+    from the first two rows, and likewise from the last two.  A bound of
+    -inf - -inf (rows of p^k at p = 0) is taken from the other end, and a
+    phase with no finite bound has only -inf rows.  A phase is live if its
+    bound is above ``_EXP_ZERO_BELOW`` - 1, a margin far beyond rounding; at
+    every other phase each cell of exp is exactly 0.
+    """
+    rows = len(logc)
+    pick = sorted({0, min(1, rows - 1), max(rows - 2, 0), rows - 1})
+    ends = _log_terms(logc[pick], a[pick], b[pick], logpp, logpm)
+    with np.errstate(invalid="ignore"):          # -inf - -inf gives no bound
+        rise = np.maximum(ends[min(1, len(pick) - 1)] - ends[0], 0.0)
+        fall = np.maximum(ends[max(len(pick) - 2, 0)] - ends[-1], 0.0)
+        bound = np.fmin(ends[0] + rise * (rows - 1), ends[-1] + fall * (rows - 1))
+    live = np.flatnonzero(bound > _EXP_ZERO_BELOW - 1.0)
+    return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+
+
+def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
+                   logpm: np.ndarray) -> np.ndarray:
+    """exp of ``_log_terms``, computed only where it can be nonzero.
+
+    The log-sums are formed on the ``_live_span`` of phases only, and exp
+    runs only where a log-sum is above ``_EXP_ZERO_BELOW``: every other cell
+    is exactly 0.0 however it is computed, and there exp is about 19 times
+    slower than on ordinary arguments.  Two arrays of the output's size are
+    alive at a time.
+    """
+    lo, hi = _live_span(logc, a, b, logpp, logpm)
+    sums = _log_terms(logc, a, b, logpp[lo:hi], logpm[lo:hi])
+    keep = sums > _EXP_ZERO_BELOW
+    out = np.zeros((len(logc), logpp.size))
+    np.exp(sums, out=out[:, lo:hi], where=keep)
     return out
 
 
@@ -230,9 +321,9 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
-    k = np.arange(k0, k1)[:, None]
-    pp = model.prob_plus(thetas[None, :])
-    return np.exp(log_binomial(m, k) + _xlogy(k, _log(pp)) + _xlogy(m - k, _log(1.0 - pp)))
+    k = np.arange(k0, k1)
+    kf = k.astype(float)
+    return _exp_log_terms(log_binomial(m, k), kf, m - kf, *_grid_logs(model, thetas))
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
@@ -243,17 +334,52 @@ def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray
     channels (p_+ in {0,1}) produce exact zeros instead of 0 * inf.
     """
     thetas = np.asarray(thetas, dtype=float)
-    pp = model.prob_plus(thetas)[None, :]
-    logpp, logpm = _log(pp), _log(1.0 - pp)
-    logc = log_binomial(m, np.arange(m + 1))[:, None]
+    _row_range(m, 0, None)
+    logs = _grid_logs(model, thetas)
+    logc = log_binomial(m, np.arange(m + 1))
     t1 = np.zeros((m + 1, thetas.size))
     t2 = np.zeros((m + 1, thetas.size))
     if m >= 1:
-        k = np.arange(1, m + 1)[:, None]
-        t1[1:] = k * np.exp(logc[1:] + _xlogy(k - 1, logpp) + _xlogy(m - k, logpm))
-        k = np.arange(0, m)[:, None]
-        t2[:m] = (m - k) * np.exp(logc[:m] + _xlogy(k, logpp) + _xlogy(m - k - 1, logpm))
+        k = np.arange(1, m + 1, dtype=float)
+        t1[1:] = k[:, None] * _exp_log_terms(logc[1:], k - 1.0, m - k, *logs)
+        k = np.arange(0, m, dtype=float)
+        t2[:m] = (m - k)[:, None] * _exp_log_terms(logc[:m], k, m - k - 1.0, *logs)
     return model.dprob_dtheta(thetas)[None, :] * (t1 - t2)
+
+
+# A column window starts on a multiple of this many phases, and ends on one or at the last phase.
+_WINDOW_ALIGN = 64
+
+
+def likelihood_columns(model: GhzParityModel, m: int, thetas, k0: int = 0,
+                       k1: int | None = None) -> slice:
+    """Phases outside of which ``tally_pmf_with_dtheta``'s rows k0 <= k < k1 are exactly 0.
+
+    The span where the rows k0-1 .. k1-1 of B_(m-1) can be nonzero
+    (``_live_span``, the span ``tally_pmf_matrix`` computes them on),
+    widened to start on a multiple of ``_WINDOW_ALIGN`` and to end on one or
+    at the last phase; empty if every row is 0 at every phase.  With that
+    alignment, the OpenBLAS gemv kernels behind numpy's matrix-vector
+    product add each row's nonzero terms over the window in the same order
+    as over the whole row: their unrolled lanes and their scalar tail fall
+    on the same columns.  The tests check this bit for bit on the 2001-node
+    grid.  Rows longer than 2048 are split by those kernels into blocks of
+    2048 columns, which a window shifts; there the window's sums agree with
+    whole-row sums only to rounding.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    k0, k1 = _row_range(m, k0, k1)
+    n = thetas.size
+    if m == 0:
+        return slice(0, n)
+    k = np.arange(max(k0 - 1, 0), min(k1, m))
+    kf = k.astype(float)
+    lo, hi = _live_span(log_binomial(m - 1, k), kf, m - 1 - kf, *_grid_logs(model, thetas))
+    if lo == hi:
+        return slice(0, 0)
+    lo -= lo % _WINDOW_ALIGN
+    hi = lo - (lo - hi) // _WINDOW_ALIGN * _WINDOW_ALIGN
+    return slice(lo, hi if hi <= n - n % _WINDOW_ALIGN else n)
 
 
 def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
@@ -267,31 +393,34 @@ def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
         pmf(k)  = p_+ B(k-1) + p_- B(k)
         dpmf(k) = m p_+' [B(k-1) - B(k)]
 
-    Each row is bit for bit the same as in the full arrays.  At the
-    deterministic channels B is a unit vector, so the pmf is exactly one too
-    and the derivative is finite without special cases.
+    Each row is bit for bit the same as in the full arrays (up to the sign
+    of a zero derivative).  The rules run only on the window of columns where
+    the rows of B can be nonzero (``likelihood_columns``); outside it both
+    arrays are 0.  At the deterministic channels B is a unit vector, so the
+    pmf is exactly one too and the derivative is finite without special cases.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
     if m == 0:
         return np.ones((1, thetas.size)), np.zeros((1, thetas.size))
     lo = max(k0 - 1, 0)
-    prev = tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m))
-    pp = model.prob_plus(thetas)
+    cols = likelihood_columns(model, m, thetas, k0, k1)
+    prev = tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m))[:, cols]
+    pp = model.prob_plus(thetas[cols])
     rows = k1 - k0
     top = min(k1, m) - k0      # rows 0..top-1 have a B(k) term
     s = int(k0 == 0)           # rows s.. have a B(k-1) term
     off = k0 - lo              # row i holds B(k) at prev[i + off], B(k-1) at prev[i + off - 1]
-    pmf = np.empty((rows, thetas.size))
-    dpmf = np.empty_like(pmf)
-    np.multiply(prev[off:off + top], 1.0 - pp, out=pmf[:top])
-    pmf[top:] = 0.0
-    np.multiply(prev[off + s - 1:off + rows - 1], pp, out=dpmf[s:])   # p_+ B(k-1) for a moment
-    pmf[s:] += dpmf[s:]
+    pmf = np.zeros((rows, thetas.size))
+    dpmf = np.zeros(pmf.shape)
+    p, dp = pmf[:, cols], dpmf[:, cols]
+    np.multiply(prev[off:off + top], 1.0 - pp, out=p[:top])
+    np.multiply(prev[off + s - 1:off + rows - 1], pp, out=dp[s:])   # p_+ B(k-1) for a moment
+    p[s:] += dp[s:]
     if s:
-        np.negative(prev[0], out=dpmf[0])
-    np.subtract(prev[off + s - 1:off + top - 1], prev[off + s:off + top], out=dpmf[s:top])
+        np.negative(prev[0], out=dp[0])
+    np.subtract(prev[off + s - 1:off + top - 1], prev[off + s:off + top], out=dp[s:top])
     if top < rows:
-        dpmf[top] = prev[off + top - 1]
-    dpmf *= m * model.dprob_dtheta(thetas)
+        dp[top] = prev[off + top - 1]
+    dp *= m * model.dprob_dtheta(thetas[cols])
     return pmf, dpmf

@@ -13,6 +13,10 @@ the package also computes, by an independent route:
   against ``rbound.pmin``;
 * ``ziv_zakai_shift_loop`` - the Ziv-Zakai bound as a loop over shifts that
   sums |w0 p0 - w1 p1| over every tally, against ``rbound.ziv_zakai``;
+* ``full_width_posterior_summary`` - the per-tally posterior summary with
+  every pass over whole rows of the grid, as it was before the passes were
+  trimmed to each block's nonzero column window, on the scipy B_(m-1);
+  against ``estimate.posterior_summary``, field for field with ``==``;
 * ``lbvm_reference`` - the Gaussian (Bernstein-von Mises) reference posterior
   that saturates the Ghosh bound, returned as a prior so that the posterior
   summary at m = 0 evaluates it;
@@ -44,10 +48,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from phasebound.engine import expect_values_over_tallies
-from phasebound.estimate import Estimator
+from phasebound.engine import expect_values_over_tallies, tally_column
+from phasebound.estimate import (
+    _BLOCK_CELLS,
+    DegeneratePosteriorError,
+    Estimator,
+    GhoshTable,
+)
 from phasebound.model import GhzParityModel, ModelError, PhaseDomain, tally_pmf_matrix
-from phasebound.numerics import NumericalFailure, PriorDensity, QuadratureGrid, custom_prior
+from phasebound.numerics import (
+    DERIVATIVE_NOISE_REL,
+    NumericalFailure,
+    PriorDensity,
+    QuadratureGrid,
+    custom_prior,
+)
 from phasebound.rbound import _outer_grid
 
 _MASK64 = (1 << 64) - 1
@@ -80,7 +95,7 @@ def expect_over_tallies(f, theta0: float, m: int, model: GhzParityModel) -> floa
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericalFailure(f"f produced a non-finite value at tally k={bad}")
-    return expect_values_over_tallies(values, theta0, m, model)
+    return expect_values_over_tallies(values, tally_column(theta0, m, model))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -193,6 +208,91 @@ def ziv_zakai_shift_loop(prior_true: PriorDensity, m: int, model: GhzParityModel
     return max(0.5 * total, 0.0)
 
 
+def full_width_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
+                               k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Tally pmf and its d/dtheta for k0 <= k < k1 by Pascal's rule on whole rows of B_(m-1)."""
+    thetas = np.asarray(thetas, dtype=float)
+    k1 = m + 1 if k1 is None else k1
+    if m == 0:
+        return np.ones((1, thetas.size)), np.zeros((1, thetas.size))
+    lo = max(k0 - 1, 0)
+    prev = scipy_tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m))
+    pp = model.prob_plus(thetas)
+    rows = k1 - k0
+    top = min(k1, m) - k0
+    s = int(k0 == 0)
+    off = k0 - lo
+    pmf = np.empty((rows, thetas.size))
+    dpmf = np.empty_like(pmf)
+    np.multiply(prev[off:off + top], 1.0 - pp, out=pmf[:top])
+    pmf[top:] = 0.0
+    np.multiply(prev[off + s - 1:off + rows - 1], pp, out=dpmf[s:])
+    pmf[s:] += dpmf[s:]
+    if s:
+        np.negative(prev[0], out=dpmf[0])
+    np.subtract(prev[off + s - 1:off + top - 1], prev[off + s:off + top], out=dpmf[s:top])
+    if top < rows:
+        dpmf[top] = prev[off + top - 1]
+    dpmf *= m * model.dprob_dtheta(thetas)
+    return pmf, dpmf
+
+
+def full_width_posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int = 0,
+                               k1: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalised posterior densities, derivatives and marginals of tallies k0..k1-1, whole rows."""
+    grid = prior.grid
+    density, derivative = full_width_pmf_with_dtheta(model, m, grid.nodes, k0, k1)
+    derivative *= prior.values
+    derivative += density * prior.derivative
+    density *= prior.values
+    marginal = density @ grid.weights
+    bad = ~(np.isfinite(marginal) & (marginal > 0.0))
+    if np.any(bad):
+        k_bad = k0 + int(np.flatnonzero(bad)[0])
+        raise DegeneratePosteriorError(
+            f"posterior normalisation underflowed for tally k={k_bad}, m={m}")
+    density /= marginal[:, None]
+    derivative /= marginal[:, None]
+    return density, derivative, marginal
+
+
+def full_width_posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
+    """Per-tally posterior summary in the package's blocks of tallies, every pass on whole rows."""
+    grid = prior.grid
+    nodes, w = grid.nodes, grid.weights
+    a, b = grid.a, grid.b
+    rows = max(_BLOCK_CELLS // grid.node_count, 1)
+    marginal, means, variance, boundary, information = (np.empty(m + 1) for _ in range(5))
+    failure = None
+    for k0 in range(0, m + 1, rows):
+        k1 = min(k0 + rows, m + 1)
+        dens, ddens, marginal[k0:k1] = full_width_posterior_table(prior, m, model, k0, k1)
+        mean = means[k0:k1] = (dens * nodes) @ w
+        variance[k0:k1] = ((nodes[None, :] - mean[:, None]) ** 2 * dens) @ w
+
+        zero = dens == 0.0
+        if failure is None and np.any(zero):
+            floor = DERIVATIVE_NOISE_REL * np.max(np.abs(ddens), axis=1, keepdims=True)
+            bad = zero & (np.abs(ddens) > floor)
+            if np.any(bad):
+                k_bad = k0 + int(np.flatnonzero(np.any(bad, axis=1))[0])
+                failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(zero, 0.0, ddens**2 / np.where(zero, 1.0, dens))
+        information[k0:k1] = integrand @ w
+        boundary[k0:k1] = b * dens[:, -1] - a * dens[:, 0] - mean * (dens[:, -1] - dens[:, 0])
+
+    num = (boundary - 1.0) ** 2
+    degenerate = information <= 0.0
+    undefined = degenerate & (num > 1e-18)
+    if failure is None and np.any(undefined):
+        k_bad = int(np.flatnonzero(undefined)[0])
+        failure = f"zero posterior information with nonzero numerator at tally k={k_bad}"
+    ghosh = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, information))
+    return GhoshTable(m=m, marginal=marginal, mean=means, variance=variance, boundary=boundary,
+                      information=information, ghosh=ghosh, failure=failure)
+
+
 def lbvm_reference(theta0: float, m: int, model: GhzParityModel,
                    grid: QuadratureGrid | None = None) -> PriorDensity:
     """Gaussian reference posterior: mean theta0, variance 1/(m F), renormalised.
@@ -240,8 +340,8 @@ def bias_derivative_fd(estimator: Estimator, theta0: float, m: int,
     if step is None:
         step = 1e-5 * estimator.domain.width
     v = estimator.values(m)
-    up = expect_values_over_tallies(v, theta0 + step, m, model)
-    dn = expect_values_over_tallies(v, theta0 - step, m, model)
+    up = expect_values_over_tallies(v, tally_column(theta0 + step, m, model))
+    dn = expect_values_over_tallies(v, tally_column(theta0 - step, m, model))
     return (up - dn) / (2.0 * step)
 
 

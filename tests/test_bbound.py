@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import phasebound.estimate as estimate_module
-from oracles import lbvm_reference
+from oracles import (
+    full_width_pmf_with_dtheta,
+    full_width_posterior_summary,
+    full_width_posterior_table,
+    lbvm_reference,
+)
 from phasebound.bbound import (
     NonIntegrablePosteriorError,
     averaged_ghosh,
@@ -22,10 +27,12 @@ from phasebound.estimate import (
     posterior_summary,
     posterior_table,
 )
+from phasebound.model import PhaseDomain, likelihood_columns, tally_pmf_with_dtheta
 from phasebound.numerics import (
     QuadratureGrid,
     custom_prior,
     family45_prior,
+    flat_prior,
     integrate,
 )
 
@@ -283,6 +290,86 @@ class TestStreamedSummary:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+def _off_branch_flat():
+    domain = PhaseDomain(-0.3, 1.2)
+    return flat_prior(domain, QuadratureGrid.simpson(domain.a, domain.b))
+
+
+class TestFullWidthOracle:
+    """The column-windowed summary against the whole-row one, double for double."""
+
+    MS = [0, 1, 2, 20, 100, 130, 131, 1000, 5000]
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.m == want.m and got.failure == want.failure
+        for name in SUMMARY_FIELDS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    @pytest.mark.parametrize("alpha", [-10.0, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("m", MS)
+    def test_family45(self, model, grid, alpha, m):
+        prior = family45_prior(alpha, grid)
+        self._assert_same(posterior_summary(prior, m, model),
+                          full_width_posterior_summary(prior, m, model))
+
+    @pytest.mark.parametrize("m", MS)
+    def test_flat(self, model, flat, m):
+        self._assert_same(posterior_summary(flat, m, model),
+                          full_width_posterior_summary(flat, m, model))
+
+    @pytest.mark.parametrize("m", MS)
+    def test_off_branch_domain(self, model, m):
+        prior = _off_branch_flat()
+        self._assert_same(posterior_summary(prior, m, model),
+                          full_width_posterior_summary(prior, m, model))
+
+    def test_off_branch_window_has_interior_gap(self, model):
+        # p_+ is even in theta: the block of tallies 393..523 of 1000 is nonzero
+        # from theta = -0.3 to -0.23 and from 0.23 on, zero in between
+        prior = _off_branch_flat()
+        dens, ddens, _ = posterior_table(prior, 1000, model, 393, 524)
+        used = dens.any(axis=0) | ddens.any(axis=0)
+        assert likelihood_columns(model, 1000, prior.grid.nodes, 393, 524) == slice(0, 2001)
+        assert used[0] and used[-1] and not used[np.abs(prior.grid.nodes) < 0.23].any()
+
+    @pytest.mark.parametrize("m,k_bad", [(7, 2), (20, 14)])
+    def test_zero_slope_failure(self, model, grid, m, k_bad):
+        prior = custom_prior(grid, np.maximum(grid.nodes - 0.05, 0.0), np.ones(grid.node_count))
+        got = posterior_summary(prior, m, model)
+        assert got.failure == f"posterior for tally k={k_bad} has a zero with nonzero slope"
+        self._assert_same(got, full_width_posterior_summary(prior, m, model))
+
+    def test_underflow_failure(self, model, grid):
+        prior = family45_prior(1000.0, grid)
+        messages = []
+        for summary in (posterior_summary, full_width_posterior_summary):
+            with pytest.raises(DegeneratePosteriorError) as info:
+                summary(prior, 5000, model)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == "posterior normalisation underflowed for tally k=0, m=5000"
+
+    def test_block_with_all_zero_likelihood(self, model):
+        # on the nodes 0, pi/4 and pi/2, B_4999 is zero in every column for the rows
+        # k = 9..140: the window is empty and the block's first tally is named
+        grid = QuadratureGrid.simpson(0.0, math.pi / 2, 3)
+        prior = flat_prior(PhaseDomain(), grid)
+        pmf, dpmf = tally_pmf_with_dtheta(model, 5000, grid.nodes, 10, 141)
+        want_pmf, want_dpmf = full_width_pmf_with_dtheta(model, 5000, grid.nodes, 10, 141)
+        assert not pmf.any() and not dpmf.any()
+        np.testing.assert_array_equal(pmf, want_pmf)
+        np.testing.assert_array_equal(dpmf, want_dpmf)
+        assert likelihood_columns(model, 5000, grid.nodes, 10, 141) == slice(0, 0)
+        messages = []
+        for table in (posterior_table, full_width_posterior_table):
+            with pytest.raises(DegeneratePosteriorError) as info:
+                table(prior, 5000, model, 10, 141)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == "posterior normalisation underflowed for tally k=10, m=5000"
 
 
 class TestCliPosteriorBuilds:

@@ -12,7 +12,7 @@ from oracles import (
     sample_tallies,
     sample_tally,
 )
-from phasebound.engine import expect_values_over_tallies
+from phasebound.engine import expect_values_over_tallies, tally_column
 from phasebound.model import ModelError
 from phasebound.numerics import NumericalFailure
 
@@ -83,7 +83,7 @@ class TestExactExpectation:
     def test_vector_form_matches(self, model):
         values = np.arange(8.0) ** 1.5
         loop = expect_over_tallies(lambda t: values[t.k_plus], 0.6, 7, model)
-        assert expect_values_over_tallies(values, 0.6, 7, model) == loop
+        assert expect_values_over_tallies(values, tally_column(0.6, 7, model)) == loop
 
 
 class TestSeededSampler:

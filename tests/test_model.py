@@ -9,6 +9,7 @@ import phasebound.model as model_module
 from oracles import (
     SingularModelError,
     fisher_information_from_table,
+    full_width_pmf_with_dtheta,
     scipy_log_binomial,
     scipy_tally_pmf_dtheta_matrix,
     scipy_tally_pmf_matrix,
@@ -18,6 +19,7 @@ from phasebound.model import (
     GhzParityModel,
     ModelError,
     PhaseDomain,
+    likelihood_columns,
     log_binomial,
     require_identifiable,
     tally_pmf_dtheta_matrix,
@@ -163,6 +165,12 @@ class TestPmfDerivative:
         d = tally_pmf_dtheta_matrix(model, 5, np.array([0.0, math.pi / 2]))
         assert np.all(np.isfinite(d))
 
+    @pytest.mark.parametrize("m", [-1, 2.5])
+    def test_rejects_bad_m(self, model, m):
+        # as the other kernels do, rather than an empty array or numpy's TypeError
+        with pytest.raises(ModelError, match="m must be a nonnegative integer"):
+            tally_pmf_dtheta_matrix(model, m, [0.3])
+
 
 class TestPmfWithDerivative:
     """The B_(m-1)-derived pair against the log-domain kernels."""
@@ -303,6 +311,30 @@ class TestScipyOracle:
             for (pmf, dpmf), (want_pmf, want_dpmf) in zip(got, want):
                 _assert_same_doubles(pmf, want_pmf)
                 _assert_same_doubles(dpmf, want_dpmf)
+
+    def test_exp_is_zero_below_the_cut(self):
+        # the kernels leave every cell whose log-sum is at or below the cut at 0.0
+        # without calling exp; numpy's exp must return exactly that there
+        cut = model_module._EXP_ZERO_BELOW
+        x = np.linspace(cut - 100.0, cut, 100_001)
+        assert not np.exp(x).any() and not np.exp(x[:, None]).any()
+        assert np.exp(-745.13) > 0.0
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
+    def test_pmf_with_dtheta_on_whole_rows(self, model, m):
+        # Pascal's rule on the likelihood window against the same rule on whole rows
+        # of the scipy B_(m-1), on the default and an off-branch grid
+        ranges = [(0, m + 1), (0, min(131, m + 1)), (m // 3, 2 * m // 3 + 1), (m, m + 1)]
+        for cols in [*self.BLOCKS, np.linspace(-0.3, 1.2, 2001)]:
+            for k0, k1 in ranges:
+                pmf, dpmf = tally_pmf_with_dtheta(model, m, cols, k0, k1)
+                want_pmf, want_dpmf = full_width_pmf_with_dtheta(model, m, cols, k0, k1)
+                np.testing.assert_array_equal(pmf, want_pmf)
+                np.testing.assert_array_equal(dpmf, want_dpmf)
+                window = likelihood_columns(model, m, cols, k0, k1)
+                outside = np.ones(cols.size, dtype=bool)
+                outside[window] = False
+                assert not pmf[:, outside].any() and not dpmf[:, outside].any()
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, 1.2, math.pi / 2])
     def test_scalar_and_0d_tally_probability(self, model, theta):

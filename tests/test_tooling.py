@@ -52,6 +52,7 @@ def test_chrb_objective_calls_stay_batched(tmp_path):
 # Fixed grid sizes and tolerances, each a constant of the module that owns it.
 CONSTANTS = [
     ("estimate", "_MLE_COARSE"), ("estimate", "_BLOCK_CELLS"),
+    ("model", "_GRID_LOGS_KEPT"), ("model", "_EXP_ZERO_BELOW"), ("model", "_WINDOW_ALIGN"),
     ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
     ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
     ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
@@ -111,8 +112,9 @@ def test_streamed_kernel_work_stays_traced(tmp_path):
     assert blocks > 1
     assert tracer.calls["model.tally_pmf_matrix"] >= blocks
     assert tracer.total_s["model.tally_pmf_matrix"] > 0.0
-    # plus the row's five fixed-theta0 expectations, one (m+1)-row column each
-    assert tracer.kernel_cells <= (m + 1 + blocks) * nodes + 5 * (m + 1)
+    # plus the row's one fixed-theta0 column, shared by its five expectations, and
+    # the column of its theta0-derivative
+    assert tracer.kernel_cells <= (m + 1 + blocks) * nodes + 2 * (m + 1)
 
 
 def test_ziv_zakai_peak_memory():
@@ -132,6 +134,46 @@ def test_ziv_zakai_peak_memory():
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_posterior_summary_peak_memory():
+    # about 6.4 MiB: one 131-tally block's B_(m-1) and the pmf and derivative that
+    # Pascal's rule builds from it, 2 MiB each.  Keeping the last block's arrays
+    # alive while the next one is built passes 8 MiB; one whole (m+1) x 2001
+    # table is 76 MiB
+    from phasebound import GhzParityModel, QuadratureGrid, family45_prior
+    from phasebound.estimate import posterior_summary
+
+    prior = family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2))
+    model = GhzParityModel(2)
+    tracemalloc.start()
+    try:
+        posterior_summary(prior, 5000, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_sweep_takes_each_grids_logs_once(tmp_path, monkeypatch):
+    # the kernels read log p_+ and log p_- of each (model, grid) from a per-process
+    # cache: a 100-row fig3 sweep takes them once on the 2001-node prior grid and
+    # once at theta0, not once per kernel call
+    import phasebound.cli as cli
+    import phasebound.model as model_module
+
+    sizes = []
+    real_log = model_module._log
+
+    def counting_log(p):
+        sizes.append(p.size)
+        return real_log(p)
+
+    monkeypatch.setattr(model_module, "_grid_log_cache", {})
+    monkeypatch.setattr(model_module, "_log", counting_log)
+    assert cli.main(["fig3", "--prior.alpha", "10", "--m.max", "100",
+                     "--out", str(tmp_path / "fig3.csv")]) == 0
+    assert sorted(sizes) == [1, 1, 2001, 2001]
+
+
 def _fresh_interpreter(probe: str) -> str:
     """Stdout of ``python -c probe`` in a new process that imports this checkout's package."""
     path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
@@ -145,6 +187,14 @@ def test_cli_import_loads_no_scipy():
     out = _fresh_interpreter(
         "import sys, phasebound.cli; "
         "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))")
+    assert out == "[]", out
+
+
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures, and the logging it imports, load only for a threaded sweep
+    out = _fresh_interpreter(
+        "import sys, phasebound.cli; "
+        "print(sorted(n for n in sys.modules if n.split('.')[0] in ('concurrent', 'logging')))")
     assert out == "[]", out
 
 

@@ -9,7 +9,11 @@ from the analytic derivative of the binomial weights.
 Bayesian posteriors are held on a quadrature grid.  Densities and their
 derivatives are assembled analytically from the likelihood and prior, never by
 differencing grid values: the posterior Fisher information downstream is
-sensitive to differentiation noise.
+sensitive to differentiation noise.  The per-tally posterior summary streams
+the table in blocks of tallies, each on its window of nodes, and writes every
+block's table and products into the calling thread's workspace (see
+``model._Workspace``), so a sweep over m allocates no block-sized array after
+its first row.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ import numpy as np
 
 from .engine import expect_values_over_tallies, tally_column
 from .model import (
+    _BLOCK_CELLS,
     GhzParityModel,
     ModelError,
     PhaseDomain,
+    _workspace,
     likelihood_columns,
     tally_pmf_dtheta_matrix,
     tally_pmf_with_dtheta,
@@ -31,8 +37,6 @@ from .model import (
 from .numerics import DERIVATIVE_NOISE_REL, NumericalFailure, PriorDensity, refine_max
 
 _MLE_COARSE = 1001      # coarse grid points of the off-branch MLE search
-# Cells (rows x nodes) of one block of the posterior table: 2 MB per float64 array.
-_BLOCK_CELLS = 1 << 18
 
 
 class DegeneratePosteriorError(NumericalFailure):
@@ -158,7 +162,9 @@ class PosteriorMeanEstimator(Estimator):
 
 
 def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int = 0,
-                    k1: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    k1: int | None = None, *, cols: slice | None = None,
+                    out: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalised posterior densities and derivatives for the tallies k0 <= k < k1.
 
     Returns ``(density, derivative, marginal)`` with the first two of shape
@@ -168,16 +174,22 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
 
     The likelihood and its derivative come from ``tally_pmf_with_dtheta`` and
     are turned into the posterior arrays in place, on the window of nodes
-    outside of which both are zero (``likelihood_columns``).  The table holds
-    two arrays of k1 - k0 rows plus one temporary.  ``posterior_summary``
-    asks for blocks of rows, so that its memory stays O(block x nodes).
+    ``cols`` = ``likelihood_columns(model, m, prior.grid.nodes, k0, k1)``
+    outside of which both are zero (computed here when the caller does not
+    have it).  ``out``, a pair of (k1 - k0, nodes) arrays, receives the
+    density and derivative in place of new ones; only their columns ``cols``
+    are written.  The one temporary lives in the thread's workspace.
+    ``posterior_summary`` asks for blocks of rows, so that its memory stays
+    O(block x nodes).
     """
     grid = prior.grid
-    density, derivative = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1)
-    cols = likelihood_columns(model, m, grid.nodes, k0, k1)
+    if cols is None:
+        cols = likelihood_columns(model, m, grid.nodes, k0, k1)
+    density, derivative = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1, cols=cols, out=out)
     dens, ddens = density[:, cols], derivative[:, cols]
     ddens *= prior.values[cols]
-    ddens += dens * prior.derivative[cols]
+    ddens += np.multiply(dens, prior.derivative[cols],
+                         out=_workspace.take("scratch", density.shape)[:, cols])
     dens *= prior.values[cols]
     marginal = dens @ grid.weights[cols]
     bad = ~(np.isfinite(marginal) & (marginal > 0.0))
@@ -195,35 +207,52 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     """Write the tallies k0 <= k < k1 into ``out``; return a tally with a zero of nonzero slope.
 
     ``out`` is (marginal, mean, variance, boundary, information), each of
-    length m + 1.  The passes run on the block's window of nodes
-    (``likelihood_columns``, the window ``posterior_table`` builds it on);
-    every cell outside is an exact zero and adds nothing.  With
-    ``check_slope``, the first tally whose posterior is zero at a node where
-    |derivative| is above ``DERIVATIVE_NOISE_REL`` times its largest
-    |derivative| is returned, else None.  The block's arrays are freed on
-    return, before the next block is built.
+    length m + 1.  The block's window of nodes (``likelihood_columns``) is
+    found once and passed down; every pass runs on it, and every cell
+    outside is an exact zero that adds nothing.  The posterior table and
+    every product are written into the thread's workspace, in (rows, nodes)
+    arrays of which only the window is touched, so the matrix-vector
+    products see the operands of a whole-row table.  With ``check_slope``,
+    the first tally whose posterior is zero at a node where |derivative| is
+    above ``DERIVATIVE_NOISE_REL`` times its largest |derivative| is
+    returned, else None.
     """
     marginal, means, variance, boundary, information = out
     grid = prior.grid
-    density, derivative, marginal[k0:k1] = posterior_table(prior, m, model, k0, k1)
+    shape = (k1 - k0, grid.node_count)
     cols = likelihood_columns(model, m, grid.nodes, k0, k1)
+    # the density shares the kernel's log-sum buffer: the kernel is done with
+    # it before Pascal's rule writes the first row of the pmf
+    density, derivative, marginal[k0:k1] = posterior_table(
+        prior, m, model, k0, k1, cols=cols,
+        out=(_workspace.take("sums", shape), _workspace.take("derivative", shape)))
     dens, ddens = density[:, cols], derivative[:, cols]
     nodes, w = grid.nodes[cols], grid.weights[cols]
-    mean = means[k0:k1] = (dens * nodes) @ w
-    variance[k0:k1] = ((nodes[None, :] - mean[:, None]) ** 2 * dens) @ w
-    first, last = density[:, 0], density[:, -1]
+    work = _workspace.take("scratch", shape)[:, cols]
+    mean = means[k0:k1] = np.multiply(dens, nodes, out=work) @ w
+    np.subtract(nodes[None, :], mean[:, None], out=work)
+    np.square(work, out=work)
+    work *= dens
+    variance[k0:k1] = work @ w
+    # the density is 0 outside the window, at an end node too
+    first = density[:, 0] if cols.start == 0 else 0.0
+    last = density[:, -1] if cols.stop == grid.node_count else 0.0
     boundary[k0:k1] = grid.b * last - grid.a * first - mean * (last - first)
 
-    zero = dens == 0.0
+    zero = np.equal(dens, 0.0, out=_workspace.take("zero", shape, bool)[:, cols])
     bad = None
     if check_slope and np.any(zero):
-        slope = np.abs(ddens)
+        slope = np.absolute(ddens, out=work)
         floor = DERIVATIVE_NOISE_REL * np.max(slope, axis=1, keepdims=True)
-        bad_rows = np.flatnonzero(np.any(zero & (slope > floor), axis=1))
-        del slope              # before the two temporaries of the information pass
+        steep = np.greater(slope, floor, out=_workspace.take("mask", shape, bool)[:, cols])
+        steep &= zero
+        bad_rows = np.flatnonzero(np.any(steep, axis=1))
         if bad_rows.size:
             bad = k0 + int(bad_rows[0])
-    integrand = np.divide(ddens**2, dens, out=np.zeros(dens.shape), where=~zero)
+    integrand = np.square(ddens, out=work)
+    np.divide(integrand, dens, out=integrand,
+              where=np.logical_not(zero, out=_workspace.take("mask", shape, bool)[:, cols]))
+    np.copyto(integrand, 0.0, where=zero)
     information[k0:k1] = integrand @ w
     return bad
 
@@ -232,9 +261,9 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     """Per-tally posterior summary for all tallies k = 0..m.
 
     Built in blocks of tallies of at most ``_BLOCK_CELLS`` cells each (131
-    rows on 2001 nodes) by ``_summarise_block``; every returned quantity is
-    one number per tally, so memory stays O(block x nodes) however large m
-    is.  Nothing is cached here: ``PosteriorMeanEstimator.summary`` builds it
+    rows on 2001 nodes) by ``_summarise_block``, in the thread's workspace;
+    every returned quantity is one number per tally, so memory stays
+    O(block x nodes) however large m is.  Nothing is cached here: ``PosteriorMeanEstimator.summary`` builds it
     once per m and serves both the posterior means and ``ghosh_table``.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so

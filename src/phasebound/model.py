@@ -62,12 +62,23 @@ a range is bit for bit the matching slice of the full array; the derived
 kernel then reads only the rows k0-1 .. k1-1 of B_(m-1), and applies its
 rules only on ``likelihood_columns``, the window of phases where those rows
 can be nonzero.  This lets the posterior summary stream a large-m table in
-blocks of tallies and work on each block's window alone.
+blocks of tallies and work on each block's window alone.  A caller that has
+the window passes it as ``cols``, so it is found once per block, and may
+pass ``out`` arrays to be written on that window in place of new ones.
+
+The kernels' temporaries (the log-sums and exp mask, and B_(m-1) behind
+Pascal's rule) are views of the calling thread's workspace (``_Workspace``):
+buffers of ``_BLOCK_CELLS`` cells, allocated once per thread and reused by
+every block of every sweep row.  The log-sums go through it in blocks of
+rows.  A row of a sweep then writes into pages that are already mapped
+instead of asking for arrays a little larger than the last row's, which the
+allocator served with fresh pages every time.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,20 +246,66 @@ def _grid_logs(model: GhzParityModel, thetas: np.ndarray) -> tuple[np.ndarray, n
 
 # exp(x) is exactly 0.0 in float64 for every x below log(2^-1075) = -745.1332...
 _EXP_ZERO_BELOW = -745.2
+# Cells (rows x phases) of one block of tallies: 2 MB per float64 array.
+_BLOCK_CELLS = 1 << 18
+
+
+class _Workspace(threading.local):
+    """Scratch arrays of the calling thread, reused by every block pass it makes.
+
+    Each named buffer is allocated per thread on first use, with
+    ``_BLOCK_CELLS`` cells, and ``take`` returns a C-contiguous view of its
+    first cells.  A larger request of up to twice that replaces the buffer
+    once (B_(m-1) has one row more than its block); a still larger one gets
+    a new array, which is not kept.  So a sweep of rows whose blocks grow
+    with m writes into the same pages instead of asking the allocator for a
+    slightly larger array, and fresh pages, every row.  Only the pages a
+    block writes count towards resident memory.
+
+    A view is valid until the next ``take`` of the same name, and every user
+    writes it before reading it, so nothing carries from one use to the
+    next.  The names in use, each free again when its user returns:
+
+    * "sums" and "mask": the kernel's log-sums and exp mask; then the
+      posterior summary's density and slope mask;
+    * "scratch": B_(m-1) in ``tally_pmf_with_dtheta``, then the products of
+      the posterior table and summary; Ziv-Zakai's pmf and CDF table;
+    * "derivative" and "zero": the posterior summary's;
+    * "pair_index", "pair_value" and "pair_flag": the per-pair arrays of
+      Ziv-Zakai's crossing-tally search.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self.buffers or self.buffers[name].size < size <= 2 * _BLOCK_CELLS:
+            self.buffers.pop(name, None)         # freed before its successor is made
+            self.buffers[name] = np.empty(max(size, _BLOCK_CELLS), dtype)
+        buffer = self.buffers[name]
+        if size > buffer.size:
+            return np.empty(shape, dtype)
+        return buffer[:size].reshape(shape)
+
+
+_workspace = _Workspace()
 
 
 def _log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
-               logpm: np.ndarray) -> np.ndarray:
+               logpm: np.ndarray, out: np.ndarray | None = None,
+               rest: np.ndarray | None = None) -> np.ndarray:
     """log c + a log p_+ + b log p_-, one row per entry of logc, a and b.
 
     a and b are float exponent columns in which only a[0] and b[-1] can be 0;
     those rows' products are set to 0 by slicing (0 log 0 = 0, also where
     p = 0).  The sums are added in the order log c + a log p_+, then
-    + b log p_-.  Two arrays of the output's size are alive at a time.
+    + b log p_-.  ``out`` receives the sums and ``rest`` the second product
+    (new arrays when not given).
     """
     with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
-        out = a[:, None] * logpp
-        rest = b[:, None] * logpm
+        out = np.multiply(a[:, None], logpp, out=out)
+        rest = np.multiply(b[:, None], logpm, out=rest)
     if a[0] == 0.0:
         out[0] = 0.0
     if b[-1] == 0.0:
@@ -282,20 +339,40 @@ def _live_span(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray
 
 
 def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
-                   logpm: np.ndarray) -> np.ndarray:
+                   logpm: np.ndarray, cols: slice | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """exp of ``_log_terms``, computed only where it can be nonzero.
 
-    The log-sums are formed on the ``_live_span`` of phases only, and exp
+    The log-sums are formed only on ``cols``, phases outside of which every
+    row is known to be below the exp cut: by default the ``_live_span``, or
+    every phase of a one-phase column, where nothing can be skipped.  exp
     runs only where a log-sum is above ``_EXP_ZERO_BELOW``: every other cell
     is exactly 0.0 however it is computed, and there exp is about 19 times
-    slower than on ordinary arguments.  Two arrays of the output's size are
-    alive at a time.
+    slower than on ordinary arguments.  The result is a new zero-filled
+    array, or ``out``, of which only the columns ``cols`` are written.
+
+    The rows go through in blocks of at most ``_BLOCK_CELLS`` cells of the
+    window: each block's log-sums and exp mask are written into the thread's
+    workspace, and its second product into the block's own window of the
+    result, which exp then overwrites.  Every cell is computed elementwise,
+    so the blocks change no bit.
     """
-    lo, hi = _live_span(logc, a, b, logpp, logpm)
-    sums = _log_terms(logc, a, b, logpp[lo:hi], logpm[lo:hi])
-    keep = sums > _EXP_ZERO_BELOW
-    out = np.zeros((len(logc), logpp.size))
-    np.exp(sums, out=out[:, lo:hi], where=keep)
+    if cols is None:
+        cols = (slice(0, logpp.size) if logpp.size == 1
+                else slice(*_live_span(logc, a, b, logpp, logpm)))
+    if out is None:
+        out = np.zeros((len(logc), logpp.size))
+    window = out[:, cols]
+    logpp, logpm = logpp[cols], logpm[cols]
+    step = max(_BLOCK_CELLS // max(logpp.size, 1), 1)
+    for r0 in range(0, len(logc), step):
+        rows = slice(r0, r0 + step)
+        part = window[rows]
+        sums = _log_terms(logc[rows], a[rows], b[rows], logpp, logpm,
+                          out=_workspace.take("sums", part.shape), rest=part)
+        keep = np.greater(sums, _EXP_ZERO_BELOW, out=_workspace.take("mask", part.shape, bool))
+        part.fill(0.0)
+        np.exp(sums, out=part, where=keep)
     return out
 
 
@@ -310,7 +387,8 @@ def _row_range(m: int, k0: int, k1: int | None) -> tuple[int, int]:
 
 
 def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
-                     k1: int | None = None) -> np.ndarray:
+                     k1: int | None = None, *, cols: slice | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Tally probabilities for k0 <= k < k1 (default every k) at every phase.
 
     Shape (k1 - k0, len(thetas)), equal bit for bit to those rows of the
@@ -318,12 +396,20 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     domain, so large m neither overflows the binomial coefficient nor
     underflows the outcome powers prematurely, and 0 log 0 = 0 makes the
     deterministic channels exact.
+
+    ``cols`` is a slice of phases outside of which every requested row is
+    known to be 0, when the caller has one (``tally_pmf_with_dtheta`` passes
+    its ``likelihood_columns``); by default the kernel finds its own span.
+    ``out``, an array of the result's shape, receives the matrix and is
+    returned.  Only the columns of ``cols`` (or of the kernel's span) are
+    written; the matrix is 0 outside them, so a caller that passes ``out``
+    without ``cols`` fills it with zeros first.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
     k = np.arange(k0, k1)
     kf = k.astype(float)
-    return _exp_log_terms(log_binomial(m, k), kf, m - kf, *_grid_logs(model, thetas))
+    return _exp_log_terms(log_binomial(m, k), kf, m - kf, *_grid_logs(model, thetas), cols, out)
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
@@ -341,10 +427,14 @@ def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray
     t2 = np.zeros((m + 1, thetas.size))
     if m >= 1:
         k = np.arange(1, m + 1, dtype=float)
-        t1[1:] = k[:, None] * _exp_log_terms(logc[1:], k - 1.0, m - k, *logs)
+        _exp_log_terms(logc[1:], k - 1.0, m - k, *logs, out=t1[1:])
+        t1[1:] *= k[:, None]
         k = np.arange(0, m, dtype=float)
-        t2[:m] = (m - k)[:, None] * _exp_log_terms(logc[:m], k, m - k - 1.0, *logs)
-    return model.dprob_dtheta(thetas)[None, :] * (t1 - t2)
+        _exp_log_terms(logc[:m], k, m - k - 1.0, *logs, out=t2[:m])
+        t2[:m] *= (m - k)[:, None]
+    t1 -= t2
+    t1 *= model.dprob_dtheta(thetas)[None, :]
+    return t1
 
 
 # A column window starts on a multiple of this many phases, and ends on one or at the last phase.
@@ -383,7 +473,9 @@ def likelihood_columns(model: GhzParityModel, m: int, thetas, k0: int = 0,
 
 
 def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
-                          k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                          k1: int | None = None, *, cols: slice | None = None,
+                          out: tuple[np.ndarray, np.ndarray] | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Tally pmf and its d/dtheta for k0 <= k < k1, both from one B_(m-1) matrix.
 
     Returns two arrays of shape (k1 - k0, len(thetas)) (default: every tally,
@@ -395,26 +487,36 @@ def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
 
     Each row is bit for bit the same as in the full arrays (up to the sign
     of a zero derivative).  The rules run only on the window of columns where
-    the rows of B can be nonzero (``likelihood_columns``); outside it both
-    arrays are 0.  At the deterministic channels B is a unit vector, so the
-    pmf is exactly one too and the derivative is finite without special cases.
+    the rows of B can be nonzero, ``cols`` = ``likelihood_columns(model, m,
+    thetas, k0, k1)`` (computed here when the caller does not have it);
+    outside it both arrays are 0.  B's rows are computed on that window into
+    the thread's workspace.  ``out``, a pair of arrays of the result's shape,
+    receives the pmf and derivative in place of two new zero-filled arrays;
+    only their columns ``cols`` are written.  At the deterministic channels
+    B is a unit vector, so the pmf is exactly one too and the derivative is
+    finite without special cases.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
-    if m == 0:
-        return np.ones((1, thetas.size)), np.zeros((1, thetas.size))
-    lo = max(k0 - 1, 0)
-    cols = likelihood_columns(model, m, thetas, k0, k1)
-    prev = tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m))[:, cols]
-    pp = model.prob_plus(thetas[cols])
     rows = k1 - k0
+    if cols is None:
+        cols = likelihood_columns(model, m, thetas, k0, k1)
+    pmf, dpmf = out if out is not None else (np.zeros((rows, thetas.size)),
+                                              np.zeros((rows, thetas.size)))
+    p, dp = pmf[:, cols], dpmf[:, cols]
+    if m == 0:
+        p.fill(1.0)
+        dp.fill(0.0)
+        return pmf, dpmf
+    lo = max(k0 - 1, 0)
+    scratch = _workspace.take("scratch", (min(k1, m) - lo, thetas.size))
+    prev = tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m), cols=cols, out=scratch)[:, cols]
+    pp = model.prob_plus(thetas[cols])
     top = min(k1, m) - k0      # rows 0..top-1 have a B(k) term
     s = int(k0 == 0)           # rows s.. have a B(k-1) term
     off = k0 - lo              # row i holds B(k) at prev[i + off], B(k-1) at prev[i + off - 1]
-    pmf = np.zeros((rows, thetas.size))
-    dpmf = np.zeros(pmf.shape)
-    p, dp = pmf[:, cols], dpmf[:, cols]
     np.multiply(prev[off:off + top], 1.0 - pp, out=p[:top])
+    p[top:] = 0.0
     np.multiply(prev[off + s - 1:off + rows - 1], pp, out=dp[s:])   # p_+ B(k-1) for a moment
     p[s:] += dp[s:]
     if s:

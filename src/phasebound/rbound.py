@@ -21,6 +21,13 @@ posterior variance >= aGBr >= VTB (``bayes_chain_report``).
 
 No ordering between the Van Trees and Ziv-Zakai bounds is asserted anywhere:
 neither dominates the other.
+
+Ziv-Zakai tests every pair of theta0 nodes at once.  The pairs are built in
+the order of their shift (``_shift_pairs``), and each pair's crossing tally
+is found by a bisection that reads the pmf at flat indices into per-pair
+buffers of the thread's workspace (``_pmin_columns``), as is the pmf table
+itself while it fits there; a sweep over m allocates no per-pair array in
+the search.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .fbound import check_chain
 from .model import (
     GhzParityModel,
     ModelError,
+    _workspace,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
 )
@@ -126,46 +134,105 @@ def van_trees(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     return 1.0 / (m * avg_fisher + j_prior)
 
 
-def _pmin_columns(pmf: np.ndarray, first: np.ndarray, second: np.ndarray,
+def _tally_cdf_table(model: GhzParityModel, m: int, thetas: np.ndarray) -> np.ndarray:
+    """The (m+2) x len(thetas) table of ``_pmin_columns``: a zero row above the tally pmf.
+
+    It lives in the thread's workspace while it fits there.
+    """
+    table = _workspace.take("scratch", (m + 2, thetas.size))
+    table.fill(0.0)
+    tally_pmf_matrix(model, m, thetas, out=table[1:])
+    return table
+
+
+def _pmin_columns(table: np.ndarray, first: np.ndarray, second: np.ndarray,
                   a: np.ndarray, b: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
     """P_min = 1/2 (1 - TV) of many weighted pairs of tally distributions.
 
-    ``pmf`` holds one tally distribution per column, at single-shot
-    probabilities ``p_plus``.  Pair t tests column first[t], weighted a[t],
-    against column second[t], weighted b[t] (a + b = 1), and
-    TV = sum_k |a pmf[k, first] - b pmf[k, second]|.
+    ``table`` is a zero row above the pmf, one tally distribution per column
+    (``_tally_cdf_table``), at single-shot probabilities ``p_plus``; it is
+    turned into the column CDFs C[k] = sum_{k' < k} pmf[k'] in place.  Pair
+    t tests column first[t], weighted a[t], against column second[t],
+    weighted b[t] (a + b = 1), and TV = sum_k |a pmf[k, first] - b pmf[k, second]|.
 
     The likelihood ratio of two tally distributions is monotone in k, so the
-    summand changes sign at one crossing tally k*, and with the column CDFs
-    C[k] = sum_{k' < k} pmf[k'] and D(k) = a C[k, first] - b C[k, second],
-    TV = D(m+1) - 2 D(k*) when the second distribution lies lower (smaller
-    p_plus) and its negative otherwise.  The orientation comes from p_plus
-    pair by pair, not from the order of the columns.  k* is found for every
-    pair at once by bisection on a pmf[k, first] >= b pmf[k, second] over the
-    union of the two columns' nonzero supports.  Outside it both tallies are
-    zero, so the predicate (0 >= 0) holds on both sides of the crossing;
-    inside it both are zero only between the two supports, where the
-    predicate already agrees with the orientation.
+    summand changes sign at one crossing tally k*, and with
+    D(k) = a C[k, first] - b C[k, second], TV = D(m+1) - 2 D(k*) when the
+    second distribution lies lower (smaller p_plus) and its negative
+    otherwise.  The orientation comes from p_plus pair by pair, not from the
+    order of the columns.  k* is found for every pair at once by bisection
+    on a pmf[k, first] >= b pmf[k, second] over the union of the two
+    columns' nonzero supports.  Outside it both tallies are zero, so the
+    predicate (0 >= 0) holds on both sides of the crossing; inside it both
+    are zero only between the two supports, where the predicate already
+    agrees with the orientation.
+
+    Every read is a ``take`` at flat indices, and every per-pair array is a
+    row of the thread's workspace, so a call allocates no pair-sized array.
+    The result is such a row too, valid until the next call in the thread.
     """
-    rows = pmf.shape[0]
-    cdf = np.zeros((rows + 1, pmf.shape[1]))
-    np.cumsum(pmf, axis=0, out=cdf[1:])
+    pmf = table[1:]
+    rows, width = pmf.shape
+    size = first.size
+    lo, hi, mid, at, shift = _workspace.take("pair_index", (5, size), np.intp)
+    x, y, z = _workspace.take("pair_value", (3, size))
+    down, active, hit, move = _workspace.take("pair_flag", (4, size), bool)
     nonzero = pmf > 0.0
     start = nonzero.argmax(axis=0)
     stop = rows - nonzero[::-1].argmax(axis=0)
-    lo = np.minimum(start[first], start[second])
-    hi = np.maximum(stop[first], stop[second])
-    down = p_plus[second] < p_plus[first]
-    active = lo < hi
+    del nonzero
+    # mode="clip" writes straight into ``out``; every index is in range but those below
+    np.minimum(start.take(first, out=mid, mode="clip"), start.take(second, out=at, mode="clip"),
+               out=lo)
+    np.maximum(stop.take(first, out=mid, mode="clip"), stop.take(second, out=at, mode="clip"),
+               out=hi)
+    np.less(p_plus.take(second, out=y, mode="clip"), p_plus.take(first, out=x, mode="clip"),
+            out=down)
+    np.subtract(second, first, out=shift)
+    flat = pmf.ravel()
+    np.less(lo, hi, out=active)
     while active.any():
-        mid = np.minimum((lo + hi) // 2, rows - 1)   # finished pairs may sit at lo = rows
-        hit = (a * pmf[mid, first] >= b * pmf[mid, second]) == down
-        hi = np.where(active & hit, mid, hi)
-        lo = np.where(active & ~hit, mid + 1, lo)
-        active = lo < hi
-    d_end = a * cdf[-1, first] - b * cdf[-1, second]
-    tv = d_end - 2.0 * (a * cdf[lo, first] - b * cdf[lo, second])
-    return np.clip(0.5 * (1.0 - np.where(down, tv, -tv)), 0.0, 0.5)
+        np.add(lo, hi, out=mid)
+        np.right_shift(mid, 1, out=mid)
+        np.multiply(mid, width, out=at)          # a finished pair may sit at lo = rows: its
+        at += first                              # reads are clipped, and ignored below
+        flat.take(at, out=x, mode="clip")
+        x *= a                                   # a pmf[mid, first]
+        at += shift
+        flat.take(at, out=y, mode="clip")
+        y *= b                                   # b pmf[mid, second]
+        np.greater_equal(x, y, out=hit)
+        np.equal(hit, down, out=hit)
+        np.logical_and(active, hit, out=move)
+        np.copyto(hi, mid, where=move)
+        np.greater(active, hit, out=move)        # active and not hit
+        mid += 1
+        np.copyto(lo, mid, where=move)
+        np.less(lo, hi, out=active)
+
+    np.cumsum(pmf, axis=0, out=pmf)              # the table now holds C[0] .. C[m+1]
+    cdf = table.ravel()
+    np.add(first, rows * width, out=at)          # D(m+1) into x
+    cdf.take(at, out=x, mode="clip")
+    x *= a
+    at += shift
+    cdf.take(at, out=y, mode="clip")
+    y *= b
+    x -= y
+    np.multiply(lo, width, out=at)               # D(k*) into y
+    at += first
+    cdf.take(at, out=y, mode="clip")
+    y *= a
+    at += shift
+    cdf.take(at, out=z, mode="clip")
+    z *= b
+    y -= z
+    y *= 2.0
+    x -= y                                       # TV, up to its orientation
+    np.negative(x, out=x, where=np.logical_not(down, out=hit))
+    np.subtract(1.0, x, out=x)
+    x *= 0.5
+    return np.clip(x, 0.0, 0.5, out=x)
 
 
 def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
@@ -188,10 +255,31 @@ def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
     if w0 == 0.0 or w1 == 0.0:
         return 0.0
     thetas = np.array([theta0, theta0 + h])
-    value = _pmin_columns(tally_pmf_matrix(model, m, thetas), np.array([0]), np.array([1]),
+    value = _pmin_columns(_tally_cdf_table(model, m, thetas), np.array([0]), np.array([1]),
                           np.array([w0 / total]), np.array([w1 / total]),
                           model.prob_plus(thetas))
     return float(value[0])
+
+
+def _shift_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Node pairs i < j with p[i] > 0 and p[j] > 0, ordered by shift j - i and then by i.
+
+    Returns ``(first, second, shifts, starts)``: the pairs' two nodes, every
+    shift that has a pair, and the index of its first pair.  The order is
+    that of the nonzero cells of the n x n mask both[d, i] = (p[i] > 0 and
+    p[i + d] > 0), read row by row, so it is built directly, not sorted.
+    """
+    n = p.size
+    weighted = p > 0.0
+    padded = np.zeros(2 * n, bool)
+    padded[:n] = weighted
+    both = np.lib.stride_tricks.sliding_window_view(padded, n)[:n] & weighted
+    both[0] = False                              # shift 0 pairs a node with itself
+    shift, first = np.nonzero(both)
+    counts = both.sum(axis=1)
+    shifts = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[shifts]
+    return first, first + shift, shifts, starts
 
 
 def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
@@ -208,8 +296,9 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     Every test pair of nodes is evaluated at once from the column CDFs of the
     one pmf matrix and a crossing tally per pair (see ``_pmin_columns``): the
     pmf and CDFs cost O(n m), the bisection O(n^2 log m), against O(n^2 m)
-    for a sum over tallies per pair.  The theta0 sums for each shift are one
-    ``np.add.reduceat`` over the pairs, which are ordered by shift.
+    for a sum over tallies per pair.  The pairs come ordered by shift
+    (``_shift_pairs``), so the theta0 sums for each shift are one
+    ``np.add.reduceat`` over them.
 
     P_min stays in the total-variation form 1/2 (1 - TV), which cancels when
     P_min is small.  Against the cancellation-free
@@ -223,15 +312,13 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
         raise ModelError("m must be >= 1")
     g, p = _outer_grid(prior_true)
     n, nodes = g.node_count, g.nodes
-    first, second = np.triu_indices(n, 1)
-    order = np.argsort(second - first, kind="stable")
-    first, second = first[order], second[order]
-    keep = (p[first] > 0.0) & (p[second] > 0.0)
-    first, second = first[keep], second[keep]
-    s = p[first] + p[second]
-    p_min = _pmin_columns(tally_pmf_matrix(model, m, nodes), first, second,
-                          p[first] / s, p[second] / s, model.prob_plus(nodes))
-    shifts, starts = np.unique(second - first, return_index=True)
+    first, second, shifts, starts = _shift_pairs(p)
+    a, b = p[first], p[second]
+    s = a + b
+    a /= s
+    b /= s
+    p_min = _pmin_columns(_tally_cdf_table(model, m, nodes), first, second, a, b,
+                          model.prob_plus(nodes))
     inner = np.add.reduceat(g.weights[first] * s * p_min, starts)
     h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
     total = float(np.sum(h_weights[shifts] * (nodes[shifts] - g.a) * inner))

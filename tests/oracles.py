@@ -13,6 +13,12 @@ the package also computes, by an independent route:
   against ``rbound.pmin``;
 * ``ziv_zakai_shift_loop`` - the Ziv-Zakai bound as a loop over shifts that
   sums |w0 p0 - w1 p1| over every tally, against ``rbound.ziv_zakai``;
+* ``triu_shift_pairs`` and ``ziv_zakai_triu`` - the test pairs ordered by
+  sorting ``np.triu_indices`` on the shift, and the Ziv-Zakai bound on them
+  with a bisection that indexes the pmf and CDF matrices by (row, column)
+  arrays, as the package computed both before the pairs were built in
+  order and the search moved onto flat indices and reused buffers; against
+  ``rbound._shift_pairs`` and ``rbound.ziv_zakai`` with ``==``;
 * ``full_width_posterior_summary`` - the per-tally posterior summary with
   every pass over whole rows of the grid, as it was before the passes were
   trimmed to each block's nonzero column window, on the scipy B_(m-1);
@@ -49,13 +55,14 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from phasebound.engine import expect_values_over_tallies, tally_column
-from phasebound.estimate import (
+from phasebound.estimate import DegeneratePosteriorError, Estimator, GhoshTable
+from phasebound.model import (
     _BLOCK_CELLS,
-    DegeneratePosteriorError,
-    Estimator,
-    GhoshTable,
+    GhzParityModel,
+    ModelError,
+    PhaseDomain,
+    tally_pmf_matrix,
 )
-from phasebound.model import GhzParityModel, ModelError, PhaseDomain, tally_pmf_matrix
 from phasebound.numerics import (
     DERIVATIVE_NOISE_REL,
     NumericalFailure,
@@ -205,6 +212,58 @@ def ziv_zakai_shift_loop(prior_true: PriorDensity, m: int, model: GhzParityModel
         p_min = np.clip(0.5 * (1.0 - tv), 0.0, 0.5)
         inner = float(np.sum(w_theta[idx] * s * p_min))
         total += h_weights[i] * h * inner
+    return max(0.5 * total, 0.0)
+
+
+def triu_shift_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Node pairs i < j with both weights positive, by a stable sort of the upper triangle on j - i.
+
+    Returns ``(first, second, shifts, starts)`` like ``rbound._shift_pairs``.
+    """
+    first, second = np.triu_indices(p.size, 1)
+    order = np.argsort(second - first, kind="stable")
+    first, second = first[order], second[order]
+    keep = (p[first] > 0.0) & (p[second] > 0.0)
+    first, second = first[keep], second[keep]
+    shifts, starts = np.unique(second - first, return_index=True)
+    return first, second, shifts, starts
+
+
+def ziv_zakai_triu(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
+    """Ziv-Zakai bound on the ``triu_shift_pairs``, every pair's crossing tally by bisection.
+
+    The same operations as ``rbound.ziv_zakai``, with the pmf and its column
+    CDFs in separate matrices read at (row, column) index arrays, and new
+    pair arrays at every step.
+    """
+    g, p = _outer_grid(prior_true)
+    n, nodes = g.node_count, g.nodes
+    first, second, shifts, starts = triu_shift_pairs(p)
+    s = p[first] + p[second]
+    a, b, p_plus = p[first] / s, p[second] / s, model.prob_plus(nodes)
+    pmf = tally_pmf_matrix(model, m, nodes)
+    rows = pmf.shape[0]
+    cdf = np.zeros((rows + 1, n))
+    np.cumsum(pmf, axis=0, out=cdf[1:])
+    nonzero = pmf > 0.0
+    start = nonzero.argmax(axis=0)
+    stop = rows - nonzero[::-1].argmax(axis=0)
+    lo = np.minimum(start[first], start[second])
+    hi = np.maximum(stop[first], stop[second])
+    down = p_plus[second] < p_plus[first]
+    active = lo < hi
+    while active.any():
+        mid = np.minimum((lo + hi) // 2, rows - 1)
+        hit = (a * pmf[mid, first] >= b * pmf[mid, second]) == down
+        hi = np.where(active & hit, mid, hi)
+        lo = np.where(active & ~hit, mid + 1, lo)
+        active = lo < hi
+    d_end = a * cdf[-1, first] - b * cdf[-1, second]
+    tv = d_end - 2.0 * (a * cdf[lo, first] - b * cdf[lo, second])
+    p_min = np.clip(0.5 * (1.0 - np.where(down, tv, -tv)), 0.0, 0.5)
+    inner = np.add.reduceat(g.weights[first] * s * p_min, starts)
+    h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
+    total = float(np.sum(h_weights[shifts] * (nodes[shifts] - g.a) * inner))
     return max(0.5 * total, 0.0)
 
 
@@ -372,11 +431,21 @@ def scipy_tally_probability(model: GhzParityModel, theta, m: int, k):
 
 
 def scipy_tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
-                           k1: int | None = None) -> np.ndarray:
-    """Rows k0 <= k < k1 (default every k) of the tally pmf at every phase."""
+                           k1: int | None = None, *, cols: slice | None = None,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """Rows k0 <= k < k1 (default every k) of the tally pmf at every phase.
+
+    Takes the kernel's ``cols`` and ``out``, so that it can stand in for
+    ``tally_pmf_matrix``: every column is computed, and written into ``out``
+    when given.
+    """
     k1 = m + 1 if k1 is None else k1
     thetas = np.asarray(thetas, dtype=float)
-    return scipy_tally_probability(model, thetas[None, :], m, np.arange(k0, k1)[:, None])
+    pmf = scipy_tally_probability(model, thetas[None, :], m, np.arange(k0, k1)[:, None])
+    if out is None:
+        return pmf
+    out[...] = pmf
+    return out
 
 
 def scipy_tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:

@@ -171,9 +171,9 @@ def posterior_calls(monkeypatch):
     """
     calls = Counter()
 
-    def counting(prior, m, model, k0=0, k1=None):
+    def counting(prior, m, model, k0=0, k1=None, **kwargs):
         calls[m] += k0 == 0
-        return posterior_table(prior, m, model, k0, k1)
+        return posterior_table(prior, m, model, k0, k1, **kwargs)
 
     monkeypatch.setattr(estimate_module, "posterior_table", counting)
     return calls
@@ -235,6 +235,19 @@ class TestPosteriorSummary:
 
 
 SUMMARY_FIELDS = ("marginal", "mean", "variance", "boundary", "information", "ghosh")
+
+
+def test_reused_buffers_do_not_leak_between_rows(model, grid):
+    # one thread's block workspace serves every block of every row, in any order of
+    # m: each summary equals, bit for bit, one built in a thread of its own
+    prior = family45_prior(10.0, grid)
+    for m in (100, 3, 5000, 7, 100):
+        got = posterior_summary(prior, m, model)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            want = pool.submit(posterior_summary, prior, m, model).result(timeout=120)
+        for name in SUMMARY_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (m, name)
+        assert got.failure == want.failure
 
 
 class TestStreamedSummary:

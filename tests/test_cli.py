@@ -216,17 +216,23 @@ class TestBounds:
 
 class TestDeterminism:
     def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
-        # identical config (including the out path) from different run dirs
-        args = ["fig2", "--m.list", "1,2,3,4,5,6,7,8", "--out", "out.csv"]
-        blobs = []
-        for i, threads in enumerate(("1", "1", "4")):
-            rundir = tmp_path / f"run{i}"
-            rundir.mkdir()
-            monkeypatch.chdir(rundir)
-            monkeypatch.setenv("PHASEBOUND_THREADS", threads)
-            assert main(args) == 0
-            blobs.append((rundir / "out.csv").read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        # identical config (including the out path) from different run dirs; fig3 and
+        # fig4 rows out of order, so that each thread's reused block buffers hold a
+        # larger and then a smaller row before each one
+        commands = [["fig2", "--m.list", "1,2,3,4,5,6,7,8"],
+                    ["fig3", "--prior.alpha", "10", "--m.list", "100,3,40,7"],
+                    ["fig4", "--prior.alpha", "10", "--m.list", "100,3,40,7"]]
+        for command in commands:
+            args = [*command, "--out", "out.csv"]
+            blobs = []
+            for i, threads in enumerate(("1", "1", "4")):
+                rundir = tmp_path / f"{command[0]}_run{i}"
+                rundir.mkdir()
+                monkeypatch.chdir(rundir)
+                monkeypatch.setenv("PHASEBOUND_THREADS", threads)
+                assert main(args) == 0
+                blobs.append((rundir / "out.csv").read_bytes())
+            assert blobs[0] == blobs[1] == blobs[2], command[0]
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("PHASEBOUND_THREADS", "zero")

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasebound.rbound as rbound_module
-from oracles import ConstantEstimator, decision_rule_error_probability, ziv_zakai_shift_loop
+from oracles import (
+    ConstantEstimator,
+    decision_rule_error_probability,
+    triu_shift_pairs,
+    ziv_zakai_shift_loop,
+    ziv_zakai_triu,
+)
 from phasebound.estimate import (
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
@@ -227,6 +234,40 @@ class TestZivZakaiShiftLoop:
         prior = custom_prior(g, np.sin(math.pi * (g.nodes + 0.3) / 1.5) ** 2)
         assert ziv_zakai(prior, m, model) == pytest.approx(
             ziv_zakai_shift_loop(prior, m, model), rel=1e-13, abs=0.0)
+
+
+class TestZivZakaiPairs:
+    @pytest.mark.parametrize("n", [3, 5, 201])
+    def test_pair_order_matches_sorted_triangle(self, n):
+        x = np.linspace(0.0, 1.0, n)
+        vanishing = np.sin(math.pi * x)
+        vanishing[[0, -1]] = 0.0                 # zero weight at the endpoints
+        gaps = np.where(np.arange(n) % 3 == 1, 0.0, 1.0 + x)
+        for p in (np.ones(n), vanishing, gaps):
+            got = rbound_module._shift_pairs(p)
+            want = triu_shift_pairs(p)
+            for name, g, w in zip(("first", "second", "shifts", "starts"), got, want):
+                np.testing.assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("alpha", [10.0, -10.0, 1.0, 100.0])
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, 5000])
+    def test_equals_triu_bisection(self, model, grid, alpha, m):
+        prior = family45_prior(alpha, grid)
+        assert ziv_zakai(prior, m, model) == ziv_zakai_triu(prior, m, model)
+
+    @pytest.mark.parametrize("m", [1, 3, 20])
+    def test_equals_triu_bisection_off_branch_and_flat(self, model, flat, m):
+        g = QuadratureGrid.simpson(-0.3, 1.2)
+        off_branch = custom_prior(g, np.sin(math.pi * (g.nodes + 0.3) / 1.5) ** 2)
+        for prior in (flat, off_branch):
+            assert ziv_zakai(prior, m, model) == ziv_zakai_triu(prior, m, model)
+
+    def test_reused_buffers_do_not_leak_between_rows(self, model, grid):
+        prior = family45_prior(10.0, grid)
+        for m in (100, 3, 5000, 7, 100):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                want = pool.submit(ziv_zakai, prior, m, model).result(timeout=120)
+            assert ziv_zakai(prior, m, model) == want
 
 
 class TestVarianceChain:

@@ -153,6 +153,29 @@ def test_posterior_summary_peak_memory():
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("function", ["posterior_summary", "ziv_zakai"])
+def test_second_row_allocates_less_than_one_table(function):
+    # after a first call has set up the thread's workspace, a second m = 100 call
+    # writes its blocks, or its crossing search's per-pair arrays, there: it
+    # allocates less than one 101 x 2001 float64 table (1.6 MB), where allocating
+    # per row took several
+    from phasebound import GhzParityModel, QuadratureGrid, family45_prior
+    from phasebound.estimate import posterior_summary
+    from phasebound.rbound import ziv_zakai
+
+    call = {"posterior_summary": posterior_summary, "ziv_zakai": ziv_zakai}[function]
+    prior = family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2))
+    model = GhzParityModel(2)
+    call(prior, 100, model)
+    tracemalloc.start()
+    try:
+        call(prior, 100, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 101 * 2001 * 8, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_sweep_takes_each_grids_logs_once(tmp_path, monkeypatch):
     # the kernels read log p_+ and log p_- of each (model, grid) from a per-process
     # cache: a 100-row fig3 sweep takes them once on the 2001-node prior grid and

@@ -107,6 +107,8 @@ class RunConfig:
                 value = int(raw)
             elif key in ("theta0", "domain.a", "domain.b", "prior.alpha"):
                 value = float(raw)
+                if not math.isfinite(value):
+                    raise ValueError("not a finite number")
             elif key == "prior.kind":
                 value = raw.strip()
                 if value not in ("flat", "family45"):

@@ -1,5 +1,7 @@
 """Estimators, posterior construction, and the risk functions they feed.
 
+The maximum-likelihood estimator is a closed form on every identifiable
+domain, where cos(N theta) is monotone (``model.require_identifiable``).
 Frequentist risks are exact tally sums: the mean, variance, and mean square
 error of an estimator satisfy MSE = variance + bias^2 identically.  The
 derivative of the estimator mean with respect to the true phase (the quantity
@@ -31,12 +33,11 @@ from .model import (
     PhaseDomain,
     _workspace,
     likelihood_columns,
+    require_identifiable,
     tally_pmf_dtheta_matrix,
     tally_pmf_with_dtheta,
 )
-from .numerics import DERIVATIVE_NOISE_REL, NumericalFailure, PriorDensity, refine_max
-
-_MLE_COARSE = 1001      # coarse grid points of the off-branch MLE search
+from .numerics import DERIVATIVE_NOISE_REL, NumericalFailure, PriorDensity
 
 
 class DegeneratePosteriorError(NumericalFailure):
@@ -67,39 +68,21 @@ class GhoshTable:
     failure: str | None = None  # why the Ghosh bound is invalid; raised by ghosh_table
 
 
-def _branch_mle(k_plus, m: int, model: GhzParityModel, domain: PhaseDomain) -> np.ndarray:
-    """Closed-form MLE (1/N) arccos((k_+ - k_-)/m), clipped, for an array of k_+.
+def _branch_mle(k_plus, m: int, model: GhzParityModel, domain: PhaseDomain,
+                branch: int) -> np.ndarray:
+    """Closed-form MLE of an array of k_+ on the branch N [a, b] in [j pi, (j+1) pi], clipped.
 
-    ``math.acos`` is applied per element: ``np.arccos`` differs from it in
-    the last bit for some arguments, and the references were recorded with it.
+    There cos(N theta) = (-1)^j cos(N theta - j pi) is monotone, so the
+    likelihood of each tally peaks where p_+ = k_+/m:
+    N theta = j pi + arccos((-1)^j (k_+ - k_-)/m).  ``math.acos`` is applied
+    per element: ``np.arccos`` differs from it in the last bit for some
+    arguments, and the references were recorded with it.
     """
     x = (2 * k_plus - m) / m
+    if branch % 2:
+        x = -x
     acos = np.array([math.acos(v) for v in x.tolist()])
-    return domain.clip(acos / model.n_qubits)
-
-
-def _log_likelihood(pp, k_plus, k_minus):
-    """k_+ log p_+ + k_- log p_-, with -inf wherever that is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = k_plus * np.log(pp) + k_minus * np.log(1.0 - pp)
-    return np.where(np.isfinite(val), val, -np.inf)
-
-
-def _searched_mle(k_plus: np.ndarray, m: int, model: GhzParityModel,
-                  domain: PhaseDomain) -> np.ndarray:
-    """MLE of each tally in ``k_plus`` by a supremum search over [a, b].
-
-    The 1001-point coarse log-likelihood of every tally is one array over the
-    shared grid; golden-section refinement then runs per tally.
-    """
-    xs = np.linspace(domain.a, domain.b, _MLE_COARSE)
-    coarse = _log_likelihood(model.prob_plus(xs), k_plus[:, None], (m - k_plus)[:, None])
-    out = np.empty(k_plus.size)
-    for i, k in enumerate(k_plus.tolist()):
-        def loglik(theta, k=k):
-            return float(_log_likelihood(model.prob_plus(theta), k, m - k))
-        out[i] = refine_max(loglik, xs, coarse[i])[0]
-    return out
+    return domain.clip((branch * math.pi + acos) / model.n_qubits)
 
 
 class Estimator:
@@ -124,19 +107,22 @@ class Estimator:
 class MaximumLikelihoodEstimator(Estimator):
     """The maximum-likelihood phase of every tally, clipped to [a, b].
 
-    On the branch where cos(N theta) is monotone, that is when [a, b] sits
-    inside [0, pi/N] (the default domain for N = 2), it is the closed form
-    (1/N) arccos((k_+ - k_-)/m); elsewhere the likelihood is maximised
-    numerically on a grid.
+    The domain must be identifiable: N [a, b] inside one branch
+    [j pi, (j+1) pi] (``require_identifiable``, which raises ``ModelError``
+    otherwise).  cos(N theta) is monotone there, so the MLE is the closed
+    form (j pi + arccos(+-(k_+ - k_-)/m))/N of ``_branch_mle``; on the
+    default domain [0, pi/2] for N = 2, j = 0 and it is
+    (1/N) arccos((k_+ - k_-)/m).
     """
+
+    def __init__(self, model: GhzParityModel, domain: PhaseDomain):
+        super().__init__(model, domain)
+        self._branch = require_identifiable(model, domain)
 
     def _compute_values(self, m: int) -> np.ndarray:
         if m < 1:
             raise ModelError("MLE requires at least one shot")
-        a, b = self.domain.a, self.domain.b
-        if a >= -1e-12 and b <= math.pi / self.model.n_qubits + 1e-12:   # inside [0, pi/N]
-            return _branch_mle(np.arange(m + 1), m, self.model, self.domain)
-        return _searched_mle(np.arange(m + 1), m, self.model, self.domain)
+        return _branch_mle(np.arange(m + 1), m, self.model, self.domain, self._branch)
 
 
 class PosteriorMeanEstimator(Estimator):

@@ -145,18 +145,23 @@ class GhzParityModel:
         return np.full(theta.shape, n2)
 
 
-def require_identifiable(model: GhzParityModel, domain: PhaseDomain) -> None:
-    """Raise ``ModelError`` unless N (b - a) <= pi (up to 1e-12 relative).
+def require_identifiable(model: GhzParityModel, domain: PhaseDomain) -> int:
+    """The branch j with N [a, b] inside [j pi, (j+1) pi] (up to 1e-12 pi); else ``ModelError``.
 
-    On a wider domain cos(N theta) takes some value twice, so the phase is
-    not identifiable and the Barankin-type bounds diverge at the aliased
-    offset.
+    cos(N theta) is monotone on such a domain, so no two phases give the same
+    likelihood.  A domain that contains a multiple of pi/N in its interior
+    holds a phase and its mirror image, even when N (b - a) <= pi, so the
+    phase is not identifiable and the Barankin-type bounds diverge at the
+    aliased offset.
     """
     n = model.n_qubits
-    if n * domain.width > math.pi * (1.0 + 1e-12):
+    lo, hi = n * domain.a / math.pi, n * domain.b / math.pi
+    j = math.floor(lo + 1e-12)
+    if hi > j + 1 + 1e-12:
         raise ModelError(
-            f"domain [{domain.a!r}, {domain.b!r}] is not identifiable for model.N="
-            f"{n}: N*(b-a) = {n * domain.width!r} exceeds pi")
+            f"domain [{domain.a!r}, {domain.b!r}] is not identifiable for model.N={n}: "
+            f"N*[a, b] = [{n * domain.a!r}, {n * domain.b!r}] lies in no [j*pi, (j+1)*pi]")
+    return j
 
 
 # Stirling's series of cephes ``lgam``: log sqrt(2 pi), and the coefficients for 13 <= x < 1000

@@ -97,27 +97,14 @@ def maximize_1d(f, lo: float, hi: float, coarse_points: int) -> tuple[float, flo
     if not lo < hi:
         raise ModelError(f"search interval requires lo < hi, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, coarse_points)
-    return refine_max(f, xs, f(xs))
-
-
-def refine_max(f, xs: np.ndarray, coarse_values) -> tuple[float, float]:
-    """The golden-section stage of ``maximize_1d``, from given coarse samples.
-
-    ``coarse_values`` holds f at the increasing grid ``xs`` (an array, or a
-    value broadcast to it); ``f`` is then called with one float at a time.
-    Callers that search many objectives on one grid evaluate the grid for
-    all of them at once and refine each here.
-    """
-    lo, hi = float(xs[0]), float(xs[-1])
-    refine_tol = _GOLDEN_REL_TOL * (hi - lo)
-    coarse_points = xs.size
-    vals = np.broadcast_to(np.asarray(coarse_values, dtype=float), xs.shape)
+    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     if np.all(vals == -np.inf):
         raise AllNanGridError("objective invalid on the whole coarse grid")
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
 
+    refine_tol = _GOLDEN_REL_TOL * (hi - lo)
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, coarse_points - 1)])
     c = b - _INVPHI * (b - a)
@@ -264,6 +251,8 @@ def family45_prior(alpha: float, grid: QuadratureGrid | None = None) -> PriorDen
     1/(8 alpha)).  alpha = 0 uses the limiting form (4/pi) sin^2(2 theta).
     """
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ModelError(f"prior alpha must be finite, got {alpha!r}")
     grid = grid or QuadratureGrid.simpson(0.0, math.pi / 2)
     domain = PhaseDomain(grid.a, grid.b)
     if not (abs(grid.a) <= 1e-12 and abs(grid.b - math.pi / 2) <= 1e-12):

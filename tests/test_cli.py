@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import pytest
 
@@ -78,8 +79,32 @@ class TestConfigParsing:
         out = tmp_path / "o.csv"
         assert main([command, "--model.N", "3", "--m.list", "1,2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "model.N=3" in err
+        assert "config error" in err and "model.N=3: N*[a, b] = " in err
         assert "[0.0, 1.5707963267948966]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["fig1"], ["fig2"], ["fig3", "--prior.kind", "flat"],
+                                         ["bounds", "--prior.kind", "flat"]])
+    def test_straddling_domain_rejected(self, tmp_path, capsys, command):
+        # N (b - a) = 3 < pi, but [-0.3, 1.2] holds theta and its mirror -theta:
+        # fig2 used to print m * ChRB = 8.4e19, bounds a Barankin bound of 1.4e27
+        out = tmp_path / "o.csv"
+        assert main([*command, "--domain.a", "-0.3", "--domain.b", "1.2", "--theta0", "0.1",
+                     "--m.list", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: domain [-0.3, 1.2] is not identifiable for model.N=2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["theta0", "domain.a", "domain.b", "prior.alpha"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fig3", "--m.list", "1", f"--{key}", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: invalid value for {key}: {value!r}" in err
+        assert "Warning" not in err and caught == []
         assert not out.exists()
 
     @pytest.mark.parametrize("n,b", [(2, math.pi / 2), (3, math.pi / 3)])

@@ -8,11 +8,16 @@ from phasebound.estimate import (
     DegeneratePosteriorError,
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
-    _searched_mle,
     frequentist_risk,
     posterior_table,
 )
-from phasebound.model import PhaseDomain, tally_pmf_matrix, tally_pmf_with_dtheta
+from phasebound.model import (
+    GhzParityModel,
+    ModelError,
+    PhaseDomain,
+    tally_pmf_matrix,
+    tally_pmf_with_dtheta,
+)
 from phasebound.numerics import custom_prior, family45_prior, integrate, maximize_1d
 
 # analytic values for the flat-prior single-shot (+1) posterior (4/pi) cos^2:
@@ -51,33 +56,61 @@ class TestMle:
                        for k in range(m + 1)]
             assert est.values(m).tolist() == formula
 
-    def test_estimator_table_equals_per_tally_mle_off_branch(self, model):
-        # [-0.3, 1.2] leaves the monotone branch [0, pi/2]: numerical fallback.
-        # Row k of the table equals the search run for tally k alone (a sparse
-        # m sweep, since each tally runs its own refinement)
-        off_branch = PhaseDomain(-0.3, 1.2)
-        est = MaximumLikelihoodEstimator(model, off_branch)
-        for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300):
-            per_tally = [float(_searched_mle(np.array([k]), m, model, off_branch)[0])
-                         for k in range(m + 1)]
-            assert est.values(m).tolist() == per_tally
+    # domains off the branch [0, pi/N]: (N, a, b, j) with N [a, b] inside [j pi, (j+1) pi]
+    OFF_BRANCH = [(1, -3.0, -0.2, -1), (2, math.pi / 2, math.pi, 1), (2, 1.7, 3.0, 1),
+                  (3, -math.pi / 3, 0.0, -1), (3, 2.2, 3.1, 2)]
 
-    def test_off_branch_table_equals_one_search_per_tally(self, model):
-        # the batched coarse grid against a full 1001-point maximize_1d per tally
-        off_branch = PhaseDomain(-0.3, 1.2)
-        est = MaximumLikelihoodEstimator(model, off_branch)
+    def test_estimator_table_equals_per_tally_mle_off_branch(self):
+        # the closed-form table over k = 0..m against the scalar formula on branch j,
+        # N theta = j pi + arccos((-1)^j (k_+ - k_-)/m), written out one tally at a time
+        for n, a, b, j in self.OFF_BRANCH:
+            model, domain = GhzParityModel(n), PhaseDomain(a, b)
+            est = MaximumLikelihoodEstimator(model, domain)
+            for m in range(1, 101):
+                formula = [float(domain.clip((j * math.pi + math.acos((-1) ** j * (2 * k - m) / m))
+                                             / n)) for k in range(m + 1)]
+                assert est.values(m).tolist() == formula, (n, a, b, m)
 
-        def search(k, m):
+    def test_off_branch_table_equals_one_search_per_tally(self):
+        # the closed form against a 1001-point maximize_1d of each tally's
+        # log-likelihood, to the search's resolution (its argmax of a flat peak
+        # is good to about sqrt(eps) relative)
+        def search(model, domain, k, m):
             def loglik(theta):
                 pp = model.prob_plus(theta)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     val = k * np.log(pp) + (m - k) * np.log(1.0 - pp)
                 val = np.where(np.isfinite(val), val, -np.inf)
                 return float(val) if val.ndim == 0 else val
-            return maximize_1d(loglik, off_branch.a, off_branch.b, coarse_points=1001)[0]
+            return maximize_1d(loglik, domain.a, domain.b, coarse_points=1001)[0]
 
-        for m in (1, 2, 7, 40):
-            assert est.values(m).tolist() == [search(k, m) for k in range(m + 1)]
+        for n, a, b, _ in self.OFF_BRANCH:
+            model, domain = GhzParityModel(n), PhaseDomain(a, b)
+            est = MaximumLikelihoodEstimator(model, domain)
+            for m in (1, 2, 7, 40):
+                np.testing.assert_allclose(
+                    est.values(m), [search(model, domain, k, m) for k in range(m + 1)],
+                    rtol=0.0, atol=2e-8, err_msg=f"N={n} [{a}, {b}] m={m}")
+
+    @pytest.mark.parametrize("n,a,b", [(1, -math.pi, 0.0), (2, math.pi / 2, math.pi),
+                                       (3, -math.pi / 3, 0.0), (3, math.pi / 3, 2 * math.pi / 3)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 25])
+    def test_whole_odd_branch_solves_likelihood_equation(self, n, a, b, m):
+        # on a whole branch j = +-1 no tally is clipped: each interior MLE has
+        # p_+ = k/m to a few ulp, and every MLE is the argmax of a dense grid
+        model, domain = GhzParityModel(n), PhaseDomain(a, b)
+        mle = MaximumLikelihoodEstimator(model, domain).values(m)
+        k = np.arange(m + 1)
+        np.testing.assert_allclose(model.prob_plus(mle[1:-1]), k[1:-1] / m,
+                                   rtol=0.0, atol=4 * np.finfo(float).eps)
+        thetas = np.linspace(a, b, 200_001)
+        grid_argmax = thetas[np.argmax(tally_pmf_matrix(model, m, thetas), axis=1)]
+        np.testing.assert_allclose(mle, grid_argmax, rtol=0.0, atol=(b - a) / 200_000)
+
+    def test_non_identifiable_domain_rejected(self, model):
+        # [-0.3, 1.2] holds phases theta and -theta of equal likelihood: no MLE exists
+        with pytest.raises(ModelError, match=r"not identifiable for model.N=2: N\*\[a, b\]"):
+            MaximumLikelihoodEstimator(model, PhaseDomain(-0.3, 1.2))
 
 
 class TestPosteriorConstruction:

@@ -287,8 +287,15 @@ class TestIdentifiability:
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_non_identifiable_domain_raises(self, domain, entry):
-        with pytest.raises(ModelError, match="not identifiable for model.N=3"):
+        with pytest.raises(ModelError, match=r"not identifiable for model.N=3: N\*\[a, b\] = "):
             self.ENTRY_POINTS[entry](GhzParityModel(3), domain, T0)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_straddling_domain_raises(self, entry):
+        # N (b - a) = 3 < pi, but [-0.3, 1.2] holds 0, where cos(2 theta) turns:
+        # chrb used to return m * ChRB = 8.4e19 at the mirror phase -theta0
+        with pytest.raises(ModelError, match=r"\[-0.3, 1.2\] is not identifiable for model.N=2"):
+            self.ENTRY_POINTS[entry](GhzParityModel(2), PhaseDomain(-0.3, 1.2), 0.1)
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_width_pi_over_n_accepted(self, entry):

@@ -359,11 +359,25 @@ class TestDomainsAndPoints:
 
     @pytest.mark.parametrize("n,b", [(2, math.pi / 2), (3, math.pi / 3), (3, 0.5)])
     def test_identifiable_domain_accepted(self, n, b):
-        require_identifiable(GhzParityModel(n), PhaseDomain(0.0, b))
+        assert require_identifiable(GhzParityModel(n), PhaseDomain(0.0, b)) == 0
 
-    @pytest.mark.parametrize("n,a,b", [(3, 0.0, math.pi / 2), (2, -0.3, 1.5), (1, 0.0, 3.2)])
+    @pytest.mark.parametrize("n,a,b,j", [
+        (2, -math.pi / 2, 0.0, -1), (1, -3.0, -0.2, -1), (3, -math.pi / 3, -0.1, -1),
+        (2, 0.1, 1.2, 0), (1, 0.0, math.pi, 0),
+        (2, math.pi / 2, math.pi, 1), (3, math.pi / 3, 2 * math.pi / 3, 1), (1, 3.2, 6.0, 1),
+        (2, math.pi, 3 * math.pi / 2, 2), (3, 2.2, 3.1, 2)])
+    def test_branch_index(self, n, a, b, j):
+        # N [a, b] inside [j pi, (j+1) pi], endpoints on a multiple of pi included
+        assert require_identifiable(GhzParityModel(n), PhaseDomain(a, b)) == j
+
+    # the last four are no wider than pi/N, but N [a, b] holds a multiple of pi:
+    # theta and its mirror image about it give one likelihood
+    @pytest.mark.parametrize("n,a,b", [(3, 0.0, math.pi / 2), (2, -0.3, 1.5), (1, 0.0, 3.2),
+                                       (2, -0.3, 1.2), (2, math.pi / 8, 5 * math.pi / 8),
+                                       (1, 3.0, 3.3), (2, -1e-9, 0.5)])
     def test_non_identifiable_domain_rejected(self, n, a, b):
-        with pytest.raises(ModelError, match=f"model.N={n}: N\\*\\(b-a\\)"):
+        with pytest.raises(ModelError, match=f"model.N={n}: N\\*\\[a, b\\] = \\[.*\\] lies in no "
+                                             "\\[j\\*pi, \\(j\\+1\\)\\*pi\\]"):
             require_identifiable(GhzParityModel(n), PhaseDomain(a, b))
 
     def test_default_domain(self):

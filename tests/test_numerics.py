@@ -230,6 +230,13 @@ class TestPriorFamilies:
         assert np.all(np.isfinite(prior.values)) and np.all(np.isfinite(prior.derivative))
         assert abs(integrate(prior.values, grid) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, grid, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=f"prior alpha must be finite, got {alpha!r}"):
+                family45_prior(alpha, grid)
+
     def test_derivative_matches_finite_differences(self, grid):
         prior = family45_prior(10.0, grid)
         step = 1e-7

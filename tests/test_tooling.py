@@ -51,8 +51,8 @@ def test_chrb_objective_calls_stay_batched(tmp_path):
 
 # Fixed grid sizes and tolerances, each a constant of the module that owns it.
 CONSTANTS = [
-    ("estimate", "_MLE_COARSE"), ("estimate", "_BLOCK_CELLS"),
-    ("model", "_GRID_LOGS_KEPT"), ("model", "_EXP_ZERO_BELOW"), ("model", "_WINDOW_ALIGN"),
+    ("model", "_BLOCK_CELLS"), ("model", "_GRID_LOGS_KEPT"), ("model", "_EXP_ZERO_BELOW"),
+    ("model", "_WINDOW_ALIGN"),
     ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
     ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
     ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
@@ -70,6 +70,15 @@ def test_constant_is_read(module, name):
                 for path in SRC.glob("*.py")
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     assert reads > 0, f"{module}.{name} is never read"
+
+
+def test_readme_lists_every_constant():
+    # README's "Numerical notes" table names each constant as `module.name`
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    notes = readme.split("## Numerical notes", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in notes.splitlines() if line.lstrip().startswith("|")]
+    cells = {cell.strip() for line in table for cell in line.split("|")}
+    assert [f"{m}.{n}" for m, n in CONSTANTS if f"`{m}.{n}`" not in cells] == []
 
 
 @pytest.mark.parametrize("setting", ["tol", "config"])
@@ -98,10 +107,10 @@ def test_streamed_kernel_work_stays_traced(tmp_path):
     # a large-m posterior table is built in blocks of tallies through the traced
     # tally_pmf_matrix; each block after the first re-reads one row of B_(m-1)
     import phasebound.cli as cli
-    import phasebound.estimate as estimate
+    import phasebound.model as model
 
     m, nodes = 1000, 2001
-    blocks = -(-(m + 1) // (estimate._BLOCK_CELLS // nodes))
+    blocks = -(-(m + 1) // (model._BLOCK_CELLS // nodes))
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:

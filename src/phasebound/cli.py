@@ -15,6 +15,13 @@ echoing the fully resolved configuration, uses 17 significant digits, and is
 byte-identical across runs and thread counts (``PHASEBOUND_THREADS`` caps the
 worker pool; cells are computed in parallel but written in sweep order).
 
+Each command is an entry of ``_COMMANDS``: its CSV columns and a row
+producer, which only computes rows.  One driver, ``_run``, serves all five:
+it builds the model, domain and grid, resolves alpha and checks every output
+path before the first row (``_outputs``), then for each alpha builds the
+prior, sweeps the sample sizes through the producer and writes the CSV
+through ``_emit``.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 violated bound hierarchy.
 """
@@ -25,6 +32,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import __version__
@@ -151,7 +159,9 @@ class RunConfig:
         except (ModelError, NumericalFailure) as exc:
             raise ConfigError(f"cannot build prior: {exc}") from exc
 
-    def echo_lines(self, command: str, alpha: float | None, out_path: str | None) -> list[str]:
+    def echo_lines(self, command: str, alpha: float | None, out_path: str | None,
+                   ms: list[int]) -> list[str]:
+        """The ``#`` comment lines above a CSV; ``ms`` are the sample sizes it holds."""
         pairs = [
             ("model.N", str(self.model_n)),
             ("theta0", _fmt(self.theta0)),
@@ -159,7 +169,7 @@ class RunConfig:
             ("domain.b", _fmt(self.domain_b)),
             ("prior.kind", self.prior_kind),
             ("prior.alpha", "" if alpha is None else _fmt(alpha)),
-            ("m.list", ",".join(str(m) for m in self.sample_sizes())),
+            ("m.list", ",".join(str(m) for m in ms)),
             ("grid.nodes", str(self.grid_nodes)),
             ("output.path", out_path or ""),
         ]
@@ -185,8 +195,8 @@ def _thread_count() -> int:
     return value
 
 
-def _sweep(row_fn, ms: list[int]) -> list[tuple]:
-    """Evaluate one row per m, in parallel, preserving sweep order."""
+def _sweep(row_fn, ms: list[int]) -> list:
+    """Evaluate ``row_fn`` at each m, in parallel, preserving sweep order."""
     workers = _thread_count()
     if workers == 1 or len(ms) == 1:
         return [row_fn(m) for m in ms]
@@ -229,77 +239,6 @@ def _emit(lines: list[str], out_path: str | None):
             raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
 
 
-def _csv(header_lines: list[str], columns: list[str], rows: list[tuple]) -> list[str]:
-    body = [",".join(columns)]
-    for row in rows:
-        body.append(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row))
-    return header_lines + body
-
-
-def cmd_fig1(cfg: RunConfig, out_path: str | None):
-    """Bias, spread, and CRLB reference of the maximum-likelihood estimator."""
-    model, domain, _ = cfg.build()
-    _check_output(out_path)
-    estimator = MaximumLikelihoodEstimator(model, domain)
-    fisher = float(model.fisher_information(cfg.theta0))
-
-    def row(m: int):
-        risk = frequentist_risk(estimator, cfg.theta0, m, model,
-                                tally_column(cfg.theta0, m, model))
-        return (m,
-                risk.mean - cfg.theta0,
-                math.sqrt(risk.variance),
-                abs(risk.bias_derivative) / math.sqrt(m * fisher),
-                risk.bias_derivative,
-                m * fisher * risk.variance)
-
-    rows = _sweep(row, cfg.sample_sizes())
-    _emit(_csv(cfg.echo_lines("fig1", None, out_path),
-               ["m", "bias", "freq_std", "crlb_std", "bias_derivative", "mFvar"],
-               rows), out_path)
-
-
-def cmd_fig2(cfg: RunConfig, out_path: str | None):
-    """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax."""
-    model, domain, _ = cfg.build()
-    _check_output(out_path)
-
-    def row(m: int):
-        c = crlb(cfg.theta0, m, model)
-        ch = chrb(cfg.theta0, m, model, domain)
-        ech = echrb(cfg.theta0, m, model, domain,
-                    seed_lambdas=[ch.argmax["lambda"]])
-        check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
-                    f"m={m}, theta0={cfg.theta0!r}")
-        return (m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])
-
-    rows = _sweep(row, cfg.sample_sizes())
-    _emit(_csv(cfg.echo_lines("fig2", None, out_path),
-               ["m", "m_crlb", "m_chrb", "m_echrb", "argmax_lambda"],
-               rows), out_path)
-
-
-def _alpha_outputs(cfg: RunConfig, out_path: str | None):
-    """(alpha, per-alpha output path) pairs; multi-alpha requires --out.
-
-    The flat prior ignores alpha, so its one pair carries none to echo.  Every
-    path is checked before the first row of the first alpha is computed.
-    """
-    if cfg.prior_kind == "flat":
-        outputs = [(None, out_path)]
-    elif cfg.prior_alpha is not None:
-        outputs = [(cfg.prior_alpha, out_path)]
-    elif out_path is None:
-        raise ConfigError("the default alpha battery writes one file per alpha; "
-                          "an --out path is required")
-    else:
-        root, ext = os.path.splitext(out_path)
-        outputs = [(a, f"{root}_alpha{a:g}{ext or '.csv'}") for a in DEFAULT_ALPHAS]
-    for _, path in outputs:
-        _check_output(path)
-    return outputs
-
-
 def _fixed_theta0_chain(theta0: float, m: int, bayes: PosteriorMeanEstimator,
                         alpha: float | None, pmf) -> tuple[float, float]:
     """Averaged posterior variance and averaged Ghosh bound at theta0, checked in that order.
@@ -314,99 +253,148 @@ def _fixed_theta0_chain(theta0: float, m: int, bayes: PosteriorMeanEstimator,
     return post_var, agb
 
 
-def cmd_fig3(cfg: RunConfig, out_path: str | None):
-    """Fixed-phase comparison of Bayesian and frequentist risks for one prior.
-
-    With no ``prior.alpha`` configured, sweeps the default battery
-    (-100, -10, 1, 10) writing one file per alpha.
-    """
-    model, domain, grid = cfg.build()
+def _fig1_rows(cfg, model, domain, prior, alpha):
+    """Bias, spread, and CRLB reference of the maximum-likelihood estimator."""
+    estimator = MaximumLikelihoodEstimator(model, domain)
     fisher = float(model.fisher_information(cfg.theta0))
-    for alpha, path in _alpha_outputs(cfg, out_path):
-        prior = cfg.make_prior(grid, alpha)
-        estimator = PosteriorMeanEstimator(model, prior)
 
-        def row(m: int):
-            pmf = tally_column(cfg.theta0, m, model)
-            risk = frequentist_risk(estimator, cfg.theta0, m, model, pmf)
-            post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha, pmf)
-            return (m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)
-
-        rows = _sweep(row, cfg.sample_sizes())
-        _emit(_csv(cfg.echo_lines("fig3", alpha, path),
-                   ["m", "m_freq_var", "m_crlb_biased", "m_bayes_avg_post_var", "m_agb"],
-                   rows), path)
+    def rows(m: int):
+        risk = frequentist_risk(estimator, cfg.theta0, m, model,
+                                tally_column(cfg.theta0, m, model))
+        return [(m, risk.mean - cfg.theta0, math.sqrt(risk.variance),
+                 abs(risk.bias_derivative) / math.sqrt(m * fisher),
+                 risk.bias_derivative, m * fisher * risk.variance)]
+    return rows
 
 
-def cmd_fig4(cfg: RunConfig, out_path: str | None):
-    """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai.
+def _fig2_rows(cfg, model, domain, prior, alpha):
+    """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax."""
+    def rows(m: int):
+        c = crlb(cfg.theta0, m, model)
+        ch = chrb(cfg.theta0, m, model, domain)
+        ech = echrb(cfg.theta0, m, model, domain, seed_lambdas=[ch.argmax["lambda"]])
+        check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
+                    f"m={m}, theta0={cfg.theta0!r}")
+        return [(m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])]
+    return rows
 
-    Requires a prior that vanishes at the domain boundaries; the flat prior is
-    rejected because the Van Trees bound is undefined for it.
-    """
-    if cfg.prior_kind == "flat":
-        raise ConfigError("fig4 needs a boundary-vanishing prior; "
-                          "the flat prior has no Van Trees bound")
-    model, domain, grid = cfg.build()
+
+def _fig3_rows(cfg, model, domain, prior, alpha):
+    """Fixed-phase comparison of Bayesian and frequentist risks for one prior."""
+    fisher = float(model.fisher_information(cfg.theta0))
+    estimator = PosteriorMeanEstimator(model, prior)
+
+    def rows(m: int):
+        pmf = tally_column(cfg.theta0, m, model)
+        risk = frequentist_risk(estimator, cfg.theta0, m, model, pmf)
+        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha, pmf)
+        return [(m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)]
+    return rows
+
+
+def _fig4_rows(cfg, model, domain, prior, alpha):
+    """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai."""
     inv_f = 1.0 / float(model.fisher_information(cfg.theta0))
-    for alpha, path in _alpha_outputs(cfg, out_path):
-        prior = cfg.make_prior(grid, alpha)
-        estimator = PosteriorMeanEstimator(model, prior)
+    estimator = PosteriorMeanEstimator(model, prior)
 
-        def row(m: int):
-            chain = bayes_chain_report(estimator, m)
-            zzb = ziv_zakai(prior, m, model)
-            return (m, m * chain.bayes_variance, m * chain.agbr,
-                    m * chain.van_trees, m * zzb, inv_f)
-
-        rows = _sweep(row, cfg.sample_sizes())
-        _emit(_csv(cfg.echo_lines("fig4", alpha, path),
-                   ["m", "m_bayes_var", "m_agbr", "m_vtb", "m_zzb", "inv_F"],
-                   rows), path)
+    def rows(m: int):
+        chain = bayes_chain_report(estimator, m)
+        zzb = ziv_zakai(prior, m, model)
+        return [(m, m * chain.bayes_variance, m * chain.agbr,
+                  m * chain.van_trees, m * zzb, inv_f)]
+    return rows
 
 
-def cmd_bounds(cfg: RunConfig, out_path: str | None):
-    """Single-cell summary of every bound at (theta0, m = last of the sweep)."""
-    model, domain, grid = cfg.build()
-    m = cfg.sample_sizes()[-1]
-    _check_output(out_path)
-    # one cell, so an unset family45 alpha takes 10 rather than the fig3/fig4
-    # battery; the flat prior ignores alpha and echoes none
-    if cfg.prior_kind == "flat":
-        alpha = None
-    else:
-        alpha = 10.0 if cfg.prior_alpha is None else cfg.prior_alpha
-    prior = cfg.make_prior(grid, alpha)
+def _bounds_rows(cfg, model, domain, prior, alpha):
+    """Every bound at one cell (theta0, m), one ``quantity,value`` row each."""
     mle_est = MaximumLikelihoodEstimator(model, domain)
     bl_est = PosteriorMeanEstimator(model, prior)
 
-    rows: list[tuple] = [("m", m), ("fisher_information", float(model.fisher_information(cfg.theta0)))]
-    pmf = tally_column(cfg.theta0, m, model)
-    risk = frequentist_risk(mle_est, cfg.theta0, m, model, pmf)
-    rows += [("mle_mean", risk.mean), ("mle_variance", risk.variance),
-             ("mle_mse", risk.mse), ("mle_bias_derivative", risk.bias_derivative)]
-    for report in hierarchy_report(cfg.theta0, m, model, domain):
-        rows.append((report.name, report.value))
-    post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est, alpha, pmf)
-    rows += [("averaged_ghosh", agb), ("bayes_avg_posterior_variance_fixed", post_var)]
-    rows.append(("avg_estimator_variance", avg_estimator_variance(bl_est, prior, m, model)))
-    rows.append(("avg_mse", avg_mse(bl_est, prior, m, model)))
-    rows.append(("ziv_zakai", ziv_zakai(prior, m, model)))
-    if prior.vanishes_at_boundaries:
-        chain = bayes_chain_report(bl_est, m)
-        rows += [("van_trees", chain.van_trees), ("agbr", chain.agbr),
-                 ("bayes_avg_posterior_variance", chain.bayes_variance)]
-    _emit(_csv(cfg.echo_lines("bounds", alpha, out_path),
-               ["quantity", "value"], rows), out_path)
+    def rows(m: int):
+        out = [("m", m), ("fisher_information", float(model.fisher_information(cfg.theta0)))]
+        pmf = tally_column(cfg.theta0, m, model)
+        risk = frequentist_risk(mle_est, cfg.theta0, m, model, pmf)
+        out += [("mle_mean", risk.mean), ("mle_variance", risk.variance),
+                ("mle_mse", risk.mse), ("mle_bias_derivative", risk.bias_derivative)]
+        out += [(r.name, r.value) for r in hierarchy_report(cfg.theta0, m, model, domain)]
+        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est, alpha, pmf)
+        out += [("averaged_ghosh", agb), ("bayes_avg_posterior_variance_fixed", post_var),
+                ("avg_estimator_variance", avg_estimator_variance(bl_est, prior, m, model)),
+                ("avg_mse", avg_mse(bl_est, prior, m, model)),
+                ("ziv_zakai", ziv_zakai(prior, m, model))]
+        if prior.vanishes_at_boundaries:
+            chain = bayes_chain_report(bl_est, m)
+            out += [("van_trees", chain.van_trees), ("agbr", chain.agbr),
+                    ("bayes_avg_posterior_variance", chain.bayes_variance)]
+        return out
+    return rows
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One command: its CSV column header and its row producer.
+
+    ``rows(cfg, model, domain, prior, alpha)`` returns the function that
+    computes the CSV rows of one sample size; ``prior`` is None unless
+    ``uses_prior``.  A ``one_cell`` command computes only the last sample
+    size of the sweep.
+    """
+
+    columns: str
+    rows: Callable
+    uses_prior: bool = True
+    one_cell: bool = False
 
 
 _COMMANDS = {
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "fig4": cmd_fig4,
-    "bounds": cmd_bounds,
+    "fig1": _Command("m,bias,freq_std,crlb_std,bias_derivative,mFvar", _fig1_rows,
+                     uses_prior=False),
+    "fig2": _Command("m,m_crlb,m_chrb,m_echrb,argmax_lambda", _fig2_rows, uses_prior=False),
+    "fig3": _Command("m,m_freq_var,m_crlb_biased,m_bayes_avg_post_var,m_agb", _fig3_rows),
+    "fig4": _Command("m,m_bayes_var,m_agbr,m_vtb,m_zzb,inv_F", _fig4_rows),
+    "bounds": _Command("quantity,value", _bounds_rows, one_cell=True),
 }
+
+
+def _outputs(cfg: RunConfig, command: str, out_path: str | None) -> list[tuple]:
+    """(alpha, output path) pairs of ``command``, every path checked before the first row.
+
+    A command without a prior carries no alpha, and neither does the flat
+    prior, which ignores it.  An unset alpha means 10 for the one cell of
+    ``bounds``, and the default battery for ``fig3`` and ``fig4``: one file
+    per alpha next to ``out_path``, which is then required.
+    """
+    spec = _COMMANDS[command]
+    if command == "fig4" and cfg.prior_kind == "flat":
+        raise ConfigError("fig4 needs a boundary-vanishing prior; "
+                          "the flat prior has no Van Trees bound")
+    if not spec.uses_prior or cfg.prior_kind == "flat":
+        outputs = [(None, out_path)]
+    elif cfg.prior_alpha is not None or spec.one_cell:
+        outputs = [(10.0 if cfg.prior_alpha is None else cfg.prior_alpha, out_path)]
+    elif out_path is None:
+        raise ConfigError("the default alpha battery writes one file per alpha; "
+                          "an --out path is required")
+    else:
+        root, ext = os.path.splitext(out_path)
+        outputs = [(a, f"{root}_alpha{a:g}{ext or '.csv'}") for a in DEFAULT_ALPHAS]
+    for _, path in outputs:
+        _check_output(path)
+    return outputs
+
+
+def _run(command: str, cfg: RunConfig, out_path: str | None):
+    """Build, check every output path, then sweep and write one CSV per alpha."""
+    spec = _COMMANDS[command]
+    model, domain, grid = cfg.build()
+    ms = cfg.sample_sizes()[-1:] if spec.one_cell else cfg.sample_sizes()
+    for alpha, path in _outputs(cfg, command, out_path):
+        prior = cfg.make_prior(grid, alpha) if spec.uses_prior else None
+        cells = _sweep(spec.rows(cfg, model, domain, prior, alpha), ms)
+        lines = cfg.echo_lines(command, alpha, path, ms) + [spec.columns]
+        lines += [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row)
+                  for rows in cells for row in rows]
+        _emit(lines, path)
 
 
 def _parse_args(argv: list[str]) -> tuple[str, RunConfig, str | None]:
@@ -452,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         command, cfg, out = _parse_args(argv)
-        _COMMANDS[command](cfg, out)
+        _run(command, cfg, out)
     except ConfigError as exc:
         print(f"phasebound: config error: {exc}", file=sys.stderr)
         return 2

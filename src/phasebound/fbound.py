@@ -220,8 +220,9 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
     For each admissible (lambda1, lambda2) the inner coefficient A maximises a
     ratio of quadratics; its stationary point is taken in closed form and
     compared with the A -> infinity limit.  The offset pair is searched on a
-    grid (optionally seeded with extra lambda1 candidates) and refined by
-    deterministic zooming around the best cell.
+    grid (optionally seeded with extra lambda1 candidates, each of which must
+    keep theta0 + lambda1 in the domain) and refined by deterministic zooming
+    around the best cell.
     """
     domain = domain or PhaseDomain()
     if m < 1:
@@ -231,8 +232,13 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
 
     l1s = l2s = np.linspace(lo, hi, _ECHRB_GRID)
     if len(seed_lambdas):
+        seeds = np.asarray(seed_lambdas, dtype=float)
+        # the test point theta0 + lambda1 must lie in the domain, as in barankin_at
+        if not np.all((seeds >= lo - 1e-15) & (seeds <= hi + 1e-15)):
+            raise ModelError(f"seed offsets {seeds.tolist()} put a test point outside the "
+                             f"phase domain [{domain.a}, {domain.b}]")
         # sorted and deduplicated; np.unique would import numpy.ma
-        l1s = np.sort(np.concatenate([l2s, np.asarray(seed_lambdas, dtype=float)]))
+        l1s = np.sort(np.concatenate([l2s, seeds]))
         l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
 
     best = (-math.inf, math.nan, math.nan)

@@ -232,9 +232,12 @@ def _finalize_prior(kind, domain, grid, raw_values, raw_derivative, vanishes, al
 
 def flat_prior(domain: PhaseDomain | None = None,
                grid: QuadratureGrid | None = None) -> PriorDensity:
-    """Uniform density 1/(b-a); does not vanish at the boundaries."""
+    """Uniform density 1/(b-a), not vanishing at the boundaries, on a grid spanning the domain."""
     domain = domain or PhaseDomain()
     grid = grid or QuadratureGrid.simpson(domain.a, domain.b)
+    if not (abs(grid.a - domain.a) <= 1e-12 and abs(grid.b - domain.b) <= 1e-12):
+        raise ModelError(f"the flat prior on [{domain.a}, {domain.b}] needs a grid spanning it, "
+                         f"got [{grid.a}, {grid.b}]")
     c = 1.0 / domain.width
     values = np.full(grid.node_count, c)
     deriv = np.zeros(grid.node_count)

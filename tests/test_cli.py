@@ -238,6 +238,20 @@ class TestBounds:
         assert "# prior.alpha=10" in comments
         assert (header, rows) == read_rows(pinned)[1:]
 
+    def test_echoes_the_m_it_computed(self, tmp_path):
+        # bounds computes only the last sample size of the sweep, so it echoes only that one
+        swept, single = tmp_path / "swept.csv", tmp_path / "single.csv"
+        args = ["bounds", "--prior.alpha", "10", "--grid.nodes", "401"]
+        assert main([*args, "--m.max", "3", "--out", str(swept)]) == 0
+        assert main([*args, "--m.list", "3", "--out", str(single)]) == 0
+
+        def echo(path):
+            return [c for c in read_rows(path)[0] if not c.startswith("# output.path=")]
+
+        assert "# m.list=3" in echo(swept)
+        assert echo(swept) == echo(single)
+        assert read_rows(swept)[1:] == read_rows(single)[1:]
+
 
 class TestDeterminism:
     def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
@@ -266,10 +280,12 @@ class TestDeterminism:
 
 class TestExitCodes:
     def test_hierarchy_violation_maps_to_4(self, monkeypatch):
-        def boom(cfg, out):
+        def boom(m):
             raise HierarchyViolationError("synthetic violation")
 
-        monkeypatch.setitem(cli_module._COMMANDS, "fig2", boom)
+        # fig2's row producer replaced by one whose rows violate the hierarchy
+        spec = dataclasses.replace(cli_module._COMMANDS["fig2"], rows=lambda *args: boom)
+        monkeypatch.setitem(cli_module._COMMANDS, "fig2", spec)
         assert main(["fig2", "--m.list", "1"]) == 4
 
     def test_fig2_chain_violation_names_cell(self, monkeypatch, capsys):
@@ -308,26 +324,31 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,args,blocker", [
         ("fig1", ["--m.max", "30"], None),
         ("fig3", ["--m.max", "3", "--grid.nodes", "401"], "b_alpha-10.csv"),
+        ("fig2", ["--m.max", "30"], None),
+        ("fig4", ["--m.max", "3", "--grid.nodes", "401"], "b_alpha10.csv"),
+        ("bounds", ["--m.list", "5", "--grid.nodes", "401"], "b.csv"),
     ])
     def test_out_checked_before_first_row(self, tmp_path, monkeypatch, capsys,
                                           command, args, blocker):
-        # fig1 under a missing directory; the fig3 alpha battery with its second
-        # file blocked by a directory of that name: nothing is computed or written
-        rows = []
-        real_risk = cli_module.frequentist_risk
+        # fig1 and fig2 under a missing directory; a later file of the fig3 and fig4
+        # alpha batteries, and the bounds output itself, blocked by a directory of
+        # that name: nothing is computed or written
+        counted = {"fig2": "chrb", "fig4": "bayes_chain_report"}.get(command, "frequentist_risk")
+        calls = []
+        real = getattr(cli_module, counted)
 
-        def counting_risk(*a, **kw):
-            rows.append(a[2])
-            return real_risk(*a, **kw)
+        def counting(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
 
-        monkeypatch.setattr(cli_module, "frequentist_risk", counting_risk)
+        monkeypatch.setattr(cli_module, counted, counting)
         if blocker is None:
             out = tmp_path / "missing" / "x.csv"
         else:
             out = tmp_path / "b.csv"
             (tmp_path / blocker).mkdir()
         assert main([command, *args, "--out", str(out)]) == 2
-        assert rows == []
+        assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if blocker is None else [blocker])
         assert "config error" in capsys.readouterr().err
 

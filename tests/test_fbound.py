@@ -120,6 +120,25 @@ class TestExtendedChapmanRobbins:
         ech = echrb(T0, m, model, domain=domain).value
         assert ch <= ech <= 1.5 * ch
 
+    @pytest.mark.parametrize("m,unseeded", [(5, 0.05444), (1, 0.64419)])
+    def test_seed_outside_domain_rejected(self, model, domain, m, unseeded):
+        # lambda1 = 1 led the zoom to lambda1 = 1.02, a test point at 1.81 outside
+        # [0, pi/2], where cos 2 theta repeats the value of an admissible phase; the
+        # seeded search returned 0.348 at m = 5 and 1.536 at m = 1
+        with pytest.raises(ModelError, match=r"seed offsets \[1.0\] put a test point outside"):
+            echrb(T0, m, model, domain=domain, seed_lambdas=[1.0])
+        assert echrb(T0, m, model, domain=domain).value == pytest.approx(unseeded, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", [math.nan, -math.pi / 4 - 1e-9])
+    def test_unusable_seed_rejected(self, model, domain, seed):
+        with pytest.raises(ModelError, match="outside the phase domain"):
+            echrb(T0, 3, model, domain=domain, seed_lambdas=[0.3, seed])
+
+    def test_seeds_at_the_domain_ends_accepted(self, model, domain):
+        ends = [domain.a - T0, domain.b - T0]
+        seeded = echrb(T0, 3, model, domain=domain, seed_lambdas=ends).value
+        assert seeded >= echrb(T0, 3, model, domain=domain).value - 1e-12
+
     def test_refinement_never_decreases(self, model, domain, monkeypatch):
         # nested grids: 2r-1 points contain the r-point grid
         monkeypatch.setattr(fbound_module, "_ECHRB_REFINE_ROUNDS", 0)

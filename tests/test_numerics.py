@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasebound.numerics as numerics_module
-from phasebound.model import ModelError
+from phasebound.model import ModelError, PhaseDomain
 from phasebound.numerics import (
     AllNanGridError,
     NonIntegrablePriorError,
@@ -17,6 +17,7 @@ from phasebound.numerics import (
     custom_prior,
     family45_prior,
     fisher_information_of_density,
+    flat_prior,
     integrate,
     maximize_1d,
     prior_fisher_information,
@@ -249,6 +250,18 @@ class TestPriorFamilies:
     def test_wrong_domain_rejected(self):
         with pytest.raises(ModelError):
             family45_prior(1.0, QuadratureGrid.simpson(0.0, 1.0, 101))
+
+    @pytest.mark.parametrize("a,b", [(0.0, 2.0), (0.5, 1.0), (0.0, 1.0 + 2e-12)])
+    def test_flat_prior_grid_must_span_domain(self, a, b):
+        # a grid [0, 2] under the domain [0, 1] gave values 0.5 on the whole grid but a
+        # density of 0 beyond theta = 1, so ziv_zakai reported an unresolved prior of mass 0.5
+        with pytest.raises(ModelError, match=r"flat prior on \[0.0, 1.0\] needs a grid spanning"):
+            flat_prior(PhaseDomain(0.0, 1.0), QuadratureGrid.simpson(a, b, 201))
+
+    def test_flat_prior_grid_within_tolerance_accepted(self):
+        grid = QuadratureGrid.simpson(0.0, 1.0 + 5e-13, 201)
+        prior = flat_prior(PhaseDomain(0.0, 1.0), grid)
+        assert integrate(prior.values, grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_custom_prior(self, grid):
         prior = custom_prior(grid, np.sin(grid.nodes) + 1.0)

@@ -12,21 +12,40 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "phasebound"
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def _perfbench_module(name: str):
+    """``perfbench/<name>.py`` as a module, loaded without writing a bytecode cache there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module       # dataclasses look their module up there
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
-@pytest.mark.parametrize("module,name", _tracer_module().TRACED)
+@pytest.mark.parametrize("module,name", _perfbench_module("tracer").TRACED)
 def test_traced_function_exists(module, name):
     # the benchmark's --trace 1 pass wraps each of these by name
     assert callable(getattr(importlib.import_module(f"phasebound.{module}"), name, None))
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "fig4", "bounds"])
+def test_setup_probe_runs(tmp_path, command):
+    # every benchmark run times set-up through perfbench/setup_probe.py, which calls
+    # RunConfig(), set_key, sample_sizes, build and make_prior: it must run cleanly on
+    # the command's first seed-0 workload input
+    workloads = _perfbench_module("workloads")
+    args = next(cmd.args for name in workloads.WORKLOADS
+                for cmd in workloads.inputs_for(name, 0).commands if cmd.args[0] == command)
+    child = subprocess.run([sys.executable, str(BENCH / "setup_probe.py"), *args], cwd=tmp_path,
+                           env=workloads.child_env(), capture_output=True, text=True)
+    assert (child.returncode, child.stderr) == (0, "")
 
 
 def test_chrb_objective_calls_stay_batched(tmp_path):
@@ -35,7 +54,7 @@ def test_chrb_objective_calls_stay_batched(tmp_path):
     import phasebound.cli as cli
     from phasebound import GhzParityModel, fbound
 
-    tracer_module = _tracer_module()
+    tracer_module = _perfbench_module("tracer")
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -111,7 +130,7 @@ def test_streamed_kernel_work_stays_traced(tmp_path):
 
     m, nodes = 1000, 2001
     blocks = -(-(m + 1) // (model._BLOCK_CELLS // nodes))
-    tracer = _tracer_module().Tracer()
+    tracer = _perfbench_module("tracer").Tracer()
     tracer.install()
     try:
         assert cli.main(["fig3", "--prior.alpha", "10", "--grid.nodes", str(nodes),

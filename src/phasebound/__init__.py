@@ -30,9 +30,11 @@ from .fbound import (
     barankin,
     barankin_at,
     chrb,
+    chrb_block,
     chrb_objective,
     crlb,
     echrb,
+    echrb_block,
     hierarchy_report,
 )
 from .model import GhzParityModel, PhaseDomain
@@ -47,6 +49,7 @@ from .numerics import (
     maximize_1d,
     prior_fisher_information,
     solve_spd,
+    solve_spd_stack,
 )
 from .rbound import (
     acrlb,

@@ -16,11 +16,13 @@ byte-identical across runs and thread counts (``PHASEBOUND_THREADS`` caps the
 worker pool; cells are computed in parallel but written in sweep order).
 
 Each command is an entry of ``_COMMANDS``: its CSV columns and a row
-producer, which only computes rows.  One driver, ``_run``, serves all five:
-it builds the model, domain and grid, resolves alpha and checks every output
-path before the first row (``_outputs``), then for each alpha builds the
-prior, sweeps the sample sizes through the producer and writes the CSV
-through ``_emit``.
+producer, which only computes rows, for a block of sample sizes at a time.
+One driver, ``_run``, serves all five: it builds the model, domain and grid,
+resolves alpha and checks every output path before the first row
+(``_outputs``), then for each alpha builds the prior, sweeps the sample sizes
+through the producer and writes the CSV through ``_emit``.  With one thread
+the whole sweep is one block, so ``fig2`` searches every m at once; with W
+threads each worker takes the strided block ``ms[j::W]``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 violated bound hierarchy.
@@ -46,9 +48,9 @@ from .estimate import (
 from .fbound import (
     HierarchyViolationError,
     check_chain,
-    chrb,
+    chrb_block,
     crlb,
-    echrb,
+    echrb_block,
     hierarchy_report,
 )
 from .model import GhzParityModel, ModelError, PhaseDomain, require_identifiable
@@ -152,6 +154,8 @@ class RunConfig:
 
     def make_prior(self, grid: QuadratureGrid, alpha: float | None) -> PriorDensity:
         """The configured prior on ``grid``; the flat prior ignores ``alpha``."""
+        if self.prior_kind != "flat" and alpha is None:
+            raise ConfigError("cannot build prior: the family45 prior needs prior.alpha")
         try:
             if self.prior_kind == "flat":
                 return flat_prior(PhaseDomain(grid.a, grid.b), grid)
@@ -195,15 +199,28 @@ def _thread_count() -> int:
     return value
 
 
-def _sweep(row_fn, ms: list[int]) -> list:
-    """Evaluate ``row_fn`` at each m, in parallel, preserving sweep order."""
-    workers = _thread_count()
-    if workers == 1 or len(ms) == 1:
-        return [row_fn(m) for m in ms]
+def _sweep(block_fn, ms: list[int]) -> list:
+    """The rows of every m, in sweep order; ``block_fn`` maps a block of m to their rows.
+
+    One thread hands over the whole sweep as one block; W threads hand worker
+    j the strided block ``ms[j::W]`` and merge the rows back into sweep order.
+    """
+    workers = min(_thread_count(), len(ms))
+    if workers == 1:
+        return block_fn(ms)
     from concurrent.futures import ThreadPoolExecutor    # here: it loads logging, too
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row_fn, ms))
+        blocks = list(pool.map(block_fn, [ms[j::workers] for j in range(workers)]))
+    cells = [None] * len(ms)
+    for j, block in enumerate(blocks):
+        cells[j::workers] = block
+    return cells
+
+
+def _per_m(row_fn):
+    """A block function that computes the rows of each m of its block in turn."""
+    return lambda ms: [row_fn(m) for m in ms]
 
 
 def _check_output(out_path: str | None):
@@ -264,18 +281,22 @@ def _fig1_rows(cfg, model, domain, prior, alpha):
         return [(m, risk.mean - cfg.theta0, math.sqrt(risk.variance),
                  abs(risk.bias_derivative) / math.sqrt(m * fisher),
                  risk.bias_derivative, m * fisher * risk.variance)]
-    return rows
+    return _per_m(rows)
 
 
 def _fig2_rows(cfg, model, domain, prior, alpha):
-    """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax."""
-    def rows(m: int):
-        c = crlb(cfg.theta0, m, model)
-        ch = chrb(cfg.theta0, m, model, domain)
-        ech = echrb(cfg.theta0, m, model, domain, seed_lambdas=[ch.argmax["lambda"]])
-        check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
-                    f"m={m}, theta0={cfg.theta0!r}")
-        return [(m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])]
+    """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax; searched per block."""
+    def rows(ms: list[int]):
+        chs = chrb_block(cfg.theta0, ms, model, domain)
+        echs = echrb_block(cfg.theta0, ms, model, domain,
+                           seed_lambdas=[[ch.argmax["lambda"]] for ch in chs])
+        out = []
+        for m, ch, ech in zip(ms, chs, echs):
+            c = crlb(cfg.theta0, m, model)
+            check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
+                        f"m={m}, theta0={cfg.theta0!r}")
+            out.append([(m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])])
+        return out
     return rows
 
 
@@ -289,7 +310,7 @@ def _fig3_rows(cfg, model, domain, prior, alpha):
         risk = frequentist_risk(estimator, cfg.theta0, m, model, pmf)
         post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha, pmf)
         return [(m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)]
-    return rows
+    return _per_m(rows)
 
 
 def _fig4_rows(cfg, model, domain, prior, alpha):
@@ -302,7 +323,7 @@ def _fig4_rows(cfg, model, domain, prior, alpha):
         zzb = ziv_zakai(prior, m, model)
         return [(m, m * chain.bayes_variance, m * chain.agbr,
                   m * chain.van_trees, m * zzb, inv_f)]
-    return rows
+    return _per_m(rows)
 
 
 def _bounds_rows(cfg, model, domain, prior, alpha):
@@ -327,7 +348,7 @@ def _bounds_rows(cfg, model, domain, prior, alpha):
             out += [("van_trees", chain.van_trees), ("agbr", chain.agbr),
                     ("bayes_avg_posterior_variance", chain.bayes_variance)]
         return out
-    return rows
+    return _per_m(rows)
 
 
 @dataclass(frozen=True)
@@ -335,9 +356,9 @@ class _Command:
     """One command: its CSV column header and its row producer.
 
     ``rows(cfg, model, domain, prior, alpha)`` returns the function that
-    computes the CSV rows of one sample size; ``prior`` is None unless
-    ``uses_prior``.  A ``one_cell`` command computes only the last sample
-    size of the sweep.
+    maps a block of sample sizes to their CSV rows, one list of rows per
+    sample size; ``prior`` is None unless ``uses_prior``.  A ``one_cell``
+    command computes only the last sample size of the sweep.
     """
 
     columns: str

@@ -31,15 +31,18 @@ Reported values are lower estimates of the true suprema (finite grids,
 finite n), and ``hierarchy_report`` seeds each bound with its predecessor's
 argmax so the chain BB >= EChRB >= ChRB >= CRLB holds by construction.
 
-The grids are evaluated as whole arrays.  Every objective handed to
-``maximize_1d`` takes an array or a float: the coarse grid arrives as one
-array, golden-section points as floats, and each element is computed with
-the same arithmetic as a lone float would be, so the two stages agree bit for
-bit.  ``chrb_objective`` (the ChRB ratio) works elementwise this way; the
-Barankin coordinate objective loops over the points it is given, one
-``barankin_at`` solve each.  The EChRB grid is an outer product: the
+Every search is batched over a block of sample sizes.  ``chrb_block`` hands
+``maximize_1d`` one search per m, and their golden-section brackets step in
+lock-step, so each step is one array evaluation of the whole block;
+``echrb_block`` runs its zoom rounds and its final coefficient evaluation
+over the whole block at once.  ``chrb`` and ``echrb`` are the blocks of one.
+Every objective takes arrays only, computes each element with the same
+arithmetic whatever the array's shape, and is evaluated in row chunks of at
+most ``_SEARCH_CELLS`` cells.  The EChRB grid is an outer product: the
 per-offset terms are computed once per axis and only the cross moment is a
-full 2-D array.
+full 2-D array.  The Barankin coordinate search evaluates each batch of
+candidate placements as one stack of Gram systems (``solve_spd_stack``);
+``barankin_at`` is that stack with one placement, through ``solve_spd``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import GhzParityModel, ModelError, PhaseDomain, require_identifiable
-from .numerics import AllNanGridError, NumericalFailure, maximize_1d, solve_spd
+from .numerics import AllNanGridError, NumericalFailure, maximize_1d, solve_spd, solve_spd_stack
 
 _CHRB_COARSE = 401             # coarse points of the ChRB supremum search
 _ECHRB_GRID = 101              # points per axis of the first (lambda1, lambda2) grid
@@ -58,6 +61,7 @@ _ECHRB_REFINE_ROUNDS = 3       # zooms of the EChRB grid around its best cell
 _OFFSET_SEPARATION = 1e-9      # least distance of test points from theta0 and each other
 _OFFSET_FLOOR = 1e-13          # offsets below this count as the excluded lambda = 0
 _CHAIN_SLACK = 1e-9            # chain-step shortfall allowed, relative below 1, absolute above
+_SEARCH_CELLS = 1 << 12        # cells of one row chunk of a batched search evaluation
 
 
 class NoAdmissibleOffsetError(NumericalFailure):
@@ -112,13 +116,24 @@ def _pair_increment(model, theta0, t1, t2, p0p, p0m):
     return d1 * d2 / (p0p * p0m)
 
 
-def _gram_power(m: int, increment):
-    """s^m - 1 evaluated as expm1(m log1p(s-1)); maps s = 0 to -1 exactly."""
-    increment = np.asarray(increment, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.expm1(m * np.log1p(increment))
-    out = np.where(increment <= -1.0, -1.0, out)
-    return float(out) if out.ndim == 0 else out
+def _gram_power(m, increment):
+    """s^m - 1 evaluated as expm1(m log1p(s-1)); maps s = 0 to -1 exactly; ``m`` broadcasts."""
+    with np.errstate(divide="ignore", over="ignore"):
+        # log1p(-1) = -inf and expm1(-inf) = -1: s <= 0 gives -1 exactly
+        return np.expm1(m * np.log1p(np.maximum(increment, -1.0)))
+
+
+def _sample_sizes(ms) -> np.ndarray:
+    ms = np.asarray(ms, dtype=np.int64)
+    if ms.ndim != 1 or ms.size == 0 or np.any(ms < 1):
+        raise ModelError("m must be >= 1")
+    return ms
+
+
+def _row_chunks(rows: int, cells_per_row: int) -> list[slice]:
+    """Slices over ``rows`` rows of at most ``_SEARCH_CELLS`` cells each (one row at least)."""
+    step = max(1, _SEARCH_CELLS // max(cells_per_row, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def crlb(theta0: float, m: int, model: GhzParityModel,
@@ -136,19 +151,18 @@ def crlb(theta0: float, m: int, model: GhzParityModel,
 
 
 def chrb_objective(theta0: float, m: int, model: GhzParityModel, lam,
-                   domain: PhaseDomain | None = None):
-    """Chapman-Robbins ratio at offset lambda (no supremum); float or array, as ``lam`` is."""
+                   domain: PhaseDomain | None = None) -> np.ndarray:
+    """Chapman-Robbins ratio at offsets ``lam`` (no supremum); an array shaped as ``lam``."""
     domain = domain or PhaseDomain()
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     return _chrb_value(theta0, m, model, lam, domain, p0p, p0m)
 
 
 def _chrb_value(theta0, m, model, lam, domain, p0p, p0m):
-    """Two-point ratio lambda^2 / (s^m - 1) at offsets ``lam``, elementwise.
+    """Two-point ratio lambda^2 / (s^m - 1) at offsets ``lam``, elementwise; ``m`` broadcasts.
 
     Offsets below ``_OFFSET_FLOOR`` or leaving the domain, and those with
     a non-positive denominator, give -inf; a non-finite denominator gives 0.
-    Returns a float for a float ``lam`` and an array for an array.
     """
     lam = np.asarray(lam, dtype=float)
     t = theta0 + lam
@@ -156,8 +170,7 @@ def _chrb_value(theta0, m, model, lam, domain, p0p, p0m):
     excluded = ((np.abs(lam) < _OFFSET_FLOOR) | (t < domain.a - 1e-15)
                 | (t > domain.b + 1e-15) | (den <= 0.0))
     # a NaN or infinite denominator gives lambda^2 / inf = 0
-    value = np.where(excluded, -np.inf, lam * lam / np.where(den > 0.0, den, np.inf))
-    return float(value) if value.ndim == 0 else value
+    return np.where(excluded, -np.inf, lam * lam / np.where(den > 0.0, den, np.inf))
 
 
 def chrb(theta0: float, m: int, model: GhzParityModel,
@@ -167,24 +180,43 @@ def chrb(theta0: float, m: int, model: GhzParityModel,
     The admissible offsets keep theta0 + lambda inside the phase domain and
     exclude lambda = 0.  Supremum by coarse grid plus golden-section
     refinement; the reported value is the best evaluated point, hence a lower
-    estimate of the true supremum.
+    estimate of the true supremum.  ``chrb_block`` at one sample size.
+    """
+    return chrb_block(theta0, [m], model, domain)[0]
+
+
+def chrb_block(theta0: float, ms, model: GhzParityModel,
+               domain: PhaseDomain | None = None) -> list[BoundReport]:
+    """``chrb`` at every sample size of ``ms``, one report each, searched in lock-step.
+
+    Row k of each search array is the offset search at ``ms[k]``; each row
+    reaches the argmax and value that a search at that m alone reaches.  A row
+    whose every offset is excluded raises ``NoAdmissibleOffsetError`` naming
+    its m and theta0.
     """
     domain = domain or PhaseDomain()
-    if m < 1:
-        raise ModelError("m must be >= 1")
+    ms = _sample_sizes(ms)
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
     if hi - lo <= 2 * _OFFSET_FLOOR:
-        raise NoAdmissibleOffsetError("no admissible offsets in the domain")
+        raise NoAdmissibleOffsetError(f"no admissible offsets in the domain at theta0={theta0!r}")
 
     def objective(lam):
-        return _chrb_value(theta0, m, model, lam, domain, p0p, p0m)
+        m_col = ms.reshape((-1,) + (1,) * (lam.ndim - 1))
+        out = np.empty(lam.shape)
+        for rows in _row_chunks(len(lam), lam[0].size):
+            out[rows] = _chrb_value(theta0, m_col[rows], model, lam[rows], domain, p0p, p0m)
+        return out
 
     try:
-        arg, value = maximize_1d(objective, lo, hi, coarse_points=_CHRB_COARSE)
+        args, values = maximize_1d(objective, np.full(ms.size, lo), np.full(ms.size, hi),
+                                   coarse_points=_CHRB_COARSE)
     except AllNanGridError as exc:
-        raise NoAdmissibleOffsetError("every candidate offset was excluded") from exc
-    return BoundReport(name="chrb", value=value, argmax={"lambda": arg})
+        raise NoAdmissibleOffsetError(
+            f"every candidate offset was excluded at m={int(ms[exc.rows[0]])}, "
+            f"theta0={theta0!r}") from exc
+    return [BoundReport(name="chrb", value=float(v), argmax={"lambda": float(a)})
+            for a, v in zip(args, values)]
 
 
 def _echrb_grid_eval(theta0, m, model, L1, L2, p0p, p0m):
@@ -222,48 +254,79 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
     compared with the A -> infinity limit.  The offset pair is searched on a
     grid (optionally seeded with extra lambda1 candidates, each of which must
     keep theta0 + lambda1 in the domain) and refined by deterministic zooming
-    around the best cell.
+    around the best cell.  ``echrb_block`` at one sample size.
+    """
+    return echrb_block(theta0, [m], model, domain, [seed_lambdas])[0]
+
+
+def echrb_block(theta0: float, ms, model: GhzParityModel,
+                domain: PhaseDomain | None = None,
+                seed_lambdas=None) -> list[BoundReport]:
+    """``echrb`` at every sample size of ``ms``; ``seed_lambdas[k]`` seeds the search at ``ms[k]``.
+
+    The first grid of each m (``_ECHRB_GRID`` points per axis plus its seeds)
+    is evaluated m by m; the 21 x 21 zoom rounds and the final coefficient
+    evaluation run over the whole block, in row chunks.  A row whose zoom grid
+    is wholly excluded stops refining, as a lone search would.  A row whose
+    first grid is wholly excluded raises ``NoAdmissibleOffsetError`` naming
+    its m and theta0.
     """
     domain = domain or PhaseDomain()
-    if m < 1:
-        raise ModelError("m must be >= 1")
+    ms = _sample_sizes(ms)
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
+    seed_rows = [()] * ms.size if seed_lambdas is None else list(seed_lambdas)
+    if len(seed_rows) != ms.size:
+        raise ModelError(f"{len(seed_rows)} seed rows for {ms.size} sample sizes")
 
-    l1s = l2s = np.linspace(lo, hi, _ECHRB_GRID)
-    if len(seed_lambdas):
-        seeds = np.asarray(seed_lambdas, dtype=float)
-        # the test point theta0 + lambda1 must lie in the domain, as in barankin_at
-        if not np.all((seeds >= lo - 1e-15) & (seeds <= hi + 1e-15)):
-            raise ModelError(f"seed offsets {seeds.tolist()} put a test point outside the "
-                             f"phase domain [{domain.a}, {domain.b}]")
-        # sorted and deduplicated; np.unique would import numpy.ma
-        l1s = np.sort(np.concatenate([l2s, seeds]))
-        l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
-
-    best = (-math.inf, math.nan, math.nan)
-    for round_idx in range(_ECHRB_REFINE_ROUNDS + 1):
-        g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], l2s[None, :], p0p, p0m)
+    grid = np.linspace(lo, hi, _ECHRB_GRID)
+    best = np.empty((3, ms.size))             # value, lambda1, lambda2 of each row
+    spans = np.empty((2, ms.size))            # cell widths of each row's last grid
+    for k, (m, seeds) in enumerate(zip(ms, seed_rows)):
+        l1s = grid
+        if len(seeds):
+            seeds = np.asarray(seeds, dtype=float)
+            # the test point theta0 + lambda1 must lie in the domain, as in barankin_at
+            if not np.all((seeds >= lo - 1e-15) & (seeds <= hi + 1e-15)):
+                raise ModelError(f"seed offsets {seeds.tolist()} put a test point outside the "
+                                 f"phase domain [{domain.a}, {domain.b}]")
+            # sorted and deduplicated; np.unique would import numpy.ma
+            l1s = np.sort(np.concatenate([grid, seeds]))
+            l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
+        g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], grid[None, :], p0p, p0m)
         if np.all(g == -np.inf):
-            if round_idx == 0:
-                raise NoAdmissibleOffsetError("every (lambda1, lambda2) cell was excluded")
-            break
+            raise NoAdmissibleOffsetError(
+                f"every (lambda1, lambda2) cell was excluded at m={int(m)}, theta0={theta0!r}")
         i, j = np.unravel_index(int(np.argmax(g)), g.shape)
-        if g[i, j] > best[0]:
-            best = (float(g[i, j]), float(l1s[i]), float(l2s[j]))
-        if round_idx == _ECHRB_REFINE_ROUNDS:
-            break
-        span1 = (l1s[-1] - l1s[0]) / max(l1s.size - 1, 1)
-        span2 = (l2s[-1] - l2s[0]) / max(l2s.size - 1, 1)
-        l1s = np.linspace(max(lo, best[1] - span1), min(hi, best[1] + span1), 21)
-        l2s = np.linspace(max(lo, best[2] - span2), min(hi, best[2] + span2), 21)
+        best[:, k] = g[i, j], l1s[i], grid[j]
+        spans[:, k] = ((l1s[-1] - l1s[0]) / max(l1s.size - 1, 1),
+                       (grid[-1] - grid[0]) / max(grid.size - 1, 1))
 
-    value, l1, l2 = best
-    _, a_star = _echrb_grid_eval(theta0, m, model, np.asarray([l1]), np.asarray([l2]),
-                                 p0p, p0m)
-    return BoundReport(
-        name="echrb", value=value,
-        argmax={"lambda1": l1, "lambda2": l2, "a_coefficient": float(a_star[0])})
+    alive = np.ones(ms.size, dtype=bool)
+    for _ in range(_ECHRB_REFINE_ROUNDS):
+        l1s, l2s = (np.linspace(np.maximum(lo, centre - span), np.minimum(hi, centre + span),
+                                21, axis=-1)
+                    for centre, span in zip(best[1:], spans))
+        for rows in _row_chunks(ms.size, 21 * 21):
+            g, _ = _echrb_grid_eval(theta0, ms[rows, None, None], model, l1s[rows, :, None],
+                                    l2s[rows, None, :], p0p, p0m)
+            g = g.reshape(g.shape[0], -1)
+            flat = np.argmax(g, axis=1)
+            top = g[np.arange(g.shape[0]), flat]
+            better = alive[rows] & (top > best[0, rows])
+            i, j = np.divmod(flat, 21)
+            r = np.arange(g.shape[0])
+            best[:, rows] = np.where(better, (top, l1s[rows][r, i], l2s[rows][r, j]),
+                                     best[:, rows])
+            # a wholly excluded zoom grid ends that row's refinement
+            alive[rows] &= top != -np.inf
+        spans = np.stack([(l1s[:, -1] - l1s[:, 0]) / 20, (l2s[:, -1] - l2s[:, 0]) / 20])
+
+    _, a_star = _echrb_grid_eval(theta0, ms, model, best[1], best[2], p0p, p0m)
+    return [BoundReport(name="echrb", value=float(v),
+                        argmax={"lambda1": float(l1), "lambda2": float(l2),
+                                "a_coefficient": float(a)})
+            for v, l1, l2, a in zip(*best, a_star)]
 
 
 def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
@@ -293,14 +356,40 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
     if np.any(np.diff(np.sort(t)) < _OFFSET_SEPARATION):
         raise ModelError("test points must be mutually distinct by >= 1e-9")
 
-    B = _gram_power(m, _pair_increment(model, theta0, t[:, None], t[None, :], p0p, p0m))
-    d = t - theta0
-    sol = solve_spd(B, d)
+    sol = solve_spd(_gram_stack(theta0, m, model, t[None], p0p, p0m)[0], t - theta0)
     return BoundReport(
         name="barankin", value=max(sol.quadratic_form, 0.0),
         argmax={"test_points": pts, "coefficients": tuple(sol.coefficients)},
         diagnostics={"condition": sol.condition, "ridge_used": sol.ridge_used,
                      "ill_conditioned": sol.ill_conditioned})
+
+
+def _gram_stack(theta0, m, model, placements, p0p, p0m):
+    """Centred Gram matrices s(t_i, t_j)^m - 1 of the (K, n) placements: shape (K, n, n).
+
+    Entry by entry the arithmetic of ``_pair_increment`` and ``_gram_power``.
+    """
+    d = model.prob_plus(placements) - p0p
+    return _gram_power(m, d[:, :, None] * d[:, None, :] / (p0p * p0m))
+
+
+def _barankin_values(theta0, m, model, placements, p0p, p0m):
+    """``barankin_at``'s value for each of the (K, n) placements, as one stacked solve.
+
+    A placement with a point closer than ``_OFFSET_SEPARATION`` to theta0 or
+    to another point, a non-finite Gram matrix (s^m overflows for far points
+    at large m) or no finite solution scores -inf instead of raising.  The
+    points must lie in the domain.
+    """
+    gram = _gram_stack(theta0, m, model, placements, p0p, p0m)
+    # |t - theta0| and the gaps between points are the gaps of the sorted row with theta0
+    ordered = np.sort(np.concatenate([placements, np.full((len(placements), 1), theta0)], axis=1))
+    too_close = (ordered[:, 1:] - ordered[:, :-1]).min(axis=1) < _OFFSET_SEPARATION
+    if np.count_nonzero(too_close):
+        gram[too_close] = np.nan
+    form = np.maximum(solve_spd_stack(gram, placements - theta0).quadratic_form, 0.0)
+    form[np.isnan(form)] = -np.inf
+    return form
 
 
 def barankin(theta0: float, m: int, model: GhzParityModel, test_points,
@@ -309,37 +398,32 @@ def barankin(theta0: float, m: int, model: GhzParityModel, test_points,
 
     Starts from ``test_points``, which ``barankin_at`` validates, then
     re-optimises one test point at a time with a 25-point grid-plus-golden
-    search, for at most two sweeps over the points.  Deterministic throughout;
-    the result is a lower estimate of the supremum over placements of this
-    family size.
+    search, for at most two sweeps over the points.  Each search evaluates
+    its candidate placements as one stack (``_barankin_values``).
+    Deterministic throughout; the result is a lower estimate of the supremum
+    over placements of this family size.
     """
     domain = domain or PhaseDomain()
     start = barankin_at(theta0, m, model, test_points, domain)
+    p0p, p0m = _single_shot_probs(model, theta0, domain)
 
-    def evaluate(pts) -> float:
-        try:
-            return barankin_at(theta0, m, model, pts, domain).value
-        except (ModelError, NumericalFailure):
-            return -math.inf
-
-    pts = list(start.argmax["test_points"])
+    pts = np.array(start.argmax["test_points"])
     val = start.value
     for _ in range(2):
         improved = False
-        for i in range(len(pts)):
-            def coord_obj(ts, _i=i, _pts=pts):
-                # one barankin_at solve per candidate, for a float or an array
-                vals = [evaluate(_pts[:_i] + [float(t)] + _pts[_i + 1:])
-                        for t in np.atleast_1d(ts)]
-                return vals[0] if np.ndim(ts) == 0 else np.array(vals)
+        for i in range(pts.size):
+            def coord_obj(ts, _moved=np.arange(pts.size) == i, _pts=pts.copy()):
+                # one placement per candidate: point i at the candidate, the others fixed
+                placements = np.where(_moved, ts.reshape(-1, 1), _pts)
+                return _barankin_values(theta0, m, model, placements, p0p, p0m).reshape(ts.shape)
 
             try:
-                arg, v = maximize_1d(coord_obj, domain.a, domain.b, coarse_points=25)
+                arg, v = maximize_1d(coord_obj, [domain.a], [domain.b], coarse_points=25)
             except AllNanGridError:
                 continue
-            if v > val + 1e-12 * max(1.0, abs(val)):
-                pts[i] = arg
-                val = v
+            if v[0] > val + 1e-12 * max(1.0, abs(val)):
+                pts[i] = arg[0]
+                val = float(v[0])
                 improved = True
         if not improved:
             break

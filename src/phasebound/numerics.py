@@ -23,7 +23,11 @@ class NumericalFailure(RuntimeError):
 
 
 class AllNanGridError(NumericalFailure):
-    """Every coarse-grid sample of an objective was invalid."""
+    """Every coarse-grid sample of an objective was invalid, in the search rows ``rows``."""
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = tuple(rows)
 
 
 class IndefiniteMatrixError(NumericalFailure):
@@ -83,50 +87,80 @@ def integrate(values, grid: QuadratureGrid) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def maximize_1d(f, lo: float, hi: float, coarse_points: int) -> tuple[float, float]:
-    """Deterministic supremum search: coarse grid, then golden-section refinement.
+def maximize_1d(f, lo, hi, coarse_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """K deterministic supremum searches in lock-step: coarse grid, then golden section.
 
-    ``f`` must accept both an array and a float.  The coarse stage calls it
-    once with the whole ``coarse_points`` grid as an ndarray and takes the
-    array it returns (one value per point, elementwise as if each point were
-    passed alone); golden-section refinement then calls it with one float at
-    a time and expects a float back.  ``f`` may return -inf or NaN to exclude
-    points.  The returned value is the best sample seen, so it never falls
-    below the coarse-grid maximum.
+    ``lo`` and ``hi`` hold the K search intervals, shape (K,); row k of every
+    array passed to ``f`` belongs to search k.  ``f`` is called only with
+    arrays and returns one value per point, elementwise: once with the
+    (K, ``coarse_points``) grids, then once per golden-section step with one
+    point per search, shape (K,).  It may return -inf or NaN to exclude a
+    point; the coarse array it returns may be overwritten.  Every row takes
+    the comparisons and updates of a lone scalar search; a row whose bracket
+    has already shrunk below the tolerance keeps its state while the others
+    step, and its value at those steps is ignored.  Returns the (K,)
+    argmaxes and values, each the best sample of its row, so never below that
+    row's coarse-grid maximum.  A row whose whole coarse grid is invalid
+    raises ``AllNanGridError`` naming the rows.
     """
-    if not lo < hi:
-        raise ModelError(f"search interval requires lo < hi, got [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, coarse_points)
-    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    if np.all(vals == -np.inf):
-        raise AllNanGridError("objective invalid on the whole coarse grid")
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape or not np.all(lo < hi):
+        raise ModelError(f"search intervals require lo < hi, got [{lo}, {hi}]")
+    rows = np.arange(lo.size)
+    if np.all(lo == lo[0]) and np.all(hi == hi[0]):
+        # one interval for every row: one grid, broadcast (read-only) to K rows
+        xs = np.broadcast_to(np.linspace(lo[0], hi[0], coarse_points), (lo.size, coarse_points))
+    else:
+        xs = np.linspace(lo, hi, coarse_points, axis=1)
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ModelError(f"objective returned shape {vals.shape} for points of shape {xs.shape}")
+    if not vals.flags.writeable:
+        vals = vals.copy()
+    invalid = np.isfinite(vals)
+    np.logical_not(invalid, out=invalid)
+    vals[invalid] = -np.inf
+    i = np.argmax(vals, axis=1)
+    xs_seen, vals_seen = [xs[rows, i]], [vals[rows, i]]   # each row's samples, in order
+    dead = np.flatnonzero(vals_seen[0] == -np.inf)
+    if dead.size:
+        raise AllNanGridError("objective invalid on the whole coarse grid", rows=dead.tolist())
+    a = xs[rows, np.maximum(i - 1, 0)]
+    b = xs[rows, np.minimum(i + 1, coarse_points - 1)]
+
+    def sample(x):
+        """f at x, each non-finite value mapped to -inf: an excluded point."""
+        v = np.asarray(f(x), dtype=float)
+        v = np.where(np.isfinite(v), v, -np.inf)
+        xs_seen.append(x)
+        vals_seen.append(v)
+        return v
 
     refine_tol = _GOLDEN_REL_TOL * (hi - lo)
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, coarse_points - 1)])
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for x, v in ((c, fc), (d, fd)):
-        if math.isfinite(v) and v > best_v:
-            best_x, best_v = x, v
-    while b - a > refine_tol:
-        if (fc if math.isfinite(fc) else -math.inf) > (fd if math.isfinite(fd) else -math.inf):
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            if math.isfinite(fc) and fc > best_v:
-                best_x, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            if math.isfinite(fd) and fd > best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
+    fc, fd = sample(c), sample(d)
+    active = b - a > refine_tol
+    while n_active := np.count_nonzero(active):
+        # the bracket moves left where f(c) beats f(d)
+        left = fc > fd
+        a_new, b_new = np.where(left, a, c), np.where(left, d, b)
+        step = _INVPHI * (b_new - a_new)
+        x = np.where(left, b_new - step, a_new + step)
+        fx = sample(x)
+        # left: b, d, fd = d, c, fc and x is the new c; right: a, c, fc = c, d, fd and x is d
+        state = (a_new, b_new, np.where(left, x, d), np.where(left, fx, fd),
+                 np.where(left, c, x), np.where(left, fc, fx))
+        if n_active < active.size:
+            vals_seen[-1] = np.where(active, fx, -np.inf)   # a finished row ignores this step
+            state = tuple(np.where(active, new, old)
+                          for new, old in zip(state, (a, b, c, fc, d, fd)))
+        a, b, c, fc, d, fd = state
+        active = b - a > refine_tol
+    # the first best sample of each row: a scalar search keeps a sample only if it beats its best
+    best = np.argmax(vals_seen, axis=0)
+    return np.asarray(xs_seen)[best, rows], np.asarray(vals_seen)[best, rows]
 
 
 @dataclass(frozen=True)
@@ -138,6 +172,92 @@ class SpdSolution:
     ill_conditioned: bool
 
 
+@dataclass(frozen=True)
+class SpdStack:
+    """Row-wise solutions of a stack of systems; a row that could not be solved
+    (non-finite input, non-positive ridge, singular even with the ridge, or a
+    non-finite quadratic form) has quadratic form NaN."""
+
+    coefficients: np.ndarray     # (K, n)
+    quadratic_form: np.ndarray   # (K,)
+    condition: np.ndarray        # (K,), NaN where the matrix is non-finite
+    ridge_used: np.ndarray       # (K,) bool
+    ill_conditioned: np.ndarray  # (K,) bool
+
+
+def _solve_rows(matrices, rhs) -> np.ndarray:
+    """B[k]^-1 d[k] for every row; NaN rows where B[k] is singular."""
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for k in range(rhs.shape[0]):
+            try:
+                out[k] = np.linalg.solve(matrices[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _forms(rhs, coefficients) -> np.ndarray:
+    """d[k]^T a[k] for every row, each as the dot product ``d @ a`` of one row."""
+    return np.matmul(rhs[:, None, :], coefficients[:, :, None])[:, 0, 0]
+
+
+def solve_spd_stack(matrices, rhs) -> SpdStack:
+    """Solve B[k] a = d[k] for a (K, n, n) stack of symmetric matrices, with ridge fallback.
+
+    Row by row this is ``solve_spd``, with the same arithmetic: a row whose B
+    is not numerically SPD (smallest eigenvalue <= 0 or condition number above
+    ``_CONDITION_CAP``) is solved with a ridge of ``_RIDGE_SCALE * trace(B)/n``
+    and flagged ill-conditioned when doubling the ridge moves the quadratic
+    form by more than 1e-6 relative.  Rows that cannot be solved, a non-finite
+    matrix or right-hand side among them, get a NaN quadratic form instead of
+    raising; symmetry is not checked.
+    """
+    B = np.asarray(matrices, dtype=float)
+    d = np.asarray(rhs, dtype=float)
+    n = d.shape[1]
+    all_finite = np.isfinite(B).all()
+    if not all_finite:
+        finite = np.isfinite(B).all(axis=(1, 2))
+        # decompose the identity in their place; their results are dropped below
+        B = np.where(finite[:, None, None], B, np.eye(n))
+    eigs = np.linalg.eigvalsh(B)
+    cond = np.full(len(B), np.inf)
+    with np.errstate(over="ignore"):
+        # a subnormal smallest eigenvalue overflows the ratio to inf
+        np.divide(eigs[:, -1], eigs[:, 0], out=cond, where=eigs[:, 0] > 0)
+    ridged = cond > _CONDITION_CAP        # true where eigs[:, 0] <= 0, too
+    ill = np.zeros(ridged.shape, dtype=bool)
+    if not np.count_nonzero(ridged):
+        coef = _solve_rows(B, d)
+    else:
+        coef = np.full(d.shape, np.nan)
+        plain = ~ridged
+        if plain.any():
+            coef[plain] = _solve_rows(B[plain], d[plain])
+        rows = np.flatnonzero(ridged)
+        ridge = _RIDGE_SCALE * np.trace(B[rows], axis1=1, axis2=2) / n
+        usable = (ridge > 0) & np.isfinite(ridge)
+        rows, ridge = rows[usable], ridge[usable]
+        if rows.size:
+            eye = np.eye(n)
+            coef[rows] = _solve_rows(B[rows] + ridge[:, None, None] * eye, d[rows])
+            doubled = _solve_rows(B[rows] + (2.0 * ridge)[:, None, None] * eye, d[rows])
+            form, form_doubled = _forms(d[rows], coef[rows]), _forms(d[rows], doubled)
+            denom = np.maximum(np.maximum(np.abs(form), np.abs(form_doubled)), 1e-300)
+            ill[rows] = np.abs(form - form_doubled) / denom > 1e-6
+    form = _forms(d, coef)
+    form[~np.isfinite(form)] = np.nan
+    if not all_finite:
+        form[~finite] = cond[~finite] = np.nan
+        ridged &= finite
+        ill &= finite
+    return SpdStack(coefficients=coef, quadratic_form=form, condition=cond,
+                    ridge_used=ridged, ill_conditioned=ill)
+
+
 def solve_spd(matrix, rhs) -> SpdSolution:
     """Solve B a = d for symmetric positive-definite B, with ridge fallback.
 
@@ -145,7 +265,9 @@ def solve_spd(matrix, rhs) -> SpdSolution:
     condition estimate.  If B is not numerically SPD, a ridge of
     ``_RIDGE_SCALE * trace(B)/n`` is added; the solution is flagged
     ill-conditioned when doubling the ridge moves the quadratic form by more
-    than 1e-6 relative.
+    than 1e-6 relative.  This is ``solve_spd_stack`` on a stack of one, after
+    checking the shapes, finiteness and symmetry, and raising where the stack
+    would give NaN.
     """
     B = np.asarray(matrix, dtype=float)
     d = np.asarray(rhs, dtype=float)
@@ -158,30 +280,14 @@ def solve_spd(matrix, rhs) -> SpdSolution:
         raise NumericalFailure("non-finite Gram matrix or right-hand side")
     if not np.allclose(B, B.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(B).max()))):
         raise ModelError("matrix is not symmetric")
-
-    eigs = np.linalg.eigvalsh(B)
-    with np.errstate(over="ignore"):     # a subnormal eigs[0] overflows to inf
-        cond = math.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
-    ridge_used = eigs[0] <= 0 or cond > _CONDITION_CAP
-    ill = False
-    if not ridge_used:
-        a = np.linalg.solve(B, d)
-        form = float(d @ a)
-    else:
-        ridge = _RIDGE_SCALE * float(np.trace(B)) / n
-        if ridge <= 0 or not math.isfinite(ridge):
-            raise IndefiniteMatrixError("Gram matrix has nonpositive trace")
-        try:
-            a, a_doubled = (np.linalg.solve(B + r * np.eye(n), d) for r in (ridge, 2.0 * ridge))
-        except np.linalg.LinAlgError as exc:
-            raise IndefiniteMatrixError("ridge repair failed") from exc
-        form, form_doubled = float(d @ a), float(d @ a_doubled)
-        denom = max(abs(form), abs(form_doubled), 1e-300)
-        ill = abs(form - form_doubled) / denom > 1e-6
-    if not math.isfinite(form):
-        raise IndefiniteMatrixError("quadratic form is non-finite")
-    return SpdSolution(coefficients=a, quadratic_form=form, condition=cond,
-                       ridge_used=ridge_used, ill_conditioned=ill)
+    sol = solve_spd_stack(B[None], d[None])
+    form = float(sol.quadratic_form[0])
+    if math.isnan(form):
+        raise IndefiniteMatrixError("no finite solution, even with the ridge "
+                                    f"(condition {float(sol.condition[0]):.3g})")
+    return SpdSolution(coefficients=sol.coefficients[0], quadratic_form=form,
+                       condition=float(sol.condition[0]), ridge_used=bool(sol.ridge_used[0]),
+                       ill_conditioned=bool(sol.ill_conditioned[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ the package also computes, by an independent route:
   differences, against the analytic one of ``frequentist_risk``;
 * ``ConstantEstimator`` - an estimator that ignores the data, a degenerate
   test double with zero variance and zero bias derivative;
+* ``scalar_maximize_1d`` - one supremum search with scalar golden-section
+  steps, and ``scalar_chrb`` and ``scalar_echrb``, the ChRB and EChRB
+  searches of one m at a time, as the package ran them before its searches
+  were stepped in lock-step over a block of m; against ``chrb_block`` and
+  ``echrb_block`` with ``==``;
 * ``scipy_log_binomial``, ``scipy_tally_probability``,
   ``scipy_tally_pmf_matrix`` and ``scipy_tally_pmf_dtheta_matrix`` - the
   tally kernels written with ``scipy.special.gammaln`` and ``xlogy``, the
@@ -56,6 +61,14 @@ from scipy.special import gammaln, xlogy
 
 from phasebound.engine import expect_values_over_tallies, tally_column
 from phasebound.estimate import DegeneratePosteriorError, Estimator, GhoshTable
+from phasebound.fbound import (
+    _CHRB_COARSE,
+    _ECHRB_GRID,
+    _ECHRB_REFINE_ROUNDS,
+    _chrb_value,
+    _echrb_grid_eval,
+    _single_shot_probs,
+)
 from phasebound.model import (
     _BLOCK_CELLS,
     GhzParityModel,
@@ -64,6 +77,7 @@ from phasebound.model import (
     tally_pmf_matrix,
 )
 from phasebound.numerics import (
+    _GOLDEN_REL_TOL,
     DERIVATIVE_NOISE_REL,
     NumericalFailure,
     PriorDensity,
@@ -462,3 +476,92 @@ def scipy_tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.n
         k = np.arange(0, m)[:, None]
         t2[:m] = (m - k) * np.exp(logc[:m] + xlogy(k, pp) + xlogy(m - k - 1, pm))
     return model.dprob_dtheta(thetas)[None, :] * (t1 - t2)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_maximize_1d(f, lo: float, hi: float, coarse_points: int) -> tuple[float, float]:
+    """One supremum search with scalar golden-section steps, as the package searched before
+    its searches were stepped in lock-step.
+
+    ``f`` takes the whole coarse grid as an array, then one float per golden
+    step, and returns a float there.  The returned value is the best sample
+    seen, so never below the coarse-grid maximum.
+    """
+    if not lo < hi:
+        raise ModelError(f"search interval requires lo < hi, got [{lo}, {hi}]")
+    xs = np.linspace(lo, hi, coarse_points)
+    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    vals = np.where(np.isfinite(vals), vals, -np.inf)
+    if np.all(vals == -np.inf):
+        raise NumericalFailure("objective invalid on the whole coarse grid")
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+
+    refine_tol = _GOLDEN_REL_TOL * (hi - lo)
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, coarse_points - 1)])
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for x, v in ((c, fc), (d, fd)):
+        if math.isfinite(v) and v > best_v:
+            best_x, best_v = x, v
+    while b - a > refine_tol:
+        if (fc if math.isfinite(fc) else -math.inf) > (fd if math.isfinite(fd) else -math.inf):
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+            if math.isfinite(fc) and fc > best_v:
+                best_x, best_v = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+            if math.isfinite(fd) and fd > best_v:
+                best_x, best_v = d, fd
+    return best_x, best_v
+
+
+def scalar_chrb(theta0: float, m: int, model: GhzParityModel,
+                domain: PhaseDomain) -> tuple[float, float]:
+    """(argmax, value) of the ChRB search at one m through ``scalar_maximize_1d``."""
+    p0p, p0m = _single_shot_probs(model, theta0, domain)
+
+    def objective(lam):
+        value = _chrb_value(theta0, m, model, lam, domain, p0p, p0m)
+        return value if value.ndim else float(value)
+
+    return scalar_maximize_1d(objective, domain.a - theta0, domain.b - theta0, _CHRB_COARSE)
+
+
+def scalar_echrb(theta0: float, m: int, model: GhzParityModel, domain: PhaseDomain,
+                 seed_lambdas=()) -> tuple[float, float, float, float]:
+    """(value, lambda1, lambda2, A) of the EChRB search at one m, its zoom rounds run one
+    m at a time, as the package ran them before they were stacked over a block of m."""
+    p0p, p0m = _single_shot_probs(model, theta0, domain)
+    lo, hi = domain.a - theta0, domain.b - theta0
+    l1s = l2s = np.linspace(lo, hi, _ECHRB_GRID)
+    if len(seed_lambdas):
+        l1s = np.sort(np.concatenate([l2s, np.asarray(seed_lambdas, dtype=float)]))
+        l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
+    best = (-math.inf, math.nan, math.nan)
+    for round_idx in range(_ECHRB_REFINE_ROUNDS + 1):
+        g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], l2s[None, :], p0p, p0m)
+        if np.all(g == -np.inf):
+            if round_idx == 0:
+                raise NumericalFailure("every (lambda1, lambda2) cell was excluded")
+            break
+        i, j = np.unravel_index(int(np.argmax(g)), g.shape)
+        if g[i, j] > best[0]:
+            best = (float(g[i, j]), float(l1s[i]), float(l2s[j]))
+        if round_idx == _ECHRB_REFINE_ROUNDS:
+            break
+        span1 = (l1s[-1] - l1s[0]) / max(l1s.size - 1, 1)
+        span2 = (l2s[-1] - l2s[0]) / max(l2s.size - 1, 1)
+        l1s = np.linspace(max(lo, best[1] - span1), min(hi, best[1] + span1), 21)
+        l2s = np.linspace(max(lo, best[2] - span2), min(hi, best[2] + span2), 21)
+    value, l1, l2 = best
+    _, a_star = _echrb_grid_eval(theta0, m, model, np.asarray([l1]), np.asarray([l2]), p0p, p0m)
+    return value, l1, l2, float(a_star[0])

@@ -63,6 +63,15 @@ class TestConfigParsing:
         cfg_file.write_text("theta0=3.0\n")
         assert main(["fig1", "--config", str(cfg_file)]) == 2
 
+    def test_family45_prior_without_alpha_is_config_error(self):
+        # the CLI always resolves alpha first; a direct call without one names the key
+        cfg = RunConfig()
+        _, _, grid = cfg.build()
+        with pytest.raises(cli_module.ConfigError, match="prior.alpha"):
+            cfg.make_prior(grid, None)
+        cfg.prior_kind = "flat"
+        assert cfg.make_prior(grid, None).kind == "flat"
+
     def test_even_grid_rejected(self):
         assert main(["fig1", "--grid.nodes", "100", "--m.list", "1"]) == 2
 
@@ -273,6 +282,23 @@ class TestDeterminism:
                 blobs.append((rundir / "out.csv").read_bytes())
             assert blobs[0] == blobs[1] == blobs[2], command[0]
 
+    @pytest.mark.parametrize("command", [
+        ["fig2", "--m.max", "40"],
+        ["fig3", "--prior.alpha", "10", "--m.list", "100,3,40,7,1,12,25", "--grid.nodes", "401"],
+    ])
+    def test_strided_blocks_byte_identical(self, tmp_path, monkeypatch, command):
+        # W threads take the strided blocks ms[j::W], here of unequal lengths, and
+        # merge their rows back into sweep order: 1, 2 and 3 threads write the same bytes
+        blobs = []
+        for threads in ("1", "2", "3"):
+            rundir = tmp_path / f"threads{threads}"
+            rundir.mkdir()
+            monkeypatch.chdir(rundir)
+            monkeypatch.setenv("PHASEBOUND_THREADS", threads)
+            assert main([*command, "--out", "out.csv"]) == 0
+            blobs.append((rundir / "out.csv").read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("PHASEBOUND_THREADS", "zero")
         assert main(["fig1", "--m.list", "1"]) == 2
@@ -280,7 +306,7 @@ class TestDeterminism:
 
 class TestExitCodes:
     def test_hierarchy_violation_maps_to_4(self, monkeypatch):
-        def boom(m):
+        def boom(ms):
             raise HierarchyViolationError("synthetic violation")
 
         # fig2's row producer replaced by one whose rows violate the hierarchy
@@ -289,13 +315,14 @@ class TestExitCodes:
         assert main(["fig2", "--m.list", "1"]) == 4
 
     def test_fig2_chain_violation_names_cell(self, monkeypatch, capsys):
-        real_chrb = cli_module.chrb
+        # fig2 searches its block of m through chrb_block: inflate every ChRB it returns
+        real_chrb_block = cli_module.chrb_block
 
-        def inflated_chrb(*args, **kwargs):
-            report = real_chrb(*args, **kwargs)
-            return dataclasses.replace(report, value=10.0 * report.value)
+        def inflated_chrb_block(*args, **kwargs):
+            return [dataclasses.replace(report, value=10.0 * report.value)
+                    for report in real_chrb_block(*args, **kwargs)]
 
-        monkeypatch.setattr(cli_module, "chrb", inflated_chrb)
+        monkeypatch.setattr(cli_module, "chrb_block", inflated_chrb_block)
         assert main(["fig2", "--m.list", "3"]) == 4
         err = capsys.readouterr().err
         assert "echrb=" in err and "chrb=" in err and "m=3" in err
@@ -333,7 +360,8 @@ class TestExitCodes:
         # fig1 and fig2 under a missing directory; a later file of the fig3 and fig4
         # alpha batteries, and the bounds output itself, blocked by a directory of
         # that name: nothing is computed or written
-        counted = {"fig2": "chrb", "fig4": "bayes_chain_report"}.get(command, "frequentist_risk")
+        counted = {"fig2": "chrb_block", "fig4": "bayes_chain_report"}.get(command,
+                                                                           "frequentist_risk")
         calls = []
         real = getattr(cli_module, counted)
 

@@ -73,23 +73,25 @@ class TestMle:
 
     def test_off_branch_table_equals_one_search_per_tally(self):
         # the closed form against a 1001-point maximize_1d of each tally's
-        # log-likelihood, to the search's resolution (its argmax of a flat peak
-        # is good to about sqrt(eps) relative)
-        def search(model, domain, k, m):
+        # log-likelihood, every tally's search stepped in lock-step (row k is
+        # tally k), to the search's resolution (its argmax of a flat peak is
+        # good to about sqrt(eps) relative)
+        def search(model, domain, m):
             def loglik(theta):
+                k = np.arange(m + 1).reshape((-1,) + (1,) * (theta.ndim - 1))
                 pp = model.prob_plus(theta)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     val = k * np.log(pp) + (m - k) * np.log(1.0 - pp)
-                val = np.where(np.isfinite(val), val, -np.inf)
-                return float(val) if val.ndim == 0 else val
-            return maximize_1d(loglik, domain.a, domain.b, coarse_points=1001)[0]
+                return np.where(np.isfinite(val), val, -np.inf)
+            return maximize_1d(loglik, np.full(m + 1, domain.a), np.full(m + 1, domain.b),
+                               coarse_points=1001)[0]
 
         for n, a, b, _ in self.OFF_BRANCH:
             model, domain = GhzParityModel(n), PhaseDomain(a, b)
             est = MaximumLikelihoodEstimator(model, domain)
             for m in (1, 2, 7, 40):
                 np.testing.assert_allclose(
-                    est.values(m), [search(model, domain, k, m) for k in range(m + 1)],
+                    est.values(m), search(model, domain, m),
                     rtol=0.0, atol=2e-8, err_msg=f"N={n} [{a}, {b}] m={m}")
 
     @pytest.mark.parametrize("n,a,b", [(1, -math.pi, 0.0), (2, math.pi / 2, math.pi),

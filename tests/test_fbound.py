@@ -1,21 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from oracles import scalar_chrb, scalar_echrb
 
 import phasebound.fbound as fbound_module
 from phasebound.fbound import (
     HierarchyViolationError,
     NoAdmissibleOffsetError,
+    _barankin_values,
     _echrb_grid_eval,
     _single_shot_probs,
     barankin,
     barankin_at,
     check_chain,
     chrb,
+    chrb_block,
     chrb_objective,
     crlb,
     echrb,
+    echrb_block,
     hierarchy_report,
 )
 from phasebound.model import GhzParityModel, ModelError, PhaseDomain
@@ -266,9 +271,10 @@ class TestArrayObjectives:
     def test_chrb_coarse_grid_equals_per_point(self, model, domain, m):
         lams = np.linspace(domain.a - T0, domain.b - T0, fbound_module._CHRB_COARSE)
         whole = chrb_objective(T0, m, model, lams, domain)
+        # a lone point in gives a 0-d array out
         per_point = np.array([chrb_objective(T0, m, model, float(lam), domain)
                               for lam in lams])
-        assert isinstance(chrb_objective(T0, m, model, float(lams[7]), domain), float)
+        assert chrb_objective(T0, m, model, float(lams[7]), domain).shape == ()
         assert whole.shape == lams.shape
         assert np.array_equal(whole, per_point)
         assert np.isfinite(whole).sum() >= fbound_module._CHRB_COARSE - 2
@@ -285,6 +291,99 @@ class TestArrayObjectives:
                                           p0p, p0m)
                 assert g[i, j] == gp[0]
                 assert a_star[i, j] == ap[0] or (np.isnan(a_star[i, j]) and np.isnan(ap[0]))
+
+
+# the true phases of the fixed_theta benchmark workload
+FIXED_THETA0S = [math.pi / 4, math.pi / 8, math.pi / 6, math.pi / 3, 3 * math.pi / 8]
+
+
+def _same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestLockStep:
+    """Searches over a block of m, against one scalar search per m, with ``==``."""
+
+    @pytest.mark.parametrize("theta0", FIXED_THETA0S)
+    def test_blocks_equal_one_scalar_search_per_m(self, model, domain, theta0):
+        # as fig2 runs them: EChRB seeded with the ChRB argmax of the same m
+        ms = list(range(1, 301))
+        chs = chrb_block(theta0, ms, model, domain)
+        echs = echrb_block(theta0, ms, model, domain, [[ch.argmax["lambda"]] for ch in chs])
+        for m, ch, ech in zip(ms, chs, echs):
+            arg, value = scalar_chrb(theta0, m, model, domain)
+            assert (ch.argmax["lambda"], ch.value) == (arg, value), m
+            want = scalar_echrb(theta0, m, model, domain, [arg])
+            got = (ech.value, ech.argmax["lambda1"], ech.argmax["lambda2"],
+                   ech.argmax["a_coefficient"])
+            assert all(_same(g, w) for g, w in zip(got, want)), (m, got, want)
+
+    def test_strided_blocks_equal_the_whole_block(self, model, domain):
+        ms = list(range(1, 41))
+        whole = chrb_block(T0, ms, model, domain)
+        for j in range(3):
+            assert chrb_block(T0, ms[j::3], model, domain) == whole[j::3]
+        seeds = [[r.argmax["lambda"]] for r in whole]
+        whole_e = echrb_block(T0, ms, model, domain, seeds)
+        assert echrb_block(T0, ms[1::3], model, domain, seeds[1::3]) == whole_e[1::3]
+
+    @pytest.mark.parametrize("theta0", [math.pi / 4, math.pi / 8, math.pi / 3])
+    @pytest.mark.parametrize("m", [1, 2, 5, 20, 100, 1000])
+    def test_stacked_barankin_equals_barankin_at(self, model, domain, theta0, m):
+        # one barankin_at per placement, excluded ones (a ModelError or NumericalFailure
+        # there) scoring -inf: too close to theta0 or to each other, ridged Gram
+        # matrices (every one at m = 1) and non-finite ones (far points at m = 1000)
+        rng = np.random.default_rng(m)
+        p0p, p0m = _single_shot_probs(model, theta0, domain)
+        for n in (1, 2, 3):
+            placements = rng.uniform(domain.a, domain.b, size=(150, n))
+            placements[0, 0] = theta0 + 1e-10
+            if n > 1:
+                placements[1, 1] = placements[1, 0] + 1e-10
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _barankin_values(theta0, m, model, placements, p0p, p0m)
+            kinds = {"ridged": 0, "excluded": 0}
+            for row, value in zip(placements, got):
+                try:
+                    report = barankin_at(theta0, m, model, row, domain)
+                except (ModelError, NumericalFailure):
+                    assert value == -math.inf
+                    kinds["excluded"] += 1
+                    continue
+                assert value == report.value
+                kinds["ridged"] += report.diagnostics["ridge_used"]
+            assert kinds["excluded"] >= (2 if n > 1 else 1)
+            if m == 1 and n > 1:
+                assert kinds["ridged"] == len(placements) - kinds["excluded"]
+            if m == 1000 and theta0 != math.pi / 4:
+                # at pi/4, s <= 2 and 2^1000 is finite
+                assert kinds["excluded"] > 2
+
+    def test_non_finite_gram_row_scores_minus_inf(self, model, domain):
+        # far test points at m = 1000: s = 6.8 at theta0 = pi/8 and s^m overflows;
+        # barankin_at raises, the stack does not
+        theta0 = math.pi / 8
+        far, near = [0.05, 1.5], [theta0 + 0.01, theta0 - 0.01]
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            barankin_at(theta0, 1000, model, far, domain)
+        p0p, p0m = _single_shot_probs(model, theta0, domain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _barankin_values(theta0, 1000, model, np.array([far, near]), p0p, p0m)
+        assert got[0] == -math.inf
+        assert got[1] == barankin_at(theta0, 1000, model, near, domain).value
+
+    def test_wholly_excluded_row_names_its_cell(self, model, domain, monkeypatch):
+        # every offset at m = 7 alone gets the zero denominator s^m - 1 = 0
+        real = fbound_module._gram_power
+        monkeypatch.setattr(fbound_module, "_gram_power",
+                            lambda m, inc: np.where(np.asarray(m) == 7, 0.0, real(m, inc)))
+        cell = rf"m=7, theta0={T0!r}".replace(".", r"\.")
+        with pytest.raises(NoAdmissibleOffsetError, match=cell):
+            chrb_block(T0, [5, 6, 7, 8], model, domain)
+        with pytest.raises(NoAdmissibleOffsetError, match=cell):
+            echrb_block(T0, [5, 6, 7, 8], model, domain)
 
 
 class TestIdentifiability:

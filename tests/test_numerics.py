@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scalar_maximize_1d
 
 import phasebound.numerics as numerics_module
 from phasebound.model import ModelError, PhaseDomain
@@ -22,6 +23,7 @@ from phasebound.numerics import (
     maximize_1d,
     prior_fisher_information,
     solve_spd,
+    solve_spd_stack,
 )
 
 
@@ -64,46 +66,105 @@ class TestSimpsonQuadrature:
 
 class TestMaximize1d:
     def test_parabola(self):
-        arg, val = maximize_1d(lambda x: -x * x, -1.0, 1.0, coarse_points=401)
-        assert abs(arg) < 1e-9 and abs(val) < 1e-16
+        arg, val = maximize_1d(lambda x: -x * x, [-1.0], [1.0], coarse_points=401)
+        assert abs(arg[0]) < 1e-9 and abs(val[0]) < 1e-16
 
     def test_chapman_robbins_single_shot_objective(self):
-        arg, val = maximize_1d(lambda x: x * x / np.sin(2 * x) ** 2, 1e-6, math.pi / 4,
+        arg, val = maximize_1d(lambda x: x * x / np.sin(2 * x) ** 2, [1e-6], [math.pi / 4],
                                coarse_points=401)
-        assert arg == pytest.approx(math.pi / 4, abs=1e-9)
-        assert val == pytest.approx((math.pi / 4) ** 2, rel=1e-12)
+        assert arg[0] == pytest.approx(math.pi / 4, abs=1e-9)
+        assert val[0] == pytest.approx((math.pi / 4) ** 2, rel=1e-12)
 
     def test_monotone_gives_boundary(self):
-        arg, val = maximize_1d(lambda x: 3.0 * x, 0.0, 2.0, coarse_points=401)
-        assert arg == pytest.approx(2.0, abs=1e-9)
-        assert val == pytest.approx(6.0, rel=1e-9)
+        arg, val = maximize_1d(lambda x: 3.0 * x, [0.0], [2.0], coarse_points=401)
+        assert arg[0] == pytest.approx(2.0, abs=1e-9)
+        assert val[0] == pytest.approx(6.0, rel=1e-9)
 
     def test_all_invalid_raises(self):
+        # the exception names the rows whose whole coarse grid is invalid
+        def f(x):
+            out = -x * x
+            out[1] = math.nan
+            return out
+
+        with pytest.raises(AllNanGridError) as info:
+            maximize_1d(f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], coarse_points=11)
+        assert info.value.rows == (1,)
         with pytest.raises(AllNanGridError):
-            maximize_1d(lambda x: math.nan, 0.0, 1.0, coarse_points=11)
+            maximize_1d(lambda x: np.full(x.shape, math.nan), [0.0], [1.0], coarse_points=11)
 
     def test_coarse_stage_is_one_array_call(self):
-        # one call with the whole grid, then only float calls (golden section)
+        # one call with every row's grid, then one (K,) array per golden step
         seen = []
 
         def f(x):
-            seen.append(x)
-            return -(x - 0.3) ** 2
+            seen.append(x.copy())
+            return -(x - np.array([0.3, -0.4]).reshape((-1,) + (1,) * (x.ndim - 1))) ** 2
 
-        arg, _ = maximize_1d(f, -1.0, 1.0, coarse_points=57)
-        assert isinstance(seen[0], np.ndarray) and seen[0].shape == (57,)
-        np.testing.assert_array_equal(seen[0], np.linspace(-1.0, 1.0, 57))
-        assert all(isinstance(x, float) for x in seen[1:]) and len(seen) > 2
-        assert arg == pytest.approx(0.3, abs=1e-9)
+        arg, _ = maximize_1d(f, [-1.0, -1.0], [1.0, 1.0], coarse_points=57)
+        assert seen[0].shape == (2, 57)
+        np.testing.assert_array_equal(seen[0], np.tile(np.linspace(-1.0, 1.0, 57), (2, 1)))
+        assert all(x.shape == (2,) for x in seen[1:]) and len(seen) > 2
+        np.testing.assert_allclose(arg, [0.3, -0.4], atol=1e-9)
 
     def test_excluded_interior_point(self):
         # -inf holes must not derail the bracket search
         arg, val = maximize_1d(lambda x: np.where(np.abs(x) < 1e-4, -np.inf, -np.abs(x)),
-                               -1.0, 1.0, coarse_points=41)
-        assert val > -2e-4
+                               [-1.0], [1.0], coarse_points=41)
+        assert val[0] > -2e-4
+
+    def test_rows_equal_lone_scalar_searches(self):
+        # every row takes the steps of a lone scalar search, also rows whose bracket
+        # is one cell wide (argmax at an end) and so finishes before the others
+        centres = np.array([0.3, -0.4, 5.0, -5.0, 0.123456789, 0.0])
+        lo = np.array([-1.0, -1.0, -1.0, -2.0, 0.1, -1.0])
+        hi = np.array([1.0, 1.0, 1.0, 0.5, 0.2, 1.0])
+
+        def row_objective(k, x):
+            with np.errstate(invalid="ignore"):
+                value = -np.abs(x - centres[k]) ** 1.5 + 0.1 * np.sin(7 * x)
+            return np.where(np.abs(x - 0.25) < 0.01, np.nan, value)   # a hole of NaN
+
+        def f(x):
+            return np.stack([row_objective(k, x[k]) for k in range(len(x))])
+
+        def scalar_objective(k, x):
+            value = row_objective(k, x)
+            return value if np.ndim(value) else float(value)
+
+        args, values = maximize_1d(f, lo, hi, coarse_points=25)
+        for k in range(len(centres)):
+            want = scalar_maximize_1d(lambda x, k=k: scalar_objective(k, x),
+                                      float(lo[k]), float(hi[k]), 25)
+            assert (args[k], values[k]) == want, k
 
 
 class TestSolveSpd:
+    def test_stack_rows_equal_one_solve_each(self):
+        # SPD, singular (ridged), far-off-scale and non-finite rows in one stack
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(40, 3, 3))
+        stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        stack[5] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        stack[6] = np.diag([5e-324, 1.0, 1.0])
+        stack[7, 0, 1] = stack[7, 1, 0] = math.inf
+        rhs = rng.normal(size=(40, 3))
+        rhs[8, 2] = math.nan
+        sol = solve_spd_stack(stack, rhs)
+        for k in range(40):
+            if k in (7, 8):
+                assert math.isnan(sol.quadratic_form[k])
+                # the condition number belongs to the matrix: NaN only where it is non-finite
+                assert math.isnan(sol.condition[k]) == (k == 7)
+                assert not sol.ridge_used[k] and not sol.ill_conditioned[k]
+                continue
+            one = solve_spd(stack[k], rhs[k])
+            assert np.array_equal(sol.coefficients[k], one.coefficients)
+            assert (sol.quadratic_form[k], sol.condition[k], sol.ridge_used[k],
+                    sol.ill_conditioned[k]) == (one.quadratic_form, one.condition,
+                                                one.ridge_used, one.ill_conditioned)
+        assert sol.ridge_used[5] and sol.ridge_used[6]
+
     def test_identity(self):
         sol = solve_spd(np.eye(2), np.array([1.0, 2.0]))
         np.testing.assert_allclose(sol.coefficients, [1.0, 2.0])

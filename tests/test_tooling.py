@@ -48,24 +48,30 @@ def test_setup_probe_runs(tmp_path, command):
     assert (child.returncode, child.stderr) == (0, "")
 
 
-def test_chrb_objective_calls_stay_batched(tmp_path):
-    # the coarse grid is one objective call, so a chrb costs 1 + ~40
-    # golden-section calls; a per-point coarse loop would cost ~440
+def test_chrb_objective_calls_stay_batched(tmp_path, monkeypatch):
+    # with one thread, fig2 hands its whole sweep to one block, whose ChRB
+    # searches step in lock-step: one coarse call plus ~45 golden-section calls
+    # for all 300 m, where one search per m made ~13,000; and the Barankin
+    # coordinate search evaluates its placements as stacks, so one
+    # hierarchy_report calls barankin_at only for its start and its result
     import phasebound.cli as cli
     from phasebound import GhzParityModel, fbound
 
+    monkeypatch.delenv("PHASEBOUND_THREADS", raising=False)
     tracer_module = _perfbench_module("tracer")
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        fbound.chrb(math.pi / 4, 20, GhzParityModel(2))
-        chrb_evals = tracer.calls[tracer_module.OBJECTIVE]
-        assert cli.main(["fig2", "--m.list", "20", "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert cli.main(["fig2", "--m.max", "300", "--out", str(tmp_path / "fig2.csv")]) == 0
+        fig2_calls = dict(tracer.calls)
+        tracer.calls.clear()
+        fbound.hierarchy_report(math.pi / 4, 20, GhzParityModel(2))
     finally:
         tracer.uninstall()
-    assert tracer.calls["fbound.chrb"] == 2
-    assert 1 < chrb_evals <= 60
-    assert tracer.calls[tracer_module.OBJECTIVE] <= 60 * tracer.calls["fbound.chrb"]
+    assert fig2_calls["numerics.maximize_1d"] == 1
+    assert 1 < fig2_calls[tracer_module.OBJECTIVE] <= 60
+    assert tracer.calls["fbound.barankin_at"] <= 2
+    assert tracer.calls["numerics.maximize_1d"] >= 3    # chrb and the coordinate searches
 
 
 # Fixed grid sizes and tolerances, each a constant of the module that owns it.
@@ -77,6 +83,7 @@ CONSTANTS = [
     ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
     ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
     ("fbound", "_OFFSET_SEPARATION"), ("fbound", "_OFFSET_FLOOR"), ("fbound", "_CHAIN_SLACK"),
+    ("fbound", "_SEARCH_CELLS"),
 ]
 
 

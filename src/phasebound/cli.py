@@ -63,6 +63,7 @@ from .numerics import (
     flat_prior,
 )
 from .rbound import (
+    _ziv_zakai_pairs,
     avg_estimator_variance,
     avg_mse,
     bayes_chain_report,
@@ -314,13 +315,18 @@ def _fig3_rows(cfg, model, domain, prior, alpha):
 
 
 def _fig4_rows(cfg, model, domain, prior, alpha):
-    """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai."""
+    """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai.
+
+    The theta0 grid and the Ziv-Zakai test pairs depend on the prior alone,
+    so they are built once, before the first row.
+    """
     inv_f = 1.0 / float(model.fisher_information(cfg.theta0))
     estimator = PosteriorMeanEstimator(model, prior)
+    pairs = _ziv_zakai_pairs(prior)
 
     def rows(m: int):
-        chain = bayes_chain_report(estimator, m)
-        zzb = ziv_zakai(prior, m, model)
+        chain = bayes_chain_report(estimator, m, pairs)
+        zzb = ziv_zakai(prior, m, model, pairs)
         return [(m, m * chain.bayes_variance, m * chain.agbr,
                   m * chain.van_trees, m * zzb, inv_f)]
     return _per_m(rows)

@@ -31,6 +31,7 @@ from .model import (
     GhzParityModel,
     ModelError,
     PhaseDomain,
+    _likelihood_windows,
     _workspace,
     likelihood_columns,
     require_identifiable,
@@ -160,13 +161,15 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
 
     The likelihood and its derivative come from ``tally_pmf_with_dtheta`` and
     are turned into the posterior arrays in place, on the window of nodes
-    ``cols`` = ``likelihood_columns(model, m, prior.grid.nodes, k0, k1)``
-    outside of which both are zero (computed here when the caller does not
-    have it).  ``out``, a pair of (k1 - k0, nodes) arrays, receives the
-    density and derivative in place of new ones; only their columns ``cols``
-    are written.  The one temporary lives in the thread's workspace.
-    ``posterior_summary`` asks for blocks of rows, so that its memory stays
-    O(block x nodes).
+    ``cols``: by default ``likelihood_columns(model, m, prior.grid.nodes,
+    k0, k1)``, outside of which both are zero, or any window inside it that
+    starts on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior summary
+    passes a narrower one).  ``out``, a pair of (k1 - k0, nodes) arrays,
+    receives the density and derivative in place of new ones; only their
+    columns ``cols`` are written, and a cell outside them is neither
+    written nor zeroed here.  The one temporary lives in the thread's
+    workspace.  ``posterior_summary`` asks for blocks of rows, so that its
+    memory stays O(block x nodes).
     """
     grid = prior.grid
     if cols is None:
@@ -189,24 +192,39 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
 
 
 def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1: int,
-                     out: tuple[np.ndarray, ...], check_slope: bool) -> int | None:
+                     out: tuple[np.ndarray, ...], check_slope: bool,
+                     log_prior: tuple[np.ndarray, np.ndarray]) -> int | None:
     """Write the tallies k0 <= k < k1 into ``out``; return a tally with a zero of nonzero slope.
 
     ``out`` is (marginal, mean, variance, boundary, information), each of
-    length m + 1.  The block's window of nodes (``likelihood_columns``) is
-    found once and passed down; every pass runs on it, and every cell
-    outside is an exact zero that adds nothing.  The posterior table and
-    every product are written into the thread's workspace, in (rows, nodes)
-    arrays of which only the window is touched, so the matrix-vector
-    products see the operands of a whole-row table.  With ``check_slope``,
-    the first tally whose posterior is zero at a node where |derivative| is
-    above ``DERIVATIVE_NOISE_REL`` times its largest |derivative| is
-    returned, else None.
+    length m + 1, and ``log_prior`` the pair ``_likelihood_windows`` takes.
+    The block's window of nodes is found once and passed down: the part of
+    ``likelihood_columns`` where some row of the block lies within the cut
+    (``model._peak_cut``, 100 nats on 2001 nodes) of its peak.  Every pass
+    runs on it; a cell outside is an exact zero or lies below half an ulp
+    of each of its row's sums, so it changes no double.  The posterior
+    table and every product are written into the thread's workspace, in
+    (rows, nodes) arrays of which only the window is touched, so the
+    matrix-vector products see the operands of a whole-row table.  An end
+    node that ``likelihood_columns`` holds but the window leaves out enters
+    only the boundary term; its pmf is taken on its own, with the same
+    elementwise operations.  With ``check_slope``, the first tally whose
+    posterior is zero at a node where |derivative| is above
+    ``DERIVATIVE_NOISE_REL`` times its largest |derivative| is returned,
+    else None.
     """
     marginal, means, variance, boundary, information = out
     grid = prior.grid
-    shape = (k1 - k0, grid.node_count)
-    cols = likelihood_columns(model, m, grid.nodes, k0, k1)
+    n = grid.node_count
+    shape = (k1 - k0, n)
+    span, cols = _likelihood_windows(model, m, grid.nodes, k0, k1, log_prior)
+    # an end node of nonzero prior that span holds but cols leaves out: its pmf times the
+    # prior, taken before the table overwrites the kernel's buffers
+    ends = {}
+    for j in (0, n - 1):
+        if span.start <= j < span.stop and not cols.start <= j < cols.stop and prior.values[j]:
+            pmf = tally_pmf_with_dtheta(model, m, grid.nodes[j:j + 1], k0, k1)[0][:, 0]
+            ends[j] = pmf * prior.values[j]
     # the density shares the kernel's log-sum buffer: the kernel is done with
     # it before Pascal's rule writes the first row of the pmf
     density, derivative, marginal[k0:k1] = posterior_table(
@@ -220,9 +238,9 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     np.square(work, out=work)
     work *= dens
     variance[k0:k1] = work @ w
-    # the density is 0 outside the window, at an end node too
-    first = density[:, 0] if cols.start == 0 else 0.0
-    last = density[:, -1] if cols.stop == grid.node_count else 0.0
+    # the density is 0 outside likelihood_columns, at an end node too
+    first, last = (density[:, j] if cols.start <= j < cols.stop
+                   else ends[j] / marginal[k0:k1] if j in ends else 0.0 for j in (0, n - 1))
     boundary[k0:k1] = grid.b * last - grid.a * first - mean * (last - first)
 
     zero = np.equal(dens, 0.0, out=_workspace.take("zero", shape, bool)[:, cols])
@@ -235,10 +253,13 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
         bad_rows = np.flatnonzero(np.any(steep, axis=1))
         if bad_rows.size:
             bad = k0 + int(bad_rows[0])
+    # where the density is 0 the integrand is 0: its derivative (large enough to overflow
+    # when squared at a prior zero of nonzero slope) becomes 0 and the density 1, so one
+    # unmasked square and divide serve every cell; no later pass reads either
+    np.copyto(ddens, 0.0, where=zero)
+    np.copyto(dens, 1.0, where=zero)
     integrand = np.square(ddens, out=work)
-    np.divide(integrand, dens, out=integrand,
-              where=np.logical_not(zero, out=_workspace.take("mask", shape, bool)[:, cols]))
-    np.copyto(integrand, 0.0, where=zero)
+    integrand /= dens
     information[k0:k1] = integrand @ w
     return bad
 
@@ -249,8 +270,11 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     Built in blocks of tallies of at most ``_BLOCK_CELLS`` cells each (131
     rows on 2001 nodes) by ``_summarise_block``, in the thread's workspace;
     every returned quantity is one number per tally, so memory stays
-    O(block x nodes) however large m is.  Nothing is cached here: ``PosteriorMeanEstimator.summary`` builds it
-    once per m and serves both the posterior means and ``ghosh_table``.
+    O(block x nodes) however large m is.  Each block runs on the nodes
+    where some row of it lies within the cut (``model._peak_cut``) of its
+    peak; the log prior those windows take is computed once here.  Nothing
+    is cached here: ``PosteriorMeanEstimator.summary`` builds it once per m
+    and serves both the posterior means and ``ghosh_table``.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
@@ -259,9 +283,13 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     rows = max(_BLOCK_CELLS // prior.grid.node_count, 1)
     out = marginal, means, variance, boundary, information = tuple(
         np.empty(m + 1) for _ in range(5))
+    with np.errstate(divide="ignore"):
+        log_p = np.log(prior.values)
+    log_prior = log_p, np.where(prior.values > 0.0, log_p, np.max(log_p))
     failure = None
     for k0 in range(0, m + 1, rows):
-        bad = _summarise_block(prior, m, model, k0, min(k0 + rows, m + 1), out, failure is None)
+        bad = _summarise_block(prior, m, model, k0, min(k0 + rows, m + 1), out, failure is None,
+                               log_prior)
         if bad is not None:
             failure = f"posterior for tally k={bad} has a zero with nonzero slope"
 

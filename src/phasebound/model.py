@@ -62,9 +62,14 @@ a range is bit for bit the matching slice of the full array; the derived
 kernel then reads only the rows k0-1 .. k1-1 of B_(m-1), and applies its
 rules only on ``likelihood_columns``, the window of phases where those rows
 can be nonzero.  This lets the posterior summary stream a large-m table in
-blocks of tallies and work on each block's window alone.  A caller that has
-the window passes it as ``cols``, so it is found once per block, and may
-pass ``out`` arrays to be written on that window in place of new ones.
+blocks of tallies and work on a narrower window per block: the part of that
+one where some row of the block's posterior lies within ``_PEAK_CUT`` = 100
+nats of its peak (more on grids much finer than 2001 nodes on [0, pi/2],
+``_peak_cut``), outside of which no cell moves a sum by a bit
+(``_likelihood_windows``).  One pass over four rows of B_(m-1) bounds every
+row from above and below (``_row_bounds``) and gives both windows.  A caller
+that has a window passes it as ``cols``, so it is found once per block, and
+may pass ``out`` arrays to be written on that window in place of new ones.
 
 The kernels' temporaries (the log-sums and exp mask, and B_(m-1) behind
 Pascal's rule) are views of the calling thread's workspace (``_Workspace``):
@@ -320,17 +325,16 @@ def _log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray
     return out
 
 
-def _live_span(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
-               logpm: np.ndarray) -> tuple[int, int]:
-    """Phases [lo, hi) outside of which every row of ``_log_terms`` is below the exp cut.
+def _row_bounds(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
+                logpm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per phase, an upper and a lower bound on every row of ``_log_terms``, from four rows.
 
     For each phase the log-sum L is concave in the row (log C(m, k) is), so
     it is at most the tangent bound L(0) + max(0, L(1) - L(0)) (rows - 1)
-    from the first two rows, and likewise from the last two.  A bound of
-    -inf - -inf (rows of p^k at p = 0) is taken from the other end, and a
-    phase with no finite bound has only -inf rows.  A phase is live if its
-    bound is above ``_EXP_ZERO_BELOW`` - 1, a margin far beyond rounding; at
-    every other phase each cell of exp is exactly 0.
+    from the first two rows, and likewise from the last two; and at least
+    min(L(first), L(last)).  A bound of -inf - -inf (rows of p^k at p = 0)
+    is taken from the other end, and a phase with no finite upper bound
+    (NaN) has only -inf rows.
     """
     rows = len(logc)
     pick = sorted({0, min(1, rows - 1), max(rows - 2, 0), rows - 1})
@@ -338,9 +342,24 @@ def _live_span(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray
     with np.errstate(invalid="ignore"):          # -inf - -inf gives no bound
         rise = np.maximum(ends[min(1, len(pick) - 1)] - ends[0], 0.0)
         fall = np.maximum(ends[max(len(pick) - 2, 0)] - ends[-1], 0.0)
-        bound = np.fmin(ends[0] + rise * (rows - 1), ends[-1] + fall * (rows - 1))
-    live = np.flatnonzero(bound > _EXP_ZERO_BELOW - 1.0)
-    return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        upper = np.fmin(ends[0] + rise * (rows - 1), ends[-1] + fall * (rows - 1))
+    return upper, np.minimum(ends[0], ends[-1])
+
+
+def _span(keep: np.ndarray) -> tuple[int, int]:
+    """The smallest range [lo, hi) of phases that holds every True of ``keep``; (0, 0) if none."""
+    kept = np.flatnonzero(keep)
+    return (int(kept[0]), int(kept[-1]) + 1) if kept.size else (0, 0)
+
+
+def _live_span(upper: np.ndarray) -> tuple[int, int]:
+    """Phases [lo, hi) outside of which every row of ``_log_terms`` is below the exp cut.
+
+    ``upper`` is the upper bound of ``_row_bounds``.  A phase is live if it
+    is above ``_EXP_ZERO_BELOW`` - 1, a margin far beyond rounding; at
+    every other phase each cell of exp is exactly 0.
+    """
+    return _span(upper > _EXP_ZERO_BELOW - 1.0)
 
 
 def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
@@ -364,7 +383,7 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
     """
     if cols is None:
         cols = (slice(0, logpp.size) if logpp.size == 1
-                else slice(*_live_span(logc, a, b, logpp, logpm)))
+                else slice(*_live_span(_row_bounds(logc, a, b, logpp, logpm)[0])))
     if out is None:
         out = np.zeros((len(logc), logpp.size))
     window = out[:, cols]
@@ -444,6 +463,82 @@ def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray
 
 # A column window starts on a multiple of this many phases, and ends on one or at the last phase.
 _WINDOW_ALIGN = 64
+# The posterior summary keeps, per block of tallies, the phases where some row of the block can lie
+# within C nats of its peak (``_likelihood_windows``).  A dropped cell's term in one of the
+# summary's sums is below e^-C times that sum, times at most:
+#   - 2: pmf(k) = p_+ B(k-1) + p_- B(k) is at most twice the larger B row, which is bounded;
+#   - 1 / p_-(theta) for tally 0 (1 / p_+ for tally m), whose pmf is p_- B(0) where the lower
+#     bound reads B(0): 4 / (N h)^2 at a node h from a zero of p_-, where h is the node spacing;
+#   - n dropped cells per row, and 4, the ratio of Simpson's largest and smallest weights;
+#   - score^2 / J for the information, which weighs dens * score^2: score = d log(pmf prior)
+#     / dtheta reaches m N cot(N h / 2) ~ 2 m / h on that node, against J >= m N^2 / 10, so
+#     score^2 / J <= 40 m / (N h)^2; and e^11 for (theta - mean)^2 / variance and theta / mean.
+# The information's factors are the largest: 2 * 4 * n * 4 / (N h)^2 * 40 m / (N h)^2, or
+# 1280 n m / (N h)^4 in all.  That is e^49.1 for n = 2001 nodes of [0, pi/2] (N h = pi / 2000),
+# N = 2 and m = 5000, where J >= 2000 and score = 1.3e7 give score^2 / J = e^25.1.  It is below
+# half an ulp (2^-54 = e^-37.4) when C > 37.4 + ln(1280 n m / (N h)^4), 86.5 there: no sum of
+# the summary moves a bit (Higham 2002, ch. 4).  The cut is this constant, or that bound plus a
+# margin where a finer grid or a larger m makes it larger (``_peak_cut``): from about n = 2.6e4
+# nodes on [0, pi/2] at m = 5000.  The tests compare with ``==`` up to m = 5000.
+_PEAK_CUT = 100.0
+
+
+def _peak_cut(model: GhzParityModel, m: int, thetas: np.ndarray) -> float:
+    """``_PEAK_CUT``, or the half-ulp bound plus about half a nat where that is larger.
+
+    The bound is the one derived beside ``_PEAK_CUT``, for n phases of
+    spacing h and N qubits; ``thetas`` is the posterior grid.
+    """
+    n = thetas.size
+    nh = model.n_qubits * (thetas[-1] - thetas[0]) / (n - 1)
+    return max(_PEAK_CUT, 38.0 + math.log(1280.0 * n * m) - 4.0 * math.log(nh))
+
+
+def _aligned(lo: int, hi: int, n: int) -> slice:
+    """Phases [lo, hi) widened to start on a multiple of ``_WINDOW_ALIGN`` and end on one or at n."""
+    if lo >= hi:
+        return slice(0, 0)
+    lo -= lo % _WINDOW_ALIGN
+    hi = lo - (lo - hi) // _WINDOW_ALIGN * _WINDOW_ALIGN
+    return slice(lo, hi if hi <= n - n % _WINDOW_ALIGN else n)
+
+
+def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int | None,
+                        log_prior: tuple[np.ndarray, np.ndarray] | None = None
+                        ) -> tuple[slice, slice]:
+    """``likelihood_columns`` of the rows k0 <= k < k1, and the narrower window a posterior needs.
+
+    Both come from one ``_row_bounds`` pass over the rows k0-1 .. k1-1 of
+    B_(m-1).  ``log_prior`` is the pair (log prior, the same with each -inf
+    replaced by its largest value).  The lower bound plus the log prior,
+    maximised over phases, is at most every row's peak: the log-likelihood
+    is concave in k, so every row lies above the smaller of the first and
+    last.  The second window keeps the phases where the upper bound plus
+    the second log prior is within the cut (``_peak_cut``) of that floor, so
+    a zero of the prior never narrows it by itself; it is cut to the first
+    window and aligned alike.  It is the first window when ``log_prior`` is
+    None, or when the floor less the cut is not above the exp cut: dropped
+    cells could then reach the subnormal range, where a relative bound says
+    nothing.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    k0, k1 = _row_range(m, k0, k1)
+    n = thetas.size
+    if m == 0:
+        return slice(0, n), slice(0, n)
+    k = np.arange(max(k0 - 1, 0), min(k1, m))
+    kf = k.astype(float)
+    upper, lower = _row_bounds(log_binomial(m - 1, k), kf, m - 1 - kf, *_grid_logs(model, thetas))
+    lo, hi = _live_span(upper)
+    span = _aligned(lo, hi, n)
+    if log_prior is None:
+        return span, span
+    log_p, log_p_top = log_prior
+    floor = np.max(lower + log_p) - _peak_cut(model, m, thetas)
+    if not floor > _EXP_ZERO_BELOW:
+        return span, span
+    band_lo, band_hi = _span(upper + log_p_top >= floor)   # NaN (only -inf rows): not kept
+    return span, _aligned(max(lo, band_lo), min(hi, band_hi), n)
 
 
 def likelihood_columns(model: GhzParityModel, m: int, thetas, k0: int = 0,
@@ -460,21 +555,10 @@ def likelihood_columns(model: GhzParityModel, m: int, thetas, k0: int = 0,
     on the same columns.  The tests check this bit for bit on the 2001-node
     grid.  Rows longer than 2048 are split by those kernels into blocks of
     2048 columns, which a window shifts; there the window's sums agree with
-    whole-row sums only to rounding.
+    whole-row sums only to rounding.  The posterior summary works on a
+    narrower window inside this one (``_likelihood_windows``).
     """
-    thetas = np.asarray(thetas, dtype=float)
-    k0, k1 = _row_range(m, k0, k1)
-    n = thetas.size
-    if m == 0:
-        return slice(0, n)
-    k = np.arange(max(k0 - 1, 0), min(k1, m))
-    kf = k.astype(float)
-    lo, hi = _live_span(log_binomial(m - 1, k), kf, m - 1 - kf, *_grid_logs(model, thetas))
-    if lo == hi:
-        return slice(0, 0)
-    lo -= lo % _WINDOW_ALIGN
-    hi = lo - (lo - hi) // _WINDOW_ALIGN * _WINDOW_ALIGN
-    return slice(lo, hi if hi <= n - n % _WINDOW_ALIGN else n)
+    return _likelihood_windows(model, m, thetas, k0, k1)[0]
 
 
 def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,

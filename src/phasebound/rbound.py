@@ -282,7 +282,52 @@ def _shift_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return first, first + shift, shifts, starts
 
 
-def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
+@dataclass(frozen=True)
+class _ZivZakaiPairs:
+    """What the Bayesian rows need of one prior at every m: its theta0 grid and test pairs.
+
+    ``grid`` and ``density`` are ``_outer_grid(prior)``.  ``a`` and ``b``
+    are the pairs' normalised prior weights, ``weights`` each pair's theta0
+    quadrature weight times its summed prior weight, and ``h_factor`` each
+    shift's h-axis quadrature weight times h.  Built once per prior by
+    ``_ziv_zakai_pairs``; ``ziv_zakai`` and ``bayes_chain_report`` take it.
+    """
+
+    prior: PriorDensity
+    grid: QuadratureGrid
+    density: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+    h_factor: np.ndarray
+
+    def outer_grid(self, prior: PriorDensity) -> tuple[QuadratureGrid, np.ndarray]:
+        """``_outer_grid(prior)``, held here; raises if these pairs belong to another prior."""
+        if prior is not self.prior:
+            raise ValueError("Ziv-Zakai pairs passed with a prior they were not built for")
+        return self.grid, self.density
+
+
+def _ziv_zakai_pairs(prior_true: PriorDensity) -> _ZivZakaiPairs:
+    """The m-free part of ``ziv_zakai`` and ``bayes_chain_report`` under ``prior_true``."""
+    g, p = _outer_grid(prior_true)
+    n, nodes = g.node_count, g.nodes
+    first, second, shifts, starts = _shift_pairs(p)
+    a, b = p[first], p[second]
+    s = a + b
+    a /= s
+    b /= s
+    h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
+    return _ZivZakaiPairs(prior=prior_true, grid=g, density=p, first=first, second=second,
+                          a=a, b=b, weights=g.weights[first] * s, starts=starts,
+                          h_factor=h_weights[shifts] * (nodes[shifts] - g.a))
+
+
+def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
+              pairs: _ZivZakaiPairs | None = None) -> float:
     """Ziv-Zakai bound on the averaged MSE from a continuum of binary tests.
 
     (1/2) integral over h in (0, b - a] of h times the theta0-integral of
@@ -298,7 +343,9 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     pmf and CDFs cost O(n m), the bisection O(n^2 log m), against O(n^2 m)
     for a sum over tallies per pair.  The pairs come ordered by shift
     (``_shift_pairs``), so the theta0 sums for each shift are one
-    ``np.add.reduceat`` over them.
+    ``np.add.reduceat`` over them.  The pairs and their weights do not
+    depend on m: a sweep builds them once (``_ziv_zakai_pairs``) and passes
+    them as ``pairs``.
 
     P_min stays in the total-variation form 1/2 (1 - TV), which cancels when
     P_min is small.  Against the cancellation-free
@@ -310,18 +357,13 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     """
     if m < 1:
         raise ModelError("m must be >= 1")
-    g, p = _outer_grid(prior_true)
-    n, nodes = g.node_count, g.nodes
-    first, second, shifts, starts = _shift_pairs(p)
-    a, b = p[first], p[second]
-    s = a + b
-    a /= s
-    b /= s
-    p_min = _pmin_columns(_tally_cdf_table(model, m, nodes), first, second, a, b,
-                          model.prob_plus(nodes))
-    inner = np.add.reduceat(g.weights[first] * s * p_min, starts)
-    h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
-    total = float(np.sum(h_weights[shifts] * (nodes[shifts] - g.a) * inner))
+    if pairs is None:
+        pairs = _ziv_zakai_pairs(prior_true)
+    nodes = pairs.outer_grid(prior_true)[0].nodes
+    p_min = _pmin_columns(_tally_cdf_table(model, m, nodes), pairs.first, pairs.second,
+                          pairs.a, pairs.b, model.prob_plus(nodes))
+    inner = np.add.reduceat(pairs.weights * p_min, pairs.starts)
+    total = float(np.sum(pairs.h_factor * inner))
     return max(0.5 * total, 0.0)
 
 
@@ -374,7 +416,11 @@ def estimator_chain_report(estimator: Estimator, prior_true: PriorDensity, m: in
 
 def tally_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel) -> np.ndarray:
     """Record distribution p(k) = integral of p(k|theta0) p(theta0) dtheta0."""
-    g, p = _outer_grid(prior_true)
+    return _marginal_on(model, m, *_outer_grid(prior_true))
+
+
+def _marginal_on(model: GhzParityModel, m: int, g: QuadratureGrid, p: np.ndarray) -> np.ndarray:
+    """``tally_marginal`` of the prior whose density on the theta0 grid ``g`` is ``p``."""
     return tally_pmf_matrix(model, m, g.nodes) @ (g.weights * p)
 
 
@@ -387,11 +433,17 @@ class BayesChainReport:
     van_trees: float
 
 
-def bayes_chain_report(bayes: PosteriorMeanEstimator, m: int) -> BayesChainReport:
-    """Evaluate and assert the matched-prior Bayesian bound chain under ``bayes.prior``."""
+def bayes_chain_report(bayes: PosteriorMeanEstimator, m: int,
+                       pairs: _ZivZakaiPairs | None = None) -> BayesChainReport:
+    """Evaluate and assert the matched-prior Bayesian bound chain under ``bayes.prior``.
+
+    ``pairs``, when a sweep has built them for ``bayes.prior``, supply the
+    theta0 grid of the tally marginal.
+    """
     prior, model = bayes.prior, bayes.model
     table = ghosh_table(bayes, m)
-    weights = tally_marginal(prior, m, model)
+    weights = (tally_marginal(prior, m, model) if pairs is None
+               else _marginal_on(model, m, *pairs.outer_grid(prior)))
     report = BayesChainReport(
         bayes_variance=float(np.sum(table.variance * weights)),
         agbr=float(np.sum(table.ghosh * weights)),

@@ -350,7 +350,7 @@ def full_width_posterior_summary(prior: PriorDensity, m: int, model: GhzParityMo
             if np.any(bad):
                 k_bad = k0 + int(np.flatnonzero(np.any(bad, axis=1))[0])
                 failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # cells where zero
             integrand = np.where(zero, 0.0, ddens**2 / np.where(zero, 1.0, dens))
         information[k0:k1] = integrand @ w
         boundary[k0:k1] = b * dens[:, -1] - a * dens[:, 0] - mean * (dens[:, -1] - dens[:, 0])

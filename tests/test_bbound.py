@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import phasebound.estimate as estimate_module
+import phasebound.model as model_module
 from oracles import (
     full_width_pmf_with_dtheta,
     full_width_posterior_summary,
@@ -237,17 +238,25 @@ class TestPosteriorSummary:
 SUMMARY_FIELDS = ("marginal", "mean", "variance", "boundary", "information", "ghosh")
 
 
+def _off_branch_flat():
+    domain = PhaseDomain(-0.3, 1.2)
+    return flat_prior(domain, QuadratureGrid.simpson(domain.a, domain.b))
+
+
 def test_reused_buffers_do_not_leak_between_rows(model, grid):
     # one thread's block workspace serves every block of every row, in any order of
-    # m: each summary equals, bit for bit, one built in a thread of its own
-    prior = family45_prior(10.0, grid)
-    for m in (100, 3, 5000, 7, 100):
-        got = posterior_summary(prior, m, model)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            want = pool.submit(posterior_summary, prior, m, model).result(timeout=120)
-        for name in SUMMARY_FIELDS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (m, name)
-        assert got.failure == want.failure
+    # m: each summary equals, bit for bit, one built in a thread of its own.  The
+    # off-branch flat prior's windows leave out end nodes of nonzero density, whose
+    # pmf is taken before the table reuses the kernel's buffers
+    for prior in (family45_prior(10.0, grid), _off_branch_flat()):
+        for m in (100, 3, 5000, 7, 1000, 131, 100):
+            got = posterior_summary(prior, m, model)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                want = pool.submit(posterior_summary, prior, m, model).result(timeout=120)
+            for name in SUMMARY_FIELDS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
+                    prior.kind, m, name)
+            assert got.failure == want.failure
 
 
 class TestStreamedSummary:
@@ -305,9 +314,17 @@ class TestStreamedSummary:
         assert peak < 32e6
 
 
-def _off_branch_flat():
-    domain = PhaseDomain(-0.3, 1.2)
-    return flat_prior(domain, QuadratureGrid.simpson(domain.a, domain.b))
+def _summary_with_windows(monkeypatch, prior, m, model):
+    """posterior_summary, and the (k0, k1, cols) of each block it hands to posterior_table."""
+    seen = []
+
+    def spy(prior, m, model, k0=0, k1=None, *, cols=None, out=None):
+        seen.append((k0, k1, cols))
+        return posterior_table(prior, m, model, k0, k1, cols=cols, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimate_module, "posterior_table", spy)
+        return posterior_summary(prior, m, model), seen
 
 
 class TestFullWidthOracle:
@@ -348,6 +365,17 @@ class TestFullWidthOracle:
         assert likelihood_columns(model, 1000, prior.grid.nodes, 393, 524) == slice(0, 2001)
         assert used[0] and used[-1] and not used[np.abs(prior.grid.nodes) < 0.23].any()
 
+    def test_prior_zero_inside_narrowed_window(self, monkeypatch, model, grid):
+        # zero below 0.6 with slope 1: at m = 1000 the blocks whose likelihood peaks
+        # near 0.6 hold that zero inside a window narrower than likelihood_columns
+        prior = custom_prior(grid, np.maximum(grid.nodes - 0.6, 0.0), np.ones(grid.node_count))
+        got, seen = _summary_with_windows(monkeypatch, prior, 1000, model)
+        edge = int(np.searchsorted(grid.nodes, 0.6))
+        assert any(cols.start < edge < cols.stop and cols != likelihood_columns(
+            model, 1000, grid.nodes, k0, k1) for k0, k1, cols in seen)
+        assert got.failure == "posterior for tally k=573 has a zero with nonzero slope"
+        self._assert_same(got, full_width_posterior_summary(prior, 1000, model))
+
     @pytest.mark.parametrize("m,k_bad", [(7, 2), (20, 14)])
     def test_zero_slope_failure(self, model, grid, m, k_bad):
         prior = custom_prior(grid, np.maximum(grid.nodes - 0.05, 0.0), np.ones(grid.node_count))
@@ -383,6 +411,43 @@ class TestFullWidthOracle:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0] == "posterior normalisation underflowed for tally k=10, m=5000"
+
+
+class TestSummaryWindows:
+    """The column windows the posterior summary hands to posterior_table."""
+
+    @pytest.mark.parametrize("m", [131, 1000, 5000])
+    def test_aligned_inside_likelihood_columns(self, monkeypatch, model, grid, m):
+        n = grid.node_count
+        for prior in (family45_prior(10.0, grid), _off_branch_flat()):
+            for k0, k1, cols in _summary_with_windows(monkeypatch, prior, m, model)[1]:
+                span = likelihood_columns(model, m, prior.grid.nodes, k0, k1)
+                assert cols.step is None and cols.start % 64 == 0
+                assert cols.stop % 64 == 0 or cols.stop == n
+                assert span.start <= cols.start < cols.stop <= span.stop
+
+    def test_large_m_windows_hold_a_fifth_of_the_cells(self, monkeypatch, model, grid):
+        # whole likelihood_columns windows hold 0.380 of the (m+1) x 2001 cells
+        m = 5000
+        _, seen = _summary_with_windows(monkeypatch, family45_prior(10.0, grid), m, model)
+        cells = sum((k1 - k0) * (cols.stop - cols.start) for k0, k1, cols in seen)
+        assert cells <= 0.20 * (m + 1) * grid.node_count
+
+    def test_cut_grows_with_a_finer_grid(self, model):
+        # the half-ulp bound beside _PEAK_CUT grows like n^5 m on a fixed domain: the
+        # cut is the constant up to about 2.6e4 nodes on [0, pi/2] at m = 5000
+        def cut(nodes, m):
+            return model_module._peak_cut(model, m, np.linspace(0.0, math.pi / 2, nodes))
+
+        assert cut(2001, 5000) == cut(401, 1) == model_module._PEAK_CUT == 100.0
+        assert cut(20001, 5000) == 100.0
+        assert 102.0 < cut(40001, 5000) < cut(40001, 50000) < 105.0
+
+    def test_small_m_windows_stay_whole(self, monkeypatch, model, grid):
+        prior = family45_prior(10.0, grid)
+        for m in range(1, 101):
+            _, seen = _summary_with_windows(monkeypatch, prior, m, model)
+            assert [cols for _, _, cols in seen] == [slice(0, grid.node_count)], m
 
 
 class TestCliPosteriorBuilds:

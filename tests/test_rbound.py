@@ -14,6 +14,7 @@ from oracles import (
     ziv_zakai_shift_loop,
     ziv_zakai_triu,
 )
+from phasebound.cli import main
 from phasebound.estimate import (
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
@@ -261,6 +262,39 @@ class TestZivZakaiPairs:
         off_branch = custom_prior(g, np.sin(math.pi * (g.nodes + 0.3) / 1.5) ** 2)
         for prior in (flat, off_branch):
             assert ziv_zakai(prior, m, model) == ziv_zakai_triu(prior, m, model)
+
+    @pytest.mark.parametrize("m", [1, 7, 100])
+    def test_prebuilt_pairs_equal_own_pairs(self, model, grid, m):
+        # a sweep builds the pairs once per prior and passes them to every row
+        prior = family45_prior(-10.0, grid)
+        pairs = rbound_module._ziv_zakai_pairs(prior)
+        assert ziv_zakai(prior, m, model, pairs) == ziv_zakai(prior, m, model)
+        bayes = PosteriorMeanEstimator(model, prior)
+        assert bayes_chain_report(bayes, m, pairs) == bayes_chain_report(bayes, m)
+
+    def test_pairs_of_another_prior_raise(self, model, grid):
+        pairs = rbound_module._ziv_zakai_pairs(family45_prior(-10.0, grid))
+        other = family45_prior(10.0, grid)
+        with pytest.raises(ValueError, match="not built for"):
+            ziv_zakai(other, 3, model, pairs)
+        with pytest.raises(ValueError, match="not built for"):
+            bayes_chain_report(PosteriorMeanEstimator(model, other), 3, pairs)
+
+    def test_fig4_builds_pairs_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = rbound_module._shift_pairs
+
+        def counting(p):
+            calls.append(p.size)
+            return real(p)
+
+        monkeypatch.setattr(rbound_module, "_shift_pairs", counting)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PHASEBOUND_THREADS", threads)
+            calls.clear()
+            assert main(["fig4", "--prior.alpha", "10", "--m.list", "1,2,3,5,8",
+                         "--out", str(tmp_path / "fig4.csv")]) == 0
+            assert calls == [201]
 
     def test_reused_buffers_do_not_leak_between_rows(self, model, grid):
         prior = family45_prior(10.0, grid)

@@ -317,12 +317,12 @@ def _fig3_rows(cfg, model, domain, prior, alpha):
 def _fig4_rows(cfg, model, domain, prior, alpha):
     """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai.
 
-    The theta0 grid and the Ziv-Zakai test pairs depend on the prior alone,
-    so they are built once, before the first row.
+    The theta0 grid and the Ziv-Zakai test pairs depend on the prior and the
+    model alone, so they are built once, before the first row.
     """
     inv_f = 1.0 / float(model.fisher_information(cfg.theta0))
     estimator = PosteriorMeanEstimator(model, prior)
-    pairs = _ziv_zakai_pairs(prior)
+    pairs = _ziv_zakai_pairs(prior, model)
 
     def rows(m: int):
         chain = bayes_chain_report(estimator, m, pairs)
@@ -333,9 +333,13 @@ def _fig4_rows(cfg, model, domain, prior, alpha):
 
 
 def _bounds_rows(cfg, model, domain, prior, alpha):
-    """Every bound at one cell (theta0, m), one ``quantity,value`` row each."""
+    """Every bound at one cell (theta0, m), one ``quantity,value`` row each.
+
+    The theta0 grid and the Ziv-Zakai test pairs are built once, as in ``fig4``.
+    """
     mle_est = MaximumLikelihoodEstimator(model, domain)
     bl_est = PosteriorMeanEstimator(model, prior)
+    pairs = _ziv_zakai_pairs(prior, model)
 
     def rows(m: int):
         out = [("m", m), ("fisher_information", float(model.fisher_information(cfg.theta0)))]
@@ -348,9 +352,9 @@ def _bounds_rows(cfg, model, domain, prior, alpha):
         out += [("averaged_ghosh", agb), ("bayes_avg_posterior_variance_fixed", post_var),
                 ("avg_estimator_variance", avg_estimator_variance(bl_est, prior, m, model)),
                 ("avg_mse", avg_mse(bl_est, prior, m, model)),
-                ("ziv_zakai", ziv_zakai(prior, m, model))]
+                ("ziv_zakai", ziv_zakai(prior, m, model, pairs))]
         if prior.vanishes_at_boundaries:
-            chain = bayes_chain_report(bl_est, m)
+            chain = bayes_chain_report(bl_est, m, pairs)
             out += [("van_trees", chain.van_trees), ("agbr", chain.agbr),
                     ("bayes_avg_posterior_variance", chain.bayes_variance)]
         return out

@@ -58,7 +58,9 @@ on 0.3-0.7% of the probabilities.
 
 ``tally_pmf_matrix`` and ``tally_pmf_with_dtheta`` take an optional row range
 k0 <= k < k1 (default: every tally).  Every entry is computed elementwise, so
-a range is bit for bit the matching slice of the full array; the derived
+a range is bit for bit the matching slice of the full array, and so are a
+block of phases (``_tally_pmf_columns``) and single cells
+(``_tally_pmf_cells``), which the theta0-grid stages read; the derived
 kernel then reads only the rows k0-1 .. k1-1 of B_(m-1), and applies its
 rules only on ``likelihood_columns``, the window of phases where those rows
 can be nonzero.  This lets the posterior summary stream a large-m table in
@@ -279,10 +281,12 @@ class _Workspace(threading.local):
     * "sums" and "mask": the kernel's log-sums and exp mask; then the
       posterior summary's density and slope mask;
     * "scratch": B_(m-1) in ``tally_pmf_with_dtheta``, then the products of
-      the posterior table and summary; Ziv-Zakai's pmf and CDF table;
-    * "derivative" and "zero": the posterior summary's;
-    * "pair_index", "pair_value" and "pair_flag": the per-pair arrays of
-      Ziv-Zakai's crossing-tally search.
+      the posterior table and summary; the blocks of the pmf that the
+      theta0-grid stages stream (``rbound._pmf_row_blocks`` and
+      ``_pmf_column_blocks``), with Ziv-Zakai's CDFs;
+    * "derivative" and "zero": the posterior summary's; then the averaged
+      risks' products, and Ziv-Zakai's per-pair rows (as float, intp and
+      bool), which so land on pages the summary has already written.
     """
 
     def __init__(self):
@@ -379,7 +383,12 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
     window: each block's log-sums and exp mask are written into the thread's
     workspace, and its second product into the block's own window of the
     result, which exp then overwrites.  Every cell is computed elementwise,
-    so the blocks change no bit.
+    so the blocks change no bit.  The log-sums are concave in the row, so
+    the smaller of a block's first and last row bounds every row of it from
+    below: on the first run of phases where that bound is above the cut,
+    exp runs unmasked, without the mask's fill, compare and masked loop, and
+    only the phases on either side take the mask.  A one-phase call keeps
+    the mask alone.
     """
     if cols is None:
         cols = (slice(0, logpp.size) if logpp.size == 1
@@ -388,16 +397,33 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
         out = np.zeros((len(logc), logpp.size))
     window = out[:, cols]
     logpp, logpm = logpp[cols], logpm[cols]
-    step = max(_BLOCK_CELLS // max(logpp.size, 1), 1)
+    width = logpp.size
+    step = max(_BLOCK_CELLS // max(width, 1), 1)
     for r0 in range(0, len(logc), step):
         rows = slice(r0, r0 + step)
         part = window[rows]
         sums = _log_terms(logc[rows], a[rows], b[rows], logpp, logpm,
                           out=_workspace.take("sums", part.shape), rest=part)
-        keep = np.greater(sums, _EXP_ZERO_BELOW, out=_workspace.take("mask", part.shape, bool))
-        part.fill(0.0)
-        np.exp(sums, out=part, where=keep)
+        lo = hi = 0
+        if width > 1:
+            lo, hi = _first_run(np.minimum(sums[0], sums[-1]) > _EXP_ZERO_BELOW)
+            np.exp(sums[:, lo:hi], out=part[:, lo:hi])
+        mask = _workspace.take("mask", part.shape, bool)
+        for edge in (slice(0, lo), slice(hi, width)):
+            if edge.start < edge.stop:
+                keep = np.greater(sums[:, edge], _EXP_ZERO_BELOW, out=mask[:, edge])
+                part[:, edge].fill(0.0)
+                np.exp(sums[:, edge], out=part[:, edge], where=keep)
     return out
+
+
+def _first_run(keep: np.ndarray) -> tuple[int, int]:
+    """The first maximal range [lo, hi) of consecutive Trues of ``keep``; (0, 0) if none."""
+    lo = int(np.argmax(keep))
+    if not keep[lo]:
+        return 0, 0
+    rest = keep[lo:]
+    return lo, lo + (rest.size if rest.all() else int(np.argmin(rest)))
 
 
 def _row_range(m: int, k0: int, k1: int | None) -> tuple[int, int]:
@@ -434,6 +460,46 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     k = np.arange(k0, k1)
     kf = k.astype(float)
     return _exp_log_terms(log_binomial(m, k), kf, m - kf, *_grid_logs(model, thetas), cols, out)
+
+
+def _tally_pmf_columns(model: GhzParityModel, m: int, thetas: np.ndarray, cols: slice,
+                       out: np.ndarray) -> np.ndarray:
+    """The phases ``cols`` of ``tally_pmf_matrix(model, m, thetas)``, written into ``out``.
+
+    ``out`` has shape (m + 1, width of ``cols``); the logs are the grid's own
+    (``_grid_logs``), sliced, so every cell is the full matrix's double.
+    """
+    kf = np.arange(m + 1, dtype=float)
+    logpp, logpm = _grid_logs(model, thetas)
+    out.fill(0.0)
+    return _exp_log_terms(log_binomial(m, np.arange(m + 1)), kf, m - kf, logpp[cols], logpm[cols],
+                          out=out)
+
+
+def _tally_pmf_cells(model: GhzParityModel, m: int, thetas: np.ndarray, k: np.ndarray,
+                     j: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The cells (k[i], j[i]) of ``tally_pmf_matrix(model, m, thetas)``, one per entry.
+
+    The operations of ``_log_terms`` and ``_exp_log_terms``, cell by cell:
+    k log p_+ (0 at k = 0) plus log C(m, k), plus (m - k) log p_- (0 at
+    k = m), and exp where that is above the cut.  Each is elementwise, so a
+    cell is the matrix's double (the tests compare them with ``==``); a few
+    cells cost a few operations on their own instead of a block of rows.
+    ``out`` receives them in place of a new array.
+    """
+    logpp, logpm = _grid_logs(model, thetas)
+    kf = k.astype(float)
+    with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
+        sums = kf * logpp.take(j)
+        rest = (m - kf) * logpm.take(j)
+    sums[k == 0] = 0.0
+    rest[k == m] = 0.0
+    sums += log_binomial(m, k)
+    sums += rest
+    if out is None:
+        out = np.empty(sums.shape)
+    out.fill(0.0)
+    return np.exp(sums, out=out, where=sums > _EXP_ZERO_BELOW)
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:

@@ -19,6 +19,21 @@ the package also computes, by an independent route:
   arrays, as the package computed both before the pairs were built in
   order and the search moved onto flat indices and reused buffers; against
   ``rbound._shift_pairs`` and ``rbound.ziv_zakai`` with ``==``;
+* ``pmin_bisection``, ``ziv_zakai_bisection`` and ``pmin_by_bisection`` -
+  P_min of many test pairs with every crossing tally found by bisection on
+  the whole (m+2)-row table of a zero row above the pmf and its column
+  CDFs, and the Ziv-Zakai bound and ``pmin`` on it, as the package computed
+  them before the crossings came from their closed form and the CDFs were
+  accumulated over blocks of rows; against ``rbound.ziv_zakai`` and
+  ``rbound.pmin`` with ``==``;
+* ``whole_matrix_marginal``, ``whole_matrix_avg_variance`` and
+  ``whole_matrix_avg_mse`` - the tally marginal and the averaged risks from
+  one whole (m+1) x 201 pmf, as the package computed them before it
+  streamed them through blocks of rows or phases; against
+  ``rbound.tally_marginal``, ``rbound.avg_estimator_variance`` and
+  ``rbound.avg_mse`` with ``==`` (gemv sums a whole matrix's rows in lanes
+  that depend on the OpenBLAS thread count from about 2600 rows on, so
+  larger m are compared with one BLAS thread);
 * ``full_width_posterior_summary`` - the per-tally posterior summary with
   every pass over whole rows of the grid, as it was before the passes were
   trimmed to each block's nonzero column window, on the scipy B_(m-1);
@@ -84,7 +99,7 @@ from phasebound.numerics import (
     QuadratureGrid,
     custom_prior,
 )
-from phasebound.rbound import _outer_grid
+from phasebound.rbound import _outer_grid, _shift_pairs
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -279,6 +294,90 @@ def ziv_zakai_triu(prior_true: PriorDensity, m: int, model: GhzParityModel) -> f
     h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
     total = float(np.sum(h_weights[shifts] * (nodes[shifts] - g.a) * inner))
     return max(0.5 * total, 0.0)
+
+
+def pmin_bisection(pmf: np.ndarray, first: np.ndarray, second: np.ndarray, a: np.ndarray,
+                   b: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
+    """P_min = 1/2 (1 - TV) of the weighted column pairs of ``pmf``, crossings by bisection.
+
+    Each pair's crossing tally is the first k of the union [lo, hi) of the
+    two columns' supports where a pmf[k, first] >= b pmf[k, second] agrees
+    with the orientation p_plus[second] < p_plus[first] (hi if none),
+    bisected on the whole table; TV = D(m+1) - 2 D(k*) from the column CDFs,
+    negated where the second column lies higher.
+    """
+    rows = pmf.shape[0]
+    table = np.zeros((rows + 1, pmf.shape[1]))
+    table[1:] = pmf
+    nonzero = pmf > 0.0
+    start = nonzero.argmax(axis=0)
+    stop = rows - nonzero[::-1].argmax(axis=0)
+    lo = np.minimum(start[first], start[second])
+    hi = np.maximum(stop[first], stop[second])
+    down = p_plus[second] < p_plus[first]
+    active = lo < hi
+    while active.any():
+        mid = np.minimum((lo + hi) >> 1, rows - 1)
+        hit = (pmf[mid, first] * a >= pmf[mid, second] * b) == down
+        hi = np.where(active & hit, mid, hi)
+        lo = np.where(active & ~hit, mid + 1, lo)
+        active = lo < hi
+    cdf = np.cumsum(table, axis=0)
+    tv = (cdf[rows, first] * a - cdf[rows, second] * b) \
+        - (cdf[lo, first] * a - cdf[lo, second] * b) * 2.0
+    tv = np.where(down, tv, -tv)
+    return np.clip((1.0 - tv) * 0.5, 0.0, 0.5)
+
+
+def ziv_zakai_bisection(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
+    """Ziv-Zakai bound on the ``rbound._shift_pairs``, P_min by ``pmin_bisection``."""
+    g, p = _outer_grid(prior_true)
+    n, nodes = g.node_count, g.nodes
+    first, second, shifts, starts = _shift_pairs(p)
+    s = p[first] + p[second]
+    p_min = pmin_bisection(tally_pmf_matrix(model, m, nodes), first, second, p[first] / s,
+                           p[second] / s, model.prob_plus(nodes))
+    inner = np.add.reduceat(g.weights[first] * s * p_min, starts)
+    h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
+    total = float(np.sum(h_weights[shifts] * (nodes[shifts] - g.a) * inner))
+    return max(0.5 * total, 0.0)
+
+
+def pmin_by_bisection(theta0: float, h: float, prior_true: PriorDensity, m: int,
+                      model: GhzParityModel) -> float:
+    """``rbound.pmin`` of one interior cell (both weights positive), by ``pmin_bisection``."""
+    w0 = float(prior_true.density(theta0))
+    w1 = float(prior_true.density(theta0 + h))
+    thetas = np.array([theta0, theta0 + h])
+    value = pmin_bisection(tally_pmf_matrix(model, m, thetas), np.array([0]), np.array([1]),
+                           np.array([w0 / (w0 + w1)]), np.array([w1 / (w0 + w1)]),
+                           model.prob_plus(thetas))
+    return float(value[0])
+
+
+def whole_matrix_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel) -> np.ndarray:
+    """The tally marginal as one product of the whole pmf with the theta0 weights."""
+    g, p = _outer_grid(prior_true)
+    return tally_pmf_matrix(model, m, g.nodes) @ (g.weights * p)
+
+
+def whole_matrix_avg_variance(estimator: Estimator, prior_true: PriorDensity, m: int,
+                              model: GhzParityModel) -> float:
+    """The averaged estimator variance from the whole pmf."""
+    g, p = _outer_grid(prior_true)
+    pmf = tally_pmf_matrix(model, m, g.nodes)
+    v = estimator.values(m)
+    var = ((v[:, None] - (v @ pmf)[None, :]) ** 2 * pmf).sum(axis=0)
+    return float(np.sum(g.weights * (var * p)))
+
+
+def whole_matrix_avg_mse(estimator: Estimator, prior_true: PriorDensity, m: int,
+                         model: GhzParityModel) -> float:
+    """The averaged mean square error from the whole pmf."""
+    g, p = _outer_grid(prior_true)
+    pmf = tally_pmf_matrix(model, m, g.nodes)
+    mse = ((estimator.values(m)[:, None] - g.nodes[None, :]) ** 2 * pmf).sum(axis=0)
+    return float(np.sum(g.weights * (mse * p)))
 
 
 def full_width_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,

@@ -318,6 +318,23 @@ class TestLockStep:
                    ech.argmax["a_coefficient"])
             assert all(_same(g, w) for g, w in zip(got, want)), (m, got, want)
 
+    def test_seed_rows_of_every_kind(self, model, domain):
+        # no seed, a grid point, repeats, seeds at the domain's ends (up to 1e-15 past
+        # them) and several distinct ones: the stacked first round takes the same cell
+        # as one sorted grid per m
+        theta0 = math.pi / 8
+        lo, hi = domain.a - theta0, domain.b - theta0
+        grid = np.linspace(lo, hi, 101)
+        seed_rows = [(), (grid[37],), (0.1, 0.1), (lo - 1e-15,), (hi + 1e-15, hi),
+                     (-0.2, 0.31, grid[80], 0.05), (0.3,), (grid[3], grid[3], -0.1)]
+        ms = [1, 2, 5, 20, 50, 100, 300, 1000]
+        got = echrb_block(theta0, ms, model, domain, seed_rows)
+        for m, seeds, ech in zip(ms, seed_rows, got):
+            want = scalar_echrb(theta0, m, model, domain, seeds)
+            have = (ech.value, ech.argmax["lambda1"], ech.argmax["lambda2"],
+                    ech.argmax["a_coefficient"])
+            assert all(_same(g, w) for g, w in zip(have, want)), (m, seeds, have, want)
+
     def test_strided_blocks_equal_the_whole_block(self, model, domain):
         ms = list(range(1, 41))
         whole = chrb_block(T0, ms, model, domain)

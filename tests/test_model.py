@@ -336,6 +336,38 @@ class TestScipyOracle:
                 outside[window] = False
                 assert not pmf[:, outside].any() and not dpmf[:, outside].any()
 
+    @pytest.mark.parametrize("m", [1, 20, 1000, 5000])
+    def test_pmf_matrix_off_branch(self, model, m):
+        # on [-0.3, 1.2] p_+ is not monotone, so the phases where every row of a block
+        # clears the exp cut need not be one run: exp runs unmasked on the first run only
+        cols = np.linspace(-0.3, 1.2, 2001)
+        _assert_same_doubles(tally_pmf_matrix(model, m, cols),
+                             scipy_tally_pmf_matrix(model, m, cols))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
+    def test_pmf_cells(self, model, m):
+        # single cells, in any order, are the matrix's doubles, on the 201-node theta0
+        # grid (p_+ = 1 and 0 at its ends) and on an off-branch one
+        for thetas in (np.linspace(0.0, math.pi / 2, 201), np.linspace(-0.3, 1.2, 201)):
+            whole = tally_pmf_matrix(model, m, thetas)
+            k, j = (a.ravel() for a in np.indices(whole.shape))
+            order = np.random.default_rng(m).permutation(k.size)
+            got = model_module._tally_pmf_cells(model, m, thetas, k[order], j[order])
+            _assert_same_doubles(got, whole.ravel()[order])
+            out = np.full(k.size, np.nan)
+            model_module._tally_pmf_cells(model, m, thetas, k, j, out)
+            _assert_same_doubles(out, whole.ravel())
+
+    @pytest.mark.parametrize("m", [0, 1, 20, 1000, 5000])
+    def test_pmf_columns(self, model, m):
+        # a block of phases, written over stale data, is those columns of the matrix
+        thetas = np.linspace(0.0, math.pi / 2, 201)
+        whole = tally_pmf_matrix(model, m, thetas)
+        for cols in (slice(0, 201), slice(0, 48), slice(48, 96), slice(192, 201), slice(7, 8)):
+            out = np.full((m + 1, cols.stop - cols.start), np.nan)
+            model_module._tally_pmf_columns(model, m, thetas, cols, out)
+            _assert_same_doubles(out, whole[:, cols])
+
     @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, 1.2, math.pi / 2])
     def test_scalar_and_0d_tally_probability(self, model, theta):
         # the one-phase column, as the fixed-theta0 sums read it, against the

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,9 @@ import phasebound.rbound as rbound_module
 from oracles import (
     ConstantEstimator,
     decision_rule_error_probability,
+    pmin_by_bisection,
     triu_shift_pairs,
+    ziv_zakai_bisection,
     ziv_zakai_shift_loop,
     ziv_zakai_triu,
 )
@@ -267,13 +273,13 @@ class TestZivZakaiPairs:
     def test_prebuilt_pairs_equal_own_pairs(self, model, grid, m):
         # a sweep builds the pairs once per prior and passes them to every row
         prior = family45_prior(-10.0, grid)
-        pairs = rbound_module._ziv_zakai_pairs(prior)
+        pairs = rbound_module._ziv_zakai_pairs(prior, model)
         assert ziv_zakai(prior, m, model, pairs) == ziv_zakai(prior, m, model)
         bayes = PosteriorMeanEstimator(model, prior)
         assert bayes_chain_report(bayes, m, pairs) == bayes_chain_report(bayes, m)
 
     def test_pairs_of_another_prior_raise(self, model, grid):
-        pairs = rbound_module._ziv_zakai_pairs(family45_prior(-10.0, grid))
+        pairs = rbound_module._ziv_zakai_pairs(family45_prior(-10.0, grid), model)
         other = family45_prior(10.0, grid)
         with pytest.raises(ValueError, match="not built for"):
             ziv_zakai(other, 3, model, pairs)
@@ -302,6 +308,135 @@ class TestZivZakaiPairs:
             with ThreadPoolExecutor(max_workers=1) as pool:
                 want = pool.submit(ziv_zakai, prior, m, model).result(timeout=120)
             assert ziv_zakai(prior, m, model) == want
+
+
+# every m of the bayes_sweep workload, and large m on either side of the one-block limit
+CROSSING_MS = [*range(1, 101), 1000, 1303, 1304, 5000]
+
+
+def _crossing_priors(grid, flat):
+    return {"flat": flat, **{f"alpha={a:g}": family45_prior(a, grid)
+                             for a in (10.0, -10.0, 1.0, 100.0)}}
+
+
+class TestClosedFormCrossings:
+    """Crossing tallies from their closed form against the bisection they replaced, with ``==``."""
+
+    @pytest.mark.parametrize("name", ["flat", "alpha=10", "alpha=-10", "alpha=1", "alpha=100"])
+    def test_ziv_zakai_equals_bisection(self, model, grid, flat, name):
+        prior = _crossing_priors(grid, flat)[name]
+        pairs = rbound_module._ziv_zakai_pairs(prior, model)
+        for m in CROSSING_MS:
+            assert ziv_zakai(prior, m, model, pairs) == ziv_zakai_bisection(prior, m, model), m
+
+    @pytest.mark.parametrize("name", ["flat", "alpha=10", "alpha=-10", "alpha=1", "alpha=100"])
+    def test_pmin_equals_bisection(self, model, grid, flat, name):
+        # mirror phases about pi/4 (likelihood ratios 1 within rounding at k = m/2, and
+        # equal weights), cells at the end nodes (p_+ = 1 at 0 and 0 at pi/2, weighted
+        # by the flat prior only), and interior cells of unequal weights; a cell with a
+        # zero weight has no test
+        prior = _crossing_priors(grid, flat)[name]
+        nodes = rbound_module._outer_grid(prior)[0].nodes
+        cells = [(nodes[i], nodes[200 - i] - nodes[i]) for i in (30, 90, 99)]
+        cells += [(0.0, 0.4), (0.3, math.pi / 2 - 0.3), (0.0, math.pi / 2), (0.2, 0.9),
+                  (0.7, 0.05)]
+        cells = [(t, h) for t, h in cells if prior.density(t) > 0.0 and prior.density(t + h) > 0.0]
+        for m in CROSSING_MS:
+            for theta0, h in cells:
+                want = pmin_by_bisection(theta0, h, prior, m, model)
+                assert pmin(theta0, h, prior, m, model) == want, (m, theta0, h)
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 100, 1303, 1304, 5000])
+    def test_supports_are_the_nonzero_runs(self, model, m):
+        # the bisection from each mode finds the first and last nonzero tally of every
+        # column, on the theta0 grid and on an off-branch one
+        for thetas in (np.linspace(0.0, math.pi / 2, 201), np.linspace(-0.3, 1.2, 201)):
+            pmf = tally_pmf_matrix(model, m, thetas)
+            nonzero = pmf > 0.0
+            start, stop = rbound_module._supports(rbound_module._table_cells(pmf), m,
+                                                  model.prob_plus(thetas))
+            np.testing.assert_array_equal(start, nonzero.argmax(axis=0))
+            np.testing.assert_array_equal(stop, m + 1 - nonzero[::-1].argmax(axis=0))
+
+    def test_guess_near_underflowing_cells_is_bisected(self):
+        # a synthetic pmf whose test is True on four rows that underflow (0 >= 0.5 * 5e-324
+        # rounds to 0 >= 0), False on one and True after: the doubles confirm the guess
+        # k* = 5 at rows 4 and 5, but a bisection over [0, 100) reads row 3 on its way
+        # and ends at 0, and so must _crossings, as the rows it could read underflow
+        pmf = np.zeros((100, 2))
+        pmf[5:, 0] = 1.0
+        pmf[:4, 1] = 5e-324
+        pmf[4:, 1] = 1e-3
+        pairs = rbound_module._TestPairs(
+            first=np.array([0]), second=np.array([1]), a=np.array([0.5]), b=np.array([0.5]),
+            down=np.array([True]), intercept=np.array([5.0]), rate=np.array([0.0]))
+        index, value, flag = np.empty((5, 1), np.intp), np.empty((2, 1)), np.empty((2, 1), bool)
+        got = rbound_module._crossings(pairs, 99, rbound_module._table_cells(pmf),
+                                       np.array([5, 0]), np.array([100, 100]), index, value, flag)
+        assert got[0] == 0
+
+    def test_flat_slope_has_no_guess(self, model):
+        # mirror phases about 0 have the same p_+ (to rounding): their log-likelihood
+        # ratio does not change with k, and they are bisected
+        thetas = np.array([-0.2, 0.2, 0.2 + 1e-13, 0.7])
+        pairs = rbound_module._test_pairs(model, thetas, np.array([0, 1, 0]),
+                                          np.array([1, 2, 3]), np.full(3, 0.5), np.full(3, 0.5))
+        assert np.isnan(pairs.rate[:2]).all() and np.isfinite(pairs.rate[2])
+
+    @pytest.mark.parametrize("m,share", [(20, 0.02), (100, 0.02), (1000, 0.2), (5000, 0.6)])
+    def test_closed_form_settles_most_pairs(self, model, grid, monkeypatch, m, share):
+        # the bisection runs only on the pairs whose closed-form crossing is not
+        # certain: ties within rounding (1% at m <= 100), and crossings near the ends
+        # of the supports or between disjoint ones, which grow with m (47% at 5000)
+        prior = family45_prior(10.0, grid)
+        pairs = rbound_module._ziv_zakai_pairs(prior, model)
+        searched = []
+        real = rbound_module._first_true
+
+        def counting(predicate, lo, hi, live):
+            searched.append(live.size)
+            return real(predicate, lo, hi, live)
+
+        monkeypatch.setattr(rbound_module, "_first_true", counting)
+        ziv_zakai(prior, m, model, pairs)
+        total = pairs.tests.first.size
+        assert searched[-1] <= share * total, f"{searched[-1]} of {total} pairs bisected"
+
+
+_BLOCKS_PROBE = """
+import math, sys
+from oracles import whole_matrix_avg_mse, whole_matrix_avg_variance, whole_matrix_marginal
+from phasebound import GhzParityModel, MaximumLikelihoodEstimator, PosteriorMeanEstimator
+from phasebound import QuadratureGrid, family45_prior, flat_prior
+from phasebound.rbound import avg_estimator_variance, avg_mse, tally_marginal
+model = GhzParityModel(2)
+grid = QuadratureGrid.simpson(0.0, math.pi / 2, 401)
+for prior in (family45_prior(10.0, grid), flat_prior()):
+    estimators = [MaximumLikelihoodEstimator(model, prior.domain),
+                  PosteriorMeanEstimator(model, prior)]
+    for m in (1303, 1304, 2607, 5000):
+        got = tally_marginal(prior, m, model)
+        assert (got == whole_matrix_marginal(prior, m, model)).all(), ("marginal", m)
+        for est in estimators:
+            got = avg_estimator_variance(est, prior, m, model)
+            assert got == whole_matrix_avg_variance(est, prior, m, model), ("variance", m)
+            assert avg_mse(est, prior, m, model) == whole_matrix_avg_mse(est, prior, m, model), m
+print("ok")
+"""
+
+
+def test_streamed_theta0_stages_equal_whole_matrix():
+    # past m = 1303 the tally marginal streams blocks of 1296 rows and the averaged
+    # risks blocks of 48 to 192 phases; each gives the whole matrix's doubles.  One
+    # BLAS thread: gemv sums a whole matrix of 2607 rows or more in lanes that
+    # depend on the thread count, the 16-aligned blocks do not
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _BLOCKS_PROBE], env=env, capture_output=True,
+                         text=True)
+    assert (out.returncode, out.stdout.strip()) == (0, "ok"), out.stderr
 
 
 class TestVarianceChain:

@@ -80,7 +80,8 @@ CONSTANTS = [
     ("model", "_WINDOW_ALIGN"),
     ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
     ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
-    ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
+    ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"), ("rbound", "_BLAS_ALIGN"),
+    ("rbound", "_SLOPE_FLOOR"), ("rbound", "_PRODUCT_FLOOR"),
     ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
     ("fbound", "_OFFSET_SEPARATION"), ("fbound", "_OFFSET_FLOOR"), ("fbound", "_CHAIN_SLACK"),
     ("fbound", "_SEARCH_CELLS"),
@@ -186,6 +187,53 @@ def test_posterior_summary_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("stage", ["ziv_zakai", "bayes_chain_report", "avg_estimator_variance",
+                                   "avg_mse"])
+def test_theta0_stage_allocates_within_budget(stage):
+    # at m = 5000 the whole (m+1) x 201 pmf is 7.7 MiB; every theta0-grid stage streams
+    # it through one workspace block (written by the posterior summary before these
+    # stages run, as in fig4 and bounds) and allocates under 2 MiB beyond it
+    from phasebound import GhzParityModel, PosteriorMeanEstimator, QuadratureGrid, family45_prior
+    from phasebound import rbound
+
+    model = GhzParityModel(2)
+    prior = family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2))
+    bayes = PosteriorMeanEstimator(model, prior)
+    pairs = rbound._ziv_zakai_pairs(prior, model)
+    m = 5000
+    bayes.summary(m)
+    call = {"ziv_zakai": lambda: rbound.ziv_zakai(prior, m, model, pairs),
+            "bayes_chain_report": lambda: rbound.bayes_chain_report(bayes, m, pairs),
+            "avg_estimator_variance": lambda: rbound.avg_estimator_variance(bayes, prior, m, model),
+            "avg_mse": lambda: rbound.avg_mse(bayes, prior, m, model)}[stage]
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_large_m_outputs_independent_of_blas_threads(tmp_path):
+    # the streamed gemvs have new shapes; one and two OpenBLAS threads write the same bytes
+    workloads = _perfbench_module("workloads")
+    commands = [cmd for cmd in workloads.inputs_for("large_m", 0).commands
+                if cmd.args[0] in ("fig4", "bounds")]
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**workloads.child_env(), "OPENBLAS_NUM_THREADS": threads}
+        (tmp_path / threads).mkdir()
+        for cmd in commands:
+            child = subprocess.run([sys.executable, "-m", "phasebound.cli", *cmd.argv()],
+                                   cwd=tmp_path / threads, env=env, capture_output=True,
+                                   text=True)
+            assert (child.returncode, child.stderr) == (0, "")
+            csv = tmp_path / threads / f"{cmd.name}.csv"
+            outputs.setdefault(cmd.name, []).append(csv.read_bytes())
+    assert [name for name, (one, two) in outputs.items() if one != two] == []
 
 
 @pytest.mark.parametrize("function", ["posterior_summary", "ziv_zakai"])

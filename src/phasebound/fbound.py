@@ -34,18 +34,16 @@ argmax so the chain BB >= EChRB >= ChRB >= CRLB holds by construction.
 Every search is batched over a block of sample sizes.  ``chrb_block`` hands
 ``maximize_1d`` one search per m, and their golden-section brackets step in
 lock-step, so each step is one array evaluation of the whole block;
-``echrb_block`` runs its first grids, its zoom rounds and its final
-coefficient evaluation over the whole block at once.  ``chrb`` and ``echrb``
-are the blocks of one.  Every objective takes arrays only, computes each
-element with the same arithmetic whatever the array's shape, and is
-evaluated in row chunks of at most ``_SEARCH_CELLS`` cells.  The EChRB grid
-is an outer product: the per-offset terms are computed once per axis and
-only the cross moment is a full 2-D array; on the first grid, whose offsets
-are the same for every m, its log1p is taken once per block
-(``_echrb_first_round``).  The Barankin coordinate search evaluates each
-batch of candidate placements as one stack of Gram systems
-(``solve_spd_stack``); ``barankin_at`` is that stack with one placement,
-through ``solve_spd``.
+``echrb_block`` runs its zoom rounds and its final coefficient evaluation
+over the whole block at once.  ``chrb`` and ``echrb`` are the blocks of one.
+Every objective takes arrays only, computes each element with the same
+arithmetic whatever the array's shape, and is evaluated in row chunks of at
+most ``_SEARCH_CELLS`` cells.  The EChRB grid is an outer product: the
+per-offset terms are computed once per axis and only the cross moment is a
+full 2-D array; on the first grid, the same for every m, its log1p is taken
+once per block.  The Barankin coordinate search evaluates each batch of
+candidate placements as one stack of Gram systems (``solve_spd_stack``);
+``barankin_at`` is that stack with one placement, through ``solve_spd``.
 """
 
 from __future__ import annotations
@@ -286,12 +284,13 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
                 seed_lambdas=None) -> list[BoundReport]:
     """``echrb`` at every sample size of ``ms``; ``seed_lambdas[k]`` seeds the search at ``ms[k]``.
 
-    The first grids (``_ECHRB_GRID`` points per axis plus each m's seeds,
-    ``_echrb_first_round``), the 21 x 21 zoom rounds and the final
-    coefficient evaluation run over the whole block, in row chunks.  A row
-    whose zoom grid is wholly excluded stops refining, as a lone search
-    would.  A row whose first grid is wholly excluded raises
-    ``NoAdmissibleOffsetError`` naming its m and theta0.
+    The first grid of each m (``_ECHRB_GRID`` points per axis plus its seeds)
+    is evaluated m by m, with the log1p of the grid rows' cross moments taken
+    once for the block; the 21 x 21 zoom rounds and the final coefficient
+    evaluation run over the whole block, in row chunks.  A row whose zoom
+    grid is wholly excluded stops refining, as a lone search would.  A row
+    whose first grid is wholly excluded raises ``NoAdmissibleOffsetError``
+    naming its m and theta0.
     """
     domain = domain or PhaseDomain()
     ms = _sample_sizes(ms)
@@ -302,8 +301,40 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
         raise ModelError(f"{len(seed_rows)} seed rows for {ms.size} sample sizes")
 
     grid = np.linspace(lo, hi, _ECHRB_GRID)
-    extras = _extra_offsets(grid, seed_rows, domain)
-    best, spans = _echrb_first_round(theta0, ms, model, grid, extras, p0p, p0m)
+    q = p0p * p0m
+    d = model.prob_plus(theta0 + grid) - p0p
+    # the cross moments of the grid's own rows do not depend on m: their log1p is taken once
+    cross = _log_moment(d[:, None] * d[None, :] / q)
+    own = d * d / q
+    best = np.empty((3, ms.size))             # value, lambda1, lambda2 of each row
+    spans = np.empty((2, ms.size))            # cell widths of each row's last grid
+    for k, (m, seeds) in enumerate(zip(ms, seed_rows)):
+        l1s = grid
+        if len(seeds):
+            seeds = np.asarray(seeds, dtype=float)
+            # the test point theta0 + lambda1 must lie in the domain, as in barankin_at
+            if not np.all((seeds >= lo - 1e-15) & (seeds <= hi + 1e-15)):
+                raise ModelError(f"seed offsets {seeds.tolist()} put a test point outside the "
+                                 f"phase domain [{domain.a}, {domain.b}]")
+            # sorted and deduplicated; np.unique would import numpy.ma
+            l1s = np.sort(np.concatenate([grid, seeds]))
+            l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
+        d1 = model.prob_plus(theta0 + l1s) - p0p
+        on_grid = np.searchsorted(l1s, grid)  # the grid's rows of the union
+        seeded = np.ones(l1s.size, dtype=bool)
+        seeded[on_grid] = False
+        c1 = np.empty((l1s.size, grid.size))
+        c1[on_grid] = _moment_power(m, cross)
+        c1[seeded] = _gram_power(m, d1[seeded, None] * d[None, :] / q)
+        g, _ = _echrb_ratio(l1s[:, None], grid[None, :], _gram_power(m, d1 * d1 / q)[:, None],
+                            c1, _gram_power(m, own) + 1.0)
+        if np.all(g == -np.inf):
+            raise NoAdmissibleOffsetError(
+                f"every (lambda1, lambda2) cell was excluded at m={int(m)}, theta0={theta0!r}")
+        i, j = np.unravel_index(int(np.argmax(g)), g.shape)
+        best[:, k] = g[i, j], l1s[i], grid[j]
+        spans[:, k] = ((l1s[-1] - l1s[0]) / max(l1s.size - 1, 1),
+                       (grid[-1] - grid[0]) / max(grid.size - 1, 1))
 
     alive = np.ones(ms.size, dtype=bool)
     for _ in range(_ECHRB_REFINE_ROUNDS):
@@ -330,76 +361,6 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
                         argmax={"lambda1": float(l1), "lambda2": float(l2),
                                 "a_coefficient": float(a)})
             for v, l1, l2, a in zip(*best, a_star)]
-
-
-def _extra_offsets(grid: np.ndarray, seed_rows, domain: PhaseDomain) -> list[np.ndarray]:
-    """Per m, its seed offsets that are not grid points, sorted and without repeats.
-
-    Every seed must keep the test point theta0 + lambda1 in the domain, as in
-    ``barankin_at``; the grid spans exactly the admissible offsets.
-    """
-    lo, hi = grid[0], grid[-1]
-    extras = []
-    for seeds in seed_rows:
-        seeds = np.asarray(seeds, dtype=float)
-        if not np.all((seeds >= lo - 1e-15) & (seeds <= hi + 1e-15)):
-            raise ModelError(f"seed offsets {seeds.tolist()} put a test point outside the "
-                             f"phase domain [{domain.a}, {domain.b}]")
-        seeds = np.sort(seeds)
-        fresh = ~(seeds[:, None] == grid).any(axis=1)
-        fresh[1:] &= seeds[1:] != seeds[:-1]     # by hand: np.unique would import numpy.ma
-        extras.append(seeds[fresh])
-    return extras
-
-
-def _echrb_first_round(theta0, ms, model, grid, extras, p0p, p0m):
-    """Best (value, lambda1, lambda2) and cell widths of each m's first EChRB grid.
-
-    Row k's grid is lambda1 in the union of ``grid`` and ``extras[k]``,
-    against lambda2 in ``grid``; its best cell is the first maximum in the
-    order of that sorted union, as ``np.argmax`` finds it on the whole
-    grid.  The cross moments of the grid rows do not depend on m: their
-    ``_log_moment`` is taken once, and each m raises it to its power in a
-    stack of row chunks.  Only the extra rows are computed per m, stacked
-    too.  A row whose grid is wholly excluded raises
-    ``NoAdmissibleOffsetError`` naming its m and theta0.
-    """
-    q = p0p * p0m
-    d = model.prob_plus(theta0 + grid) - p0p
-    own = d * d / q
-    cross = _log_moment(d[:, None] * d[None, :] / q)
-    best = np.empty((3, ms.size))             # value, lambda1, lambda2 of each row
-    for rows in _row_chunks(ms.size, grid.size * grid.size):
-        m = ms[rows, None, None]
-        g, _ = _echrb_ratio(grid[:, None], grid[None, :], _gram_power(m, own[:, None]),
-                            _moment_power(m, cross), _gram_power(m, own[None, :]) + 1.0)
-        i, j = np.divmod(np.argmax(g.reshape(len(g), -1), axis=1), grid.size)
-        best[:, rows] = g[np.arange(len(g)), i, j], grid[i], grid[j]
-    # the extra rows, one per (m, offset), stacked
-    owner = np.repeat(np.arange(ms.size), [e.size for e in extras])
-    offsets = np.concatenate([np.zeros(0), *extras])
-    for rows in _row_chunks(offsets.size, grid.size):
-        m, l1 = ms[owner[rows], None], offsets[rows, None]
-        d1 = model.prob_plus(theta0 + l1) - p0p
-        g, _ = _echrb_ratio(l1, grid[None, :], _gram_power(m, d1 * d1 / q),
-                            _gram_power(m, d1 * d[None, :] / q),
-                            _gram_power(m, own[None, :]) + 1.0)
-        for t, row in zip(range(rows.start, rows.stop), g):
-            k, j = owner[t], int(np.argmax(row))
-            # the first maximum: a larger value, or an equal one in an earlier row
-            if row[j] > best[0, k] or (row[j] == best[0, k] and offsets[t] < best[1, k]):
-                best[:, k] = row[j], offsets[t], grid[j]
-    excluded = np.flatnonzero(best[0] == -np.inf)
-    if excluded.size:
-        raise NoAdmissibleOffsetError(f"every (lambda1, lambda2) cell was excluded at "
-                                      f"m={int(ms[excluded[0]])}, theta0={theta0!r}")
-    # each row's cell widths: its union's span over its rows less one, and the grid's
-    l1_lo = np.array([min(grid[0], e[0]) if e.size else grid[0] for e in extras])
-    l1_hi = np.array([max(grid[-1], e[-1]) if e.size else grid[-1] for e in extras])
-    rows_per_m = np.array([grid.size + e.size for e in extras])
-    width = (grid[-1] - grid[0]) / max(grid.size - 1, 1)
-    return best, np.stack([(l1_hi - l1_lo) / np.maximum(rows_per_m - 1, 1),
-                           np.full(ms.size, width)])
 
 
 def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,

@@ -383,12 +383,7 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
     window: each block's log-sums and exp mask are written into the thread's
     workspace, and its second product into the block's own window of the
     result, which exp then overwrites.  Every cell is computed elementwise,
-    so the blocks change no bit.  The log-sums are concave in the row, so
-    the smaller of a block's first and last row bounds every row of it from
-    below: on the first run of phases where that bound is above the cut,
-    exp runs unmasked, without the mask's fill, compare and masked loop, and
-    only the phases on either side take the mask.  A one-phase call keeps
-    the mask alone.
+    so the blocks change no bit.
     """
     if cols is None:
         cols = (slice(0, logpp.size) if logpp.size == 1
@@ -397,33 +392,16 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
         out = np.zeros((len(logc), logpp.size))
     window = out[:, cols]
     logpp, logpm = logpp[cols], logpm[cols]
-    width = logpp.size
-    step = max(_BLOCK_CELLS // max(width, 1), 1)
+    step = max(_BLOCK_CELLS // max(logpp.size, 1), 1)
     for r0 in range(0, len(logc), step):
         rows = slice(r0, r0 + step)
         part = window[rows]
         sums = _log_terms(logc[rows], a[rows], b[rows], logpp, logpm,
                           out=_workspace.take("sums", part.shape), rest=part)
-        lo = hi = 0
-        if width > 1:
-            lo, hi = _first_run(np.minimum(sums[0], sums[-1]) > _EXP_ZERO_BELOW)
-            np.exp(sums[:, lo:hi], out=part[:, lo:hi])
-        mask = _workspace.take("mask", part.shape, bool)
-        for edge in (slice(0, lo), slice(hi, width)):
-            if edge.start < edge.stop:
-                keep = np.greater(sums[:, edge], _EXP_ZERO_BELOW, out=mask[:, edge])
-                part[:, edge].fill(0.0)
-                np.exp(sums[:, edge], out=part[:, edge], where=keep)
+        keep = np.greater(sums, _EXP_ZERO_BELOW, out=_workspace.take("mask", part.shape, bool))
+        part.fill(0.0)
+        np.exp(sums, out=part, where=keep)
     return out
-
-
-def _first_run(keep: np.ndarray) -> tuple[int, int]:
-    """The first maximal range [lo, hi) of consecutive Trues of ``keep``; (0, 0) if none."""
-    lo = int(np.argmax(keep))
-    if not keep[lo]:
-        return 0, 0
-    rest = keep[lo:]
-    return lo, lo + (rest.size if rest.all() else int(np.argmin(rest)))
 
 
 def _row_range(m: int, k0: int, k1: int | None) -> tuple[int, int]:

@@ -23,9 +23,9 @@ No ordering between the Van Trees and Ziv-Zakai bounds is asserted anywhere:
 neither dominates the other.
 
 Ziv-Zakai tests every pair of theta0 nodes at once.  The pairs are built in
-the order of their shift (``_shift_pairs``); each pair's crossing tally
-comes from a closed form, checked on the pmf's doubles (``_crossings``),
-and the column CDFs are accumulated block by block (``_pmin_columns``).
+the order of their shift (``_shift_pairs``); each pair's crossing tally is
+found by bisection on the pmf's doubles (``_crossings``), and the column
+CDFs are accumulated block by block (``_pmin_columns``).
 
 Every theta0-grid stage (the tally marginal, the averaged risks and
 Ziv-Zakai) holds at most one block of ``_BLOCK_CELLS`` cells of the pmf at a
@@ -51,7 +51,6 @@ from .model import (
     _BLOCK_CELLS,
     GhzParityModel,
     ModelError,
-    _grid_logs,
     _tally_pmf_cells,
     _tally_pmf_columns,
     _workspace,
@@ -73,12 +72,6 @@ _OUTER_NODES = 201
 _OUTER_MASS_TOL = 1e-10
 # Row and column blocks of the theta0-grid stages are multiples of this many rows or phases.
 _BLAS_ALIGN = 16
-# A closed-form crossing is checked only where the log-likelihood ratio changes by at least this
-# much per tally (so that rounding cannot flip the test at a tally other than the two checked),
-_SLOPE_FLOOR = 1e-6
-# and where the larger weighted pmf is at least this at every tally a bisection could read
-# (normal doubles, whose comparison follows the exact one).
-_PRODUCT_FLOOR = 2.0 ** -1000
 
 
 def _outer_grid(prior: PriorDensity) -> tuple[QuadratureGrid, np.ndarray]:
@@ -213,19 +206,11 @@ def van_trees(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
 
 
 class _TestPairs(NamedTuple):
-    """Weighted pairs of phases tested against each other, with the m-free part of their crossings.
+    """Weighted pairs of phases tested against each other.
 
     Pair t weighs the tally distribution at phase first[t] by a[t] against
     the one at phase second[t] by b[t] (a + b = 1); ``down`` is True where
-    the second lies lower (smaller p_+).  The binomial coefficients cancel
-    in log(a pmf[k, first]) - log(b pmf[k, second]), which is therefore
-    linear in k: log(a/b) + m dq + k slope, with
-    dq = log p_-(first) - log p_-(second) and
-    slope = log p_+(first) - log p_+(second) - dq.  It changes sign at
-    k = intercept + m rate, with intercept = -log(a/b) / slope and
-    rate = -dq / slope; rate is NaN where |slope| is below ``_SLOPE_FLOOR``
-    or not finite (a pair with an end node, p_+ in {0, 1}, or of phases
-    with equal p_+).  The logs are the kernel's (``_grid_logs``).
+    the second lies lower (smaller p_+).
     """
 
     first: np.ndarray
@@ -233,47 +218,40 @@ class _TestPairs(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     down: np.ndarray
-    intercept: np.ndarray
-    rate: np.ndarray
 
 
 def _test_pairs(model: GhzParityModel, thetas: np.ndarray, first: np.ndarray, second: np.ndarray,
                 a: np.ndarray, b: np.ndarray) -> _TestPairs:
-    """The pairs (first, second) of ``thetas`` weighted (a, b), with their crossing terms."""
+    """The pairs (first, second) of ``thetas`` weighted (a, b)."""
     p_plus = model.prob_plus(thetas)
-    down = np.less(p_plus.take(second), p_plus.take(first))
-    log_p, log_q = _grid_logs(model, thetas)
-    with np.errstate(divide="ignore", invalid="ignore"):   # -inf logs at end nodes
-        rate = log_q.take(first)                 # dq, then -dq / slope
-        rate -= log_q.take(second)
-        slope = log_p.take(first)
-        slope -= log_p.take(second)
-        slope -= rate
-        rate /= slope
-        intercept = np.divide(a, b)              # -log(a/b) / slope
-        np.log(intercept, out=intercept)
-        intercept /= slope
-        np.abs(slope, out=slope)
-        rate[~((slope >= _SLOPE_FLOOR) & (slope < np.inf))] = np.nan
-    return _TestPairs(first=first, second=second, a=a, b=b, down=down,
-                      intercept=np.negative(intercept, out=intercept),
-                      rate=np.negative(rate, out=rate))
+    return _TestPairs(first=first, second=second, a=a, b=b,
+                      down=np.less(p_plus.take(second), p_plus.take(first)))
 
 
-def _first_true(predicate, lo: np.ndarray, hi: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """For each i of ``live``, bisect for the first k in [lo[i], hi[i]) with predicate(k, i).
+def _first_true(predicate, lo: np.ndarray, hi: np.ndarray, mid: np.ndarray,
+                flags: np.ndarray) -> np.ndarray:
+    """For each i, bisect for the first k in [lo[i], hi[i]) where the predicate holds.
 
-    ``predicate`` takes an array of tallies and one of indices and must be
-    False and then True in k on each range; hi[i] stands for no True.  The
-    results are written into ``lo`` (and ``hi`` is moved), which is returned.
+    ``predicate(k, out)`` writes into the bool array ``out`` whether it
+    holds at k[i], for every i at once; it must be False and then True in k
+    on each range, and hi[i] stands for no True.  Every i is probed at each
+    step, at the midpoint of its range; one whose range is empty may be
+    probed at its hi, and that outcome is ignored.  The results are written
+    into ``lo`` (and ``hi`` is moved), which is returned; ``mid`` (intp)
+    and the three rows of ``flags`` (bool) are buffers of the same length.
     """
-    live = live[lo[live] < hi[live]]
-    while live.size:
-        mid = (lo[live] + hi[live]) >> 1
-        hit = predicate(mid, live)
-        hi[live[hit]] = mid[hit]
-        lo[live[~hit]] = mid[~hit] + 1
-        live = live[lo[live] < hi[live]]
+    hit, active, move = flags
+    np.less(lo, hi, out=active)
+    while active.any():
+        np.add(lo, hi, out=mid)
+        mid >>= 1
+        predicate(mid, hit)
+        np.logical_and(active, hit, out=move)
+        np.copyto(hi, mid, where=move)
+        np.greater(active, hit, out=move)        # active and not hit
+        mid += 1
+        np.copyto(lo, mid, where=move)
+        np.less(lo, hi, out=active)
     return lo
 
 
@@ -286,10 +264,16 @@ def _supports(cells, m: int, p_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     n = p_plus.size
     mode = np.minimum(np.floor((m + 1) * p_plus).astype(np.intp), m)
-    every = np.arange(n)
-    start = _first_true(lambda k, j: cells(k, j) > 0.0, np.zeros(n, np.intp), mode.copy(), every)
-    stop = _first_true(lambda k, j: cells(k, j) == 0.0, mode + 1, np.full(n, m + 1, np.intp),
-                       every)
+    every, mid, flags = np.arange(n), np.empty(n, np.intp), np.empty((3, n), bool)
+
+    def nonzero(k, out):
+        return np.greater(cells(k, every), 0.0, out=out)
+
+    def zero(k, out):
+        return np.logical_not(nonzero(k, out), out=out)
+
+    start = _first_true(nonzero, np.zeros(n, np.intp), mode.copy(), mid, flags)
+    stop = _first_true(zero, mode + 1, np.full(n, m + 1, np.intp), mid, flags)
     return start, stop
 
 
@@ -297,7 +281,8 @@ def _table_cells(table: np.ndarray):
     """``cells`` of a (rows, phases) table in memory: its entries at (k[i], j[i]), by flat index.
 
     ``out`` and ``at`` (the flat indices) are buffers of the entries' length,
-    or None for new arrays.
+    or None for new arrays.  A k past the last row, as a finished search may
+    probe (``_first_true``), reads the last cell.
     """
     flat, n = table.ravel(), table.shape[1]
 
@@ -321,91 +306,35 @@ def _weighted(cells, k, f, s, a, b, x=None, y=None, at=None) -> tuple[np.ndarray
     return x, y
 
 
-def _crossings(pairs: _TestPairs, m: int, cells, start: np.ndarray, stop: np.ndarray,
-               index: np.ndarray, value: np.ndarray, flag: np.ndarray) -> np.ndarray:
-    """Every pair's crossing tally k*, as the bisection on the pmf's doubles finds it.
+def _crossings(pairs: _TestPairs, cells, start: np.ndarray, stop: np.ndarray,
+               index: np.ndarray, value: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Every pair's crossing tally k*, by bisection on the pmf's doubles (``cells``).
 
     The test at tally k is a pmf[k, first] >= b pmf[k, second] where the
-    second distribution lies lower, and its negation otherwise.  k* is where
-    a bisection over the union [lo, hi) of the two supports ends: the first
-    tally where the test holds (hi if none) while the test switches once.
-    In exact arithmetic it does, since the log of the likelihood ratio is
-    linear in k (``_TestPairs``), but weighted cells that underflow towards
-    the ends of the supports can pass it anywhere.
+    second distribution lies lower, and its negation otherwise; k* is the
+    first tally where it holds, searched over the union [lo, hi) of the two
+    supports (``_supports``).  Outside it both cells are zero, so the test
+    (0 >= 0) holds on both sides of the crossing; inside it both are zero
+    only between the two supports, where the test already agrees with the
+    orientation.
 
-    So k* is guessed as ceil(intercept + m rate), clipped to [lo, hi], and
-    the guess is kept where it is certain to be the bisection's end.  Every
-    tally the bisection reads then lies in [(lo + k*) / 2, (k* + hi) / 2]
-    (rounded down), and there the larger weighted cell is a concave
-    function's maximum: the smallest over the range is at either end or at
-    the crossing, k* - 1 or k*.  Where it is at least ``_PRODUCT_FLOOR`` at
-    those four tallies, the test on the doubles is the exact test at every
-    tally read; it is checked on the doubles at k* - 1 (False, unless
-    k* = lo) and at k* (True, unless k* = hi), and elsewhere it is at least
-    one slope (``_SLOPE_FLOOR``) from a tie.  The other pairs are bisected.
-    They are pairs with an end node or no slope, pairs whose crossing falls
-    near an end of the supports or between disjoint ones, and pairs that are
-    a tie within rounding at k* - 1 or k* (the mirror pairs about pi/4):
-    1% of the pairs at m <= 100 (2% under the flat prior), 13% at m = 1000
-    and 47% at m = 5000, for every prior of the benchmark.
-
-    ``index``, ``value`` and ``flag`` are workspace rows of the pairs'
-    length (five of intp, two of float, two of bool); k* is written into
-    ``index[2]``, which is returned.
+    ``index``, ``value`` and ``flags`` are workspace rows of the pairs'
+    length (five of intp, two of float, three of bool); k* is written into
+    ``index[0]``, which is returned.
     """
     f, s, a, b, down = pairs.first, pairs.second, pairs.a, pairs.b, pairs.down
-    lo, hi, k, row, at = index
+    lo, hi, mid, row, at = index
     x, y = value
-    test, wrong = flag
     # mode="clip" writes straight into ``out``; every index is in range
     np.minimum(start.take(f, out=lo, mode="clip"), start.take(s, out=row, mode="clip"), out=lo)
     np.maximum(stop.take(f, out=hi, mode="clip"), stop.take(s, out=row, mode="clip"), out=hi)
-    np.multiply(pairs.rate, m, out=x)
-    x += pairs.intercept
-    np.ceil(x, out=x)
-    np.isnan(x, out=wrong)
-    np.fmax(x, lo, out=x)                        # NaN: lo
-    np.fmin(x, hi, out=x)
-    np.copyto(k, x, casting="unsafe")
 
-    def check(rows, expect, where):
-        """Mark the pairs ``where`` whose cells at ``rows`` are too small or fail ``expect``.
+    def test(k, out):
+        _weighted(cells, k, f, s, a, b, x, y, at)
+        np.greater_equal(x, y, out=out)
+        return np.equal(out, down, out=out)
 
-        ``expect`` is the outcome the test must have there, or None for any.
-        """
-        _weighted(cells, rows, f, s, a, b, x, y, at)
-        if expect is None:
-            test.fill(False)
-        else:                                    # the test holds where x >= y equals down
-            np.greater_equal(x, y, out=test)
-            (np.not_equal if expect else np.equal)(test, down, out=test)
-        np.maximum(x, y, out=x)
-        np.logical_or(test, x < _PRODUCT_FLOOR, out=test)
-        np.logical_and(test, where, out=test)
-        np.logical_or(wrong, test, out=wrong)
-
-    np.subtract(k, 1, out=row)                   # k* - 1, read where k* > lo
-    np.maximum(row, 0, out=row)
-    check(row, False, k > lo)
-    np.minimum(k, m, out=row)                    # k*, read where k* < hi
-    check(row, True, k < hi)
-    # the lowest and highest tally the bisection can read (lo < hi: every column has a
-    # nonzero tally)
-    np.add(lo, k, out=row)
-    row >>= 1
-    check(row, None, True)
-    np.add(k, hi, out=row)
-    row >>= 1
-    np.minimum(row, hi - 1, out=row)
-    check(row, None, True)
-    i = np.flatnonzero(wrong)
-    k[i] = lo[i]
-
-    def bisected(kk, j):
-        xj, yj = _weighted(cells, kk, f[j], s[j], a[j], b[j])
-        return np.equal(xj >= yj, down[j])
-
-    return _first_true(bisected, k, hi, i)
+    return _first_true(test, lo, hi, mid, flags)
 
 
 def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
@@ -434,20 +363,20 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
     # the pairs' rows share the buffers the posterior summary has already written
     rows = _workspace.take("derivative", (8, f.size))
     index, value = rows[:5].view(np.intp), rows[5:]
-    flag = _workspace.take("zero", (2, f.size), bool)
+    flags = _workspace.take("zero", (3, f.size), bool)
     blocks = _pmf_row_blocks(model, m, thetas)
     if (m + 1) * n <= _BLOCK_CELLS:              # one block, the whole pmf: read it in place
         blocks = [next(blocks)]
         cells = _table_cells(blocks[0][1])
     else:
-        def cells(k, j, out=None, at=None):
-            return _tally_pmf_cells(model, m, thetas, k, j, out)
+        def cells(k, j, out=None, at=None):       # a finished search may probe k = m + 1
+            return _tally_pmf_cells(model, m, thetas, np.minimum(k, m), j, out)
 
-    k = _crossings(pairs, m, cells, *_supports(cells, m, model.prob_plus(thetas)),
-                   index, value[:2], flag)
+    k = _crossings(pairs, cells, *_supports(cells, m, model.prob_plus(thetas)),
+                   index, value[:2], flags)
     at, row = index[3:]
     x, y, d = value
-    inside = flag[0]
+    inside = flags[0]
     d.fill(0.0)                                  # D(0) = 0
     carry = np.zeros(n)
     for k0, block in blocks:
@@ -525,7 +454,7 @@ class _ZivZakaiPairs:
     """What the Bayesian rows need of one prior and model at every m: theta0 grid and test pairs.
 
     ``grid`` and ``density`` are ``_outer_grid(prior)``.  ``tests`` are the
-    node pairs with their normalised prior weights and crossing terms
+    node pairs with their normalised prior weights and orientations
     (``_TestPairs``), ``weights`` each pair's theta0 quadrature weight times
     its summed prior weight, and ``h_factor`` each shift's h-axis
     quadrature weight times h.  Built once per prior by
@@ -582,12 +511,11 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
 
     Every test pair of nodes is evaluated at once from the column CDFs of the
     pmf and a crossing tally per pair (see ``_pmin_columns``): the pmf and
-    CDFs cost O(n m), the crossings O(n^2) from their closed form (plus a
-    bisection of the few pairs it does not settle), against O(n^2 m) for a
-    sum over tallies per pair.  The pairs come ordered by shift
+    CDFs cost O(n m), the crossings O(n^2 log m) by bisection, against
+    O(n^2 m) for a sum over tallies per pair.  The pairs come ordered by shift
     (``_shift_pairs``), so the theta0 sums for each shift are one
-    ``np.add.reduceat`` over them.  The pairs, their weights and crossing
-    terms do not depend on m: a sweep builds them once
+    ``np.add.reduceat`` over them.  The pairs, their weights and
+    orientations do not depend on m: a sweep builds them once
     (``_ziv_zakai_pairs``) and passes them as ``pairs``.
 
     P_min stays in the total-variation form 1/2 (1 - TV), which cancels when

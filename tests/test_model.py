@@ -338,8 +338,8 @@ class TestScipyOracle:
 
     @pytest.mark.parametrize("m", [1, 20, 1000, 5000])
     def test_pmf_matrix_off_branch(self, model, m):
-        # on [-0.3, 1.2] p_+ is not monotone, so the phases where every row of a block
-        # clears the exp cut need not be one run: exp runs unmasked on the first run only
+        # on [-0.3, 1.2] p_+ is not monotone, so the phases where a block's cells clear
+        # the exp cut need not be one run
         cols = np.linspace(-0.3, 1.2, 2001)
         _assert_same_doubles(tally_pmf_matrix(model, m, cols),
                              scipy_tally_pmf_matrix(model, m, cols))

@@ -319,8 +319,8 @@ def _crossing_priors(grid, flat):
                              for a in (10.0, -10.0, 1.0, 100.0)}}
 
 
-class TestClosedFormCrossings:
-    """Crossing tallies from their closed form against the bisection they replaced, with ``==``."""
+class TestStreamedCrossings:
+    """Crossings bisected on single cells, CDFs in row blocks, against the whole-table bisection."""
 
     @pytest.mark.parametrize("name", ["flat", "alpha=10", "alpha=-10", "alpha=1", "alpha=100"])
     def test_ziv_zakai_equals_bisection(self, model, grid, flat, name):
@@ -357,50 +357,6 @@ class TestClosedFormCrossings:
                                                   model.prob_plus(thetas))
             np.testing.assert_array_equal(start, nonzero.argmax(axis=0))
             np.testing.assert_array_equal(stop, m + 1 - nonzero[::-1].argmax(axis=0))
-
-    def test_guess_near_underflowing_cells_is_bisected(self):
-        # a synthetic pmf whose test is True on four rows that underflow (0 >= 0.5 * 5e-324
-        # rounds to 0 >= 0), False on one and True after: the doubles confirm the guess
-        # k* = 5 at rows 4 and 5, but a bisection over [0, 100) reads row 3 on its way
-        # and ends at 0, and so must _crossings, as the rows it could read underflow
-        pmf = np.zeros((100, 2))
-        pmf[5:, 0] = 1.0
-        pmf[:4, 1] = 5e-324
-        pmf[4:, 1] = 1e-3
-        pairs = rbound_module._TestPairs(
-            first=np.array([0]), second=np.array([1]), a=np.array([0.5]), b=np.array([0.5]),
-            down=np.array([True]), intercept=np.array([5.0]), rate=np.array([0.0]))
-        index, value, flag = np.empty((5, 1), np.intp), np.empty((2, 1)), np.empty((2, 1), bool)
-        got = rbound_module._crossings(pairs, 99, rbound_module._table_cells(pmf),
-                                       np.array([5, 0]), np.array([100, 100]), index, value, flag)
-        assert got[0] == 0
-
-    def test_flat_slope_has_no_guess(self, model):
-        # mirror phases about 0 have the same p_+ (to rounding): their log-likelihood
-        # ratio does not change with k, and they are bisected
-        thetas = np.array([-0.2, 0.2, 0.2 + 1e-13, 0.7])
-        pairs = rbound_module._test_pairs(model, thetas, np.array([0, 1, 0]),
-                                          np.array([1, 2, 3]), np.full(3, 0.5), np.full(3, 0.5))
-        assert np.isnan(pairs.rate[:2]).all() and np.isfinite(pairs.rate[2])
-
-    @pytest.mark.parametrize("m,share", [(20, 0.02), (100, 0.02), (1000, 0.2), (5000, 0.6)])
-    def test_closed_form_settles_most_pairs(self, model, grid, monkeypatch, m, share):
-        # the bisection runs only on the pairs whose closed-form crossing is not
-        # certain: ties within rounding (1% at m <= 100), and crossings near the ends
-        # of the supports or between disjoint ones, which grow with m (47% at 5000)
-        prior = family45_prior(10.0, grid)
-        pairs = rbound_module._ziv_zakai_pairs(prior, model)
-        searched = []
-        real = rbound_module._first_true
-
-        def counting(predicate, lo, hi, live):
-            searched.append(live.size)
-            return real(predicate, lo, hi, live)
-
-        monkeypatch.setattr(rbound_module, "_first_true", counting)
-        ziv_zakai(prior, m, model, pairs)
-        total = pairs.tests.first.size
-        assert searched[-1] <= share * total, f"{searched[-1]} of {total} pairs bisected"
 
 
 _BLOCKS_PROBE = """

@@ -32,6 +32,7 @@ from .model import (
     ModelError,
     PhaseDomain,
     _likelihood_windows,
+    _row_range,
     _workspace,
     likelihood_columns,
     require_identifiable,
@@ -164,22 +165,28 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
     ``cols``: by default ``likelihood_columns(model, m, prior.grid.nodes,
     k0, k1)``, outside of which both are zero, or any window inside it that
     starts on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior summary
-    passes a narrower one).  ``out``, a pair of (k1 - k0, nodes) arrays,
-    receives the density and derivative in place of new ones; only their
-    columns ``cols`` are written, and a cell outside them is neither
-    written nor zeroed here.  The one temporary lives in the thread's
-    workspace.  ``posterior_summary`` asks for blocks of rows, so that its
-    memory stays O(block x nodes).
+    passes a narrower one).  ``out``, a pair of (k1 - k0, width of ``cols``)
+    arrays, receives the window of the density and derivative, and is
+    returned in place of two new zero-filled arrays of every node.  The one
+    temporary lives in the thread's workspace.  ``posterior_summary`` asks
+    for blocks of rows, so that its memory stays O(block x window).
     """
     grid = prior.grid
+    k0, k1 = _row_range(m, k0, k1)
     if cols is None:
         cols = likelihood_columns(model, m, grid.nodes, k0, k1)
-    density, derivative = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1, cols=cols, out=out)
-    dens, ddens = density[:, cols], derivative[:, cols]
-    ddens *= prior.values[cols]
+    if out is None:
+        shape = (k1 - k0, grid.node_count)
+        density, derivative = np.zeros(shape), np.zeros(shape)
+        marginal = posterior_table(prior, m, model, k0, k1, cols=cols,
+                                   out=(density[:, cols], derivative[:, cols]))[2]
+        return density, derivative, marginal
+    dens, ddens = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1, cols=cols, out=out)
+    values = prior.values[cols]
+    ddens *= values
     ddens += np.multiply(dens, prior.derivative[cols],
-                         out=_workspace.take("scratch", density.shape)[:, cols])
-    dens *= prior.values[cols]
+                         out=_workspace.take("scratch", dens.shape))
+    dens *= values
     marginal = dens @ grid.weights[cols]
     bad = ~(np.isfinite(marginal) & (marginal > 0.0))
     if np.any(bad):
@@ -188,7 +195,7 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
             f"posterior normalisation underflowed for tally k={k_bad}, m={m}")
     dens /= marginal[:, None]
     ddens /= marginal[:, None]
-    return density, derivative, marginal
+    return dens, ddens, marginal
 
 
 def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1: int,
@@ -203,21 +210,22 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     (``model._peak_cut``, 100 nats on 2001 nodes) of its peak.  Every pass
     runs on it; a cell outside is an exact zero or lies below half an ulp
     of each of its row's sums, so it changes no double.  The posterior
-    table and every product are written into the thread's workspace, in
-    (rows, nodes) arrays of which only the window is touched, so the
-    matrix-vector products see the operands of a whole-row table.  An end
-    node that ``likelihood_columns`` holds but the window leaves out enters
-    only the boundary term; its pmf is taken on its own, with the same
-    elementwise operations.  With ``check_slope``, the first tally whose
-    posterior is zero at a node where |derivative| is above
+    table and every product are written into the thread's workspace, as
+    contiguous (rows, window width) arrays; the window is aligned, so the
+    matrix-vector products add each row's terms as over the whole row.  An
+    end node that ``likelihood_columns`` holds but the window leaves out
+    enters only the boundary term; its pmf is taken on its own, with the
+    same elementwise operations.  With ``check_slope``, the first tally
+    whose posterior is zero at a node where |derivative| is above
     ``DERIVATIVE_NOISE_REL`` times its largest |derivative| is returned,
     else None.
     """
     marginal, means, variance, boundary, information = out
     grid = prior.grid
     n = grid.node_count
-    shape = (k1 - k0, n)
     span, cols = _likelihood_windows(model, m, grid.nodes, k0, k1, log_prior)
+    nodes, w = grid.nodes[cols], grid.weights[cols]
+    shape = (k1 - k0, nodes.size)
     # an end node of nonzero prior that span holds but cols leaves out: its pmf times the
     # prior, taken before the table overwrites the kernel's buffers
     ends = {}
@@ -227,28 +235,26 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
             ends[j] = pmf * prior.values[j]
     # the density shares the kernel's log-sum buffer: the kernel is done with
     # it before Pascal's rule writes the first row of the pmf
-    density, derivative, marginal[k0:k1] = posterior_table(
+    dens, ddens, marginal[k0:k1] = posterior_table(
         prior, m, model, k0, k1, cols=cols,
         out=(_workspace.take("sums", shape), _workspace.take("derivative", shape)))
-    dens, ddens = density[:, cols], derivative[:, cols]
-    nodes, w = grid.nodes[cols], grid.weights[cols]
-    work = _workspace.take("scratch", shape)[:, cols]
+    work = _workspace.take("scratch", shape)
     mean = means[k0:k1] = np.multiply(dens, nodes, out=work) @ w
     np.subtract(nodes[None, :], mean[:, None], out=work)
     np.square(work, out=work)
     work *= dens
     variance[k0:k1] = work @ w
     # the density is 0 outside likelihood_columns, at an end node too
-    first, last = (density[:, j] if cols.start <= j < cols.stop
+    first, last = (dens[:, j - cols.start] if cols.start <= j < cols.stop
                    else ends[j] / marginal[k0:k1] if j in ends else 0.0 for j in (0, n - 1))
     boundary[k0:k1] = grid.b * last - grid.a * first - mean * (last - first)
 
-    zero = np.equal(dens, 0.0, out=_workspace.take("zero", shape, bool)[:, cols])
+    zero = np.equal(dens, 0.0, out=_workspace.take("zero", shape, bool))
     bad = None
     if check_slope and np.any(zero):
         slope = np.absolute(ddens, out=work)
         floor = DERIVATIVE_NOISE_REL * np.max(slope, axis=1, keepdims=True)
-        steep = np.greater(slope, floor, out=_workspace.take("mask", shape, bool)[:, cols])
+        steep = np.greater(slope, floor, out=_workspace.take("mask", shape, bool))
         steep &= zero
         bad_rows = np.flatnonzero(np.any(steep, axis=1))
         if bad_rows.size:
@@ -270,7 +276,7 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     Built in blocks of tallies of at most ``_BLOCK_CELLS`` cells each (131
     rows on 2001 nodes) by ``_summarise_block``, in the thread's workspace;
     every returned quantity is one number per tally, so memory stays
-    O(block x nodes) however large m is.  Each block runs on the nodes
+    O(block x window) however large m is.  Each block runs on the nodes
     where some row of it lies within the cut (``model._peak_cut``) of its
     peak; the log prior those windows take is computed once here.  Nothing
     is cached here: ``PosteriorMeanEstimator.summary`` builds it once per m

@@ -59,7 +59,7 @@ on 0.3-0.7% of the probabilities.
 ``tally_pmf_matrix`` and ``tally_pmf_with_dtheta`` take an optional row range
 k0 <= k < k1 (default: every tally).  Every entry is computed elementwise, so
 a range is bit for bit the matching slice of the full array, and so are a
-block of phases (``_tally_pmf_columns``) and single cells
+block of phases (``cols`` with a window-shaped ``out``) and single cells
 (``_tally_pmf_cells``), which the theta0-grid stages read; the derived
 kernel then reads only the rows k0-1 .. k1-1 of B_(m-1), and applies its
 rules only on ``likelihood_columns``, the window of phases where those rows
@@ -71,7 +71,8 @@ nats of its peak (more on grids much finer than 2001 nodes on [0, pi/2],
 (``_likelihood_windows``).  One pass over four rows of B_(m-1) bounds every
 row from above and below (``_row_bounds``) and gives both windows.  A caller
 that has a window passes it as ``cols``, so it is found once per block, and
-may pass ``out`` arrays to be written on that window in place of new ones.
+may pass ``out`` arrays shaped like the window, (rows, window width), to be
+written in place of new arrays of every phase.
 
 The kernels' temporaries (the log-sums and exp mask, and B_(m-1) behind
 Pascal's rule) are views of the calling thread's workspace (``_Workspace``):
@@ -276,10 +277,14 @@ class _Workspace(threading.local):
 
     A view is valid until the next ``take`` of the same name, and every user
     writes it before reading it, so nothing carries from one use to the
-    next.  The names in use, each free again when its user returns:
+    next.  The posterior summary takes its views shaped like a block's
+    window, (rows, window width), so a block writes the pages of its
+    window's cells and no others.  The names in use, each free again when
+    its user returns:
 
-    * "sums" and "mask": the kernel's log-sums and exp mask; then the
-      posterior summary's density and slope mask;
+    * "sums" and "mask": the kernel's log-sums and exp mask, and the
+      temporaries of ``_tally_pmf_cells``; then the posterior summary's
+      density and slope mask;
     * "scratch": B_(m-1) in ``tally_pmf_with_dtheta``, then the products of
       the posterior table and summary; the blocks of the pmf that the
       theta0-grid stages stream (``rbound._pmf_row_blocks`` and
@@ -425,37 +430,28 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     underflows the outcome powers prematurely, and 0 log 0 = 0 makes the
     deterministic channels exact.
 
-    ``cols`` is a slice of phases outside of which every requested row is
-    known to be 0, when the caller has one (``tally_pmf_with_dtheta`` passes
-    its ``likelihood_columns``); by default the kernel finds its own span.
-    ``out``, an array of the result's shape, receives the matrix and is
-    returned.  Only the columns of ``cols`` (or of the kernel's span) are
-    written; the matrix is 0 outside them, so a caller that passes ``out``
-    without ``cols`` fills it with zeros first.
+    ``cols`` is a slice of phases.  Without ``out`` every requested row must
+    be 0 outside it, as it is outside ``likelihood_columns``; by default the
+    kernel finds its own span.  ``out`` receives the matrix and is returned.
+    With ``cols`` it holds only those columns, any block of phases: a
+    (k1 - k0, width of ``cols``) array, every cell of which is written.
+    Without ``cols`` it has the result's shape and only the kernel's span is
+    written; the matrix is 0 outside it, so such a caller fills ``out`` with
+    zeros first.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
     k = np.arange(k0, k1)
     kf = k.astype(float)
-    return _exp_log_terms(log_binomial(m, k), kf, m - kf, *_grid_logs(model, thetas), cols, out)
-
-
-def _tally_pmf_columns(model: GhzParityModel, m: int, thetas: np.ndarray, cols: slice,
-                       out: np.ndarray) -> np.ndarray:
-    """The phases ``cols`` of ``tally_pmf_matrix(model, m, thetas)``, written into ``out``.
-
-    ``out`` has shape (m + 1, width of ``cols``); the logs are the grid's own
-    (``_grid_logs``), sliced, so every cell is the full matrix's double.
-    """
-    kf = np.arange(m + 1, dtype=float)
     logpp, logpm = _grid_logs(model, thetas)
-    out.fill(0.0)
-    return _exp_log_terms(log_binomial(m, np.arange(m + 1)), kf, m - kf, logpp[cols], logpm[cols],
-                          out=out)
+    if cols is not None and out is not None:     # ``out`` is the window: cut the logs to it
+        logpp, logpm, cols = logpp[cols], logpm[cols], slice(None)
+    return _exp_log_terms(log_binomial(m, k), kf, m - kf, logpp, logpm, cols, out)
 
 
 def _tally_pmf_cells(model: GhzParityModel, m: int, thetas: np.ndarray, k: np.ndarray,
-                     j: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                     j: np.ndarray, out: np.ndarray | None = None,
+                     logc: np.ndarray | None = None) -> np.ndarray:
     """The cells (k[i], j[i]) of ``tally_pmf_matrix(model, m, thetas)``, one per entry.
 
     The operations of ``_log_terms`` and ``_exp_log_terms``, cell by cell:
@@ -463,21 +459,35 @@ def _tally_pmf_cells(model: GhzParityModel, m: int, thetas: np.ndarray, k: np.nd
     k = m), and exp where that is above the cut.  Each is elementwise, so a
     cell is the matrix's double (the tests compare them with ``==``); a few
     cells cost a few operations on their own instead of a block of rows.
-    ``out`` receives them in place of a new array.
+    ``out`` receives them in place of a new array, and ``logc`` is
+    log C(m, k) for k = 0..m when the caller has it.  The temporaries are
+    rows of the thread's workspace ("sums" and "mask"), so a caller that
+    passes both allocates nothing per call.
     """
     logpp, logpm = _grid_logs(model, thetas)
-    kf = k.astype(float)
-    with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
-        sums = kf * logpp.take(j)
-        rest = (m - kf) * logpm.take(j)
-    sums[k == 0] = 0.0
-    rest[k == m] = 0.0
-    sums += log_binomial(m, k)
-    sums += rest
+    if logc is None:
+        logc = log_binomial(m, np.arange(m + 1))
     if out is None:
-        out = np.empty(sums.shape)
-    out.fill(0.0)
-    return np.exp(sums, out=out, where=sums > _EXP_ZERO_BELOW)
+        out = np.empty(k.size)
+    sums, kf = _workspace.take("sums", (2, k.size))
+    mask = _workspace.take("mask", (k.size,), bool)
+    np.copyto(kf, k)
+    # mode="clip" writes straight into ``out``; every index is in range
+    with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
+        np.multiply(kf, logpp.take(j, out=sums, mode="clip"), out=sums)
+        np.subtract(m, kf, out=kf)
+        rest = np.multiply(kf, logpm.take(j, out=out, mode="clip"), out=out)
+    np.copyto(sums, 0.0, where=np.equal(k, 0, out=mask))
+    np.copyto(rest, 0.0, where=np.equal(k, m, out=mask))
+    sums += logc.take(k, out=kf, mode="clip")
+    sums += rest
+    # exp of 0.0 in place of the cells below the cut, then 0.0 there: numpy's exp gives the
+    # same doubles with or without ``where``, but a scattered mask makes it ten times slower
+    below = np.less_equal(sums, _EXP_ZERO_BELOW, out=mask)   # no sum is NaN
+    np.copyto(sums, 0.0, where=below)
+    np.exp(sums, out=out)
+    np.copyto(out, 0.0, where=below)
+    return out
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
@@ -596,11 +606,14 @@ def likelihood_columns(model: GhzParityModel, m: int, thetas, k0: int = 0,
     alignment, the OpenBLAS gemv kernels behind numpy's matrix-vector
     product add each row's nonzero terms over the window in the same order
     as over the whole row: their unrolled lanes and their scalar tail fall
-    on the same columns.  The tests check this bit for bit on the 2001-node
-    grid.  Rows longer than 2048 are split by those kernels into blocks of
-    2048 columns, which a window shifts; there the window's sums agree with
-    whole-row sums only to rounding.  The posterior summary works on a
-    narrower window inside this one (``_likelihood_windows``).
+    on the same columns, whether the window's rows are a contiguous
+    (rows, window width) array, as the posterior table and summary hold
+    them, or the columns of whole rows.  The tests check this bit for bit
+    on the 2001-node grid.  Rows longer than 2048 are split by those
+    kernels into blocks of 2048 columns, which a window shifts; there the
+    window's sums agree with whole-row sums only to rounding.  The posterior
+    summary works on a narrower window inside this one
+    (``_likelihood_windows``).
     """
     return _likelihood_windows(model, m, thetas, k0, k1)[0]
 
@@ -623,28 +636,33 @@ def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
     the rows of B can be nonzero, ``cols`` = ``likelihood_columns(model, m,
     thetas, k0, k1)`` (computed here when the caller does not have it);
     outside it both arrays are 0.  B's rows are computed on that window into
-    the thread's workspace.  ``out``, a pair of arrays of the result's shape,
-    receives the pmf and derivative in place of two new zero-filled arrays;
-    only their columns ``cols`` are written.  At the deterministic channels
-    B is a unit vector, so the pmf is exactly one too and the derivative is
-    finite without special cases.
+    the thread's workspace, as one contiguous (rows, width) array.  ``out``,
+    a pair of (k1 - k0, width of ``cols``) arrays, receives the window of the
+    pmf and derivative, and is returned in place of two new zero-filled
+    arrays of the full width.  At the deterministic channels B is a unit
+    vector, so the pmf is exactly one too and the derivative is finite
+    without special cases.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
     rows = k1 - k0
     if cols is None:
         cols = likelihood_columns(model, m, thetas, k0, k1)
-    pmf, dpmf = out if out is not None else (np.zeros((rows, thetas.size)),
-                                              np.zeros((rows, thetas.size)))
-    p, dp = pmf[:, cols], dpmf[:, cols]
+    if out is None:
+        pmf, dpmf = np.zeros((rows, thetas.size)), np.zeros((rows, thetas.size))
+        tally_pmf_with_dtheta(model, m, thetas, k0, k1, cols=cols,
+                              out=(pmf[:, cols], dpmf[:, cols]))
+        return pmf, dpmf
+    p, dp = out
     if m == 0:
         p.fill(1.0)
         dp.fill(0.0)
-        return pmf, dpmf
+        return p, dp
+    window = thetas[cols]
     lo = max(k0 - 1, 0)
-    scratch = _workspace.take("scratch", (min(k1, m) - lo, thetas.size))
-    prev = tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m), cols=cols, out=scratch)[:, cols]
-    pp = model.prob_plus(thetas[cols])
+    scratch = _workspace.take("scratch", (min(k1, m) - lo, window.size))
+    prev = tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m), cols=cols, out=scratch)
+    pp = model.prob_plus(window)
     top = min(k1, m) - k0      # rows 0..top-1 have a B(k) term
     s = int(k0 == 0)           # rows s.. have a B(k-1) term
     off = k0 - lo              # row i holds B(k) at prev[i + off], B(k-1) at prev[i + off - 1]
@@ -657,5 +675,5 @@ def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
     np.subtract(prev[off + s - 1:off + top - 1], prev[off + s:off + top], out=dp[s:top])
     if top < rows:
         dp[top] = prev[off + top - 1]
-    dp *= m * model.dprob_dtheta(thetas[cols])
-    return pmf, dpmf
+    dp *= m * model.dprob_dtheta(window)
+    return p, dp

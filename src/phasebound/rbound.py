@@ -28,12 +28,13 @@ found by bisection on the pmf's doubles (``_crossings``), and the column
 CDFs are accumulated block by block (``_pmin_columns``).
 
 Every theta0-grid stage (the tally marginal, the averaged risks and
-Ziv-Zakai) holds at most one block of ``_BLOCK_CELLS`` cells of the pmf at a
-time, in the thread's workspace, with its per-pair arrays there too: the
-whole (m+1) x 201 pmf up to m = 1303, blocks of rows beyond (the marginal
-and Ziv-Zakai), or blocks of phases (the averaged risks, whose sums run over
-the tallies of one phase).  Each block gives the doubles of the whole
-matrix (``_pmf_row_blocks``).
+Ziv-Zakai) holds at most one block of ``_THETA0_BLOCK_CELLS`` cells of the
+pmf at a time, in the thread's workspace, with its per-pair arrays there
+too: the whole (m+1) x 201 pmf up to m = 325, blocks of rows beyond (the
+marginal and Ziv-Zakai), or blocks of phases (the averaged risks, whose sums
+run over the tallies of one phase).  A block so writes no more of the
+workspace than a block of the posterior summary at large m.  Each block
+gives the doubles of the whole matrix (``_pmf_row_blocks``).
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ from .bbound import ghosh_table
 from .estimate import Estimator, PosteriorMeanEstimator
 from .fbound import check_chain
 from .model import (
-    _BLOCK_CELLS,
     GhzParityModel,
     ModelError,
     _tally_pmf_cells,
-    _tally_pmf_columns,
     _workspace,
+    log_binomial,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
 )
@@ -72,6 +72,9 @@ _OUTER_NODES = 201
 _OUTER_MASS_TOL = 1e-10
 # Row and column blocks of the theta0-grid stages are multiples of this many rows or phases.
 _BLAS_ALIGN = 16
+# Cells (tallies x theta0 nodes) of one block of the theta0-grid stages: 0.5 MB per float64 array,
+# what a large-m posterior summary block writes on its window of 2001 nodes.
+_THETA0_BLOCK_CELLS = 1 << 16
 
 
 def _outer_grid(prior: PriorDensity) -> tuple[QuadratureGrid, np.ndarray]:
@@ -104,12 +107,12 @@ def _cell(m: int, prior: PriorDensity) -> str:
 def _block_extent(length: int, other: int) -> int:
     """How many of the ``length`` rows (or phases) of a ``length`` x ``other`` pmf one block takes.
 
-    All of them if the matrix fits in ``_BLOCK_CELLS`` cells, else the
+    All of them if the matrix fits in ``_THETA0_BLOCK_CELLS`` cells, else the
     largest multiple of ``_BLAS_ALIGN`` that fits (at least ``_BLAS_ALIGN``).
     """
-    if length * other <= _BLOCK_CELLS:
+    if length * other <= _THETA0_BLOCK_CELLS:
         return length
-    return max(_BLOCK_CELLS // other // _BLAS_ALIGN, 1) * _BLAS_ALIGN
+    return max(_THETA0_BLOCK_CELLS // other // _BLAS_ALIGN, 1) * _BLAS_ALIGN
 
 
 def _pmf_row_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
@@ -143,7 +146,7 @@ def _pmf_column_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
     for c0 in range(0, n, step):
         cols = slice(c0, min(c0 + step, n))
         block = _workspace.take("scratch", (rows, cols.stop - c0))
-        yield cols, _tally_pmf_columns(model, m, thetas, cols, block)
+        yield cols, tally_pmf_matrix(model, m, thetas, cols=cols, out=block)
 
 
 def _column_spreads(model: GhzParityModel, m: int, thetas: np.ndarray, v: np.ndarray,
@@ -232,26 +235,32 @@ def _first_true(predicate, lo: np.ndarray, hi: np.ndarray, mid: np.ndarray,
                 flags: np.ndarray) -> np.ndarray:
     """For each i, bisect for the first k in [lo[i], hi[i]) where the predicate holds.
 
-    ``predicate(k, out)`` writes into the bool array ``out`` whether it
-    holds at k[i], for every i at once; it must be False and then True in k
-    on each range, and hi[i] stands for no True.  Every i is probed at each
-    step, at the midpoint of its range; one whose range is empty may be
-    probed at its hi, and that outcome is ignored.  The results are written
-    into ``lo`` (and ``hi`` is moved), which is returned; ``mid`` (intp)
-    and the three rows of ``flags`` (bool) are buffers of the same length.
+    ``predicate(k, run, out)`` writes into the bool array ``out`` whether it
+    holds at k[t] for item run.start + t, for the items of the slice ``run``
+    at once; it must be False and then True in k on each range, and hi[i]
+    stands for no True.  Each step probes the items from the first one whose
+    range is not yet empty to the last, each at the midpoint of its range,
+    so items whose ranges empty first are best placed first; an item of the
+    run whose range is empty may be probed at its hi, and that outcome is
+    ignored.  The results are written into ``lo`` (and ``hi`` is moved),
+    which is returned; ``mid`` (intp) and the three rows of ``flags`` (bool)
+    are buffers of the same length.
     """
     hit, active, move = flags
     np.less(lo, hi, out=active)
-    while active.any():
-        np.add(lo, hi, out=mid)
-        mid >>= 1
-        predicate(mid, hit)
-        np.logical_and(active, hit, out=move)
-        np.copyto(hi, mid, where=move)
-        np.greater(active, hit, out=move)        # active and not hit
-        mid += 1
-        np.copyto(lo, mid, where=move)
-        np.less(lo, hi, out=active)
+    run = slice(0, lo.size)
+    while (live := active[run]).any():
+        run = slice(run.start + int(live.argmax()), run.stop)
+        l, h, k, act, mv = lo[run], hi[run], mid[run], active[run], move[run]
+        np.add(l, h, out=k)
+        k >>= 1
+        predicate(k, run, hit[run])
+        np.logical_and(act, hit[run], out=mv)
+        np.copyto(h, k, where=mv)
+        np.greater(act, hit[run], out=mv)        # active and not hit
+        k += 1
+        np.copyto(l, k, where=mv)
+        np.less(l, h, out=act)
     return lo
 
 
@@ -264,44 +273,42 @@ def _supports(cells, m: int, p_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     n = p_plus.size
     mode = np.minimum(np.floor((m + 1) * p_plus).astype(np.intp), m)
-    every, mid, flags = np.arange(n), np.empty(n, np.intp), np.empty((3, n), bool)
+    every, mid, values = np.arange(n), np.empty(n, np.intp), np.empty(n)
+    flags = np.empty((3, n), bool)
 
-    def nonzero(k, out):
-        return np.greater(cells(k, every), 0.0, out=out)
+    def nonzero(k, run, out):
+        return np.greater(cells(k, every[run], values[run]), 0.0, out=out)
 
-    def zero(k, out):
-        return np.logical_not(nonzero(k, out), out=out)
+    def zero(k, run, out):
+        return np.logical_not(nonzero(k, run, out), out=out)
 
     start = _first_true(nonzero, np.zeros(n, np.intp), mode.copy(), mid, flags)
     stop = _first_true(zero, mode + 1, np.full(n, m + 1, np.intp), mid, flags)
     return start, stop
 
 
-def _table_cells(table: np.ndarray):
+def _table_cells(table: np.ndarray, at: np.ndarray | None = None):
     """``cells`` of a (rows, phases) table in memory: its entries at (k[i], j[i]), by flat index.
 
-    ``out`` and ``at`` (the flat indices) are buffers of the entries' length,
-    or None for new arrays.  A k past the last row, as a finished search may
-    probe (``_first_true``), reads the last cell.
+    ``cells(k, j, out)`` writes them into ``out`` and returns it.  ``at``,
+    an intp buffer at least as long as any request, receives the flat
+    indices (a new array each call when None).  A k past the last row, as a
+    finished search may probe (``_first_true``), reads the last cell.
     """
     flat, n = table.ravel(), table.shape[1]
 
-    def cells(k, j, out=None, at=None):
-        at = np.multiply(k, n, out=at)
-        at += j
-        return flat.take(at, out=out, mode="clip")   # "clip" writes straight into ``out``
+    def cells(k, j, out):
+        index = np.multiply(k, n, out=None if at is None else at[:k.size])
+        index += j
+        return flat.take(index, out=out, mode="clip")   # "clip" writes straight into ``out``
     return cells
 
 
-def _weighted(cells, k, f, s, a, b, x=None, y=None, at=None) -> tuple[np.ndarray, np.ndarray]:
-    """a pmf[k, f] and b pmf[k, s] per pair, on the pmf's doubles (``cells``).
-
-    ``x``, ``y`` and ``at`` are buffers of the pairs' length, or None for
-    new arrays.
-    """
-    x = cells(k, f, x, at)
+def _weighted(cells, k, f, s, a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """a pmf[k, f] and b pmf[k, s] per pair, on the pmf's doubles (``cells``), into ``x`` and ``y``."""
+    x = cells(k, f, x)
     x *= a
-    y = cells(k, s, y, at)
+    y = cells(k, s, y)
     y *= b
     return x, y
 
@@ -319,20 +326,20 @@ def _crossings(pairs: _TestPairs, cells, start: np.ndarray, stop: np.ndarray,
     orientation.
 
     ``index``, ``value`` and ``flags`` are workspace rows of the pairs'
-    length (five of intp, two of float, three of bool); k* is written into
+    length (three of intp, two of float, three of bool); k* is written into
     ``index[0]``, which is returned.
     """
     f, s, a, b, down = pairs.first, pairs.second, pairs.a, pairs.b, pairs.down
-    lo, hi, mid, row, at = index
+    lo, hi, mid = index
     x, y = value
     # mode="clip" writes straight into ``out``; every index is in range
-    np.minimum(start.take(f, out=lo, mode="clip"), start.take(s, out=row, mode="clip"), out=lo)
-    np.maximum(stop.take(f, out=hi, mode="clip"), stop.take(s, out=row, mode="clip"), out=hi)
+    np.minimum(start.take(f, out=lo, mode="clip"), start.take(s, out=mid, mode="clip"), out=lo)
+    np.maximum(stop.take(f, out=hi, mode="clip"), stop.take(s, out=mid, mode="clip"), out=hi)
 
-    def test(k, out):
-        _weighted(cells, k, f, s, a, b, x, y, at)
-        np.greater_equal(x, y, out=out)
-        return np.equal(out, down, out=out)
+    def test(k, run, out):
+        xs, ys = _weighted(cells, k, f[run], s[run], a[run], b[run], x[run], y[run])
+        np.greater_equal(xs, ys, out=out)
+        return np.equal(out, down[run], out=out)
 
     return _first_true(test, lo, hi, mid, flags)
 
@@ -350,45 +357,66 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
 
     The crossings read single cells of the pmf: of the whole pmf while it
     fits in one block of the thread's workspace, else computed on their own
-    (``model._tally_pmf_cells``, the same doubles).  The CDFs are then
-    accumulated over blocks of rows (``_pmf_row_blocks``): each block's
-    first row takes the previous block's last CDF row, and a cumsum in place
-    gives the whole matrix's cumsum bit for bit.  Each pair reads D(k*) in
-    the block that holds that CDF row, and D(m+1) after the last one.  Every
-    per-pair array is a row of the thread's workspace, so a call allocates
-    no pair-sized or table-sized array; the result is such a row too, valid
-    until the next call in the thread.
+    (``model._tally_pmf_cells``, the same doubles, with its temporaries in
+    the workspace too).  The CDFs are then accumulated over blocks of rows
+    (``_pmf_row_blocks``): each block's first row takes the previous block's
+    last CDF row, and a cumsum in place gives the whole matrix's cumsum bit
+    for bit.  Each pair reads D(k*) in the block that holds that CDF row,
+    and D(m+1) after the last one: every pair at once when the block is the
+    whole pmf, else the block's own pairs, found by their indices (a block
+    of rows holds few of the crossings).  Every per-pair array is a row of
+    the thread's workspace, so a call allocates no table-sized array and,
+    but for those indices, no pair-sized one; the result is such a row too,
+    valid until the next call in the thread.
     """
     n, f, s, a, b = thetas.size, pairs.first, pairs.second, pairs.a, pairs.b
-    # the pairs' rows share the buffers the posterior summary has already written
-    rows = _workspace.take("derivative", (8, f.size))
-    index, value = rows[:5].view(np.intp), rows[5:]
+    # the pairs' rows share the buffers the posterior summary has already written: three
+    # of intp, then x, y and D(k*), whose row holds the cells' indices until the CDFs
+    # (as long as the longer of the pairs and the phases, which the supports search)
+    rows = _workspace.take("derivative", (6, max(f.size, n)))
+    index, (x, y, d) = rows[:3, :f.size].view(np.intp), rows[3:, :f.size]
+    spare = rows[5].view(np.intp)
     flags = _workspace.take("zero", (3, f.size), bool)
     blocks = _pmf_row_blocks(model, m, thetas)
-    if (m + 1) * n <= _BLOCK_CELLS:              # one block, the whole pmf: read it in place
+    if (m + 1) * n <= _THETA0_BLOCK_CELLS:       # one block, the whole pmf: read it in place
         blocks = [next(blocks)]
-        cells = _table_cells(blocks[0][1])
+        cells = _table_cells(blocks[0][1], spare)
     else:
-        def cells(k, j, out=None, at=None):       # a finished search may probe k = m + 1
-            return _tally_pmf_cells(model, m, thetas, np.minimum(k, m), j, out)
+        logc = log_binomial(m, np.arange(m + 1))
 
-    k = _crossings(pairs, cells, *_supports(cells, m, model.prob_plus(thetas)),
-                   index, value[:2], flags)
-    at, row = index[3:]
-    x, y, d = value
-    inside = flags[0]
+        def cells(k, j, out):                    # a finished search may probe k = m + 1
+            k = np.minimum(k, m, out=spare[:k.size])
+            return _tally_pmf_cells(model, m, thetas, k, j, out, logc)
+
+    k = _crossings(pairs, cells, *_supports(cells, m, model.prob_plus(thetas)), index,
+                   (x, y), flags)
+    inside, below = flags[:2]
     d.fill(0.0)                                  # D(0) = 0
     carry = np.zeros(n)
     for k0, block in blocks:
         block[0] += carry
         np.cumsum(block, axis=0, out=block)      # C[k0 + 1] .. C[k0 + rows]
-        np.greater(k, k0, out=inside)
-        inside &= k <= k0 + len(block)
-        np.subtract(k, k0 + 1, out=row)
-        np.clip(row, 0, len(block) - 1, out=row)
-        _weighted(_table_cells(block), row, f, s, a, b, x, y, at)
-        x -= y
-        np.copyto(d, x, where=inside)
+        np.greater(k, k0, out=inside)            # the pairs whose CDF row k* - 1 is here
+        if len(block) == m + 1:                  # the whole pmf: all of them, read in place
+            row = np.subtract(k, 1, out=index[1])
+            _weighted(_table_cells(block, index[2]), row, f, s, a, b, x, y)
+            x -= y
+            np.copyto(d, x, where=inside)
+        else:                                    # a block: only those, by their indices
+            inside &= np.less_equal(k, k0 + len(block), out=below)
+            hits = np.flatnonzero(inside)
+            base, at, xs, ys = (v[:hits.size] for v in (index[1], index[2], x, y))
+            np.subtract(k.take(hits, out=base, mode="clip"), k0 + 1, out=base)
+            base *= n                            # flat index of the pair's CDF row
+            flat = block.ravel()
+            flat.take(np.add(f.take(hits, out=at, mode="clip"), base, out=at), out=xs,
+                      mode="clip")
+            xs *= a.take(hits, out=ys, mode="clip")
+            flat.take(np.add(s.take(hits, out=at, mode="clip"), base, out=at), out=ys,
+                      mode="clip")
+            ys *= b.take(hits, out=base.view(float), mode="clip")   # the flat index is spent
+            xs -= ys
+            d.put(hits, xs)
         carry = block[-1].copy()
     carry.take(f, out=x, mode="clip")            # D(m+1) - 2 D(k*), up to its orientation
     x *= a

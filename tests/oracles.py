@@ -549,15 +549,15 @@ def scipy_tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     """Rows k0 <= k < k1 (default every k) of the tally pmf at every phase.
 
     Takes the kernel's ``cols`` and ``out``, so that it can stand in for
-    ``tally_pmf_matrix``: every column is computed, and written into ``out``
-    when given.
+    ``tally_pmf_matrix``: every column is computed, and ``out``, when given,
+    receives the columns ``cols`` (every column without ``cols``).
     """
     k1 = m + 1 if k1 is None else k1
     thetas = np.asarray(thetas, dtype=float)
     pmf = scipy_tally_probability(model, thetas[None, :], m, np.arange(k0, k1)[:, None])
     if out is None:
         return pmf
-    out[...] = pmf
+    out[...] = pmf if cols is None else pmf[:, cols]
     return out
 
 

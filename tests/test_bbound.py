@@ -426,6 +426,34 @@ class TestSummaryWindows:
                 assert cols.stop % 64 == 0 or cols.stop == n
                 assert span.start <= cols.start < cols.stop <= span.stop
 
+    @pytest.mark.parametrize("m", [131, 1000, 5000])
+    def test_block_arrays_are_window_shaped(self, monkeypatch, model, grid, m):
+        # every kernel, density and derivative array a block passes down is a contiguous
+        # (rows, width) array of exactly its aligned window, not a view of a whole-row array
+        passed = []
+
+        def spy(module, name, outs, nodes):
+            real = getattr(module, name)
+
+            def wrapper(*args, cols=None, out=None, **kwargs):
+                if out is not None:
+                    passed.append((name, cols, nodes(args), outs(out)))
+                return real(*args, cols=cols, out=out, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(model_module, "tally_pmf_matrix", lambda out: [out], lambda args: np.size(args[2]))
+        spy(estimate_module, "tally_pmf_with_dtheta", list, lambda args: np.size(args[2]))
+        spy(estimate_module, "posterior_table", list, lambda args: args[0].grid.node_count)
+        for prior in (family45_prior(10.0, grid), _off_branch_flat()):
+            posterior_summary(prior, m, model)
+        assert {name for name, _, _, _ in passed} == {"tally_pmf_matrix", "tally_pmf_with_dtheta",
+                                                      "posterior_table"}
+        for name, cols, n, arrays in passed:
+            assert cols.start % 64 == 0 and (cols.stop % 64 == 0 or cols.stop == n), name
+            for array in arrays:
+                assert array.flags.c_contiguous, name
+                assert array.shape[1] == cols.stop - cols.start, name
+
     def test_large_m_windows_hold_a_fifth_of_the_cells(self, monkeypatch, model, grid):
         # whole likelihood_columns windows hold 0.380 of the (m+1) x 2001 cells
         m = 5000

@@ -360,12 +360,13 @@ class TestScipyOracle:
 
     @pytest.mark.parametrize("m", [0, 1, 20, 1000, 5000])
     def test_pmf_columns(self, model, m):
-        # a block of phases, written over stale data, is those columns of the matrix
+        # a block of phases, written over stale data into a window-shaped out, is
+        # those columns of the matrix
         thetas = np.linspace(0.0, math.pi / 2, 201)
         whole = tally_pmf_matrix(model, m, thetas)
         for cols in (slice(0, 201), slice(0, 48), slice(48, 96), slice(192, 201), slice(7, 8)):
             out = np.full((m + 1, cols.stop - cols.start), np.nan)
-            model_module._tally_pmf_columns(model, m, thetas, cols, out)
+            assert tally_pmf_matrix(model, m, thetas, cols=cols, out=out) is out
             _assert_same_doubles(out, whole[:, cols])
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, 1.2, math.pi / 2])

@@ -310,8 +310,9 @@ class TestZivZakaiPairs:
             assert ziv_zakai(prior, m, model) == want
 
 
-# every m of the bayes_sweep workload, and large m on either side of the one-block limit
-CROSSING_MS = [*range(1, 101), 1000, 1303, 1304, 5000]
+# every m of the bayes_sweep workload, m on either side of the one-block limit (325 and 326),
+# and the large_m workload's m
+CROSSING_MS = [*range(1, 101), 325, 326, 1000, 1303, 1304, 5000]
 
 
 def _crossing_priors(grid, flat):
@@ -382,8 +383,8 @@ print("ok")
 
 
 def test_streamed_theta0_stages_equal_whole_matrix():
-    # past m = 1303 the tally marginal streams blocks of 1296 rows and the averaged
-    # risks blocks of 48 to 192 phases; each gives the whole matrix's doubles.  One
+    # past m = 325 the tally marginal streams blocks of 320 rows and the averaged
+    # risks blocks of 16 to 192 phases; each gives the whole matrix's doubles.  One
     # BLAS thread: gemv sums a whole matrix of 2607 rows or more in lanes that
     # depend on the thread count, the 16-aligned blocks do not
     root = Path(__file__).resolve().parents[1]

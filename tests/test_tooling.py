@@ -81,6 +81,7 @@ CONSTANTS = [
     ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
     ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
     ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"), ("rbound", "_BLAS_ALIGN"),
+    ("rbound", "_THETA0_BLOCK_CELLS"),
     ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
     ("fbound", "_OFFSET_SEPARATION"), ("fbound", "_OFFSET_FLOOR"), ("fbound", "_CHAIN_SLACK"),
     ("fbound", "_SEARCH_CELLS"),
@@ -131,25 +132,28 @@ def test_no_public_callable_takes_setting(setting):
 
 def test_streamed_kernel_work_stays_traced(tmp_path):
     # a large-m posterior table is built in blocks of tallies through the traced
-    # tally_pmf_matrix; each block after the first re-reads one row of B_(m-1)
+    # tally_pmf_matrix, each on its window of nodes into a window-shaped array, so
+    # the traced cells are the window's: 41% of the (m+1) x 2001 table at m = 1000
+    # and 18% at m = 5000, each block after the first re-reading one row of B_(m-1)
     import phasebound.cli as cli
     import phasebound.model as model
 
-    m, nodes = 1000, 2001
-    blocks = -(-(m + 1) // (model._BLOCK_CELLS // nodes))
-    tracer = _perfbench_module("tracer").Tracer()
-    tracer.install()
-    try:
-        assert cli.main(["fig3", "--prior.alpha", "10", "--grid.nodes", str(nodes),
-                         "--m.list", str(m), "--out", str(tmp_path / "fig3.csv")]) == 0
-    finally:
-        tracer.uninstall()
-    assert blocks > 1
-    assert tracer.calls["model.tally_pmf_matrix"] >= blocks
-    assert tracer.total_s["model.tally_pmf_matrix"] > 0.0
-    # plus the row's one fixed-theta0 column, shared by its five expectations, and
-    # the column of its theta0-derivative
-    assert tracer.kernel_cells <= (m + 1 + blocks) * nodes + 2 * (m + 1)
+    nodes = 2001
+    for m, share in ((1000, 0.42), (5000, 0.20)):
+        blocks = -(-(m + 1) // (model._BLOCK_CELLS // nodes))
+        tracer = _perfbench_module("tracer").Tracer()
+        tracer.install()
+        try:
+            assert cli.main(["fig3", "--prior.alpha", "10", "--grid.nodes", str(nodes),
+                             "--m.list", str(m), "--out", str(tmp_path / "fig3.csv")]) == 0
+        finally:
+            tracer.uninstall()
+        assert blocks > 1
+        assert tracer.calls["model.tally_pmf_matrix"] >= blocks
+        assert tracer.total_s["model.tally_pmf_matrix"] > 0.0
+        # with the row's one fixed-theta0 column, shared by its five expectations, and
+        # the column of its theta0-derivative
+        assert tracer.kernel_cells <= share * (m + 1) * nodes, m
 
 
 def test_ziv_zakai_peak_memory():
@@ -170,10 +174,11 @@ def test_ziv_zakai_peak_memory():
 
 
 def test_posterior_summary_peak_memory():
-    # about 6.4 MiB: one 131-tally block's B_(m-1) and the pmf and derivative that
-    # Pascal's rule builds from it, 2 MiB each.  Keeping the last block's arrays
-    # alive while the next one is built passes 8 MiB; one whole (m+1) x 2001
-    # table is 76 MiB
+    # about 7 MiB when the thread's workspace is made here: three float buffers of
+    # 2 MiB and two bool ones, each allocated whole on first use, although a block
+    # writes only its window's cells (131 x at most 448 nodes, 0.45 MiB per array, at
+    # m = 5000); 0.5 MiB once they exist.  Allocating each block's arrays anew while
+    # the last block's are alive passes 8 MiB; one whole (m+1) x 2001 table is 76 MiB
     from phasebound import GhzParityModel, QuadratureGrid, family45_prior
     from phasebound.estimate import posterior_summary
 
@@ -191,9 +196,10 @@ def test_posterior_summary_peak_memory():
 @pytest.mark.parametrize("stage", ["ziv_zakai", "bayes_chain_report", "avg_estimator_variance",
                                    "avg_mse"])
 def test_theta0_stage_allocates_within_budget(stage):
-    # at m = 5000 the whole (m+1) x 201 pmf is 7.7 MiB; every theta0-grid stage streams
-    # it through one workspace block (written by the posterior summary before these
-    # stages run, as in fig4 and bounds) and allocates under 2 MiB beyond it
+    # the whole (m+1) x 201 pmf is 1.5 MiB at m = 1000 and 7.7 MiB at m = 5000; every
+    # theta0-grid stage streams it through one workspace block (written by the
+    # posterior summary before these stages run, as in fig4 and bounds) and allocates
+    # under 2 MiB beyond it
     from phasebound import GhzParityModel, PosteriorMeanEstimator, QuadratureGrid, family45_prior
     from phasebound import rbound
 
@@ -201,19 +207,20 @@ def test_theta0_stage_allocates_within_budget(stage):
     prior = family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2))
     bayes = PosteriorMeanEstimator(model, prior)
     pairs = rbound._ziv_zakai_pairs(prior, model)
-    m = 5000
-    bayes.summary(m)
-    call = {"ziv_zakai": lambda: rbound.ziv_zakai(prior, m, model, pairs),
-            "bayes_chain_report": lambda: rbound.bayes_chain_report(bayes, m, pairs),
-            "avg_estimator_variance": lambda: rbound.avg_estimator_variance(bayes, prior, m, model),
-            "avg_mse": lambda: rbound.avg_mse(bayes, prior, m, model)}[stage]
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    for m in (1000, 5000):
+        bayes.summary(m)
+        call = {"ziv_zakai": lambda: rbound.ziv_zakai(prior, m, model, pairs),
+                "bayes_chain_report": lambda: rbound.bayes_chain_report(bayes, m, pairs),
+                "avg_estimator_variance": lambda: rbound.avg_estimator_variance(bayes, prior, m,
+                                                                                model),
+                "avg_mse": lambda: rbound.avg_mse(bayes, prior, m, model)}[stage]
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"m={m}: peak {peak / 2**20:.2f} MiB"
 
 
 def test_large_m_outputs_independent_of_blas_threads(tmp_path):
@@ -301,6 +308,23 @@ def test_cli_import_loads_no_thread_pool():
         "import sys, phasebound.cli; "
         "print(sorted(n for n in sys.modules if n.split('.')[0] in ('concurrent', 'logging')))")
     assert out == "[]", out
+
+
+@pytest.mark.parametrize("args,budget_mb", [(("fig4", "--m.list", "5000"), 6.0),
+                                            (("bounds", "--m.list", "1000"), 8.0)])
+def test_large_m_command_memory_rise(tmp_path, args, budget_mb):
+    # peak resident memory above the post-import value, one BLAS thread, alpha = 10:
+    # 4.7 MB for fig4 and 6.8 MB for bounds when every block pass writes window-shaped
+    # arrays and the theta0-grid stages stream blocks of at most 2^16 cells; about
+    # 10 MB each when the summary wrote the windows of whole-row arrays
+    argv = [*args, "--prior.alpha", "10", "--out", str(tmp_path / "out.csv")]
+    out = _fresh_interpreter(
+        "import os, resource; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+        "import phasebound.cli as cli; "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        f"assert cli.main({argv!r}) == 0; "
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)")
+    assert float(out) <= budget_mb
 
 
 def test_hierarchy_report_loads_no_numpy_ma():

@@ -450,8 +450,7 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
 
 
 def _tally_pmf_cells(model: GhzParityModel, m: int, thetas: np.ndarray, k: np.ndarray,
-                     j: np.ndarray, out: np.ndarray | None = None,
-                     logc: np.ndarray | None = None) -> np.ndarray:
+                     j: np.ndarray, out: np.ndarray, logc: np.ndarray) -> np.ndarray:
     """The cells (k[i], j[i]) of ``tally_pmf_matrix(model, m, thetas)``, one per entry.
 
     The operations of ``_log_terms`` and ``_exp_log_terms``, cell by cell:
@@ -459,16 +458,11 @@ def _tally_pmf_cells(model: GhzParityModel, m: int, thetas: np.ndarray, k: np.nd
     k = m), and exp where that is above the cut.  Each is elementwise, so a
     cell is the matrix's double (the tests compare them with ``==``); a few
     cells cost a few operations on their own instead of a block of rows.
-    ``out`` receives them in place of a new array, and ``logc`` is
-    log C(m, k) for k = 0..m when the caller has it.  The temporaries are
-    rows of the thread's workspace ("sums" and "mask"), so a caller that
-    passes both allocates nothing per call.
+    ``out`` receives them and is returned, and ``logc`` is log C(m, k) for
+    k = 0..m.  The temporaries are rows of the thread's workspace ("sums"
+    and "mask"), so a call allocates nothing.
     """
     logpp, logpm = _grid_logs(model, thetas)
-    if logc is None:
-        logc = log_binomial(m, np.arange(m + 1))
-    if out is None:
-        out = np.empty(k.size)
     sums, kf = _workspace.take("sums", (2, k.size))
     mask = _workspace.take("mask", (k.size,), bool)
     np.copyto(kf, k)

@@ -235,32 +235,26 @@ def _first_true(predicate, lo: np.ndarray, hi: np.ndarray, mid: np.ndarray,
                 flags: np.ndarray) -> np.ndarray:
     """For each i, bisect for the first k in [lo[i], hi[i]) where the predicate holds.
 
-    ``predicate(k, run, out)`` writes into the bool array ``out`` whether it
-    holds at k[t] for item run.start + t, for the items of the slice ``run``
-    at once; it must be False and then True in k on each range, and hi[i]
-    stands for no True.  Each step probes the items from the first one whose
-    range is not yet empty to the last, each at the midpoint of its range,
-    so items whose ranges empty first are best placed first; an item of the
-    run whose range is empty may be probed at its hi, and that outcome is
-    ignored.  The results are written into ``lo`` (and ``hi`` is moved),
-    which is returned; ``mid`` (intp) and the three rows of ``flags`` (bool)
-    are buffers of the same length.
+    ``predicate(k, out)`` writes into the bool array ``out`` whether it
+    holds at k[i], for every i at once; it must be False and then True in k
+    on each range, and hi[i] stands for no True.  Every i is probed at each
+    step, at the midpoint of its range; one whose range is empty may be
+    probed at its hi, and that outcome is ignored.  The results are written
+    into ``lo`` (and ``hi`` is moved), which is returned; ``mid`` (intp)
+    and the three rows of ``flags`` (bool) are buffers of the same length.
     """
     hit, active, move = flags
     np.less(lo, hi, out=active)
-    run = slice(0, lo.size)
-    while (live := active[run]).any():
-        run = slice(run.start + int(live.argmax()), run.stop)
-        l, h, k, act, mv = lo[run], hi[run], mid[run], active[run], move[run]
-        np.add(l, h, out=k)
-        k >>= 1
-        predicate(k, run, hit[run])
-        np.logical_and(act, hit[run], out=mv)
-        np.copyto(h, k, where=mv)
-        np.greater(act, hit[run], out=mv)        # active and not hit
-        k += 1
-        np.copyto(l, k, where=mv)
-        np.less(l, h, out=act)
+    while active.any():
+        np.add(lo, hi, out=mid)
+        mid >>= 1
+        predicate(mid, hit)
+        np.logical_and(active, hit, out=move)
+        np.copyto(hi, mid, where=move)
+        np.greater(active, hit, out=move)        # active and not hit
+        mid += 1
+        np.copyto(lo, mid, where=move)
+        np.less(lo, hi, out=active)
     return lo
 
 
@@ -276,29 +270,29 @@ def _supports(cells, m: int, p_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray
     every, mid, values = np.arange(n), np.empty(n, np.intp), np.empty(n)
     flags = np.empty((3, n), bool)
 
-    def nonzero(k, run, out):
-        return np.greater(cells(k, every[run], values[run]), 0.0, out=out)
+    def nonzero(k, out):
+        return np.greater(cells(k, every, values), 0.0, out=out)
 
-    def zero(k, run, out):
-        return np.logical_not(nonzero(k, run, out), out=out)
+    def zero(k, out):
+        return np.logical_not(nonzero(k, out), out=out)
 
     start = _first_true(nonzero, np.zeros(n, np.intp), mode.copy(), mid, flags)
     stop = _first_true(zero, mode + 1, np.full(n, m + 1, np.intp), mid, flags)
     return start, stop
 
 
-def _table_cells(table: np.ndarray, at: np.ndarray | None = None):
+def _table_cells(table: np.ndarray, at: np.ndarray):
     """``cells`` of a (rows, phases) table in memory: its entries at (k[i], j[i]), by flat index.
 
     ``cells(k, j, out)`` writes them into ``out`` and returns it.  ``at``,
     an intp buffer at least as long as any request, receives the flat
-    indices (a new array each call when None).  A k past the last row, as a
-    finished search may probe (``_first_true``), reads the last cell.
+    indices.  A k past the last row, as a finished search may probe
+    (``_first_true``), reads the last cell.
     """
     flat, n = table.ravel(), table.shape[1]
 
     def cells(k, j, out):
-        index = np.multiply(k, n, out=None if at is None else at[:k.size])
+        index = np.multiply(k, n, out=at[:k.size])
         index += j
         return flat.take(index, out=out, mode="clip")   # "clip" writes straight into ``out``
     return cells
@@ -336,10 +330,10 @@ def _crossings(pairs: _TestPairs, cells, start: np.ndarray, stop: np.ndarray,
     np.minimum(start.take(f, out=lo, mode="clip"), start.take(s, out=mid, mode="clip"), out=lo)
     np.maximum(stop.take(f, out=hi, mode="clip"), stop.take(s, out=mid, mode="clip"), out=hi)
 
-    def test(k, run, out):
-        xs, ys = _weighted(cells, k, f[run], s[run], a[run], b[run], x[run], y[run])
-        np.greater_equal(xs, ys, out=out)
-        return np.equal(out, down[run], out=out)
+    def test(k, out):
+        _weighted(cells, k, f, s, a, b, x, y)
+        np.greater_equal(x, y, out=out)
+        return np.equal(out, down, out=out)
 
     return _first_true(test, lo, hi, mid, flags)
 
@@ -362,12 +356,10 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
     (``_pmf_row_blocks``): each block's first row takes the previous block's
     last CDF row, and a cumsum in place gives the whole matrix's cumsum bit
     for bit.  Each pair reads D(k*) in the block that holds that CDF row,
-    and D(m+1) after the last one: every pair at once when the block is the
-    whole pmf, else the block's own pairs, found by their indices (a block
-    of rows holds few of the crossings).  Every per-pair array is a row of
-    the thread's workspace, so a call allocates no table-sized array and,
-    but for those indices, no pair-sized one; the result is such a row too,
-    valid until the next call in the thread.
+    and D(m+1) after the last one.  Every per-pair array is a row of the
+    thread's workspace, so a call allocates no pair-sized or table-sized
+    array; the result is such a row too, valid until the next call in the
+    thread.
     """
     n, f, s, a, b = thetas.size, pairs.first, pairs.second, pairs.a, pairs.b
     # the pairs' rows share the buffers the posterior summary has already written: three
@@ -393,30 +385,17 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
     inside, below = flags[:2]
     d.fill(0.0)                                  # D(0) = 0
     carry = np.zeros(n)
+    row, at = index[1:]                          # the search's hi and mid are free again
     for k0, block in blocks:
         block[0] += carry
         np.cumsum(block, axis=0, out=block)      # C[k0 + 1] .. C[k0 + rows]
         np.greater(k, k0, out=inside)            # the pairs whose CDF row k* - 1 is here
-        if len(block) == m + 1:                  # the whole pmf: all of them, read in place
-            row = np.subtract(k, 1, out=index[1])
-            _weighted(_table_cells(block, index[2]), row, f, s, a, b, x, y)
-            x -= y
-            np.copyto(d, x, where=inside)
-        else:                                    # a block: only those, by their indices
-            inside &= np.less_equal(k, k0 + len(block), out=below)
-            hits = np.flatnonzero(inside)
-            base, at, xs, ys = (v[:hits.size] for v in (index[1], index[2], x, y))
-            np.subtract(k.take(hits, out=base, mode="clip"), k0 + 1, out=base)
-            base *= n                            # flat index of the pair's CDF row
-            flat = block.ravel()
-            flat.take(np.add(f.take(hits, out=at, mode="clip"), base, out=at), out=xs,
-                      mode="clip")
-            xs *= a.take(hits, out=ys, mode="clip")
-            flat.take(np.add(s.take(hits, out=at, mode="clip"), base, out=at), out=ys,
-                      mode="clip")
-            ys *= b.take(hits, out=base.view(float), mode="clip")   # the flat index is spent
-            xs -= ys
-            d.put(hits, xs)
+        inside &= np.less_equal(k, k0 + len(block), out=below)
+        np.subtract(k, k0 + 1, out=row)
+        np.clip(row, 0, len(block) - 1, out=row)
+        _weighted(_table_cells(block, at), row, f, s, a, b, x, y)
+        x -= y
+        np.copyto(d, x, where=inside)
         carry = block[-1].copy()
     carry.take(f, out=x, mode="clip")            # D(m+1) - 2 D(k*), up to its orientation
     x *= a

@@ -352,10 +352,13 @@ class TestScipyOracle:
             whole = tally_pmf_matrix(model, m, thetas)
             k, j = (a.ravel() for a in np.indices(whole.shape))
             order = np.random.default_rng(m).permutation(k.size)
-            got = model_module._tally_pmf_cells(model, m, thetas, k[order], j[order])
+            logc = log_binomial(m, np.arange(m + 1))
+            out = np.full(k.size, np.nan)
+            got = model_module._tally_pmf_cells(model, m, thetas, k[order], j[order], out, logc)
+            assert got is out
             _assert_same_doubles(got, whole.ravel()[order])
             out = np.full(k.size, np.nan)
-            model_module._tally_pmf_cells(model, m, thetas, k, j, out)
+            model_module._tally_pmf_cells(model, m, thetas, k, j, out, logc)
             _assert_same_doubles(out, whole.ravel())
 
     @pytest.mark.parametrize("m", [0, 1, 20, 1000, 5000])

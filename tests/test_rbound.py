@@ -354,8 +354,8 @@ class TestStreamedCrossings:
         for thetas in (np.linspace(0.0, math.pi / 2, 201), np.linspace(-0.3, 1.2, 201)):
             pmf = tally_pmf_matrix(model, m, thetas)
             nonzero = pmf > 0.0
-            start, stop = rbound_module._supports(rbound_module._table_cells(pmf), m,
-                                                  model.prob_plus(thetas))
+            cells = rbound_module._table_cells(pmf, np.empty(thetas.size, np.intp))
+            start, stop = rbound_module._supports(cells, m, model.prob_plus(thetas))
             np.testing.assert_array_equal(start, nonzero.argmax(axis=0))
             np.testing.assert_array_equal(stop, m + 1 - nonzero[::-1].argmax(axis=0))
 

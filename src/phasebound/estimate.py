@@ -27,10 +27,10 @@ import numpy as np
 
 from .engine import expect_values_over_tallies, tally_column
 from .model import (
-    _BLOCK_CELLS,
     GhzParityModel,
     ModelError,
     PhaseDomain,
+    _block_extent,
     _likelihood_windows,
     _row_range,
     _workspace,
@@ -199,31 +199,30 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
 
 
 def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1: int,
-                     out: tuple[np.ndarray, ...], check_slope: bool,
-                     log_prior: tuple[np.ndarray, np.ndarray]) -> int | None:
+                     span: slice, cols: slice, out: tuple[np.ndarray, ...],
+                     check_slope: bool) -> int | None:
     """Write the tallies k0 <= k < k1 into ``out``; return a tally with a zero of nonzero slope.
 
     ``out`` is (marginal, mean, variance, boundary, information), each of
-    length m + 1, and ``log_prior`` the pair ``_likelihood_windows`` takes.
-    The block's window of nodes is found once and passed down: the part of
-    ``likelihood_columns`` where some row of the block lies within the cut
+    length m + 1.  ``span`` and ``cols`` are the block's two windows of
+    nodes (``_likelihood_windows``): ``likelihood_columns``, and the part of
+    it where some row of the block lies within the cut
     (``model._peak_cut``, 100 nats on 2001 nodes) of its peak.  Every pass
-    runs on it; a cell outside is an exact zero or lies below half an ulp
-    of each of its row's sums, so it changes no double.  The posterior
+    runs on ``cols``; a cell outside is an exact zero or lies below half an
+    ulp of each of its row's sums, so it changes no double.  The posterior
     table and every product are written into the thread's workspace, as
     contiguous (rows, window width) arrays; the window is aligned, so the
     matrix-vector products add each row's terms as over the whole row.  An
-    end node that ``likelihood_columns`` holds but the window leaves out
-    enters only the boundary term; its pmf is taken on its own, with the
-    same elementwise operations.  With ``check_slope``, the first tally
-    whose posterior is zero at a node where |derivative| is above
-    ``DERIVATIVE_NOISE_REL`` times its largest |derivative| is returned,
-    else None.
+    end node that ``span`` holds but ``cols`` leaves out enters only the
+    boundary term; its pmf is read through a one-node window of the grid,
+    with the grid's cached logs and the same elementwise operations.  With
+    ``check_slope``, the first tally whose posterior is zero at a node where
+    |derivative| is above ``DERIVATIVE_NOISE_REL`` times its largest
+    |derivative| is returned, else None.
     """
     marginal, means, variance, boundary, information = out
     grid = prior.grid
     n = grid.node_count
-    span, cols = _likelihood_windows(model, m, grid.nodes, k0, k1, log_prior)
     nodes, w = grid.nodes[cols], grid.weights[cols]
     shape = (k1 - k0, nodes.size)
     # an end node of nonzero prior that span holds but cols leaves out: its pmf times the
@@ -231,8 +230,9 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     ends = {}
     for j in (0, n - 1):
         if span.start <= j < span.stop and not cols.start <= j < cols.stop and prior.values[j]:
-            pmf = tally_pmf_with_dtheta(model, m, grid.nodes[j:j + 1], k0, k1)[0][:, 0]
-            ends[j] = pmf * prior.values[j]
+            pmf = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1, cols=slice(j, j + 1),
+                                        out=tuple(np.empty((2, k1 - k0, 1))))[0]
+            ends[j] = pmf[:, 0] * prior.values[j]
     # the density shares the kernel's log-sum buffer: the kernel is done with
     # it before Pascal's rule writes the first row of the pmf
     dens, ddens, marginal[k0:k1] = posterior_table(
@@ -273,31 +273,50 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
 def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     """Per-tally posterior summary for all tallies k = 0..m.
 
-    Built in blocks of tallies of at most ``_BLOCK_CELLS`` cells each (131
-    rows on 2001 nodes) by ``_summarise_block``, in the thread's workspace;
-    every returned quantity is one number per tally, so memory stays
-    O(block x window) however large m is.  Each block runs on the nodes
-    where some row of it lies within the cut (``model._peak_cut``) of its
-    peak; the log prior those windows take is computed once here.  Nothing
-    is cached here: ``PosteriorMeanEstimator.summary`` builds it once per m
-    and serves both the posterior means and ``ghosh_table``.
+    Built in blocks of tallies by ``_summarise_block``, in the thread's
+    workspace; every returned quantity is one number per tally, so memory
+    stays O(block x window) however large m is.  Each block runs on its
+    window of nodes, the part of ``likelihood_columns`` where some row of it
+    lies within the cut (``model._peak_cut``) of its peak, found once per
+    block here (``_likelihood_windows``, with the log prior computed once)
+    and passed down.  A block starts on a multiple of ``model._BLAS_ALIGN``
+    tallies and takes as many as fit in ``model._BLOCK_CELLS`` cells of its
+    own window (``_block_extent``): 32 rows on the whole 2001-node grid,
+    about 160 on the windows of about 366 nodes at m = 5000, at least
+    ``model._BLAS_ALIGN`` on any grid.  Its rows are first sized by the last
+    block's window, then cut back, and the window found again, while its
+    own window is too wide for them.  So aligned, every matrix-vector
+    product gives each row the doubles of one over the whole (m+1)-row
+    table, and the summary does not depend on the blocks (the tests compare
+    blocks of 16, 32 and 48 rows with one block, with ``==``).  Nothing is
+    cached here: ``PosteriorMeanEstimator.summary`` builds it once per m and
+    serves both the posterior means and ``ghosh_table``.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
     undefined.
     """
-    rows = max(_BLOCK_CELLS // prior.grid.node_count, 1)
+    nodes = prior.grid.nodes
     out = marginal, means, variance, boundary, information = tuple(
         np.empty(m + 1) for _ in range(5))
     with np.errstate(divide="ignore"):
         log_p = np.log(prior.values)
     log_prior = log_p, np.where(prior.values > 0.0, log_p, np.max(log_p))
     failure = None
-    for k0 in range(0, m + 1, rows):
-        bad = _summarise_block(prior, m, model, k0, min(k0 + rows, m + 1), out, failure is None,
-                               log_prior)
+    k0, width = 0, nodes.size
+    while k0 <= m:
+        k1 = k0 + _block_extent(m + 1 - k0, width)
+        while True:
+            span, cols = _likelihood_windows(model, m, nodes, k0, k1, log_prior)
+            width = cols.stop - cols.start
+            rows = _block_extent(m + 1 - k0, width)
+            if k0 + rows >= k1:
+                break
+            k1 = k0 + rows
+        bad = _summarise_block(prior, m, model, k0, k1, span, cols, out, failure is None)
         if bad is not None:
             failure = f"posterior for tally k={bad} has a zero with nonzero slope"
+        k0 = k1
 
     num = (boundary - 1.0) ** 2
     degenerate = information <= 0.0

@@ -80,7 +80,9 @@ buffers of ``_BLOCK_CELLS`` cells, allocated once per thread and reused by
 every block of every sweep row.  The log-sums go through it in blocks of
 rows.  A row of a sweep then writes into pages that are already mapped
 instead of asking for arrays a little larger than the last row's, which the
-allocator served with fresh pages every time.
+allocator served with fresh pages every time.  That one budget sizes every
+block pass, the posterior summary's and the theta0-grid stages', and each
+block starts on a multiple of ``_BLAS_ALIGN`` rows (``_block_extent``).
 """
 
 from __future__ import annotations
@@ -259,8 +261,30 @@ def _grid_logs(model: GhzParityModel, thetas: np.ndarray) -> tuple[np.ndarray, n
 
 # exp(x) is exactly 0.0 in float64 for every x below log(2^-1075) = -745.1332...
 _EXP_ZERO_BELOW = -745.2
-# Cells (rows x phases) of one block of tallies: 2 MB per float64 array.
-_BLOCK_CELLS = 1 << 18
+# Cells (rows x phases) of one block of every block pass, and of each workspace buffer: 0.5 MB
+# per float64 array.
+_BLOCK_CELLS = 1 << 16
+# A block of rows (or of phases) starts on a multiple of this many, and spans a multiple of it
+# unless it ends the matrix.
+_BLAS_ALIGN = 16
+
+
+def _block_extent(length: int, other: int) -> int:
+    """How many of the ``length`` rows (or phases) of a ``length`` x ``other`` array a block takes.
+
+    All of them if the array fits in ``_BLOCK_CELLS`` cells, else the largest
+    multiple of ``_BLAS_ALIGN`` that fits, at least ``_BLAS_ALIGN`` (which
+    takes more cells where ``other`` is above ``_BLOCK_CELLS / _BLAS_ALIGN``)
+    and at most ``length``.
+    OpenBLAS's gemv sums each row of a block that starts on a multiple of
+    ``_BLAS_ALIGN`` rows as it sums that row of the whole matrix (its
+    unrolled lanes and its tail fall on the same rows), so a matrix-vector
+    product of such blocks gives the whole matrix's doubles; the tests
+    compare them with ``==``.
+    """
+    if length * other <= _BLOCK_CELLS:
+        return length
+    return min(max(_BLOCK_CELLS // other // _BLAS_ALIGN, 1) * _BLAS_ALIGN, length)
 
 
 class _Workspace(threading.local):
@@ -268,19 +292,22 @@ class _Workspace(threading.local):
 
     Each named buffer is allocated per thread on first use, with
     ``_BLOCK_CELLS`` cells, and ``take`` returns a C-contiguous view of its
-    first cells.  A larger request of up to twice that replaces the buffer
-    once (B_(m-1) has one row more than its block); a still larger one gets
-    a new array, which is not kept.  So a sweep of rows whose blocks grow
-    with m writes into the same pages instead of asking the allocator for a
-    slightly larger array, and fresh pages, every row.  Only the pages a
-    block writes count towards resident memory.
+    first cells.  A larger request replaces the buffer once, and the larger
+    one is kept, when it is a block's: up to twice ``_BLOCK_CELLS`` cells
+    (B_(m-1) has one row more than its block), or up to ``_BLAS_ALIGN`` + 1
+    rows of any width (the least block, and its B_(m-1), on a grid wider
+    than ``_BLOCK_CELLS / _BLAS_ALIGN`` phases).  Any other request past the
+    buffer, a whole table's, gets a new array, which is not kept.  So a sweep of
+    rows whose blocks grow with m writes into the same pages instead of
+    asking the allocator for a slightly larger array, and fresh pages, every
+    row.  Only the pages a block writes count towards resident memory.
 
     A view is valid until the next ``take`` of the same name, and every user
     writes it before reading it, so nothing carries from one use to the
-    next.  The posterior summary takes its views shaped like a block's
-    window, (rows, window width), so a block writes the pages of its
-    window's cells and no others.  The names in use, each free again when
-    its user returns:
+    next.  Every block pass takes its views shaped like the block's window,
+    (rows, window width), so a block writes the pages of its window's cells
+    and no others.  The names in use, each free again when its user
+    returns:
 
     * "sums" and "mask": the kernel's log-sums and exp mask, and the
       temporaries of ``_tally_pmf_cells``; then the posterior summary's
@@ -299,13 +326,12 @@ class _Workspace(threading.local):
 
     def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         size = math.prod(shape)
-        if name not in self.buffers or self.buffers[name].size < size <= 2 * _BLOCK_CELLS:
+        if name not in self.buffers or self.buffers[name].size < size:
+            if size > max(2 * _BLOCK_CELLS, (_BLAS_ALIGN + 1) * shape[-1]):
+                return np.empty(shape, dtype)    # a whole table's: not kept
             self.buffers.pop(name, None)         # freed before its successor is made
             self.buffers[name] = np.empty(max(size, _BLOCK_CELLS), dtype)
-        buffer = self.buffers[name]
-        if size > buffer.size:
-            return np.empty(shape, dtype)
-        return buffer[:size].reshape(shape)
+        return self.buffers[name][:size].reshape(shape)
 
 
 _workspace = _Workspace()
@@ -384,11 +410,13 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
     slower than on ordinary arguments.  The result is a new zero-filled
     array, or ``out``, of which only the columns ``cols`` are written.
 
-    The rows go through in blocks of at most ``_BLOCK_CELLS`` cells of the
-    window: each block's log-sums and exp mask are written into the thread's
-    workspace, and its second product into the block's own window of the
-    result, which exp then overwrites.  Every cell is computed elementwise,
-    so the blocks change no bit.
+    The rows go through in passes of as many rows as the workspace keeps
+    (twice ``_BLOCK_CELLS`` cells of the window, or ``_BLAS_ALIGN`` + 1
+    rows), so the B_(m-1) of a block of tallies, one row more than the
+    block, goes through in one pass: each pass's log-sums and exp mask are
+    written into the thread's workspace, and its second product into the
+    pass's own window of the result, which exp then overwrites.  Every cell
+    is computed elementwise, so the passes change no bit.
     """
     if cols is None:
         cols = (slice(0, logpp.size) if logpp.size == 1
@@ -397,7 +425,7 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
         out = np.zeros((len(logc), logpp.size))
     window = out[:, cols]
     logpp, logpm = logpp[cols], logpm[cols]
-    step = max(_BLOCK_CELLS // max(logpp.size, 1), 1)
+    step = max(2 * _BLOCK_CELLS // max(logpp.size, 1), _BLAS_ALIGN + 1)
     for r0 in range(0, len(logc), step):
         rows = slice(r0, r0 + step)
         part = window[rows]
@@ -450,38 +478,48 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
 
 
 def _tally_pmf_cells(model: GhzParityModel, m: int, thetas: np.ndarray, k: np.ndarray,
-                     j: np.ndarray, out: np.ndarray, logc: np.ndarray) -> np.ndarray:
-    """The cells (k[i], j[i]) of ``tally_pmf_matrix(model, m, thetas)``, one per entry.
+                     columns: tuple[np.ndarray, ...], outs: tuple[np.ndarray, ...],
+                     logc: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cells (k[i], j[i]) of ``tally_pmf_matrix(model, m, thetas)`` for each j of ``columns``.
 
-    The operations of ``_log_terms`` and ``_exp_log_terms``, cell by cell:
-    k log p_+ (0 at k = 0) plus log C(m, k), plus (m - k) log p_- (0 at
-    k = m), and exp where that is above the cut.  Each is elementwise, so a
-    cell is the matrix's double (the tests compare them with ``==``); a few
-    cells cost a few operations on their own instead of a block of rows.
-    ``out`` receives them and is returned, and ``logc`` is log C(m, k) for
-    k = 0..m.  The temporaries are rows of the thread's workspace ("sums"
-    and "mask"), so a call allocates nothing.
+    ``columns`` are phase-index arrays as long as k, and ``outs`` one array
+    each that receives its cells; ``outs`` is returned.  The operations of
+    ``_log_terms`` and ``_exp_log_terms``, cell by cell: k log p_+ (0 at
+    k = 0) plus log C(m, k), plus (m - k) log p_- (0 at k = m), and exp
+    where that is above the cut.  Each is elementwise, so a cell is the
+    matrix's double (the tests compare them with ``==``); a few cells cost a
+    few operations on their own instead of a block of rows.  The terms of k
+    (float k, m - k, log C(m, k) from ``logc``, the table for k = 0..m, and
+    the masks of k = 0 and k = m) are formed once for every column.  The
+    temporaries are three rows each of the thread's "sums" and "mask", so a
+    call allocates nothing.
     """
     logpp, logpm = _grid_logs(model, thetas)
-    sums, kf = _workspace.take("sums", (2, k.size))
-    mask = _workspace.take("mask", (k.size,), bool)
+    kf, logck, rest = _workspace.take("sums", (3, k.size))
+    first, last, below = _workspace.take("mask", (3, k.size), bool)
     np.copyto(kf, k)
+    np.equal(k, 0, out=first)
+    np.equal(k, m, out=last)
+    logc.take(k, out=logck, mode="clip")
     # mode="clip" writes straight into ``out``; every index is in range
     with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
-        np.multiply(kf, logpp.take(j, out=sums, mode="clip"), out=sums)
+        for j, out in zip(columns, outs):
+            np.multiply(kf, logpp.take(j, out=out, mode="clip"), out=out)
         np.subtract(m, kf, out=kf)
-        rest = np.multiply(kf, logpm.take(j, out=out, mode="clip"), out=out)
-    np.copyto(sums, 0.0, where=np.equal(k, 0, out=mask))
-    np.copyto(rest, 0.0, where=np.equal(k, m, out=mask))
-    sums += logc.take(k, out=kf, mode="clip")
-    sums += rest
-    # exp of 0.0 in place of the cells below the cut, then 0.0 there: numpy's exp gives the
-    # same doubles with or without ``where``, but a scattered mask makes it ten times slower
-    below = np.less_equal(sums, _EXP_ZERO_BELOW, out=mask)   # no sum is NaN
-    np.copyto(sums, 0.0, where=below)
-    np.exp(sums, out=out)
-    np.copyto(out, 0.0, where=below)
-    return out
+        for j, out in zip(columns, outs):
+            np.multiply(kf, logpm.take(j, out=rest, mode="clip"), out=rest)
+            np.copyto(out, 0.0, where=first)
+            np.copyto(rest, 0.0, where=last)
+            out += logck
+            out += rest
+            # exp of 0.0 in place of the cells below the cut, then 0.0 there: numpy's exp gives
+            # the same doubles with or without ``where``, but a scattered mask makes it ten
+            # times slower
+            np.less_equal(out, _EXP_ZERO_BELOW, out=below)   # no sum is NaN
+            np.copyto(out, 0.0, where=below)
+            np.exp(out, out=out)
+            np.copyto(out, 0.0, where=below)
+    return outs
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:

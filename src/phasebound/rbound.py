@@ -28,13 +28,14 @@ found by bisection on the pmf's doubles (``_crossings``), and the column
 CDFs are accumulated block by block (``_pmin_columns``).
 
 Every theta0-grid stage (the tally marginal, the averaged risks and
-Ziv-Zakai) holds at most one block of ``_THETA0_BLOCK_CELLS`` cells of the
+Ziv-Zakai) holds at most one block of ``model._BLOCK_CELLS`` cells of the
 pmf at a time, in the thread's workspace, with its per-pair arrays there
 too: the whole (m+1) x 201 pmf up to m = 325, blocks of rows beyond (the
 marginal and Ziv-Zakai), or blocks of phases (the averaged risks, whose sums
-run over the tallies of one phase).  A block so writes no more of the
-workspace than a block of the posterior summary at large m.  Each block
-gives the doubles of the whole matrix (``_pmf_row_blocks``).
+run over the tallies of one phase).  The posterior summary's blocks have the
+same budget, so no stage writes more of the workspace than another.  Each
+block starts on a multiple of ``model._BLAS_ALIGN`` rows or phases and gives
+the doubles of the whole matrix (``model._block_extent``).
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .bbound import ghosh_table
 from .estimate import Estimator, PosteriorMeanEstimator
 from .fbound import check_chain
 from .model import (
+    _BLOCK_CELLS,
     GhzParityModel,
     ModelError,
+    _block_extent,
     _tally_pmf_cells,
     _workspace,
     log_binomial,
@@ -70,11 +73,6 @@ from .numerics import (
 _OUTER_NODES = 201
 # Largest |integral of the prior on the theta0 grid - 1| that still resolves the prior.
 _OUTER_MASS_TOL = 1e-10
-# Row and column blocks of the theta0-grid stages are multiples of this many rows or phases.
-_BLAS_ALIGN = 16
-# Cells (tallies x theta0 nodes) of one block of the theta0-grid stages: 0.5 MB per float64 array,
-# what a large-m posterior summary block writes on its window of 2001 nodes.
-_THETA0_BLOCK_CELLS = 1 << 16
 
 
 def _outer_grid(prior: PriorDensity) -> tuple[QuadratureGrid, np.ndarray]:
@@ -104,26 +102,12 @@ def _cell(m: int, prior: PriorDensity) -> str:
     return f"m={m}, {_prior_name(prior)}"
 
 
-def _block_extent(length: int, other: int) -> int:
-    """How many of the ``length`` rows (or phases) of a ``length`` x ``other`` pmf one block takes.
-
-    All of them if the matrix fits in ``_THETA0_BLOCK_CELLS`` cells, else the
-    largest multiple of ``_BLAS_ALIGN`` that fits (at least ``_BLAS_ALIGN``).
-    """
-    if length * other <= _THETA0_BLOCK_CELLS:
-        return length
-    return max(_THETA0_BLOCK_CELLS // other // _BLAS_ALIGN, 1) * _BLAS_ALIGN
-
-
 def _pmf_row_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
     """The tally pmf at ``thetas`` in blocks of rows, as (k0, rows k0.. of the pmf) pairs.
 
     Each block is written into the thread's workspace and is valid until the
-    next.  OpenBLAS's gemv sums each row of a block that starts on a multiple
-    of ``_BLAS_ALIGN`` rows as it sums that row of the whole matrix (its
-    unrolled lanes and its tail fall on the same rows), so a matrix-vector
-    product of the blocks gives the whole matrix's doubles; the tests compare
-    them with ``==``.
+    next.  The blocks are aligned (``model._block_extent``), so a
+    matrix-vector product of the blocks gives the whole matrix's doubles.
     """
     rows, n = m + 1, thetas.size
     step = _block_extent(rows, n)
@@ -271,7 +255,7 @@ def _supports(cells, m: int, p_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray
     flags = np.empty((3, n), bool)
 
     def nonzero(k, out):
-        return np.greater(cells(k, every, values), 0.0, out=out)
+        return np.greater(cells(k, (every,), (values,))[0], 0.0, out=out)
 
     def zero(k, out):
         return np.logical_not(nonzero(k, out), out=out)
@@ -284,25 +268,28 @@ def _supports(cells, m: int, p_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _table_cells(table: np.ndarray, at: np.ndarray):
     """``cells`` of a (rows, phases) table in memory: its entries at (k[i], j[i]), by flat index.
 
-    ``cells(k, j, out)`` writes them into ``out`` and returns it.  ``at``,
-    an intp buffer at least as long as any request, receives the flat
-    indices.  A k past the last row, as a finished search may probe
-    (``_first_true``), reads the last cell.
+    ``cells(k, columns, outs)`` writes the cells of each phase-index array j
+    of ``columns`` into the matching array of ``outs``, and returns
+    ``outs``.  ``at``, an intp buffer at least as long as any request,
+    receives the flat indices.  A k past the last row, as a finished search
+    may probe (``_first_true``), reads the last cell.
     """
     flat, n = table.ravel(), table.shape[1]
 
-    def cells(k, j, out):
-        index = np.multiply(k, n, out=at[:k.size])
-        index += j
-        return flat.take(index, out=out, mode="clip")   # "clip" writes straight into ``out``
+    def cells(k, columns, outs):
+        index = at[:k.size]
+        for j, out in zip(columns, outs):
+            np.multiply(k, n, out=index)
+            index += j
+            flat.take(index, out=out, mode="clip")   # "clip" writes straight into ``out``
+        return outs
     return cells
 
 
 def _weighted(cells, k, f, s, a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
     """a pmf[k, f] and b pmf[k, s] per pair, on the pmf's doubles (``cells``), into ``x`` and ``y``."""
-    x = cells(k, f, x)
+    x, y = cells(k, (f, s), (x, y))
     x *= a
-    y = cells(k, s, y)
     y *= b
     return x, y
 
@@ -352,7 +339,8 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
     The crossings read single cells of the pmf: of the whole pmf while it
     fits in one block of the thread's workspace, else computed on their own
     (``model._tally_pmf_cells``, the same doubles, with its temporaries in
-    the workspace too).  The CDFs are then accumulated over blocks of rows
+    the workspace too; a probe forms the terms of its tallies once for both
+    phases of every pair).  The CDFs are then accumulated over blocks of rows
     (``_pmf_row_blocks``): each block's first row takes the previous block's
     last CDF row, and a cumsum in place gives the whole matrix's cumsum bit
     for bit.  Each pair reads D(k*) in the block that holds that CDF row,
@@ -370,15 +358,15 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
     spare = rows[5].view(np.intp)
     flags = _workspace.take("zero", (3, f.size), bool)
     blocks = _pmf_row_blocks(model, m, thetas)
-    if (m + 1) * n <= _THETA0_BLOCK_CELLS:       # one block, the whole pmf: read it in place
+    if (m + 1) * n <= _BLOCK_CELLS:              # one block, the whole pmf: read it in place
         blocks = [next(blocks)]
         cells = _table_cells(blocks[0][1], spare)
     else:
         logc = log_binomial(m, np.arange(m + 1))
 
-        def cells(k, j, out):                    # a finished search may probe k = m + 1
+        def cells(k, columns, outs):             # a finished search may probe k = m + 1
             k = np.minimum(k, m, out=spare[:k.size])
-            return _tally_pmf_cells(model, m, thetas, k, j, out, logc)
+            return _tally_pmf_cells(model, m, thetas, k, columns, outs, logc)
 
     k = _crossings(pairs, cells, *_supports(cells, m, model.prob_plus(thetas)), index,
                    (x, y), flags)

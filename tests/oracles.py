@@ -36,7 +36,8 @@ the package also computes, by an independent route:
   larger m are compared with one BLAS thread);
 * ``full_width_posterior_summary`` - the per-tally posterior summary with
   every pass over whole rows of the grid, as it was before the passes were
-  trimmed to each block's nonzero column window, on the scipy B_(m-1);
+  trimmed to each block's nonzero column window, on the scipy B_(m-1), in
+  blocks of 64 tallies of its own, whose gemv sums are the whole table's;
   against ``estimate.posterior_summary``, field for field with ``==``;
 * ``lbvm_reference`` - the Gaussian (Bernstein-von Mises) reference posterior
   that saturates the Ghosh bound, returned as a prior so that the posterior
@@ -85,7 +86,6 @@ from phasebound.fbound import (
     _single_shot_probs,
 )
 from phasebound.model import (
-    _BLOCK_CELLS,
     GhzParityModel,
     ModelError,
     PhaseDomain,
@@ -428,12 +428,17 @@ def full_width_posterior_table(prior: PriorDensity, m: int, model: GhzParityMode
     return density, derivative, marginal
 
 
+# Rows of the whole-row summary's blocks: a multiple of 16, so that each row's matrix-vector
+# sums are those of one gemv over the whole table whatever blocks the package takes.
+_FULL_WIDTH_ROWS = 64
+
+
 def full_width_posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
-    """Per-tally posterior summary in the package's blocks of tallies, every pass on whole rows."""
+    """Per-tally posterior summary in blocks of 64 tallies, every pass on whole rows."""
     grid = prior.grid
     nodes, w = grid.nodes, grid.weights
     a, b = grid.a, grid.b
-    rows = max(_BLOCK_CELLS // grid.node_count, 1)
+    rows = _FULL_WIDTH_ROWS
     marginal, means, variance, boundary, information = (np.empty(m + 1) for _ in range(5))
     failure = None
     for k0 in range(0, m + 1, rows):

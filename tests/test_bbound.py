@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,46 +262,93 @@ def test_reused_buffers_do_not_leak_between_rows(model, grid):
             assert got.failure == want.failure
 
 
+def _blocked_summary(monkeypatch, prior, m, model, rows):
+    """posterior_summary in blocks of ``rows`` tallies (the last one shorter); None: one block."""
+    # posterior_summary caches nothing, so each call builds under the layout set here
+    with monkeypatch.context() as patch:
+        patch.setattr(estimate_module, "_block_extent",
+                      lambda length, other: length if rows is None else min(length, rows))
+        return posterior_summary(prior, m, model)
+
+
+_PARTITION_PROBE = """
+import math
+from unittest.mock import patch
+import phasebound.estimate as estimate_module
+from phasebound import GhzParityModel, QuadratureGrid, family45_prior, flat_prior
+from phasebound.estimate import posterior_summary
+from phasebound.model import PhaseDomain
+model = GhzParityModel(2)
+domain = PhaseDomain(-0.3, 1.2)
+priors = (family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2)),
+          flat_prior(domain, QuadratureGrid.simpson(domain.a, domain.b)))
+fields = ("marginal", "mean", "variance", "boundary", "information", "ghosh")
+
+def summary(prior, m, rows):
+    with patch.object(estimate_module, "_block_extent",
+                      lambda length, other: min(length, rows)):
+        return posterior_summary(prior, m, model)
+
+for prior in priors:
+    for m, whole in ((1000, 1001), (5000, 1024)):
+        want = summary(prior, m, whole)
+        for rows in (16, 32, 48):
+            got = summary(prior, m, rows)
+            bad = [f for f in fields if getattr(got, f).tobytes() != getattr(want, f).tobytes()]
+            assert bad == [] and got.failure == want.failure, (prior.kind, m, rows, bad)
+print("ok")
+"""
+
+
 class TestStreamedSummary:
-    """posterior_summary in forced small blocks of tallies against one block."""
+    """posterior_summary in blocks of 16, 32 and 48 rows against one block, double for double.
 
-    @staticmethod
-    def _summary(monkeypatch, prior, m, model, rows=None):
-        # posterior_summary caches nothing, so each call builds under the block size set here
-        with monkeypatch.context() as patch:
-            if rows is not None:
-                patch.setattr(estimate_module, "_BLOCK_CELLS", rows * prior.grid.node_count)
-            return posterior_summary(prior, m, model)
+    Blocks that start on multiples of 16 tallies give each row the doubles of
+    a gemv over the whole table, so the summary does not depend on them.
+    """
 
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    @pytest.mark.parametrize("m", [1, 7, 20])
-    def test_blocks_match_one_block(self, monkeypatch, model, grid, rows, m):
-        whole = self._summary(monkeypatch, family45_prior(10.0, grid), m, model)
-        blocked = self._summary(monkeypatch, family45_prior(10.0, grid), m, model, rows)
-        for name in SUMMARY_FIELDS:
-            np.testing.assert_allclose(getattr(blocked, name), getattr(whole, name),
-                                       rtol=1e-14, atol=0.0, err_msg=name)
-        assert blocked.failure is whole.failure is None
+    @pytest.mark.parametrize("units", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 7, 20, 100, 131])
+    def test_blocks_match_one_block(self, monkeypatch, model, grid, units, m):
+        for prior in (family45_prior(10.0, grid), _off_branch_flat()):
+            whole = _blocked_summary(monkeypatch, prior, m, model, None)
+            blocked = _blocked_summary(monkeypatch, prior, m, model, 16 * units)
+            for name in SUMMARY_FIELDS:
+                np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name),
+                                              err_msg=f"{prior.kind} {name}")
+            assert blocked.failure is whole.failure is None
 
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    def test_underflow_names_same_tally(self, monkeypatch, model, grid, rows):
+    def test_large_m_blocks_match_one_block(self):
+        # in a child with one BLAS thread: two threads split the gemv of a whole
+        # 1001 x 2001 table between them and round the rows at the split differently.
+        # At m = 5000 the reference is blocks of 1024 rows (one block takes 262 MB there)
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", _PARTITION_PROBE], env=env,
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stdout.strip()) == (0, "ok"), out.stderr
+
+    @pytest.mark.parametrize("units", [1, 2, 3])
+    def test_underflow_names_same_tally(self, monkeypatch, model, grid, units):
         # support within 1e-3 of pi/2, where p_+ <= 1e-6: tallies k >= 54 of 60 underflow
         values = np.where(grid.nodes > math.pi / 2 - 1e-3, 1.0, 0.0)
         messages = []
-        for block in (None, rows):
+        for rows in (None, 16 * units):
             with pytest.raises(DegeneratePosteriorError) as info:
-                self._summary(monkeypatch, custom_prior(grid, values), 60, model, block)
+                _blocked_summary(monkeypatch, custom_prior(grid, values), 60, model, rows)
             messages.append(str(info.value))
         assert "tally k=54," in messages[0]
         assert messages[1] == messages[0]
 
-    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("units", [1, 2, 3])
     @pytest.mark.parametrize("m,k_bad", [(7, 2), (20, 14)])
-    def test_ghosh_failure_names_same_tally(self, monkeypatch, model, grid, rows, m, k_bad):
+    def test_ghosh_failure_names_same_tally(self, monkeypatch, model, grid, units, m, k_bad):
         # zero below 0.05 with slope 1: the likelihood reaches that region from k = k_bad on
         values, slope = np.maximum(grid.nodes - 0.05, 0.0), np.ones(grid.node_count)
-        whole = self._summary(monkeypatch, custom_prior(grid, values, slope), m, model)
-        blocked = self._summary(monkeypatch, custom_prior(grid, values, slope), m, model, rows)
+        prior = custom_prior(grid, values, slope)
+        whole = _blocked_summary(monkeypatch, prior, m, model, None)
+        blocked = _blocked_summary(monkeypatch, prior, m, model, 16 * units)
         assert whole.failure == f"posterior for tally k={k_bad} has a zero with nonzero slope"
         assert blocked.failure == whole.failure
 
@@ -449,7 +499,11 @@ class TestSummaryWindows:
         assert {name for name, _, _, _ in passed} == {"tally_pmf_matrix", "tally_pmf_with_dtheta",
                                                       "posterior_table"}
         for name, cols, n, arrays in passed:
-            assert cols.start % 64 == 0 and (cols.stop % 64 == 0 or cols.stop == n), name
+            # an end node left out of the window is read on its own, through a
+            # one-node window no matrix-vector product sums
+            end_node = cols.stop - cols.start == 1 and cols.start in (0, n - 1)
+            aligned = cols.start % 64 == 0 and (cols.stop % 64 == 0 or cols.stop == n)
+            assert end_node or aligned, name
             for array in arrays:
                 assert array.flags.c_contiguous, name
                 assert array.shape[1] == cols.stop - cols.start, name
@@ -472,10 +526,54 @@ class TestSummaryWindows:
         assert 102.0 < cut(40001, 5000) < cut(40001, 50000) < 105.0
 
     def test_small_m_windows_stay_whole(self, monkeypatch, model, grid):
+        # up to m = 31 the table is one block, of 32 rows at most, on every node; from
+        # m = 32 on the first block is 32 rows, and windows may narrow inside
+        # likelihood_columns (the layout test checks the blocks' sizes)
         prior = family45_prior(10.0, grid)
         for m in range(1, 101):
             _, seen = _summary_with_windows(monkeypatch, prior, m, model)
-            assert [cols for _, _, cols in seen] == [slice(0, grid.node_count)], m
+            if m < 32:
+                assert seen == [(0, m + 1, slice(0, grid.node_count))], m
+            else:
+                assert seen[0][:2] == (0, 32) and len(seen) > 1, m
+            for k0, k1, cols in seen:
+                span = likelihood_columns(model, m, grid.nodes, k0, k1)
+                assert span.start <= cols.start < cols.stop <= span.stop, (m, k0)
+
+    @pytest.mark.parametrize("nodes,m", [(2001, 1), (2001, 100), (2001, 1000), (2001, 5000),
+                                         (401, 5000), (20001, 1000)])
+    def test_block_layout(self, monkeypatch, model, nodes, m):
+        # every block starts on a multiple of 16 tallies and holds at most _BLOCK_CELLS
+        # cells of its own window, but for the 16-row least block on grids wider than
+        # 4096 nodes; the blocks cover the tallies in order
+        grid = QuadratureGrid.simpson(0.0, math.pi / 2, nodes)
+        _, seen = _summary_with_windows(monkeypatch, family45_prior(10.0, grid), m, model)
+        assert [k0 for k0, _, _ in seen] == [0] + [k1 for _, k1, _ in seen[:-1]]
+        assert seen[-1][1] == m + 1
+        for k0, k1, cols in seen:
+            width = cols.stop - cols.start
+            assert k0 % 16 == 0, (k0, k1)
+            assert (k1 - k0) * width <= model_module._BLOCK_CELLS or (
+                k1 - k0 == 16 and width > model_module._BLOCK_CELLS // 16), (k0, k1, width)
+        if (nodes, m) == (2001, 5000):
+            assert len(seen) <= 39          # as many as blocks of 131 rows took
+
+    @pytest.mark.parametrize("m", [100, 1000])
+    def test_wide_grid_blocks_reuse_the_workspace(self, model, m):
+        # on 20001 nodes every block is the least one, 16 rows of a window of up to
+        # 20001 nodes (16192 at m = 100, 2.1 MB per array); the workspace keeps such
+        # blocks' buffers, so a second summary allocates less than one block's array,
+        # where a new array per block took several
+        grid = QuadratureGrid.simpson(0.0, math.pi / 2, 20001)
+        prior = family45_prior(10.0, grid)
+        posterior_summary(prior, m, model)
+        tracemalloc.start()
+        try:
+            posterior_summary(prior, m, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 20001 * 8, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestCliPosteriorBuilds:

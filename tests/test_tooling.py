@@ -77,11 +77,10 @@ def test_chrb_objective_calls_stay_batched(tmp_path, monkeypatch):
 # Fixed grid sizes and tolerances, each a constant of the module that owns it.
 CONSTANTS = [
     ("model", "_BLOCK_CELLS"), ("model", "_GRID_LOGS_KEPT"), ("model", "_EXP_ZERO_BELOW"),
-    ("model", "_WINDOW_ALIGN"),
+    ("model", "_WINDOW_ALIGN"), ("model", "_BLAS_ALIGN"),
     ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
     ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
-    ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"), ("rbound", "_BLAS_ALIGN"),
-    ("rbound", "_THETA0_BLOCK_CELLS"),
+    ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
     ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
     ("fbound", "_OFFSET_SEPARATION"), ("fbound", "_OFFSET_FLOOR"), ("fbound", "_CHAIN_SLACK"),
     ("fbound", "_SEARCH_CELLS"),
@@ -130,17 +129,25 @@ def test_no_public_callable_takes_setting(setting):
     assert offenders == []
 
 
-def test_streamed_kernel_work_stays_traced(tmp_path):
+def test_streamed_kernel_work_stays_traced(tmp_path, monkeypatch):
     # a large-m posterior table is built in blocks of tallies through the traced
     # tally_pmf_matrix, each on its window of nodes into a window-shaped array, so
-    # the traced cells are the window's: 41% of the (m+1) x 2001 table at m = 1000
-    # and 18% at m = 5000, each block after the first re-reading one row of B_(m-1)
+    # the traced cells are the window's: 38% of the (m+1) x 2001 table at m = 1000
+    # and 19% at m = 5000, each block after the first re-reading one row of B_(m-1)
     import phasebound.cli as cli
-    import phasebound.model as model
+    import phasebound.estimate as estimate
 
     nodes = 2001
+    summarise = estimate._summarise_block
+    layout = []
+
+    def counting(*args, **kwargs):
+        layout.append(args[3:5])
+        return summarise(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "_summarise_block", counting)
     for m, share in ((1000, 0.42), (5000, 0.20)):
-        blocks = -(-(m + 1) // (model._BLOCK_CELLS // nodes))
+        layout.clear()
         tracer = _perfbench_module("tracer").Tracer()
         tracer.install()
         try:
@@ -148,7 +155,8 @@ def test_streamed_kernel_work_stays_traced(tmp_path):
                              "--m.list", str(m), "--out", str(tmp_path / "fig3.csv")]) == 0
         finally:
             tracer.uninstall()
-        assert blocks > 1
+        blocks = len(layout)
+        assert blocks > 1 and layout[-1][1] == m + 1
         assert tracer.calls["model.tally_pmf_matrix"] >= blocks
         assert tracer.total_s["model.tally_pmf_matrix"] > 0.0
         # with the row's one fixed-theta0 column, shared by its five expectations, and
@@ -310,21 +318,41 @@ def test_cli_import_loads_no_thread_pool():
     assert out == "[]", out
 
 
+def _memory_rise_mb(tmp_path, args) -> float:
+    """How far a fresh interpreter's peak resident memory rises above its post-import value.
+
+    One command, one BLAS thread, alpha = 10.  The peak is VmHWM, the high
+    water mark of the process's own address space: ru_maxrss starts from the
+    parent's peak, which it keeps across fork and exec, so under a test
+    runner larger than the command it reads no rise at all.
+    """
+    argv = [*args, "--prior.alpha", "10", "--out", str(tmp_path / "out.csv")]
+    out = _fresh_interpreter(
+        "import os; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+        "peak = lambda: int(next(line for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')).split()[1]); "
+        "import phasebound.cli as cli; "
+        "before = peak(); "
+        f"assert cli.main({argv!r}) == 0; "
+        "print((peak() - before) / 1024)")
+    return float(out)
+
+
 @pytest.mark.parametrize("args,budget_mb", [(("fig4", "--m.list", "5000"), 6.0),
                                             (("bounds", "--m.list", "1000"), 8.0)])
 def test_large_m_command_memory_rise(tmp_path, args, budget_mb):
-    # peak resident memory above the post-import value, one BLAS thread, alpha = 10:
-    # 4.7 MB for fig4 and 6.8 MB for bounds when every block pass writes window-shaped
-    # arrays and the theta0-grid stages stream blocks of at most 2^16 cells; about
-    # 10 MB each when the summary wrote the windows of whole-row arrays
-    argv = [*args, "--prior.alpha", "10", "--out", str(tmp_path / "out.csv")]
-    out = _fresh_interpreter(
-        "import os, resource; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
-        "import phasebound.cli as cli; "
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-        f"assert cli.main({argv!r}) == 0; "
-        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)")
-    assert float(out) <= budget_mb
+    # 4.6 MB for fig4 and 5.6 MB for bounds when every block pass writes window-shaped
+    # arrays of at most 2^16 cells; about 10 MB each when the summary wrote the
+    # windows of whole-row arrays
+    assert _memory_rise_mb(tmp_path, args) <= budget_mb
+
+
+@pytest.mark.parametrize("args,budget_mb", [(("fig4", "--m.max", "100"), 6.0),
+                                            (("bounds", "--m.list", "100"), 7.0)])
+def test_sweep_command_memory_rise(tmp_path, args, budget_mb):
+    # 4.7 MB for fig4 and 5.6 MB for bounds when the summary's blocks hold at most
+    # 2^16 cells (32 rows of 2001 nodes); 7.7 and 8.7 MB in blocks of 2^18 cells
+    assert _memory_rise_mb(tmp_path, args) <= budget_mb
 
 
 def test_hierarchy_report_loads_no_numpy_ma():

@@ -8,7 +8,9 @@ where J_post is the Fisher information of the posterior density itself and
 f is a boundary term built from the posterior values at the domain endpoints
 (it vanishes whenever the prior vanishes there).  Averaging the per-record
 bound over the likelihood gives a record-independent bound on the average
-posterior variance.
+posterior variance.  That average, and the averaged posterior variance it
+bounds, weigh with the tally column at theta0 (``engine.tally_column``, built
+once per (theta0, m) and shared with the frequentist risk there).
 
 Asymptotically the posterior approaches a Gaussian centred at the true phase
 with variance 1/(m F) (Laplace-Bernstein-von Mises); on that reference
@@ -17,8 +19,6 @@ frequentist error bars agree.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .engine import expect_values_over_tallies, tally_column
 from .estimate import GhoshTable, PosteriorMeanEstimator
@@ -41,22 +41,19 @@ def ghosh_table(bayes: PosteriorMeanEstimator, m: int) -> GhoshTable:
     return table
 
 
-def averaged_ghosh(theta0: float, m: int, bayes: PosteriorMeanEstimator,
-                   pmf: np.ndarray | None = None) -> float:
+def averaged_ghosh(theta0: float, m: int, bayes: PosteriorMeanEstimator) -> float:
     """Likelihood-averaged Ghosh bound: sum_k GB(k) p(k | theta0).
 
     Lower-bounds the likelihood-averaged posterior variance; per-tally
-    failures propagate with the offending tally named.  ``pmf`` is the
-    column p(. | theta0) when the caller has built it (``tally_column``).
+    failures propagate with the offending tally named.  The column
+    p(. | theta0) is ``tally_column``'s, shared with the other sums at
+    (theta0, m).
     """
-    if pmf is None:
-        pmf = tally_column(theta0, m, bayes.model)
-    return expect_values_over_tallies(ghosh_table(bayes, m).ghosh, pmf)
+    return expect_values_over_tallies(ghosh_table(bayes, m).ghosh,
+                                      tally_column(theta0, m, bayes.model))
 
 
-def averaged_posterior_variance(theta0: float, m: int, bayes: PosteriorMeanEstimator,
-                                pmf: np.ndarray | None = None) -> float:
-    """Likelihood average of the posterior variance at fixed theta0 (``pmf`` as above)."""
-    if pmf is None:
-        pmf = tally_column(theta0, m, bayes.model)
-    return expect_values_over_tallies(ghosh_table(bayes, m).variance, pmf)
+def averaged_posterior_variance(theta0: float, m: int, bayes: PosteriorMeanEstimator) -> float:
+    """Likelihood average of the posterior variance at fixed theta0 (column as above)."""
+    return expect_values_over_tallies(ghosh_table(bayes, m).variance,
+                                      tally_column(theta0, m, bayes.model))

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .bbound import averaged_ghosh, averaged_posterior_variance
-from .engine import tally_column
 from .estimate import (
     MaximumLikelihoodEstimator,
     PosteriorMeanEstimator,
@@ -63,7 +62,6 @@ from .numerics import (
     flat_prior,
 )
 from .rbound import (
-    _ziv_zakai_pairs,
     avg_estimator_variance,
     avg_mse,
     bayes_chain_report,
@@ -258,13 +256,10 @@ def _emit(lines: list[str], out_path: str | None):
 
 
 def _fixed_theta0_chain(theta0: float, m: int, bayes: PosteriorMeanEstimator,
-                        alpha: float | None, pmf) -> tuple[float, float]:
-    """Averaged posterior variance and averaged Ghosh bound at theta0, checked in that order.
-
-    ``pmf`` is the tally column at (theta0, m), shared with the row's other sums.
-    """
-    post_var = averaged_posterior_variance(theta0, m, bayes, pmf)
-    agb = averaged_ghosh(theta0, m, bayes, pmf)
+                        alpha: float | None) -> tuple[float, float]:
+    """Averaged posterior variance and averaged Ghosh bound at theta0, checked in that order."""
+    post_var = averaged_posterior_variance(theta0, m, bayes)
+    agb = averaged_ghosh(theta0, m, bayes)
     prior = "flat prior" if alpha is None else f"alpha={alpha:g}"
     check_chain([("bayes_avg_posterior_variance_fixed", post_var), ("averaged_ghosh", agb)],
                 f"m={m}, theta0={theta0!r}, {prior}")
@@ -277,8 +272,7 @@ def _fig1_rows(cfg, model, domain, prior, alpha):
     fisher = float(model.fisher_information(cfg.theta0))
 
     def rows(m: int):
-        risk = frequentist_risk(estimator, cfg.theta0, m, model,
-                                tally_column(cfg.theta0, m, model))
+        risk = frequentist_risk(estimator, cfg.theta0, m, model)
         return [(m, risk.mean - cfg.theta0, math.sqrt(risk.variance),
                  abs(risk.bias_derivative) / math.sqrt(m * fisher),
                  risk.bias_derivative, m * fisher * risk.variance)]
@@ -307,54 +301,43 @@ def _fig3_rows(cfg, model, domain, prior, alpha):
     estimator = PosteriorMeanEstimator(model, prior)
 
     def rows(m: int):
-        pmf = tally_column(cfg.theta0, m, model)
-        risk = frequentist_risk(estimator, cfg.theta0, m, model, pmf)
-        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha, pmf)
+        risk = frequentist_risk(estimator, cfg.theta0, m, model)
+        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha)
         return [(m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)]
     return _per_m(rows)
 
 
 def _fig4_rows(cfg, model, domain, prior, alpha):
-    """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai.
-
-    The theta0 grid and the Ziv-Zakai test pairs depend on the prior and the
-    model alone, so they are built once, before the first row.
-    """
+    """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai."""
     inv_f = 1.0 / float(model.fisher_information(cfg.theta0))
     estimator = PosteriorMeanEstimator(model, prior)
-    pairs = _ziv_zakai_pairs(prior, model)
 
     def rows(m: int):
-        chain = bayes_chain_report(estimator, m, pairs)
-        zzb = ziv_zakai(prior, m, model, pairs)
+        chain = bayes_chain_report(estimator, m)
+        zzb = ziv_zakai(prior, m, model)
         return [(m, m * chain.bayes_variance, m * chain.agbr,
                   m * chain.van_trees, m * zzb, inv_f)]
     return _per_m(rows)
 
 
 def _bounds_rows(cfg, model, domain, prior, alpha):
-    """Every bound at one cell (theta0, m), one ``quantity,value`` row each.
-
-    The theta0 grid and the Ziv-Zakai test pairs are built once, as in ``fig4``.
-    """
+    """Every bound at one cell (theta0, m), one ``quantity,value`` row each."""
     mle_est = MaximumLikelihoodEstimator(model, domain)
     bl_est = PosteriorMeanEstimator(model, prior)
-    pairs = _ziv_zakai_pairs(prior, model)
 
     def rows(m: int):
         out = [("m", m), ("fisher_information", float(model.fisher_information(cfg.theta0)))]
-        pmf = tally_column(cfg.theta0, m, model)
-        risk = frequentist_risk(mle_est, cfg.theta0, m, model, pmf)
+        risk = frequentist_risk(mle_est, cfg.theta0, m, model)
         out += [("mle_mean", risk.mean), ("mle_variance", risk.variance),
                 ("mle_mse", risk.mse), ("mle_bias_derivative", risk.bias_derivative)]
         out += [(r.name, r.value) for r in hierarchy_report(cfg.theta0, m, model, domain)]
-        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est, alpha, pmf)
+        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est, alpha)
         out += [("averaged_ghosh", agb), ("bayes_avg_posterior_variance_fixed", post_var),
                 ("avg_estimator_variance", avg_estimator_variance(bl_est, prior, m, model)),
                 ("avg_mse", avg_mse(bl_est, prior, m, model)),
-                ("ziv_zakai", ziv_zakai(prior, m, model, pairs))]
+                ("ziv_zakai", ziv_zakai(prior, m, model))]
         if prior.vanishes_at_boundaries:
-            chain = bayes_chain_report(bl_est, m, pairs)
+            chain = bayes_chain_report(bl_est, m)
             out += [("van_trees", chain.van_trees), ("agbr", chain.agbr),
                     ("bayes_avg_posterior_variance", chain.bayes_variance)]
         return out

@@ -167,9 +167,11 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
     starts on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior summary
     passes a narrower one).  ``out``, a pair of (k1 - k0, width of ``cols``)
     arrays, receives the window of the density and derivative, and is
-    returned in place of two new zero-filled arrays of every node.  The one
-    temporary lives in the thread's workspace.  ``posterior_summary`` asks
-    for blocks of rows, so that its memory stays O(block x window).
+    returned in place of two new zero-filled arrays of every node; those are
+    filled in blocks of rows aligned as the summary's (``_block_extent``
+    over ``cols``), so the marginals do not depend on the BLAS thread count.
+    The one temporary lives in the thread's workspace.  ``posterior_summary``
+    asks for blocks of rows, so that its memory stays O(block x window).
     """
     grid = prior.grid
     k0, k1 = _row_range(m, k0, k1)
@@ -177,9 +179,13 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
         cols = likelihood_columns(model, m, grid.nodes, k0, k1)
     if out is None:
         shape = (k1 - k0, grid.node_count)
-        density, derivative = np.zeros(shape), np.zeros(shape)
-        marginal = posterior_table(prior, m, model, k0, k1, cols=cols,
-                                   out=(density[:, cols], derivative[:, cols]))[2]
+        density, derivative, marginal = np.zeros(shape), np.zeros(shape), np.empty(k1 - k0)
+        step = _block_extent(k1 - k0, cols.stop - cols.start)
+        for r0 in range(0, k1 - k0, step):
+            rows = slice(r0, min(r0 + step, k1 - k0))
+            marginal[rows] = posterior_table(
+                prior, m, model, k0 + rows.start, k0 + rows.stop, cols=cols,
+                out=(density[rows, cols], derivative[rows, cols]))[2]
         return density, derivative, marginal
     dens, ddens = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1, cols=cols, out=out)
     values = prior.values[cols]
@@ -331,18 +337,17 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
                       information=information, ghosh=ghosh, failure=failure)
 
 
-def frequentist_risk(estimator: Estimator, theta0: float, m: int, model: GhzParityModel,
-                     pmf: np.ndarray | None = None) -> RiskReport:
+def frequentist_risk(estimator: Estimator, theta0: float, m: int,
+                     model: GhzParityModel) -> RiskReport:
     """Mean, variance, MSE, and mean-derivative of an estimator, by exact sums.
 
-    The three sums weigh with one tally pmf column at theta0, ``pmf`` when
-    the caller has built it (``tally_column``) for other sums at the same
-    (theta0, m).  The bias derivative d<theta_est>/dtheta0 uses the analytic
+    The three sums weigh with the tally pmf column at theta0
+    (``tally_column``, which the Bayesian sums at the same (theta0, m)
+    share).  The bias derivative d<theta_est>/dtheta0 uses the analytic
     weight derivative: each tally term carries the factor
     (k - m p_+) p_+' / (p_+ p_-).
     """
-    if pmf is None:
-        pmf = tally_column(theta0, m, model)
+    pmf = tally_column(theta0, m, model)
     v = estimator.values(m)
     mean = expect_values_over_tallies(v, pmf)
     variance = expect_values_over_tallies((v - mean) ** 2, pmf)

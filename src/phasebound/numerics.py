@@ -294,14 +294,16 @@ def solve_spd(matrix, rhs) -> SpdSolution:
 # Prior densities on the phase domain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorDensity:
     """Density on [a, b], held on a quadrature grid plus an off-grid density evaluator.
 
     ``values`` are renormalised so the grid quadrature is exactly 1; the same
     correction is applied to ``derivative`` (on the grid) and to ``density``
     (anywhere), so boundary values, interior values, and integrals stay
-    mutually consistent; a prior caches nothing derived from it.
+    mutually consistent; a prior caches nothing derived from it.  Priors
+    compare and hash by identity, so the stages that memoise what they
+    derive from a prior (``rbound._ziv_zakai_pairs``) key on the object.
     """
 
     kind: str
@@ -311,7 +313,7 @@ class PriorDensity:
     derivative: np.ndarray = field(repr=False)
     vanishes_at_boundaries: bool
     alpha: float | None = None
-    _pdf: object = field(default=None, repr=False, compare=False)
+    _pdf: object = field(default=None, repr=False)
 
     def density(self, theta):
         """Density at arbitrary phases, extended by zero outside [a, b]."""
@@ -403,6 +405,10 @@ def custom_prior(grid: QuadratureGrid, values, derivative=None) -> PriorDensity:
     if derivative is None:
         derivative = np.gradient(values, grid.nodes)
     derivative = np.asarray(derivative, dtype=float).copy()
+    if derivative.shape != grid.nodes.shape:
+        raise ModelError("derivative length does not match the grid")
+    if not np.all(np.isfinite(derivative)):
+        raise ModelError("prior derivative must be finite")
     domain = PhaseDomain(grid.a, grid.b)
     vanishes = values[0] == 0.0 and values[-1] == 0.0
     nodes = grid.nodes

@@ -25,7 +25,10 @@ neither dominates the other.
 Ziv-Zakai tests every pair of theta0 nodes at once.  The pairs are built in
 the order of their shift (``_shift_pairs``); each pair's crossing tally is
 found by bisection on the pmf's doubles (``_crossings``), and the column
-CDFs are accumulated block by block (``_pmin_columns``).
+CDFs are accumulated block by block (``_pmin_columns``).  The pairs do not
+depend on m, so this module builds them once per prior and model and keeps
+them for the last few priors (``_ziv_zakai_pairs``); a sweep passes nothing
+down.
 
 Every theta0-grid stage (the tally marginal, the averaged risks and
 Ziv-Zakai) holds at most one block of ``model._BLOCK_CELLS`` cells of the
@@ -40,7 +43,9 @@ the doubles of the whole matrix (``model._block_extent``).
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -446,35 +451,32 @@ def _shift_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 @dataclass(frozen=True)
 class _ZivZakaiPairs:
-    """What the Bayesian rows need of one prior and model at every m: theta0 grid and test pairs.
+    """What ``ziv_zakai`` needs of one prior and model at every m: theta0 grid and test pairs.
 
-    ``grid`` and ``density`` are ``_outer_grid(prior)``.  ``tests`` are the
+    ``grid`` is the theta0 grid of ``_outer_grid(prior)``.  ``tests`` are the
     node pairs with their normalised prior weights and orientations
     (``_TestPairs``), ``weights`` each pair's theta0 quadrature weight times
     its summed prior weight, and ``h_factor`` each shift's h-axis
-    quadrature weight times h.  Built once per prior by
-    ``_ziv_zakai_pairs``; ``ziv_zakai`` and ``bayes_chain_report`` take it.
+    quadrature weight times h.  Built by ``_ziv_zakai_pairs``.
     """
 
-    prior: PriorDensity
-    model: GhzParityModel
     grid: QuadratureGrid
-    density: np.ndarray
     tests: _TestPairs
     weights: np.ndarray
     starts: np.ndarray
     h_factor: np.ndarray
 
-    def outer_grid(self, prior: PriorDensity,
-                   model: GhzParityModel) -> tuple[QuadratureGrid, np.ndarray]:
-        """``_outer_grid(prior)``, held here; raises if these pairs belong to another cell."""
-        if prior is not self.prior or model != self.model:
-            raise ValueError("Ziv-Zakai pairs passed with a prior or model they were not built for")
-        return self.grid, self.density
+
+# ``ziv_zakai`` takes the pairs under this lock, so threads sweeping one prior build them once
+_PAIRS_LOCK = threading.Lock()
 
 
+@functools.lru_cache(maxsize=4)
 def _ziv_zakai_pairs(prior_true: PriorDensity, model: GhzParityModel) -> _ZivZakaiPairs:
-    """The m-free part of ``ziv_zakai`` and ``bayes_chain_report`` under ``prior_true``."""
+    """The m-free part of ``ziv_zakai`` under ``prior_true``, kept for the last few priors.
+
+    Keyed by the prior object (priors hash by identity) and the model.
+    """
     g, p = _outer_grid(prior_true)
     n, nodes = g.node_count, g.nodes
     first, second, shifts, starts = _shift_pairs(p)
@@ -486,14 +488,12 @@ def _ziv_zakai_pairs(prior_true: PriorDensity, model: GhzParityModel) -> _ZivZak
     b /= s
     del s
     h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
-    return _ZivZakaiPairs(prior=prior_true, model=model, grid=g, density=p,
-                          tests=_test_pairs(model, nodes, first, second, a, b),
+    return _ZivZakaiPairs(grid=g, tests=_test_pairs(model, nodes, first, second, a, b),
                           weights=weights, starts=starts,
                           h_factor=h_weights[shifts] * (nodes[shifts] - g.a))
 
 
-def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
-              pairs: _ZivZakaiPairs | None = None) -> float:
+def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     """Ziv-Zakai bound on the averaged MSE from a continuum of binary tests.
 
     (1/2) integral over h in (0, b - a] of h times the theta0-integral of
@@ -510,8 +510,8 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
     O(n^2 m) for a sum over tallies per pair.  The pairs come ordered by shift
     (``_shift_pairs``), so the theta0 sums for each shift are one
     ``np.add.reduceat`` over them.  The pairs, their weights and
-    orientations do not depend on m: a sweep builds them once
-    (``_ziv_zakai_pairs``) and passes them as ``pairs``.
+    orientations do not depend on m: they are built once per prior and model
+    (``_ziv_zakai_pairs``) and reused by every m of a sweep.
 
     P_min stays in the total-variation form 1/2 (1 - TV), which cancels when
     P_min is small.  Against the cancellation-free
@@ -523,10 +523,9 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel,
     """
     if m < 1:
         raise ModelError("m must be >= 1")
-    if pairs is None:
+    with _PAIRS_LOCK:
         pairs = _ziv_zakai_pairs(prior_true, model)
-    nodes = pairs.outer_grid(prior_true, model)[0].nodes
-    p_min = _pmin_columns(model, m, nodes, pairs.tests)
+    p_min = _pmin_columns(model, m, pairs.grid.nodes, pairs.tests)
     inner = np.add.reduceat(pairs.weights * p_min, pairs.starts)
     total = float(np.sum(pairs.h_factor * inner))
     return max(0.5 * total, 0.0)
@@ -580,16 +579,12 @@ def estimator_chain_report(estimator: Estimator, prior_true: PriorDensity, m: in
 
 
 def tally_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel) -> np.ndarray:
-    """Record distribution p(k) = integral of p(k|theta0) p(theta0) dtheta0."""
-    return _marginal_on(model, m, *_outer_grid(prior_true))
+    """Record distribution p(k) = integral of p(k|theta0) p(theta0) dtheta0.
 
-
-def _marginal_on(model: GhzParityModel, m: int, g: QuadratureGrid, p: np.ndarray) -> np.ndarray:
-    """``tally_marginal`` of the prior whose density on the theta0 grid ``g`` is ``p``.
-
-    One matrix-vector product per block of rows of the pmf
-    (``_pmf_row_blocks``), each the whole product's doubles on its rows.
+    One matrix-vector product per block of rows of the pmf on the theta0
+    grid (``_pmf_row_blocks``), each the whole product's doubles on its rows.
     """
+    g, p = _outer_grid(prior_true)
     w = g.weights * p
     marginal = np.empty(m + 1)
     for k0, block in _pmf_row_blocks(model, m, g.nodes):
@@ -606,17 +601,15 @@ class BayesChainReport:
     van_trees: float
 
 
-def bayes_chain_report(bayes: PosteriorMeanEstimator, m: int,
-                       pairs: _ZivZakaiPairs | None = None) -> BayesChainReport:
+def bayes_chain_report(bayes: PosteriorMeanEstimator, m: int) -> BayesChainReport:
     """Evaluate and assert the matched-prior Bayesian bound chain under ``bayes.prior``.
 
-    ``pairs``, when a sweep has built them for ``bayes.prior`` and
-    ``bayes.model``, supply the theta0 grid of the tally marginal.
+    The per-tally posterior variance and Ghosh bound are averaged over the
+    record distribution (``tally_marginal``).
     """
     prior, model = bayes.prior, bayes.model
     table = ghosh_table(bayes, m)
-    weights = (tally_marginal(prior, m, model) if pairs is None
-               else _marginal_on(model, m, *pairs.outer_grid(prior, model)))
+    weights = tally_marginal(prior, m, model)
     report = BayesChainReport(
         bayes_variance=float(np.sum(table.variance * weights)),
         agbr=float(np.sum(table.ghosh * weights)),

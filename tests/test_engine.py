@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import phasebound.engine as engine_module
+import phasebound.model as model_module
+import phasebound.rbound as rbound_module
 from oracles import (
     OutcomeTally,
     SeededSampler,
@@ -12,6 +15,7 @@ from oracles import (
     sample_tallies,
     sample_tally,
 )
+from phasebound.cli import main
 from phasebound.engine import expect_values_over_tallies, tally_column
 from phasebound.model import ModelError
 from phasebound.numerics import NumericalFailure
@@ -84,6 +88,37 @@ class TestExactExpectation:
         values = np.arange(8.0) ** 1.5
         loop = expect_over_tallies(lambda t: values[t.k_plus], 0.6, 7, model)
         assert expect_values_over_tallies(values, tally_column(0.6, 7, model)) == loop
+
+
+class TestTallyColumnMemo:
+    def test_column_is_kept_and_read_only(self, model):
+        tally_column.cache_clear()
+        column = tally_column(0.6, 7, model)
+        assert tally_column(0.6, 7, model) is column
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("args,ms", [(["fig3", "--m.max", "20"], list(range(1, 21))),
+                                         (["bounds", "--m.list", "20"], [20])],
+                             ids=["fig3", "bounds"])
+    def test_row_builds_one_column(self, tmp_path, monkeypatch, threads, args, ms):
+        # the frequentist risk and both likelihood-averaged Bayesian sums of a row share
+        # one kernel call on the one-phase theta0 grid, with one or two sweep threads
+        calls = []
+        for module in (model_module, engine_module, rbound_module):   # each binding of it
+            real = module.tally_pmf_matrix
+
+            def counting(model, m, thetas, *rest, _real=real, **kw):
+                if np.size(thetas) == 1:
+                    calls.append(m)
+                return _real(model, m, thetas, *rest, **kw)
+
+            monkeypatch.setattr(module, "tally_pmf_matrix", counting)
+        monkeypatch.setenv("PHASEBOUND_THREADS", threads)
+        tally_column.cache_clear()
+        assert main([*args, "--prior.alpha", "10", "--out", str(tmp_path / "out.csv")]) == 0
+        assert sorted(calls) == ms
 
 
 class TestSeededSampler:

@@ -329,6 +329,26 @@ class TestPriorFamilies:
         assert integrate(prior.values, grid) == pytest.approx(1.0, abs=1e-12)
         assert not prior.vanishes_at_boundaries
 
+    def test_custom_prior_rejects_derivative_of_wrong_length(self, grid):
+        # checked here, not left to fail as a broadcast error inside the posterior table
+        with pytest.raises(ModelError, match="derivative length"):
+            custom_prior(grid, np.sin(grid.nodes) + 1.0, np.ones(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_custom_prior_rejects_non_finite_derivative(self, grid, bad):
+        # a NaN slope would give a posterior summary of NaN information and no failure
+        derivative = np.cos(grid.nodes)
+        derivative[100] = bad
+        with pytest.raises(ModelError, match="derivative must be finite"):
+            custom_prior(grid, np.sin(grid.nodes) + 1.0, derivative)
+
+    def test_priors_compare_and_hash_by_identity(self, grid):
+        # two priors of equal values are two keys of the stages that memoise per prior
+        prior, twin = family45_prior(10.0, grid), family45_prior(10.0, grid)
+        assert prior == prior and prior != twin
+        assert len({prior, twin, prior}) == 2
+        assert hash(prior) == hash(prior)
+
     def test_prior_fisher_information(self, grid):
         # high-precision reference for the exponential-sine prior at alpha = 10
         assert prior_fisher_information(family45_prior(10.0, grid)) == pytest.approx(

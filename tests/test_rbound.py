@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -186,6 +187,7 @@ class TestZivZakai:
         monkeypatch.setattr(rbound_module, "_OUTER_NODES", 201)
         coarse = ziv_zakai(prior, 5, model)
         monkeypatch.setattr(rbound_module, "_OUTER_NODES", 401)
+        rbound_module._ziv_zakai_pairs.cache_clear()     # the memo holds the 201-node pairs
         fine = ziv_zakai(prior, 5, model)
         assert coarse == pytest.approx(fine, rel=1e-3)
 
@@ -271,20 +273,52 @@ class TestZivZakaiPairs:
 
     @pytest.mark.parametrize("m", [1, 7, 100])
     def test_prebuilt_pairs_equal_own_pairs(self, model, grid, m):
-        # a sweep builds the pairs once per prior and passes them to every row
+        # a sweep's first row builds the pairs and every later row reads them from the
+        # memo: a call on prebuilt pairs gives the doubles of one that builds its own
         prior = family45_prior(-10.0, grid)
-        pairs = rbound_module._ziv_zakai_pairs(prior, model)
-        assert ziv_zakai(prior, m, model, pairs) == ziv_zakai(prior, m, model)
-        bayes = PosteriorMeanEstimator(model, prior)
-        assert bayes_chain_report(bayes, m, pairs) == bayes_chain_report(bayes, m)
+        rbound_module._ziv_zakai_pairs(prior, model)
+        prebuilt = ziv_zakai(prior, m, model)
+        rbound_module._ziv_zakai_pairs.cache_clear()
+        assert prebuilt == ziv_zakai(prior, m, model)
 
-    def test_pairs_of_another_prior_raise(self, model, grid):
-        pairs = rbound_module._ziv_zakai_pairs(family45_prior(-10.0, grid), model)
-        other = family45_prior(10.0, grid)
-        with pytest.raises(ValueError, match="not built for"):
-            ziv_zakai(other, 3, model, pairs)
-        with pytest.raises(ValueError, match="not built for"):
-            bayes_chain_report(PosteriorMeanEstimator(model, other), 3, pairs)
+    def test_pairs_memo_keyed_by_prior(self, model, grid):
+        # priors compare by identity: each prior object, even one of equal values, gets
+        # pairs of its own, built once, and the same bound from them
+        prior, twin = family45_prior(10.0, grid), family45_prior(10.0, grid)
+        pairs = rbound_module._ziv_zakai_pairs(prior, model)
+        assert rbound_module._ziv_zakai_pairs(prior, model) is pairs
+        assert rbound_module._ziv_zakai_pairs(twin, model) is not pairs
+        assert ziv_zakai(twin, 3, model) == ziv_zakai(prior, 3, model)
+
+    def test_concurrent_rows_build_pairs_once(self, model, grid, monkeypatch):
+        # more threads than cores, released together and switching often: one of them
+        # builds the pairs under the lock, and every row reads the doubles of a lone call
+        calls = []
+        real = rbound_module._shift_pairs
+
+        def counting(p):
+            calls.append(p.size)
+            return real(p)
+
+        monkeypatch.setattr(rbound_module, "_shift_pairs", counting)
+        prior = family45_prior(10.0, grid)
+        ms = [1, 2, 3, 5, 8, 13, 21, 34]
+        start = threading.Barrier(len(ms))
+
+        def row(m):
+            start.wait(timeout=60)
+            return ziv_zakai(prior, m, model)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(ms)) as pool:
+                futures = [pool.submit(row, m) for m in ms]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [201]
+        assert got == [ziv_zakai(prior, m, model) for m in ms]
 
     def test_fig4_builds_pairs_once(self, tmp_path, monkeypatch):
         calls = []
@@ -326,9 +360,8 @@ class TestStreamedCrossings:
     @pytest.mark.parametrize("name", ["flat", "alpha=10", "alpha=-10", "alpha=1", "alpha=100"])
     def test_ziv_zakai_equals_bisection(self, model, grid, flat, name):
         prior = _crossing_priors(grid, flat)[name]
-        pairs = rbound_module._ziv_zakai_pairs(prior, model)
         for m in CROSSING_MS:
-            assert ziv_zakai(prior, m, model, pairs) == ziv_zakai_bisection(prior, m, model), m
+            assert ziv_zakai(prior, m, model) == ziv_zakai_bisection(prior, m, model), m
 
     @pytest.mark.parametrize("name", ["flat", "alpha=10", "alpha=-10", "alpha=1", "alpha=100"])
     def test_pmin_equals_bisection(self, model, grid, flat, name):

@@ -214,11 +214,11 @@ def test_theta0_stage_allocates_within_budget(stage):
     model = GhzParityModel(2)
     prior = family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2))
     bayes = PosteriorMeanEstimator(model, prior)
-    pairs = rbound._ziv_zakai_pairs(prior, model)
+    rbound._ziv_zakai_pairs(prior, model)       # the m-free pairs, kept for every m
     for m in (1000, 5000):
         bayes.summary(m)
-        call = {"ziv_zakai": lambda: rbound.ziv_zakai(prior, m, model, pairs),
-                "bayes_chain_report": lambda: rbound.bayes_chain_report(bayes, m, pairs),
+        call = {"ziv_zakai": lambda: rbound.ziv_zakai(prior, m, model),
+                "bayes_chain_report": lambda: rbound.bayes_chain_report(bayes, m),
                 "avg_estimator_variance": lambda: rbound.avg_estimator_variance(bayes, prior, m,
                                                                                 model),
                 "avg_mse": lambda: rbound.avg_mse(bayes, prior, m, model)}[stage]
@@ -248,6 +248,43 @@ def test_large_m_outputs_independent_of_blas_threads(tmp_path):
             csv = tmp_path / threads / f"{cmd.name}.csv"
             outputs.setdefault(cmd.name, []).append(csv.read_bytes())
     assert [name for name, (one, two) in outputs.items() if one != two] == []
+
+
+def test_posterior_table_independent_of_blas_threads(tmp_path):
+    # the default call forms its marginals in the summary's aligned blocks of rows, not by
+    # one gemv over the whole table, which two OpenBLAS threads sum differently
+    probe = (
+        "import hashlib, math\n"
+        "from phasebound import GhzParityModel, PhaseDomain, QuadratureGrid, family45_prior\n"
+        "from phasebound import flat_prior\n"
+        "from phasebound.estimate import posterior_table\n"
+        "grid, off = QuadratureGrid.simpson(0.0, math.pi / 2), QuadratureGrid.simpson(-0.3, 1.2)\n"
+        "cells = [(family45_prior(1.0, grid), 500), (family45_prior(-10.0, grid), 500),\n"
+        "         (flat_prior(PhaseDomain(-0.3, 1.2), off), 500)]\n"
+        "for prior, m in cells:\n"
+        "    arrays = posterior_table(prior, m, GhzParityModel(2))\n"
+        "    print(hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest())\n")
+    workloads = _perfbench_module("workloads")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**workloads.child_env(), "OPENBLAS_NUM_THREADS": threads}
+        child = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                               capture_output=True, text=True)
+        assert (child.returncode, child.stderr) == (0, "")
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_imports_no_private_name():
+    # the CLI reaches the library through its public functions only: every kernel input
+    # is built by the stage that owns it, not handed down from a command (the package's
+    # dunder metadata, such as __version__, is public)
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 @pytest.mark.parametrize("function", ["posterior_summary", "ziv_zakai"])

@@ -35,7 +35,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .bbound import averaged_ghosh, averaged_posterior_variance
@@ -75,58 +75,56 @@ class ConfigError(ValueError):
     """Invalid configuration file, flag, or key combination."""
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _prior_kind(raw: str) -> str:
+    value = raw.strip()
+    if value not in ("flat", "family45"):
+        raise ValueError(f"prior.kind must be flat or family45, got {value!r}")
+    return value
+
+
+def _m_list(raw: str) -> list[int]:
+    value = [int(part) for part in raw.split(",") if part.strip()]
+    if not value:
+        raise ValueError("empty m.list")
+    return value
+
+
+def _key(name: str, parse: Callable[[str], object], default):
+    """A config field read from the key ``name`` by ``parse``, which raises ``ValueError``."""
+    return field(default=default, metadata={"key": name, "parse": parse})
+
+
 @dataclass
 class RunConfig:
-    """Resolved run configuration; field names mirror the config keys."""
+    """Resolved run configuration; each field names its config key and parser."""
 
-    model_n: int = 2
-    theta0: float = math.pi / 4
-    domain_a: float = 0.0
-    domain_b: float = math.pi / 2
-    prior_kind: str = "family45"
-    prior_alpha: float | None = None
-    m_list: list[int] | None = None
-    m_max: int | None = None
-    grid_nodes: int = POSTERIOR_NODES
-    output_path: str | None = None
-
-    KEYS = {
-        "model.N": "model_n",
-        "theta0": "theta0",
-        "domain.a": "domain_a",
-        "domain.b": "domain_b",
-        "prior.kind": "prior_kind",
-        "prior.alpha": "prior_alpha",
-        "m.list": "m_list",
-        "m.max": "m_max",
-        "grid.nodes": "grid_nodes",
-        "output.path": "output_path",
-    }
+    model_n: int = _key("model.N", int, 2)
+    theta0: float = _key("theta0", _finite, math.pi / 4)
+    domain_a: float = _key("domain.a", _finite, 0.0)
+    domain_b: float = _key("domain.b", _finite, math.pi / 2)
+    prior_kind: str = _key("prior.kind", _prior_kind, "family45")
+    prior_alpha: float | None = _key("prior.alpha", _finite, None)
+    m_list: list[int] | None = _key("m.list", _m_list, None)
+    m_max: int | None = _key("m.max", int, None)
+    grid_nodes: int = _key("grid.nodes", int, POSTERIOR_NODES)
+    output_path: str | None = _key("output.path", str.strip, None)
 
     def set_key(self, key: str, raw: str):
-        if key not in self.KEYS:
+        spec = next((f for f in fields(self) if f.metadata["key"] == key), None)
+        if spec is None:
             raise ConfigError(f"unknown configuration key {key!r}")
-        attr = self.KEYS[key]
         try:
-            if key == "m.list":
-                value = [int(part) for part in raw.split(",") if part.strip()]
-                if not value:
-                    raise ValueError("empty m.list")
-            elif key in ("model.N", "m.max", "grid.nodes"):
-                value = int(raw)
-            elif key in ("theta0", "domain.a", "domain.b", "prior.alpha"):
-                value = float(raw)
-                if not math.isfinite(value):
-                    raise ValueError("not a finite number")
-            elif key == "prior.kind":
-                value = raw.strip()
-                if value not in ("flat", "family45"):
-                    raise ValueError(f"prior.kind must be flat or family45, got {value!r}")
-            else:
-                value = raw.strip()
+            value = spec.metadata["parse"](raw)
         except ValueError as exc:
             raise ConfigError(f"invalid value for {key}: {raw!r} ({exc})") from exc
-        setattr(self, attr, value)
+        setattr(self, spec.name, value)
 
     def sample_sizes(self) -> list[int]:
         if self.m_list is not None:
@@ -164,21 +162,27 @@ class RunConfig:
 
     def echo_lines(self, command: str, alpha: float | None, out_path: str | None,
                    ms: list[int]) -> list[str]:
-        """The ``#`` comment lines above a CSV; ``ms`` are the sample sizes it holds."""
-        pairs = [
-            ("model.N", str(self.model_n)),
-            ("theta0", _fmt(self.theta0)),
-            ("domain.a", _fmt(self.domain_a)),
-            ("domain.b", _fmt(self.domain_b)),
-            ("prior.kind", self.prior_kind),
-            ("prior.alpha", "" if alpha is None else _fmt(alpha)),
-            ("m.list", ",".join(str(m) for m in ms)),
-            ("grid.nodes", str(self.grid_nodes)),
-            ("output.path", out_path or ""),
-        ]
+        """The ``#`` comment lines above a CSV: every key but ``m.max``, with the values used.
+
+        ``alpha``, ``ms`` and ``out_path`` are the prior parameter, sample
+        sizes and path of this CSV, which may differ from the configured ones.
+        """
+        used = {"prior_alpha": alpha, "m_list": ms, "output_path": out_path}
         lines = [f"# phasebound {__version__} {command}"]
-        lines += [f"# {k}={v}" for k, v in pairs]
+        for spec in fields(self):
+            if spec.name != "m_max":
+                lines.append(f"# {spec.metadata['key']}="
+                             f"{_echo(used.get(spec.name, getattr(self, spec.name)))}")
         return lines
+
+
+def _echo(value) -> str:
+    """A config value as its echo line writes it; None is empty."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(str(m) for m in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def _fmt(x: float) -> str:

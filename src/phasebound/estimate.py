@@ -34,7 +34,6 @@ from .model import (
     _likelihood_windows,
     _row_range,
     _workspace,
-    likelihood_columns,
     require_identifiable,
     tally_pmf_dtheta_matrix,
     tally_pmf_with_dtheta,
@@ -162,13 +161,13 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
 
     The likelihood and its derivative come from ``tally_pmf_with_dtheta`` and
     are turned into the posterior arrays in place, on the window of nodes
-    ``cols``: by default ``likelihood_columns(model, m, prior.grid.nodes,
-    k0, k1)``, outside of which both are zero, or any window inside it that
-    starts on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior summary
-    passes a narrower one).  ``out``, a pair of (k1 - k0, width of ``cols``)
-    arrays, receives the window of the density and derivative, and is
-    returned in place of two new zero-filled arrays of every node; those are
-    filled in blocks of rows aligned as the summary's (``_block_extent``
+    ``cols``: by default every node, or any window that holds the block's
+    span (``model._likelihood_windows``), outside of which both are zero,
+    and starts on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior
+    summary passes a narrower one).  ``out``, a pair of (k1 - k0, width of
+    ``cols``) arrays, receives the window of the density and derivative, and
+    is returned in place of two new zero-filled arrays of every node; those
+    are filled in blocks of rows aligned as the summary's (``_block_extent``
     over ``cols``), so the marginals do not depend on the BLAS thread count.
     The one temporary lives in the thread's workspace.  ``posterior_summary``
     asks for blocks of rows, so that its memory stays O(block x window).
@@ -176,7 +175,7 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
     grid = prior.grid
     k0, k1 = _row_range(m, k0, k1)
     if cols is None:
-        cols = likelihood_columns(model, m, grid.nodes, k0, k1)
+        cols = slice(0, grid.node_count)
     if out is None:
         shape = (k1 - k0, grid.node_count)
         density, derivative, marginal = np.zeros(shape), np.zeros(shape), np.empty(k1 - k0)
@@ -211,12 +210,13 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
 
     ``out`` is (marginal, mean, variance, boundary, information), each of
     length m + 1.  ``span`` and ``cols`` are the block's two windows of
-    nodes (``_likelihood_windows``): ``likelihood_columns``, and the part of
-    it where some row of the block lies within the cut
-    (``model._peak_cut``, 100 nats on 2001 nodes) of its peak.  Every pass
-    runs on ``cols``; a cell outside is an exact zero or lies below half an
-    ulp of each of its row's sums, so it changes no double.  The posterior
-    table and every product are written into the thread's workspace, as
+    nodes (``_likelihood_windows``): the span outside of which the block's
+    likelihood is exactly 0, and the part of it where some row of the block
+    lies within the cut (``model._peak_cut``, 100 nats on 2001 nodes) of its
+    peak.  Every pass runs on ``cols``; a cell outside is an exact zero or
+    lies below half an ulp of each of its row's sums, so it changes no
+    double.  The kernel's B_(m-1), with its zero rows, the posterior table
+    and every product are written into the thread's workspace, as
     contiguous (rows, window width) arrays; the window is aligned, so the
     matrix-vector products add each row's terms as over the whole row.  An
     end node that ``span`` holds but ``cols`` leaves out enters only the
@@ -250,7 +250,7 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     np.square(work, out=work)
     work *= dens
     variance[k0:k1] = work @ w
-    # the density is 0 outside likelihood_columns, at an end node too
+    # the density is 0 outside the span, at an end node too
     first, last = (dens[:, j - cols.start] if cols.start <= j < cols.stop
                    else ends[j] / marginal[k0:k1] if j in ends else 0.0 for j in (0, n - 1))
     boundary[k0:k1] = grid.b * last - grid.a * first - mean * (last - first)
@@ -282,7 +282,7 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     Built in blocks of tallies by ``_summarise_block``, in the thread's
     workspace; every returned quantity is one number per tally, so memory
     stays O(block x window) however large m is.  Each block runs on its
-    window of nodes, the part of ``likelihood_columns`` where some row of it
+    window of nodes, the part of the likelihood's span where some row of it
     lies within the cut (``model._peak_cut``) of its peak, found once per
     block here (``_likelihood_windows``, with the log prior computed once)
     and passed down.  A block starts on a multiple of ``model._BLAS_ALIGN``

@@ -28,7 +28,10 @@ rounding its outputs were recorded with:
 * ``tally_pmf_with_dtheta`` derives both the pmf and its derivative from the
   single matrix B_(m-1) = ``tally_pmf_matrix(model, m - 1, .)``:
   B_m(k) = p_+ B_(m-1)(k-1) + p_- B_(m-1)(k) (Pascal's rule) and
-  d/dtheta B_m(k) = m p_+' [B_(m-1)(k-1) - B_(m-1)(k)].  The posterior tables
+  d/dtheta B_m(k) = m p_+' [B_(m-1)(k-1) - B_(m-1)(k)].  The rows
+  B(k0-1) .. B(k1-1) of a row range are read into one array one row longer
+  than the range, with a zero row for B(-1) and for B(m), so each rule is
+  one whole-array operation on its two shifted views.  The posterior tables
   use it: they need both arrays on the full quadrature grid, where one
   exp-matrix of m rows replaces three of m+1.  The two arrays must come from
   the same B_(m-1); pairing this derivative with the log-domain pmf drifts by
@@ -61,18 +64,19 @@ k0 <= k < k1 (default: every tally).  Every entry is computed elementwise, so
 a range is bit for bit the matching slice of the full array, and so are a
 block of phases (``cols`` with a window-shaped ``out``) and single cells
 (``_tally_pmf_cells``), which the theta0-grid stages read; the derived
-kernel then reads only the rows k0-1 .. k1-1 of B_(m-1), and applies its
-rules only on ``likelihood_columns``, the window of phases where those rows
-can be nonzero.  This lets the posterior summary stream a large-m table in
-blocks of tallies and work on a narrower window per block: the part of that
-one where some row of the block's posterior lies within ``_PEAK_CUT`` = 100
-nats of its peak (more on grids much finer than 2001 nodes on [0, pi/2],
-``_peak_cut``), outside of which no cell moves a sum by a bit
-(``_likelihood_windows``).  One pass over four rows of B_(m-1) bounds every
-row from above and below (``_row_bounds``) and gives both windows.  A caller
-that has a window passes it as ``cols``, so it is found once per block, and
-may pass ``out`` arrays shaped like the window, (rows, window width), to be
-written in place of new arrays of every phase.
+kernel then reads only the rows k0-1 .. k1-1 of B_(m-1).  Its default window
+is the whole grid: outside the span where those rows can pass the exp cut
+every cell is an exact zero however it is computed.  This lets the posterior
+summary stream a large-m table in blocks of tallies and work on a narrower
+window per block: the part of the span of phases where some row of the
+block's posterior lies within ``_PEAK_CUT`` = 100 nats of its peak (more on
+grids much finer than 2001 nodes on [0, pi/2], ``_peak_cut``), outside of
+which no cell moves a sum by a bit (``_likelihood_windows``).  One pass over
+four rows of B_(m-1) bounds every row from above and below (``_row_bounds``)
+and gives both the span and the window.  A caller that has a window passes
+it as ``cols``, so it is found once per block, and may pass ``out`` arrays
+shaped like the window, (rows, window width), to be written in place of new
+arrays of every phase.
 
 The kernels' temporaries (the log-sums and exp mask, and B_(m-1) behind
 Pascal's rule) are views of the calling thread's workspace (``_Workspace``):
@@ -459,13 +463,13 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     deterministic channels exact.
 
     ``cols`` is a slice of phases.  Without ``out`` every requested row must
-    be 0 outside it, as it is outside ``likelihood_columns``; by default the
-    kernel finds its own span.  ``out`` receives the matrix and is returned.
-    With ``cols`` it holds only those columns, any block of phases: a
-    (k1 - k0, width of ``cols``) array, every cell of which is written.
-    Without ``cols`` it has the result's shape and only the kernel's span is
-    written; the matrix is 0 outside it, so such a caller fills ``out`` with
-    zeros first.
+    be 0 outside it, as it is outside the span of ``_likelihood_windows``;
+    by default the kernel finds its own span.  ``out`` receives the matrix
+    and is returned.  With ``cols`` it holds only those columns, any block
+    of phases: a (k1 - k0, width of ``cols``) array, every cell of which is
+    written.  Without ``cols`` it has the result's shape and only the
+    kernel's span is written; the matrix is 0 outside it, so such a caller
+    fills ``out`` with zeros first.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
@@ -590,22 +594,35 @@ def _aligned(lo: int, hi: int, n: int) -> slice:
 
 
 def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int | None,
-                        log_prior: tuple[np.ndarray, np.ndarray] | None = None
-                        ) -> tuple[slice, slice]:
-    """``likelihood_columns`` of the rows k0 <= k < k1, and the narrower window a posterior needs.
+                        log_prior: tuple[np.ndarray, np.ndarray]) -> tuple[slice, slice]:
+    """The span of the rows k0 <= k < k1 of a posterior, and the narrower window it needs.
 
     Both come from one ``_row_bounds`` pass over the rows k0-1 .. k1-1 of
-    B_(m-1).  ``log_prior`` is the pair (log prior, the same with each -inf
-    replaced by its largest value).  The lower bound plus the log prior,
-    maximised over phases, is at most every row's peak: the log-likelihood
-    is concave in k, so every row lies above the smaller of the first and
-    last.  The second window keeps the phases where the upper bound plus
-    the second log prior is within the cut (``_peak_cut``) of that floor, so
-    a zero of the prior never narrows it by itself; it is cut to the first
-    window and aligned alike.  It is the first window when ``log_prior`` is
-    None, or when the floor less the cut is not above the exp cut: dropped
-    cells could then reach the subnormal range, where a relative bound says
-    nothing.
+    B_(m-1).  The span holds every phase where one of those rows can pass
+    the exp cut (``_live_span``), so ``tally_pmf_with_dtheta``'s rows
+    k0 <= k < k1 are exactly 0 outside it; it is empty if they are 0 at
+    every phase.  ``log_prior`` is the pair (log prior, the same with each
+    -inf replaced by its largest value).  The lower bound plus the log
+    prior, maximised over phases, is at most every row's peak: the
+    log-likelihood is concave in k, so every row lies above the smaller of
+    the first and last.  The window keeps the phases where the upper bound
+    plus the second log prior is within the cut (``_peak_cut``) of that
+    floor, so a zero of the prior never narrows it by itself; it is cut to
+    the span.  It is the span when the floor less the cut is not above the
+    exp cut: dropped cells could then reach the subnormal range, where a
+    relative bound says nothing.
+
+    Both start on a multiple of ``_WINDOW_ALIGN`` phases and end on one or
+    at the last phase (``_aligned``), as the whole grid does.  With that
+    alignment, the OpenBLAS gemv kernels behind numpy's matrix-vector
+    product add each row's nonzero terms over the window in the same order
+    as over the whole row: their unrolled lanes and their scalar tail fall
+    on the same columns, whether the window's rows are a contiguous
+    (rows, window width) array, as the posterior table and summary hold
+    them, or the columns of whole rows.  The tests check this bit for bit
+    on the 2001-node grid.  Rows longer than 2048 are split by those
+    kernels into blocks of 2048 columns, which a window shifts; there the
+    window's sums agree with whole-row sums only to rounding.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
@@ -617,37 +634,12 @@ def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int 
     upper, lower = _row_bounds(log_binomial(m - 1, k), kf, m - 1 - kf, *_grid_logs(model, thetas))
     lo, hi = _live_span(upper)
     span = _aligned(lo, hi, n)
-    if log_prior is None:
-        return span, span
     log_p, log_p_top = log_prior
     floor = np.max(lower + log_p) - _peak_cut(model, m, thetas)
     if not floor > _EXP_ZERO_BELOW:
         return span, span
     band_lo, band_hi = _span(upper + log_p_top >= floor)   # NaN (only -inf rows): not kept
     return span, _aligned(max(lo, band_lo), min(hi, band_hi), n)
-
-
-def likelihood_columns(model: GhzParityModel, m: int, thetas, k0: int = 0,
-                       k1: int | None = None) -> slice:
-    """Phases outside of which ``tally_pmf_with_dtheta``'s rows k0 <= k < k1 are exactly 0.
-
-    The span where the rows k0-1 .. k1-1 of B_(m-1) can be nonzero
-    (``_live_span``, the span ``tally_pmf_matrix`` computes them on),
-    widened to start on a multiple of ``_WINDOW_ALIGN`` and to end on one or
-    at the last phase; empty if every row is 0 at every phase.  With that
-    alignment, the OpenBLAS gemv kernels behind numpy's matrix-vector
-    product add each row's nonzero terms over the window in the same order
-    as over the whole row: their unrolled lanes and their scalar tail fall
-    on the same columns, whether the window's rows are a contiguous
-    (rows, window width) array, as the posterior table and summary hold
-    them, or the columns of whole rows.  The tests check this bit for bit
-    on the 2001-node grid.  Rows longer than 2048 are split by those
-    kernels into blocks of 2048 columns, which a window shifts; there the
-    window's sums agree with whole-row sums only to rounding.  The posterior
-    summary works on a narrower window inside this one
-    (``_likelihood_windows``).
-    """
-    return _likelihood_windows(model, m, thetas, k0, k1)[0]
 
 
 def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
@@ -664,24 +656,25 @@ def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
         dpmf(k) = m p_+' [B(k-1) - B(k)]
 
     Each row is bit for bit the same as in the full arrays (up to the sign
-    of a zero derivative).  The rules run only on the window of columns where
-    the rows of B can be nonzero, ``cols`` = ``likelihood_columns(model, m,
-    thetas, k0, k1)`` (computed here when the caller does not have it);
-    outside it both arrays are 0.  B's rows are computed on that window into
-    the thread's workspace, as one contiguous (rows, width) array.  ``out``,
-    a pair of (k1 - k0, width of ``cols``) arrays, receives the window of the
-    pmf and derivative, and is returned in place of two new zero-filled
-    arrays of the full width.  At the deterministic channels B is a unit
-    vector, so the pmf is exactly one too and the derivative is finite
-    without special cases.
+    of a zero derivative).  B's rows are read on the window of phases
+    ``cols`` (default: every phase) into the thread's workspace, as one
+    contiguous (k1 - k0 + 1, width) array whose first row is B(k0-1) and
+    last B(k1-1), a zero row standing in for B(-1) and for B(m); the rules
+    are then whole-array operations on its first and last k1 - k0 rows.
+    Outside the span of ``_likelihood_windows`` both arrays are exactly 0,
+    so a window that holds that span, or the whole grid, gives every
+    nonzero cell.  ``out``, a pair of (k1 - k0, width of ``cols``) arrays,
+    receives the window of the pmf and derivative, and is returned in place
+    of two new zero-filled arrays of the full width.  At the deterministic
+    channels B is a unit vector, so the pmf is exactly one too and the
+    derivative is finite without special cases.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
-    rows = k1 - k0
     if cols is None:
-        cols = likelihood_columns(model, m, thetas, k0, k1)
+        cols = slice(0, thetas.size)
     if out is None:
-        pmf, dpmf = np.zeros((rows, thetas.size)), np.zeros((rows, thetas.size))
+        pmf, dpmf = np.zeros((k1 - k0, thetas.size)), np.zeros((k1 - k0, thetas.size))
         tally_pmf_with_dtheta(model, m, thetas, k0, k1, cols=cols,
                               out=(pmf[:, cols], dpmf[:, cols]))
         return pmf, dpmf
@@ -691,21 +684,15 @@ def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
         dp.fill(0.0)
         return p, dp
     window = thetas[cols]
-    lo = max(k0 - 1, 0)
-    scratch = _workspace.take("scratch", (min(k1, m) - lo, window.size))
-    prev = tally_pmf_matrix(model, m - 1, thetas, lo, min(k1, m), cols=cols, out=scratch)
+    b = _workspace.take("scratch", (k1 - k0 + 1, window.size))   # B(k0-1) .. B(k1-1)
+    first, last = int(k0 == 0), len(b) - int(k1 == m + 1)
+    b[:first] = 0.0
+    b[last:] = 0.0
+    tally_pmf_matrix(model, m - 1, thetas, k0 - 1 + first, k0 - 1 + last, cols=cols,
+                     out=b[first:last])
     pp = model.prob_plus(window)
-    top = min(k1, m) - k0      # rows 0..top-1 have a B(k) term
-    s = int(k0 == 0)           # rows s.. have a B(k-1) term
-    off = k0 - lo              # row i holds B(k) at prev[i + off], B(k-1) at prev[i + off - 1]
-    np.multiply(prev[off:off + top], 1.0 - pp, out=p[:top])
-    p[top:] = 0.0
-    np.multiply(prev[off + s - 1:off + rows - 1], pp, out=dp[s:])   # p_+ B(k-1) for a moment
-    p[s:] += dp[s:]
-    if s:
-        np.negative(prev[0], out=dp[0])
-    np.subtract(prev[off + s - 1:off + top - 1], prev[off + s:off + top], out=dp[s:top])
-    if top < rows:
-        dp[top] = prev[off + top - 1]
+    np.multiply(b[1:], 1.0 - pp, out=p)
+    p += np.multiply(b[:-1], pp, out=dp)         # p_+ B(k-1), in dp for a moment
+    np.subtract(b[:-1], b[1:], out=dp)
     dp *= m * model.dprob_dtheta(window)
     return p, dp

@@ -38,7 +38,9 @@ marginal and Ziv-Zakai), or blocks of phases (the averaged risks, whose sums
 run over the tallies of one phase).  The posterior summary's blocks have the
 same budget, so no stage writes more of the workspace than another.  Each
 block starts on a multiple of ``model._BLAS_ALIGN`` rows or phases and gives
-the doubles of the whole matrix (``model._block_extent``).
+the doubles of the whole matrix (``model._block_extent``).  ``acrlb`` and
+``fvtb`` take the pmf derivative in the same blocks of phases
+(``_mean_slope``), so none of these stages depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -531,11 +533,26 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     return max(0.5 * total, 0.0)
 
 
+def _mean_slope(estimator: Estimator, m: int, model: GhzParityModel,
+                thetas: np.ndarray) -> np.ndarray:
+    """d<est>/dtheta0 at every phase: the sum over k of v[k] d pmf(k | theta0) / dtheta0.
+
+    The pmf derivative goes through in aligned blocks of phases
+    (``model._block_extent``), each a new (m + 1) x width array, so each
+    column is summed over k by OpenBLAS's gemv as in the whole matrix with
+    one thread, and a block is too small for two threads to split.
+    """
+    v = estimator.values(m)
+    step = _block_extent(thetas.size, m + 1)
+    return np.concatenate([v @ tally_pmf_dtheta_matrix(model, m, thetas[c0:c0 + step])
+                           for c0 in range(0, thetas.size, step)])
+
+
 def acrlb(estimator: Estimator, prior_true: PriorDensity, m: int,
           model: GhzParityModel) -> float:
     """Averaged Cramer-Rao bound: integral of (d<est>/dtheta0)^2/(m F) p(theta0)."""
     g, p = _outer_grid(prior_true)
-    bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
+    bias_derivative = _mean_slope(estimator, m, model, g.nodes)
     fisher = model.fisher_information(g.nodes)
     return integrate(bias_derivative**2 / (m * fisher) * p, g)
 
@@ -549,7 +566,7 @@ def fvtb(estimator: Estimator, prior_true: PriorDensity, m: int,
     """
     _require_vanishing_boundary(prior_true, "the variance Van Trees bound")
     g, p = _outer_grid(prior_true)
-    bias_derivative = estimator.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
+    bias_derivative = _mean_slope(estimator, m, model, g.nodes)
     numerator = integrate(bias_derivative * p, g) ** 2
     avg_fisher = integrate(model.fisher_information(g.nodes) * p, g)
     j_prior = prior_fisher_information(prior_true)

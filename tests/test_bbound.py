@@ -31,7 +31,7 @@ from phasebound.estimate import (
     posterior_summary,
     posterior_table,
 )
-from phasebound.model import PhaseDomain, likelihood_columns, tally_pmf_with_dtheta
+from phasebound.model import PhaseDomain, tally_pmf_with_dtheta
 from phasebound.numerics import (
     QuadratureGrid,
     custom_prior,
@@ -365,16 +365,25 @@ class TestStreamedSummary:
 
 
 def _summary_with_windows(monkeypatch, prior, m, model):
-    """posterior_summary, and the (k0, k1, cols) of each block it hands to posterior_table."""
+    """posterior_summary, and the (k0, k1, span, cols) of each block it summarises."""
     seen = []
+    summarise = estimate_module._summarise_block
 
-    def spy(prior, m, model, k0=0, k1=None, *, cols=None, out=None):
-        seen.append((k0, k1, cols))
-        return posterior_table(prior, m, model, k0, k1, cols=cols, out=out)
+    def spy(prior, m, model, k0, k1, span, cols, *args):
+        seen.append((k0, k1, span, cols))
+        return summarise(prior, m, model, k0, k1, span, cols, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(estimate_module, "posterior_table", spy)
+        patch.setattr(estimate_module, "_summarise_block", spy)
         return posterior_summary(prior, m, model), seen
+
+
+def _span(prior, m, model, k0, k1):
+    """The span of the tallies k0 <= k < k1 that ``_likelihood_windows`` finds under ``prior``."""
+    with np.errstate(divide="ignore"):
+        log_p = np.log(prior.values)
+    log_prior = log_p, np.where(prior.values > 0.0, log_p, np.max(log_p))
+    return model_module._likelihood_windows(model, m, prior.grid.nodes, k0, k1, log_prior)[0]
 
 
 class TestFullWidthOracle:
@@ -412,17 +421,16 @@ class TestFullWidthOracle:
         prior = _off_branch_flat()
         dens, ddens, _ = posterior_table(prior, 1000, model, 393, 524)
         used = dens.any(axis=0) | ddens.any(axis=0)
-        assert likelihood_columns(model, 1000, prior.grid.nodes, 393, 524) == slice(0, 2001)
+        assert _span(prior, 1000, model, 393, 524) == slice(0, 2001)
         assert used[0] and used[-1] and not used[np.abs(prior.grid.nodes) < 0.23].any()
 
     def test_prior_zero_inside_narrowed_window(self, monkeypatch, model, grid):
         # zero below 0.6 with slope 1: at m = 1000 the blocks whose likelihood peaks
-        # near 0.6 hold that zero inside a window narrower than likelihood_columns
+        # near 0.6 hold that zero inside a window narrower than the likelihood's span
         prior = custom_prior(grid, np.maximum(grid.nodes - 0.6, 0.0), np.ones(grid.node_count))
         got, seen = _summary_with_windows(monkeypatch, prior, 1000, model)
         edge = int(np.searchsorted(grid.nodes, 0.6))
-        assert any(cols.start < edge < cols.stop and cols != likelihood_columns(
-            model, 1000, grid.nodes, k0, k1) for k0, k1, cols in seen)
+        assert any(cols.start < edge < cols.stop and cols != span for _, _, span, cols in seen)
         assert got.failure == "posterior for tally k=573 has a zero with nonzero slope"
         self._assert_same(got, full_width_posterior_summary(prior, 1000, model))
 
@@ -453,7 +461,7 @@ class TestFullWidthOracle:
         assert not pmf.any() and not dpmf.any()
         np.testing.assert_array_equal(pmf, want_pmf)
         np.testing.assert_array_equal(dpmf, want_dpmf)
-        assert likelihood_columns(model, 5000, grid.nodes, 10, 141) == slice(0, 0)
+        assert _span(prior, 5000, model, 10, 141) == slice(0, 0)
         messages = []
         for table in (posterior_table, full_width_posterior_table):
             with pytest.raises(DegeneratePosteriorError) as info:
@@ -464,14 +472,14 @@ class TestFullWidthOracle:
 
 
 class TestSummaryWindows:
-    """The column windows the posterior summary hands to posterior_table."""
+    """The column windows the posterior summary finds for its blocks and hands down."""
 
     @pytest.mark.parametrize("m", [131, 1000, 5000])
-    def test_aligned_inside_likelihood_columns(self, monkeypatch, model, grid, m):
+    def test_aligned_inside_span(self, monkeypatch, model, grid, m):
         n = grid.node_count
         for prior in (family45_prior(10.0, grid), _off_branch_flat()):
-            for k0, k1, cols in _summary_with_windows(monkeypatch, prior, m, model)[1]:
-                span = likelihood_columns(model, m, prior.grid.nodes, k0, k1)
+            for k0, k1, span, cols in _summary_with_windows(monkeypatch, prior, m, model)[1]:
+                assert span == _span(prior, m, model, k0, k1)
                 assert cols.step is None and cols.start % 64 == 0
                 assert cols.stop % 64 == 0 or cols.stop == n
                 assert span.start <= cols.start < cols.stop <= span.stop
@@ -509,10 +517,10 @@ class TestSummaryWindows:
                 assert array.shape[1] == cols.stop - cols.start, name
 
     def test_large_m_windows_hold_a_fifth_of_the_cells(self, monkeypatch, model, grid):
-        # whole likelihood_columns windows hold 0.380 of the (m+1) x 2001 cells
+        # the blocks' whole likelihood spans hold 0.380 of the (m+1) x 2001 cells
         m = 5000
         _, seen = _summary_with_windows(monkeypatch, family45_prior(10.0, grid), m, model)
-        cells = sum((k1 - k0) * (cols.stop - cols.start) for k0, k1, cols in seen)
+        cells = sum((k1 - k0) * (cols.stop - cols.start) for k0, k1, _, cols in seen)
         assert cells <= 0.20 * (m + 1) * grid.node_count
 
     def test_cut_grows_with_a_finer_grid(self, model):
@@ -528,16 +536,16 @@ class TestSummaryWindows:
     def test_small_m_windows_stay_whole(self, monkeypatch, model, grid):
         # up to m = 31 the table is one block, of 32 rows at most, on every node; from
         # m = 32 on the first block is 32 rows, and windows may narrow inside
-        # likelihood_columns (the layout test checks the blocks' sizes)
+        # the likelihood's span (the layout test checks the blocks' sizes)
         prior = family45_prior(10.0, grid)
+        whole = slice(0, grid.node_count)
         for m in range(1, 101):
             _, seen = _summary_with_windows(monkeypatch, prior, m, model)
             if m < 32:
-                assert seen == [(0, m + 1, slice(0, grid.node_count))], m
+                assert seen == [(0, m + 1, whole, whole)], m
             else:
                 assert seen[0][:2] == (0, 32) and len(seen) > 1, m
-            for k0, k1, cols in seen:
-                span = likelihood_columns(model, m, grid.nodes, k0, k1)
+            for k0, k1, span, cols in seen:
                 assert span.start <= cols.start < cols.stop <= span.stop, (m, k0)
 
     @pytest.mark.parametrize("nodes,m", [(2001, 1), (2001, 100), (2001, 1000), (2001, 5000),
@@ -548,9 +556,9 @@ class TestSummaryWindows:
         # 4096 nodes; the blocks cover the tallies in order
         grid = QuadratureGrid.simpson(0.0, math.pi / 2, nodes)
         _, seen = _summary_with_windows(monkeypatch, family45_prior(10.0, grid), m, model)
-        assert [k0 for k0, _, _ in seen] == [0] + [k1 for _, k1, _ in seen[:-1]]
+        assert [k0 for k0, *_ in seen] == [0] + [k1 for _, k1, *_ in seen[:-1]]
         assert seen[-1][1] == m + 1
-        for k0, k1, cols in seen:
+        for k0, k1, _, cols in seen:
             width = cols.stop - cols.start
             assert k0 % 16 == 0, (k0, k1)
             assert (k1 - k0) * width <= model_module._BLOCK_CELLS or (

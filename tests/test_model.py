@@ -19,7 +19,6 @@ from phasebound.model import (
     GhzParityModel,
     ModelError,
     PhaseDomain,
-    likelihood_columns,
     log_binomial,
     require_identifiable,
     tally_pmf_dtheta_matrix,
@@ -234,11 +233,13 @@ class TestRowRanges:
 
     @pytest.mark.parametrize("m", [1, 2, 20, 1000])
     def test_pmf_with_dtheta_rows(self, model, m):
+        # every bit of both arrays, the sign of a zero derivative included: the rows k = 0
+        # and k = m read the zero rows that stand in for B(-1) and B(m)
         pmf, dpmf = tally_pmf_with_dtheta(model, m, self.THETAS)
         for k0, k1 in self._ranges(m):
             got_pmf, got_dpmf = tally_pmf_with_dtheta(model, m, self.THETAS, k0, k1)
-            np.testing.assert_array_equal(got_pmf, pmf[k0:k1], err_msg=f"rows [{k0}, {k1})")
-            np.testing.assert_array_equal(got_dpmf, dpmf[k0:k1], err_msg=f"rows [{k0}, {k1})")
+            _assert_same_doubles(got_pmf, pmf[k0:k1])
+            _assert_same_doubles(got_dpmf, dpmf[k0:k1])
 
     @pytest.mark.parametrize("k0,k1", [(-1, 2), (2, 2), (3, 2), (0, 7), (6, 7)])
     def test_rejects_bad_ranges(self, model, k0, k1):
@@ -331,7 +332,8 @@ class TestScipyOracle:
                 want_pmf, want_dpmf = full_width_pmf_with_dtheta(model, m, cols, k0, k1)
                 np.testing.assert_array_equal(pmf, want_pmf)
                 np.testing.assert_array_equal(dpmf, want_dpmf)
-                window = likelihood_columns(model, m, cols, k0, k1)
+                flat = (np.zeros(cols.size),) * 2
+                window = model_module._likelihood_windows(model, m, cols, k0, k1, flat)[0]
                 outside = np.ones(cols.size, dtype=bool)
                 outside[window] = False
                 assert not pmf[:, outside].any() and not dpmf[:, outside].any()

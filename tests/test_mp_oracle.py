@@ -1,4 +1,4 @@
-"""The tally kernel against the exact binomial, evaluated at 50 digits with mpmath.
+"""The tally kernel and the posterior summary against the exact binomial, at 50 digits.
 
 The scipy formulas of ``oracles.py`` repeat the package's double-precision
 arithmetic, so they pin its doubles but cannot say how far those lie from the
@@ -15,7 +15,20 @@ m |p_+'| max_k pmf for the derivative.  A kernel may not get worse than twice
 its figure (or one ulp where the figure is below that), and every cell whose
 exact value is below 2.4e-324 must be exactly 0.  These figures are the
 baseline that a change of the kernel's arithmetic must not worsen.
+
+The posterior summary is checked on the prior's own nodes, so the oracle
+shares its discretisation and differs from it only by rounding: on the
+default 2001-node grid, from the exact binomial of the kernel's double p_+,
+p_- = 1 - p_+ and p_+', and the prior's double values, derivatives and
+Simpson weights, each tally's normalisation p_mar(k) = sum_j w_j L pi, its
+posterior mean and variance, and its Ghosh bound (f - 1)^2 / J, with the
+boundary term f from the end nodes and J = sum_j w_j (L' pi + L pi')^2 /
+(L pi) / p_mar(k) over the nodes where L pi > 0.  ``POSTERIOR_MEASURED`` is
+each quantity's worst relative error over the tallies of one (m, alpha),
+pinned like the kernel's.
 """
+
+import functools
 
 import math
 
@@ -23,6 +36,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from phasebound import QuadratureGrid, family45_prior
+from phasebound.estimate import posterior_summary
 from phasebound.model import (
     GhzParityModel,
     tally_pmf_dtheta_matrix,
@@ -42,6 +57,23 @@ MEASURED = {
     1000: (1.93e-12, 1.54e-12, 1.52e-13, 1.84e-12),
     5000: (1.57e-11, 1.35e-11, 5.62e-13, 1.47e-11),
 }
+# (m, alpha): worst relative error of posterior_summary's marginal, mean, variance and ghosh
+POSTERIOR_MEASURED = {
+    (1, -10.0): (7.41e-16, 1.52e-15, 1.8e-15, 6.27e-16),
+    (1, 10.0): (1.54e-15, 2.07e-15, 1.43e-15, 1.56e-15),
+    (1, 100.0): (5.69e-16, 8.69e-16, 6.18e-16, 1.8e-16),
+    (2, -10.0): (4.93e-16, 1.51e-15, 1.13e-15, 3.99e-16),
+    (2, 10.0): (9.71e-16, 1.48e-15, 1.27e-15, 8.27e-16),
+    (2, 100.0): (3.73e-16, 1.3e-15, 7.04e-16, 1.14e-15),
+    (3, -10.0): (5.35e-16, 7.09e-16, 4.55e-16, 1.08e-15),
+    (3, 10.0): (5.1e-16, 5.51e-16, 1.04e-15, 1.03e-15),
+    (3, 100.0): (4.22e-16, 5.66e-16, 3.81e-16, 4.4e-16),
+    (20, -10.0): (4.32e-15, 1.41e-15, 1.11e-15, 3.31e-15),
+    (20, 10.0): (4.55e-15, 1.06e-15, 8.52e-16, 1.1e-15),
+    (20, 100.0): (4.46e-15, 7.48e-16, 6.9e-16, 7.49e-16),
+}
+SUMMARY_FIELDS = ("marginal", "mean", "variance", "ghosh")
+POSTERIOR_GRID = QuadratureGrid.simpson(0.0, math.pi / 2)
 NORMAL_MIN = 2.3e-308
 EXACT_ZERO_BELOW = mpmath.mpf("2.4e-324")
 
@@ -70,13 +102,13 @@ def _exact_column(model: GhzParityModel, m: int, theta: float):
         return _hi_lo(pmf), _hi_lo(dpmf), tiny, abs(slope)
 
 
-def _failure(name: str, m: int, theta: float, pin: float, errors: np.ndarray,
-             got: np.ndarray, exact: np.ndarray) -> list[str]:
-    """The cell of the largest error, named, if that error is above ``pin``."""
+def _failure(cell: str, pin: float, errors: np.ndarray, got: np.ndarray,
+             exact: np.ndarray) -> list[str]:
+    """The tally of the largest error in ``cell``, named, if that error is above ``pin``."""
     k = int(np.argmax(errors))
     if errors[k] <= pin:
         return []
-    return [f"{name}, m={m}, theta={theta!r}, k={k}: got {got[k]!r}, exact {exact[k]!r}, "
+    return [f"{cell}, k={k}: got {got[k]!r}, exact {exact[k]!r}, "
             f"error {errors[k]:.3g} above {pin:.3g}"]
 
 
@@ -95,11 +127,13 @@ def test_kernels_against_exact_binomial(m):
         for (name, got), pin in zip(pmfs.items(), pins[:2]):
             errors = np.divide(np.abs((got[:, j] - p_hi) - p_lo), p_hi, where=normal,
                                out=np.zeros(m + 1))
-            failures += _failure(name, m, theta, pin, errors, got[:, j], p_hi)
+            failures += _failure(f"{name}, m={m}, theta={theta!r}", pin, errors, got[:, j],
+                                 p_hi)
         scale = m * slope * p_hi.max()
         for (name, got), pin in zip(derivatives.items(), pins[2:]):
             errors = np.abs((got[:, j] - d_hi) - d_lo) / scale
-            failures += _failure(name, m, theta, pin, errors, got[:, j], d_hi)
+            failures += _failure(f"{name}, m={m}, theta={theta!r}", pin, errors, got[:, j],
+                                 d_hi)
         for name, got in pmfs.items():
             failures += [f"{name}, m={m}, theta={theta!r}, k={k}: {got[k, j]!r} where the "
                          f"exact pmf is below 2.4e-324" for k in tiny if got[k, j] != 0.0]
@@ -107,3 +141,85 @@ def test_kernels_against_exact_binomial(m):
         assert tiny or m < 5000, theta
     assert failures == []
 
+
+
+def _exact_likelihood(model: GhzParityModel, m: int, nodes: np.ndarray):
+    """Per tally k, lists over the nodes of the exact L, L' = dL/dtheta and L'^2 / L.
+
+    L' and L'^2 / L are 0 where L is: those nodes carry no posterior mass.
+    """
+    rows = [([], [], []) for _ in range(m + 1)]
+    c = [mpmath.binomial(m, k) for k in range(m + 1)]
+    zero = mpmath.mpf(0)
+    for p, s in zip(model.prob_plus(nodes).tolist(), model.dprob_dtheta(nodes).tolist()):
+        pp, pm, dp = mpmath.mpf(p), mpmath.mpf(1.0 - p), mpmath.mpf(s)
+        up, down = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for _ in range(m):
+            up.append(up[-1] * pp)
+            down.append(down[-1] * pm)
+        for k, (like, slope, score) in enumerate(rows):
+            x = c[k] * up[k] * down[m - k]
+            d = zero if not x else c[k] * dp * ((k * up[k - 1] * down[m - k] if k else zero)
+                                                - ((m - k) * up[k] * down[m - k - 1] if k < m
+                                                   else zero))
+            like.append(x)
+            slope.append(d)
+            score.append(d * d / x if x else zero)
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _prior_weights(alpha: float):
+    """The prior on the default grid and, over its nodes, the exact sums' weights.
+
+    w pi, w pi theta, w pi theta^2, w pi' and w pi'^2 / pi (the last two 0
+    where pi is), and the nodes themselves.
+    """
+    def exact(values):
+        return [mpmath.mpf(x) for x in values.tolist()]
+
+    prior = family45_prior(alpha, POSTERIOR_GRID)
+    nodes, zero = exact(prior.grid.nodes), mpmath.mpf(0)
+    weights = [(w * p, w * p * t, w * p * t * t, w * d if p else zero,
+                w * d * d / p if p else zero)
+               for w, p, d, t in zip(exact(prior.grid.weights), exact(prior.values),
+                                     exact(prior.derivative), nodes)]
+    return prior, [list(column) for column in zip(*weights)], nodes
+
+
+def _exact_summary(alpha: float, likelihood) -> dict[str, list]:
+    """p_mar(k), mean, variance and Ghosh bound of every tally, exact on the prior's nodes."""
+    prior, (a, a1, a2, b, c), nodes = _prior_weights(alpha)
+    first, last = mpmath.mpf(float(prior.values[0])), mpmath.mpf(float(prior.values[-1]))
+    exact = {name: [] for name in SUMMARY_FIELDS}
+    for like, slope, score in likelihood:
+        z = mpmath.fdot(like, a)
+        mean = mpmath.fdot(like, a1) / z
+        info = (mpmath.fdot(score, a) + 2 * mpmath.fdot(slope, b) + mpmath.fdot(like, c)) / z
+        lo, hi = like[0] * first / z, like[-1] * last / z
+        f = nodes[-1] * hi - nodes[0] * lo - mean * (hi - lo)
+        exact["marginal"].append(z)
+        exact["mean"].append(mean)
+        exact["variance"].append(mpmath.fdot(like, a2) / z - mean * mean)
+        exact["ghosh"].append((f - 1) ** 2 / info)
+    return exact
+
+
+@pytest.mark.parametrize("m", sorted({m for m, _ in POSTERIOR_MEASURED}))
+def test_posterior_summary_against_exact_sums(m):
+    model = GhzParityModel(2)
+    failures = []
+    with mpmath.workdps(50):
+        likelihood = _exact_likelihood(model, m, POSTERIOR_GRID.nodes)
+        for alpha in sorted(a for mm, a in POSTERIOR_MEASURED if mm == m):
+            prior = _prior_weights(alpha)[0]
+            got = posterior_summary(prior, m, model)
+            exact = _exact_summary(alpha, likelihood)
+            for name, figure in zip(SUMMARY_FIELDS, POSTERIOR_MEASURED[m, alpha]):
+                values = getattr(got, name)
+                errors = np.array([float(abs((mpmath.mpf(v) - x) / x))
+                                   for v, x in zip(values.tolist(), exact[name])])
+                failures += _failure(f"{name}, m={m}, alpha={alpha:g}",
+                                     2.0 * max(figure, 2.0**-53), errors, values,
+                                     np.array([float(x) for x in exact[name]]))
+    assert failures == []

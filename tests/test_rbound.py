@@ -507,6 +507,21 @@ class TestRandomPhaseBayes:
         rhs = avg_mse(est, prior, m, model)
         assert lhs == pytest.approx(rhs, abs=5e-9)
 
+    # alpha: the largest relative gap between the two sides of that identity over
+    # m = 1, 2, 10, 100 and 1000.  avg_mse integrates over theta0 on the 201-node grid,
+    # the posterior variance on the prior's 2001 nodes: the gap is that grid's error.
+    IDENTITY_GAP = {100.0: 3.97e-15, 10.0: 4.44e-10, 1.0: 2.33e-7, -10.0: 2.14e-6}
+
+    @pytest.mark.parametrize("alpha", sorted(IDENTITY_GAP))
+    def test_matched_prior_identity_gap_is_the_theta0_grid_error(self, model, grid, alpha):
+        prior = family45_prior(alpha, grid)
+        est = PosteriorMeanEstimator(model, prior)
+        gaps = {}
+        for m in (1, 2, 10, 100, 1000):
+            variance = bayes_chain_report(est, m).bayes_variance
+            gaps[m] = abs(avg_mse(est, prior, m, model) - variance) / variance
+        assert max(gaps.values()) <= 2.0 * self.IDENTITY_GAP[alpha], gaps
+
     def test_monotone_decrease_in_m(self, model, grid):
         prior = family45_prior(10.0, grid)
         bayes = PosteriorMeanEstimator(model, prior)

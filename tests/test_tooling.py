@@ -202,12 +202,14 @@ def test_posterior_summary_peak_memory():
 
 
 @pytest.mark.parametrize("stage", ["ziv_zakai", "bayes_chain_report", "avg_estimator_variance",
-                                   "avg_mse"])
+                                   "avg_mse", "acrlb", "fvtb"])
 def test_theta0_stage_allocates_within_budget(stage):
     # the whole (m+1) x 201 pmf is 1.5 MiB at m = 1000 and 7.7 MiB at m = 5000; every
     # theta0-grid stage streams it through one workspace block (written by the
     # posterior summary before these stages run, as in fig4 and bounds) and allocates
-    # under 2 MiB beyond it
+    # under 2 MiB beyond it.  acrlb and fvtb take the pmf derivative in blocks of phases,
+    # each two new (m+1) x 16 arrays at m = 5000: 1.5 MiB, or 2.3 MiB when they are the
+    # first to grow the workspace to that block (two whole 7.7 MiB arrays took 15.7 MiB)
     from phasebound import GhzParityModel, PosteriorMeanEstimator, QuadratureGrid, family45_prior
     from phasebound import rbound
 
@@ -221,14 +223,17 @@ def test_theta0_stage_allocates_within_budget(stage):
                 "bayes_chain_report": lambda: rbound.bayes_chain_report(bayes, m),
                 "avg_estimator_variance": lambda: rbound.avg_estimator_variance(bayes, prior, m,
                                                                                 model),
-                "avg_mse": lambda: rbound.avg_mse(bayes, prior, m, model)}[stage]
+                "avg_mse": lambda: rbound.avg_mse(bayes, prior, m, model),
+                "acrlb": lambda: rbound.acrlb(bayes, prior, m, model),
+                "fvtb": lambda: rbound.fvtb(bayes, prior, m, model)}[stage]
         tracemalloc.start()
         try:
             call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20, f"m={m}: peak {peak / 2**20:.2f} MiB"
+        budget = 2.5 if stage in ("acrlb", "fvtb") else 2.0
+        assert peak < budget * 2**20, f"m={m}: peak {peak / 2**20:.2f} MiB"
 
 
 def test_large_m_outputs_independent_of_blas_threads(tmp_path):
@@ -264,6 +269,33 @@ def test_posterior_table_independent_of_blas_threads(tmp_path):
         "for prior, m in cells:\n"
         "    arrays = posterior_table(prior, m, GhzParityModel(2))\n"
         "    print(hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest())\n")
+    workloads = _perfbench_module("workloads")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**workloads.child_env(), "OPENBLAS_NUM_THREADS": threads}
+        child = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                               capture_output=True, text=True)
+        assert (child.returncode, child.stderr) == (0, "")
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_mean_slope_bounds_independent_of_blas_threads(tmp_path):
+    # acrlb and fvtb sum d<est>/dtheta0 over k in aligned blocks of phases, not by one gemv
+    # over the whole (m+1) x 201 derivative, which two OpenBLAS threads sum differently
+    probe = (
+        "import math\n"
+        "from phasebound import GhzParityModel, PhaseDomain, PosteriorMeanEstimator\n"
+        "from phasebound import QuadratureGrid, family45_prior\n"
+        "from phasebound.estimate import MaximumLikelihoodEstimator\n"
+        "from phasebound.rbound import acrlb, fvtb\n"
+        "model, grid = GhzParityModel(2), QuadratureGrid.simpson(0.0, math.pi / 2)\n"
+        "for alpha in (10.0, 1.0):\n"
+        "    prior = family45_prior(alpha, grid)\n"
+        "    for est in (MaximumLikelihoodEstimator(model, PhaseDomain()),\n"
+        "                PosteriorMeanEstimator(model, prior)):\n"
+        "        print(alpha, type(est).__name__, repr(acrlb(est, prior, 5000, model)),\n"
+        "              repr(fvtb(est, prior, 5000, model)))\n")
     workloads = _perfbench_module("workloads")
     outputs = []
     for threads in ("1", "2"):

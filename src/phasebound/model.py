@@ -61,12 +61,12 @@ on 0.3-0.7% of the probabilities.
 
 ``tally_pmf_matrix`` and ``tally_pmf_with_dtheta`` take an optional row range
 k0 <= k < k1 (default: every tally).  Every entry is computed elementwise, so
-a range is bit for bit the matching slice of the full array, and so are a
-block of phases (``cols`` with a window-shaped ``out``) and single cells
-(``_tally_pmf_cells``), which the theta0-grid stages read; the derived
-kernel then reads only the rows k0-1 .. k1-1 of B_(m-1).  Its default window
-is the whole grid: outside the span where those rows can pass the exp cut
-every cell is an exact zero however it is computed.  This lets the posterior
+a range is bit for bit the matching slice of the full array, and so is a
+block of phases (``cols`` with a window-shaped ``out``), which the
+theta0-grid stages read; the derived kernel then reads only the rows
+k0-1 .. k1-1 of B_(m-1).  Its default window is the whole grid: outside the
+span where those rows can pass the exp cut every cell is an exact zero
+however it is computed.  This lets the posterior
 summary stream a large-m table in blocks of tallies and work on a narrower
 window per block: the part of the span of phases where some row of the
 block's posterior lies within ``_PEAK_CUT`` = 100 nats of its peak (more on
@@ -313,16 +313,16 @@ class _Workspace(threading.local):
     and no others.  The names in use, each free again when its user
     returns:
 
-    * "sums" and "mask": the kernel's log-sums and exp mask, and the
-      temporaries of ``_tally_pmf_cells``; then the posterior summary's
-      density and slope mask;
+    * "sums" and "mask": the kernel's log-sums and exp mask; then the
+      posterior summary's density and slope mask;
     * "scratch": B_(m-1) in ``tally_pmf_with_dtheta``, then the products of
       the posterior table and summary; the blocks of the pmf that the
       theta0-grid stages stream (``rbound._pmf_row_blocks`` and
       ``_pmf_column_blocks``), with Ziv-Zakai's CDFs;
     * "derivative" and "zero": the posterior summary's; then the averaged
-      risks' products, and Ziv-Zakai's per-pair rows (as float, intp and
-      bool), which so land on pages the summary has already written.
+      risks' products, and Ziv-Zakai's per-pair rows, its crossing tallies'
+      temporaries included (as float, intp and bool), which so land on
+      pages the summary has already written.
     """
 
     def __init__(self):
@@ -479,51 +479,6 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     if cols is not None and out is not None:     # ``out`` is the window: cut the logs to it
         logpp, logpm, cols = logpp[cols], logpm[cols], slice(None)
     return _exp_log_terms(log_binomial(m, k), kf, m - kf, logpp, logpm, cols, out)
-
-
-def _tally_pmf_cells(model: GhzParityModel, m: int, thetas: np.ndarray, k: np.ndarray,
-                     columns: tuple[np.ndarray, ...], outs: tuple[np.ndarray, ...],
-                     logc: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The cells (k[i], j[i]) of ``tally_pmf_matrix(model, m, thetas)`` for each j of ``columns``.
-
-    ``columns`` are phase-index arrays as long as k, and ``outs`` one array
-    each that receives its cells; ``outs`` is returned.  The operations of
-    ``_log_terms`` and ``_exp_log_terms``, cell by cell: k log p_+ (0 at
-    k = 0) plus log C(m, k), plus (m - k) log p_- (0 at k = m), and exp
-    where that is above the cut.  Each is elementwise, so a cell is the
-    matrix's double (the tests compare them with ``==``); a few cells cost a
-    few operations on their own instead of a block of rows.  The terms of k
-    (float k, m - k, log C(m, k) from ``logc``, the table for k = 0..m, and
-    the masks of k = 0 and k = m) are formed once for every column.  The
-    temporaries are three rows each of the thread's "sums" and "mask", so a
-    call allocates nothing.
-    """
-    logpp, logpm = _grid_logs(model, thetas)
-    kf, logck, rest = _workspace.take("sums", (3, k.size))
-    first, last, below = _workspace.take("mask", (3, k.size), bool)
-    np.copyto(kf, k)
-    np.equal(k, 0, out=first)
-    np.equal(k, m, out=last)
-    logc.take(k, out=logck, mode="clip")
-    # mode="clip" writes straight into ``out``; every index is in range
-    with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
-        for j, out in zip(columns, outs):
-            np.multiply(kf, logpp.take(j, out=out, mode="clip"), out=out)
-        np.subtract(m, kf, out=kf)
-        for j, out in zip(columns, outs):
-            np.multiply(kf, logpm.take(j, out=rest, mode="clip"), out=rest)
-            np.copyto(out, 0.0, where=first)
-            np.copyto(rest, 0.0, where=last)
-            out += logck
-            out += rest
-            # exp of 0.0 in place of the cells below the cut, then 0.0 there: numpy's exp gives
-            # the same doubles with or without ``where``, but a scattered mask makes it ten
-            # times slower
-            np.less_equal(out, _EXP_ZERO_BELOW, out=below)   # no sum is NaN
-            np.copyto(out, 0.0, where=below)
-            np.exp(out, out=out)
-            np.copyto(out, 0.0, where=below)
-    return outs
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:

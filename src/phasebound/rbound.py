@@ -23,12 +23,12 @@ No ordering between the Van Trees and Ziv-Zakai bounds is asserted anywhere:
 neither dominates the other.
 
 Ziv-Zakai tests every pair of theta0 nodes at once.  The pairs are built in
-the order of their shift (``_shift_pairs``); each pair's crossing tally is
-found by bisection on the pmf's doubles (``_crossings``), and the column
-CDFs are accumulated block by block (``_pmin_columns``).  The pairs do not
-depend on m, so this module builds them once per prior and model and keeps
-them for the last few priors (``_ziv_zakai_pairs``); a sweep passes nothing
-down.
+the order of their shift (``_shift_pairs``); each pair's crossing tally has
+a closed form in the kernel's logs (``_crossings``), and the column CDFs are
+accumulated block by block, one streamed path for every m
+(``_pmin_columns``).  The pairs do not depend on m, so this module builds
+them once per prior and model and keeps them for the last few priors
+(``_ziv_zakai_pairs``); a sweep passes nothing down.
 
 Every theta0-grid stage (the tally marginal, the averaged risks and
 Ziv-Zakai) holds at most one block of ``model._BLOCK_CELLS`` cells of the
@@ -57,13 +57,11 @@ from .bbound import ghosh_table
 from .estimate import Estimator, PosteriorMeanEstimator
 from .fbound import check_chain
 from .model import (
-    _BLOCK_CELLS,
     GhzParityModel,
     ModelError,
     _block_extent,
-    _tally_pmf_cells,
+    _grid_logs,
     _workspace,
-    log_binomial,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
 )
@@ -222,114 +220,59 @@ def _test_pairs(model: GhzParityModel, thetas: np.ndarray, first: np.ndarray, se
                       down=np.less(p_plus.take(second), p_plus.take(first)))
 
 
-def _first_true(predicate, lo: np.ndarray, hi: np.ndarray, mid: np.ndarray,
-                flags: np.ndarray) -> np.ndarray:
-    """For each i, bisect for the first k in [lo[i], hi[i]) where the predicate holds.
-
-    ``predicate(k, out)`` writes into the bool array ``out`` whether it
-    holds at k[i], for every i at once; it must be False and then True in k
-    on each range, and hi[i] stands for no True.  Every i is probed at each
-    step, at the midpoint of its range; one whose range is empty may be
-    probed at its hi, and that outcome is ignored.  The results are written
-    into ``lo`` (and ``hi`` is moved), which is returned; ``mid`` (intp)
-    and the three rows of ``flags`` (bool) are buffers of the same length.
-    """
-    hit, active, move = flags
-    np.less(lo, hi, out=active)
-    while active.any():
-        np.add(lo, hi, out=mid)
-        mid >>= 1
-        predicate(mid, hit)
-        np.logical_and(active, hit, out=move)
-        np.copyto(hi, mid, where=move)
-        np.greater(active, hit, out=move)        # active and not hit
-        mid += 1
-        np.copyto(lo, mid, where=move)
-        np.less(lo, hi, out=active)
-    return lo
-
-
-def _supports(cells, m: int, p_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per phase, the tallies [start, stop) outside of which its pmf is 0.
-
-    The log-pmf is concave in k, so the nonzero tallies are one run around
-    the mode floor((m + 1) p_+), where the pmf is largest; each end of the
-    run is found by bisection on the pmf's cells.
-    """
-    n = p_plus.size
-    mode = np.minimum(np.floor((m + 1) * p_plus).astype(np.intp), m)
-    every, mid, values = np.arange(n), np.empty(n, np.intp), np.empty(n)
-    flags = np.empty((3, n), bool)
-
-    def nonzero(k, out):
-        return np.greater(cells(k, (every,), (values,))[0], 0.0, out=out)
-
-    def zero(k, out):
-        return np.logical_not(nonzero(k, out), out=out)
-
-    start = _first_true(nonzero, np.zeros(n, np.intp), mode.copy(), mid, flags)
-    stop = _first_true(zero, mode + 1, np.full(n, m + 1, np.intp), mid, flags)
-    return start, stop
-
-
-def _table_cells(table: np.ndarray, at: np.ndarray):
-    """``cells`` of a (rows, phases) table in memory: its entries at (k[i], j[i]), by flat index.
-
-    ``cells(k, columns, outs)`` writes the cells of each phase-index array j
-    of ``columns`` into the matching array of ``outs``, and returns
-    ``outs``.  ``at``, an intp buffer at least as long as any request,
-    receives the flat indices.  A k past the last row, as a finished search
-    may probe (``_first_true``), reads the last cell.
-    """
-    flat, n = table.ravel(), table.shape[1]
-
-    def cells(k, columns, outs):
-        index = at[:k.size]
-        for j, out in zip(columns, outs):
-            np.multiply(k, n, out=index)
-            index += j
-            flat.take(index, out=out, mode="clip")   # "clip" writes straight into ``out``
-        return outs
-    return cells
-
-
-def _weighted(cells, k, f, s, a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """a pmf[k, f] and b pmf[k, s] per pair, on the pmf's doubles (``cells``), into ``x`` and ``y``."""
-    x, y = cells(k, (f, s), (x, y))
-    x *= a
-    y *= b
-    return x, y
-
-
-def _crossings(pairs: _TestPairs, cells, start: np.ndarray, stop: np.ndarray,
-               index: np.ndarray, value: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Every pair's crossing tally k*, by bisection on the pmf's doubles (``cells``).
+def _crossings(model: GhzParityModel, m: int, thetas: np.ndarray, pairs: _TestPairs,
+               k: np.ndarray, rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Every pair's crossing tally k*, in closed form from the grid's logs.
 
     The test at tally k is a pmf[k, first] >= b pmf[k, second] where the
     second distribution lies lower, and its negation otherwise; k* is the
-    first tally where it holds, searched over the union [lo, hi) of the two
-    supports (``_supports``).  Outside it both cells are zero, so the test
-    (0 >= 0) holds on both sides of the crossing; inside it both are zero
-    only between the two supports, where the test already agrees with the
-    orientation.
+    first tally where it holds, m + 1 if none.  log C(m, k) cancels from
+    the log ratio of the two sides, r(k) = c + k u + (m - k) v with
+    c = log a - log b and u, v the differences of log p_+ and log p_- of the
+    two phases (``model._grid_logs``): linear in k, rising where the second
+    lies lower and falling otherwise.  r(0) = c + m v and r(m) = c + m u
+    drop the vanishing term (0 log 0 = 0, as the kernel does), so they
+    decide k* = 0 and k* = m + 1 exactly, at the deterministic end nodes too.
+    Otherwise r crosses 0 at x = -r(0) / (u - v), and k* is ceil(x) where
+    the second lies lower and floor(x) + 1 where it lies higher, in [1, m].
+    x is NaN only where a node has p_+ = 1, so that its pmf is 0 below
+    k = m: the test first holds at k = m, or, where the other node has
+    p_+ = 0, on the tallies [1, m], over which the CDFs of
+    ``_pmin_columns`` are flat; k* = m.  Near a tie, where r is 0 but for
+    rounding at a tally (mirror pairs about pi/4 at k = m/2), the rounding
+    of x may break it unlike the pmf's doubles would, which moves P_min by
+    an ulp or two.
 
-    ``index``, ``value`` and ``flags`` are workspace rows of the pairs'
-    length (three of intp, two of float, three of bool); k* is written into
-    ``index[0]``, which is returned.
+    ``rows`` are four float workspace rows of the pairs' length and ``ends``
+    two bool ones; k* is written into the intp row ``k``, which is returned.
     """
-    f, s, a, b, down = pairs.first, pairs.second, pairs.a, pairs.b, pairs.down
-    lo, hi, mid = index
-    x, y = value
+    f, s, down = pairs.first, pairs.second, pairs.down
+    u, v, r, t = rows
+    none, first = ends
+    logpp, logpm = _grid_logs(model, thetas)
     # mode="clip" writes straight into ``out``; every index is in range
-    np.minimum(start.take(f, out=lo, mode="clip"), start.take(s, out=mid, mode="clip"), out=lo)
-    np.maximum(stop.take(f, out=hi, mode="clip"), stop.take(s, out=mid, mode="clip"), out=hi)
-
-    def test(k, out):
-        _weighted(cells, k, f, s, a, b, x, y)
-        np.greater_equal(x, y, out=out)
-        return np.equal(out, down, out=out)
-
-    return _first_true(test, lo, hi, mid, flags)
+    with np.errstate(invalid="ignore", divide="ignore"):   # the log of p = 0 is -inf: NaN, inf
+        np.subtract(logpp.take(f, out=u, mode="clip"), logpp.take(s, out=t, mode="clip"), out=u)
+        np.subtract(logpm.take(f, out=v, mode="clip"), logpm.take(s, out=t, mode="clip"), out=v)
+        np.subtract(np.log(pairs.a, out=r), np.log(pairs.b, out=t), out=r)
+        np.multiply(u, m, out=t)
+        t += r                                   # r(m)
+        np.not_equal(np.greater_equal(t, 0.0, out=none), down, out=none)      # fails at k = m
+        np.multiply(v, m, out=t)
+        r += t                                   # r(0)
+        np.equal(np.greater_equal(r, 0.0, out=first), down, out=first)        # holds at k = 0
+        u -= v
+        np.divide(r, u, out=r)
+        np.negative(r, out=r)                    # x
+        np.floor(r, out=t)
+        t += 1.0
+        np.ceil(r, out=t, where=down)
+        np.fmin(t, m, out=t)                     # a NaN becomes m
+        np.fmax(t, 1.0, out=t)
+    np.copyto(k, t, casting="unsafe")
+    np.copyto(k, 0, where=first)
+    np.copyto(k, m + 1, where=none)
+    return k
 
 
 def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
@@ -338,57 +281,44 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
 
     TV = sum_k |a pmf[k, first] - b pmf[k, second]| (``_TestPairs``).  The
     likelihood ratio of two tally distributions is monotone in k, so the
-    summand changes sign at one crossing tally k* (``_crossings``), and
-    with the column CDFs C[k] = sum_{k' < k} pmf[k'] and
+    summand changes sign at one crossing tally k* (``_crossings``, in closed
+    form), and with the column CDFs C[k] = sum_{k' < k} pmf[k'] and
     D(k) = a C[k, first] - b C[k, second], TV = D(m+1) - 2 D(k*) when the
     second distribution lies lower and its negative otherwise.
 
-    The crossings read single cells of the pmf: of the whole pmf while it
-    fits in one block of the thread's workspace, else computed on their own
-    (``model._tally_pmf_cells``, the same doubles, with its temporaries in
-    the workspace too; a probe forms the terms of its tallies once for both
-    phases of every pair).  The CDFs are then accumulated over blocks of rows
-    (``_pmf_row_blocks``): each block's first row takes the previous block's
-    last CDF row, and a cumsum in place gives the whole matrix's cumsum bit
-    for bit.  Each pair reads D(k*) in the block that holds that CDF row,
-    and D(m+1) after the last one.  Every per-pair array is a row of the
-    thread's workspace, so a call allocates no pair-sized or table-sized
-    array; the result is such a row too, valid until the next call in the
-    thread.
+    The CDFs are accumulated over blocks of rows (``_pmf_row_blocks``), one
+    block while the whole pmf fits in one: each block's first row takes the
+    previous block's last CDF row, and a cumsum in place gives the whole
+    matrix's cumsum bit for bit.  Each pair reads D(k*) by one gather from
+    the block that holds that CDF row, and D(m+1) after the last one.
+    Every per-pair array is a row of the thread's workspace, so a call
+    allocates no pair-sized or table-sized array; the result is such a row
+    too, valid until the next call in the thread.
     """
     n, f, s, a, b = thetas.size, pairs.first, pairs.second, pairs.a, pairs.b
-    # the pairs' rows share the buffers the posterior summary has already written: three
-    # of intp, then x, y and D(k*), whose row holds the cells' indices until the CDFs
-    # (as long as the longer of the pairs and the phases, which the supports search)
-    rows = _workspace.take("derivative", (6, max(f.size, n)))
-    index, (x, y, d) = rows[:3, :f.size].view(np.intp), rows[3:, :f.size]
-    spare = rows[5].view(np.intp)
-    flags = _workspace.take("zero", (3, f.size), bool)
-    blocks = _pmf_row_blocks(model, m, thetas)
-    if (m + 1) * n <= _BLOCK_CELLS:              # one block, the whole pmf: read it in place
-        blocks = [next(blocks)]
-        cells = _table_cells(blocks[0][1], spare)
-    else:
-        logc = log_binomial(m, np.arange(m + 1))
-
-        def cells(k, columns, outs):             # a finished search may probe k = m + 1
-            k = np.minimum(k, m, out=spare[:k.size])
-            return _tally_pmf_cells(model, m, thetas, k, columns, outs, logc)
-
-    k = _crossings(pairs, cells, *_supports(cells, m, model.prob_plus(thetas)), index,
-                   (x, y), flags)
-    inside, below = flags[:2]
+    # the pairs' rows share the buffers the posterior summary has already written: k*,
+    # two of intp (of float while the crossings are found), then x, y and D(k*)
+    rows = _workspace.take("derivative", (6, f.size))
+    index, (x, y, d) = rows[:3].view(np.intp), rows[3:]
+    inside, below, up = _workspace.take("zero", (3, f.size), bool)
+    k = _crossings(model, m, thetas, pairs, index[0], rows[1:5], (inside, below))
     d.fill(0.0)                                  # D(0) = 0
     carry = np.zeros(n)
-    row, at = index[1:]                          # the search's hi and mid are free again
-    for k0, block in blocks:
+    row, at = index[1:]
+    for k0, block in _pmf_row_blocks(model, m, thetas):
         block[0] += carry
         np.cumsum(block, axis=0, out=block)      # C[k0 + 1] .. C[k0 + rows]
         np.greater(k, k0, out=inside)            # the pairs whose CDF row k* - 1 is here
         inside &= np.less_equal(k, k0 + len(block), out=below)
         np.subtract(k, k0 + 1, out=row)
         np.clip(row, 0, len(block) - 1, out=row)
-        _weighted(_table_cells(block, at), row, f, s, a, b, x, y)
+        row *= n
+        cdf = block.ravel()
+        # mode="clip" writes straight into ``out``; every index is in range
+        cdf.take(np.add(row, f, out=at), out=x, mode="clip")
+        x *= a
+        cdf.take(np.add(row, s, out=at), out=y, mode="clip")
+        y *= b
         x -= y
         np.copyto(d, x, where=inside)
         carry = block[-1].copy()
@@ -399,7 +329,7 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
     x -= y
     d *= 2.0
     x -= d
-    np.negative(x, out=x, where=~pairs.down)
+    np.negative(x, out=x, where=np.logical_not(pairs.down, out=up))
     np.subtract(1.0, x, out=x)
     x *= 0.5
     return np.clip(x, 0.0, 0.5, out=x)
@@ -508,8 +438,8 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
 
     Every test pair of nodes is evaluated at once from the column CDFs of the
     pmf and a crossing tally per pair (see ``_pmin_columns``): the pmf and
-    CDFs cost O(n m), the crossings O(n^2 log m) by bisection, against
-    O(n^2 m) for a sum over tallies per pair.  The pairs come ordered by shift
+    CDFs cost O(n m), the crossings O(n^2) in closed form (``_crossings``),
+    against O(n^2 m) for a sum over tallies per pair.  The pairs come ordered by shift
     (``_shift_pairs``), so the theta0 sums for each shift are one
     ``np.add.reduceat`` over them.  The pairs, their weights and
     orientations do not depend on m: they are built once per prior and model

@@ -346,30 +346,6 @@ class TestScipyOracle:
         _assert_same_doubles(tally_pmf_matrix(model, m, cols),
                              scipy_tally_pmf_matrix(model, m, cols))
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
-    def test_pmf_cells(self, model, m):
-        # single cells, in any order, are the matrix's doubles, on the 201-node theta0
-        # grid (p_+ = 1 and 0 at its ends) and on an off-branch one; so are two
-        # columns of cells at the same tallies, read in one call
-        for thetas in (np.linspace(0.0, math.pi / 2, 201), np.linspace(-0.3, 1.2, 201)):
-            whole = tally_pmf_matrix(model, m, thetas)
-            k, j = (a.ravel() for a in np.indices(whole.shape))
-            order = np.random.default_rng(m).permutation(k.size)
-            logc = log_binomial(m, np.arange(m + 1))
-            out = np.full(k.size, np.nan)
-            got = model_module._tally_pmf_cells(model, m, thetas, k[order], (j[order],), (out,),
-                                                logc)
-            assert got[0] is out
-            _assert_same_doubles(out, whole.ravel()[order])
-            out = np.full(k.size, np.nan)
-            model_module._tally_pmf_cells(model, m, thetas, k, (j,), (out,), logc)
-            _assert_same_doubles(out, whole.ravel())
-            mirror = np.full(k.size, np.nan)
-            model_module._tally_pmf_cells(model, m, thetas, k[order], (j[order], j[order][::-1]),
-                                          (out, mirror), logc)
-            _assert_same_doubles(out, whole.ravel()[order])
-            _assert_same_doubles(mirror, whole[k[order], j[order][::-1]])
-
     @pytest.mark.parametrize("m", [0, 1, 20, 1000, 5000])
     def test_pmf_columns(self, model, m):
         # a block of phases, written over stale data into a window-shaped out, is

@@ -26,6 +26,16 @@ boundary term f from the end nodes and J = sum_j w_j (L' pi + L pi')^2 /
 (L pi) / p_mar(k) over the nodes where L pi > 0.  ``POSTERIOR_MEASURED`` is
 each quantity's worst relative error over the tallies of one (m, alpha),
 pinned like the kernel's.
+
+Ziv-Zakai's crossing tallies (``rbound._crossings``, a closed form on the
+kernel's logs) are checked against the exact first tally where
+a p_+f^k p_-f^(m-k) >= b p_+s^k p_-s^(m-k) holds (its negation where the
+second node lies higher), from the double p_+, p_- = 1 - p_+ and weights.
+A pair that fails the check where the exact log ratio at k* - 1 or k* is
+within 1e-9 of 0 has met a tie, which rounding may break either way; the
+ties are mirror pairs about pi/4 at even m (ratio 1 at k = m/2 but for
+rounding, at most 1.7e-12 from it in the log), and ``CROSSING_TIES`` pins
+how many pairs of each prior break one so.
 """
 
 import functools
@@ -36,7 +46,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from phasebound import QuadratureGrid, family45_prior
+from phasebound import PhaseDomain, QuadratureGrid, custom_prior, family45_prior, flat_prior
+from phasebound import rbound
 from phasebound.estimate import posterior_summary
 from phasebound.model import (
     GhzParityModel,
@@ -223,3 +234,85 @@ def test_posterior_summary_against_exact_sums(m):
                                      2.0 * max(figure, 2.0**-53), errors, values,
                                      np.array([float(x) for x in exact[name]]))
     assert failures == []
+
+
+# the m of the crossing check, and per prior the pairs, over all of them, that fail it on a
+# tie; on [0, pi/2] every second node lies lower, and on the off-branch [-0.3, 1.2], where p_+
+# peaks at 0, the pairs across 0 lie either way
+CROSSING_MS = (1, 2, 3, 20, 100, 1000, 5000)
+CROSSING_TIES = {"flat": 46, "alpha=10": 57, "alpha=-10": 63, "alpha=1": 63, "alpha=100": 49,
+                 "off-branch": 0}
+TIE_LOG_RATIO = 1e-9
+
+
+def _crossing_prior(name: str):
+    grid = QuadratureGrid.simpson(0.0, math.pi / 2)
+    if name == "flat":
+        return flat_prior(PhaseDomain(), grid)
+    if name == "off-branch":
+        grid = QuadratureGrid.simpson(-0.3, 1.2)
+        return custom_prior(grid, np.sin(math.pi * (grid.nodes + 0.3) / 1.5) ** 2)
+    return family45_prior(float(name.split("=")[1]), grid)
+
+
+def _checked_pairs(tests, n: int) -> np.ndarray:
+    """Every mirror pair (first + second = n - 1), every pair with an end node, every 37th other."""
+    special = (tests.first + tests.second == n - 1) | (tests.first == 0) | (tests.second == n - 1)
+    return np.sort(np.concatenate([np.flatnonzero(special), np.flatnonzero(~special)[::37]]))
+
+
+def _log_sides(logs, m: int, k: int):
+    """log of a p_+f^k p_-f^(m-k) and of b p_+s^k p_-s^(m-k), with 0 log 0 = 0."""
+    log_a, log_b, (fp, fm), (sp, sm) = logs
+
+    def power(e, log_p):
+        return e * log_p if e else mpmath.mpf(0)
+
+    return (log_a + power(k, fp) + power(m - k, fm), log_b + power(k, sp) + power(m - k, sm))
+
+
+def _holds(lhs, rhs, down: bool):
+    """The exact test at one tally: None where both sides are 0 (D is flat there)."""
+    if lhs == rhs == -mpmath.inf:
+        return None
+    return (lhs >= rhs) == down
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_TIES))
+def test_crossing_tally_is_the_exact_first(name):
+    # k* holds the test (or is m + 1) and the nearest tally below with a nonzero side
+    # fails it; the log ratio is linear in k, so k* is then the first tally where the
+    # test holds, but for the flat stretch of D where both sides vanish
+    model = GhzParityModel(2)
+    pairs = rbound._ziv_zakai_pairs(_crossing_prior(name), model)
+    pick = _checked_pairs(pairs.tests, pairs.grid.node_count)
+    tests = rbound._TestPairs(*(field[pick] for field in pairs.tests))
+    p_plus = model.prob_plus(pairs.grid.nodes)
+    ties, failures = 0, []
+    with mpmath.workdps(50):
+        def log(x):
+            return mpmath.log(x) if x else -mpmath.inf
+
+        node_logs = [(log(p), log(q)) for p, q in zip(p_plus.tolist(), (1.0 - p_plus).tolist())]
+        pair_logs = [(log(a), log(b), node_logs[f], node_logs[s])
+                     for f, s, a, b in zip(tests.first.tolist(), tests.second.tolist(),
+                                           tests.a.tolist(), tests.b.tolist())]
+        for m in CROSSING_MS:
+            k = rbound._crossings(model, m, pairs.grid.nodes, tests, np.empty(pick.size, np.intp),
+                                  np.empty((4, pick.size)), np.empty((2, pick.size), bool))
+            for t, (kt, down, logs) in enumerate(zip(k.tolist(), tests.down.tolist(),
+                                                     pair_logs)):
+                below = kt - 1
+                while below >= 0 and _holds(*_log_sides(logs, m, below), down) is None:
+                    below -= 1
+                probed = [j for j in (below, kt) if 0 <= j <= m]
+                sides = [_log_sides(logs, m, j) for j in probed]
+                if [_holds(lhs, rhs, down) for lhs, rhs in sides] == [j == kt for j in probed]:
+                    continue
+                if any(abs(lhs - rhs) < TIE_LOG_RATIO for lhs, rhs in sides):
+                    ties += 1
+                else:
+                    failures.append(f"{name}, m={m}, pair ({tests.first[t]}, "
+                                    f"{tests.second[t]}): k*={kt}")
+    assert failures == []
+    assert ties == CROSSING_TIES[name]

@@ -261,8 +261,11 @@ class TestZivZakaiPairs:
     @pytest.mark.parametrize("alpha", [10.0, -10.0, 1.0, 100.0])
     @pytest.mark.parametrize("m", [1, 2, 7, 100, 5000])
     def test_equals_triu_bisection(self, model, grid, alpha, m):
+        # at alpha = 100 and m = 5000 a mirror pair's likelihood ratio is 1 within rounding
+        # at k = m/2, and the closed form breaks that tie unlike the bisection: 1 ulp
         prior = family45_prior(alpha, grid)
-        assert ziv_zakai(prior, m, model) == ziv_zakai_triu(prior, m, model)
+        got, want = ziv_zakai(prior, m, model), ziv_zakai_triu(prior, m, model)
+        assert abs(got - want) <= (math.ulp(want) if (m, alpha) == (5000, 100.0) else 0.0)
 
     @pytest.mark.parametrize("m", [1, 3, 20])
     def test_equals_triu_bisection_off_branch_and_flat(self, model, flat, m):
@@ -347,6 +350,10 @@ class TestZivZakaiPairs:
 # every m of the bayes_sweep workload, m on either side of the one-block limit (325 and 326),
 # and the large_m workload's m
 CROSSING_MS = [*range(1, 101), 325, 326, 1000, 1303, 1304, 5000]
+# mirror pairs about pi/4 have equal weights and a likelihood ratio of 1 within rounding at
+# k = m/2, a tie that the closed form and the bisection may break differently: the P_min of
+# such a pair may move by two ulps of 0.5, and the bound by one ulp where it does
+MIRROR_TIE = 2.2e-16
 
 
 def _crossing_priors(grid, flat):
@@ -355,42 +362,34 @@ def _crossing_priors(grid, flat):
 
 
 class TestStreamedCrossings:
-    """Crossings bisected on single cells, CDFs in row blocks, against the whole-table bisection."""
+    """Closed-form crossings and CDFs in row blocks, against the whole-table bisection."""
 
     @pytest.mark.parametrize("name", ["flat", "alpha=10", "alpha=-10", "alpha=1", "alpha=100"])
     def test_ziv_zakai_equals_bisection(self, model, grid, flat, name):
         prior = _crossing_priors(grid, flat)[name]
         for m in CROSSING_MS:
-            assert ziv_zakai(prior, m, model) == ziv_zakai_bisection(prior, m, model), m
+            got, want = ziv_zakai(prior, m, model), ziv_zakai_bisection(prior, m, model)
+            tie = (name, m) == ("alpha=100", 5000)
+            assert abs(got - want) <= (math.ulp(want) if tie else 0.0), m
 
     @pytest.mark.parametrize("name", ["flat", "alpha=10", "alpha=-10", "alpha=1", "alpha=100"])
     def test_pmin_equals_bisection(self, model, grid, flat, name):
         # mirror phases about pi/4 (likelihood ratios 1 within rounding at k = m/2, and
         # equal weights), cells at the end nodes (p_+ = 1 at 0 and 0 at pi/2, weighted
         # by the flat prior only), and interior cells of unequal weights; a cell with a
-        # zero weight has no test
+        # zero weight has no test.  Only the mirror cells may break a tie
         prior = _crossing_priors(grid, flat)[name]
         nodes = rbound_module._outer_grid(prior)[0].nodes
-        cells = [(nodes[i], nodes[200 - i] - nodes[i]) for i in (30, 90, 99)]
-        cells += [(0.0, 0.4), (0.3, math.pi / 2 - 0.3), (0.0, math.pi / 2), (0.2, 0.9),
-                  (0.7, 0.05)]
-        cells = [(t, h) for t, h in cells if prior.density(t) > 0.0 and prior.density(t + h) > 0.0]
+        mirrors = [(nodes[i], nodes[200 - i] - nodes[i]) for i in (30, 90, 99)]
+        cells = [(0.0, 0.4), (0.3, math.pi / 2 - 0.3), (0.0, math.pi / 2), (0.2, 0.9),
+                 (0.7, 0.05)]
+        cells = [(t, h, (t, h) in mirrors) for t, h in mirrors + cells
+                 if prior.density(t) > 0.0 and prior.density(t + h) > 0.0]
         for m in CROSSING_MS:
-            for theta0, h in cells:
+            for theta0, h, mirror in cells:
                 want = pmin_by_bisection(theta0, h, prior, m, model)
-                assert pmin(theta0, h, prior, m, model) == want, (m, theta0, h)
-
-    @pytest.mark.parametrize("m", [1, 2, 20, 100, 1303, 1304, 5000])
-    def test_supports_are_the_nonzero_runs(self, model, m):
-        # the bisection from each mode finds the first and last nonzero tally of every
-        # column, on the theta0 grid and on an off-branch one
-        for thetas in (np.linspace(0.0, math.pi / 2, 201), np.linspace(-0.3, 1.2, 201)):
-            pmf = tally_pmf_matrix(model, m, thetas)
-            nonzero = pmf > 0.0
-            cells = rbound_module._table_cells(pmf, np.empty(thetas.size, np.intp))
-            start, stop = rbound_module._supports(cells, m, model.prob_plus(thetas))
-            np.testing.assert_array_equal(start, nonzero.argmax(axis=0))
-            np.testing.assert_array_equal(stop, m + 1 - nonzero[::-1].argmax(axis=0))
+                got = pmin(theta0, h, prior, m, model)
+                assert abs(got - want) <= (MIRROR_TIE if mirror else 0.0), (m, theta0, h)
 
 
 _BLOCKS_PROBE = """

@@ -165,8 +165,11 @@ def test_streamed_kernel_work_stays_traced(tmp_path, monkeypatch):
 
 
 def test_ziv_zakai_peak_memory():
-    # one (m+1) x 201 pmf (7.7 MiB at m = 5000) and its column CDFs; a loop over
-    # shifts that builds (m+1)-row temporaries per shift peaks near 30 MiB
+    # the pmf goes through in blocks of at most 2^16 cells of the thread's workspace
+    # (320 rows of 201 phases, 0.5 MiB), with the per-pair rows there too: about
+    # 3.2 MiB at m = 5000 when this first call makes the workspace and the pairs.  One
+    # (m+1) x 201 pmf in memory is 7.7 MiB, and a loop over shifts that builds
+    # (m+1)-row temporaries per shift peaks near 30 MiB
     from phasebound import GhzParityModel, QuadratureGrid, family45_prior
     from phasebound.rbound import ziv_zakai
 
@@ -178,7 +181,7 @@ def test_ziv_zakai_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_posterior_summary_peak_memory():
@@ -208,8 +211,10 @@ def test_theta0_stage_allocates_within_budget(stage):
     # theta0-grid stage streams it through one workspace block (written by the
     # posterior summary before these stages run, as in fig4 and bounds) and allocates
     # under 2 MiB beyond it.  acrlb and fvtb take the pmf derivative in blocks of phases,
-    # each two new (m+1) x 16 arrays at m = 5000: 1.5 MiB, or 2.3 MiB when they are the
-    # first to grow the workspace to that block (two whole 7.7 MiB arrays took 15.7 MiB)
+    # each two new (m+1) x 16 arrays at m = 5000: 1.5 MiB (two whole 7.7 MiB arrays took
+    # 15.7 MiB).  The first stage to take a (5001 x 16) block grows the workspace to it,
+    # so each stage is first called once untraced at the same m in this thread, as a
+    # sweep's earlier rows call it, and its peak does not depend on what ran before
     from phasebound import GhzParityModel, PosteriorMeanEstimator, QuadratureGrid, family45_prior
     from phasebound import rbound
 
@@ -226,14 +231,14 @@ def test_theta0_stage_allocates_within_budget(stage):
                 "avg_mse": lambda: rbound.avg_mse(bayes, prior, m, model),
                 "acrlb": lambda: rbound.acrlb(bayes, prior, m, model),
                 "fvtb": lambda: rbound.fvtb(bayes, prior, m, model)}[stage]
+        call()
         tracemalloc.start()
         try:
             call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        budget = 2.5 if stage in ("acrlb", "fvtb") else 2.0
-        assert peak < budget * 2**20, f"m={m}: peak {peak / 2**20:.2f} MiB"
+        assert peak < 2 * 2**20, f"m={m}: peak {peak / 2**20:.2f} MiB"
 
 
 def test_large_m_outputs_independent_of_blas_threads(tmp_path):
@@ -322,9 +327,8 @@ def test_cli_imports_no_private_name():
 @pytest.mark.parametrize("function", ["posterior_summary", "ziv_zakai"])
 def test_second_row_allocates_less_than_one_table(function):
     # after a first call has set up the thread's workspace, a second m = 100 call
-    # writes its blocks, or its crossing search's per-pair arrays, there: it
-    # allocates less than one 101 x 2001 float64 table (1.6 MB), where allocating
-    # per row took several
+    # writes its blocks, or its per-pair rows, there: it allocates less than one
+    # 101 x 2001 float64 table (1.6 MB), where allocating per row took several
     from phasebound import GhzParityModel, QuadratureGrid, family45_prior
     from phasebound.estimate import posterior_summary
     from phasebound.rbound import ziv_zakai
@@ -465,13 +469,15 @@ def test_readme_api_tables_name_exports():
 
 
 def test_every_public_definition_is_reached():
-    # a top-level public def or class, or a public method of a class, that no
-    # other code in src reads and the README tables do not list is reached by
-    # no output: delete it, or move it to tests/oracles.py if a test needs it.
-    # The re-exports of __init__ do not count, and neither does an import that
-    # nothing then reads.  Names are matched, not objects, so a method whose
-    # name is read on some other object (say ``variance``, a field of the
-    # posterior summary) counts as reached.
+    # a top-level def or class, or a method of a class, that no other code in src
+    # reads, and for a public name that the README tables do not list either, is
+    # reached by no output: delete it, or move it to tests/oracles.py if a test needs
+    # it.  So a private helper kept in src only for the tests fails here too.  Dunders
+    # (``__init__``, ``__post_init__``) are called by Python and are exempt.  The
+    # re-exports of __init__ do not count, and neither does an import that nothing
+    # then reads.  Names are matched, not objects, so a method whose name is read on
+    # some other object (say ``variance``, a field of the posterior summary) counts as
+    # reached.
     def read_names(tree):
         names = set()
         for node in ast.walk(tree):
@@ -482,10 +488,11 @@ def test_every_public_definition_is_reached():
         return names
 
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    reached = set(_readme_api_names())
+    read = set()
     for stem, tree in trees.items():
         if stem != "__init__":
-            reached |= read_names(tree)
+            read |= read_names(tree)
+    listed = set(_readme_api_names())
     definitions = [(f"{stem}.{node.name}", node) for stem, tree in trees.items()
                    if stem != "__init__" for node in tree.body
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
@@ -493,5 +500,7 @@ def test_every_public_definition_is_reached():
                     if isinstance(cls, ast.ClassDef) for node in cls.body
                     if isinstance(node, ast.FunctionDef)]
     unreached = [name for name, node in definitions
-                 if not node.name.startswith("_") and node.name not in reached]
+                 if not (node.name.startswith("__") and node.name.endswith("__"))
+                 and node.name not in read
+                 and (node.name.startswith("_") or node.name not in listed)]
     assert unreached == []

@@ -8,14 +8,14 @@ derivative of the estimator mean with respect to the true phase (the quantity
 that turns the unbiased Cramer-Rao bound into its biased form) is computed
 from the analytic derivative of the binomial weights.
 
-Bayesian posteriors are held on a quadrature grid.  Densities and their
-derivatives are assembled analytically from the likelihood and prior, never by
-differencing grid values: the posterior Fisher information downstream is
-sensitive to differentiation noise.  The per-tally posterior summary streams
-the table in blocks of tallies, each on its window of nodes, and writes every
-block's table and products into the calling thread's workspace (see
-``model._Workspace``), so a sweep over m allocates no block-sized array after
-its first row.
+Bayesian posteriors are held on a quadrature grid.  The posterior's score is
+assembled analytically, from the likelihood's closed-form score and the
+prior's, never by differencing grid values: the posterior Fisher information
+downstream is sensitive to differentiation noise.  The per-tally posterior
+summary streams the pmf in blocks of tallies, each on its window of nodes,
+and writes every block's density and products into the calling thread's
+workspace (see ``model._Workspace``), so a sweep over m allocates no
+block-sized array after its first row.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from .model import (
     _block_extent,
     _likelihood_windows,
     _row_range,
+    _score_factor,
     _workspace,
     require_identifiable,
     tally_pmf_dtheta_matrix,
-    tally_pmf_with_dtheta,
+    tally_pmf_matrix,
 )
 from .numerics import DERIVATIVE_NOISE_REL, NumericalFailure, PriorDensity
 
@@ -150,48 +151,40 @@ class PosteriorMeanEstimator(Estimator):
 
 def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int = 0,
                     k1: int | None = None, *, cols: slice | None = None,
-                    out: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalised posterior densities and derivatives for the tallies k0 <= k < k1.
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised posterior densities and marginals for the tallies k0 <= k < k1.
 
-    Returns ``(density, derivative, marginal)`` with the first two of shape
-    (k1 - k0, nodes) and the marginal tally probabilities of length k1 - k0;
-    the default range is every tally, k = 0..m.  A row with an underflowed
-    marginal raises, naming its tally k0 + i.
+    Returns ``(density, marginal)``: the density of shape (k1 - k0, nodes)
+    and the marginal tally probabilities of length k1 - k0; the default
+    range is every tally, k = 0..m.  A row with an underflowed marginal
+    raises, naming its tally k0 + i.
 
-    The likelihood and its derivative come from ``tally_pmf_with_dtheta`` and
-    are turned into the posterior arrays in place, on the window of nodes
-    ``cols``: by default every node, or any window that holds the block's
-    span (``model._likelihood_windows``), outside of which both are zero,
-    and starts on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior
-    summary passes a narrower one).  ``out``, a pair of (k1 - k0, width of
-    ``cols``) arrays, receives the window of the density and derivative, and
-    is returned in place of two new zero-filled arrays of every node; those
-    are filled in blocks of rows aligned as the summary's (``_block_extent``
-    over ``cols``), so the marginals do not depend on the BLAS thread count.
-    The one temporary lives in the thread's workspace.  ``posterior_summary``
-    asks for blocks of rows, so that its memory stays O(block x window).
+    The likelihood comes from ``tally_pmf_matrix`` and is turned into the
+    density in place, on the window of nodes ``cols``: by default every
+    node, or any window that holds the block's span
+    (``model._likelihood_windows``), outside of which it is zero, and starts
+    on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior summary passes a
+    narrower one).  ``out``, a (k1 - k0, width of ``cols``) array, receives
+    the window of the density, and is returned in place of a new zero-filled
+    array of every node; that one is filled in blocks of rows aligned as the
+    summary's (``_block_extent`` over ``cols``), so the marginals do not
+    depend on the BLAS thread count.  ``posterior_summary`` asks for blocks
+    of rows, so that its memory stays O(block x window).
     """
     grid = prior.grid
     k0, k1 = _row_range(m, k0, k1)
     if cols is None:
         cols = slice(0, grid.node_count)
     if out is None:
-        shape = (k1 - k0, grid.node_count)
-        density, derivative, marginal = np.zeros(shape), np.zeros(shape), np.empty(k1 - k0)
+        density, marginal = np.zeros((k1 - k0, grid.node_count)), np.empty(k1 - k0)
         step = _block_extent(k1 - k0, cols.stop - cols.start)
         for r0 in range(0, k1 - k0, step):
             rows = slice(r0, min(r0 + step, k1 - k0))
-            marginal[rows] = posterior_table(
-                prior, m, model, k0 + rows.start, k0 + rows.stop, cols=cols,
-                out=(density[rows, cols], derivative[rows, cols]))[2]
-        return density, derivative, marginal
-    dens, ddens = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1, cols=cols, out=out)
-    values = prior.values[cols]
-    ddens *= values
-    ddens += np.multiply(dens, prior.derivative[cols],
-                         out=_workspace.take("scratch", dens.shape))
-    dens *= values
+            marginal[rows] = posterior_table(prior, m, model, k0 + rows.start, k0 + rows.stop,
+                                             cols=cols, out=density[rows, cols])[1]
+        return density, marginal
+    dens = tally_pmf_matrix(model, m, grid.nodes, k0, k1, cols=cols, out=out)
+    dens *= prior.values[cols]
     marginal = dens @ grid.weights[cols]
     bad = ~(np.isfinite(marginal) & (marginal > 0.0))
     if np.any(bad):
@@ -199,13 +192,40 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
         raise DegeneratePosteriorError(
             f"posterior normalisation underflowed for tally k={k_bad}, m={m}")
     dens /= marginal[:, None]
-    ddens /= marginal[:, None]
-    return dens, ddens, marginal
+    return dens, marginal
+
+
+def _steep_zero(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1: int,
+                cols: slice, slope_zeros: np.ndarray, dens: np.ndarray, score: np.ndarray,
+                marginal: np.ndarray) -> int | None:
+    """The first tally of the block whose posterior is 0 where its slope is not noise, or None.
+
+    The posterior's slope is dens * score, but at a zero of the prior, where
+    it is pmf pi' / p_mar(k).  So a cell of zero density has a nonzero slope
+    only at the prior's zeros of nonzero slope, ``slope_zeros``: the rows
+    whose pmf is nonzero at one of them in the window are checked, with
+    their largest |slope| over the window.  The pmf there is read through
+    one more window of the kernel; the flat and exponential-sine priors have
+    no such zero.
+    """
+    j = slope_zeros[(slope_zeros >= cols.start) & (slope_zeros < cols.stop)]
+    if not j.size:
+        return None
+    pmf = tally_pmf_matrix(model, m, prior.grid.nodes, k0, k1, cols=slice(j[0], j[-1] + 1),
+                           out=np.empty((k1 - k0, j[-1] + 1 - j[0])))[:, j - j[0]]
+    rows = np.flatnonzero(pmf.any(axis=1))
+    if not rows.size:
+        return None
+    slope = np.abs(pmf[rows] * prior.derivative[j] / marginal[rows, None])
+    largest = np.maximum(np.max(np.abs(dens[rows] * score[rows]), axis=1), np.max(slope, axis=1))
+    steep = np.any(slope > DERIVATIVE_NOISE_REL * largest[:, None], axis=1)
+    return k0 + int(rows[steep][0]) if steep.any() else None
 
 
 def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1: int,
                      span: slice, cols: slice, out: tuple[np.ndarray, ...],
-                     check_slope: bool) -> int | None:
+                     score_terms: tuple[np.ndarray, np.ndarray],
+                     slope_zeros: np.ndarray) -> int | None:
     """Write the tallies k0 <= k < k1 into ``out``; return a tally with a zero of nonzero slope.
 
     ``out`` is (marginal, mean, variance, boundary, information), each of
@@ -215,63 +235,55 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     lies within the cut (``model._peak_cut``, 100 nats on 2001 nodes) of its
     peak.  Every pass runs on ``cols``; a cell outside is an exact zero or
     lies below half an ulp of each of its row's sums, so it changes no
-    double.  The kernel's B_(m-1), with its zero rows, the posterior table
-    and every product are written into the thread's workspace, as
-    contiguous (rows, window width) arrays; the window is aligned, so the
-    matrix-vector products add each row's terms as over the whole row.  An
-    end node that ``span`` holds but ``cols`` leaves out enters only the
-    boundary term; its pmf is read through a one-node window of the grid,
-    with the grid's cached logs and the same elementwise operations.  With
-    ``check_slope``, the first tally whose posterior is zero at a node where
-    |derivative| is above ``DERIVATIVE_NOISE_REL`` times its largest
-    |derivative| is returned, else None.
+    double.  The density (``posterior_table``) and the products are written
+    into the thread's workspace, as contiguous (rows, window width) arrays;
+    the window is aligned, so the matrix-vector products add each row's
+    terms as over the whole row.  An end node that ``span`` holds but
+    ``cols`` leaves out enters only the boundary term; its pmf is read
+    through a one-node window of the grid, with the grid's cached logs and
+    the same elementwise operations.
+
+    The information weighs the density by the squared score of the
+    posterior, k c + e on row k, with ``score_terms`` = (c, e) over the
+    grid (``posterior_summary``): nothing is divided by the density, so a
+    cell of zero density adds an exact 0.  The first tally whose posterior
+    is zero where its slope is not noise is returned (``_steep_zero``,
+    which checks the prior's zeros ``slope_zeros``), else None.
     """
     marginal, means, variance, boundary, information = out
     grid = prior.grid
-    n = grid.node_count
     nodes, w = grid.nodes[cols], grid.weights[cols]
     shape = (k1 - k0, nodes.size)
-    # an end node of nonzero prior that span holds but cols leaves out: its pmf times the
-    # prior, taken before the table overwrites the kernel's buffers
-    ends = {}
-    for j in (0, n - 1):
-        if span.start <= j < span.stop and not cols.start <= j < cols.stop and prior.values[j]:
-            pmf = tally_pmf_with_dtheta(model, m, grid.nodes, k0, k1, cols=slice(j, j + 1),
-                                        out=tuple(np.empty((2, k1 - k0, 1))))[0]
-            ends[j] = pmf[:, 0] * prior.values[j]
-    # the density shares the kernel's log-sum buffer: the kernel is done with
-    # it before Pascal's rule writes the first row of the pmf
-    dens, ddens, marginal[k0:k1] = posterior_table(
-        prior, m, model, k0, k1, cols=cols,
-        out=(_workspace.take("sums", shape), _workspace.take("derivative", shape)))
-    work = _workspace.take("scratch", shape)
+    dens, marginal[k0:k1] = posterior_table(prior, m, model, k0, k1, cols=cols,
+                                            out=_workspace.take("scratch", shape))
+    work = _workspace.take("derivative", shape)
     mean = means[k0:k1] = np.multiply(dens, nodes, out=work) @ w
     np.subtract(nodes[None, :], mean[:, None], out=work)
     np.square(work, out=work)
     work *= dens
     variance[k0:k1] = work @ w
-    # the density is 0 outside the span, at an end node too
-    first, last = (dens[:, j - cols.start] if cols.start <= j < cols.stop
-                   else ends[j] / marginal[k0:k1] if j in ends else 0.0 for j in (0, n - 1))
+
+    def end_density(j):
+        # 0 outside the span and at a zero of the prior; an end node of nonzero prior that
+        # the span holds but the window leaves out is read on its own
+        if cols.start <= j < cols.stop:
+            return dens[:, j - cols.start]
+        if not (span.start <= j < span.stop and prior.values[j]):
+            return 0.0
+        pmf = tally_pmf_matrix(model, m, grid.nodes, k0, k1, cols=slice(j, j + 1),
+                               out=np.empty((k1 - k0, 1)))
+        return pmf[:, 0] * prior.values[j] / marginal[k0:k1]
+
+    first, last = end_density(0), end_density(grid.node_count - 1)
     boundary[k0:k1] = grid.b * last - grid.a * first - mean * (last - first)
 
-    zero = np.equal(dens, 0.0, out=_workspace.take("zero", shape, bool))
-    bad = None
-    if check_slope and np.any(zero):
-        slope = np.absolute(ddens, out=work)
-        floor = DERIVATIVE_NOISE_REL * np.max(slope, axis=1, keepdims=True)
-        steep = np.greater(slope, floor, out=_workspace.take("mask", shape, bool))
-        steep &= zero
-        bad_rows = np.flatnonzero(np.any(steep, axis=1))
-        if bad_rows.size:
-            bad = k0 + int(bad_rows[0])
-    # where the density is 0 the integrand is 0: its derivative (large enough to overflow
-    # when squared at a prior zero of nonzero slope) becomes 0 and the density 1, so one
-    # unmasked square and divide serve every cell; no later pass reads either
-    np.copyto(ddens, 0.0, where=zero)
-    np.copyto(dens, 1.0, where=zero)
-    integrand = np.square(ddens, out=work)
-    integrand /= dens
+    c, e = score_terms
+    score = np.einsum("i,j->ij", np.arange(k0, k1, dtype=float), c[cols], out=work)
+    score += e[cols]
+    bad = _steep_zero(prior, m, model, k0, k1, cols, slope_zeros, dens, score,
+                      marginal[k0:k1])
+    integrand = np.square(score, out=work)
+    integrand *= dens
     information[k0:k1] = integrand @ w
     return bad
 
@@ -281,22 +293,29 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
 
     Built in blocks of tallies by ``_summarise_block``, in the thread's
     workspace; every returned quantity is one number per tally, so memory
-    stays O(block x window) however large m is.  Each block runs on its
-    window of nodes, the part of the likelihood's span where some row of it
-    lies within the cut (``model._peak_cut``) of its peak, found once per
-    block here (``_likelihood_windows``, with the log prior computed once)
-    and passed down.  A block starts on a multiple of ``model._BLAS_ALIGN``
-    tallies and takes as many as fit in ``model._BLOCK_CELLS`` cells of its
-    own window (``_block_extent``): 32 rows on the whole 2001-node grid,
-    about 160 on the windows of about 366 nodes at m = 5000, at least
-    ``model._BLAS_ALIGN`` on any grid.  Its rows are first sized by the last
-    block's window, then cut back, and the window found again, while its
-    own window is too wide for them.  So aligned, every matrix-vector
-    product gives each row the doubles of one over the whole (m+1)-row
-    table, and the summary does not depend on the blocks (the tests compare
-    blocks of 16, 32 and 48 rows with one block, with ``==``).  Nothing is
-    cached here: ``PosteriorMeanEstimator.summary`` builds it once per m and
-    serves both the posterior means and ``ghosh_table``.
+    stays O(block x window) however large m is.  Each block is one
+    ``tally_pmf_matrix`` window of the pmf itself, turned into the posterior
+    density in place; the information weighs it by the squared score
+    k c + e, from the likelihood's closed-form score c (k - m p_+)
+    (``model._score_factor``) and the prior's pi'/pi, with
+    e = pi'/pi - m p_+ c formed here once per m (pi'/pi is 0 where pi is,
+    and so is the density).  No derivative table is built.  Each block runs
+    on its window of nodes, the part of the likelihood's span where some row
+    of it lies within the cut (``model._peak_cut``) of its peak, found once
+    per block here (``_likelihood_windows``, with the log prior computed
+    once) and passed down.  A block starts on a multiple of
+    ``model._BLAS_ALIGN`` tallies and takes as many as fit in
+    ``model._BLOCK_CELLS`` cells of its own window (``_block_extent``):
+    32 rows on the whole 2001-node grid, about 160 on the windows of about
+    366 nodes at m = 5000, at least ``model._BLAS_ALIGN`` on any grid.  Its
+    rows are first sized by the last block's window, then cut back, and the
+    window found again, while its own window is too wide for them.  So
+    aligned, every matrix-vector product gives each row the doubles of one
+    over the whole (m+1)-row table, and the summary does not depend on the
+    blocks (the tests compare blocks of 16, 32 and 48 rows with one block,
+    with ``==``).  Nothing is cached here: ``PosteriorMeanEstimator.summary``
+    builds it once per m and serves both the posterior means and
+    ``ghosh_table``.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
@@ -308,6 +327,11 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     with np.errstate(divide="ignore"):
         log_p = np.log(prior.values)
     log_prior = log_p, np.where(prior.values > 0.0, log_p, np.max(log_p))
+    c = _score_factor(model, nodes)
+    prior_score = np.divide(prior.derivative, prior.values, out=np.zeros(nodes.size),
+                            where=prior.values != 0.0)
+    score_terms = c, prior_score - m * model.prob_plus(nodes) * c
+    slope_zeros = np.flatnonzero((prior.values == 0.0) & (prior.derivative != 0.0))
     failure = None
     k0, width = 0, nodes.size
     while k0 <= m:
@@ -319,7 +343,9 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
             if k0 + rows >= k1:
                 break
             k1 = k0 + rows
-        bad = _summarise_block(prior, m, model, k0, k1, span, cols, out, failure is None)
+        # the first failure stands: later blocks check no zero
+        bad = _summarise_block(prior, m, model, k0, k1, span, cols, out, score_terms,
+                               slope_zeros if failure is None else slope_zeros[:0])
         if bad is not None:
             failure = f"posterior for tally k={bad} has a zero with nonzero slope"
         k0 = k1

@@ -17,26 +17,20 @@ quotient (dp/dtheta)^2 / p degenerates to 0/0 where p_+ p_- = 0, so
 ``fisher_information`` uses the reduced analytic form rather than the
 direct sum.
 
-Three tally kernels serve different paths, and each path keeps the one whose
+Two tally kernels serve different paths, and each path keeps the one whose
 rounding its outputs were recorded with:
 
 * ``tally_pmf_matrix`` evaluates C(m,k) p_+^k p_-^(m-k) in the log domain.
   The fixed-phase sums (one column, at theta0), the theta0 integrals
-  (``tally_marginal``, ``avg_*``) and Ziv-Zakai use it.
+  (``tally_marginal``, ``avg_*``), Ziv-Zakai and the posterior tables use it.
 * ``tally_pmf_dtheta_matrix`` assembles the pmf derivative from two further
   exp-matrices; ``frequentist_risk``, ``acrlb`` and ``fvtb`` use it.
-* ``tally_pmf_with_dtheta`` derives both the pmf and its derivative from the
-  single matrix B_(m-1) = ``tally_pmf_matrix(model, m - 1, .)``:
-  B_m(k) = p_+ B_(m-1)(k-1) + p_- B_(m-1)(k) (Pascal's rule) and
-  d/dtheta B_m(k) = m p_+' [B_(m-1)(k-1) - B_(m-1)(k)].  The rows
-  B(k0-1) .. B(k1-1) of a row range are read into one array one row longer
-  than the range, with a zero row for B(-1) and for B(m), so each rule is
-  one whole-array operation on its two shifted views.  The posterior tables
-  use it: they need both arrays on the full quadrature grid, where one
-  exp-matrix of m rows replaces three of m+1.  The two arrays must come from
-  the same B_(m-1); pairing this derivative with the log-domain pmf drifts by
-  about 1e-12 at m = 5000.  Routing the other paths through it instead would
-  move their results by up to 4e-10 against the recorded references.
+
+The posterior summary needs no derivative table: the likelihood has the
+closed-form score d/dtheta log pmf(k | theta) = c(theta) (k - m p_+), with
+c = p_+' / (p_+ p_-) (``_score_factor``), so it weighs the pmf itself by the
+score.  The other derivative paths keep ``tally_pmf_dtheta_matrix``, whose
+rounding their recorded outputs carry.
 
 log C(m, k) is log m! - log k! - log (m-k)!, read from a per-process table
 of log n! that grows to the largest m asked for.  Each entry is computed by
@@ -59,34 +53,32 @@ the first differs from ``gammaln`` by up to 4 ulp at about half of the
 integers 1..20002, and numpy's vectorised log from libm's in the last bit
 on 0.3-0.7% of the probabilities.
 
-``tally_pmf_matrix`` and ``tally_pmf_with_dtheta`` take an optional row range
-k0 <= k < k1 (default: every tally).  Every entry is computed elementwise, so
-a range is bit for bit the matching slice of the full array, and so is a
-block of phases (``cols`` with a window-shaped ``out``), which the
-theta0-grid stages read; the derived kernel then reads only the rows
-k0-1 .. k1-1 of B_(m-1).  Its default window is the whole grid: outside the
-span where those rows can pass the exp cut every cell is an exact zero
-however it is computed.  This lets the posterior
-summary stream a large-m table in blocks of tallies and work on a narrower
-window per block: the part of the span of phases where some row of the
-block's posterior lies within ``_PEAK_CUT`` = 100 nats of its peak (more on
-grids much finer than 2001 nodes on [0, pi/2], ``_peak_cut``), outside of
-which no cell moves a sum by a bit (``_likelihood_windows``).  One pass over
-four rows of B_(m-1) bounds every row from above and below (``_row_bounds``)
-and gives both the span and the window.  A caller that has a window passes
-it as ``cols``, so it is found once per block, and may pass ``out`` arrays
-shaped like the window, (rows, window width), to be written in place of new
-arrays of every phase.
+``tally_pmf_matrix`` takes an optional row range k0 <= k < k1 (default:
+every tally).  Every entry is computed elementwise, so a range is bit for bit
+the matching slice of the full array, and so is a block of phases (``cols``
+with a window-shaped ``out``), which the theta0-grid stages and the
+posterior tables read.  Outside the span where the rows can pass the exp cut
+every cell is an exact zero however it is computed.  This lets the
+posterior summary stream a large-m table in blocks of tallies and work on a
+narrower window per block: the part of the span of phases where some row of
+the block's posterior lies within ``_PEAK_CUT`` = 100 nats of its peak
+(more on grids far finer than 2001 nodes on [0, pi/2], ``_peak_cut``),
+outside of which no cell moves a sum by a bit (``_likelihood_windows``).
+One pass over four of the block's rows bounds every row from above and
+below (``_row_bounds``) and gives both the span and the window.  A caller
+that has a window passes it as ``cols``, so it is found once per block, and
+may pass an ``out`` array shaped like the window, (rows, window width), to
+be written in place of a new array of every phase.
 
-The kernels' temporaries (the log-sums and exp mask, and B_(m-1) behind
-Pascal's rule) are views of the calling thread's workspace (``_Workspace``):
-buffers of ``_BLOCK_CELLS`` cells, allocated once per thread and reused by
-every block of every sweep row.  The log-sums go through it in blocks of
-rows.  A row of a sweep then writes into pages that are already mapped
-instead of asking for arrays a little larger than the last row's, which the
-allocator served with fresh pages every time.  That one budget sizes every
-block pass, the posterior summary's and the theta0-grid stages', and each
-block starts on a multiple of ``_BLAS_ALIGN`` rows (``_block_extent``).
+The kernels' temporaries (the log-sums and exp mask) are views of the
+calling thread's workspace (``_Workspace``): buffers of ``_BLOCK_CELLS``
+cells, allocated once per thread and reused by every block of every sweep
+row.  The log-sums go through it in blocks of rows.  A row of a sweep then
+writes into pages that are already mapped instead of asking for arrays a
+little larger than the last row's, which the allocator served with fresh
+pages every time.  That one budget sizes every block pass, the posterior
+summary's and the theta0-grid stages', and each block starts on a multiple
+of ``_BLAS_ALIGN`` rows (``_block_extent``).
 """
 
 from __future__ import annotations
@@ -295,14 +287,16 @@ class _Workspace(threading.local):
     """Scratch arrays of the calling thread, reused by every block pass it makes.
 
     Each named buffer is allocated per thread on first use, with
-    ``_BLOCK_CELLS`` cells, and ``take`` returns a C-contiguous view of its
-    first cells.  A larger request replaces the buffer once, and the larger
-    one is kept, when it is a block's: up to twice ``_BLOCK_CELLS`` cells
-    (B_(m-1) has one row more than its block), or up to ``_BLAS_ALIGN`` + 1
-    rows of any width (the least block, and its B_(m-1), on a grid wider
-    than ``_BLOCK_CELLS / _BLAS_ALIGN`` phases).  Any other request past the
-    buffer, a whole table's, gets a new array, which is not kept.  So a sweep of
-    rows whose blocks grow with m writes into the same pages instead of
+    ``_BLOCK_CELLS`` cells of the dtype asked for, and ``take`` returns a
+    C-contiguous view of its first cells.  A larger request, or one of
+    another dtype, replaces the buffer once, and the new one is kept, when
+    it is a block's: up to twice ``_BLOCK_CELLS`` cells (Ziv-Zakai's six
+    per-pair rows on the 201-node theta0 grid, or the averaged risks' least
+    block of 16 phases beyond m = 4095), or up to ``_BLAS_ALIGN`` rows of
+    any width (the least block, on a grid wider than
+    ``_BLOCK_CELLS / _BLAS_ALIGN`` phases).  Any other request past the
+    buffer, a whole table's, gets a new array, which is not kept.  So a sweep
+    of rows whose blocks grow with m writes into the same pages instead of
     asking the allocator for a slightly larger array, and fresh pages, every
     row.  Only the pages a block writes count towards resident memory.
 
@@ -313,29 +307,29 @@ class _Workspace(threading.local):
     and no others.  The names in use, each free again when its user
     returns:
 
-    * "sums" and "mask": the kernel's log-sums and exp mask; then the
-      posterior summary's density and slope mask;
-    * "scratch": B_(m-1) in ``tally_pmf_with_dtheta``, then the products of
-      the posterior table and summary; the blocks of the pmf that the
-      theta0-grid stages stream (``rbound._pmf_row_blocks`` and
+    * "sums" and "mask": the kernel's log-sums and exp mask;
+    * "scratch": the posterior table's density; the blocks of the pmf that
+      the theta0-grid stages stream (``rbound._pmf_row_blocks`` and
       ``_pmf_column_blocks``), with Ziv-Zakai's CDFs;
-    * "derivative" and "zero": the posterior summary's; then the averaged
-      risks' products, and Ziv-Zakai's per-pair rows, its crossing tallies'
-      temporaries included (as float, intp and bool), which so land on
-      pages the summary has already written.
+    * "derivative": the posterior summary's products; then the averaged
+      risks' products, and Ziv-Zakai's per-pair rows, its crossing
+      tallies' temporaries included (as float, with intp views), which so
+      land on pages the summary has already written;
+    * "zero": Ziv-Zakai's per-pair masks.
     """
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        if name not in self.buffers or self.buffers[name].size < size:
-            if size > max(2 * _BLOCK_CELLS, (_BLAS_ALIGN + 1) * shape[-1]):
+        size, dtype = math.prod(shape), np.dtype(dtype)
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            if size > max(2 * _BLOCK_CELLS, _BLAS_ALIGN * shape[-1]):
                 return np.empty(shape, dtype)    # a whole table's: not kept
             self.buffers.pop(name, None)         # freed before its successor is made
-            self.buffers[name] = np.empty(max(size, _BLOCK_CELLS), dtype)
-        return self.buffers[name][:size].reshape(shape)
+            buffer = self.buffers[name] = np.empty(max(size, _BLOCK_CELLS), dtype)
+        return buffer[:size].reshape(shape)
 
 
 _workspace = _Workspace()
@@ -350,11 +344,14 @@ def _log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray
     those rows' products are set to 0 by slicing (0 log 0 = 0, also where
     p = 0).  The sums are added in the order log c + a log p_+, then
     + b log p_-.  ``out`` receives the sums and ``rest`` the second product
-    (new arrays when not given).
+    (new arrays when not given).  The products are outer products by
+    ``einsum``, which forms each a[i] log p_+[j] as one multiplication, as
+    ``np.multiply`` broadcast would (but for the sign of a zero, which no
+    sum keeps), in about half the time on a block.
     """
     with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
-        out = np.multiply(a[:, None], logpp, out=out)
-        rest = np.multiply(b[:, None], logpm, out=rest)
+        out = np.einsum("i,j->ij", a, logpp, out=out)
+        rest = np.einsum("i,j->ij", b, logpm, out=rest)
     if a[0] == 0.0:
         out[0] = 0.0
     if b[-1] == 0.0:
@@ -414,13 +411,12 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
     slower than on ordinary arguments.  The result is a new zero-filled
     array, or ``out``, of which only the columns ``cols`` are written.
 
-    The rows go through in passes of as many rows as the workspace keeps
-    (twice ``_BLOCK_CELLS`` cells of the window, or ``_BLAS_ALIGN`` + 1
-    rows), so the B_(m-1) of a block of tallies, one row more than the
-    block, goes through in one pass: each pass's log-sums and exp mask are
-    written into the thread's workspace, and its second product into the
-    pass's own window of the result, which exp then overwrites.  Every cell
-    is computed elementwise, so the passes change no bit.
+    The rows go through in passes of one block each (``_block_extent``), so
+    a block of tallies goes through in one pass: each pass's log-sums and
+    exp mask are written into the thread's workspace, and its second
+    product into the pass's own window of the result, which exp then
+    overwrites.  Every cell is computed elementwise, so the passes change no
+    bit.
     """
     if cols is None:
         cols = (slice(0, logpp.size) if logpp.size == 1
@@ -429,7 +425,7 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
         out = np.zeros((len(logc), logpp.size))
     window = out[:, cols]
     logpp, logpm = logpp[cols], logpm[cols]
-    step = max(2 * _BLOCK_CELLS // max(logpp.size, 1), _BLAS_ALIGN + 1)
+    step = _block_extent(len(logc), logpp.size)
     for r0 in range(0, len(logc), step):
         rows = slice(r0, r0 + step)
         part = window[rows]
@@ -509,22 +505,20 @@ def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray
 # A column window starts on a multiple of this many phases, and ends on one or at the last phase.
 _WINDOW_ALIGN = 64
 # The posterior summary keeps, per block of tallies, the phases where some row of the block can lie
-# within C nats of its peak (``_likelihood_windows``).  A dropped cell's term in one of the
-# summary's sums is below e^-C times that sum, times at most:
-#   - 2: pmf(k) = p_+ B(k-1) + p_- B(k) is at most twice the larger B row, which is bounded;
-#   - 1 / p_-(theta) for tally 0 (1 / p_+ for tally m), whose pmf is p_- B(0) where the lower
-#     bound reads B(0): 4 / (N h)^2 at a node h from a zero of p_-, where h is the node spacing;
+# within C nats of its peak (``_likelihood_windows``, which bounds the block's own pmf rows).  A
+# dropped cell's term in one of the summary's sums is below e^-C times that sum, times at most:
 #   - n dropped cells per row, and 4, the ratio of Simpson's largest and smallest weights;
 #   - score^2 / J for the information, which weighs dens * score^2: score = d log(pmf prior)
-#     / dtheta reaches m N cot(N h / 2) ~ 2 m / h on that node, against J >= m N^2 / 10, so
-#     score^2 / J <= 40 m / (N h)^2; and e^11 for (theta - mean)^2 / variance and theta / mean.
-# The information's factors are the largest: 2 * 4 * n * 4 / (N h)^2 * 40 m / (N h)^2, or
-# 1280 n m / (N h)^4 in all.  That is e^49.1 for n = 2001 nodes of [0, pi/2] (N h = pi / 2000),
-# N = 2 and m = 5000, where J >= 2000 and score = 1.3e7 give score^2 / J = e^25.1.  It is below
-# half an ulp (2^-54 = e^-37.4) when C > 37.4 + ln(1280 n m / (N h)^4), 86.5 there: no sum of
-# the summary moves a bit (Higham 2002, ch. 4).  The cut is this constant, or that bound plus a
-# margin where a finer grid or a larger m makes it larger (``_peak_cut``): from about n = 2.6e4
-# nodes on [0, pi/2] at m = 5000.  The tests compare with ``==`` up to m = 5000.
+#     / dtheta reaches m N cot(N h / 2) ~ 2 m / h at a node h from a zero of p_-, where h is the
+#     node spacing, against J >= m N^2 / 10, so score^2 / J <= 40 m / (N h)^2; and e^11 for
+#     (theta - mean)^2 / variance and theta / mean.
+# The information's factors are the largest: 4 * n * 40 m / (N h)^2, or 160 n m / (N h)^2 in all.
+# That is e^34.1 for n = 2001 nodes of [0, pi/2] (N h = pi / 2000), N = 2 and m = 5000, where
+# J >= 2000 and score = 1.3e7 give score^2 / J = e^25.1.  It is below half an ulp
+# (2^-54 = e^-37.4) when C > 37.4 + ln(160 n m / (N h)^2), 71.5 there: no sum of the summary
+# moves a bit (Higham 2002, ch. 4).  The cut is this constant, or that bound plus a margin where
+# a finer grid or a larger m makes it larger (``_peak_cut``): from about n = 2.2e7 nodes on
+# [0, pi/2] at m = 5000.  The tests compare with ``==`` up to m = 5000.
 _PEAK_CUT = 100.0
 
 
@@ -536,7 +530,7 @@ def _peak_cut(model: GhzParityModel, m: int, thetas: np.ndarray) -> float:
     """
     n = thetas.size
     nh = model.n_qubits * (thetas[-1] - thetas[0]) / (n - 1)
-    return max(_PEAK_CUT, 38.0 + math.log(1280.0 * n * m) - 4.0 * math.log(nh))
+    return max(_PEAK_CUT, 38.0 + math.log(160.0 * n * m) - 2.0 * math.log(nh))
 
 
 def _aligned(lo: int, hi: int, n: int) -> slice:
@@ -552,20 +546,20 @@ def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int 
                         log_prior: tuple[np.ndarray, np.ndarray]) -> tuple[slice, slice]:
     """The span of the rows k0 <= k < k1 of a posterior, and the narrower window it needs.
 
-    Both come from one ``_row_bounds`` pass over the rows k0-1 .. k1-1 of
-    B_(m-1).  The span holds every phase where one of those rows can pass
-    the exp cut (``_live_span``), so ``tally_pmf_with_dtheta``'s rows
-    k0 <= k < k1 are exactly 0 outside it; it is empty if they are 0 at
-    every phase.  ``log_prior`` is the pair (log prior, the same with each
-    -inf replaced by its largest value).  The lower bound plus the log
-    prior, maximised over phases, is at most every row's peak: the
-    log-likelihood is concave in k, so every row lies above the smaller of
-    the first and last.  The window keeps the phases where the upper bound
-    plus the second log prior is within the cut (``_peak_cut``) of that
-    floor, so a zero of the prior never narrows it by itself; it is cut to
-    the span.  It is the span when the floor less the cut is not above the
-    exp cut: dropped cells could then reach the subnormal range, where a
-    relative bound says nothing.
+    Both come from one ``_row_bounds`` pass over the pmf rows k0 .. k1-1.
+    The span holds every phase where one of those rows can pass the exp cut
+    (``_live_span``), so ``tally_pmf_matrix``'s rows k0 <= k < k1 are
+    exactly 0 outside it; it is empty if they are 0 at every phase.
+    ``log_prior`` is the pair (log prior, the same with each -inf replaced
+    by its largest value).  The lower bound plus the log prior, maximised
+    over phases, is at most every row's peak: the log-likelihood is concave
+    in k, so every row lies above the smaller of the first and last.  The
+    window keeps the phases where the upper bound plus the second log prior
+    is within the cut (``_peak_cut``) of that floor, so a zero of the prior
+    never narrows it by itself; it is cut to the span.  It is the span when
+    the floor less the cut is not above the exp cut: dropped cells could
+    then reach the subnormal range, where a relative bound says nothing.
+    With no shots (m = 0) both are the whole grid.
 
     Both start on a multiple of ``_WINDOW_ALIGN`` phases and end on one or
     at the last phase (``_aligned``), as the whole grid does.  With that
@@ -584,9 +578,9 @@ def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int 
     n = thetas.size
     if m == 0:
         return slice(0, n), slice(0, n)
-    k = np.arange(max(k0 - 1, 0), min(k1, m))
+    k = np.arange(k0, k1)
     kf = k.astype(float)
-    upper, lower = _row_bounds(log_binomial(m - 1, k), kf, m - 1 - kf, *_grid_logs(model, thetas))
+    upper, lower = _row_bounds(log_binomial(m, k), kf, m - kf, *_grid_logs(model, thetas))
     lo, hi = _live_span(upper)
     span = _aligned(lo, hi, n)
     log_p, log_p_top = log_prior
@@ -597,57 +591,16 @@ def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int 
     return span, _aligned(max(lo, band_lo), min(hi, band_hi), n)
 
 
-def tally_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
-                          k1: int | None = None, *, cols: slice | None = None,
-                          out: tuple[np.ndarray, np.ndarray] | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Tally pmf and its d/dtheta for k0 <= k < k1, both from one B_(m-1) matrix.
+def _score_factor(model: GhzParityModel, thetas: np.ndarray) -> np.ndarray:
+    """c = p_+' / (p_+ p_-) at every phase, 0 where p_+ p_- = 0.
 
-    Returns two arrays of shape (k1 - k0, len(thetas)) (default: every tally,
-    m+1 rows), filled in place from the rows k0-1 .. k1-1 of
-    B = ``tally_pmf_matrix(model, m - 1, thetas)`` with B(-1) = B(m) = 0:
-
-        pmf(k)  = p_+ B(k-1) + p_- B(k)
-        dpmf(k) = m p_+' [B(k-1) - B(k)]
-
-    Each row is bit for bit the same as in the full arrays (up to the sign
-    of a zero derivative).  B's rows are read on the window of phases
-    ``cols`` (default: every phase) into the thread's workspace, as one
-    contiguous (k1 - k0 + 1, width) array whose first row is B(k0-1) and
-    last B(k1-1), a zero row standing in for B(-1) and for B(m); the rules
-    are then whole-array operations on its first and last k1 - k0 rows.
-    Outside the span of ``_likelihood_windows`` both arrays are exactly 0,
-    so a window that holds that span, or the whole grid, gives every
-    nonzero cell.  ``out``, a pair of (k1 - k0, width of ``cols``) arrays,
-    receives the window of the pmf and derivative, and is returned in place
-    of two new zero-filled arrays of the full width.  At the deterministic
-    channels B is a unit vector, so the pmf is exactly one too and the
-    derivative is finite without special cases.
+    The score of tally k of m shots is d/dtheta log pmf(k | theta) =
+    c (k - m p_+), with p_- = 1 - p_+ as the kernel takes it.  Where
+    p_+ p_- = 0 the pmf is 0 on every row but one, whose score tends to 0
+    there: p_+' vanishes at p_+ = 1 and is a rounding residue at p_+ = 0
+    (-1.2e-16 at pi/2 for N = 2), so c = 0 is the exact limit.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    k0, k1 = _row_range(m, k0, k1)
-    if cols is None:
-        cols = slice(0, thetas.size)
-    if out is None:
-        pmf, dpmf = np.zeros((k1 - k0, thetas.size)), np.zeros((k1 - k0, thetas.size))
-        tally_pmf_with_dtheta(model, m, thetas, k0, k1, cols=cols,
-                              out=(pmf[:, cols], dpmf[:, cols]))
-        return pmf, dpmf
-    p, dp = out
-    if m == 0:
-        p.fill(1.0)
-        dp.fill(0.0)
-        return p, dp
-    window = thetas[cols]
-    b = _workspace.take("scratch", (k1 - k0 + 1, window.size))   # B(k0-1) .. B(k1-1)
-    first, last = int(k0 == 0), len(b) - int(k1 == m + 1)
-    b[:first] = 0.0
-    b[last:] = 0.0
-    tally_pmf_matrix(model, m - 1, thetas, k0 - 1 + first, k0 - 1 + last, cols=cols,
-                     out=b[first:last])
-    pp = model.prob_plus(window)
-    np.multiply(b[1:], 1.0 - pp, out=p)
-    p += np.multiply(b[:-1], pp, out=dp)         # p_+ B(k-1), in dp for a moment
-    np.subtract(b[:-1], b[1:], out=dp)
-    dp *= m * model.dprob_dtheta(window)
-    return p, dp
+    pp = model.prob_plus(thetas)
+    both = pp * (1.0 - pp)
+    return np.divide(model.dprob_dtheta(thetas), both, out=np.zeros_like(both),
+                     where=both != 0.0)

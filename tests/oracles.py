@@ -34,11 +34,17 @@ the package also computes, by an independent route:
   ``rbound.avg_mse`` with ``==`` (gemv sums a whole matrix's rows in lanes
   that depend on the OpenBLAS thread count from about 2600 rows on, so
   larger m are compared with one BLAS thread);
-* ``full_width_posterior_summary`` - the per-tally posterior summary with
-  every pass over whole rows of the grid, as it was before the passes were
-  trimmed to each block's nonzero column window, on the scipy B_(m-1), in
-  blocks of 64 tallies of its own, whose gemv sums are the whole table's;
-  against ``estimate.posterior_summary``, field for field with ``==``;
+* ``full_width_posterior_summary`` (with ``full_width_posterior_table``) -
+  the per-tally posterior summary with every pass over whole rows of the
+  grid, as it was before the passes were trimmed to each block's nonzero
+  column window, on the scipy pmf, in blocks of 64 tallies of its own,
+  whose gemv sums are the whole table's, and its slope check over every
+  cell; against ``estimate.posterior_summary``, field for field with ``==``;
+* ``full_width_pmf_with_dtheta`` and ``score_pmf_derivative`` - the pmf
+  and its derivative by Pascal's rule on the scipy B_(m-1), as the summary
+  derived them before it took the closed-form score, and the scipy pmf with
+  its derivative by that score; against each other and against
+  ``model.tally_pmf_matrix`` and ``tally_pmf_dtheta_matrix``;
 * ``lbvm_reference`` - the Gaussian (Bernstein-von Mises) reference posterior
   that saturates the Ghosh bound, returned as a prior so that the posterior
   summary at m = 0 evaluates it;
@@ -382,7 +388,12 @@ def whole_matrix_avg_mse(estimator: Estimator, prior_true: PriorDensity, m: int,
 
 def full_width_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 0,
                                k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Tally pmf and its d/dtheta for k0 <= k < k1 by Pascal's rule on whole rows of B_(m-1)."""
+    """Tally pmf and its d/dtheta for k0 <= k < k1 by Pascal's rule on whole rows of B_(m-1).
+
+    pmf(k) = p_+ B(k-1) + p_- B(k) and dpmf(k) = m p_+' [B(k-1) - B(k)], with
+    B = the scipy pmf of m - 1 shots: a route to both arrays independent of
+    the log-domain kernel and of the closed-form score.
+    """
     thetas = np.asarray(thetas, dtype=float)
     k1 = m + 1 if k1 is None else k1
     if m == 0:
@@ -409,14 +420,34 @@ def full_width_pmf_with_dtheta(model: GhzParityModel, m: int, thetas, k0: int = 
     return pmf, dpmf
 
 
+def score_pmf_derivative(model: GhzParityModel, m: int, thetas, k0: int = 0,
+                         k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The scipy tally pmf for k0 <= k < k1 and its d/dtheta by the closed-form score.
+
+    dpmf(k) = pmf(k) c (k - m p_+) with c = p_+' / (p_+ p_-), and c = 0
+    where p_+ p_- = 0, as the posterior summary weighs the pmf.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    k1 = m + 1 if k1 is None else k1
+    pmf = scipy_tally_pmf_matrix(model, m, thetas, k0, k1)
+    k = np.arange(k0, k1, dtype=float)
+    return pmf, pmf * (_score_factor(model, thetas) * (k[:, None] - m * model.prob_plus(thetas)))
+
+
+def _score_factor(model: GhzParityModel, thetas: np.ndarray) -> np.ndarray:
+    """p_+' / (p_+ p_-) at every phase, 0 where p_+ p_- = 0."""
+    pp = model.prob_plus(thetas)
+    both = pp * (1.0 - pp)
+    return np.where(both == 0.0, 0.0,
+                    model.dprob_dtheta(thetas) / np.where(both == 0.0, 1.0, both))
+
+
 def full_width_posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int = 0,
                                k1: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalised posterior densities, derivatives and marginals of tallies k0..k1-1, whole rows."""
+    """Normalised posterior densities, pmf and marginals of tallies k0..k1-1, on whole rows."""
     grid = prior.grid
-    density, derivative = full_width_pmf_with_dtheta(model, m, grid.nodes, k0, k1)
-    derivative *= prior.values
-    derivative += density * prior.derivative
-    density *= prior.values
+    pmf = scipy_tally_pmf_matrix(model, m, grid.nodes, k0, k1)
+    density = pmf * prior.values
     marginal = density @ grid.weights
     bad = ~(np.isfinite(marginal) & (marginal > 0.0))
     if np.any(bad):
@@ -424,8 +455,7 @@ def full_width_posterior_table(prior: PriorDensity, m: int, model: GhzParityMode
         raise DegeneratePosteriorError(
             f"posterior normalisation underflowed for tally k={k_bad}, m={m}")
     density /= marginal[:, None]
-    derivative /= marginal[:, None]
-    return density, derivative, marginal
+    return density, pmf, marginal
 
 
 # Rows of the whole-row summary's blocks: a multiple of 16, so that each row's matrix-vector
@@ -434,30 +464,41 @@ _FULL_WIDTH_ROWS = 64
 
 
 def full_width_posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
-    """Per-tally posterior summary in blocks of 64 tallies, every pass on whole rows."""
+    """Per-tally posterior summary in blocks of 64 tallies, every pass on whole rows.
+
+    The information is sum_j w_j dens score^2, with the posterior's score
+    k c + pi'/pi - m p_+ c (c as in ``score_pmf_derivative``, pi'/pi = 0
+    where pi = 0); the slope is dens score, and pmf pi' / p_mar(k) where
+    pi = 0.
+    """
     grid = prior.grid
     nodes, w = grid.nodes, grid.weights
     a, b = grid.a, grid.b
+    c = _score_factor(model, nodes)
+    zero_prior = prior.values == 0.0
+    prior_score = np.where(zero_prior, 0.0,
+                           prior.derivative / np.where(zero_prior, 1.0, prior.values))
+    e = prior_score - m * model.prob_plus(nodes) * c
     rows = _FULL_WIDTH_ROWS
     marginal, means, variance, boundary, information = (np.empty(m + 1) for _ in range(5))
     failure = None
     for k0 in range(0, m + 1, rows):
         k1 = min(k0 + rows, m + 1)
-        dens, ddens, marginal[k0:k1] = full_width_posterior_table(prior, m, model, k0, k1)
+        dens, pmf, marginal[k0:k1] = full_width_posterior_table(prior, m, model, k0, k1)
         mean = means[k0:k1] = (dens * nodes) @ w
         variance[k0:k1] = ((nodes[None, :] - mean[:, None]) ** 2 * dens) @ w
+        score = np.arange(k0, k1, dtype=float)[:, None] * c + e
+        information[k0:k1] = (score**2 * dens) @ w
+        boundary[k0:k1] = b * dens[:, -1] - a * dens[:, 0] - mean * (dens[:, -1] - dens[:, 0])
 
+        slope = np.where(zero_prior, pmf * prior.derivative / marginal[k0:k1, None], dens * score)
         zero = dens == 0.0
         if failure is None and np.any(zero):
-            floor = DERIVATIVE_NOISE_REL * np.max(np.abs(ddens), axis=1, keepdims=True)
-            bad = zero & (np.abs(ddens) > floor)
+            floor = DERIVATIVE_NOISE_REL * np.max(np.abs(slope), axis=1, keepdims=True)
+            bad = zero & (np.abs(slope) > floor)
             if np.any(bad):
                 k_bad = k0 + int(np.flatnonzero(np.any(bad, axis=1))[0])
                 failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # cells where zero
-            integrand = np.where(zero, 0.0, ddens**2 / np.where(zero, 1.0, dens))
-        information[k0:k1] = integrand @ w
-        boundary[k0:k1] = b * dens[:, -1] - a * dens[:, 0] - mean * (dens[:, -1] - dens[:, 0])
 
     num = (boundary - 1.0) ** 2
     degenerate = information <= 0.0

@@ -15,8 +15,8 @@ from phasebound.model import (
     GhzParityModel,
     ModelError,
     PhaseDomain,
+    _score_factor,
     tally_pmf_matrix,
-    tally_pmf_with_dtheta,
 )
 from phasebound.numerics import custom_prior, family45_prior, integrate, maximize_1d
 
@@ -117,18 +117,18 @@ class TestMle:
 
 class TestPosteriorConstruction:
     def test_flat_single_shot_density(self, model, flat):
-        dens, _, marg = posterior_table(flat, 1, model, 1, 2)
+        dens, marg = posterior_table(flat, 1, model, 1, 2)
         assert dens[0, 0] == pytest.approx(FLAT11_DENSITY_AT_ZERO, abs=1e-9)
         assert dens[0, -1] == pytest.approx(0.0, abs=1e-15)
         assert marg[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_no_data_returns_prior(self, model, flat):
-        dens, _, _ = posterior_table(flat, 0, model)
+        dens, _ = posterior_table(flat, 0, model)
         np.testing.assert_allclose(dens[0], flat.values, atol=1e-14)
 
     def test_vanishing_prior_vanishes_in_posterior(self, model, grid):
         prior = family45_prior(10.0, grid)
-        dens, _, _ = posterior_table(prior, 1, model, 1, 2)
+        dens, _ = posterior_table(prior, 1, model, 1, 2)
         assert dens[0, 0] == 0.0
         assert abs(dens[0, -1]) < 1e-12
 
@@ -136,32 +136,35 @@ class TestPosteriorConstruction:
     def test_normalisation_battery(self, model, grid, flat, m):
         for prior in (flat, family45_prior(-100.0, grid), family45_prior(-10.0, grid),
                       family45_prior(1.0, grid), family45_prior(10.0, grid)):
-            dens, _, marg = posterior_table(prior, m, model)
+            dens, marg = posterior_table(prior, m, model)
             norms = dens @ grid.weights
             assert float(np.max(np.abs(norms - 1.0))) < 1e-9
             assert abs(marg.sum() - 1.0) < 1e-9
 
     def test_derivative_consistency(self, model, flat, grid):
-        dens, ddens, _ = posterior_table(flat, 5, model, 3, 4)
+        # the density times the closed-form score, as the summary's information weighs
+        # it, against finite differences of the density (a flat prior adds no score)
+        m, k = 5, 3
+        dens, _ = posterior_table(flat, m, model, k, k + 1)
+        c = _score_factor(model, grid.nodes)
+        ddens = dens[0] * (k * c - m * model.prob_plus(grid.nodes) * c)
         inner = slice(1, -1)
         fd = np.gradient(dens[0], grid.nodes)
-        np.testing.assert_allclose(ddens[0, inner], fd[inner], rtol=5e-3, atol=1e-4)
+        np.testing.assert_allclose(ddens[inner], fd[inner], rtol=5e-3, atol=1e-4)
 
 
 class TestBuildPosteriorRow:
     @pytest.mark.parametrize("m", [1, 7, 1000])
     def test_equals_full_table_row(self, model, grid, m):
-        # a one-row posterior_table computes only its tally's row; the full pair gives the same bits
+        # a one-row posterior_table computes only its tally's row; the full pmf gives the same bits
         prior = family45_prior(10.0, grid)
-        like, dlike = tally_pmf_with_dtheta(model, m, grid.nodes)
+        like = tally_pmf_matrix(model, m, grid.nodes)
         for k in (0, m // 2, m):
             raw = like[k] * prior.values
             marginal = raw @ grid.weights     # posterior_table's reduction, not integrate's
-            dens, ddens, marg = posterior_table(prior, m, model, k, k + 1)
+            dens, marg = posterior_table(prior, m, model, k, k + 1)
             assert marg[0] == marginal
             np.testing.assert_array_equal(dens[0], raw / marginal)
-            np.testing.assert_array_equal(
-                ddens[0], (dlike[k] * prior.values + like[k] * prior.derivative) / marginal)
 
 
 class TestPosteriorSummaries:
@@ -179,14 +182,14 @@ class TestPosteriorSummaries:
 
     def test_variance_minimal_at_mean(self, model, flat, grid):
         summary = PosteriorMeanEstimator(model, flat).summary(7)
-        dens, _, _ = posterior_table(flat, 7, model, 2, 3)
+        dens, _ = posterior_table(flat, 7, model, 2, 3)
         v0 = summary.variance[2]
         for center in (0.3, 0.5, 1.0):
             assert integrate((grid.nodes - center) ** 2 * dens[0], grid) >= v0 - 1e-15
 
     def test_parallel_axis_identity(self, model, flat, grid):
         summary = PosteriorMeanEstimator(model, flat).summary(7)
-        dens, _, _ = posterior_table(flat, 7, model, 2, 3)
+        dens, _ = posterior_table(flat, 7, model, 2, 3)
         mu, v0 = summary.mean[2], summary.variance[2]
         c = 0.9
         assert integrate((grid.nodes - c) ** 2 * dens[0], grid) == pytest.approx(
@@ -198,7 +201,7 @@ class TestPosteriorSummaries:
         cell = (domain.b - domain.a) / (flat.grid.node_count - 1)
         mle = MaximumLikelihoodEstimator(model, domain)
         for m in range(1, 51):
-            dens, _, _ = posterior_table(flat, m, model)
+            dens, _ = posterior_table(flat, m, model)
             maps = flat.grid.nodes[np.argmax(dens, axis=1)]
             assert np.all(np.abs(maps - mle.values(m)) <= cell)
 

@@ -14,6 +14,7 @@ from oracles import (
     scipy_tally_pmf_dtheta_matrix,
     scipy_tally_pmf_matrix,
     scipy_tally_probability,
+    score_pmf_derivative,
 )
 from phasebound.model import (
     GhzParityModel,
@@ -23,13 +24,21 @@ from phasebound.model import (
     require_identifiable,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
-    tally_pmf_with_dtheta,
 )
 
 
 def _pmf(model, theta, m):
     """The one-phase column of the tally pmf, k = 0..m."""
     return tally_pmf_matrix(model, m, [theta])[:, 0]
+
+
+def _score_pair(model, m, thetas, k0=0, k1=None):
+    """The pmf rows k0 <= k < k1 and their d/dtheta by the closed-form score pmf c (k - m p_+)."""
+    thetas = np.asarray(thetas, dtype=float)
+    pmf = tally_pmf_matrix(model, m, thetas, k0, k1)
+    k = np.arange(k0, k0 + len(pmf), dtype=float)[:, None]
+    score = model_module._score_factor(model, thetas) * (k - m * model.prob_plus(thetas))
+    return pmf, pmf * score
 
 
 class TestSingleShotProbabilities:
@@ -172,41 +181,55 @@ class TestPmfDerivative:
 
 
 class TestPmfWithDerivative:
-    """The B_(m-1)-derived pair against the log-domain kernels."""
+    """The pmf's derivative by the closed-form score, against the log-domain kernels.
+
+    Pascal's rule on B_(m-1) (``oracles.full_width_pmf_with_dtheta``), the
+    route the posterior summary took before the score, is a third,
+    independent route to both arrays.
+    """
 
     THETAS = np.linspace(0.0, math.pi / 2, 2001)
 
     @pytest.mark.parametrize("m", [1, 2, 20, 1000])
     def test_pmf_matches_log_domain_kernel(self, model, m):
-        pmf, _ = tally_pmf_with_dtheta(model, m, self.THETAS)
+        pmf, _ = full_width_pmf_with_dtheta(model, m, self.THETAS)
         ref = tally_pmf_matrix(model, m, self.THETAS)
         rel = np.abs(pmf - ref) / np.maximum(ref, np.finfo(float).tiny)
         assert float(np.max(rel)) <= 1e-10
 
     @pytest.mark.parametrize("m", [1, 2, 20, 1000])
     def test_derivative_matches_log_domain_kernel(self, model, m):
-        _, dpmf = tally_pmf_with_dtheta(model, m, self.THETAS)
-        ref = tally_pmf_dtheta_matrix(model, m, self.THETAS)
-        scale = np.maximum(np.max(np.abs(ref), axis=0), np.finfo(float).tiny)
-        assert float(np.max(np.abs(dpmf - ref) / scale)) <= 1e-9
+        _, dpmf = _score_pair(model, m, self.THETAS)
+        _assert_close_derivatives(dpmf, tally_pmf_dtheta_matrix(model, m, self.THETAS), m)
+        _assert_close_derivatives(dpmf, full_width_pmf_with_dtheta(model, m, self.THETAS)[1], m)
 
     @pytest.mark.parametrize("m", [1, 2, 20, 1000])
     def test_deterministic_channels(self, model, m):
-        pmf, dpmf = tally_pmf_with_dtheta(model, m, np.array([0.0, math.pi / 2]))
+        # c = 0 where p_+ p_- = 0: the derivative is exactly 0, where Pascal's rule leaves
+        # m p_+'(pi/2), a rounding residue of -1.2e-16 per shot
+        thetas = np.array([0.0, math.pi / 2])
+        pmf, dpmf = _score_pair(model, m, thetas)
         unit = np.zeros(m + 1)
         unit[m] = 1.0
         np.testing.assert_array_equal(pmf[:, 0], unit)      # p_+ = 1: every shot is +1
         np.testing.assert_array_equal(pmf[:, 1], unit[::-1])  # p_+ = 0: every shot is -1
-        assert np.all(np.isfinite(dpmf))
+        assert not dpmf.any()
+        assert np.max(np.abs(full_width_pmf_with_dtheta(model, m, thetas)[1])) <= m * 1.3e-16
 
     @pytest.mark.parametrize("m", [1, 2, 20, 1000])
     def test_derivative_columns_sum_to_zero(self, model, m):
-        _, dpmf = tally_pmf_with_dtheta(model, m, self.THETAS)
+        # sum_k pmf c (k - m p_+) = c (E k - m p_+) = 0; the score form rounds m p_+ before
+        # it subtracts, an error of a few ulp of m that c, up to 2 / h at a node h from
+        # p_- = 0, carries into every term (1.4e-10 of the column's largest term at m = 20
+        # on the node next to 0, where Pascal's rule gives 1e-15)
+        _, dpmf = _score_pair(model, m, self.THETAS)
         scale = np.max(np.abs(dpmf), axis=0)
-        assert np.all(np.abs(dpmf.sum(axis=0)) <= 1e-12 * scale + 1e-300)
+        c = model_module._score_factor(model, self.THETAS)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(dpmf.sum(axis=0)) <= 1e-12 * scale + 8 * eps * m * np.abs(c) + 1e-300)
 
     def test_no_shots(self, model):
-        pmf, dpmf = tally_pmf_with_dtheta(model, 0, self.THETAS[:5])
+        pmf, dpmf = _score_pair(model, 0, self.THETAS[:5])
         np.testing.assert_array_equal(pmf, np.ones((1, 5)))
         np.testing.assert_array_equal(dpmf, np.zeros((1, 5)))
 
@@ -233,19 +256,44 @@ class TestRowRanges:
 
     @pytest.mark.parametrize("m", [1, 2, 20, 1000])
     def test_pmf_with_dtheta_rows(self, model, m):
-        # every bit of both arrays, the sign of a zero derivative included: the rows k = 0
-        # and k = m read the zero rows that stand in for B(-1) and B(m)
-        pmf, dpmf = tally_pmf_with_dtheta(model, m, self.THETAS)
+        # the score-form derivative of a row range, whose k start at k0 as in a summary
+        # block, is that slice of the full one bit for bit, the sign of a zero included,
+        # and agrees with Pascal's rule on the same rows
+        pmf, dpmf = _score_pair(model, m, self.THETAS)
         for k0, k1 in self._ranges(m):
-            got_pmf, got_dpmf = tally_pmf_with_dtheta(model, m, self.THETAS, k0, k1)
+            got_pmf, got_dpmf = _score_pair(model, m, self.THETAS, k0, k1)
             _assert_same_doubles(got_pmf, pmf[k0:k1])
             _assert_same_doubles(got_dpmf, dpmf[k0:k1])
+            _assert_close_derivatives(
+                got_dpmf, full_width_pmf_with_dtheta(model, m, self.THETAS, k0, k1)[1], m, dpmf)
 
     @pytest.mark.parametrize("k0,k1", [(-1, 2), (2, 2), (3, 2), (0, 7), (6, 7)])
     def test_rejects_bad_ranges(self, model, k0, k1):
-        for kernel in (tally_pmf_matrix, tally_pmf_with_dtheta):
+        flat = (np.zeros(3),) * 2
+
+        def windows(*args):
+            return model_module._likelihood_windows(*args, flat)
+
+        for kernel in (tally_pmf_matrix, windows):
             with pytest.raises(ModelError):
                 kernel(model, 5, self.THETAS[:3], k0, k1)
+
+
+def _assert_close_derivatives(got, want, m, whole=None, rel=1e-9):
+    """d/dtheta of the tally pmf on 0..pi/2 within ``rel`` of ``want``, per column's largest.
+
+    The largest |entry| of each column is ``whole``'s, every row of which the
+    rows compared are some, or by default ``want``'s.
+
+    The last column is pi/2, where p_+ = 0 and p_+' is a rounding residue of
+    -1.2e-16: there ``want`` may hold m p_+' times a pmf row (Pascal's rule
+    and the log-domain kernel do) and ``got``, the score form at its exact
+    limit, is 0.
+    """
+    whole = want if whole is None else whole
+    scale = np.maximum(np.max(np.abs(whole[:, :-1]), axis=0), np.finfo(float).tiny)
+    assert float(np.max(np.abs(got[:, :-1] - want[:, :-1]) / scale)) <= rel
+    assert not got[:, -1].any() and float(np.max(np.abs(want[:, -1]))) <= m * 1.3e-16
 
 
 def _assert_same_doubles(got, want):
@@ -301,15 +349,14 @@ class TestScipyOracle:
                                  scipy_tally_pmf_dtheta_matrix(model, m, cols))
 
     @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
-    def test_pmf_with_dtheta(self, model, m, monkeypatch):
-        # the derived kernel against itself on the scipy B_(m-1), full and row-ranged
+    def test_pmf_with_dtheta(self, model, m):
+        # the closed-form score's derivative on the package's kernel and c against the same
+        # on the scipy pmf, full and row-ranged
         ranges = [(0, m + 1), (m // 3, 2 * m // 3 + 1), (m, m + 1)]
         for cols in self.BLOCKS:
-            got = [tally_pmf_with_dtheta(model, m, cols, k0, k1) for k0, k1 in ranges]
-            with monkeypatch.context() as patch:
-                patch.setattr(model_module, "tally_pmf_matrix", scipy_tally_pmf_matrix)
-                want = [tally_pmf_with_dtheta(model, m, cols, k0, k1) for k0, k1 in ranges]
-            for (pmf, dpmf), (want_pmf, want_dpmf) in zip(got, want):
+            for k0, k1 in ranges:
+                pmf, dpmf = _score_pair(model, m, cols, k0, k1)
+                want_pmf, want_dpmf = score_pmf_derivative(model, m, cols, k0, k1)
                 _assert_same_doubles(pmf, want_pmf)
                 _assert_same_doubles(dpmf, want_dpmf)
 
@@ -323,20 +370,21 @@ class TestScipyOracle:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
     def test_pmf_with_dtheta_on_whole_rows(self, model, m):
-        # Pascal's rule on the likelihood window against the same rule on whole rows
-        # of the scipy B_(m-1), on the default and an off-branch grid
+        # the pmf rows read on the span of ``_likelihood_windows`` into a window-shaped
+        # array, as a summary block reads them, against whole rows of the scipy pmf, on the
+        # default and an off-branch grid; every cell outside the span is exactly 0
         ranges = [(0, m + 1), (0, min(131, m + 1)), (m // 3, 2 * m // 3 + 1), (m, m + 1)]
         for cols in [*self.BLOCKS, np.linspace(-0.3, 1.2, 2001)]:
             for k0, k1 in ranges:
-                pmf, dpmf = tally_pmf_with_dtheta(model, m, cols, k0, k1)
-                want_pmf, want_dpmf = full_width_pmf_with_dtheta(model, m, cols, k0, k1)
-                np.testing.assert_array_equal(pmf, want_pmf)
-                np.testing.assert_array_equal(dpmf, want_dpmf)
+                want = scipy_tally_pmf_matrix(model, m, cols, k0, k1)
                 flat = (np.zeros(cols.size),) * 2
-                window = model_module._likelihood_windows(model, m, cols, k0, k1, flat)[0]
+                span = model_module._likelihood_windows(model, m, cols, k0, k1, flat)[0]
+                got = np.full((k1 - k0, span.stop - span.start), np.nan)
+                tally_pmf_matrix(model, m, cols, k0, k1, cols=span, out=got)
+                _assert_same_doubles(got, want[:, span])
                 outside = np.ones(cols.size, dtype=bool)
-                outside[window] = False
-                assert not pmf[:, outside].any() and not dpmf[:, outside].any()
+                outside[span] = False
+                assert not want[:, outside].any()
 
     @pytest.mark.parametrize("m", [1, 20, 1000, 5000])
     def test_pmf_matrix_off_branch(self, model, m):
@@ -404,3 +452,19 @@ class TestDomainsAndPoints:
     def test_default_domain(self):
         d = PhaseDomain()
         assert d.a == 0.0 and d.b == pytest.approx(math.pi / 2)
+
+
+class TestWorkspace:
+    def test_take_honours_dtype(self):
+        # a name taken as float and then as bool is a bool array, and a float again
+        workspace = model_module._Workspace()
+        assert workspace.take("zero", (4,), float).dtype == np.float64
+        mask = workspace.take("zero", (3, 4), bool)
+        assert mask.dtype == np.bool_ and mask.shape == (3, 4)
+        assert workspace.take("zero", (2,), float).dtype == np.float64
+
+    def test_take_reuses_a_buffer_of_its_dtype(self):
+        workspace = model_module._Workspace()
+        first = workspace.take("mask", (16, 64), bool)
+        again = workspace.take("mask", (32, 32), bool)
+        assert again.dtype == np.bool_ and np.shares_memory(first, again)

@@ -25,7 +25,9 @@ posterior mean and variance, and its Ghosh bound (f - 1)^2 / J, with the
 boundary term f from the end nodes and J = sum_j w_j (L' pi + L pi')^2 /
 (L pi) / p_mar(k) over the nodes where L pi > 0.  ``POSTERIOR_MEASURED`` is
 each quantity's worst relative error over the tallies of one (m, alpha),
-pinned like the kernel's.
+pinned like the kernel's.  ``LARGE_M_MEASURED`` does the same for the
+information, mean and variance of a few tallies at m = 100, 1000 and 5000,
+where the summary's rounding grows with m.
 
 Ziv-Zakai's crossing tallies (``rbound._crossings``, a closed form on the
 kernel's logs) are checked against the exact first tally where
@@ -51,22 +53,25 @@ from phasebound import rbound
 from phasebound.estimate import posterior_summary
 from phasebound.model import (
     GhzParityModel,
+    _score_factor,
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
-    tally_pmf_with_dtheta,
 )
 
 THETAS = [math.pi / 4, math.pi / 8, math.pi / 6, math.pi / 3, 3 * math.pi / 8, 0.1, 1.4]
-# m: worst error of tally_pmf_matrix, tally_pmf_with_dtheta's pmf, tally_pmf_dtheta_matrix,
-# tally_pmf_with_dtheta's derivative (0 where the kernel is exact up to the oracle's rounding)
+# m: worst error of tally_pmf_matrix, tally_pmf_dtheta_matrix and the closed-form score's
+# derivative pmf c (k - m p_+) on tally_pmf_matrix (``model._score_factor``'s c, the posterior
+# summary's; 0 where exact up to the oracle's rounding).  The score form rounds m p_+ before
+# k - m p_+, and c carries 1 / (p_+ p_-): at m = 3 its figure is 19 times the derivative
+# kernel's.
 MEASURED = {
-    1: (1.2e-16, 0.0, 0.0, 0.0),
-    2: (2.44e-16, 1.2e-16, 1.14e-16, 1.14e-16),
-    3: (7.6e-16, 2.87e-16, 2.05e-16, 1.63e-16),
-    20: (9.03e-15, 8.45e-15, 1.55e-15, 5.58e-15),
-    100: (1.05e-13, 8.74e-14, 1.35e-14, 6.24e-14),
-    1000: (1.93e-12, 1.54e-12, 1.52e-13, 1.84e-12),
-    5000: (1.57e-11, 1.35e-11, 5.62e-13, 1.47e-11),
+    1: (1.2e-16, 0.0, 1.84e-16),
+    2: (2.44e-16, 1.14e-16, 2.06e-16),
+    3: (7.6e-16, 2.05e-16, 3.96e-15),
+    20: (9.03e-15, 1.55e-15, 1.94e-15),
+    100: (1.05e-13, 1.35e-14, 1.3e-14),
+    1000: (1.93e-12, 1.52e-13, 1.61e-13),
+    5000: (1.57e-11, 5.62e-13, 5.67e-13),
 }
 # (m, alpha): worst relative error of posterior_summary's marginal, mean, variance and ghosh
 POSTERIOR_MEASURED = {
@@ -126,22 +131,24 @@ def _failure(cell: str, pin: float, errors: np.ndarray, got: np.ndarray,
 @pytest.mark.parametrize("m", sorted(MEASURED))
 def test_kernels_against_exact_binomial(m):
     model = GhzParityModel(2)
-    pmfs = {"tally_pmf_matrix": tally_pmf_matrix(model, m, THETAS)}
-    pmfs["tally_pmf_with_dtheta"], with_dtheta = tally_pmf_with_dtheta(model, m, THETAS)
+    pmf = tally_pmf_matrix(model, m, THETAS)
+    pmfs = {"tally_pmf_matrix": pmf}
+    tallies = np.arange(m + 1, dtype=float)[:, None]
+    score = _score_factor(model, np.array(THETAS)) * (tallies - m * model.prob_plus(THETAS))
     derivatives = {"tally_pmf_dtheta_matrix": tally_pmf_dtheta_matrix(model, m, THETAS),
-                   "tally_pmf_with_dtheta (derivative)": with_dtheta}
+                   "score form pmf c (k - m p_+)": pmf * score}
     pins = [2.0 * max(figure, 2.0**-53) for figure in MEASURED[m]]
     failures = []
     for j, theta in enumerate(THETAS):
         (p_hi, p_lo), (d_hi, d_lo), tiny, slope = _exact_column(model, m, theta)
         normal = p_hi >= NORMAL_MIN
-        for (name, got), pin in zip(pmfs.items(), pins[:2]):
+        for (name, got), pin in zip(pmfs.items(), pins[:1]):
             errors = np.divide(np.abs((got[:, j] - p_hi) - p_lo), p_hi, where=normal,
                                out=np.zeros(m + 1))
             failures += _failure(f"{name}, m={m}, theta={theta!r}", pin, errors, got[:, j],
                                  p_hi)
         scale = m * slope * p_hi.max()
-        for (name, got), pin in zip(derivatives.items(), pins[2:]):
+        for (name, got), pin in zip(derivatives.items(), pins[1:]):
             errors = np.abs((got[:, j] - d_hi) - d_lo) / scale
             failures += _failure(f"{name}, m={m}, theta={theta!r}", pin, errors, got[:, j],
                                  d_hi)
@@ -233,6 +240,61 @@ def test_posterior_summary_against_exact_sums(m):
                 failures += _failure(f"{name}, m={m}, alpha={alpha:g}",
                                      2.0 * max(figure, 2.0**-53), errors, values,
                                      np.array([float(x) for x in exact[name]]))
+    assert failures == []
+
+
+# (m, k): worst relative error of posterior_summary's information, mean and variance of one
+# tally at large m, alpha = 10, on the prior's own nodes.  Before the summary took the closed-
+# form score it derived the pmf's derivative by Pascal's rule, m p_+' (B(k-1) - B(k)) on
+# B_(m-1), which cancels near each row's mode: its information errors were 1.5e-14, 5.17e-15,
+# 1.83e-12, 2.02e-12, 7.42e-14, 2.04e-11 and 7.03e-13 on these tallies, in this order
+LARGE_M_MEASURED = {
+    (100, 5): (1.06e-16, 4.32e-16, 9.26e-17),
+    (100, 50): (3.37e-16, 2.42e-16, 6.97e-16),
+    (1000, 26): (4.57e-16, 4.24e-20, 3.97e-16),
+    (1000, 80): (4.71e-16, 6.02e-17, 5.58e-16),
+    (1000, 500): (9.61e-15, 9.43e-17, 9.24e-15),
+    (5000, 79): (2.64e-16, 1.35e-16, 4.78e-16),
+    (5000, 2500): (2.85e-14, 2.46e-16, 2.79e-14),
+}
+LARGE_M_FIELDS = ("information", "mean", "variance")
+
+
+def _exact_tally(alpha: float, m: int, k: int) -> dict:
+    """Information, mean and variance of tally k, exact on the prior's nodes, as ``_exact_summary``."""
+    model = GhzParityModel(2)
+    prior, (a, a1, a2, b, c), _ = _prior_weights(alpha)
+    cmk, zero = mpmath.binomial(m, k), mpmath.mpf(0)
+    like, slope, score = [], [], []
+    for p, s in zip(model.prob_plus(prior.grid.nodes).tolist(),
+                    model.dprob_dtheta(prior.grid.nodes).tolist()):
+        pp, pm, dp = mpmath.mpf(p), mpmath.mpf(1.0 - p), mpmath.mpf(s)
+        x = cmk * pp**k * pm**(m - k)
+        d = zero if not x else cmk * dp * ((k * pp**(k - 1) * pm**(m - k) if k else zero)
+                                          - ((m - k) * pp**k * pm**(m - k - 1) if k < m else zero))
+        like.append(x)
+        slope.append(d)
+        score.append(d * d / x if x else zero)
+    z = mpmath.fdot(like, a)
+    mean = mpmath.fdot(like, a1) / z
+    info = (mpmath.fdot(score, a) + 2 * mpmath.fdot(slope, b) + mpmath.fdot(like, c)) / z
+    return {"information": info, "mean": mean, "variance": mpmath.fdot(like, a2) / z - mean * mean}
+
+
+@pytest.mark.parametrize("m", sorted({m for m, _ in LARGE_M_MEASURED}))
+def test_posterior_information_at_large_m(m):
+    failures = []
+    with mpmath.workdps(50):      # _prior_weights forms its exact products at 50 digits
+        got = posterior_summary(_prior_weights(10.0)[0], m, GhzParityModel(2))
+        for k in sorted(kk for mm, kk in LARGE_M_MEASURED if mm == m):
+            exact = _exact_tally(10.0, m, k)
+            for name, figure in zip(LARGE_M_FIELDS, LARGE_M_MEASURED[m, k]):
+                value = float(getattr(got, name)[k])
+                error = float(abs((mpmath.mpf(value) - exact[name]) / exact[name]))
+                pin = 2.0 * max(figure, 2.0**-53)
+                if error > pin:
+                    failures.append(f"{name}, m={m}, k={k}: got {value!r}, exact "
+                                    f"{float(exact[name])!r}, error {error:.3g} above {pin:.3g}")
     assert failures == []
 
 

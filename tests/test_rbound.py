@@ -491,7 +491,7 @@ class TestRandomPhaseBayes:
         joint = pmf * prior.values
         oracle = 0.0
         for k in range(m + 1):
-            dens, _, _ = posterior_table(prior, m, model, k, k + 1)
+            dens, _ = posterior_table(prior, m, model, k, k + 1)
             mean_k = integrate(grid.nodes * dens[0], grid)
             oracle += integrate(joint[k] * (grid.nodes - mean_k) ** 2, grid)
         assert value == pytest.approx(oracle, abs=1e-10)

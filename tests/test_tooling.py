@@ -133,7 +133,7 @@ def test_streamed_kernel_work_stays_traced(tmp_path, monkeypatch):
     # a large-m posterior table is built in blocks of tallies through the traced
     # tally_pmf_matrix, each on its window of nodes into a window-shaped array, so
     # the traced cells are the window's: 38% of the (m+1) x 2001 table at m = 1000
-    # and 19% at m = 5000, each block after the first re-reading one row of B_(m-1)
+    # and 19% at m = 5000
     import phasebound.cli as cli
     import phasebound.estimate as estimate
 
@@ -185,11 +185,13 @@ def test_ziv_zakai_peak_memory():
 
 
 def test_posterior_summary_peak_memory():
-    # about 7 MiB when the thread's workspace is made here: three float buffers of
-    # 2 MiB and two bool ones, each allocated whole on first use, although a block
-    # writes only its window's cells (131 x at most 448 nodes, 0.45 MiB per array, at
-    # m = 5000); 0.5 MiB once they exist.  Allocating each block's arrays anew while
-    # the last block's are alive passes 8 MiB; one whole (m+1) x 2001 table is 76 MiB
+    # 2.2 MiB at m = 5000 when the thread's workspace is made here: three float
+    # buffers of 2^16 cells (0.5 MiB each: the kernel's log-sums, the density and the
+    # products) and the kernel's bool exp mask, each allocated whole on first use,
+    # although a block writes only its window's cells (about 160 rows of about 366
+    # nodes), and the summary's length-(m+1) vectors; 0.5 MiB once they exist.
+    # Allocating each block's arrays anew while the last block's are alive passes
+    # 4 MiB; one whole (m+1) x 2001 table is 76 MiB
     from phasebound import GhzParityModel, QuadratureGrid, family45_prior
     from phasebound.estimate import posterior_summary
 
@@ -201,7 +203,52 @@ def test_posterior_summary_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("prior_name,m,blocks,end_reads", [
+    ("alpha=10", 100, 4, 2), ("alpha=10", 5000, 33, 1),
+    ("off-branch", 100, 4, 1), ("off-branch", 5000, 39, 11)])
+def test_posterior_summary_reads_one_pmf_window_per_block(monkeypatch, prior_name, m, blocks,
+                                                          end_reads):
+    # each block reads the pmf once, on its window, into its density; an end node of
+    # nonzero prior that the span holds but the window leaves out adds a one-node read
+    # (the alpha = 10 prior vanishes at 0 and not at pi/2).  No derivative table is built
+    import phasebound.estimate as estimate
+    from phasebound import GhzParityModel, QuadratureGrid, family45_prior, flat_prior
+    from phasebound.model import PhaseDomain
+
+    if prior_name == "off-branch":
+        domain = PhaseDomain(-0.3, 1.2)
+        prior = flat_prior(domain, QuadratureGrid.simpson(domain.a, domain.b))
+    else:
+        prior = family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2))
+    n = prior.grid.node_count
+    reads, windows = [], []
+    kernel, summarise = estimate.tally_pmf_matrix, estimate._summarise_block
+
+    def counting_kernel(*args, cols=None, out=None, **kwargs):
+        reads.append((len(windows), cols))
+        return kernel(*args, cols=cols, out=out, **kwargs)
+
+    def counting_block(*args):
+        windows.append(args[6])
+        return summarise(*args)
+
+    def no_derivative_table(*args, **kwargs):
+        raise AssertionError("tally_pmf_dtheta_matrix called")
+
+    monkeypatch.setattr(estimate, "tally_pmf_matrix", counting_kernel)
+    monkeypatch.setattr(estimate, "_summarise_block", counting_block)
+    monkeypatch.setattr(estimate, "tally_pmf_dtheta_matrix", no_derivative_table)
+    estimate.posterior_summary(prior, m, GhzParityModel(2))
+    assert len(windows) == blocks
+    for block, cols in enumerate(windows, start=1):
+        mine = [c for b, c in reads if b == block]
+        assert mine[0] == cols, block
+        assert all(c in (slice(0, 1), slice(n - 1, n)) for c in mine[1:]), block
+        assert len({c.start for c in mine[1:]}) == len(mine) - 1, block
+    assert len(reads) == blocks + end_reads
 
 
 @pytest.mark.parametrize("stage", ["ziv_zakai", "bayes_chain_report", "avg_estimator_variance",

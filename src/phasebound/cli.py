@@ -12,17 +12,14 @@ Configuration is a line-oriented ``key=value`` UTF-8 file with ``#`` comments;
 command-line flags named after the keys (``--model.N 2``) override file
 entries, and unknown keys are rejected.  Every CSV starts with comment lines
 echoing the fully resolved configuration, uses 17 significant digits, and is
-byte-identical across runs and thread counts (``PHASEBOUND_THREADS`` caps the
-worker pool; cells are computed in parallel but written in sweep order).
+byte-identical across runs.
 
 Each command is an entry of ``_COMMANDS``: its CSV columns and a row
-producer, which only computes rows, for a block of sample sizes at a time.
-One driver, ``_run``, serves all five: it builds the model, domain and grid,
-resolves alpha and checks every output path before the first row
-(``_outputs``), then for each alpha builds the prior, sweeps the sample sizes
-through the producer and writes the CSV through ``_emit``.  With one thread
-the whole sweep is one block, so ``fig2`` searches every m at once; with W
-threads each worker takes the strided block ``ms[j::W]``.
+producer, which only computes rows.  One driver, ``_run``, serves all five:
+it builds the model, domain and grid, resolves alpha and checks every output
+path before the first row (``_outputs``), then for each alpha builds the
+prior, hands the sample sizes to the producer and writes the CSV through
+``_emit``.  The whole sweep is one block, so ``fig2`` searches every m at once.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 violated bound hierarchy.
@@ -189,53 +186,18 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PHASEBOUND_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PHASEBOUND_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError("PHASEBOUND_THREADS must be >= 1")
-    return value
-
-
-def _sweep(block_fn, ms: list[int]) -> list:
-    """The rows of every m, in sweep order; ``block_fn`` maps a block of m to their rows.
-
-    One thread hands over the whole sweep as one block; W threads hand worker
-    j the strided block ``ms[j::W]`` and merge the rows back into sweep order.
-    """
-    workers = min(_thread_count(), len(ms))
-    if workers == 1:
-        return block_fn(ms)
-    from concurrent.futures import ThreadPoolExecutor    # here: it loads logging, too
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(block_fn, [ms[j::workers] for j in range(workers)]))
-    cells = [None] * len(ms)
-    for j, block in enumerate(blocks):
-        cells[j::workers] = block
-    return cells
-
-
-def _per_m(row_fn):
-    """A block function that computes the rows of each m of its block in turn."""
-    return lambda ms: [row_fn(m) for m in ms]
-
-
 def _check_output(out_path: str | None):
     """Raise ``ConfigError`` before any row is computed if ``_emit`` could not write.
 
-    The path must not be a directory, and its parent must be an existing,
-    writable directory.
+    The path must be neither empty nor a directory, and its parent must be an
+    existing, writable directory.
     """
     if out_path is None:
         return
     parent = os.path.dirname(out_path) or "."
-    if os.path.isdir(out_path):
+    if not out_path:
+        problem = "the path is empty"
+    elif os.path.isdir(out_path):
         problem = "it is a directory"
     elif not os.path.isdir(parent):
         problem = f"directory {parent!r} does not exist"
@@ -270,66 +232,54 @@ def _fixed_theta0_chain(theta0: float, m: int, bayes: PosteriorMeanEstimator,
     return post_var, agb
 
 
-def _fig1_rows(cfg, model, domain, prior, alpha):
+def _fig1_rows(cfg, model, domain, prior, alpha, ms):
     """Bias, spread, and CRLB reference of the maximum-likelihood estimator."""
     estimator = MaximumLikelihoodEstimator(model, domain)
     fisher = float(model.fisher_information(cfg.theta0))
-
-    def rows(m: int):
+    for m in ms:
         risk = frequentist_risk(estimator, cfg.theta0, m, model)
-        return [(m, risk.mean - cfg.theta0, math.sqrt(risk.variance),
-                 abs(risk.bias_derivative) / math.sqrt(m * fisher),
-                 risk.bias_derivative, m * fisher * risk.variance)]
-    return _per_m(rows)
+        yield (m, risk.mean - cfg.theta0, math.sqrt(risk.variance),
+               abs(risk.bias_derivative) / math.sqrt(m * fisher),
+               risk.bias_derivative, m * fisher * risk.variance)
 
 
-def _fig2_rows(cfg, model, domain, prior, alpha):
-    """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax; searched per block."""
-    def rows(ms: list[int]):
-        chs = chrb_block(cfg.theta0, ms, model, domain)
-        echs = echrb_block(cfg.theta0, ms, model, domain,
-                           seed_lambdas=[[ch.argmax["lambda"]] for ch in chs])
-        out = []
-        for m, ch, ech in zip(ms, chs, echs):
-            c = crlb(cfg.theta0, m, model)
-            check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
-                        f"m={m}, theta0={cfg.theta0!r}")
-            out.append([(m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])])
-        return out
-    return rows
+def _fig2_rows(cfg, model, domain, prior, alpha, ms):
+    """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax; searched at once."""
+    chs = chrb_block(cfg.theta0, ms, model, domain)
+    echs = echrb_block(cfg.theta0, ms, model, domain,
+                       seed_lambdas=[[ch.argmax["lambda"]] for ch in chs])
+    for m, ch, ech in zip(ms, chs, echs):
+        c = crlb(cfg.theta0, m, model)
+        check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
+                    f"m={m}, theta0={cfg.theta0!r}")
+        yield (m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])
 
 
-def _fig3_rows(cfg, model, domain, prior, alpha):
+def _fig3_rows(cfg, model, domain, prior, alpha, ms):
     """Fixed-phase comparison of Bayesian and frequentist risks for one prior."""
     fisher = float(model.fisher_information(cfg.theta0))
     estimator = PosteriorMeanEstimator(model, prior)
-
-    def rows(m: int):
+    for m in ms:
         risk = frequentist_risk(estimator, cfg.theta0, m, model)
         post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha)
-        return [(m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)]
-    return _per_m(rows)
+        yield (m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)
 
 
-def _fig4_rows(cfg, model, domain, prior, alpha):
+def _fig4_rows(cfg, model, domain, prior, alpha, ms):
     """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai."""
     inv_f = 1.0 / float(model.fisher_information(cfg.theta0))
     estimator = PosteriorMeanEstimator(model, prior)
-
-    def rows(m: int):
+    for m in ms:
         chain = bayes_chain_report(estimator, m)
         zzb = ziv_zakai(prior, m, model)
-        return [(m, m * chain.bayes_variance, m * chain.agbr,
-                  m * chain.van_trees, m * zzb, inv_f)]
-    return _per_m(rows)
+        yield (m, m * chain.bayes_variance, m * chain.agbr, m * chain.van_trees, m * zzb, inv_f)
 
 
-def _bounds_rows(cfg, model, domain, prior, alpha):
+def _bounds_rows(cfg, model, domain, prior, alpha, ms):
     """Every bound at one cell (theta0, m), one ``quantity,value`` row each."""
     mle_est = MaximumLikelihoodEstimator(model, domain)
     bl_est = PosteriorMeanEstimator(model, prior)
-
-    def rows(m: int):
+    for m in ms:
         out = [("m", m), ("fisher_information", float(model.fisher_information(cfg.theta0)))]
         risk = frequentist_risk(mle_est, cfg.theta0, m, model)
         out += [("mle_mean", risk.mean), ("mle_variance", risk.variance),
@@ -344,18 +294,17 @@ def _bounds_rows(cfg, model, domain, prior, alpha):
             chain = bayes_chain_report(bl_est, m)
             out += [("van_trees", chain.van_trees), ("agbr", chain.agbr),
                     ("bayes_avg_posterior_variance", chain.bayes_variance)]
-        return out
-    return _per_m(rows)
+        yield from out
 
 
 @dataclass(frozen=True)
 class _Command:
     """One command: its CSV column header and its row producer.
 
-    ``rows(cfg, model, domain, prior, alpha)`` returns the function that
-    maps a block of sample sizes to their CSV rows, one list of rows per
-    sample size; ``prior`` is None unless ``uses_prior``.  A ``one_cell``
-    command computes only the last sample size of the sweep.
+    ``rows(cfg, model, domain, prior, alpha, ms)`` yields the CSV rows of
+    the sample sizes ``ms``, in their order; ``prior`` is None unless
+    ``uses_prior``.  A ``one_cell`` command computes only the last sample
+    size of the sweep.
     """
 
     columns: str
@@ -390,7 +339,7 @@ def _outputs(cfg: RunConfig, command: str, out_path: str | None) -> list[tuple]:
         outputs = [(None, out_path)]
     elif cfg.prior_alpha is not None or spec.one_cell:
         outputs = [(10.0 if cfg.prior_alpha is None else cfg.prior_alpha, out_path)]
-    elif out_path is None:
+    elif not out_path:
         raise ConfigError("the default alpha battery writes one file per alpha; "
                           "an --out path is required")
     else:
@@ -408,10 +357,9 @@ def _run(command: str, cfg: RunConfig, out_path: str | None):
     ms = cfg.sample_sizes()[-1:] if spec.one_cell else cfg.sample_sizes()
     for alpha, path in _outputs(cfg, command, out_path):
         prior = cfg.make_prior(grid, alpha) if spec.uses_prior else None
-        cells = _sweep(spec.rows(cfg, model, domain, prior, alpha), ms)
         lines = cfg.echo_lines(command, alpha, path, ms) + [spec.columns]
         lines += [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row)
-                  for rows in cells for row in rows]
+                  for row in spec.rows(cfg, model, domain, prior, alpha, ms)]
         _emit(lines, path)
 
 

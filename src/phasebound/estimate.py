@@ -13,9 +13,9 @@ assembled analytically, from the likelihood's closed-form score and the
 prior's, never by differencing grid values: the posterior Fisher information
 downstream is sensitive to differentiation noise.  The per-tally posterior
 summary streams the pmf in blocks of tallies, each on its window of nodes,
-and writes every block's density and products into the calling thread's
-workspace (see ``model._Workspace``), so a sweep over m allocates no
-block-sized array after its first row.
+and writes every block's density and products into the workspace (see
+``model._Workspace``), so a sweep over m allocates no block-sized array
+after its first row.
 """
 
 from __future__ import annotations
@@ -136,11 +136,7 @@ class PosteriorMeanEstimator(Estimator):
         self._summaries: dict[int, GhoshTable] = {}
 
     def summary(self, m: int) -> GhoshTable:
-        """The per-tally posterior summary for m, built once and shared by every caller.
-
-        Stored without a lock, like ``values``: sweep rows have distinct m, and
-        racing first calls for one m each build an equal summary.
-        """
+        """The per-tally posterior summary for m, built once and shared by every caller."""
         if m not in self._summaries:
             self._summaries[m] = posterior_summary(self.prior, m, self.model)
         return self._summaries[m]
@@ -236,7 +232,7 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     peak.  Every pass runs on ``cols``; a cell outside is an exact zero or
     lies below half an ulp of each of its row's sums, so it changes no
     double.  The density (``posterior_table``) and the products are written
-    into the thread's workspace, as contiguous (rows, window width) arrays;
+    into the workspace, as contiguous (rows, window width) arrays;
     the window is aligned, so the matrix-vector products add each row's
     terms as over the whole row.  An end node that ``span`` holds but
     ``cols`` leaves out enters only the boundary term; its pmf is read
@@ -291,8 +287,8 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
 def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     """Per-tally posterior summary for all tallies k = 0..m.
 
-    Built in blocks of tallies by ``_summarise_block``, in the thread's
-    workspace; every returned quantity is one number per tally, so memory
+    Built in blocks of tallies by ``_summarise_block``, in the workspace;
+    every returned quantity is one number per tally, so memory
     stays O(block x window) however large m is.  Each block is one
     ``tally_pmf_matrix`` window of the pmf itself, turned into the posterior
     density in place; the information weighs it by the squared score

@@ -71,10 +71,10 @@ may pass an ``out`` array shaped like the window, (rows, window width), to
 be written in place of a new array of every phase.
 
 The kernels' temporaries (the log-sums and exp mask) are views of the
-calling thread's workspace (``_Workspace``): buffers of ``_BLOCK_CELLS``
-cells, allocated once per thread and reused by every block of every sweep
-row.  The log-sums go through it in blocks of rows.  A row of a sweep then
-writes into pages that are already mapped instead of asking for arrays a
+workspace (``_Workspace``): buffers of ``_BLOCK_CELLS`` cells, allocated
+once per process and reused by every block of every sweep row.  The
+log-sums go through it in blocks of rows.  A row of a sweep then writes
+into pages that are already mapped instead of asking for arrays a
 little larger than the last row's, which the allocator served with fresh
 pages every time.  That one budget sizes every block pass, the posterior
 summary's and the theta0-grid stages', and each block starts on a multiple
@@ -84,7 +84,6 @@ of ``_BLAS_ALIGN`` rows (``_block_extent``).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,11 +196,7 @@ _log_factorial_table = np.zeros(1)      # log n! for n < len; grown, never chang
 
 
 def _log_factorials(m: int) -> np.ndarray:
-    """A table of log n! for at least n = 0..m.
-
-    A larger table is built in full before it is bound, so that a thread
-    reading the old one never sees a half-filled array.
-    """
+    """A table of log n! for at least n = 0..m."""
     global _log_factorial_table
     table = _log_factorial_table
     if len(table) <= m:
@@ -240,7 +235,6 @@ def _grid_logs(model: GhzParityModel, thetas: np.ndarray) -> tuple[np.ndarray, n
 
     Keyed by the phases' bytes, so a sweep that passes the same grid for
     every m pays the 2 len(thetas) ``math.log`` calls once per process.
-    Emptying a full cache is atomic, so threads sharing it need no lock.
     """
     key = (model, thetas.tobytes())
     logs = _grid_log_cache.get(key)
@@ -283,13 +277,13 @@ def _block_extent(length: int, other: int) -> int:
     return min(max(_BLOCK_CELLS // other // _BLAS_ALIGN, 1) * _BLAS_ALIGN, length)
 
 
-class _Workspace(threading.local):
-    """Scratch arrays of the calling thread, reused by every block pass it makes.
+class _Workspace:
+    """Scratch arrays reused by every block pass.
 
-    Each named buffer is allocated per thread on first use, with
-    ``_BLOCK_CELLS`` cells of the dtype asked for, and ``take`` returns a
-    C-contiguous view of its first cells.  A larger request, or one of
-    another dtype, replaces the buffer once, and the new one is kept, when
+    Each named buffer is allocated on first use, with ``_BLOCK_CELLS``
+    cells of the dtype asked for, and ``take`` returns a C-contiguous view
+    of its first cells.  A larger request, or one of another dtype,
+    replaces the buffer once, and the new one is kept, when
     it is a block's: up to twice ``_BLOCK_CELLS`` cells (Ziv-Zakai's six
     per-pair rows on the 201-node theta0 grid, or the averaged risks' least
     block of 16 phases beyond m = 4095), or up to ``_BLAS_ALIGN`` rows of
@@ -413,10 +407,9 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
 
     The rows go through in passes of one block each (``_block_extent``), so
     a block of tallies goes through in one pass: each pass's log-sums and
-    exp mask are written into the thread's workspace, and its second
-    product into the pass's own window of the result, which exp then
-    overwrites.  Every cell is computed elementwise, so the passes change no
-    bit.
+    exp mask are written into the workspace, and its second product into
+    the pass's own window of the result, which exp then overwrites.  Every
+    cell is computed elementwise, so the passes change no bit.
     """
     if cols is None:
         cols = (slice(0, logpp.size) if logpp.size == 1

@@ -32,7 +32,7 @@ them once per prior and model and keeps them for the last few priors
 
 Every theta0-grid stage (the tally marginal, the averaged risks and
 Ziv-Zakai) holds at most one block of ``model._BLOCK_CELLS`` cells of the
-pmf at a time, in the thread's workspace, with its per-pair arrays there
+pmf at a time, in the workspace, with its per-pair arrays there
 too: the whole (m+1) x 201 pmf up to m = 325, blocks of rows beyond (the
 marginal and Ziv-Zakai), or blocks of phases (the averaged risks, whose sums
 run over the tallies of one phase).  The posterior summary's blocks have the
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,9 +109,9 @@ def _cell(m: int, prior: PriorDensity) -> str:
 def _pmf_row_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
     """The tally pmf at ``thetas`` in blocks of rows, as (k0, rows k0.. of the pmf) pairs.
 
-    Each block is written into the thread's workspace and is valid until the
-    next.  The blocks are aligned (``model._block_extent``), so a
-    matrix-vector product of the blocks gives the whole matrix's doubles.
+    Each block is written into the workspace and is valid until the next.
+    The blocks are aligned (``model._block_extent``), so a matrix-vector
+    product of the blocks gives the whole matrix's doubles.
     """
     rows, n = m + 1, thetas.size
     step = _block_extent(rows, n)
@@ -125,8 +124,8 @@ def _pmf_row_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
 def _pmf_column_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
     """The tally pmf at ``thetas`` in blocks of phases, as (phase slice, those columns) pairs.
 
-    Each block is a contiguous (m + 1) x width array in the thread's
-    workspace, valid until the next.  Aligned like the row blocks, each
+    Each block is a contiguous (m + 1) x width array in the workspace,
+    valid until the next.  Aligned like the row blocks, each
     column is summed over k by OpenBLAS's gemv as in the whole matrix (with
     two threads the whole matrix's columns are not, from about 2600 rows on).
     """
@@ -145,7 +144,7 @@ def _column_spreads(model: GhzParityModel, m: int, thetas: np.ndarray, v: np.nda
     c is ``centres`` at the phase, or the mean of v under its pmf when
     ``centres`` is None.  Every sum runs over the tallies of one phase, so
     the pmf goes through in blocks of phases (``_pmf_column_blocks``) with
-    its products in the thread's workspace, and the blocks change no double.
+    its products in the workspace, and the blocks change no double.
     """
     out = np.empty(thetas.size)
     for cols, pmf in _pmf_column_blocks(model, m, thetas):
@@ -291,9 +290,9 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
     previous block's last CDF row, and a cumsum in place gives the whole
     matrix's cumsum bit for bit.  Each pair reads D(k*) by one gather from
     the block that holds that CDF row, and D(m+1) after the last one.
-    Every per-pair array is a row of the thread's workspace, so a call
-    allocates no pair-sized or table-sized array; the result is such a row
-    too, valid until the next call in the thread.
+    Every per-pair array is a row of the workspace, so a call allocates no
+    pair-sized or table-sized array; the result is such a row too, valid
+    until the next call.
     """
     n, f, s, a, b = thetas.size, pairs.first, pairs.second, pairs.a, pairs.b
     # the pairs' rows share the buffers the posterior summary has already written: k*,
@@ -399,10 +398,6 @@ class _ZivZakaiPairs:
     h_factor: np.ndarray
 
 
-# ``ziv_zakai`` takes the pairs under this lock, so threads sweeping one prior build them once
-_PAIRS_LOCK = threading.Lock()
-
-
 @functools.lru_cache(maxsize=4)
 def _ziv_zakai_pairs(prior_true: PriorDensity, model: GhzParityModel) -> _ZivZakaiPairs:
     """The m-free part of ``ziv_zakai`` under ``prior_true``, kept for the last few priors.
@@ -455,8 +450,7 @@ def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
     """
     if m < 1:
         raise ModelError("m must be >= 1")
-    with _PAIRS_LOCK:
-        pairs = _ziv_zakai_pairs(prior_true, model)
+    pairs = _ziv_zakai_pairs(prior_true, model)
     p_min = _pmin_columns(model, m, pairs.grid.nodes, pairs.tests)
     inner = np.add.reduceat(pairs.weights * p_min, pairs.starts)
     total = float(np.sum(pairs.h_factor * inner))

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -219,24 +218,6 @@ class TestPosteriorSummary:
         with pytest.raises(NonIntegrablePosteriorError):     # raised again from the same summary
             ghosh_table(bayes, 1)
 
-    def test_concurrent_callers_get_their_own_m(self, model):
-        # more threads than cores, switching often, all sharing one estimator
-        grid = QuadratureGrid.simpson(0.0, math.pi / 2, 201)
-        bayes = PosteriorMeanEstimator(model, family45_prior(10.0, grid))
-        ms = [1, 2, 3, 4, 5, 6] * 8
-        expected = {m: posterior_summary(family45_prior(10.0, grid), m, model).variance
-                    for m in set(ms)}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(bayes.summary, ms, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        for m, summary in zip(ms, got):
-            assert summary.m == m
-            np.testing.assert_array_equal(summary.variance, expected[m])
-
 
 SUMMARY_FIELDS = ("marginal", "mean", "variance", "boundary", "information", "ghosh")
 
@@ -246,16 +227,15 @@ def _off_branch_flat():
     return flat_prior(domain, QuadratureGrid.simpson(domain.a, domain.b))
 
 
-def test_reused_buffers_do_not_leak_between_rows(model, grid):
-    # one thread's block workspace serves every block of every row, in any order of
-    # m: each summary equals, bit for bit, one built in a thread of its own.  The
-    # off-branch flat prior's windows leave out end nodes of nonzero density, whose
-    # pmf is taken before the table reuses the kernel's buffers
+def test_reused_buffers_do_not_leak_between_rows(model, grid, fresh_workspace):
+    # one block workspace serves every block of every row, in any order of m: each
+    # summary equals, bit for bit, one built on a fresh workspace.  The off-branch
+    # flat prior's windows leave out end nodes of nonzero density, whose pmf is
+    # taken before the table reuses the kernel's buffers
     for prior in (family45_prior(10.0, grid), _off_branch_flat()):
         for m in (100, 3, 5000, 7, 1000, 131, 100):
             got = posterior_summary(prior, m, model)
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                want = pool.submit(posterior_summary, prior, m, model).result(timeout=120)
+            want = fresh_workspace(posterior_summary, prior, m, model)
             for name in SUMMARY_FIELDS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
                     prior.kind, m, name)
@@ -590,18 +570,6 @@ class TestCliPosteriorBuilds:
         out = tmp_path / f"{command}.csv"
         assert main([command, *self.ARGS, "--m.list", "1,2,3,5,8", "--out", str(out)]) == 0
         assert posterior_calls == {1: 1, 2: 1, 3: 1, 5: 1, 8: 1}
-
-    def test_two_threads_build_once_per_fig3_row(self, tmp_path, monkeypatch, posterior_calls):
-        # rows of both threads share one estimator; switching often interleaves them
-        monkeypatch.setenv("PHASEBOUND_THREADS", "2")
-        out = tmp_path / "fig3.csv"
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert main(["fig3", *self.ARGS, "--m.max", "40", "--out", str(out)]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        assert posterior_calls == {m: 1 for m in range(1, 41)}
 
     def test_one_build_per_bounds_cell(self, tmp_path, posterior_calls):
         out = tmp_path / "bounds.csv"

@@ -9,12 +9,6 @@ from phasebound.fbound import HierarchyViolationError
 import phasebound.cli as cli_module
 
 
-def run_cli(args, monkeypatch=None, threads=None):
-    if threads is not None and monkeypatch is not None:
-        monkeypatch.setenv("PHASEBOUND_THREADS", str(threads))
-    return main(args)
-
-
 def read_rows(path):
     comments, header, rows = [], None, []
     with open(path, encoding="utf-8") as fh:
@@ -265,52 +259,30 @@ class TestBounds:
 class TestDeterminism:
     def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
         # identical config (including the out path) from different run dirs; fig3 and
-        # fig4 rows out of order, so that each thread's reused block buffers hold a
-        # larger and then a smaller row before each one
+        # fig4 rows out of order, so that the reused block buffers hold a larger and
+        # then a smaller row before each one
         commands = [["fig2", "--m.list", "1,2,3,4,5,6,7,8"],
                     ["fig3", "--prior.alpha", "10", "--m.list", "100,3,40,7"],
                     ["fig4", "--prior.alpha", "10", "--m.list", "100,3,40,7"]]
         for command in commands:
             args = [*command, "--out", "out.csv"]
             blobs = []
-            for i, threads in enumerate(("1", "1", "4")):
+            for i in range(3):
                 rundir = tmp_path / f"{command[0]}_run{i}"
                 rundir.mkdir()
                 monkeypatch.chdir(rundir)
-                monkeypatch.setenv("PHASEBOUND_THREADS", threads)
                 assert main(args) == 0
                 blobs.append((rundir / "out.csv").read_bytes())
             assert blobs[0] == blobs[1] == blobs[2], command[0]
 
-    @pytest.mark.parametrize("command", [
-        ["fig2", "--m.max", "40"],
-        ["fig3", "--prior.alpha", "10", "--m.list", "100,3,40,7,1,12,25", "--grid.nodes", "401"],
-    ])
-    def test_strided_blocks_byte_identical(self, tmp_path, monkeypatch, command):
-        # W threads take the strided blocks ms[j::W], here of unequal lengths, and
-        # merge their rows back into sweep order: 1, 2 and 3 threads write the same bytes
-        blobs = []
-        for threads in ("1", "2", "3"):
-            rundir = tmp_path / f"threads{threads}"
-            rundir.mkdir()
-            monkeypatch.chdir(rundir)
-            monkeypatch.setenv("PHASEBOUND_THREADS", threads)
-            assert main([*command, "--out", "out.csv"]) == 0
-            blobs.append((rundir / "out.csv").read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
-
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("PHASEBOUND_THREADS", "zero")
-        assert main(["fig1", "--m.list", "1"]) == 2
-
 
 class TestExitCodes:
     def test_hierarchy_violation_maps_to_4(self, monkeypatch):
-        def boom(ms):
+        def boom(*args):
             raise HierarchyViolationError("synthetic violation")
 
         # fig2's row producer replaced by one whose rows violate the hierarchy
-        spec = dataclasses.replace(cli_module._COMMANDS["fig2"], rows=lambda *args: boom)
+        spec = dataclasses.replace(cli_module._COMMANDS["fig2"], rows=boom)
         monkeypatch.setitem(cli_module._COMMANDS, "fig2", spec)
         assert main(["fig2", "--m.list", "1"]) == 4
 
@@ -378,6 +350,28 @@ class TestExitCodes:
         assert main([command, *args, "--out", str(out)]) == 2
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if blocker is None else [blocker])
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["fig1", "fig3"])
+    def test_empty_out_rejected_before_first_row(self, tmp_path, monkeypatch, capsys,
+                                                 command, source):
+        # an empty --out or output.path= is no path: fig3's default alpha battery would
+        # write _alpha-100.csv and its siblings into the working directory
+        calls = []
+        spec = cli_module._COMMANDS[command]
+        monkeypatch.setitem(cli_module._COMMANDS, command, dataclasses.replace(
+            spec, rows=lambda *args: calls.append(args) or spec.rows(*args)))
+        monkeypatch.chdir(tmp_path)
+        if source == "flag":
+            args = ["--out", ""]
+        else:
+            (tmp_path / "c.cfg").write_text("output.path=\n")
+            args = ["--config", "c.cfg"]
+        assert main([command, "--m.list", "2", *args]) == 2
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if source == "flag"
+                                                              else ["c.cfg"])
         assert "config error" in capsys.readouterr().err
 
     def test_success_to_stdout(self, capsys):

@@ -98,13 +98,12 @@ class TestTallyColumnMemo:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1.0
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("args,ms", [(["fig3", "--m.max", "20"], list(range(1, 21))),
                                          (["bounds", "--m.list", "20"], [20])],
                              ids=["fig3", "bounds"])
-    def test_row_builds_one_column(self, tmp_path, monkeypatch, threads, args, ms):
+    def test_row_builds_one_column(self, tmp_path, monkeypatch, args, ms):
         # the frequentist risk and both likelihood-averaged Bayesian sums of a row share
-        # one kernel call on the one-phase theta0 grid, with one or two sweep threads
+        # one kernel call on the one-phase theta0 grid
         calls = []
         for module in (model_module, engine_module, rbound_module):   # each binding of it
             real = module.tally_pmf_matrix
@@ -115,7 +114,6 @@ class TestTallyColumnMemo:
                 return _real(model, m, thetas, *rest, **kw)
 
             monkeypatch.setattr(module, "tally_pmf_matrix", counting)
-        monkeypatch.setenv("PHASEBOUND_THREADS", threads)
         tally_column.cache_clear()
         assert main([*args, "--prior.alpha", "10", "--out", str(tmp_path / "out.csv")]) == 0
         assert sorted(calls) == ms

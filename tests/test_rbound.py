@@ -2,8 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -293,36 +291,6 @@ class TestZivZakaiPairs:
         assert rbound_module._ziv_zakai_pairs(twin, model) is not pairs
         assert ziv_zakai(twin, 3, model) == ziv_zakai(prior, 3, model)
 
-    def test_concurrent_rows_build_pairs_once(self, model, grid, monkeypatch):
-        # more threads than cores, released together and switching often: one of them
-        # builds the pairs under the lock, and every row reads the doubles of a lone call
-        calls = []
-        real = rbound_module._shift_pairs
-
-        def counting(p):
-            calls.append(p.size)
-            return real(p)
-
-        monkeypatch.setattr(rbound_module, "_shift_pairs", counting)
-        prior = family45_prior(10.0, grid)
-        ms = [1, 2, 3, 5, 8, 13, 21, 34]
-        start = threading.Barrier(len(ms))
-
-        def row(m):
-            start.wait(timeout=60)
-            return ziv_zakai(prior, m, model)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=len(ms)) as pool:
-                futures = [pool.submit(row, m) for m in ms]
-                got = [future.result(timeout=120) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls == [201]
-        assert got == [ziv_zakai(prior, m, model) for m in ms]
-
     def test_fig4_builds_pairs_once(self, tmp_path, monkeypatch):
         calls = []
         real = rbound_module._shift_pairs
@@ -332,18 +300,15 @@ class TestZivZakaiPairs:
             return real(p)
 
         monkeypatch.setattr(rbound_module, "_shift_pairs", counting)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("PHASEBOUND_THREADS", threads)
-            calls.clear()
-            assert main(["fig4", "--prior.alpha", "10", "--m.list", "1,2,3,5,8",
-                         "--out", str(tmp_path / "fig4.csv")]) == 0
-            assert calls == [201]
+        assert main(["fig4", "--prior.alpha", "10", "--m.list", "1,2,3,5,8",
+                     "--out", str(tmp_path / "fig4.csv")]) == 0
+        assert calls == [201]
 
-    def test_reused_buffers_do_not_leak_between_rows(self, model, grid):
+    def test_reused_buffers_do_not_leak_between_rows(self, model, grid, fresh_workspace):
+        # each row on the reused workspace equals, bit for bit, one on a fresh workspace
         prior = family45_prior(10.0, grid)
         for m in (100, 3, 5000, 7, 100):
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                want = pool.submit(ziv_zakai, prior, m, model).result(timeout=120)
+            want = fresh_workspace(ziv_zakai, prior, m, model)
             assert ziv_zakai(prior, m, model) == want
 
 

@@ -49,15 +49,14 @@ def test_setup_probe_runs(tmp_path, command):
 
 
 def test_chrb_objective_calls_stay_batched(tmp_path, monkeypatch):
-    # with one thread, fig2 hands its whole sweep to one block, whose ChRB
-    # searches step in lock-step: one coarse call plus ~45 golden-section calls
+    # fig2 hands its whole sweep to one block, whose ChRB searches step in
+    # lock-step: one coarse call plus ~45 golden-section calls
     # for all 300 m, where one search per m made ~13,000; and the Barankin
     # coordinate search evaluates its placements as stacks, so one
     # hierarchy_report calls barankin_at only for its start and its result
     import phasebound.cli as cli
     from phasebound import GhzParityModel, fbound
 
-    monkeypatch.delenv("PHASEBOUND_THREADS", raising=False)
     tracer_module = _perfbench_module("tracer")
     tracer = tracer_module.Tracer()
     tracer.install()
@@ -165,7 +164,7 @@ def test_streamed_kernel_work_stays_traced(tmp_path, monkeypatch):
 
 
 def test_ziv_zakai_peak_memory():
-    # the pmf goes through in blocks of at most 2^16 cells of the thread's workspace
+    # the pmf goes through in blocks of at most 2^16 cells of the workspace
     # (320 rows of 201 phases, 0.5 MiB), with the per-pair rows there too: about
     # 3.2 MiB at m = 5000 when this first call makes the workspace and the pairs.  One
     # (m+1) x 201 pmf in memory is 7.7 MiB, and a loop over shifts that builds
@@ -185,7 +184,7 @@ def test_ziv_zakai_peak_memory():
 
 
 def test_posterior_summary_peak_memory():
-    # 2.2 MiB at m = 5000 when the thread's workspace is made here: three float
+    # 2.2 MiB at m = 5000 when the workspace is made here: three float
     # buffers of 2^16 cells (0.5 MiB each: the kernel's log-sums, the density and the
     # products) and the kernel's bool exp mask, each allocated whole on first use,
     # although a block writes only its window's cells (about 160 rows of about 366
@@ -260,7 +259,7 @@ def test_theta0_stage_allocates_within_budget(stage):
     # under 2 MiB beyond it.  acrlb and fvtb take the pmf derivative in blocks of phases,
     # each two new (m+1) x 16 arrays at m = 5000: 1.5 MiB (two whole 7.7 MiB arrays took
     # 15.7 MiB).  The first stage to take a (5001 x 16) block grows the workspace to it,
-    # so each stage is first called once untraced at the same m in this thread, as a
+    # so each stage is first called once untraced at the same m, as a
     # sweep's earlier rows call it, and its peak does not depend on what ran before
     from phasebound import GhzParityModel, PosteriorMeanEstimator, QuadratureGrid, family45_prior
     from phasebound import rbound
@@ -373,7 +372,7 @@ def test_cli_imports_no_private_name():
 
 @pytest.mark.parametrize("function", ["posterior_summary", "ziv_zakai"])
 def test_second_row_allocates_less_than_one_table(function):
-    # after a first call has set up the thread's workspace, a second m = 100 call
+    # after a first call has set up the workspace, a second m = 100 call
     # writes its blocks, or its per-pair rows, there: it allocates less than one
     # 101 x 2001 float64 table (1.6 MB), where allocating per row took several
     from phasebound import GhzParityModel, QuadratureGrid, family45_prior
@@ -431,7 +430,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # concurrent.futures, and the logging it imports, load only for a threaded sweep
+    # the CLI's import time pays for neither concurrent.futures nor the logging it imports
     out = _fresh_interpreter(
         "import sys, phasebound.cli; "
         "print(sorted(n for n in sys.modules if n.split('.')[0] in ('concurrent', 'logging')))")

@@ -5,8 +5,8 @@ domain, where cos(N theta) is monotone (``model.require_identifiable``).
 Frequentist risks are exact tally sums: the mean, variance, and mean square
 error of an estimator satisfy MSE = variance + bias^2 identically.  The
 derivative of the estimator mean with respect to the true phase (the quantity
-that turns the unbiased Cramer-Rao bound into its biased form) is computed
-from the analytic derivative of the binomial weights.
+that turns the unbiased Cramer-Rao bound into its biased form) weighs with
+the tally pmf times the likelihood's closed-form score (``model._score``).
 
 Bayesian posteriors are held on a quadrature grid.  The posterior's score is
 assembled analytically, from the likelihood's closed-form score and the
@@ -33,10 +33,10 @@ from .model import (
     _block_extent,
     _likelihood_windows,
     _row_range,
+    _score,
     _score_factor,
     _workspace,
     require_identifiable,
-    tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
 )
 from .numerics import DERIVATIVE_NOISE_REL, NumericalFailure, PriorDensity
@@ -365,16 +365,16 @@ def frequentist_risk(estimator: Estimator, theta0: float, m: int,
 
     The three sums weigh with the tally pmf column at theta0
     (``tally_column``, which the Bayesian sums at the same (theta0, m)
-    share).  The bias derivative d<theta_est>/dtheta0 uses the analytic
-    weight derivative: each tally term carries the factor
-    (k - m p_+) p_+' / (p_+ p_-).
+    share).  The bias derivative d<theta_est>/dtheta0 weighs with the
+    pmf's derivative, that column times the likelihood's score at theta0
+    (``model._score``): the doubles of ``tally_pmf_dtheta_matrix``'s column.
     """
     pmf = tally_column(theta0, m, model)
     v = estimator.values(m)
     mean = expect_values_over_tallies(v, pmf)
     variance = expect_values_over_tallies((v - mean) ** 2, pmf)
     mse = expect_values_over_tallies((v - theta0) ** 2, pmf)
-    dpmf = tally_pmf_dtheta_matrix(model, m, np.asarray([theta0]))[:, 0]
+    dpmf = pmf * _score(model, m, np.arange(m + 1), [theta0])[:, 0]
     bias_derivative = float(np.sum(v * dpmf))
     return RiskReport(mean=mean, variance=variance, mse=mse,
                       bias_derivative=bias_derivative)

@@ -17,20 +17,11 @@ quotient (dp/dtheta)^2 / p degenerates to 0/0 where p_+ p_- = 0, so
 ``fisher_information`` uses the reduced analytic form rather than the
 direct sum.
 
-Two tally kernels serve different paths, and each path keeps the one whose
-rounding its outputs were recorded with:
-
-* ``tally_pmf_matrix`` evaluates C(m,k) p_+^k p_-^(m-k) in the log domain.
-  The fixed-phase sums (one column, at theta0), the theta0 integrals
-  (``tally_marginal``, ``avg_*``), Ziv-Zakai and the posterior tables use it.
-* ``tally_pmf_dtheta_matrix`` assembles the pmf derivative from two further
-  exp-matrices; ``frequentist_risk``, ``acrlb`` and ``fvtb`` use it.
-
-The posterior summary needs no derivative table: the likelihood has the
-closed-form score d/dtheta log pmf(k | theta) = c(theta) (k - m p_+), with
-c = p_+' / (p_+ p_-) (``_score_factor``), so it weighs the pmf itself by the
-score.  The other derivative paths keep ``tally_pmf_dtheta_matrix``, whose
-rounding their recorded outputs carry.
+One kernel, ``tally_pmf_matrix``, evaluates the tally pmf C(m,k)
+p_+^k p_-^(m-k) in the log domain, the only exp pass in the package.  Every
+pmf derivative is the pmf times its closed-form score d/dtheta log pmf =
+c (k p_- - (m - k) p_+), c = p_+' / (p_+ p_-) (``_score``); the posterior
+summary weighs the pmf by the posterior's score, with that part c (k - m p_+).
 
 log C(m, k) is log m! - log k! - log (m-k)!, read from a per-process table
 of log n! that grows to the largest m asked for.  Each entry is computed by
@@ -44,7 +35,7 @@ k = m rows are set to 0 by slicing.  exp is evaluated only where the
 log-sum is above -745.2: below log(2^-1075) = -745.13 it returns exactly
 0.0, so skipping it changes no bit, and there it runs about 19 times slower
 than on ordinary arguments.  The log-sums themselves are formed only on the
-span of phases where some row can pass that cut (``_live_span``).  So every
+span of phases where some row can pass that cut (``_live_span``).  So the
 kernel returns the doubles of the scipy formulas
 the references in ``perfbench/reference`` were recorded with, bit for bit
 (``tests/oracles.py`` keeps those formulas, and the tests compare with
@@ -301,14 +292,16 @@ class _Workspace:
     and no others.  The names in use, each free again when its user
     returns:
 
-    * "sums" and "mask": the kernel's log-sums and exp mask;
-    * "scratch": the posterior table's density; the blocks of the pmf that
-      the theta0-grid stages stream (``rbound._pmf_row_blocks`` and
-      ``_pmf_column_blocks``), with Ziv-Zakai's CDFs;
+    * "sums" and "mask": the kernel's log-sums and exp mask, then "sums"
+      the score's second product (``tally_pmf_dtheta_matrix``);
+    * "scratch": the posterior table's density; the blocks of the pmf (or
+      of its derivative) that the theta0-grid stages stream
+      (``rbound._pmf_row_blocks`` and ``_pmf_column_blocks``), with
+      Ziv-Zakai's CDFs;
     * "derivative": the posterior summary's products; then the averaged
-      risks' products, and Ziv-Zakai's per-pair rows, its crossing
-      tallies' temporaries included (as float, with intp views), which so
-      land on pages the summary has already written;
+      risks' products and score, and Ziv-Zakai's per-pair rows, its
+      crossing tallies' temporaries included (as float, with intp views),
+      which so land on pages the summary has already written;
     * "zero": Ziv-Zakai's per-pair masks.
     """
 
@@ -329,33 +322,32 @@ class _Workspace:
 _workspace = _Workspace()
 
 
-def _log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
-               logpm: np.ndarray, out: np.ndarray | None = None,
-               rest: np.ndarray | None = None) -> np.ndarray:
-    """log c + a log p_+ + b log p_-, one row per entry of logc, a and b.
+def _log_terms(m: int, k: np.ndarray, logpp: np.ndarray, logpm: np.ndarray,
+               out: np.ndarray | None = None, rest: np.ndarray | None = None) -> np.ndarray:
+    """log C(m, k) + k log p_+ + (m - k) log p_-, one row per tally of ``k``.
 
-    a and b are float exponent columns in which only a[0] and b[-1] can be 0;
-    those rows' products are set to 0 by slicing (0 log 0 = 0, also where
-    p = 0).  The sums are added in the order log c + a log p_+, then
-    + b log p_-.  ``out`` receives the sums and ``rest`` the second product
-    (new arrays when not given).  The products are outer products by
-    ``einsum``, which forms each a[i] log p_+[j] as one multiplication, as
-    ``np.multiply`` broadcast would (but for the sign of a zero, which no
-    sum keeps), in about half the time on a block.
+    ``k`` is an increasing run of tallies; the products of a k = 0 and a
+    k = m row are set to 0 by slicing (0 log 0 = 0, also where p = 0).  The
+    sums are added in the order log C + k log p_+, then + (m - k) log p_-.
+    ``out`` receives the sums and ``rest`` the second product (new arrays
+    when not given).  The outer products by ``einsum`` form each cell by the
+    one multiplication ``np.multiply`` broadcast would (but for the sign of
+    a zero, which no sum keeps), in about half the time on a block.
     """
+    kf = k.astype(float)
     with np.errstate(invalid="ignore"):          # 0 * -inf, overwritten below
-        out = np.einsum("i,j->ij", a, logpp, out=out)
-        rest = np.einsum("i,j->ij", b, logpm, out=rest)
-    if a[0] == 0.0:
+        out = np.einsum("i,j->ij", kf, logpp, out=out)
+        rest = np.einsum("i,j->ij", m - kf, logpm, out=rest)
+    if k[0] == 0:
         out[0] = 0.0
-    if b[-1] == 0.0:
+    if k[-1] == m:
         rest[-1] = 0.0
-    out += logc[:, None]
+    out += log_binomial(m, k)[:, None]
     out += rest
     return out
 
 
-def _row_bounds(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
+def _row_bounds(m: int, k: np.ndarray, logpp: np.ndarray,
                 logpm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per phase, an upper and a lower bound on every row of ``_log_terms``, from four rows.
 
@@ -366,9 +358,9 @@ def _row_bounds(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarra
     is taken from the other end, and a phase with no finite upper bound
     (NaN) has only -inf rows.
     """
-    rows = len(logc)
+    rows = len(k)
     pick = sorted({0, min(1, rows - 1), max(rows - 2, 0), rows - 1})
-    ends = _log_terms(logc[pick], a[pick], b[pick], logpp, logpm)
+    ends = _log_terms(m, k[pick], logpp, logpm)
     with np.errstate(invalid="ignore"):          # -inf - -inf gives no bound
         rise = np.maximum(ends[min(1, len(pick) - 1)] - ends[0], 0.0)
         fall = np.maximum(ends[max(len(pick) - 2, 0)] - ends[-1], 0.0)
@@ -392,9 +384,8 @@ def _live_span(upper: np.ndarray) -> tuple[int, int]:
     return _span(upper > _EXP_ZERO_BELOW - 1.0)
 
 
-def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.ndarray,
-                   logpm: np.ndarray, cols: slice | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _exp_log_terms(m: int, k: np.ndarray, logpp: np.ndarray, logpm: np.ndarray,
+                   cols: slice | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """exp of ``_log_terms``, computed only where it can be nonzero.
 
     The log-sums are formed only on ``cols``, phases outside of which every
@@ -413,16 +404,16 @@ def _exp_log_terms(logc: np.ndarray, a: np.ndarray, b: np.ndarray, logpp: np.nda
     """
     if cols is None:
         cols = (slice(0, logpp.size) if logpp.size == 1
-                else slice(*_live_span(_row_bounds(logc, a, b, logpp, logpm)[0])))
+                else slice(*_live_span(_row_bounds(m, k, logpp, logpm)[0])))
     if out is None:
-        out = np.zeros((len(logc), logpp.size))
+        out = np.zeros((len(k), logpp.size))
     window = out[:, cols]
     logpp, logpm = logpp[cols], logpm[cols]
-    step = _block_extent(len(logc), logpp.size)
-    for r0 in range(0, len(logc), step):
+    step = _block_extent(len(k), logpp.size)
+    for r0 in range(0, len(k), step):
         rows = slice(r0, r0 + step)
         part = window[rows]
-        sums = _log_terms(logc[rows], a[rows], b[rows], logpp, logpm,
+        sums = _log_terms(m, k[rows], logpp, logpm,
                           out=_workspace.take("sums", part.shape), rest=part)
         keep = np.greater(sums, _EXP_ZERO_BELOW, out=_workspace.take("mask", part.shape, bool))
         part.fill(0.0)
@@ -462,37 +453,26 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
-    k = np.arange(k0, k1)
-    kf = k.astype(float)
     logpp, logpm = _grid_logs(model, thetas)
     if cols is not None and out is not None:     # ``out`` is the window: cut the logs to it
         logpp, logpm, cols = logpp[cols], logpm[cols], slice(None)
-    return _exp_log_terms(log_binomial(m, k), kf, m - kf, logpp, logpm, cols, out)
+    return _exp_log_terms(m, np.arange(k0, k1), logpp, logpm, cols, out)
 
 
-def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
+def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas, *, cols: slice | None = None,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Analytic d/dtheta of the tally pmf; shape (m+1, len(thetas)).
 
-    Each entry is C(m,k) p_+' [k p_+^(k-1) p_-^(m-k) - (m-k) p_+^k p_-^(m-k-1)],
-    assembled from the k >= 1 and k <= m-1 slices so that deterministic
-    channels (p_+ in {0,1}) produce exact zeros instead of 0 * inf.
+    The pmf of ``tally_pmf_matrix`` (``cols`` and ``out`` as there) times
+    its score, in place; the score, 0 where p_+ p_- = 0, is formed in the
+    workspace.
     """
     thetas = np.asarray(thetas, dtype=float)
-    _row_range(m, 0, None)
-    logs = _grid_logs(model, thetas)
-    logc = log_binomial(m, np.arange(m + 1))
-    t1 = np.zeros((m + 1, thetas.size))
-    t2 = np.zeros((m + 1, thetas.size))
-    if m >= 1:
-        k = np.arange(1, m + 1, dtype=float)
-        _exp_log_terms(logc[1:], k - 1.0, m - k, *logs, out=t1[1:])
-        t1[1:] *= k[:, None]
-        k = np.arange(0, m, dtype=float)
-        _exp_log_terms(logc[:m], k, m - k - 1.0, *logs, out=t2[:m])
-        t2[:m] *= (m - k)[:, None]
-    t1 -= t2
-    t1 *= model.dprob_dtheta(thetas)[None, :]
-    return t1
+    phases = thetas[cols] if cols is not None and out is not None else thetas
+    out = tally_pmf_matrix(model, m, thetas, cols=cols, out=out)
+    out *= _score(model, m, np.arange(m + 1), phases, out=_workspace.take("derivative", out.shape),
+                  rest=_workspace.take("sums", out.shape))
+    return out
 
 
 # A column window starts on a multiple of this many phases, and ends on one or at the last phase.
@@ -571,9 +551,7 @@ def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int 
     n = thetas.size
     if m == 0:
         return slice(0, n), slice(0, n)
-    k = np.arange(k0, k1)
-    kf = k.astype(float)
-    upper, lower = _row_bounds(log_binomial(m, k), kf, m - kf, *_grid_logs(model, thetas))
+    upper, lower = _row_bounds(m, np.arange(k0, k1), *_grid_logs(model, thetas))
     lo, hi = _live_span(upper)
     span = _aligned(lo, hi, n)
     log_p, log_p_top = log_prior
@@ -585,15 +563,28 @@ def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int 
 
 
 def _score_factor(model: GhzParityModel, thetas: np.ndarray) -> np.ndarray:
-    """c = p_+' / (p_+ p_-) at every phase, 0 where p_+ p_- = 0.
+    """c = p_+' / (p_+ p_-) at every phase; 0, the exact limit, where p_+ p_- = 0.
 
-    The score of tally k of m shots is d/dtheta log pmf(k | theta) =
-    c (k - m p_+), with p_- = 1 - p_+ as the kernel takes it.  Where
-    p_+ p_- = 0 the pmf is 0 on every row but one, whose score tends to 0
-    there: p_+' vanishes at p_+ = 1 and is a rounding residue at p_+ = 0
-    (-1.2e-16 at pi/2 for N = 2), so c = 0 is the exact limit.
+    There the pmf is 0 on every row but one, and p_+' is 0 (p_+ = 1) or a
+    rounding residue (p_+ = 0; -1.2e-16 at pi/2 for N = 2).
     """
     pp = model.prob_plus(thetas)
     both = pp * (1.0 - pp)
     return np.divide(model.dprob_dtheta(thetas), both, out=np.zeros_like(both),
                      where=both != 0.0)
+
+
+def _score(model: GhzParityModel, m: int, k: np.ndarray, thetas, out: np.ndarray | None = None,
+           rest: np.ndarray | None = None) -> np.ndarray:
+    """d/dtheta log pmf(k | theta) = c (k p_- - (m - k) p_+), with c of ``_score_factor``.
+
+    p_- = 1 - p_+, as the kernel takes it; c (k - m p_+) would round m p_+
+    first.  ``out`` receives the score and ``rest`` the second product.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    pp = model.prob_plus(thetas)
+    kf = np.asarray(k, dtype=float)
+    out = np.einsum("i,j->ij", kf, 1.0 - pp, out=out)
+    out -= np.einsum("i,j->ij", m - kf, pp, out=rest)
+    out *= _score_factor(model, thetas)
+    return out

@@ -4,8 +4,8 @@ Composite Simpson quadrature is used everywhere, on fixed node sets: the
 posterior integrals on the prior's grid, and the theta0 integrals of
 ``rbound`` on their own 201-node grid.  Fixed grids keep the emitted numbers
 bit-stable.  Grid sizes and tolerances are fixed module constants, each in
-the module that reads it; the two shared ones, ``POSTERIOR_NODES`` and
-``DERIVATIVE_NOISE_REL``, live here.
+the module that reads it; the three shared ones, ``POSTERIOR_NODES``,
+``DERIVATIVE_NOISE_REL`` and ``_PRIOR_MASS_TOL``, live here.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class NonIntegrablePriorError(NumericalFailure):
 
 POSTERIOR_NODES = 2001          # Simpson nodes of the default posterior/prior grid
 DERIVATIVE_NOISE_REL = 1e-12    # |p'| below this (relative to max |p'|) counts as vanishing
+_PRIOR_MASS_TOL = 1e-10         # largest |prior mass on a grid - 1| that still resolves the prior
 _GOLDEN_REL_TOL = 1e-10         # golden-section bracket width, relative to the interval
 _RIDGE_SCALE = 1e-12            # Tikhonov ridge, times trace(B)/n
 _CONDITION_CAP = 1e12           # condition number above which the ridge engages
@@ -360,6 +361,9 @@ def family45_prior(alpha: float, grid: QuadratureGrid | None = None) -> PriorDen
     alpha.  Negative alpha broadens the density toward flat; large positive
     alpha concentrates it near pi/4 (approximately Gaussian with variance
     1/(8 alpha)).  alpha = 0 uses the limiting form (4/pi) sin^2(2 theta).
+
+    Raises ``NumericalFailure`` unless its trapezoid mass on the grid is 1 within
+    ``_PRIOR_MASS_TOL``: on 2001 nodes for about -3e4 <= alpha <= 2e4.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -392,7 +396,13 @@ def family45_prior(alpha: float, grid: QuadratureGrid | None = None) -> PriorDen
 
     values = np.asarray(pdf(grid.nodes), dtype=float)
     deriv = np.asarray(dpdf(grid.nodes), dtype=float)
-    return _finalize_prior("family45", domain, grid, values, deriv, True, alpha, pdf)
+    prior = _finalize_prior("family45", domain, grid, values, deriv, True, alpha, pdf)
+    mass = float(np.trapezoid(prior.values, grid.nodes))
+    if not abs(mass - 1.0) <= _PRIOR_MASS_TOL:
+        raise NumericalFailure(
+            f"the {grid.node_count}-node grid does not resolve the alpha={alpha:g} prior: "
+            f"its trapezoid mass is {mass!r}, off by more than {_PRIOR_MASS_TOL:g}")
+    return prior
 
 
 def custom_prior(grid: QuadratureGrid, values, derivative=None) -> PriorDensity:

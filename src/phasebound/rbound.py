@@ -39,7 +39,7 @@ run over the tallies of one phase).  The posterior summary's blocks have the
 same budget, so no stage writes more of the workspace than another.  Each
 block starts on a multiple of ``model._BLAS_ALIGN`` rows or phases and gives
 the doubles of the whole matrix (``model._block_extent``).  ``acrlb`` and
-``fvtb`` take the pmf derivative in the same blocks of phases
+``fvtb`` take the pmf derivative in the same workspace blocks of phases
 (``_mean_slope``), so none of these stages depends on the BLAS thread count.
 """
 
@@ -65,6 +65,7 @@ from .model import (
     tally_pmf_matrix,
 )
 from .numerics import (
+    _PRIOR_MASS_TOL,
     NonIntegrablePriorError,
     NumericalFailure,
     PriorDensity,
@@ -75,8 +76,6 @@ from .numerics import (
 
 # Simpson nodes of the theta0 grid of every outer integral.
 _OUTER_NODES = 201
-# Largest |integral of the prior on the theta0 grid - 1| that still resolves the prior.
-_OUTER_MASS_TOL = 1e-10
 
 
 def _outer_grid(prior: PriorDensity) -> tuple[QuadratureGrid, np.ndarray]:
@@ -90,11 +89,11 @@ def _outer_grid(prior: PriorDensity) -> tuple[QuadratureGrid, np.ndarray]:
     g = QuadratureGrid.simpson(prior.domain.a, prior.domain.b, _OUTER_NODES)
     p = prior.density(g.nodes)
     mass = integrate(p, g)
-    if not abs(mass - 1.0) <= _OUTER_MASS_TOL:
+    if not abs(mass - 1.0) <= _PRIOR_MASS_TOL:
         raise NumericalFailure(
             f"the {g.node_count}-node theta0 grid does not resolve the prior "
             f"({_prior_name(prior)}): it holds prior mass {mass!r}, "
-            f"off by more than {_OUTER_MASS_TOL:g}")
+            f"off by more than {_PRIOR_MASS_TOL:g}")
     return g, p
 
 
@@ -121,20 +120,23 @@ def _pmf_row_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
         yield k0, tally_pmf_matrix(model, m, thetas, k0, k0 + len(block), out=block)
 
 
-def _pmf_column_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
-    """The tally pmf at ``thetas`` in blocks of phases, as (phase slice, those columns) pairs.
+def _pmf_column_blocks(model: GhzParityModel, m: int, thetas: np.ndarray,
+                       derivative: bool = False):
+    """The tally pmf (or with ``derivative`` its d/dtheta) in blocks of phases of ``thetas``.
 
-    Each block is a contiguous (m + 1) x width array in the workspace,
-    valid until the next.  Aligned like the row blocks, each
-    column is summed over k by OpenBLAS's gemv as in the whole matrix (with
-    two threads the whole matrix's columns are not, from about 2600 rows on).
+    Each block, a (phase slice, those columns) pair, is a contiguous
+    (m + 1) x width array in the workspace, valid until the next.  Aligned
+    like the row blocks, each column is summed over k by OpenBLAS's gemv as
+    in the whole matrix (with two threads the whole matrix's columns are
+    not, from about 2600 rows on).
     """
+    kernel = tally_pmf_dtheta_matrix if derivative else tally_pmf_matrix
     rows, n = m + 1, thetas.size
     step = _block_extent(n, rows)
     for c0 in range(0, n, step):
         cols = slice(c0, min(c0 + step, n))
         block = _workspace.take("scratch", (rows, cols.stop - c0))
-        yield cols, tally_pmf_matrix(model, m, thetas, cols=cols, out=block)
+        yield cols, kernel(model, m, thetas, cols=cols, out=block)
 
 
 def _column_spreads(model: GhzParityModel, m: int, thetas: np.ndarray, v: np.ndarray,
@@ -461,15 +463,11 @@ def _mean_slope(estimator: Estimator, m: int, model: GhzParityModel,
                 thetas: np.ndarray) -> np.ndarray:
     """d<est>/dtheta0 at every phase: the sum over k of v[k] d pmf(k | theta0) / dtheta0.
 
-    The pmf derivative goes through in aligned blocks of phases
-    (``model._block_extent``), each a new (m + 1) x width array, so each
-    column is summed over k by OpenBLAS's gemv as in the whole matrix with
-    one thread, and a block is too small for two threads to split.
+    The pmf derivative goes through in blocks of phases
+    (``_pmf_column_blocks``), so it does not depend on the BLAS thread count.
     """
     v = estimator.values(m)
-    step = _block_extent(thetas.size, m + 1)
-    return np.concatenate([v @ tally_pmf_dtheta_matrix(model, m, thetas[c0:c0 + step])
-                           for c0 in range(0, thetas.size, step)])
+    return np.concatenate([v @ dpmf for _, dpmf in _pmf_column_blocks(model, m, thetas, True)])
 
 
 def acrlb(estimator: Estimator, prior_true: PriorDensity, m: int,

@@ -608,19 +608,15 @@ def scipy_tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
 
 
 def scipy_tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas) -> np.ndarray:
-    """d/dtheta of the tally pmf from the k >= 1 and k <= m-1 exp-matrices."""
+    """d/dtheta of the scipy tally pmf: the pmf times the score c (k p_- - (m - k) p_+).
+
+    c = p_+' / (p_+ p_-), 0 where p_+ p_- = 0, and p_- = 1 - p_+.
+    """
     thetas = np.asarray(thetas, dtype=float)
     pp = model.prob_plus(thetas)[None, :]
-    pm = 1.0 - pp
-    logc = scipy_log_binomial(m, np.arange(m + 1))[:, None]
-    t1 = np.zeros((m + 1, thetas.size))
-    t2 = np.zeros((m + 1, thetas.size))
-    if m >= 1:
-        k = np.arange(1, m + 1)[:, None]
-        t1[1:] = k * np.exp(logc[1:] + xlogy(k - 1, pp) + xlogy(m - k, pm))
-        k = np.arange(0, m)[:, None]
-        t2[:m] = (m - k) * np.exp(logc[:m] + xlogy(k, pp) + xlogy(m - k - 1, pm))
-    return model.dprob_dtheta(thetas)[None, :] * (t1 - t2)
+    k = np.arange(m + 1, dtype=float)[:, None]
+    score = (k * (1.0 - pp) - (m - k) * pp) * _score_factor(model, thetas)
+    return scipy_tally_pmf_matrix(model, m, thetas) * score
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

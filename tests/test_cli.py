@@ -187,6 +187,15 @@ class TestFig3:
     def test_alpha_battery_to_stdout_rejected(self):
         assert main(["fig3", "--m.list", "1"]) == 2
 
+    def test_unresolved_prior_grid_is_config_error(self, tmp_path, capsys):
+        # the prior's standard deviation is 0.82 node spacings: m Var came out 16% off
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--prior.alpha", "300000", "--m.list", "1,10",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot build prior: the 2001-node grid does not resolve the alpha=300000" in err
+        assert not out.exists()
+
     def test_flat_prior_variant(self, tmp_path):
         out = tmp_path / "fig3_flat.csv"
         assert main(["fig3", "--prior.kind", "flat", "--m.list", "1,2",

@@ -16,6 +16,7 @@ from phasebound.model import (
     ModelError,
     PhaseDomain,
     _score_factor,
+    tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
 )
 from phasebound.numerics import custom_prior, family45_prior, integrate, maximize_1d
@@ -243,6 +244,17 @@ class TestFrequentistRisk:
                 analytic = frequentist_risk(est, theta0, m, model).bias_derivative
                 fd = bias_derivative_fd(est, theta0, m, model)
                 assert analytic == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [1, 3, 300, 5000])
+    def test_bias_derivative_weighs_with_the_derivative_kernel(self, model, domain, flat, m):
+        # the cached pmf column times the score at theta0: the kernel's column, bit for bit
+        for est in (MaximumLikelihoodEstimator(model, domain),
+                    PosteriorMeanEstimator(model, flat)):
+            v = est.values(m)
+            for theta0 in (math.pi / 8, math.pi / 4, 1.4):
+                got = frequentist_risk(est, theta0, m, model).bias_derivative
+                dpmf = tally_pmf_dtheta_matrix(model, m, [theta0])[:, 0]
+                assert got == float(np.sum(v * dpmf)), (theta0, type(est).__name__)
 
     def test_bias_derivative_trend_to_one(self, model, domain):
         est = MaximumLikelihoodEstimator(model, domain)

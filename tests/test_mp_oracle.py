@@ -59,11 +59,11 @@ from phasebound.model import (
 )
 
 THETAS = [math.pi / 4, math.pi / 8, math.pi / 6, math.pi / 3, 3 * math.pi / 8, 0.1, 1.4]
-# m: worst error of tally_pmf_matrix, tally_pmf_dtheta_matrix and the closed-form score's
-# derivative pmf c (k - m p_+) on tally_pmf_matrix (``model._score_factor``'s c, the posterior
-# summary's; 0 where exact up to the oracle's rounding).  The score form rounds m p_+ before
-# k - m p_+, and c carries 1 / (p_+ p_-): at m = 3 its figure is 19 times the derivative
-# kernel's.
+# m: worst error of tally_pmf_matrix, tally_pmf_dtheta_matrix (the pmf times the score
+# c (k p_- - (m - k) p_+), ``model._score``) and the same score written c (k - m p_+), as the
+# posterior summary weighs the pmf (``model._score_factor``'s c; 0 where exact up to the
+# oracle's rounding).  That form rounds m p_+ before k - m p_+, and c carries 1 / (p_+ p_-): at
+# m = 3 its figure is 19 times the derivative kernel's.
 MEASURED = {
     1: (1.2e-16, 0.0, 1.84e-16),
     2: (2.44e-16, 1.14e-16, 2.06e-16),

@@ -285,12 +285,26 @@ class TestPriorFamilies:
         assert float(np.max(rel)) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [-1e5, 1e5])
-    def test_extreme_alpha_builds_finite_values(self, grid, alpha):
+    def test_extreme_alpha_builds_finite_values(self, alpha):
+        # on a grid that resolves the density: the default 2001 nodes do not (refused below)
+        fine = QuadratureGrid.simpson(0.0, math.pi / 2, 16001)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prior = family45_prior(alpha, grid)
+            prior = family45_prior(alpha, fine)
         assert np.all(np.isfinite(prior.values)) and np.all(np.isfinite(prior.derivative))
-        assert abs(integrate(prior.values, grid) - 1.0) < 1e-9
+        assert abs(integrate(prior.values, fine) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [-1e5, 1e5, 3e5])
+    def test_unresolved_family_refused(self, grid, alpha):
+        # a density a few node spacings wide: normalised by Simpson's rule, its trapezoid
+        # mass on the same nodes is off by 5.4e-8 (-1e5), 3.0e-5 (1e5) and 2.4e-2 (3e5)
+        with pytest.raises(NumericalFailure, match=f"the 2001-node grid does not resolve the "
+                                                   f"alpha={alpha:g} prior: its trapezoid mass"):
+            family45_prior(alpha, grid)
+
+    def test_resolved_family_builds(self, grid):
+        prior = family45_prior(2e4, grid)
+        assert abs(np.trapezoid(prior.values, grid.nodes) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha_rejected(self, grid, alpha):

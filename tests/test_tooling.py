@@ -78,8 +78,8 @@ CONSTANTS = [
     ("model", "_BLOCK_CELLS"), ("model", "_GRID_LOGS_KEPT"), ("model", "_EXP_ZERO_BELOW"),
     ("model", "_WINDOW_ALIGN"), ("model", "_BLAS_ALIGN"),
     ("numerics", "POSTERIOR_NODES"), ("numerics", "DERIVATIVE_NOISE_REL"),
-    ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"), ("numerics", "_CONDITION_CAP"),
-    ("rbound", "_OUTER_NODES"), ("rbound", "_OUTER_MASS_TOL"),
+    ("numerics", "_PRIOR_MASS_TOL"), ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"),
+    ("numerics", "_CONDITION_CAP"), ("rbound", "_OUTER_NODES"),
     ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
     ("fbound", "_OFFSET_SEPARATION"), ("fbound", "_OFFSET_FLOOR"), ("fbound", "_CHAIN_SLACK"),
     ("fbound", "_SEARCH_CELLS"),
@@ -214,6 +214,7 @@ def test_posterior_summary_reads_one_pmf_window_per_block(monkeypatch, prior_nam
     # nonzero prior that the span holds but the window leaves out adds a one-node read
     # (the alpha = 10 prior vanishes at 0 and not at pi/2).  No derivative table is built
     import phasebound.estimate as estimate
+    import phasebound.model as model_module
     from phasebound import GhzParityModel, QuadratureGrid, family45_prior, flat_prior
     from phasebound.model import PhaseDomain
 
@@ -239,7 +240,7 @@ def test_posterior_summary_reads_one_pmf_window_per_block(monkeypatch, prior_nam
 
     monkeypatch.setattr(estimate, "tally_pmf_matrix", counting_kernel)
     monkeypatch.setattr(estimate, "_summarise_block", counting_block)
-    monkeypatch.setattr(estimate, "tally_pmf_dtheta_matrix", no_derivative_table)
+    monkeypatch.setattr(model_module, "tally_pmf_dtheta_matrix", no_derivative_table)
     estimate.posterior_summary(prior, m, GhzParityModel(2))
     assert len(windows) == blocks
     for block, cols in enumerate(windows, start=1):
@@ -256,11 +257,12 @@ def test_theta0_stage_allocates_within_budget(stage):
     # the whole (m+1) x 201 pmf is 1.5 MiB at m = 1000 and 7.7 MiB at m = 5000; every
     # theta0-grid stage streams it through one workspace block (written by the
     # posterior summary before these stages run, as in fig4 and bounds) and allocates
-    # under 2 MiB beyond it.  acrlb and fvtb take the pmf derivative in blocks of phases,
-    # each two new (m+1) x 16 arrays at m = 5000: 1.5 MiB (two whole 7.7 MiB arrays took
-    # 15.7 MiB).  The first stage to take a (5001 x 16) block grows the workspace to it,
-    # so each stage is first called once untraced at the same m, as a
-    # sweep's earlier rows call it, and its peak does not depend on what ran before
+    # under 2 MiB beyond it.  acrlb and fvtb take the pmf derivative in workspace
+    # blocks of phases too: 0.2 MiB at m = 5000 (two new (m+1) x 16 arrays per block
+    # took 1.4 MiB, two whole 7.7 MiB arrays 15.7 MiB).  The first stage to take a
+    # (5001 x 16) block grows the workspace to it, so each stage is first called once
+    # untraced at the same m, as a sweep's earlier rows call it, and its peak does not
+    # depend on what ran before
     from phasebound import GhzParityModel, PosteriorMeanEstimator, QuadratureGrid, family45_prior
     from phasebound import rbound
 

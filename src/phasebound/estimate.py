@@ -70,40 +70,37 @@ class GhoshTable:
     failure: str | None = None  # why the Ghosh bound is invalid; raised by ghosh_table
 
 
-def _branch_mle(k_plus, m: int, model: GhzParityModel, domain: PhaseDomain,
-                branch: int) -> np.ndarray:
-    """Closed-form MLE of an array of k_+ on the branch N [a, b] in [j pi, (j+1) pi], clipped.
+def _branch_mle(k_plus, m: int, model: GhzParityModel, branch: int) -> np.ndarray:
+    """Closed-form MLE of an array of k_+ on the branch N [a, b] in [j pi, (j+1) pi].
 
     There cos(N theta) = (-1)^j cos(N theta - j pi) is monotone, so the
     likelihood of each tally peaks where p_+ = k_+/m:
-    N theta = j pi + arccos((-1)^j (k_+ - k_-)/m).  ``math.acos`` is applied
-    per element: ``np.arccos`` differs from it in the last bit for some
-    arguments, and the references were recorded with it.
+    N theta = j pi + arccos((-1)^j (k_+ - k_-)/m); ``Estimator.values``
+    clips it to [a, b].  ``math.acos`` is applied per element:
+    ``np.arccos`` differs from it in the last bit for some arguments, and
+    the references were recorded with it.
     """
     x = (2 * k_plus - m) / m
     if branch % 2:
         x = -x
     acos = np.array([math.acos(v) for v in x.tolist()])
-    return domain.clip((branch * math.pi + acos) / model.n_qubits)
+    return (branch * math.pi + acos) / model.n_qubits
 
 
 class Estimator:
-    """Maps outcome tallies to phases; per-m estimate vectors are cached."""
+    """Maps outcome tallies to phases, clipped to the domain; nothing is kept per m."""
 
     def __init__(self, model: GhzParityModel, domain: PhaseDomain):
         self.model = model
         self.domain = domain
-        self._cache: dict[int, np.ndarray] = {}
 
     def _compute_values(self, m: int) -> np.ndarray:
         raise NotImplementedError
 
     def values(self, m: int) -> np.ndarray:
-        if m not in self._cache:
-            vals = np.clip(self._compute_values(m), self.domain.a, self.domain.b)
-            vals.flags.writeable = False
-            self._cache[m] = vals
-        return self._cache[m]
+        vals = np.clip(self._compute_values(m), self.domain.a, self.domain.b)
+        vals.flags.writeable = False
+        return vals
 
 
 class MaximumLikelihoodEstimator(Estimator):
@@ -124,7 +121,7 @@ class MaximumLikelihoodEstimator(Estimator):
     def _compute_values(self, m: int) -> np.ndarray:
         if m < 1:
             raise ModelError("MLE requires at least one shot")
-        return _branch_mle(np.arange(m + 1), m, self.model, self.domain, self._branch)
+        return _branch_mle(np.arange(m + 1), m, self.model, self._branch)
 
 
 class PosteriorMeanEstimator(Estimator):
@@ -133,13 +130,13 @@ class PosteriorMeanEstimator(Estimator):
     def __init__(self, model: GhzParityModel, prior: PriorDensity):
         super().__init__(model, prior.domain)
         self.prior = prior
-        self._summaries: dict[int, GhoshTable] = {}
+        self._summary: GhoshTable | None = None
 
     def summary(self, m: int) -> GhoshTable:
-        """The per-tally posterior summary for m, built once and shared by every caller."""
-        if m not in self._summaries:
-            self._summaries[m] = posterior_summary(self.prior, m, self.model)
-        return self._summaries[m]
+        """The per-tally posterior summary for m, kept until another m is asked for."""
+        if self._summary is None or self._summary.m != m:
+            self._summary = posterior_summary(self.prior, m, self.model)
+        return self._summary
 
     def _compute_values(self, m: int) -> np.ndarray:
         return self.summary(m).mean
@@ -310,8 +307,8 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     over the whole (m+1)-row table, and the summary does not depend on the
     blocks (the tests compare blocks of 16, 32 and 48 rows with one block,
     with ``==``).  Nothing is cached here: ``PosteriorMeanEstimator.summary``
-    builds it once per m and serves both the posterior means and
-    ``ghosh_table``.
+    keeps the last m's, which serves both the posterior means and
+    ``ghosh_table`` of a sweep row.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is

@@ -42,7 +42,8 @@ the references in ``perfbench/reference`` were recorded with, bit for bit
 ``==``), without importing scipy.  ``math.lgamma`` and ``np.log`` would not:
 the first differs from ``gammaln`` by up to 4 ulp at about half of the
 integers 1..20002, and numpy's vectorised log from libm's in the last bit
-on 0.3-0.7% of the probabilities.
+on 0.3-0.7% of the probabilities, enough to move the posterior information
+at m = 5000 off its pin to the mpmath oracle (``tests/test_mp_oracle.py``).
 
 ``tally_pmf_matrix`` takes an optional row range k0 <= k < k1 (default:
 every tally).  Every entry is computed elementwise, so a range is bit for bit

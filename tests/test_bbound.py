@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -198,6 +200,15 @@ class TestPosteriorSummary:
         summary = posterior_summary(prior, 9, model)
         np.testing.assert_array_equal(summary.mean, (dens * grid.nodes) @ grid.weights)
         np.testing.assert_array_equal(summary.marginal, marginal)
+
+    def test_estimator_keeps_only_the_last_summary(self, model, grid):
+        # a sweep row reads one m; the summary of a row already passed is freed
+        bayes = PosteriorMeanEstimator(model, family45_prior(10.0, grid))
+        first = weakref.ref(bayes.summary(12))
+        assert bayes.summary(12) is first()
+        bayes.summary(13)
+        gc.collect()
+        assert first() is None
 
     def test_memo_holds_only_length_m_vectors(self, model, grid):
         bayes = PosteriorMeanEstimator(model, family45_prior(10.0, grid))

@@ -17,13 +17,13 @@ from .model import GhzParityModel, ModelError, tally_pmf_matrix
 from .numerics import NumericalFailure
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def tally_column(theta0: float, m: int, model: GhzParityModel) -> np.ndarray:
     """The tally pmf p(k | theta0) for k = 0..m: the one-phase column of ``tally_pmf_matrix``.
 
-    Memoised for the last few cells, so the frequentist risk and the
-    likelihood-averaged Bayesian sums of one sweep row share one kernel call;
-    the column is read-only.
+    Memoised for the last cell only, so the frequentist risk and the
+    likelihood-averaged Bayesian sums of one sweep row share one kernel call
+    and no earlier row's column is kept; the column is read-only.
     """
     column = tally_pmf_matrix(model, m, [theta0])[:, 0]
     column.flags.writeable = False

@@ -158,11 +158,12 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
     (``model._likelihood_windows``), outside of which it is zero, and starts
     on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior summary passes a
     narrower one).  ``out``, a (k1 - k0, width of ``cols``) array, receives
-    the window of the density, and is returned in place of a new zero-filled
-    array of every node; that one is filled in blocks of rows aligned as the
-    summary's (``_block_extent`` over ``cols``), so the marginals do not
-    depend on the BLAS thread count.  ``posterior_summary`` asks for blocks
-    of rows, so that its memory stays O(block x window).
+    the window of the density, every cell of which the kernel writes, and is
+    returned in place of a new zero-filled array of every node; that one is
+    filled in blocks of rows aligned as the summary's (``_block_extent``
+    over ``cols``), so the marginals do not depend on the BLAS thread count.
+    ``posterior_summary`` asks for blocks of rows, so that its memory stays
+    O(block x window).
     """
     grid = prior.grid
     k0, k1 = _row_range(m, k0, k1)
@@ -216,25 +217,23 @@ def _steep_zero(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1:
 
 
 def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1: int,
-                     span: slice, cols: slice, out: tuple[np.ndarray, ...],
+                     cols: slice, out: tuple[np.ndarray, ...],
                      score_terms: tuple[np.ndarray, np.ndarray],
                      slope_zeros: np.ndarray) -> int | None:
     """Write the tallies k0 <= k < k1 into ``out``; return a tally with a zero of nonzero slope.
 
-    ``out`` is (marginal, mean, variance, boundary, information), each of
-    length m + 1.  ``span`` and ``cols`` are the block's two windows of
-    nodes (``_likelihood_windows``): the span outside of which the block's
-    likelihood is exactly 0, and the part of it where some row of the block
-    lies within the cut (``model._peak_cut``, 100 nats on 2001 nodes) of its
-    peak.  Every pass runs on ``cols``; a cell outside is an exact zero or
-    lies below half an ulp of each of its row's sums, so it changes no
-    double.  The density (``posterior_table``) and the products are written
-    into the workspace, as contiguous (rows, window width) arrays;
-    the window is aligned, so the matrix-vector products add each row's
-    terms as over the whole row.  An end node that ``span`` holds but
-    ``cols`` leaves out enters only the boundary term; its pmf is read
-    through a one-node window of the grid, with the grid's cached logs and
-    the same elementwise operations.
+    ``out`` is (marginal, mean, variance, information), each of length
+    m + 1.  ``cols`` is the block's window of nodes
+    (``_likelihood_windows``): the part of the likelihood's span where some
+    row of the block lies within the cut (``model._peak_cut``, 100 nats on
+    2001 nodes) of its peak.  Every pass runs on it; a cell outside is an
+    exact zero or lies below half an ulp of each of its row's sums, so it
+    changes no double.  The density (``posterior_table``) and the products
+    are written into the workspace, as contiguous (rows, window width)
+    arrays; the window is aligned, so the matrix-vector products add each
+    row's terms as over the whole row.  The boundary term, which needs the
+    density only at the end nodes, is formed for every tally at once by
+    ``posterior_summary``.
 
     The information weighs the density by the squared score of the
     posterior, k c + e on row k, with ``score_terms`` = (c, e) over the
@@ -243,7 +242,7 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     is zero where its slope is not noise is returned (``_steep_zero``,
     which checks the prior's zeros ``slope_zeros``), else None.
     """
-    marginal, means, variance, boundary, information = out
+    marginal, means, variance, information = out
     grid = prior.grid
     nodes, w = grid.nodes[cols], grid.weights[cols]
     shape = (k1 - k0, nodes.size)
@@ -255,20 +254,6 @@ def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int
     np.square(work, out=work)
     work *= dens
     variance[k0:k1] = work @ w
-
-    def end_density(j):
-        # 0 outside the span and at a zero of the prior; an end node of nonzero prior that
-        # the span holds but the window leaves out is read on its own
-        if cols.start <= j < cols.stop:
-            return dens[:, j - cols.start]
-        if not (span.start <= j < span.stop and prior.values[j]):
-            return 0.0
-        pmf = tally_pmf_matrix(model, m, grid.nodes, k0, k1, cols=slice(j, j + 1),
-                               out=np.empty((k1 - k0, 1)))
-        return pmf[:, 0] * prior.values[j] / marginal[k0:k1]
-
-    first, last = end_density(0), end_density(grid.node_count - 1)
-    boundary[k0:k1] = grid.b * last - grid.a * first - mean * (last - first)
 
     c, e = score_terms
     score = np.einsum("i,j->ij", np.arange(k0, k1, dtype=float), c[cols], out=work)
@@ -306,17 +291,20 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     aligned, every matrix-vector product gives each row the doubles of one
     over the whole (m+1)-row table, and the summary does not depend on the
     blocks (the tests compare blocks of 16, 32 and 48 rows with one block,
-    with ``==``).  Nothing is cached here: ``PosteriorMeanEstimator.summary``
-    keeps the last m's, which serves both the posterior means and
-    ``ghosh_table`` of a sweep row.
+    with ``==``).  The boundary term needs the density only at the two end
+    nodes: after the blocks, one two-column kernel call reads them for every
+    tally, from the grid's cached logs, so they are the doubles of a window
+    that holds them (0 outside a block's span).  Nothing is cached here:
+    ``PosteriorMeanEstimator.summary`` keeps the last m's, which serves both
+    the posterior means and ``ghosh_table`` of a sweep row.
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
     undefined.
     """
-    nodes = prior.grid.nodes
-    out = marginal, means, variance, boundary, information = tuple(
-        np.empty(m + 1) for _ in range(5))
+    grid = prior.grid
+    nodes, n = grid.nodes, grid.node_count
+    out = marginal, means, variance, information = tuple(np.empty(m + 1) for _ in range(4))
     with np.errstate(divide="ignore"):
         log_p = np.log(prior.values)
     log_prior = log_p, np.where(prior.values > 0.0, log_p, np.max(log_p))
@@ -326,23 +314,28 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     score_terms = c, prior_score - m * model.prob_plus(nodes) * c
     slope_zeros = np.flatnonzero((prior.values == 0.0) & (prior.derivative != 0.0))
     failure = None
-    k0, width = 0, nodes.size
+    k0, width = 0, n
     while k0 <= m:
         k1 = k0 + _block_extent(m + 1 - k0, width)
         while True:
-            span, cols = _likelihood_windows(model, m, nodes, k0, k1, log_prior)
+            cols = _likelihood_windows(model, m, nodes, k0, k1, log_prior)[1]
             width = cols.stop - cols.start
             rows = _block_extent(m + 1 - k0, width)
             if k0 + rows >= k1:
                 break
             k1 = k0 + rows
         # the first failure stands: later blocks check no zero
-        bad = _summarise_block(prior, m, model, k0, k1, span, cols, out, score_terms,
+        bad = _summarise_block(prior, m, model, k0, k1, cols, out, score_terms,
                                slope_zeros if failure is None else slope_zeros[:0])
         if bad is not None:
             failure = f"posterior for tally k={bad} has a zero with nonzero slope"
         k0 = k1
 
+    ends = tally_pmf_matrix(model, m, nodes, cols=slice(0, n, n - 1))
+    ends *= prior.values[[0, -1]]
+    ends /= marginal[:, None]
+    first, last = ends.T
+    boundary = grid.b * last - grid.a * first - means * (last - first)
     num = (boundary - 1.0) ** 2
     degenerate = information <= 0.0
     undefined = degenerate & (num > 1e-18)

@@ -34,43 +34,42 @@ product of a float column of k with them, and the products of the k = 0 and
 k = m rows are set to 0 by slicing.  exp is evaluated only where the
 log-sum is above -745.2: below log(2^-1075) = -745.13 it returns exactly
 0.0, so skipping it changes no bit, and there it runs about 19 times slower
-than on ordinary arguments.  The log-sums themselves are formed only on the
-span of phases where some row can pass that cut (``_live_span``).  So the
-kernel returns the doubles of the scipy formulas
-the references in ``perfbench/reference`` were recorded with, bit for bit
-(``tests/oracles.py`` keeps those formulas, and the tests compare with
-``==``), without importing scipy.  ``math.lgamma`` and ``np.log`` would not:
-the first differs from ``gammaln`` by up to 4 ulp at about half of the
-integers 1..20002, and numpy's vectorised log from libm's in the last bit
-on 0.3-0.7% of the probabilities, enough to move the posterior information
-at m = 5000 off its pin to the mpmath oracle (``tests/test_mp_oracle.py``).
+than on ordinary arguments.  So the kernel returns the doubles of the
+scipy formulas the references in ``perfbench/reference`` were recorded
+with, bit for bit (``tests/oracles.py`` keeps those formulas, and the tests
+compare with ``==``), without importing scipy.  ``math.lgamma`` and
+``np.log`` would not: the first differs from ``gammaln`` by up to 4 ulp at
+about half of the integers 1..20002, and numpy's vectorised log from libm's
+in the last bit on 0.3-0.7% of the probabilities, enough to move the
+posterior information at m = 5000 off its pin to the mpmath oracle
+(``tests/test_mp_oracle.py``).
 
-``tally_pmf_matrix`` takes an optional row range k0 <= k < k1 (default:
-every tally).  Every entry is computed elementwise, so a range is bit for bit
-the matching slice of the full array, and so is a block of phases (``cols``
-with a window-shaped ``out``), which the theta0-grid stages and the
-posterior tables read.  Outside the span where the rows can pass the exp cut
-every cell is an exact zero however it is computed.  This lets the
-posterior summary stream a large-m table in blocks of tallies and work on a
-narrower window per block: the part of the span of phases where some row of
-the block's posterior lies within ``_PEAK_CUT`` = 100 nats of its peak
-(more on grids far finer than 2001 nodes on [0, pi/2], ``_peak_cut``),
-outside of which no cell moves a sum by a bit (``_likelihood_windows``).
+``tally_pmf_matrix`` computes exactly what it is handed: the rows
+k0 <= k < k1 (default: every tally) at the phases ``thetas[cols]``
+(default: every phase), in one pass, into ``out`` or a new array of that
+shape, every cell written.  Every entry is computed elementwise, so a range
+of rows or a slice of phases is bit for bit the matching part of the full
+array; the theta0-grid stages and the posterior tables read such blocks.
+Outside the span where the rows can pass the exp cut every cell is an exact
+zero however it is computed.  This lets the posterior summary stream a
+large-m table in blocks of tallies and work on a narrower window per
+block: the part of the span of phases where some row of the block's
+posterior lies within ``_PEAK_CUT`` = 100 nats of its peak (more on grids
+far finer than 2001 nodes on [0, pi/2], ``_peak_cut``), outside of which no
+cell moves a sum by a bit (``_likelihood_windows``).
 One pass over four of the block's rows bounds every row from above and
-below (``_row_bounds``) and gives both the span and the window.  A caller
-that has a window passes it as ``cols``, so it is found once per block, and
-may pass an ``out`` array shaped like the window, (rows, window width), to
-be written in place of a new array of every phase.
+below (``_row_bounds``) and gives both the span and the window.  The
+summary passes the window as ``cols``, so it is found once per block, with
+an ``out`` array shaped like it, (rows, window width).
 
 The kernels' temporaries (the log-sums and exp mask) are views of the
 workspace (``_Workspace``): buffers of ``_BLOCK_CELLS`` cells, allocated
-once per process and reused by every block of every sweep row.  The
-log-sums go through it in blocks of rows.  A row of a sweep then writes
-into pages that are already mapped instead of asking for arrays a
-little larger than the last row's, which the allocator served with fresh
-pages every time.  That one budget sizes every block pass, the posterior
-summary's and the theta0-grid stages', and each block starts on a multiple
-of ``_BLAS_ALIGN`` rows (``_block_extent``).
+once per process and reused by every block of every sweep row.  A row of
+a sweep then writes into pages that are already mapped instead of asking
+for arrays a little larger than the last row's, which the allocator served
+with fresh pages every time.  That one budget sizes every block pass, the
+posterior summary's and the theta0-grid stages', and each block starts on
+a multiple of ``_BLAS_ALIGN`` rows (``_block_extent``).
 """
 
 from __future__ import annotations
@@ -293,8 +292,9 @@ class _Workspace:
     and no others.  The names in use, each free again when its user
     returns:
 
-    * "sums" and "mask": the kernel's log-sums and exp mask, then "sums"
-      the score's second product (``tally_pmf_dtheta_matrix``);
+    * "sums" and "mask": the kernel's log-sums and exp mask, one of each
+      per call, shaped like its result; then "sums" the score's second
+      product (``tally_pmf_dtheta_matrix``);
     * "scratch": the posterior table's density; the blocks of the pmf (or
       of its derivative) that the theta0-grid stages stream
       (``rbound._pmf_row_blocks`` and ``_pmf_column_blocks``), with
@@ -385,43 +385,6 @@ def _live_span(upper: np.ndarray) -> tuple[int, int]:
     return _span(upper > _EXP_ZERO_BELOW - 1.0)
 
 
-def _exp_log_terms(m: int, k: np.ndarray, logpp: np.ndarray, logpm: np.ndarray,
-                   cols: slice | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """exp of ``_log_terms``, computed only where it can be nonzero.
-
-    The log-sums are formed only on ``cols``, phases outside of which every
-    row is known to be below the exp cut: by default the ``_live_span``, or
-    every phase of a one-phase column, where nothing can be skipped.  exp
-    runs only where a log-sum is above ``_EXP_ZERO_BELOW``: every other cell
-    is exactly 0.0 however it is computed, and there exp is about 19 times
-    slower than on ordinary arguments.  The result is a new zero-filled
-    array, or ``out``, of which only the columns ``cols`` are written.
-
-    The rows go through in passes of one block each (``_block_extent``), so
-    a block of tallies goes through in one pass: each pass's log-sums and
-    exp mask are written into the workspace, and its second product into
-    the pass's own window of the result, which exp then overwrites.  Every
-    cell is computed elementwise, so the passes change no bit.
-    """
-    if cols is None:
-        cols = (slice(0, logpp.size) if logpp.size == 1
-                else slice(*_live_span(_row_bounds(m, k, logpp, logpm)[0])))
-    if out is None:
-        out = np.zeros((len(k), logpp.size))
-    window = out[:, cols]
-    logpp, logpm = logpp[cols], logpm[cols]
-    step = _block_extent(len(k), logpp.size)
-    for r0 in range(0, len(k), step):
-        rows = slice(r0, r0 + step)
-        part = window[rows]
-        sums = _log_terms(m, k[rows], logpp, logpm,
-                          out=_workspace.take("sums", part.shape), rest=part)
-        keep = np.greater(sums, _EXP_ZERO_BELOW, out=_workspace.take("mask", part.shape, bool))
-        part.fill(0.0)
-        np.exp(sums, out=part, where=keep)
-    return out
-
-
 def _row_range(m: int, k0: int, k1: int | None) -> tuple[int, int]:
     """Validated tally rows k0 <= k < k1 of m shots; ``k1=None`` means through k = m."""
     if not isinstance(m, (int, np.integer)) or m < 0:
@@ -435,29 +398,38 @@ def _row_range(m: int, k0: int, k1: int | None) -> tuple[int, int]:
 def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
                      k1: int | None = None, *, cols: slice | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Tally probabilities for k0 <= k < k1 (default every k) at every phase.
+    """Tally probabilities for k0 <= k < k1 (default every k) at the phases ``thetas[cols]``.
 
-    Shape (k1 - k0, len(thetas)), equal bit for bit to those rows of the
-    full (m+1)-row matrix; one phase gives one column.  Evaluated in the log
-    domain, so large m neither overflows the binomial coefficient nor
-    underflows the outcome powers prematurely, and 0 log 0 = 0 makes the
-    deterministic channels exact.
+    Shape (k1 - k0, len(thetas[cols])), all of ``thetas`` without ``cols``;
+    equal bit for bit to those rows and columns of the full (m+1)-row
+    matrix; one phase gives one column.  Evaluated in the log domain, so
+    large m neither overflows the binomial coefficient nor underflows the
+    outcome powers prematurely, and 0 log 0 = 0 makes the deterministic
+    channels exact.
 
-    ``cols`` is a slice of phases.  Without ``out`` every requested row must
-    be 0 outside it, as it is outside the span of ``_likelihood_windows``;
-    by default the kernel finds its own span.  ``out`` receives the matrix
-    and is returned.  With ``cols`` it holds only those columns, any block
-    of phases: a (k1 - k0, width of ``cols``) array, every cell of which is
-    written.  Without ``cols`` it has the result's shape and only the
-    kernel's span is written; the matrix is 0 outside it, so such a caller
-    fills ``out`` with zeros first.
+    ``cols`` is any slice of phases; the logs of p_+ and p_- are cut from
+    the grid's cached ones (``_grid_logs``) of all of ``thetas``.  ``out``,
+    an array of the result's shape, receives the matrix and is returned in
+    place of a new one; every cell is written.  The rows go through in one
+    pass: the log-sums and the exp mask are written into the workspace, the
+    second product into ``out``, which exp then overwrites where a log-sum
+    is above ``_EXP_ZERO_BELOW`` and 0.0 fills elsewhere (exp would give
+    exactly 0.0 there, about 19 times slower).
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
     logpp, logpm = _grid_logs(model, thetas)
-    if cols is not None and out is not None:     # ``out`` is the window: cut the logs to it
-        logpp, logpm, cols = logpp[cols], logpm[cols], slice(None)
-    return _exp_log_terms(m, np.arange(k0, k1), logpp, logpm, cols, out)
+    if cols is not None:
+        logpp, logpm = logpp[cols], logpm[cols]
+    shape = (k1 - k0, logpp.size)
+    if out is None:
+        out = np.empty(shape)
+    sums = _log_terms(m, np.arange(k0, k1), logpp, logpm, out=_workspace.take("sums", shape),
+                      rest=out)
+    keep = np.greater(sums, _EXP_ZERO_BELOW, out=_workspace.take("mask", shape, bool))
+    out.fill(0.0)
+    np.exp(sums, out=out, where=keep)
+    return out
 
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas, *, cols: slice | None = None,
@@ -469,7 +441,7 @@ def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas, *, cols: slic
     workspace.
     """
     thetas = np.asarray(thetas, dtype=float)
-    phases = thetas[cols] if cols is not None and out is not None else thetas
+    phases = thetas if cols is None else thetas[cols]
     out = tally_pmf_matrix(model, m, thetas, cols=cols, out=out)
     out *= _score(model, m, np.arange(m + 1), phases, out=_workspace.take("derivative", out.shape),
                   rest=_workspace.take("sums", out.shape))

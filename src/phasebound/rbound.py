@@ -116,7 +116,6 @@ def _pmf_row_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
     step = _block_extent(rows, n)
     for k0 in range(0, rows, step):
         block = _workspace.take("scratch", (min(step, rows - k0), n))
-        block.fill(0.0)
         yield k0, tally_pmf_matrix(model, m, thetas, k0, k0 + len(block), out=block)
 
 

@@ -356,13 +356,17 @@ class TestStreamedSummary:
 
 
 def _summary_with_windows(monkeypatch, prior, m, model):
-    """posterior_summary, and the (k0, k1, span, cols) of each block it summarises."""
+    """posterior_summary, and the (k0, k1, span, cols) of each block it summarises.
+
+    ``cols`` is the window the block is handed, and ``span`` the likelihood's span
+    that ``_likelihood_windows`` finds for the block's tallies (``_span``).
+    """
     seen = []
     summarise = estimate_module._summarise_block
 
-    def spy(prior, m, model, k0, k1, span, cols, *args):
-        seen.append((k0, k1, span, cols))
-        return summarise(prior, m, model, k0, k1, span, cols, *args)
+    def spy(prior, m, model, k0, k1, cols, *args):
+        seen.append((k0, k1, _span(prior, m, model, k0, k1), cols))
+        return summarise(prior, m, model, k0, k1, cols, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(estimate_module, "_summarise_block", spy)
@@ -495,11 +499,7 @@ class TestSummaryWindows:
             posterior_summary(prior, m, model)
         assert {name for name, _, _, _ in passed} == {"tally_pmf_matrix", "posterior_table"}
         for name, cols, n, arrays in passed:
-            # an end node left out of the window is read on its own, through a
-            # one-node window no matrix-vector product sums
-            end_node = cols.stop - cols.start == 1 and cols.start in (0, n - 1)
-            aligned = cols.start % 64 == 0 and (cols.stop % 64 == 0 or cols.stop == n)
-            assert end_node or aligned, name
+            assert cols.start % 64 == 0 and (cols.stop % 64 == 0 or cols.stop == n), name
             for array in arrays:
                 assert array.flags.c_contiguous, name
                 assert array.shape[1] == cols.stop - cols.start, name

@@ -266,7 +266,7 @@ class TestBounds:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, tmp_path, monkeypatch):
         # identical config (including the out path) from different run dirs; fig3 and
         # fig4 rows out of order, so that the reused block buffers hold a larger and
         # then a smaller row before each one

@@ -117,6 +117,7 @@ class TestTallyColumnMemo:
         tally_column.cache_clear()
         assert main([*args, "--prior.alpha", "10", "--out", str(tmp_path / "out.csv")]) == 0
         assert sorted(calls) == ms
+        assert tally_column.cache_info().currsize == 1     # no earlier row's column is kept
 
 
 class TestSeededSampler:

@@ -405,6 +405,29 @@ class TestScipyOracle:
             assert tally_pmf_matrix(model, m, thetas, cols=cols, out=out) is out
             _assert_same_doubles(out, whole[:, cols])
 
+    @pytest.mark.parametrize("m", [0, 1, 1000, 5000])
+    @pytest.mark.parametrize("thetas", [THETAS, np.linspace(-0.3, 1.2, 2001)],
+                             ids=["default", "off-branch"])
+    def test_writes_every_cell_of_out(self, model, m, thetas):
+        # the kernel computes the rows it is handed at every phase of thetas[cols] (of
+        # thetas without cols) and writes every cell: a NaN-filled out comes back as the
+        # scipy pmf, with its zeros outside the rows' span.  Rows of m = 5000 in three
+        # ranges, so that the arrays stay near 8 MB
+        n = thetas.size
+        ranges = [(0, m + 1)] if m <= 1000 else [(0, 500), (2250, 2750), (4501, 5001)]
+        for k0, k1 in ranges:
+            want = scipy_tally_pmf_matrix(model, m, thetas, k0, k1)
+            out = np.full(want.shape, np.nan)
+            assert tally_pmf_matrix(model, m, thetas, k0, k1, out=out) is out
+            _assert_same_doubles(out, want)
+            for cols in (slice(0, n), slice(0, 640), slice(640, 1344), slice(1990, n),
+                         slice(7, 8), slice(0, n, n - 1)):
+                out = np.full(want[:, cols].shape, np.nan)
+                assert tally_pmf_matrix(model, m, thetas, k0, k1, cols=cols, out=out) is out
+                _assert_same_doubles(out, want[:, cols])
+                _assert_same_doubles(tally_pmf_matrix(model, m, thetas, k0, k1, cols=cols),
+                                     want[:, cols])
+
     @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, 1.2, math.pi / 2])
     def test_scalar_and_0d_tally_probability(self, model, theta):
         # the one-phase column, as the fixed-theta0 sums read it, against the

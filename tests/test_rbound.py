@@ -362,12 +362,15 @@ import math, sys
 from oracles import whole_matrix_avg_mse, whole_matrix_avg_variance, whole_matrix_marginal
 from phasebound import GhzParityModel, MaximumLikelihoodEstimator, PosteriorMeanEstimator
 from phasebound import QuadratureGrid, family45_prior, flat_prior
-from phasebound.rbound import avg_estimator_variance, avg_mse, tally_marginal
+from phasebound.model import tally_pmf_dtheta_matrix
+from phasebound.rbound import _mean_slope, _outer_grid, avg_estimator_variance, avg_mse
+from phasebound.rbound import tally_marginal
 model = GhzParityModel(2)
 grid = QuadratureGrid.simpson(0.0, math.pi / 2, 401)
 for prior in (family45_prior(10.0, grid), flat_prior()):
     estimators = [MaximumLikelihoodEstimator(model, prior.domain),
                   PosteriorMeanEstimator(model, prior)]
+    g = _outer_grid(prior)[0]
     for m in (1303, 1304, 2607, 5000):
         got = tally_marginal(prior, m, model)
         assert (got == whole_matrix_marginal(prior, m, model)).all(), ("marginal", m)
@@ -375,15 +378,18 @@ for prior in (family45_prior(10.0, grid), flat_prior()):
             got = avg_estimator_variance(est, prior, m, model)
             assert got == whole_matrix_avg_variance(est, prior, m, model), ("variance", m)
             assert avg_mse(est, prior, m, model) == whole_matrix_avg_mse(est, prior, m, model), m
+            slope = est.values(m) @ tally_pmf_dtheta_matrix(model, m, g.nodes)
+            assert (_mean_slope(est, m, model, g.nodes) == slope).all(), ("slope", m)
 print("ok")
 """
 
 
 def test_streamed_theta0_stages_equal_whole_matrix():
-    # past m = 325 the tally marginal streams blocks of 320 rows and the averaged
-    # risks blocks of 16 to 192 phases; each gives the whole matrix's doubles.  One
-    # BLAS thread: gemv sums a whole matrix of 2607 rows or more in lanes that
-    # depend on the thread count, the 16-aligned blocks do not
+    # past m = 325 the tally marginal streams blocks of 320 rows, and the averaged
+    # risks and the mean slope behind acrlb and fvtb blocks of 16 to 192 phases; each
+    # gives the whole matrix's doubles.  One BLAS thread: gemv sums a whole matrix of
+    # 2607 rows or more in lanes that depend on the thread count, the 16-aligned
+    # blocks do not
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join([str(root / "src"), str(root / "tests")])
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",

@@ -318,7 +318,7 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     while k0 <= m:
         k1 = k0 + _block_extent(m + 1 - k0, width)
         while True:
-            cols = _likelihood_windows(model, m, nodes, k0, k1, log_prior)[1]
+            cols = _likelihood_windows(model, m, nodes, k0, k1, log_prior)
             width = cols.stop - cols.start
             rows = _block_extent(m + 1 - k0, width)
             if k0 + rows >= k1:

@@ -40,10 +40,11 @@ Every objective takes arrays only, computes each element with the same
 arithmetic whatever the array's shape, and is evaluated in row chunks of at
 most ``_SEARCH_CELLS`` cells.  The EChRB grid is an outer product: the
 per-offset terms are computed once per axis and only the cross moment is a
-full 2-D array; on the first grid, the same for every m, its log1p is taken
-once per block.  The Barankin coordinate search evaluates each batch of
-candidate placements as one stack of Gram systems (``solve_spd_stack``);
-``barankin_at`` is that stack with one placement, through ``solve_spd``.
+full 2-D array; its first grid, its zoom rounds and its final coefficient
+share one objective, ``_echrb_grid_eval``.  The Barankin coordinate search
+evaluates each batch of candidate placements as one stack of Gram systems
+(``solve_spd_stack``); ``barankin_at`` is that stack with one placement,
+through ``solve_spd``.
 """
 
 from __future__ import annotations
@@ -110,31 +111,13 @@ def _single_shot_probs(model: GhzParityModel, theta0: float,
     return p0p, p0m
 
 
-def _pair_increment(model, theta0, t1, t2, p0p, p0m):
-    """s(t1, t2) - 1, the centred single-shot cross moment; exact, cancellation free."""
-    d1 = model.prob_plus(t1) - p0p
-    d2 = model.prob_plus(t2) - p0p
-    return d1 * d2 / (p0p * p0m)
-
-
 def _gram_power(m, increment):
-    """s^m - 1 evaluated as expm1(m log1p(s-1)); maps s = 0 to -1 exactly; ``m`` broadcasts."""
-    return _moment_power(m, _log_moment(increment))
+    """s^m - 1 evaluated as expm1(m log1p(s-1)); maps s <= 0 to -1 exactly; ``m`` broadcasts.
 
-
-def _log_moment(increment):
-    """log1p(s - 1) of the increments s - 1, the m-free half of ``_gram_power``.
-
-    s <= 0 gives log1p(-1) = -inf, and then expm1(-inf) = -1 exactly.
+    s <= 0 gives log1p(-1) = -inf, and then expm1(-inf) = -1.
     """
-    with np.errstate(divide="ignore"):
-        return np.log1p(np.maximum(increment, -1.0))
-
-
-def _moment_power(m, log_s):
-    """expm1(m log s), the m-dependent half of ``_gram_power``; ``m`` broadcasts."""
-    with np.errstate(over="ignore"):
-        return np.expm1(m * log_s)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.expm1(m * np.log1p(np.maximum(increment, -1.0)))
 
 
 def _sample_sizes(ms) -> np.ndarray:
@@ -180,7 +163,8 @@ def _chrb_value(theta0, m, model, lam, domain, p0p, p0m):
     """
     lam = np.asarray(lam, dtype=float)
     t = theta0 + lam
-    den = _gram_power(m, _pair_increment(model, theta0, t, t, p0p, p0m))
+    d = model.prob_plus(t) - p0p
+    den = _gram_power(m, d * d / (p0p * p0m))
     excluded = ((np.abs(lam) < _OFFSET_FLOOR) | (t < domain.a - 1e-15)
                 | (t > domain.b + 1e-15) | (den <= 0.0))
     # a NaN or infinite denominator gives lambda^2 / inf = 0
@@ -234,24 +218,20 @@ def chrb_block(theta0: float, ms, model: GhzParityModel,
 
 
 def _echrb_grid_eval(theta0, m, model, L1, L2, p0p, p0m):
-    """EChRB objective on offset grids, optimal A in closed form; -inf where excluded.
+    """EChRB objective and optimal A at offsets (L1, L2); the objective is -inf where excluded.
 
-    ``L1`` and ``L2`` broadcast against each other: paired 1-D arrays give one
-    value per pair, and a column ``l1s[:, None]`` against a row ``l2s[None, :]``
-    gives the whole grid while every per-offset term is computed once per axis.
+    ``L1``, ``L2`` and ``m`` broadcast together and every value is elementwise:
+    paired 1-D arrays give one value per pair, and a column ``l1s[:, None]``
+    against a row ``l2s[None, :]`` gives the whole grid while every
+    per-offset term is computed once per axis.  The moments are
+    c0 = s_11^m - 1, c1 = s_12^m - 1 and c2 = s_22^m.
     """
     q = p0p * p0m
     d1 = model.prob_plus(theta0 + L1) - p0p
     d2 = model.prob_plus(theta0 + L2) - p0p
-    return _echrb_ratio(L1, L2, _gram_power(m, d1 * d1 / q), _gram_power(m, d1 * d2 / q),
-                        _gram_power(m, d2 * d2 / q) + 1.0)
-
-
-def _echrb_ratio(L1, L2, c0, c1, c2):
-    """The EChRB objective and optimal A at offsets (L1, L2), from s_11^m - 1, s_12^m - 1, s_22^m.
-
-    All five arrays broadcast together; every value is elementwise.
-    """
+    c0 = _gram_power(m, d1 * d1 / q)
+    c1 = _gram_power(m, d1 * d2 / q)
+    c2 = _gram_power(m, d2 * d2 / q) + 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_star = (L1 * c1 - L2 * c0) / (L2 * c1 - L1 * c2)
         den = c0 + 2.0 * a_star * c1 + a_star**2 * c2
@@ -284,9 +264,9 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
                 seed_lambdas=None) -> list[BoundReport]:
     """``echrb`` at every sample size of ``ms``; ``seed_lambdas[k]`` seeds the search at ``ms[k]``.
 
-    The first grid of each m (``_ECHRB_GRID`` points per axis plus its seeds)
-    is evaluated m by m, with the log1p of the grid rows' cross moments taken
-    once for the block; the 21 x 21 zoom rounds and the final coefficient
+    Every value comes from ``_echrb_grid_eval``: the first grid of each m
+    (``_ECHRB_GRID`` points per axis plus its seeds on the lambda1 axis) is
+    evaluated m by m, and the 21 x 21 zoom rounds and the final coefficient
     evaluation run over the whole block, in row chunks.  A row whose zoom
     grid is wholly excluded stops refining, as a lone search would.  A row
     whose first grid is wholly excluded raises ``NoAdmissibleOffsetError``
@@ -301,11 +281,6 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
         raise ModelError(f"{len(seed_rows)} seed rows for {ms.size} sample sizes")
 
     grid = np.linspace(lo, hi, _ECHRB_GRID)
-    q = p0p * p0m
-    d = model.prob_plus(theta0 + grid) - p0p
-    # the cross moments of the grid's own rows do not depend on m: their log1p is taken once
-    cross = _log_moment(d[:, None] * d[None, :] / q)
-    own = d * d / q
     best = np.empty((3, ms.size))             # value, lambda1, lambda2 of each row
     spans = np.empty((2, ms.size))            # cell widths of each row's last grid
     for k, (m, seeds) in enumerate(zip(ms, seed_rows)):
@@ -319,15 +294,7 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
             # sorted and deduplicated; np.unique would import numpy.ma
             l1s = np.sort(np.concatenate([grid, seeds]))
             l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
-        d1 = model.prob_plus(theta0 + l1s) - p0p
-        on_grid = np.searchsorted(l1s, grid)  # the grid's rows of the union
-        seeded = np.ones(l1s.size, dtype=bool)
-        seeded[on_grid] = False
-        c1 = np.empty((l1s.size, grid.size))
-        c1[on_grid] = _moment_power(m, cross)
-        c1[seeded] = _gram_power(m, d1[seeded, None] * d[None, :] / q)
-        g, _ = _echrb_ratio(l1s[:, None], grid[None, :], _gram_power(m, d1 * d1 / q)[:, None],
-                            c1, _gram_power(m, own) + 1.0)
+        g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], grid[None, :], p0p, p0m)
         if np.all(g == -np.inf):
             raise NoAdmissibleOffsetError(
                 f"every (lambda1, lambda2) cell was excluded at m={int(m)}, theta0={theta0!r}")
@@ -401,7 +368,7 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
 def _gram_stack(theta0, m, model, placements, p0p, p0m):
     """Centred Gram matrices s(t_i, t_j)^m - 1 of the (K, n) placements: shape (K, n, n).
 
-    Entry by entry the arithmetic of ``_pair_increment`` and ``_gram_power``.
+    Entry by entry the arithmetic of ``_chrb_value``'s increment and ``_gram_power``.
     """
     d = model.prob_plus(placements) - p0p
     return _gram_power(m, d[:, :, None] * d[:, None, :] / (p0p * p0m))

@@ -46,7 +46,8 @@ posterior information at m = 5000 off its pin to the mpmath oracle
 
 ``tally_pmf_matrix`` computes exactly what it is handed: the rows
 k0 <= k < k1 (default: every tally) at the phases ``thetas[cols]``
-(default: every phase), in one pass, into ``out`` or a new array of that
+(default: every phase), in row blocks of at most one workspace block
+(one pass for a block's request), into ``out`` or a new array of that
 shape, every cell written.  Every entry is computed elementwise, so a range
 of rows or a slice of phases is bit for bit the matching part of the full
 array; the theta0-grid stages and the posterior tables read such blocks.
@@ -293,8 +294,8 @@ class _Workspace:
     returns:
 
     * "sums" and "mask": the kernel's log-sums and exp mask, one of each
-      per call, shaped like its result; then "sums" the score's second
-      product (``tally_pmf_dtheta_matrix``);
+      per block of rows, shaped like that block; then "sums" the score's
+      second product (``tally_pmf_dtheta_matrix``);
     * "scratch": the posterior table's density; the blocks of the pmf (or
       of its derivative) that the theta0-grid stages stream
       (``rbound._pmf_row_blocks`` and ``_pmf_column_blocks``), with
@@ -410,25 +411,31 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
     ``cols`` is any slice of phases; the logs of p_+ and p_- are cut from
     the grid's cached ones (``_grid_logs``) of all of ``thetas``.  ``out``,
     an array of the result's shape, receives the matrix and is returned in
-    place of a new one; every cell is written.  The rows go through in one
-    pass: the log-sums and the exp mask are written into the workspace, the
-    second product into ``out``, which exp then overwrites where a log-sum
-    is above ``_EXP_ZERO_BELOW`` and 0.0 fills elsewhere (exp would give
-    exactly 0.0 there, about 19 times slower).
+    place of a new one; every cell is written.  The rows go through in
+    blocks of ``_block_extent`` rows, one pass for a request of one block,
+    as every block pass hands it: a block's log-sums and exp mask are
+    written into the workspace, its second product into its rows of
+    ``out``, which exp then overwrites where a log-sum is above
+    ``_EXP_ZERO_BELOW`` and 0.0 fills elsewhere (exp would give exactly 0.0
+    there, about 19 times slower).  So a whole large table holds no
+    temporary larger than one block.
     """
     thetas = np.asarray(thetas, dtype=float)
     k0, k1 = _row_range(m, k0, k1)
     logpp, logpm = _grid_logs(model, thetas)
     if cols is not None:
         logpp, logpm = logpp[cols], logpm[cols]
-    shape = (k1 - k0, logpp.size)
+    rows, width = k1 - k0, logpp.size
     if out is None:
-        out = np.empty(shape)
-    sums = _log_terms(m, np.arange(k0, k1), logpp, logpm, out=_workspace.take("sums", shape),
-                      rest=out)
-    keep = np.greater(sums, _EXP_ZERO_BELOW, out=_workspace.take("mask", shape, bool))
-    out.fill(0.0)
-    np.exp(sums, out=out, where=keep)
+        out = np.empty((rows, width))
+    step = _block_extent(rows, width)
+    for r0 in range(0, rows, step):
+        block = out[r0:r0 + step]
+        sums = _log_terms(m, np.arange(k0 + r0, k0 + r0 + len(block)), logpp, logpm,
+                          out=_workspace.take("sums", block.shape), rest=block)
+        keep = np.greater(sums, _EXP_ZERO_BELOW, out=_workspace.take("mask", block.shape, bool))
+        block.fill(0.0)
+        np.exp(sums, out=block, where=keep)
     return out
 
 
@@ -489,11 +496,11 @@ def _aligned(lo: int, hi: int, n: int) -> slice:
 
 
 def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int | None,
-                        log_prior: tuple[np.ndarray, np.ndarray]) -> tuple[slice, slice]:
-    """The span of the rows k0 <= k < k1 of a posterior, and the narrower window it needs.
+                        log_prior: tuple[np.ndarray, np.ndarray]) -> slice:
+    """The window of phases that the rows k0 <= k < k1 of a posterior need.
 
-    Both come from one ``_row_bounds`` pass over the pmf rows k0 .. k1-1.
-    The span holds every phase where one of those rows can pass the exp cut
+    One ``_row_bounds`` pass over the pmf rows k0 .. k1-1 gives their span:
+    every phase where one of those rows can pass the exp cut
     (``_live_span``), so ``tally_pmf_matrix``'s rows k0 <= k < k1 are
     exactly 0 outside it; it is empty if they are 0 at every phase.
     ``log_prior`` is the pair (log prior, the same with each -inf replaced
@@ -505,9 +512,9 @@ def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int 
     never narrows it by itself; it is cut to the span.  It is the span when
     the floor less the cut is not above the exp cut: dropped cells could
     then reach the subnormal range, where a relative bound says nothing.
-    With no shots (m = 0) both are the whole grid.
+    With no shots (m = 0) it is the whole grid.
 
-    Both start on a multiple of ``_WINDOW_ALIGN`` phases and end on one or
+    It starts on a multiple of ``_WINDOW_ALIGN`` phases and ends on one or
     at the last phase (``_aligned``), as the whole grid does.  With that
     alignment, the OpenBLAS gemv kernels behind numpy's matrix-vector
     product add each row's nonzero terms over the window in the same order
@@ -523,16 +530,15 @@ def _likelihood_windows(model: GhzParityModel, m: int, thetas, k0: int, k1: int 
     k0, k1 = _row_range(m, k0, k1)
     n = thetas.size
     if m == 0:
-        return slice(0, n), slice(0, n)
+        return slice(0, n)
     upper, lower = _row_bounds(m, np.arange(k0, k1), *_grid_logs(model, thetas))
     lo, hi = _live_span(upper)
-    span = _aligned(lo, hi, n)
     log_p, log_p_top = log_prior
     floor = np.max(lower + log_p) - _peak_cut(model, m, thetas)
     if not floor > _EXP_ZERO_BELOW:
-        return span, span
+        return _aligned(lo, hi, n)
     band_lo, band_hi = _span(upper + log_p_top >= floor)   # NaN (only -inf rows): not kept
-    return span, _aligned(max(lo, band_lo), min(hi, band_hi), n)
+    return _aligned(max(lo, band_lo), min(hi, band_hi), n)
 
 
 def _score_factor(model: GhzParityModel, thetas: np.ndarray) -> np.ndarray:

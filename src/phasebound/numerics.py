@@ -214,16 +214,16 @@ def solve_spd_stack(matrices, rhs) -> SpdStack:
     and flagged ill-conditioned when doubling the ridge moves the quadratic
     form by more than 1e-6 relative.  Rows that cannot be solved, a non-finite
     matrix or right-hand side among them, get a NaN quadratic form instead of
-    raising; symmetry is not checked.
+    raising; symmetry is not checked.  Every stack takes the same path: a
+    non-finite matrix is decomposed as the identity and its row is then
+    reset to NaN, neither of which changes a finite row.
     """
     B = np.asarray(matrices, dtype=float)
     d = np.asarray(rhs, dtype=float)
     n = d.shape[1]
-    all_finite = np.isfinite(B).all()
-    if not all_finite:
-        finite = np.isfinite(B).all(axis=(1, 2))
-        # decompose the identity in their place; their results are dropped below
-        B = np.where(finite[:, None, None], B, np.eye(n))
+    finite = np.isfinite(B).all(axis=(1, 2))
+    # decompose the identity in place of a non-finite matrix; its results are dropped below
+    B = np.where(finite[:, None, None], B, np.eye(n))
     eigs = np.linalg.eigvalsh(B)
     cond = np.full(len(B), np.inf)
     with np.errstate(over="ignore"):
@@ -251,10 +251,9 @@ def solve_spd_stack(matrices, rhs) -> SpdStack:
             ill[rows] = np.abs(form - form_doubled) / denom > 1e-6
     form = _forms(d, coef)
     form[~np.isfinite(form)] = np.nan
-    if not all_finite:
-        form[~finite] = cond[~finite] = np.nan
-        ridged &= finite
-        ill &= finite
+    form[~finite] = cond[~finite] = np.nan
+    ridged &= finite
+    ill &= finite
     return SpdStack(coefficients=coef, quadratic_form=form, condition=cond,
                     ridge_used=ridged, ill_conditioned=ill)
 

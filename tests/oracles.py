@@ -45,6 +45,10 @@ the package also computes, by an independent route:
   derived them before it took the closed-form score, and the scipy pmf with
   its derivative by that score; against each other and against
   ``model.tally_pmf_matrix`` and ``tally_pmf_dtheta_matrix``;
+* ``likelihood_span`` - the aligned span of phases outside of which a
+  block of pmf rows is exactly 0, as ``model._likelihood_windows`` found it
+  beside the window before it returned the window alone; against the
+  windows the posterior summary hands its blocks and the pmf's zeros;
 * ``lbvm_reference`` - the Gaussian (Bernstein-von Mises) reference posterior
   that saturates the Ghosh bound, returned as a prior so that the posterior
   summary at m = 0 evaluates it;
@@ -95,6 +99,10 @@ from phasebound.model import (
     GhzParityModel,
     ModelError,
     PhaseDomain,
+    _aligned,
+    _grid_logs,
+    _live_span,
+    _row_bounds,
     tally_pmf_matrix,
 )
 from phasebound.numerics import (
@@ -509,6 +517,18 @@ def full_width_posterior_summary(prior: PriorDensity, m: int, model: GhzParityMo
     ghosh = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, information))
     return GhoshTable(m=m, marginal=marginal, mean=means, variance=variance, boundary=boundary,
                       information=information, ghosh=ghosh, failure=failure)
+
+
+def likelihood_span(model: GhzParityModel, m: int, thetas, k0: int, k1: int) -> slice:
+    """Phases outside of which the pmf rows k0 <= k < k1 are exactly 0, aligned as a window.
+
+    The whole grid with no shots (m = 0); empty if the rows are 0 at every phase.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if m == 0:
+        return slice(0, thetas.size)
+    upper, _ = _row_bounds(m, np.arange(k0, k1), *_grid_logs(model, thetas))
+    return _aligned(*_live_span(upper), thetas.size)
 
 
 def lbvm_reference(theta0: float, m: int, model: GhzParityModel,

@@ -102,11 +102,12 @@ class TestExtendedChapmanRobbins:
     def test_a_zero_slice_reproduces_chrb(self, model, domain):
         # with the coefficient A forced to 0 the three-point ratio collapses
         # to the two-point one: c0 alone must reproduce the ChRB objective
-        from phasebound.fbound import _gram_power, _pair_increment
+        from phasebound.fbound import _gram_power
         p0p, p0m = _single_shot_probs(model, T0, domain)
         m = 4
         for lam in (0.2, -0.5, 0.7):
-            c0 = _gram_power(m, _pair_increment(model, T0, T0 + lam, T0 + lam, p0p, p0m))
+            d = model.prob_plus(T0 + lam) - p0p
+            c0 = _gram_power(m, d * d / (p0p * p0m))
             assert lam * lam / c0 == pytest.approx(chrb_objective(T0, m, model, lam), rel=1e-12)
 
     def test_single_shot_dominates_chrb_value(self, model, domain):

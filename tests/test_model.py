@@ -10,6 +10,7 @@ from oracles import (
     SingularModelError,
     fisher_information_from_table,
     full_width_pmf_with_dtheta,
+    likelihood_span,
     scipy_log_binomial,
     scipy_tally_pmf_dtheta_matrix,
     scipy_tally_pmf_matrix,
@@ -370,15 +371,14 @@ class TestScipyOracle:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 20, 1000, 5000])
     def test_pmf_with_dtheta_on_whole_rows(self, model, m):
-        # the pmf rows read on the span of ``_likelihood_windows`` into a window-shaped
-        # array, as a summary block reads them, against whole rows of the scipy pmf, on the
-        # default and an off-branch grid; every cell outside the span is exactly 0
+        # the pmf rows read on the likelihood's span into a window-shaped array, as a
+        # summary block reads them, against whole rows of the scipy pmf, on the default
+        # and an off-branch grid; every cell outside the span is exactly 0
         ranges = [(0, m + 1), (0, min(131, m + 1)), (m // 3, 2 * m // 3 + 1), (m, m + 1)]
         for cols in [*self.BLOCKS, np.linspace(-0.3, 1.2, 2001)]:
             for k0, k1 in ranges:
                 want = scipy_tally_pmf_matrix(model, m, cols, k0, k1)
-                flat = (np.zeros(cols.size),) * 2
-                span = model_module._likelihood_windows(model, m, cols, k0, k1, flat)[0]
+                span = likelihood_span(model, m, cols, k0, k1)
                 got = np.full((k1 - k0, span.stop - span.start), np.nan)
                 tally_pmf_matrix(model, m, cols, k0, k1, cols=span, out=got)
                 _assert_same_doubles(got, want[:, span])

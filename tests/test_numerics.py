@@ -140,19 +140,23 @@ class TestMaximize1d:
 
 
 class TestSolveSpd:
-    def test_stack_rows_equal_one_solve_each(self):
-        # SPD, singular (ridged), far-off-scale and non-finite rows in one stack
+    @pytest.mark.parametrize("matrix_7", ["non_finite", "finite"])
+    def test_stack_rows_equal_one_solve_each(self, matrix_7):
+        # SPD, singular (ridged), far-off-scale and non-finite rows in one stack; a stack
+        # whose matrices are all finite takes the same path as one with a non-finite matrix
         rng = np.random.default_rng(3)
         a = rng.normal(size=(40, 3, 3))
         stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
         stack[5] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         stack[6] = np.diag([5e-324, 1.0, 1.0])
-        stack[7, 0, 1] = stack[7, 1, 0] = math.inf
+        if matrix_7 == "non_finite":
+            stack[7, 0, 1] = stack[7, 1, 0] = math.inf
         rhs = rng.normal(size=(40, 3))
         rhs[8, 2] = math.nan
         sol = solve_spd_stack(stack, rhs)
+        unsolvable = (7, 8) if matrix_7 == "non_finite" else (8,)
         for k in range(40):
-            if k in (7, 8):
+            if k in unsolvable:
                 assert math.isnan(sol.quadratic_form[k])
                 # the condition number belongs to the matrix: NaN only where it is non-finite
                 assert math.isnan(sol.condition[k]) == (k == 7)

@@ -205,6 +205,25 @@ def test_posterior_summary_peak_memory():
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_whole_table_kernel_peak_memory():
+    # the whole (m+1) x 2001 pmf at m = 5000 is 76.3 MiB; the kernel writes it in row
+    # blocks of one workspace block, so its log-sums and exp mask never exceed one
+    # block (77.1 MiB in all).  Whole-table log-sums and a whole mask beside the
+    # result peaked at 162.3 MiB
+    from phasebound import GhzParityModel, QuadratureGrid
+    from phasebound.model import tally_pmf_matrix
+
+    nodes = QuadratureGrid.simpson(0.0, math.pi / 2).nodes
+    tracemalloc.start()
+    try:
+        pmf = tally_pmf_matrix(GhzParityModel(2), 5000, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pmf.shape == (5001, 2001)
+    assert peak < pmf.nbytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize("prior_name,m,blocks,ends_left_out", [
     ("alpha=10", 100, 4, 2), ("alpha=10", 5000, 33, 1),
     ("off-branch", 100, 4, 1), ("off-branch", 5000, 39, 11)])
@@ -215,10 +234,9 @@ def test_posterior_summary_reads_one_pmf_window_per_block(monkeypatch, prior_nam
     # boundary term, which would otherwise need a read for each end node of nonzero
     # prior that a block's span holds but its window leaves out (the alpha = 10 prior
     # vanishes at 0 and not at pi/2).  No derivative table is built
-    import numpy as np
-
     import phasebound.estimate as estimate
     import phasebound.model as model_module
+    from oracles import likelihood_span
     from phasebound import GhzParityModel, QuadratureGrid, family45_prior, flat_prior
     from phasebound.model import PhaseDomain
 
@@ -252,13 +270,9 @@ def test_posterior_summary_reads_one_pmf_window_per_block(monkeypatch, prior_nam
     assert reads[-1] == (blocks, slice(0, n, n - 1))
     assert len(reads) == blocks + 1
 
-    with np.errstate(divide="ignore"):
-        log_p = np.log(prior.values)
-    log_prior = log_p, np.where(prior.values > 0.0, log_p, np.max(log_p))
     left_out = 0
     for (k0, k1), cols in zip(rows, windows):
-        span = model_module._likelihood_windows(GhzParityModel(2), m, prior.grid.nodes, k0, k1,
-                                                log_prior)[0]
+        span = likelihood_span(GhzParityModel(2), m, prior.grid.nodes, k0, k1)
         left_out += sum(span.start <= j < span.stop and not cols.start <= j < cols.stop
                         and prior.values[j] != 0.0 for j in (0, n - 1))
     assert left_out == ends_left_out

@@ -137,13 +137,11 @@ class RunConfig:
             model = GhzParityModel(self.model_n)
             domain = PhaseDomain(self.domain_a, self.domain_b)
             require_identifiable(model, domain)
+            grid = QuadratureGrid.simpson(domain.a, domain.b, self.grid_nodes)
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
         if not domain.contains(self.theta0):
             raise ConfigError(f"theta0={self.theta0} outside the domain")
-        if self.grid_nodes < 3 or self.grid_nodes % 2 == 0:
-            raise ConfigError("grid.nodes must be an odd integer >= 3")
-        grid = QuadratureGrid.simpson(domain.a, domain.b, self.grid_nodes)
         return model, domain, grid
 
     def make_prior(self, grid: QuadratureGrid, alpha: float | None) -> PriorDensity:
@@ -221,18 +219,18 @@ def _emit(lines: list[str], out_path: str | None):
             raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
 
 
-def _fixed_theta0_chain(theta0: float, m: int, bayes: PosteriorMeanEstimator,
-                        alpha: float | None) -> tuple[float, float]:
+def _fixed_theta0_chain(theta0: float, m: int,
+                        bayes: PosteriorMeanEstimator) -> tuple[float, float]:
     """Averaged posterior variance and averaged Ghosh bound at theta0, checked in that order."""
     post_var = averaged_posterior_variance(theta0, m, bayes)
     agb = averaged_ghosh(theta0, m, bayes)
-    prior = "flat prior" if alpha is None else f"alpha={alpha:g}"
+    prior = "flat prior" if bayes.prior.alpha is None else f"alpha={bayes.prior.alpha:g}"
     check_chain([("bayes_avg_posterior_variance_fixed", post_var), ("averaged_ghosh", agb)],
                 f"m={m}, theta0={theta0!r}, {prior}")
     return post_var, agb
 
 
-def _fig1_rows(cfg, model, domain, prior, alpha, ms):
+def _fig1_rows(cfg, model, domain, prior, ms):
     """Bias, spread, and CRLB reference of the maximum-likelihood estimator."""
     estimator = MaximumLikelihoodEstimator(model, domain)
     fisher = float(model.fisher_information(cfg.theta0))
@@ -243,7 +241,7 @@ def _fig1_rows(cfg, model, domain, prior, alpha, ms):
                risk.bias_derivative, m * fisher * risk.variance)
 
 
-def _fig2_rows(cfg, model, domain, prior, alpha, ms):
+def _fig2_rows(cfg, model, domain, prior, ms):
     """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax; searched at once."""
     chs = chrb_block(cfg.theta0, ms, model, domain)
     echs = echrb_block(cfg.theta0, ms, model, domain,
@@ -255,17 +253,17 @@ def _fig2_rows(cfg, model, domain, prior, alpha, ms):
         yield (m, m * c.value, m * ch.value, m * ech.value, ch.argmax["lambda"])
 
 
-def _fig3_rows(cfg, model, domain, prior, alpha, ms):
+def _fig3_rows(cfg, model, domain, prior, ms):
     """Fixed-phase comparison of Bayesian and frequentist risks for one prior."""
     fisher = float(model.fisher_information(cfg.theta0))
     estimator = PosteriorMeanEstimator(model, prior)
     for m in ms:
         risk = frequentist_risk(estimator, cfg.theta0, m, model)
-        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator, alpha)
+        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, estimator)
         yield (m, m * risk.variance, risk.bias_derivative**2 / fisher, m * post_var, m * agb)
 
 
-def _fig4_rows(cfg, model, domain, prior, alpha, ms):
+def _fig4_rows(cfg, model, domain, prior, ms):
     """Random-phase bound chain (posterior variance, aGBr, VTB) plus Ziv-Zakai."""
     inv_f = 1.0 / float(model.fisher_information(cfg.theta0))
     estimator = PosteriorMeanEstimator(model, prior)
@@ -275,7 +273,7 @@ def _fig4_rows(cfg, model, domain, prior, alpha, ms):
         yield (m, m * chain.bayes_variance, m * chain.agbr, m * chain.van_trees, m * zzb, inv_f)
 
 
-def _bounds_rows(cfg, model, domain, prior, alpha, ms):
+def _bounds_rows(cfg, model, domain, prior, ms):
     """Every bound at one cell (theta0, m), one ``quantity,value`` row each."""
     mle_est = MaximumLikelihoodEstimator(model, domain)
     bl_est = PosteriorMeanEstimator(model, prior)
@@ -285,7 +283,7 @@ def _bounds_rows(cfg, model, domain, prior, alpha, ms):
         out += [("mle_mean", risk.mean), ("mle_variance", risk.variance),
                 ("mle_mse", risk.mse), ("mle_bias_derivative", risk.bias_derivative)]
         out += [(r.name, r.value) for r in hierarchy_report(cfg.theta0, m, model, domain)]
-        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est, alpha)
+        post_var, agb = _fixed_theta0_chain(cfg.theta0, m, bl_est)
         out += [("averaged_ghosh", agb), ("bayes_avg_posterior_variance_fixed", post_var),
                 ("avg_estimator_variance", avg_estimator_variance(bl_est, prior, m, model)),
                 ("avg_mse", avg_mse(bl_est, prior, m, model)),
@@ -301,10 +299,11 @@ def _bounds_rows(cfg, model, domain, prior, alpha, ms):
 class _Command:
     """One command: its CSV column header and its row producer.
 
-    ``rows(cfg, model, domain, prior, alpha, ms)`` yields the CSV rows of
+    ``rows(cfg, model, domain, prior, ms)`` yields the CSV rows of
     the sample sizes ``ms``, in their order; ``prior`` is None unless
-    ``uses_prior``.  A ``one_cell`` command computes only the last sample
-    size of the sweep.
+    ``uses_prior``, and names itself by ``prior.alpha`` (None for the flat
+    prior).  A ``one_cell`` command computes only the last sample size of
+    the sweep.
     """
 
     columns: str
@@ -359,7 +358,7 @@ def _run(command: str, cfg: RunConfig, out_path: str | None):
         prior = cfg.make_prior(grid, alpha) if spec.uses_prior else None
         lines = cfg.echo_lines(command, alpha, path, ms) + [spec.columns]
         lines += [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row)
-                  for row in spec.rows(cfg, model, domain, prior, alpha, ms)]
+                  for row in spec.rows(cfg, model, domain, prior, ms)]
         _emit(lines, path)
 
 

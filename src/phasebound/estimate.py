@@ -147,39 +147,34 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Normalised posterior densities and marginals for the tallies k0 <= k < k1.
 
-    Returns ``(density, marginal)``: the density of shape (k1 - k0, nodes)
-    and the marginal tally probabilities of length k1 - k0; the default
-    range is every tally, k = 0..m.  A row with an underflowed marginal
-    raises, naming its tally k0 + i.
+    Returns ``(density, marginal)``: the density of shape (k1 - k0, width of
+    ``cols``), every node without ``cols``, and the marginal tally
+    probabilities of length k1 - k0; the default range is every tally,
+    k = 0..m.  A row with an underflowed marginal raises, naming its tally
+    k0 + i.
 
-    The likelihood comes from ``tally_pmf_matrix`` and is turned into the
-    density in place, on the window of nodes ``cols``: by default every
-    node, or any window that holds the block's span
+    The likelihood comes from ``tally_pmf_matrix``, on the window of nodes
+    ``cols``: by default every node, or any window that holds the rows' span
     (``model._likelihood_windows``), outside of which it is zero, and starts
     on a multiple of ``_WINDOW_ALIGN`` nodes (the posterior summary passes a
-    narrower one).  ``out``, a (k1 - k0, width of ``cols``) array, receives
-    the window of the density, every cell of which the kernel writes, and is
-    returned in place of a new zero-filled array of every node; that one is
-    filled in blocks of rows aligned as the summary's (``_block_extent``
-    over ``cols``), so the marginals do not depend on the BLAS thread count.
-    ``posterior_summary`` asks for blocks of rows, so that its memory stays
-    O(block x window).
+    narrower one).  The kernel writes it into ``out``, a (k1 - k0, width of
+    ``cols``) array, or a new array of that shape, which is returned; it is
+    turned into the density in place.  The marginals are one matrix-vector
+    product per block of ``_block_extent`` rows over the window, blocks
+    aligned as the summary's, so they do not depend on the BLAS thread
+    count.  ``posterior_summary`` asks for one block of rows at a time, so
+    that its memory stays O(block x window).
     """
     grid = prior.grid
     k0, k1 = _row_range(m, k0, k1)
     if cols is None:
         cols = slice(0, grid.node_count)
-    if out is None:
-        density, marginal = np.zeros((k1 - k0, grid.node_count)), np.empty(k1 - k0)
-        step = _block_extent(k1 - k0, cols.stop - cols.start)
-        for r0 in range(0, k1 - k0, step):
-            rows = slice(r0, min(r0 + step, k1 - k0))
-            marginal[rows] = posterior_table(prior, m, model, k0 + rows.start, k0 + rows.stop,
-                                             cols=cols, out=density[rows, cols])[1]
-        return density, marginal
     dens = tally_pmf_matrix(model, m, grid.nodes, k0, k1, cols=cols, out=out)
     dens *= prior.values[cols]
-    marginal = dens @ grid.weights[cols]
+    w, marginal = grid.weights[cols], np.empty(k1 - k0)
+    step = _block_extent(k1 - k0, dens.shape[1])
+    for r0 in range(0, k1 - k0, step):
+        marginal[r0:r0 + step] = dens[r0:r0 + step] @ w
     bad = ~(np.isfinite(marginal) & (marginal > 0.0))
     if np.any(bad):
         k_bad = k0 + int(np.flatnonzero(bad)[0])
@@ -205,8 +200,8 @@ def _steep_zero(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1:
     j = slope_zeros[(slope_zeros >= cols.start) & (slope_zeros < cols.stop)]
     if not j.size:
         return None
-    pmf = tally_pmf_matrix(model, m, prior.grid.nodes, k0, k1, cols=slice(j[0], j[-1] + 1),
-                           out=np.empty((k1 - k0, j[-1] + 1 - j[0])))[:, j - j[0]]
+    pmf = tally_pmf_matrix(model, m, prior.grid.nodes, k0, k1,
+                           cols=slice(j[0], j[-1] + 1))[:, j - j[0]]
     rows = np.flatnonzero(pmf.any(axis=1))
     if not rows.size:
         return None

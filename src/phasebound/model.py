@@ -295,12 +295,13 @@ class _Workspace:
 
     * "sums" and "mask": the kernel's log-sums and exp mask, one of each
       per block of rows, shaped like that block; then "sums" the score's
-      second product (``tally_pmf_dtheta_matrix``);
+      second product, per block of rows (``tally_pmf_dtheta_matrix``);
     * "scratch": the posterior table's density; the blocks of the pmf (or
       of its derivative) that the theta0-grid stages stream
       (``rbound._pmf_row_blocks`` and ``_pmf_column_blocks``), with
       Ziv-Zakai's CDFs;
-    * "derivative": the posterior summary's products; then the averaged
+    * "derivative": the score of ``tally_pmf_dtheta_matrix``, per block of
+      rows; the posterior summary's products; then the averaged
       risks' products and score, and Ziv-Zakai's per-pair rows, its
       crossing tallies' temporaries included (as float, with intp views),
       which so land on pages the summary has already written;
@@ -441,17 +442,23 @@ def tally_pmf_matrix(model: GhzParityModel, m: int, thetas, k0: int = 0,
 
 def tally_pmf_dtheta_matrix(model: GhzParityModel, m: int, thetas, *, cols: slice | None = None,
                             out: np.ndarray | None = None) -> np.ndarray:
-    """Analytic d/dtheta of the tally pmf; shape (m+1, len(thetas)).
+    """Analytic d/dtheta of the tally pmf; shape (m+1, len(thetas[cols])).
 
     The pmf of ``tally_pmf_matrix`` (``cols`` and ``out`` as there) times
-    its score, in place; the score, 0 where p_+ p_- = 0, is formed in the
-    workspace.
+    its score, in place, in the kernel's row blocks (``_block_extent``
+    rows): each block's score, 0 where p_+ p_- = 0, is formed in the
+    workspace at the block's shape, so a whole large table holds no
+    temporary larger than one block.
     """
     thetas = np.asarray(thetas, dtype=float)
     phases = thetas if cols is None else thetas[cols]
     out = tally_pmf_matrix(model, m, thetas, cols=cols, out=out)
-    out *= _score(model, m, np.arange(m + 1), phases, out=_workspace.take("derivative", out.shape),
-                  rest=_workspace.take("sums", out.shape))
+    step = _block_extent(m + 1, phases.size)
+    for r0 in range(0, m + 1, step):
+        block = out[r0:r0 + step]
+        block *= _score(model, m, np.arange(r0, r0 + len(block)), phases,
+                        out=_workspace.take("derivative", block.shape),
+                        rest=_workspace.take("sums", block.shape))
     return out
 
 

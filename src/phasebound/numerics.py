@@ -216,7 +216,8 @@ def solve_spd_stack(matrices, rhs) -> SpdStack:
     matrix or right-hand side among them, get a NaN quadratic form instead of
     raising; symmetry is not checked.  Every stack takes the same path: a
     non-finite matrix is decomposed as the identity and its row is then
-    reset to NaN, neither of which changes a finite row.
+    reset to NaN, neither of which changes a finite row, and the rows that
+    need no ridge are solved as one stack, however many others do.
     """
     B = np.asarray(matrices, dtype=float)
     d = np.asarray(rhs, dtype=float)
@@ -231,24 +232,20 @@ def solve_spd_stack(matrices, rhs) -> SpdStack:
         np.divide(eigs[:, -1], eigs[:, 0], out=cond, where=eigs[:, 0] > 0)
     ridged = cond > _CONDITION_CAP        # true where eigs[:, 0] <= 0, too
     ill = np.zeros(ridged.shape, dtype=bool)
-    if not np.count_nonzero(ridged):
-        coef = _solve_rows(B, d)
-    else:
-        coef = np.full(d.shape, np.nan)
-        plain = ~ridged
-        if plain.any():
-            coef[plain] = _solve_rows(B[plain], d[plain])
-        rows = np.flatnonzero(ridged)
-        ridge = _RIDGE_SCALE * np.trace(B[rows], axis1=1, axis2=2) / n
-        usable = (ridge > 0) & np.isfinite(ridge)
-        rows, ridge = rows[usable], ridge[usable]
-        if rows.size:
-            eye = np.eye(n)
-            coef[rows] = _solve_rows(B[rows] + ridge[:, None, None] * eye, d[rows])
-            doubled = _solve_rows(B[rows] + (2.0 * ridge)[:, None, None] * eye, d[rows])
-            form, form_doubled = _forms(d[rows], coef[rows]), _forms(d[rows], doubled)
-            denom = np.maximum(np.maximum(np.abs(form), np.abs(form_doubled)), 1e-300)
-            ill[rows] = np.abs(form - form_doubled) / denom > 1e-6
+    coef = np.full(d.shape, np.nan)
+    plain = ~ridged
+    coef[plain] = _solve_rows(B[plain], d[plain])
+    rows = np.flatnonzero(ridged)
+    ridge = _RIDGE_SCALE * np.trace(B[rows], axis1=1, axis2=2) / n
+    usable = (ridge > 0) & np.isfinite(ridge)
+    rows, ridge = rows[usable], ridge[usable]
+    if rows.size:
+        eye = np.eye(n)
+        coef[rows] = _solve_rows(B[rows] + ridge[:, None, None] * eye, d[rows])
+        doubled = _solve_rows(B[rows] + (2.0 * ridge)[:, None, None] * eye, d[rows])
+        form, form_doubled = _forms(d[rows], coef[rows]), _forms(d[rows], doubled)
+        denom = np.maximum(np.maximum(np.abs(form), np.abs(form_doubled)), 1e-300)
+        ill[rows] = np.abs(form - form_doubled) / denom > 1e-6
     form = _forms(d, coef)
     form[~np.isfinite(form)] = np.nan
     form[~finite] = cond[~finite] = np.nan

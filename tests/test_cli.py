@@ -66,8 +66,9 @@ class TestConfigParsing:
         cfg.prior_kind = "flat"
         assert cfg.make_prior(grid, None).kind == "flat"
 
-    def test_even_grid_rejected(self):
+    def test_even_grid_rejected(self, capsys):
         assert main(["fig1", "--grid.nodes", "100", "--m.list", "1"]) == 2
+        assert "odd node count >= 3, got 100" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,m_max", [("bounds", "-3"), ("fig1", "-3"), ("fig1", "0")])
     def test_m_max_below_one_rejected(self, tmp_path, capsys, command, m_max):

@@ -167,6 +167,23 @@ class TestBuildPosteriorRow:
             assert marg[0] == marginal
             np.testing.assert_array_equal(dens[0], raw / marginal)
 
+    @pytest.mark.parametrize("m", [1, 100, 1000])
+    def test_window_without_out_is_window_shaped(self, model, grid, m):
+        # called with cols and no out, posterior_table computes exactly its window: a
+        # (rows, window width) array, equal to those rows and columns of the whole table.
+        # The ramp prior is 0 below node 892, so the window [832, n) holds every nonzero
+        # cell of the density and the marginals add the same terms; the rows start and end
+        # on multiples of 16 tallies, or at m + 1, as the blocks of the whole table do
+        prior = custom_prior(grid, np.maximum(grid.nodes - 0.7, 0.0), np.ones(grid.node_count))
+        whole_dens, whole_marg = posterior_table(prior, m, model)
+        cols = slice(832, grid.node_count)
+        half = 16 * (m // 32)
+        for k0, k1 in [(0, m + 1)] + ([(0, half), (half, m + 1)] if half else []):
+            dens, marg = posterior_table(prior, m, model, k0, k1, cols=cols)
+            assert dens.shape == (k1 - k0, grid.node_count - 832)
+            np.testing.assert_array_equal(marg, whole_marg[k0:k1])
+            np.testing.assert_array_equal(dens, whole_dens[k0:k1, cols])
+
 
 class TestPosteriorSummaries:
     def test_single_shot_mean(self, model, flat):

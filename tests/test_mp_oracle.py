@@ -38,6 +38,14 @@ within 1e-9 of 0 has met a tie, which rounding may break either way; the
 ties are mirror pairs about pi/4 at even m (ratio 1 at k = m/2 but for
 rounding, at most 1.7e-12 from it in the log), and ``CROSSING_TIES`` pins
 how many pairs of each prior break one so.
+
+The converged slice does not share the package's nodes: J_prior of the
+family45 prior, the integral of p'^2 / p over [0, pi/2], is evaluated by
+``mpmath.quad`` at 40 digits on the closed forms e^(alpha sin^2 2 theta) - 1
+and its derivative, normalised by their own quadrature.  So it sees the
+grid's discretisation, and ``CONVERGED_MEASURED`` pins how far
+``prior_fisher_information`` on the default 2001-node grid lies from it,
+like the kernel's figures.
 """
 
 import functools
@@ -57,6 +65,7 @@ from phasebound.model import (
     tally_pmf_dtheta_matrix,
     tally_pmf_matrix,
 )
+from phasebound.numerics import prior_fisher_information
 
 THETAS = [math.pi / 4, math.pi / 8, math.pi / 6, math.pi / 3, 3 * math.pi / 8, 0.1, 1.4]
 # m: worst error of tally_pmf_matrix, tally_pmf_dtheta_matrix (the pmf times the score
@@ -378,3 +387,43 @@ def test_crossing_tally_is_the_exact_first(name):
                                     f"{tests.second[t]}): k*={kt}")
     assert failures == []
     assert ties == CROSSING_TIES[name]
+
+
+# alpha: J_prior of the family45 prior by mpmath.quad at 40 digits, and the relative error of
+# prior_fisher_information on the default grid, which sets the integrand to 0 at the prior's
+# zeros at both ends, where p'^2 / p tends to a nonzero limit
+CONVERGED_MEASURED = {
+    -10.0: ("27.727834769398362922", 1.18e-3),
+    1.0: ("16.57088568002446821", 2.14e-4),
+    10.0: ("71.5466642411771514", 9.22e-8),
+    100.0: ("791.95917390279820207", 1.84e-16),
+}
+
+
+def _converged_prior_information(alpha: float):
+    """J_prior of the family45 prior: the integral of f'^2 / f over that of f.
+
+    f = e^(alpha sin^2 2t) - 1 is the unnormalised prior, f' its derivative.
+    """
+    a = mpmath.mpf(alpha)
+
+    def f(t):
+        return mpmath.expm1(a * mpmath.sin(2 * t) ** 2)
+
+    def slope(t):
+        return 2 * a * mpmath.sin(4 * t) * mpmath.exp(a * mpmath.sin(2 * t) ** 2)
+
+    ends = [0, mpmath.pi / 4, mpmath.pi / 2]      # the prior peaks, or dips, at pi/4
+    return mpmath.quad(lambda t: slope(t) ** 2 / f(t), ends) / mpmath.quad(f, ends)
+
+
+@pytest.mark.parametrize("alpha", sorted(CONVERGED_MEASURED))
+def test_prior_information_against_converged_quadrature(alpha):
+    recorded, figure = CONVERGED_MEASURED[alpha]
+    with mpmath.workdps(40):
+        exact = _converged_prior_information(alpha)
+        assert abs(exact / mpmath.mpf(recorded) - 1) < 1e-18
+        got = prior_fisher_information(family45_prior(alpha, POSTERIOR_GRID))
+        error = float(abs((mpmath.mpf(got) - exact) / exact))
+    pin = 2.0 * max(figure, 2.0**-53)
+    assert error <= pin, f"alpha={alpha:g}: got {got!r}, exact {float(exact)!r}, error {error:.3g}"

@@ -224,6 +224,25 @@ def test_whole_table_kernel_peak_memory():
     assert peak < pmf.nbytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_whole_table_derivative_peak_memory():
+    # the derivative scores the kernel's whole m = 5000 table in its row blocks, each
+    # block's score and second product in the workspace, so no temporary exceeds one
+    # block (77.6 MiB in all).  A score of the whole table's shape beside the result
+    # peaked at 229.9 MiB
+    from phasebound import GhzParityModel, QuadratureGrid
+    from phasebound.model import tally_pmf_dtheta_matrix
+
+    nodes = QuadratureGrid.simpson(0.0, math.pi / 2).nodes
+    tracemalloc.start()
+    try:
+        dpmf = tally_pmf_dtheta_matrix(GhzParityModel(2), 5000, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dpmf.shape == (5001, 2001)
+    assert peak < dpmf.nbytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize("prior_name,m,blocks,ends_left_out", [
     ("alpha=10", 100, 4, 2), ("alpha=10", 5000, 33, 1),
     ("off-branch", 100, 4, 1), ("off-branch", 5000, 39, 11)])

@@ -58,7 +58,6 @@ from .rbound import (
     bayes_chain_report,
     estimator_chain_report,
     fvtb,
-    pmin,
     tally_marginal,
     van_trees,
     ziv_zakai,

@@ -224,9 +224,8 @@ def _fixed_theta0_chain(theta0: float, m: int,
     """Averaged posterior variance and averaged Ghosh bound at theta0, checked in that order."""
     post_var = averaged_posterior_variance(theta0, m, bayes)
     agb = averaged_ghosh(theta0, m, bayes)
-    prior = "flat prior" if bayes.prior.alpha is None else f"alpha={bayes.prior.alpha:g}"
     check_chain([("bayes_avg_posterior_variance_fixed", post_var), ("averaged_ghosh", agb)],
-                f"m={m}, theta0={theta0!r}, {prior}")
+                f"m={m}, theta0={theta0!r}, {bayes.prior.name}")
     return post_var, agb
 
 

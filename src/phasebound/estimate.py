@@ -142,6 +142,10 @@ class PosteriorMeanEstimator(Estimator):
         return self.summary(m).mean
 
 
+def _tally_cell(prior: PriorDensity, m: int, k: int) -> str:
+    return f"tally k={k}, m={m}, {prior.name}, {prior.grid.node_count}-node grid"
+
+
 def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int = 0,
                     k1: int | None = None, *, cols: slice | None = None,
                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +183,7 @@ def posterior_table(prior: PriorDensity, m: int, model: GhzParityModel, k0: int 
     if np.any(bad):
         k_bad = k0 + int(np.flatnonzero(bad)[0])
         raise DegeneratePosteriorError(
-            f"posterior normalisation underflowed for tally k={k_bad}, m={m}")
+            f"posterior normalisation underflowed for {_tally_cell(prior, m, k_bad)}")
     dens /= marginal[:, None]
     return dens, marginal
 
@@ -211,72 +215,27 @@ def _steep_zero(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1:
     return k0 + int(rows[steep][0]) if steep.any() else None
 
 
-def _summarise_block(prior: PriorDensity, m: int, model: GhzParityModel, k0: int, k1: int,
-                     cols: slice, out: tuple[np.ndarray, ...],
-                     score_terms: tuple[np.ndarray, np.ndarray],
-                     slope_zeros: np.ndarray) -> int | None:
-    """Write the tallies k0 <= k < k1 into ``out``; return a tally with a zero of nonzero slope.
-
-    ``out`` is (marginal, mean, variance, information), each of length
-    m + 1.  ``cols`` is the block's window of nodes
-    (``_likelihood_windows``): the part of the likelihood's span where some
-    row of the block lies within the cut (``model._peak_cut``, 100 nats on
-    2001 nodes) of its peak.  Every pass runs on it; a cell outside is an
-    exact zero or lies below half an ulp of each of its row's sums, so it
-    changes no double.  The density (``posterior_table``) and the products
-    are written into the workspace, as contiguous (rows, window width)
-    arrays; the window is aligned, so the matrix-vector products add each
-    row's terms as over the whole row.  The boundary term, which needs the
-    density only at the end nodes, is formed for every tally at once by
-    ``posterior_summary``.
-
-    The information weighs the density by the squared score of the
-    posterior, k c + e on row k, with ``score_terms`` = (c, e) over the
-    grid (``posterior_summary``): nothing is divided by the density, so a
-    cell of zero density adds an exact 0.  The first tally whose posterior
-    is zero where its slope is not noise is returned (``_steep_zero``,
-    which checks the prior's zeros ``slope_zeros``), else None.
-    """
-    marginal, means, variance, information = out
-    grid = prior.grid
-    nodes, w = grid.nodes[cols], grid.weights[cols]
-    shape = (k1 - k0, nodes.size)
-    dens, marginal[k0:k1] = posterior_table(prior, m, model, k0, k1, cols=cols,
-                                            out=_workspace.take("scratch", shape))
-    work = _workspace.take("derivative", shape)
-    mean = means[k0:k1] = np.multiply(dens, nodes, out=work) @ w
-    np.subtract(nodes[None, :], mean[:, None], out=work)
-    np.square(work, out=work)
-    work *= dens
-    variance[k0:k1] = work @ w
-
-    c, e = score_terms
-    score = np.einsum("i,j->ij", np.arange(k0, k1, dtype=float), c[cols], out=work)
-    score += e[cols]
-    bad = _steep_zero(prior, m, model, k0, k1, cols, slope_zeros, dens, score,
-                      marginal[k0:k1])
-    integrand = np.square(score, out=work)
-    integrand *= dens
-    information[k0:k1] = integrand @ w
-    return bad
-
-
 def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> GhoshTable:
     """Per-tally posterior summary for all tallies k = 0..m.
 
-    Built in blocks of tallies by ``_summarise_block``, in the workspace;
-    every returned quantity is one number per tally, so memory
-    stays O(block x window) however large m is.  Each block is one
-    ``tally_pmf_matrix`` window of the pmf itself, turned into the posterior
-    density in place; the information weighs it by the squared score
-    k c + e, from the likelihood's closed-form score c (k - m p_+)
+    Built in blocks of tallies, in the workspace; every returned quantity is
+    one number per tally, so memory stays O(block x window) however large m
+    is.  Each block is one ``posterior_table`` window of the pmf itself,
+    turned into the posterior density in place, with the products beside
+    it, as contiguous (rows, window width) arrays.  The
+    information weighs the density by the squared score of the posterior,
+    k c + e on row k, from the likelihood's closed-form score c (k - m p_+)
     (``model._score_factor``) and the prior's pi'/pi, with
     e = pi'/pi - m p_+ c formed here once per m (pi'/pi is 0 where pi is,
-    and so is the density).  No derivative table is built.  Each block runs
-    on its window of nodes, the part of the likelihood's span where some row
-    of it lies within the cut (``model._peak_cut``) of its peak, found once
-    per block here (``_likelihood_windows``, with the log prior computed
-    once) and passed down.  A block starts on a multiple of
+    and so is the density): nothing is divided by the density, so a cell of
+    zero density adds an exact 0.  No derivative table is built.
+
+    Each block runs on its window of nodes, the part of the likelihood's
+    span where some row of it lies within the cut (``model._peak_cut``, 100
+    nats on 2001 nodes) of its peak, found once per block here
+    (``_likelihood_windows``, with the log prior computed once); a cell
+    outside is an exact zero or lies below half an ulp of each of its row's
+    sums, so it changes no double.  A block starts on a multiple of
     ``model._BLAS_ALIGN`` tallies and takes as many as fit in
     ``model._BLOCK_CELLS`` cells of its own window (``_block_extent``):
     32 rows on the whole 2001-node grid, about 160 on the windows of about
@@ -295,18 +254,20 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
 
     A Ghosh-validity failure is recorded in ``failure`` instead of raised, so
     the posterior means stay available for priors whose Ghosh bound is
-    undefined.
+    undefined: the first tally whose posterior is zero where its slope is
+    not noise (``_steep_zero``, which checks the prior's zeros of nonzero
+    slope), else the first with zero information and a nonzero numerator.
     """
     grid = prior.grid
     nodes, n = grid.nodes, grid.node_count
-    out = marginal, means, variance, information = tuple(np.empty(m + 1) for _ in range(4))
+    marginal, means, variance, information = (np.empty(m + 1) for _ in range(4))
     with np.errstate(divide="ignore"):
         log_p = np.log(prior.values)
     log_prior = log_p, np.where(prior.values > 0.0, log_p, np.max(log_p))
     c = _score_factor(model, nodes)
     prior_score = np.divide(prior.derivative, prior.values, out=np.zeros(nodes.size),
                             where=prior.values != 0.0)
-    score_terms = c, prior_score - m * model.prob_plus(nodes) * c
+    e = prior_score - m * model.prob_plus(nodes) * c
     slope_zeros = np.flatnonzero((prior.values == 0.0) & (prior.derivative != 0.0))
     failure = None
     k0, width = 0, n
@@ -319,11 +280,28 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
             if k0 + rows >= k1:
                 break
             k1 = k0 + rows
-        # the first failure stands: later blocks check no zero
-        bad = _summarise_block(prior, m, model, k0, k1, cols, out, score_terms,
-                               slope_zeros if failure is None else slope_zeros[:0])
-        if bad is not None:
-            failure = f"posterior for tally k={bad} has a zero with nonzero slope"
+        theta, w = nodes[cols], grid.weights[cols]
+        shape = (k1 - k0, width)
+        dens, marginal[k0:k1] = posterior_table(prior, m, model, k0, k1, cols=cols,
+                                                out=_workspace.take("scratch", shape))
+        work = _workspace.take("derivative", shape)
+        mean = means[k0:k1] = np.multiply(dens, theta, out=work) @ w
+        np.subtract(theta[None, :], mean[:, None], out=work)
+        np.square(work, out=work)
+        work *= dens
+        variance[k0:k1] = work @ w
+
+        score = np.einsum("i,j->ij", np.arange(k0, k1, dtype=float), c[cols], out=work)
+        score += e[cols]
+        if failure is None:                      # the first failure stands
+            bad = _steep_zero(prior, m, model, k0, k1, cols, slope_zeros, dens, score,
+                              marginal[k0:k1])
+            if bad is not None:
+                failure = ("posterior has a zero with nonzero slope at "
+                           + _tally_cell(prior, m, bad))
+        integrand = np.square(score, out=work)
+        integrand *= dens
+        information[k0:k1] = integrand @ w
         k0 = k1
 
     ends = tally_pmf_matrix(model, m, nodes, cols=slice(0, n, n - 1))
@@ -336,7 +314,8 @@ def posterior_summary(prior: PriorDensity, m: int, model: GhzParityModel) -> Gho
     undefined = degenerate & (num > 1e-18)
     if failure is None and np.any(undefined):
         k_bad = int(np.flatnonzero(undefined)[0])
-        failure = f"zero posterior information with nonzero numerator at tally k={k_bad}"
+        failure = ("zero posterior information with nonzero numerator at "
+                   + _tally_cell(prior, m, k_bad))
     ghosh = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, information))
     for v in (marginal, means, variance, boundary, information, ghosh):
         v.flags.writeable = False

@@ -312,6 +312,11 @@ class PriorDensity:
     alpha: float | None = None
     _pdf: object = field(default=None, repr=False)
 
+    @property
+    def name(self) -> str:
+        """The prior as messages name it: ``alpha=10`` in the family, else ``<kind> prior``."""
+        return f"{self.kind} prior" if self.alpha is None else f"alpha={self.alpha:g}"
+
     def density(self, theta):
         """Density at arbitrary phases, extended by zero outside [a, b]."""
         theta = np.asarray(theta, dtype=float)

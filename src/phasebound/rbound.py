@@ -46,7 +46,6 @@ the doubles of the whole matrix (``model._block_extent``).  ``acrlb`` and
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,17 +91,9 @@ def _outer_grid(prior: PriorDensity) -> tuple[QuadratureGrid, np.ndarray]:
     if not abs(mass - 1.0) <= _PRIOR_MASS_TOL:
         raise NumericalFailure(
             f"the {g.node_count}-node theta0 grid does not resolve the prior "
-            f"({_prior_name(prior)}): it holds prior mass {mass!r}, "
+            f"({prior.name}): it holds prior mass {mass!r}, "
             f"off by more than {_PRIOR_MASS_TOL:g}")
     return g, p
-
-
-def _prior_name(prior: PriorDensity) -> str:
-    return f"{prior.kind} prior" if prior.alpha is None else f"alpha={prior.alpha:g}"
-
-
-def _cell(m: int, prior: PriorDensity) -> str:
-    return f"m={m}, {_prior_name(prior)}"
 
 
 def _pmf_row_blocks(model: GhzParityModel, m: int, thetas: np.ndarray):
@@ -210,14 +201,6 @@ class _TestPairs(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     down: np.ndarray
-
-
-def _test_pairs(model: GhzParityModel, thetas: np.ndarray, first: np.ndarray, second: np.ndarray,
-                a: np.ndarray, b: np.ndarray) -> _TestPairs:
-    """The pairs (first, second) of ``thetas`` weighted (a, b)."""
-    p_plus = model.prob_plus(thetas)
-    return _TestPairs(first=first, second=second, a=a, b=b,
-                      down=np.less(p_plus.take(second), p_plus.take(first)))
 
 
 def _crossings(model: GhzParityModel, m: int, thetas: np.ndarray, pairs: _TestPairs,
@@ -335,31 +318,6 @@ def _pmin_columns(model: GhzParityModel, m: int, thetas: np.ndarray,
     return np.clip(x, 0.0, 0.5, out=x)
 
 
-def pmin(theta0: float, h: float, prior_true: PriorDensity, m: int,
-         model: GhzParityModel) -> float:
-    """Minimum error probability for discriminating theta0 from theta0 + h.
-
-    The hypotheses are weighted by the fluctuation density (extended by zero
-    outside the domain).  A cell whose two prior weights are both zero is
-    empty and gives NaN; one with exactly one zero weight gives 0.  The value
-    is the total-variation form 1/2 (1 - sum_k |w0 p(k|theta0) - w1 p(k|theta0+h)|),
-    evaluated at the crossing tally exactly as ``ziv_zakai`` evaluates it.
-    """
-    if not h > 0.0:
-        raise ModelError("pmin requires h > 0")
-    w0 = float(prior_true.density(theta0))
-    w1 = float(prior_true.density(theta0 + h))
-    total = w0 + w1
-    if total == 0.0:
-        return math.nan
-    if w0 == 0.0 or w1 == 0.0:
-        return 0.0
-    thetas = np.array([theta0, theta0 + h])
-    pairs = _test_pairs(model, thetas, np.array([0]), np.array([1]), np.array([w0 / total]),
-                        np.array([w1 / total]))
-    return float(_pmin_columns(model, m, thetas, pairs)[0])
-
-
 def _shift_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Node pairs i < j with p[i] > 0 and p[j] > 0, ordered by shift j - i and then by i.
 
@@ -415,10 +373,11 @@ def _ziv_zakai_pairs(prior_true: PriorDensity, model: GhzParityModel) -> _ZivZak
     a /= s
     b /= s
     del s
+    p_plus = model.prob_plus(nodes)
+    down = np.less(p_plus.take(second), p_plus.take(first))
     h_weights = QuadratureGrid.simpson(0.0, prior_true.domain.width, n).weights
-    return _ZivZakaiPairs(grid=g, tests=_test_pairs(model, nodes, first, second, a, b),
-                          weights=weights, starts=starts,
-                          h_factor=h_weights[shifts] * (nodes[shifts] - g.a))
+    return _ZivZakaiPairs(grid=g, tests=_TestPairs(first, second, a, b, down), weights=weights,
+                          starts=starts, h_factor=h_weights[shifts] * (nodes[shifts] - g.a))
 
 
 def ziv_zakai(prior_true: PriorDensity, m: int, model: GhzParityModel) -> float:
@@ -512,7 +471,7 @@ def estimator_chain_report(estimator: Estimator, prior_true: PriorDensity, m: in
         fvtb=fvtb(estimator, prior_true, m, model),
     )
     check_chain([("avg_variance", report.avg_variance), ("acrlb", report.acrlb),
-                 ("fvtb", report.fvtb)], _cell(m, prior_true))
+                 ("fvtb", report.fvtb)], f"m={m}, {prior_true.name}")
     return report
 
 
@@ -554,5 +513,5 @@ def bayes_chain_report(bayes: PosteriorMeanEstimator, m: int) -> BayesChainRepor
         van_trees=van_trees(prior, m, model),
     )
     check_chain([("bayes_variance", report.bayes_variance), ("agbr", report.agbr),
-                 ("van_trees", report.van_trees)], _cell(m, prior))
+                 ("van_trees", report.van_trees)], f"m={m}, {prior.name}")
     return report

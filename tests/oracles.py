@@ -10,7 +10,7 @@ the package also computes, by an independent route:
   ``sample_tallies``, ``derive_seed``) for Monte Carlo checks of those sums;
 * ``decision_rule_error_probability`` - the error probability of the optimal
   likelihood-ratio test, tally by tally from ``scipy_tally_probability``,
-  against ``rbound.pmin``;
+  against the P_min of Ziv-Zakai's test pairs (``rbound._pmin_columns``);
 * ``ziv_zakai_shift_loop`` - the Ziv-Zakai bound as a loop over shifts that
   sums |w0 p0 - w1 p1| over every tally, against ``rbound.ziv_zakai``;
 * ``triu_shift_pairs`` and ``ziv_zakai_triu`` - the test pairs ordered by
@@ -19,13 +19,13 @@ the package also computes, by an independent route:
   arrays, as the package computed both before the pairs were built in
   order and the search moved onto flat indices and reused buffers; against
   ``rbound._shift_pairs`` and ``rbound.ziv_zakai`` with ``==``;
-* ``pmin_bisection``, ``ziv_zakai_bisection`` and ``pmin_by_bisection`` -
-  P_min of many test pairs with every crossing tally found by bisection on
-  the whole (m+2)-row table of a zero row above the pmf and its column
-  CDFs, and the Ziv-Zakai bound and ``pmin`` on it, as the package computed
-  them before the crossings came from their closed form and the CDFs were
-  accumulated over blocks of rows; against ``rbound.ziv_zakai`` and
-  ``rbound.pmin`` with ``==``;
+* ``pmin_bisection`` and ``ziv_zakai_bisection`` - P_min of many test
+  pairs with every crossing tally found by bisection on the whole
+  (m+2)-row table of a zero row above the pmf and its column CDFs, and the
+  Ziv-Zakai bound on it, as the package computed them before the crossings
+  came from their closed form and the CDFs were accumulated over blocks of
+  rows; against ``rbound._pmin_columns`` and ``rbound.ziv_zakai`` with
+  ``==``;
 * ``whole_matrix_marginal``, ``whole_matrix_avg_variance`` and
   ``whole_matrix_avg_mse`` - the tally marginal and the averaged risks from
   one whole (m+1) x 201 pmf, as the package computed them before it
@@ -204,7 +204,7 @@ def decision_rule_error_probability(theta0: float, h: float, prior_true: PriorDe
                                     m: int, model: GhzParityModel) -> float:
     """Error probability of the optimal likelihood-ratio test, simulated tally by tally.
 
-    Independent reference for ``pmin``: for each tally the rule compares the
+    Independent reference for P_min: for each tally the rule compares the
     weighted likelihoods and picks the larger; the accumulated probability of
     deciding wrongly equals the minimum error probability.
     """
@@ -357,18 +357,6 @@ def ziv_zakai_bisection(prior_true: PriorDensity, m: int, model: GhzParityModel)
     return max(0.5 * total, 0.0)
 
 
-def pmin_by_bisection(theta0: float, h: float, prior_true: PriorDensity, m: int,
-                      model: GhzParityModel) -> float:
-    """``rbound.pmin`` of one interior cell (both weights positive), by ``pmin_bisection``."""
-    w0 = float(prior_true.density(theta0))
-    w1 = float(prior_true.density(theta0 + h))
-    thetas = np.array([theta0, theta0 + h])
-    value = pmin_bisection(tally_pmf_matrix(model, m, thetas), np.array([0]), np.array([1]),
-                           np.array([w0 / (w0 + w1)]), np.array([w1 / (w0 + w1)]),
-                           model.prob_plus(thetas))
-    return float(value[0])
-
-
 def whole_matrix_marginal(prior_true: PriorDensity, m: int, model: GhzParityModel) -> np.ndarray:
     """The tally marginal as one product of the whole pmf with the theta0 weights."""
     g, p = _outer_grid(prior_true)
@@ -461,7 +449,8 @@ def full_width_posterior_table(prior: PriorDensity, m: int, model: GhzParityMode
     if np.any(bad):
         k_bad = k0 + int(np.flatnonzero(bad)[0])
         raise DegeneratePosteriorError(
-            f"posterior normalisation underflowed for tally k={k_bad}, m={m}")
+            f"posterior normalisation underflowed for tally k={k_bad}, m={m}, {prior.name}, "
+            f"{grid.node_count}-node grid")
     density /= marginal[:, None]
     return density, pmf, marginal
 
@@ -506,14 +495,16 @@ def full_width_posterior_summary(prior: PriorDensity, m: int, model: GhzParityMo
             bad = zero & (np.abs(slope) > floor)
             if np.any(bad):
                 k_bad = k0 + int(np.flatnonzero(np.any(bad, axis=1))[0])
-                failure = f"posterior for tally k={k_bad} has a zero with nonzero slope"
+                failure = (f"posterior has a zero with nonzero slope at tally k={k_bad}, "
+                           f"m={m}, {prior.name}, {grid.node_count}-node grid")
 
     num = (boundary - 1.0) ** 2
     degenerate = information <= 0.0
     undefined = degenerate & (num > 1e-18)
     if failure is None and np.any(undefined):
         k_bad = int(np.flatnonzero(undefined)[0])
-        failure = f"zero posterior information with nonzero numerator at tally k={k_bad}"
+        failure = (f"zero posterior information with nonzero numerator at tally k={k_bad}, "
+                   f"m={m}, {prior.name}, {grid.node_count}-node grid")
     ghosh = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, information))
     return GhoshTable(m=m, marginal=marginal, mean=means, variance=variance, boundary=boundary,
                       information=information, ghosh=ghosh, failure=failure)

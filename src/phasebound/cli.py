@@ -300,9 +300,9 @@ class _Command:
 
     ``rows(cfg, model, domain, prior, ms)`` yields the CSV rows of
     the sample sizes ``ms``, in their order; ``prior`` is None unless
-    ``uses_prior``, and names itself by ``prior.alpha`` (None for the flat
-    prior).  A ``one_cell`` command computes only the last sample size of
-    the sweep.
+    ``uses_prior``, and names itself by ``prior.name`` (``alpha=10`` in
+    the family, ``flat prior`` for the flat prior).  A ``one_cell``
+    command computes only the last sample size of the sweep.
     """
 
     columns: str

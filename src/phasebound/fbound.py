@@ -28,12 +28,15 @@ bounds hold for unbiased estimators; bias enters only through ``crlb``'s
 ChRB and the Barankin coordinate search use a deterministic grid plus
 golden-section refinement, and EChRB zooms its grid around the best cell.
 Reported values are lower estimates of the true suprema (finite grids,
-finite n), and ``hierarchy_report`` seeds each bound with its predecessor's
-argmax so the chain BB >= EChRB >= ChRB >= CRLB holds by construction.
+finite n).  ChRB and EChRB are raised to the CRLB, the lambda -> 0 limit
+both families hold, where their search falls short of it, and
+``hierarchy_report`` seeds each bound with its predecessor's argmax, so the
+chain BB >= EChRB >= ChRB >= CRLB holds by construction.
 
 Every search is batched over a block of sample sizes.  ``chrb_block`` hands
-``maximize_1d`` one search per m, and their golden-section brackets step in
-lock-step, so each step is one array evaluation of the whole block;
+``maximize_1d`` one search per m, all on the one offset interval, and their
+golden-section brackets step in lock-step, so each step is one array
+evaluation of the whole block;
 ``echrb_block`` runs its zoom rounds and its final coefficient evaluation
 over the whole block at once.  ``chrb`` and ``echrb`` are the blocks of one.
 Every objective takes arrays only, computes each element with the same
@@ -147,14 +150,6 @@ def crlb(theta0: float, m: int, model: GhzParityModel,
                        diagnostics={"fisher_information": fisher})
 
 
-def chrb_objective(theta0: float, m: int, model: GhzParityModel, lam,
-                   domain: PhaseDomain | None = None) -> np.ndarray:
-    """Chapman-Robbins ratio at offsets ``lam`` (no supremum); an array shaped as ``lam``."""
-    domain = domain or PhaseDomain()
-    p0p, p0m = _single_shot_probs(model, theta0, domain)
-    return _chrb_value(theta0, m, model, lam, domain, p0p, p0m)
-
-
 def _chrb_value(theta0, m, model, lam, domain, p0p, p0m):
     """Two-point ratio lambda^2 / (s^m - 1) at offsets ``lam``, elementwise; ``m`` broadcasts.
 
@@ -171,20 +166,36 @@ def _chrb_value(theta0, m, model, lam, domain, p0p, p0m):
     return np.where(excluded, -np.inf, lam * lam / np.where(den > 0.0, den, np.inf))
 
 
+def _crlb_floored(name, values, argmaxes, theta0, ms, model) -> list[BoundReport]:
+    """One report per row, raised to the CRLB 1/(m F(theta0)) where the search fell short of it.
+
+    The ChRB and EChRB families hold the lambda -> 0 limit of the two-point
+    ratio, which is the CRLB.  On the domain's edge that limit is their
+    supremum, and p_+(theta0 + lambda) - p_+(theta0) cancels near it, so the
+    search's best falls short.  A raised report keeps the best evaluated
+    point as its argmax and records ``floored_by: "crlb"``.
+    """
+    floors = [crlb(theta0, int(m), model).value for m in ms]
+    return [BoundReport(name=name, value=float(max(v, f)), argmax=arg,
+                        diagnostics={"floored_by": "crlb"} if v < f else {})
+            for v, f, arg in zip(values, floors, argmaxes)]
+
+
 def chrb(theta0: float, m: int, model: GhzParityModel,
-         domain: PhaseDomain | None = None) -> BoundReport:
+         domain: PhaseDomain = PhaseDomain()) -> BoundReport:
     """Chapman-Robbins bound: supremum of the two-point ratio over the offset.
 
     The admissible offsets keep theta0 + lambda inside the phase domain and
     exclude lambda = 0.  Supremum by coarse grid plus golden-section
-    refinement; the reported value is the best evaluated point, hence a lower
+    refinement; the reported value is the best evaluated point, or the
+    lambda -> 0 limit 1/(m F(theta0)) where that is larger, hence a lower
     estimate of the true supremum.  ``chrb_block`` at one sample size.
     """
     return chrb_block(theta0, [m], model, domain)[0]
 
 
 def chrb_block(theta0: float, ms, model: GhzParityModel,
-               domain: PhaseDomain | None = None) -> list[BoundReport]:
+               domain: PhaseDomain = PhaseDomain()) -> list[BoundReport]:
     """``chrb`` at every sample size of ``ms``, one report each, searched in lock-step.
 
     Row k of each search array is the offset search at ``ms[k]``; each row
@@ -192,7 +203,6 @@ def chrb_block(theta0: float, ms, model: GhzParityModel,
     whose every offset is excluded raises ``NoAdmissibleOffsetError`` naming
     its m and theta0.
     """
-    domain = domain or PhaseDomain()
     ms = _sample_sizes(ms)
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
@@ -207,14 +217,13 @@ def chrb_block(theta0: float, ms, model: GhzParityModel,
         return out
 
     try:
-        args, values = maximize_1d(objective, np.full(ms.size, lo), np.full(ms.size, hi),
-                                   coarse_points=_CHRB_COARSE)
+        args, values = maximize_1d(objective, lo, hi, ms.size, coarse_points=_CHRB_COARSE)
     except AllNanGridError as exc:
         raise NoAdmissibleOffsetError(
             f"every candidate offset was excluded at m={int(ms[exc.rows[0]])}, "
             f"theta0={theta0!r}") from exc
-    return [BoundReport(name="chrb", value=float(v), argmax={"lambda": float(a)})
-            for a, v in zip(args, values)]
+    return _crlb_floored("chrb", values, [{"lambda": float(a)} for a in args],
+                         theta0, ms, model)
 
 
 def _echrb_grid_eval(theta0, m, model, L1, L2, p0p, p0m):
@@ -245,7 +254,7 @@ def _echrb_grid_eval(theta0, m, model, L1, L2, p0p, p0m):
 
 
 def echrb(theta0: float, m: int, model: GhzParityModel,
-          domain: PhaseDomain | None = None,
+          domain: PhaseDomain = PhaseDomain(),
           seed_lambdas=()) -> BoundReport:
     """Extended Chapman-Robbins bound over two offsets and one free coefficient.
 
@@ -254,13 +263,14 @@ def echrb(theta0: float, m: int, model: GhzParityModel,
     compared with the A -> infinity limit.  The offset pair is searched on a
     grid (optionally seeded with extra lambda1 candidates, each of which must
     keep theta0 + lambda1 in the domain) and refined by deterministic zooming
-    around the best cell.  ``echrb_block`` at one sample size.
+    around the best cell; as in ``chrb``, a value below the lambda -> 0 limit
+    1/(m F(theta0)) is raised to it.  ``echrb_block`` at one sample size.
     """
     return echrb_block(theta0, [m], model, domain, [seed_lambdas])[0]
 
 
 def echrb_block(theta0: float, ms, model: GhzParityModel,
-                domain: PhaseDomain | None = None,
+                domain: PhaseDomain = PhaseDomain(),
                 seed_lambdas=None) -> list[BoundReport]:
     """``echrb`` at every sample size of ``ms``; ``seed_lambdas[k]`` seeds the search at ``ms[k]``.
 
@@ -272,7 +282,6 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
     whose first grid is wholly excluded raises ``NoAdmissibleOffsetError``
     naming its m and theta0.
     """
-    domain = domain or PhaseDomain()
     ms = _sample_sizes(ms)
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
@@ -284,16 +293,14 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
     best = np.empty((3, ms.size))             # value, lambda1, lambda2 of each row
     spans = np.empty((2, ms.size))            # cell widths of each row's last grid
     for k, (m, seeds) in enumerate(zip(ms, seed_rows)):
-        l1s = grid
-        if len(seeds):
-            seeds = np.asarray(seeds, dtype=float)
-            # the test point theta0 + lambda1 must lie in the domain, as in barankin_at
-            if not np.all((seeds >= lo - 1e-15) & (seeds <= hi + 1e-15)):
-                raise ModelError(f"seed offsets {seeds.tolist()} put a test point outside the "
-                                 f"phase domain [{domain.a}, {domain.b}]")
-            # sorted and deduplicated; np.unique would import numpy.ma
-            l1s = np.sort(np.concatenate([grid, seeds]))
-            l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
+        seeds = np.asarray(seeds, dtype=float)
+        # the test point theta0 + lambda1 must lie in the domain, as in barankin_at
+        if not np.all((seeds >= lo - 1e-15) & (seeds <= hi + 1e-15)):
+            raise ModelError(f"seed offsets {seeds.tolist()} put a test point outside the "
+                             f"phase domain [{domain.a}, {domain.b}]")
+        # the grid and its seeds, sorted and deduplicated; np.unique would import numpy.ma
+        l1s = np.sort(np.concatenate([grid, seeds]))
+        l1s = l1s[np.concatenate(([True], l1s[1:] != l1s[:-1]))]
         g, _ = _echrb_grid_eval(theta0, m, model, l1s[:, None], grid[None, :], p0p, p0m)
         if np.all(g == -np.inf):
             raise NoAdmissibleOffsetError(
@@ -324,14 +331,14 @@ def echrb_block(theta0: float, ms, model: GhzParityModel,
         spans = np.stack([(l1s[:, -1] - l1s[:, 0]) / 20, (l2s[:, -1] - l2s[:, 0]) / 20])
 
     _, a_star = _echrb_grid_eval(theta0, ms, model, best[1], best[2], p0p, p0m)
-    return [BoundReport(name="echrb", value=float(v),
-                        argmax={"lambda1": float(l1), "lambda2": float(l2),
-                                "a_coefficient": float(a)})
-            for v, l1, l2, a in zip(*best, a_star)]
+    return _crlb_floored("echrb", best[0],
+                         [{"lambda1": float(l1), "lambda2": float(l2), "a_coefficient": float(a)}
+                          for l1, l2, a in zip(best[1], best[2], a_star)],
+                         theta0, ms, model)
 
 
 def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
-                domain: PhaseDomain | None = None) -> BoundReport:
+                domain: PhaseDomain = PhaseDomain()) -> BoundReport:
     """Barankin-type bound for a fixed test-point family, optimal coefficients.
 
     With the centred ratios (L_i - 1), the optimal coefficients solve
@@ -341,7 +348,6 @@ def barankin_at(theta0: float, m: int, model: GhzParityModel, test_points,
     Ill-conditioning is repaired by a ridge (which can only lower the value,
     keeping it a valid bound) and reported in the diagnostics.
     """
-    domain = domain or PhaseDomain()
     pts = tuple(float(t) for t in test_points)
     n = len(pts)
     if not 1 <= n <= 6:
@@ -394,7 +400,7 @@ def _barankin_values(theta0, m, model, placements, p0p, p0m):
 
 
 def barankin(theta0: float, m: int, model: GhzParityModel, test_points,
-             domain: PhaseDomain | None = None) -> BoundReport:
+             domain: PhaseDomain = PhaseDomain()) -> BoundReport:
     """Barankin bound with the test-point placement improved by coordinate search.
 
     Starts from ``test_points``, which ``barankin_at`` validates, then
@@ -404,7 +410,6 @@ def barankin(theta0: float, m: int, model: GhzParityModel, test_points,
     Deterministic throughout; the result is a lower estimate of the supremum
     over placements of this family size.
     """
-    domain = domain or PhaseDomain()
     start = barankin_at(theta0, m, model, test_points, domain)
     p0p, p0m = _single_shot_probs(model, theta0, domain)
 
@@ -419,7 +424,7 @@ def barankin(theta0: float, m: int, model: GhzParityModel, test_points,
                 return _barankin_values(theta0, m, model, placements, p0p, p0m).reshape(ts.shape)
 
             try:
-                arg, v = maximize_1d(coord_obj, [domain.a], [domain.b], coarse_points=25)
+                arg, v = maximize_1d(coord_obj, domain.a, domain.b, 1, coarse_points=25)
             except AllNanGridError:
                 continue
             if v[0] > val + 1e-12 * max(1.0, abs(val)):
@@ -439,7 +444,7 @@ def _admissible_seed(lam: float, lo: float, hi: float, sep: float) -> float:
 
 
 def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
-                     domain: PhaseDomain | None = None) -> list[BoundReport]:
+                     domain: PhaseDomain = PhaseDomain()) -> list[BoundReport]:
     """All four unbiased bounds, ordered [barankin, echrb, chrb, crlb].
 
     Each bound's search is seeded with the previous argmax, so the chain
@@ -447,7 +452,6 @@ def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
     a violation beyond ``check_chain``'s slack raises ``HierarchyViolationError``
     naming the offending pair.
     """
-    domain = domain or PhaseDomain()
     crlb_report = crlb(theta0, m, model)
     chrb_report = chrb(theta0, m, model, domain)
     echrb_report = echrb(theta0, m, model, domain,

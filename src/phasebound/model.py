@@ -105,9 +105,6 @@ class PhaseDomain:
     def contains(self, theta: float) -> bool:
         return self.a <= theta <= self.b
 
-    def clip(self, theta):
-        return np.clip(theta, self.a, self.b)
-
 
 @dataclass(frozen=True)
 class GhzParityModel:

@@ -88,32 +88,28 @@ def integrate(values, grid: QuadratureGrid) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def maximize_1d(f, lo, hi, coarse_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """K deterministic supremum searches in lock-step: coarse grid, then golden section.
+def maximize_1d(f, lo: float, hi: float, searches: int,
+                coarse_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """``searches`` supremum searches on [lo, hi] in lock-step: coarse grid, then golden section.
 
-    ``lo`` and ``hi`` hold the K search intervals, shape (K,); row k of every
-    array passed to ``f`` belongs to search k.  ``f`` is called only with
-    arrays and returns one value per point, elementwise: once with the
-    (K, ``coarse_points``) grids, then once per golden-section step with one
-    point per search, shape (K,).  It may return -inf or NaN to exclude a
-    point; the coarse array it returns may be overwritten.  Every row takes
-    the comparisons and updates of a lone scalar search; a row whose bracket
-    has already shrunk below the tolerance keeps its state while the others
-    step, and its value at those steps is ignored.  Returns the (K,)
-    argmaxes and values, each the best sample of its row, so never below that
-    row's coarse-grid maximum.  A row whose whole coarse grid is invalid
-    raises ``AllNanGridError`` naming the rows.
+    Deterministic.  Row k of every array passed to ``f`` belongs to search k.
+    ``f`` is called only with arrays and returns one value per point,
+    elementwise: once with the one coarse grid of ``coarse_points`` points,
+    broadcast (read-only) to shape (``searches``, ``coarse_points``), then
+    once per golden-section step with one point per search, shape
+    (``searches``,).  It may return -inf or NaN to exclude a point; the
+    coarse array it returns may be overwritten.  Every row takes the
+    comparisons and updates of a lone scalar search; a row whose bracket has
+    already shrunk below the tolerance keeps its state while the others
+    step, and its value at those steps is ignored.  Returns the
+    (``searches``,) argmaxes and values, each the best sample of its row, so
+    never below that row's coarse-grid maximum.  A row whose whole coarse
+    grid is invalid raises ``AllNanGridError`` naming the rows.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape or not np.all(lo < hi):
-        raise ModelError(f"search intervals require lo < hi, got [{lo}, {hi}]")
-    rows = np.arange(lo.size)
-    if np.all(lo == lo[0]) and np.all(hi == hi[0]):
-        # one interval for every row: one grid, broadcast (read-only) to K rows
-        xs = np.broadcast_to(np.linspace(lo[0], hi[0], coarse_points), (lo.size, coarse_points))
-    else:
-        xs = np.linspace(lo, hi, coarse_points, axis=1)
+    if not lo < hi:
+        raise ModelError(f"search interval requires lo < hi, got [{lo}, {hi}]")
+    rows = np.arange(searches)
+    xs = np.broadcast_to(np.linspace(lo, hi, coarse_points), (searches, coarse_points))
     vals = np.asarray(f(xs), dtype=float)
     if vals.shape != xs.shape:
         raise ModelError(f"objective returned shape {vals.shape} for points of shape {xs.shape}")
@@ -143,21 +139,19 @@ def maximize_1d(f, lo, hi, coarse_points: int) -> tuple[np.ndarray, np.ndarray]:
     d = a + _INVPHI * (b - a)
     fc, fd = sample(c), sample(d)
     active = b - a > refine_tol
-    while n_active := np.count_nonzero(active):
+    while np.any(active):
         # the bracket moves left where f(c) beats f(d)
         left = fc > fd
         a_new, b_new = np.where(left, a, c), np.where(left, d, b)
         step = _INVPHI * (b_new - a_new)
         x = np.where(left, b_new - step, a_new + step)
         fx = sample(x)
+        vals_seen[-1] = np.where(active, fx, -np.inf)   # a finished row ignores this step
         # left: b, d, fd = d, c, fc and x is the new c; right: a, c, fc = c, d, fd and x is d
         state = (a_new, b_new, np.where(left, x, d), np.where(left, fx, fd),
                  np.where(left, c, x), np.where(left, fc, fx))
-        if n_active < active.size:
-            vals_seen[-1] = np.where(active, fx, -np.inf)   # a finished row ignores this step
-            state = tuple(np.where(active, new, old)
-                          for new, old in zip(state, (a, b, c, fc, d, fd)))
-        a, b, c, fc, d, fd = state
+        a, b, c, fc, d, fd = (np.where(active, new, old)
+                              for new, old in zip(state, (a, b, c, fc, d, fd)))
         active = b - a > refine_tol
     # the first best sample of each row: a scalar search keeps a sample only if it beats its best
     best = np.argmax(vals_seen, axis=0)
@@ -340,10 +334,9 @@ def _finalize_prior(kind, domain, grid, raw_values, raw_derivative, vanishes, al
     )
 
 
-def flat_prior(domain: PhaseDomain | None = None,
+def flat_prior(domain: PhaseDomain = PhaseDomain(),
                grid: QuadratureGrid | None = None) -> PriorDensity:
     """Uniform density 1/(b-a), not vanishing at the boundaries, on a grid spanning the domain."""
-    domain = domain or PhaseDomain()
     grid = grid or QuadratureGrid.simpson(domain.a, domain.b)
     if not (abs(grid.a - domain.a) <= 1e-12 and abs(grid.b - domain.b) <= 1e-12):
         raise ModelError(f"the flat prior on [{domain.a}, {domain.b}] needs a grid spanning it, "

@@ -26,7 +26,7 @@ from phasebound.estimate import (
     PosteriorMeanEstimator,
     frequentist_risk,
 )
-from phasebound.fbound import chrb, chrb_objective, hierarchy_report
+from phasebound.fbound import barankin_at, chrb, hierarchy_report
 from phasebound.numerics import family45_prior
 from phasebound.rbound import (
     acrlb,
@@ -86,9 +86,10 @@ def test_criterion_03_frequentist_hierarchy(model, domain):
 
 
 def test_criterion_04_chrb_crlb_limit(model):
-    worst = max(abs(chrb_objective(T0, m, model, 1e-6) * m * 4.0 - 1.0)
+    # a one-point barankin_at is the two-point Chapman-Robbins ratio at that offset
+    worst = max(abs(barankin_at(T0, m, model, [T0 + 1e-6]).value * m * 4.0 - 1.0)
                 for m in (1, 10, 100))
-    report(4, "ChRB objective at lambda = 1e-6 recovers the CRLB", worst < 1e-4,
+    report(4, "ChRB ratio at lambda = 1e-6 recovers the CRLB", worst < 1e-4,
            f"worst relative deviation {worst:.2e}")
 
 

@@ -162,6 +162,14 @@ class TestFig2:
             assert float(r[3]) >= float(r[2]) - 1e-9 >= 0.0
             assert float(r[2]) >= float(r[1]) - 1e-9
 
+    def test_theta0_on_the_domain_edge(self, tmp_path):
+        # at theta0 = a the ChRB supremum is the CRLB, its lambda -> 0 limit
+        out = tmp_path / "fig2.csv"
+        assert main(["fig2", "--domain.a", "0.1", "--domain.b", "0.2", "--theta0", "0.1",
+                     "--m.list", "1,5", "--out", str(out)]) == 0
+        rows = read_rows(out)[2]
+        assert [r[2] for r in rows] == [r[1] for r in rows] == ["0.25", "0.25"]
+
     def test_numerical_failure_exit_code(self):
         # theta0 = 0 is a deterministic channel: no admissible offsets
         assert main(["fig2", "--theta0", "0", "--m.list", "1"]) == 3
@@ -250,6 +258,15 @@ class TestBounds:
         names = {r[0] for r in rows}
         assert {"crlb", "chrb", "echrb", "barankin", "van_trees",
                 "ziv_zakai", "averaged_ghosh"} <= names
+
+    def test_theta0_on_the_domain_edge(self, tmp_path):
+        # at theta0 = a the ChRB supremum is the CRLB, its lambda -> 0 limit
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--prior.kind", "flat", "--domain.a", "0.1", "--domain.b", "0.2",
+                     "--theta0", "0.1", "--m.list", "3", "--out", str(out)]) == 0
+        values = dict(read_rows(out)[2])
+        assert values["chrb"] == values["crlb"]
+        assert float(values["crlb"]) == pytest.approx(1 / 12, rel=1e-15)
 
     def test_unset_alpha_echoes_the_alpha_used(self, tmp_path):
         # bounds computes one cell, at alpha = 10 when prior.alpha is unset

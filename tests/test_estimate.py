@@ -53,8 +53,8 @@ class TestMle:
         # written out one tally at a time
         est = MaximumLikelihoodEstimator(model, domain)
         for m in range(1, 301):
-            formula = [float(domain.clip(math.acos(max(-1.0, min(1.0, (2 * k - m) / m))) / 2))
-                       for k in range(m + 1)]
+            formula = [float(np.clip(math.acos(max(-1.0, min(1.0, (2 * k - m) / m))) / 2,
+                                     domain.a, domain.b)) for k in range(m + 1)]
             assert est.values(m).tolist() == formula
 
     # domains off the branch [0, pi/N]: (N, a, b, j) with N [a, b] inside [j pi, (j+1) pi]
@@ -68,8 +68,8 @@ class TestMle:
             model, domain = GhzParityModel(n), PhaseDomain(a, b)
             est = MaximumLikelihoodEstimator(model, domain)
             for m in range(1, 101):
-                formula = [float(domain.clip((j * math.pi + math.acos((-1) ** j * (2 * k - m) / m))
-                                             / n)) for k in range(m + 1)]
+                formula = [float(np.clip((j * math.pi + math.acos((-1) ** j * (2 * k - m) / m))
+                                         / n, domain.a, domain.b)) for k in range(m + 1)]
                 assert est.values(m).tolist() == formula, (n, a, b, m)
 
     def test_off_branch_table_equals_one_search_per_tally(self):
@@ -84,8 +84,7 @@ class TestMle:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     val = k * np.log(pp) + (m - k) * np.log(1.0 - pp)
                 return np.where(np.isfinite(val), val, -np.inf)
-            return maximize_1d(loglik, np.full(m + 1, domain.a), np.full(m + 1, domain.b),
-                               coarse_points=1001)[0]
+            return maximize_1d(loglik, domain.a, domain.b, m + 1, coarse_points=1001)[0]
 
         for n, a, b, _ in self.OFF_BRANCH:
             model, domain = GhzParityModel(n), PhaseDomain(a, b)

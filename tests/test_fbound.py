@@ -10,6 +10,7 @@ from phasebound.fbound import (
     HierarchyViolationError,
     NoAdmissibleOffsetError,
     _barankin_values,
+    _chrb_value,
     _echrb_grid_eval,
     _single_shot_probs,
     barankin,
@@ -17,7 +18,6 @@ from phasebound.fbound import (
     check_chain,
     chrb,
     chrb_block,
-    chrb_objective,
     crlb,
     echrb,
     echrb_block,
@@ -28,6 +28,12 @@ from phasebound.numerics import NumericalFailure
 
 T0 = math.pi / 4
 CHRB_M1 = (math.pi / 4) ** 2  # 0.61685027506808491, supremum at lambda = +/- pi/4
+
+
+def chrb_ratio(theta0, m, model, lam, domain=PhaseDomain()):
+    """The Chapman-Robbins ratio at offsets ``lam``, through the objective ``chrb`` searches."""
+    p0p, p0m = _single_shot_probs(model, theta0, domain)
+    return _chrb_value(theta0, m, model, lam, domain, p0p, p0m)
 
 
 def dense_grid_chrb(theta0, m, model, domain, points=200_001):
@@ -76,12 +82,29 @@ class TestChapmanRobbins:
 
     @pytest.mark.parametrize("m", [1, 10, 100])
     def test_crlb_recovered_in_small_offset_limit(self, model, m):
-        value = chrb_objective(T0, m, model, 1e-6)
+        value = chrb_ratio(T0, m, model, 1e-6)
         assert value == pytest.approx(1.0 / (m * 4.0), rel=1e-4)
 
     def test_dominates_crlb(self, model, domain):
         for m in range(1, 41):
             assert chrb(T0, m, model, domain=domain).value >= crlb(T0, m, model).value - 1e-9
+
+    def test_floored_by_crlb_on_the_domain_edge(self, model, monkeypatch):
+        # at theta0 = a the supremum is the lambda -> 0 limit 1/(m F), near which
+        # p_+(theta0 + lambda) - p_+(theta0) cancels, so the search alone falls short
+        edge = PhaseDomain(0.1, 0.2)
+        for m in (1, 3, 5, 1000):
+            report = chrb(0.1, m, model, edge)
+            assert report.value == crlb(0.1, m, model).value
+            assert report.diagnostics == {"floored_by": "crlb"}
+            assert 0.0 < report.argmax["lambda"] < 1e-6
+        assert chrb(T0, 3, model).diagnostics == {}
+        # EChRB holds the same limit: a coarse grid without zoom rounds falls short of it
+        monkeypatch.setattr(fbound_module, "_ECHRB_REFINE_ROUNDS", 0)
+        monkeypatch.setattr(fbound_module, "_ECHRB_GRID", 3)
+        report = echrb(0.1, 50, model, edge)
+        assert report.value == crlb(0.1, 50, model).value
+        assert report.diagnostics == {"floored_by": "crlb"}
 
     def test_large_m_approaches_crlb(self, model, domain):
         m = 100
@@ -108,7 +131,7 @@ class TestExtendedChapmanRobbins:
         for lam in (0.2, -0.5, 0.7):
             d = model.prob_plus(T0 + lam) - p0p
             c0 = _gram_power(m, d * d / (p0p * p0m))
-            assert lam * lam / c0 == pytest.approx(chrb_objective(T0, m, model, lam), rel=1e-12)
+            assert lam * lam / c0 == pytest.approx(chrb_ratio(T0, m, model, lam), rel=1e-12)
 
     def test_single_shot_dominates_chrb_value(self, model, domain):
         report = echrb(T0, 1, model, domain=domain)
@@ -163,7 +186,7 @@ class TestBarankin:
         offsets = offsets[np.abs(offsets) > 1e-6]
         for lam in offsets:
             got = barankin_at(T0, m, model, [T0 + lam], domain=domain).value
-            assert got == pytest.approx(chrb_objective(T0, m, model, float(lam)), rel=1e-10)
+            assert got == pytest.approx(chrb_ratio(T0, m, model, float(lam)), rel=1e-10)
 
     def test_two_points_dominate_echrb_at_same_offsets(self, model, domain):
         m = 5
@@ -271,11 +294,11 @@ class TestArrayObjectives:
     @pytest.mark.parametrize("m", [1, 20, 300, 1000])
     def test_chrb_coarse_grid_equals_per_point(self, model, domain, m):
         lams = np.linspace(domain.a - T0, domain.b - T0, fbound_module._CHRB_COARSE)
-        whole = chrb_objective(T0, m, model, lams, domain)
+        whole = chrb_ratio(T0, m, model, lams, domain)
         # a lone point in gives a 0-d array out
-        per_point = np.array([chrb_objective(T0, m, model, float(lam), domain)
+        per_point = np.array([chrb_ratio(T0, m, model, float(lam), domain)
                               for lam in lams])
-        assert chrb_objective(T0, m, model, float(lams[7]), domain).shape == ()
+        assert chrb_ratio(T0, m, model, float(lams[7]), domain).shape == ()
         assert whole.shape == lams.shape
         assert np.array_equal(whole, per_point)
         assert np.isfinite(whole).sum() >= fbound_module._CHRB_COARSE - 2
@@ -410,8 +433,6 @@ class TestIdentifiability:
     # Each entry point maps (model, domain, theta0) to the values it reports.
     ENTRY_POINTS = {
         "chrb": lambda model, domain, t0: [chrb(t0, 20, model, domain=domain).value],
-        "chrb_objective": lambda model, domain, t0: [
-            chrb_objective(t0, 20, model, 0.1, domain=domain)],
         "echrb": lambda model, domain, t0: [echrb(t0, 20, model, domain=domain).value],
         "barankin_at": lambda model, domain, t0: [
             barankin_at(t0, 20, model, [t0 + 0.1], domain=domain).value],

@@ -66,17 +66,17 @@ class TestSimpsonQuadrature:
 
 class TestMaximize1d:
     def test_parabola(self):
-        arg, val = maximize_1d(lambda x: -x * x, [-1.0], [1.0], coarse_points=401)
+        arg, val = maximize_1d(lambda x: -x * x, -1.0, 1.0, 1, coarse_points=401)
         assert abs(arg[0]) < 1e-9 and abs(val[0]) < 1e-16
 
     def test_chapman_robbins_single_shot_objective(self):
-        arg, val = maximize_1d(lambda x: x * x / np.sin(2 * x) ** 2, [1e-6], [math.pi / 4],
+        arg, val = maximize_1d(lambda x: x * x / np.sin(2 * x) ** 2, 1e-6, math.pi / 4, 1,
                                coarse_points=401)
         assert arg[0] == pytest.approx(math.pi / 4, abs=1e-9)
         assert val[0] == pytest.approx((math.pi / 4) ** 2, rel=1e-12)
 
     def test_monotone_gives_boundary(self):
-        arg, val = maximize_1d(lambda x: 3.0 * x, [0.0], [2.0], coarse_points=401)
+        arg, val = maximize_1d(lambda x: 3.0 * x, 0.0, 2.0, 1, coarse_points=401)
         assert arg[0] == pytest.approx(2.0, abs=1e-9)
         assert val[0] == pytest.approx(6.0, rel=1e-9)
 
@@ -88,10 +88,10 @@ class TestMaximize1d:
             return out
 
         with pytest.raises(AllNanGridError) as info:
-            maximize_1d(f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], coarse_points=11)
+            maximize_1d(f, 0.0, 1.0, 3, coarse_points=11)
         assert info.value.rows == (1,)
         with pytest.raises(AllNanGridError):
-            maximize_1d(lambda x: np.full(x.shape, math.nan), [0.0], [1.0], coarse_points=11)
+            maximize_1d(lambda x: np.full(x.shape, math.nan), 0.0, 1.0, 1, coarse_points=11)
 
     def test_coarse_stage_is_one_array_call(self):
         # one call with every row's grid, then one (K,) array per golden step
@@ -101,7 +101,7 @@ class TestMaximize1d:
             seen.append(x.copy())
             return -(x - np.array([0.3, -0.4]).reshape((-1,) + (1,) * (x.ndim - 1))) ** 2
 
-        arg, _ = maximize_1d(f, [-1.0, -1.0], [1.0, 1.0], coarse_points=57)
+        arg, _ = maximize_1d(f, -1.0, 1.0, 2, coarse_points=57)
         assert seen[0].shape == (2, 57)
         np.testing.assert_array_equal(seen[0], np.tile(np.linspace(-1.0, 1.0, 57), (2, 1)))
         assert all(x.shape == (2,) for x in seen[1:]) and len(seen) > 2
@@ -110,15 +110,15 @@ class TestMaximize1d:
     def test_excluded_interior_point(self):
         # -inf holes must not derail the bracket search
         arg, val = maximize_1d(lambda x: np.where(np.abs(x) < 1e-4, -np.inf, -np.abs(x)),
-                               [-1.0], [1.0], coarse_points=41)
+                               -1.0, 1.0, 1, coarse_points=41)
         assert val[0] > -2e-4
 
     def test_rows_equal_lone_scalar_searches(self):
         # every row takes the steps of a lone scalar search, also rows whose bracket
-        # is one cell wide (argmax at an end) and so finishes before the others
+        # is one cell wide (argmax at an end: centres 5 and -5) and so finishes
+        # before the others
         centres = np.array([0.3, -0.4, 5.0, -5.0, 0.123456789, 0.0])
-        lo = np.array([-1.0, -1.0, -1.0, -2.0, 0.1, -1.0])
-        hi = np.array([1.0, 1.0, 1.0, 0.5, 0.2, 1.0])
+        lo, hi = -1.0, 1.0
 
         def row_objective(k, x):
             with np.errstate(invalid="ignore"):
@@ -132,10 +132,9 @@ class TestMaximize1d:
             value = row_objective(k, x)
             return value if np.ndim(value) else float(value)
 
-        args, values = maximize_1d(f, lo, hi, coarse_points=25)
+        args, values = maximize_1d(f, lo, hi, len(centres), coarse_points=25)
         for k in range(len(centres)):
-            want = scalar_maximize_1d(lambda x, k=k: scalar_objective(k, x),
-                                      float(lo[k]), float(hi[k]), 25)
+            want = scalar_maximize_1d(lambda x, k=k: scalar_objective(k, x), lo, hi, 25)
             assert (args[k], values[k]) == want, k
 
 

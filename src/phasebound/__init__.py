@@ -30,10 +30,8 @@ from .fbound import (
     barankin,
     barankin_at,
     chrb,
-    chrb_block,
     crlb,
     echrb,
-    echrb_block,
     hierarchy_report,
 )
 from .model import GhzParityModel, PhaseDomain

@@ -44,9 +44,9 @@ from .estimate import (
 from .fbound import (
     HierarchyViolationError,
     check_chain,
-    chrb_block,
+    chrb,
     crlb,
-    echrb_block,
+    echrb,
     hierarchy_report,
 )
 from .model import GhzParityModel, ModelError, PhaseDomain, require_identifiable
@@ -62,6 +62,7 @@ from .rbound import (
     avg_estimator_variance,
     avg_mse,
     bayes_chain_report,
+    estimator_chain_report,
     ziv_zakai,
 )
 
@@ -242,9 +243,9 @@ def _fig1_rows(cfg, model, domain, prior, ms):
 
 def _fig2_rows(cfg, model, domain, prior, ms):
     """Unbiased frequentist bound family, scaled by m, plus the ChRB argmax; searched at once."""
-    chs = chrb_block(cfg.theta0, ms, model, domain)
-    echs = echrb_block(cfg.theta0, ms, model, domain,
-                       seed_lambdas=[[ch.argmax["lambda"]] for ch in chs])
+    chs = chrb(cfg.theta0, ms, model, domain)
+    echs = echrb(cfg.theta0, ms, model, domain,
+                 seed_lambdas=[[ch.argmax["lambda"]] for ch in chs])
     for m, ch, ech in zip(ms, chs, echs):
         c = crlb(cfg.theta0, m, model)
         check_chain([("echrb", ech.value), ("chrb", ch.value), ("crlb", c.value)],
@@ -291,6 +292,9 @@ def _bounds_rows(cfg, model, domain, prior, ms):
             chain = bayes_chain_report(bl_est, m)
             out += [("van_trees", chain.van_trees), ("agbr", chain.agbr),
                     ("bayes_avg_posterior_variance", chain.bayes_variance)]
+            # variance >= aCRLB >= fVTB is asserted for both estimators; it emits no row
+            for estimator in (mle_est, bl_est):
+                estimator_chain_report(estimator, prior, m, model)
         yield from out
 
 

@@ -33,12 +33,16 @@ both families hold, where their search falls short of it, and
 ``hierarchy_report`` seeds each bound with its predecessor's argmax, so the
 chain BB >= EChRB >= ChRB >= CRLB holds by construction.
 
-Every search is batched over a block of sample sizes.  ``chrb_block`` hands
-``maximize_1d`` one search per m, all on the one offset interval, and their
-golden-section brackets step in lock-step, so each step is one array
-evaluation of the whole block;
-``echrb_block`` runs its zoom rounds and its final coefficient evaluation
-over the whole block at once.  ``chrb`` and ``echrb`` are the blocks of one.
+Every test point keeps at least ``_OFFSET_SEPARATION`` from theta0 and from
+the other test points, in all three searches, so EChRB's argmax is an
+admissible start of the Barankin search as it stands.
+
+``chrb`` and ``echrb`` take a sequence of sample sizes and return one report
+per m.  ``chrb`` hands ``maximize_1d`` one search per m, all on the one
+offset interval, and their golden-section brackets step in lock-step, so
+each step is one array evaluation of the whole block; ``echrb`` runs its
+zoom rounds and its final coefficient evaluation over the whole block at
+once.
 Every objective takes arrays only, computes each element with the same
 arithmetic whatever the array's shape, and is evaluated in row chunks of at
 most ``_SEARCH_CELLS`` cells.  The EChRB grid is an outer product: the
@@ -64,7 +68,6 @@ _CHRB_COARSE = 401             # coarse points of the ChRB supremum search
 _ECHRB_GRID = 101              # points per axis of the first (lambda1, lambda2) grid
 _ECHRB_REFINE_ROUNDS = 3       # zooms of the EChRB grid around its best cell
 _OFFSET_SEPARATION = 1e-9      # least distance of test points from theta0 and each other
-_OFFSET_FLOOR = 1e-13          # offsets below this count as the excluded lambda = 0
 _CHAIN_SLACK = 1e-9            # chain-step shortfall allowed, relative below 1, absolute above
 _SEARCH_CELLS = 1 << 12        # cells of one row chunk of a batched search evaluation
 
@@ -125,7 +128,9 @@ def _gram_power(m, increment):
 
 def _sample_sizes(ms) -> np.ndarray:
     ms = np.asarray(ms, dtype=np.int64)
-    if ms.ndim != 1 or ms.size == 0 or np.any(ms < 1):
+    if ms.ndim != 1 or ms.size == 0:
+        raise ModelError(f"a non-empty sequence of sample sizes is needed, got {ms.tolist()!r}")
+    if np.any(ms < 1):
         raise ModelError("m must be >= 1")
     return ms
 
@@ -153,14 +158,15 @@ def crlb(theta0: float, m: int, model: GhzParityModel,
 def _chrb_value(theta0, m, model, lam, domain, p0p, p0m):
     """Two-point ratio lambda^2 / (s^m - 1) at offsets ``lam``, elementwise; ``m`` broadcasts.
 
-    Offsets below ``_OFFSET_FLOOR`` or leaving the domain, and those with
-    a non-positive denominator, give -inf; a non-finite denominator gives 0.
+    Offsets closer than ``_OFFSET_SEPARATION`` to 0 or leaving the domain, and
+    those with a non-positive denominator, give -inf; a non-finite denominator
+    gives 0.
     """
     lam = np.asarray(lam, dtype=float)
     t = theta0 + lam
     d = model.prob_plus(t) - p0p
     den = _gram_power(m, d * d / (p0p * p0m))
-    excluded = ((np.abs(lam) < _OFFSET_FLOOR) | (t < domain.a - 1e-15)
+    excluded = ((np.abs(lam) < _OFFSET_SEPARATION) | (t < domain.a - 1e-15)
                 | (t > domain.b + 1e-15) | (den <= 0.0))
     # a NaN or infinite denominator gives lambda^2 / inf = 0
     return np.where(excluded, -np.inf, lam * lam / np.where(den > 0.0, den, np.inf))
@@ -181,33 +187,21 @@ def _crlb_floored(name, values, argmaxes, theta0, ms, model) -> list[BoundReport
             for v, f, arg in zip(values, floors, argmaxes)]
 
 
-def chrb(theta0: float, m: int, model: GhzParityModel,
-         domain: PhaseDomain = PhaseDomain()) -> BoundReport:
-    """Chapman-Robbins bound: supremum of the two-point ratio over the offset.
+def chrb(theta0: float, ms, model: GhzParityModel,
+         domain: PhaseDomain = PhaseDomain()) -> list[BoundReport]:
+    """Chapman-Robbins bound at every sample size of ``ms``: supremum of the two-point ratio.
 
     The admissible offsets keep theta0 + lambda inside the phase domain and
-    exclude lambda = 0.  Supremum by coarse grid plus golden-section
-    refinement; the reported value is the best evaluated point, or the
-    lambda -> 0 limit 1/(m F(theta0)) where that is larger, hence a lower
-    estimate of the true supremum.  ``chrb_block`` at one sample size.
-    """
-    return chrb_block(theta0, [m], model, domain)[0]
-
-
-def chrb_block(theta0: float, ms, model: GhzParityModel,
-               domain: PhaseDomain = PhaseDomain()) -> list[BoundReport]:
-    """``chrb`` at every sample size of ``ms``, one report each, searched in lock-step.
-
-    Row k of each search array is the offset search at ``ms[k]``; each row
-    reaches the argmax and value that a search at that m alone reaches.  A row
-    whose every offset is excluded raises ``NoAdmissibleOffsetError`` naming
-    its m and theta0.
+    at least ``_OFFSET_SEPARATION`` from theta0.  Supremum by coarse grid
+    plus golden-section refinement, one search per m, stepped in lock-step;
+    each report's value is its best evaluated point, or the lambda -> 0
+    limit 1/(m F(theta0)) where that is larger, hence a lower estimate of
+    the true supremum.  A row whose every offset is excluded raises
+    ``NoAdmissibleOffsetError`` naming its m and theta0.
     """
     ms = _sample_sizes(ms)
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
-    if hi - lo <= 2 * _OFFSET_FLOOR:
-        raise NoAdmissibleOffsetError(f"no admissible offsets in the domain at theta0={theta0!r}")
 
     def objective(lam):
         m_col = ms.reshape((-1,) + (1,) * (lam.ndim - 1))
@@ -248,44 +242,40 @@ def _echrb_grid_eval(theta0, m, model, L1, L2, p0p, p0m):
         g_limit = np.where(c2 > 0.0, L2 * L2 / c2, -np.inf)
     g = np.fmax(np.where(np.isfinite(g), g, -np.inf),
                 np.where(np.isfinite(g_limit), g_limit, -np.inf))
-    bad = (np.abs(L1) < _OFFSET_FLOOR) | (np.abs(L2) < _OFFSET_FLOOR) \
+    bad = (np.abs(L1) < _OFFSET_SEPARATION) | (np.abs(L2) < _OFFSET_SEPARATION) \
         | (np.abs(L1 - L2) < _OFFSET_SEPARATION) | ~np.isfinite(c0) | (c0 <= 0.0)
     return np.where(bad, -np.inf, g), a_star
 
 
-def echrb(theta0: float, m: int, model: GhzParityModel,
+def echrb(theta0: float, ms, model: GhzParityModel,
           domain: PhaseDomain = PhaseDomain(),
-          seed_lambdas=()) -> BoundReport:
-    """Extended Chapman-Robbins bound over two offsets and one free coefficient.
+          seed_lambdas=None) -> list[BoundReport]:
+    """Extended Chapman-Robbins bound at every sample size of ``ms``: two offsets, one coefficient.
 
     For each admissible (lambda1, lambda2) the inner coefficient A maximises a
     ratio of quadratics; its stationary point is taken in closed form and
-    compared with the A -> infinity limit.  The offset pair is searched on a
-    grid (optionally seeded with extra lambda1 candidates, each of which must
-    keep theta0 + lambda1 in the domain) and refined by deterministic zooming
-    around the best cell; as in ``chrb``, a value below the lambda -> 0 limit
-    1/(m F(theta0)) is raised to it.  ``echrb_block`` at one sample size.
-    """
-    return echrb_block(theta0, [m], model, domain, [seed_lambdas])[0]
-
-
-def echrb_block(theta0: float, ms, model: GhzParityModel,
-                domain: PhaseDomain = PhaseDomain(),
-                seed_lambdas=None) -> list[BoundReport]:
-    """``echrb`` at every sample size of ``ms``; ``seed_lambdas[k]`` seeds the search at ``ms[k]``.
+    compared with the A -> infinity limit.  The offset pair of each m is
+    searched on a grid, ``_ECHRB_GRID`` points per axis plus that m's seeds
+    ``seed_lambdas[k]`` on the lambda1 axis (each must keep theta0 + lambda1
+    in the domain), and refined by deterministic zooming around the best
+    cell; as in ``chrb``, a value below the lambda -> 0 limit 1/(m F(theta0))
+    is raised to it.  Without ``seed_lambdas`` each m is seeded with its
+    ChRB argmax: A = 0 there gives the ChRB value, so EChRB >= ChRB.  An
+    empty seed row searches the bare grid.
 
     Every value comes from ``_echrb_grid_eval``: the first grid of each m
-    (``_ECHRB_GRID`` points per axis plus its seeds on the lambda1 axis) is
-    evaluated m by m, and the 21 x 21 zoom rounds and the final coefficient
-    evaluation run over the whole block, in row chunks.  A row whose zoom
-    grid is wholly excluded stops refining, as a lone search would.  A row
-    whose first grid is wholly excluded raises ``NoAdmissibleOffsetError``
-    naming its m and theta0.
+    is evaluated m by m, and the 21 x 21 zoom rounds and the final
+    coefficient evaluation run over the whole block, in row chunks.  A row
+    whose zoom grid is wholly excluded stops refining, as a lone search
+    would.  A row whose first grid is wholly excluded raises
+    ``NoAdmissibleOffsetError`` naming its m and theta0.
     """
     ms = _sample_sizes(ms)
     p0p, p0m = _single_shot_probs(model, theta0, domain)
     lo, hi = domain.a - theta0, domain.b - theta0
-    seed_rows = [()] * ms.size if seed_lambdas is None else list(seed_lambdas)
+    if seed_lambdas is None:
+        seed_lambdas = [[r.argmax["lambda"]] for r in chrb(theta0, ms, model, domain)]
+    seed_rows = list(seed_lambdas)
     if len(seed_rows) != ms.size:
         raise ModelError(f"{len(seed_rows)} seed rows for {ms.size} sample sizes")
 
@@ -436,13 +426,6 @@ def barankin(theta0: float, m: int, model: GhzParityModel, test_points,
     return barankin_at(theta0, m, model, pts, domain)
 
 
-def _admissible_seed(lam: float, lo: float, hi: float, sep: float) -> float:
-    """Push an offset away from zero and into [lo, hi] by at least ``sep``."""
-    if abs(lam) < sep:
-        lam = sep if hi >= sep else -sep
-    return min(max(lam, lo), hi)
-
-
 def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
                      domain: PhaseDomain = PhaseDomain()) -> list[BoundReport]:
     """All four unbiased bounds, ordered [barankin, echrb, chrb, crlb].
@@ -453,18 +436,11 @@ def hierarchy_report(theta0: float, m: int, model: GhzParityModel,
     naming the offending pair.
     """
     crlb_report = crlb(theta0, m, model)
-    chrb_report = chrb(theta0, m, model, domain)
-    echrb_report = echrb(theta0, m, model, domain,
-                         seed_lambdas=[chrb_report.argmax["lambda"]])
-
-    lo, hi = domain.a - theta0, domain.b - theta0
-    sep = _OFFSET_SEPARATION
-    l1 = _admissible_seed(echrb_report.argmax["lambda1"], lo, hi, sep)
-    l2 = _admissible_seed(echrb_report.argmax["lambda2"], lo, hi, sep)
-    if abs(l1 - l2) < sep:
-        l2 = _admissible_seed(l2 + (2 * sep if l2 + 2 * sep <= hi else -2 * sep), lo, hi, sep)
+    [chrb_report] = chrb(theta0, [m], model, domain)
+    [echrb_report] = echrb(theta0, [m], model, domain, [[chrb_report.argmax["lambda"]]])
+    start = (theta0 + echrb_report.argmax["lambda1"], theta0 + echrb_report.argmax["lambda2"])
     try:
-        bb_report = barankin(theta0, m, model, (theta0 + l1, theta0 + l2), domain)
+        bb_report = barankin(theta0, m, model, start, domain)
     except (ModelError, NumericalFailure):
         bb_report = BoundReport(name="barankin", value=-math.inf)
     if bb_report.value < echrb_report.value:

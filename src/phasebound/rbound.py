@@ -471,7 +471,7 @@ def estimator_chain_report(estimator: Estimator, prior_true: PriorDensity, m: in
         fvtb=fvtb(estimator, prior_true, m, model),
     )
     check_chain([("avg_variance", report.avg_variance), ("acrlb", report.acrlb),
-                 ("fvtb", report.fvtb)], f"m={m}, {prior_true.name}")
+                 ("fvtb", report.fvtb)], f"m={m}, {prior_true.name}, {type(estimator).__name__}")
     return report
 
 

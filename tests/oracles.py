@@ -62,8 +62,9 @@ the package also computes, by an independent route:
 * ``scalar_maximize_1d`` - one supremum search with scalar golden-section
   steps, and ``scalar_chrb`` and ``scalar_echrb``, the ChRB and EChRB
   searches of one m at a time, as the package ran them before its searches
-  were stepped in lock-step over a block of m; against ``chrb_block`` and
-  ``echrb_block`` with ``==``;
+  were stepped in lock-step over a block of m; against ``chrb`` and
+  ``echrb`` with ``==`` (``scalar_echrb`` without seeds is the bare grid,
+  which ``echrb`` searches for an empty seed row);
 * ``scipy_log_binomial``, ``scipy_tally_probability``,
   ``scipy_tally_pmf_matrix`` and ``scipy_tally_pmf_dtheta_matrix`` - the
   tally kernels written with ``scipy.special.gammaln`` and ``xlogy``, the

@@ -78,7 +78,7 @@ def test_criterion_03_frequentist_hierarchy(model, domain):
         if not (v[0] >= v[1] - 1e-9 and v[1] >= v[2] - 1e-9 and v[2] >= v[3] - 1e-9):
             ok, detail = False, f"chain broken at m={m}: {v}"
             break
-    single_shot = chrb(T0, 1, model, domain=domain).value
+    [single_shot] = [r.value for r in chrb(T0, [1], model, domain=domain)]
     if abs(single_shot - (math.pi / 4) ** 2) > 1e-6:
         ok, detail = False, f"ChRB(m=1) = {single_shot}"
     report(3, "BB >= EChRB >= ChRB >= CRLB for m in 1..100", ok,

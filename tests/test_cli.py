@@ -324,14 +324,14 @@ class TestExitCodes:
         assert main(["fig2", "--m.list", "1"]) == 4
 
     def test_fig2_chain_violation_names_cell(self, monkeypatch, capsys):
-        # fig2 searches its block of m through chrb_block: inflate every ChRB it returns
-        real_chrb_block = cli_module.chrb_block
+        # fig2 searches its block of m through chrb: inflate every ChRB it returns
+        real_chrb = cli_module.chrb
 
-        def inflated_chrb_block(*args, **kwargs):
+        def inflated_chrb(*args, **kwargs):
             return [dataclasses.replace(report, value=10.0 * report.value)
-                    for report in real_chrb_block(*args, **kwargs)]
+                    for report in real_chrb(*args, **kwargs)]
 
-        monkeypatch.setattr(cli_module, "chrb_block", inflated_chrb_block)
+        monkeypatch.setattr(cli_module, "chrb", inflated_chrb)
         assert main(["fig2", "--m.list", "3"]) == 4
         err = capsys.readouterr().err
         assert "echrb=" in err and "chrb=" in err and "m=3" in err
@@ -347,6 +347,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bayes_avg_posterior_variance_fixed=" in err and "averaged_ghosh=" in err
         assert f"m=3, theta0={math.pi / 4!r}, alpha=10" in err
+
+    @pytest.mark.parametrize("estimator", ["MaximumLikelihoodEstimator", "PosteriorMeanEstimator"])
+    def test_bounds_estimator_chain_violation_names_cell(self, monkeypatch, capsys, estimator):
+        # bounds asserts variance >= aCRLB >= fVTB for both estimators under a prior
+        # that vanishes at the boundaries: inflate one estimator's aCRLB tenfold
+        import phasebound.rbound as rbound_module
+        real_acrlb = rbound_module.acrlb
+
+        def inflated_acrlb(est, *args):
+            return (10.0 if type(est).__name__ == estimator else 1.0) * real_acrlb(est, *args)
+
+        monkeypatch.setattr(rbound_module, "acrlb", inflated_acrlb)
+        assert main(["bounds", "--prior.alpha", "10", "--m.list", "3",
+                     "--grid.nodes", "401"]) == 4
+        err = capsys.readouterr().err
+        assert "avg_variance=" in err and "acrlb=" in err
+        assert f"m=3, alpha=10, {estimator}" in err
 
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     def test_unwritable_out_maps_to_2(self, tmp_path, capsys, target):
@@ -369,8 +386,7 @@ class TestExitCodes:
         # fig1 and fig2 under a missing directory; a later file of the fig3 and fig4
         # alpha batteries, and the bounds output itself, blocked by a directory of
         # that name: nothing is computed or written
-        counted = {"fig2": "chrb_block", "fig4": "bayes_chain_report"}.get(command,
-                                                                           "frequentist_risk")
+        counted = {"fig2": "chrb", "fig4": "bayes_chain_report"}.get(command, "frequentist_risk")
         calls = []
         real = getattr(cli_module, counted)
 

@@ -17,10 +17,8 @@ from phasebound.fbound import (
     barankin_at,
     check_chain,
     chrb,
-    chrb_block,
     crlb,
     echrb,
-    echrb_block,
     hierarchy_report,
 )
 from phasebound.model import GhzParityModel, ModelError, PhaseDomain
@@ -69,13 +67,13 @@ class TestCrlb:
 
 class TestChapmanRobbins:
     def test_single_shot_closed_form(self, model, domain):
-        report = chrb(T0, 1, model, domain=domain)
+        [report] = chrb(T0, [1], model, domain=domain)
         assert report.value == pytest.approx(CHRB_M1, abs=1e-9)
         assert abs(report.argmax["lambda"]) == pytest.approx(math.pi / 4, abs=1e-6)
 
     def test_against_dense_grid_oracle(self, model, domain):
         for m in (1, 3, 10, 40):
-            got = chrb(T0, m, model, domain=domain).value
+            [got] = [r.value for r in chrb(T0, [m], model, domain=domain)]
             want = dense_grid_chrb(T0, m, model, domain)
             assert got >= want - 1e-12
             assert got == pytest.approx(want, rel=1e-6)
@@ -86,37 +84,38 @@ class TestChapmanRobbins:
         assert value == pytest.approx(1.0 / (m * 4.0), rel=1e-4)
 
     def test_dominates_crlb(self, model, domain):
-        for m in range(1, 41):
-            assert chrb(T0, m, model, domain=domain).value >= crlb(T0, m, model).value - 1e-9
+        ms = range(1, 41)
+        for m, report in zip(ms, chrb(T0, ms, model, domain=domain)):
+            assert report.value >= crlb(T0, m, model).value - 1e-9
 
     def test_floored_by_crlb_on_the_domain_edge(self, model, monkeypatch):
         # at theta0 = a the supremum is the lambda -> 0 limit 1/(m F), near which
         # p_+(theta0 + lambda) - p_+(theta0) cancels, so the search alone falls short
         edge = PhaseDomain(0.1, 0.2)
-        for m in (1, 3, 5, 1000):
-            report = chrb(0.1, m, model, edge)
+        for m, report in zip((1, 3, 5, 1000), chrb(0.1, [1, 3, 5, 1000], model, edge)):
             assert report.value == crlb(0.1, m, model).value
             assert report.diagnostics == {"floored_by": "crlb"}
             assert 0.0 < report.argmax["lambda"] < 1e-6
-        assert chrb(T0, 3, model).diagnostics == {}
-        # EChRB holds the same limit: a coarse grid without zoom rounds falls short of it
+        assert chrb(T0, [3], model)[0].diagnostics == {}
+        # EChRB holds the same limit: a bare coarse grid without zoom rounds falls short of it
         monkeypatch.setattr(fbound_module, "_ECHRB_REFINE_ROUNDS", 0)
         monkeypatch.setattr(fbound_module, "_ECHRB_GRID", 3)
-        report = echrb(0.1, 50, model, edge)
+        [report] = echrb(0.1, [50], model, edge, [()])
         assert report.value == crlb(0.1, 50, model).value
         assert report.diagnostics == {"floored_by": "crlb"}
 
     def test_large_m_approaches_crlb(self, model, domain):
         m = 100
-        assert chrb(T0, m, model, domain=domain).value == pytest.approx(1 / (4 * m), rel=0.02)
+        [report] = chrb(T0, [m], model, domain=domain)
+        assert report.value == pytest.approx(1 / (4 * m), rel=0.02)
 
     def test_no_admissible_offsets_at_deterministic_phase(self, model, domain):
         with pytest.raises(NoAdmissibleOffsetError):
-            chrb(0.0, 3, model, domain=domain)
+            chrb(0.0, [3], model, domain=domain)
 
     def test_off_center_true_phase(self, model, domain):
         # supremum still dominates the 1D dense scan away from the symmetry point
-        got = chrb(0.6, 7, model, domain=domain).value
+        [got] = [r.value for r in chrb(0.6, [7], model, domain=domain)]
         want = dense_grid_chrb(0.6, 7, model, domain)
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -134,19 +133,31 @@ class TestExtendedChapmanRobbins:
             assert lam * lam / c0 == pytest.approx(chrb_ratio(T0, m, model, lam), rel=1e-12)
 
     def test_single_shot_dominates_chrb_value(self, model, domain):
-        report = echrb(T0, 1, model, domain=domain)
+        [report] = echrb(T0, [1], model, domain=domain)
         assert report.value >= 0.61685
 
     def test_dominates_chrb_for_all_m(self, model, domain):
-        for m in (1, 2, 5, 10, 25, 50):
-            ch = chrb(T0, m, model, domain=domain)
-            ech = echrb(T0, m, model, domain=domain, seed_lambdas=[ch.argmax["lambda"]])
+        ms = (1, 2, 5, 10, 25, 50)
+        # by default each m is seeded with its ChRB argmax
+        for ch, ech in zip(chrb(T0, ms, model, domain), echrb(T0, ms, model, domain)):
             assert ech.value >= ch.value - 1e-9
+
+    def test_unseeded_search_dominates_chrb_at_large_m(self, model, domain):
+        # the bare grid and its zooms miss the ChRB argmax |lambda| ~ 2e-5 and fall
+        # 3.0e-8 (m = 2000) and 1.4e-7 (m = 5000) below ChRB; by default each m is
+        # seeded with that argmax, where EChRB's A = 0 slice is the ChRB value
+        ms = [2000, 5000]
+        chs = chrb(0.7, ms, model, domain)
+        bare = echrb(0.7, ms, model, domain, [(), ()])
+        for m, ch, ech, ech_bare in zip(ms, chs, echrb(0.7, ms, model, domain), bare):
+            check_chain([("echrb", ech.value), ("chrb", ch.value)], f"m={m}")
+            with pytest.raises(HierarchyViolationError):
+                check_chain([("echrb", ech_bare.value), ("chrb", ch.value)], f"m={m}")
 
     def test_midrange_gap_is_modest(self, model, domain):
         m = 50
-        ch = chrb(T0, m, model, domain=domain).value
-        ech = echrb(T0, m, model, domain=domain).value
+        [ch] = [r.value for r in chrb(T0, [m], model, domain=domain)]
+        [ech] = [r.value for r in echrb(T0, [m], model, domain=domain)]
         assert ch <= ech <= 1.5 * ch
 
     @pytest.mark.parametrize("m,unseeded", [(5, 0.05444), (1, 0.64419)])
@@ -155,27 +166,60 @@ class TestExtendedChapmanRobbins:
         # [0, pi/2], where cos 2 theta repeats the value of an admissible phase; the
         # seeded search returned 0.348 at m = 5 and 1.536 at m = 1
         with pytest.raises(ModelError, match=r"seed offsets \[1.0\] put a test point outside"):
-            echrb(T0, m, model, domain=domain, seed_lambdas=[1.0])
-        assert echrb(T0, m, model, domain=domain).value == pytest.approx(unseeded, abs=1e-5)
+            echrb(T0, [m], model, domain=domain, seed_lambdas=[[1.0]])
+        [bare] = echrb(T0, [m], model, domain=domain, seed_lambdas=[()])
+        assert bare.value == pytest.approx(unseeded, abs=1e-5)
 
     @pytest.mark.parametrize("seed", [math.nan, -math.pi / 4 - 1e-9])
     def test_unusable_seed_rejected(self, model, domain, seed):
         with pytest.raises(ModelError, match="outside the phase domain"):
-            echrb(T0, 3, model, domain=domain, seed_lambdas=[0.3, seed])
+            echrb(T0, [3], model, domain=domain, seed_lambdas=[[0.3, seed]])
 
     def test_seeds_at_the_domain_ends_accepted(self, model, domain):
         ends = [domain.a - T0, domain.b - T0]
-        seeded = echrb(T0, 3, model, domain=domain, seed_lambdas=ends).value
-        assert seeded >= echrb(T0, 3, model, domain=domain).value - 1e-12
+        [seeded, bare] = echrb(T0, [3, 3], model, domain=domain, seed_lambdas=[ends, ()])
+        assert seeded.value >= bare.value - 1e-12
 
     def test_refinement_never_decreases(self, model, domain, monkeypatch):
         # nested grids: 2r-1 points contain the r-point grid
         monkeypatch.setattr(fbound_module, "_ECHRB_REFINE_ROUNDS", 0)
         monkeypatch.setattr(fbound_module, "_ECHRB_GRID", 41)
-        coarse = echrb(T0, 7, model, domain=domain).value
+        [coarse] = echrb(T0, [7], model, domain=domain, seed_lambdas=[()])
         monkeypatch.setattr(fbound_module, "_ECHRB_GRID", 81)
-        fine = echrb(T0, 7, model, domain=domain).value
-        assert fine >= coarse - 1e-12
+        [fine] = echrb(T0, [7], model, domain=domain, seed_lambdas=[()])
+        assert fine.value >= coarse.value - 1e-12
+
+
+class TestTestPoints:
+    @pytest.mark.parametrize("bound", [chrb, echrb])
+    def test_scalar_m_asks_for_a_sequence(self, model, domain, bound):
+        with pytest.raises(ModelError, match="sequence of sample sizes is needed, got 5"):
+            bound(T0, 5, model, domain)
+
+    def test_one_separation_from_theta0_in_every_search(self, model, domain):
+        # an offset of 5e-10 is excluded alike by ChRB, EChRB and Barankin; 2e-9 by none
+        p0p, p0m = _single_shot_probs(model, T0, domain)
+        for lam, admissible in ((5e-10, False), (-5e-10, False), (2e-9, True)):
+            g, _ = _echrb_grid_eval(T0, 3, model, np.asarray([lam]), np.asarray([0.3]), p0p, p0m)
+            assert bool(chrb_ratio(T0, 3, model, lam) > -math.inf) is admissible
+            assert bool(g[0] > -math.inf) is admissible
+            if admissible:
+                barankin_at(T0, 3, model, [T0 + lam, T0 + 0.3], domain)
+            else:
+                with pytest.raises(ModelError, match="differ from theta0"):
+                    barankin_at(T0, 3, model, [T0 + lam, T0 + 0.3], domain)
+
+    @pytest.mark.parametrize("theta0,domain_ab", [
+        (0.1, (0.1, 0.2)), (0.2, (0.1, 0.2)), (0.1, (0.1, 0.1 + 1e-6)),
+        (T0, (0.0, math.pi / 2)), (math.pi / 8, (0.0, math.pi / 2)), (0.01, (0.0, math.pi / 2))])
+    def test_echrb_argmax_is_an_admissible_barankin_start(self, model, theta0, domain_ab):
+        # hierarchy_report hands EChRB's offsets to barankin unchanged; on the 1e-6
+        # wide domain EChRB once reached lambda1 = 1.8e-10, which barankin_at rejects
+        domain = PhaseDomain(*domain_ab)
+        ms = [1, 2, 3, 20, 100, 1000]
+        for m, ech in zip(ms, echrb(theta0, ms, model, domain)):
+            start = [theta0 + ech.argmax["lambda1"], theta0 + ech.argmax["lambda2"]]
+            assert barankin_at(theta0, m, model, start, domain).value >= 0.0
 
 
 class TestBarankin:
@@ -282,10 +326,10 @@ class TestHierarchy:
         # relabeling the outcomes reflects the model about pi/4
         for theta0 in (0.3, 0.6):
             mirrored = math.pi / 2 - theta0
-            assert chrb(theta0, m, model, domain=domain).value == pytest.approx(
-                chrb(mirrored, m, model, domain=domain).value, abs=1e-9)
-            assert echrb(theta0, m, model, domain=domain).value == pytest.approx(
-                echrb(mirrored, m, model, domain=domain).value, abs=1e-9)
+            for bound in (chrb, echrb):
+                [here] = bound(theta0, [m], model, domain=domain)
+                [there] = bound(mirrored, [m], model, domain=domain)
+                assert here.value == pytest.approx(there.value, abs=1e-9)
 
 
 class TestArrayObjectives:
@@ -332,8 +376,8 @@ class TestLockStep:
     def test_blocks_equal_one_scalar_search_per_m(self, model, domain, theta0):
         # as fig2 runs them: EChRB seeded with the ChRB argmax of the same m
         ms = list(range(1, 301))
-        chs = chrb_block(theta0, ms, model, domain)
-        echs = echrb_block(theta0, ms, model, domain, [[ch.argmax["lambda"]] for ch in chs])
+        chs = chrb(theta0, ms, model, domain)
+        echs = echrb(theta0, ms, model, domain, [[ch.argmax["lambda"]] for ch in chs])
         for m, ch, ech in zip(ms, chs, echs):
             arg, value = scalar_chrb(theta0, m, model, domain)
             assert (ch.argmax["lambda"], ch.value) == (arg, value), m
@@ -352,7 +396,7 @@ class TestLockStep:
         seed_rows = [(), (grid[37],), (0.1, 0.1), (lo - 1e-15,), (hi + 1e-15, hi),
                      (-0.2, 0.31, grid[80], 0.05), (0.3,), (grid[3], grid[3], -0.1)]
         ms = [1, 2, 5, 20, 50, 100, 300, 1000]
-        got = echrb_block(theta0, ms, model, domain, seed_rows)
+        got = echrb(theta0, ms, model, domain, seed_rows)
         for m, seeds, ech in zip(ms, seed_rows, got):
             want = scalar_echrb(theta0, m, model, domain, seeds)
             have = (ech.value, ech.argmax["lambda1"], ech.argmax["lambda2"],
@@ -361,12 +405,12 @@ class TestLockStep:
 
     def test_strided_blocks_equal_the_whole_block(self, model, domain):
         ms = list(range(1, 41))
-        whole = chrb_block(T0, ms, model, domain)
+        whole = chrb(T0, ms, model, domain)
         for j in range(3):
-            assert chrb_block(T0, ms[j::3], model, domain) == whole[j::3]
+            assert chrb(T0, ms[j::3], model, domain) == whole[j::3]
         seeds = [[r.argmax["lambda"]] for r in whole]
-        whole_e = echrb_block(T0, ms, model, domain, seeds)
-        assert echrb_block(T0, ms[1::3], model, domain, seeds[1::3]) == whole_e[1::3]
+        whole_e = echrb(T0, ms, model, domain, seeds)
+        assert echrb(T0, ms[1::3], model, domain, seeds[1::3]) == whole_e[1::3]
 
     @pytest.mark.parametrize("theta0", [math.pi / 4, math.pi / 8, math.pi / 3])
     @pytest.mark.parametrize("m", [1, 2, 5, 20, 100, 1000])
@@ -422,9 +466,9 @@ class TestLockStep:
                             lambda m, inc: np.where(np.asarray(m) == 7, 0.0, real(m, inc)))
         cell = rf"m=7, theta0={T0!r}".replace(".", r"\.")
         with pytest.raises(NoAdmissibleOffsetError, match=cell):
-            chrb_block(T0, [5, 6, 7, 8], model, domain)
+            chrb(T0, [5, 6, 7, 8], model, domain)
         with pytest.raises(NoAdmissibleOffsetError, match=cell):
-            echrb_block(T0, [5, 6, 7, 8], model, domain)
+            echrb(T0, [5, 6, 7, 8], model, domain, [()] * 4)
 
 
 class TestIdentifiability:
@@ -432,8 +476,8 @@ class TestIdentifiability:
     # and chrb used to return m * ChRB = 2.3e20 at the aliased offset pi/6.
     # Each entry point maps (model, domain, theta0) to the values it reports.
     ENTRY_POINTS = {
-        "chrb": lambda model, domain, t0: [chrb(t0, 20, model, domain=domain).value],
-        "echrb": lambda model, domain, t0: [echrb(t0, 20, model, domain=domain).value],
+        "chrb": lambda model, domain, t0: [r.value for r in chrb(t0, [20], model, domain)],
+        "echrb": lambda model, domain, t0: [r.value for r in echrb(t0, [20], model, domain)],
         "barankin_at": lambda model, domain, t0: [
             barankin_at(t0, 20, model, [t0 + 0.1], domain=domain).value],
         "barankin": lambda model, domain, t0: [

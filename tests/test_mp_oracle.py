@@ -45,7 +45,11 @@ family45 prior, the integral of p'^2 / p over [0, pi/2], is evaluated by
 and its derivative, normalised by their own quadrature.  So it sees the
 grid's discretisation, and ``CONVERGED_MEASURED`` pins how far
 ``prior_fisher_information`` on the default 2001-node grid lies from it,
-like the kernel's figures.
+like the kernel's figures.  The averaged posterior variance
+sum_k p_mar(k) Var(pi_k) is evaluated the same way, at 30 digits, on the
+closed-form likelihood cos^2k theta sin^2(m-k) theta times the prior, and
+``CONVERGED_VARIANCE_MEASURED`` pins both of the package's forms of it: the
+posterior summary's own weighting and the value ``fig4`` prints.
 """
 
 import functools
@@ -56,7 +60,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from phasebound import PhaseDomain, QuadratureGrid, custom_prior, family45_prior, flat_prior
+from phasebound import (
+    PhaseDomain,
+    PosteriorMeanEstimator,
+    QuadratureGrid,
+    bayes_chain_report,
+    custom_prior,
+    family45_prior,
+    flat_prior,
+)
 from phasebound import rbound
 from phasebound.estimate import posterior_summary
 from phasebound.model import (
@@ -427,3 +439,66 @@ def test_prior_information_against_converged_quadrature(alpha):
         error = float(abs((mpmath.mpf(got) - exact) / exact))
     pin = 2.0 * max(figure, 2.0**-53)
     assert error <= pin, f"alpha={alpha:g}: got {got!r}, exact {float(exact)!r}, error {error:.3g}"
+
+
+# (alpha, m): sum_k p_mar(k) Var(pi_k) under the family45 prior by mpmath.quad at 30 digits,
+# and the relative errors of sum(summary.marginal * summary.variance) on the default grid and
+# of bayes_chain_report's bayes_variance, which weighs the same variances with the tally
+# marginal on the 201-node theta0 grid
+CONVERGED_VARIANCE_MEASURED = {
+    (-10.0, 1): ("0.08642494114250924015706431", 1.01e-11, 1.01e-11),
+    (-10.0, 2): ("0.06210513913139591073262579", 1.14e-11, 1.14e-11),
+    (-10.0, 3): ("0.04858734735797607370493323", 1.27e-11, 1.27e-11),
+    (10.0, 1): ("0.01340221384364363665331462", 1.8e-14, 1.92e-14),
+    (10.0, 2): ("0.01272590167498837664805727", 1.8e-14, 1.82e-14),
+    (10.0, 3): ("0.01211431348240679448176821", 1.91e-14, 1.9e-14),
+    (100.0, 1): ("0.001256433881423129955788518", 3.46e-19, 4.84e-15),
+    (100.0, 2): ("0.001250151253749876225142178", 3.81e-17, 4.55e-15),
+    (100.0, 3): ("0.001243931144398662017978404", 4e-17, 4.58e-15),
+}
+
+
+def _converged_posterior_variance(alpha: float, m: int):
+    """sum_k p_mar(k) Var(pi_k) under the family45 prior, N = 2: sum_k (I2 - I1^2 / I0) / Z.
+
+    I_j is C(m, k) times the integral of t^j p_+^k p_-^(m-k) f, with p_+ = cos^2 t and
+    f = e^(alpha sin^2 2t) - 1, and Z the integral of f.  The mirror t -> pi/2 - t keeps f
+    and swaps tallies k and m - k, so each k < m/2 counts twice.  Gauss-Legendre takes
+    a third less time than tanh-sinh here, and the two agree to 28 digits.
+    """
+    a = mpmath.mpf(alpha)
+    ends = [0, mpmath.pi / 4, mpmath.pi / 2]      # the prior peaks, or dips, at pi/4
+
+    def quad(g):
+        return mpmath.quad(g, ends, method="gauss-legendre")
+
+    def f(t):
+        return mpmath.expm1(a * mpmath.sin(2 * t) ** 2)
+
+    total = 0
+    for k in range(m // 2 + 1):
+        def weighted(t, k=k):
+            return mpmath.cos(t) ** (2 * k) * mpmath.sin(t) ** (2 * (m - k)) * f(t)
+
+        i0 = quad(weighted)
+        i1 = quad(lambda t: t * weighted(t))
+        i2 = quad(lambda t: t * t * weighted(t))
+        total += (1 if 2 * k == m else 2) * mpmath.binomial(m, k) * (i2 - i1 * i1 / i0)
+    return total / quad(f)
+
+
+@pytest.mark.parametrize("alpha,m", sorted(CONVERGED_VARIANCE_MEASURED))
+def test_averaged_posterior_variance_against_converged_quadrature(alpha, m):
+    recorded, *figures = CONVERGED_VARIANCE_MEASURED[alpha, m]
+    prior = family45_prior(alpha, POSTERIOR_GRID)
+    summary = PosteriorMeanEstimator(GhzParityModel(2), prior).summary(m)
+    got = (float(np.sum(summary.marginal * summary.variance)),
+           bayes_chain_report(PosteriorMeanEstimator(GhzParityModel(2), prior), m).bayes_variance)
+    with mpmath.workdps(30):
+        exact = _converged_posterior_variance(alpha, m)
+        assert abs(exact / mpmath.mpf(recorded) - 1) < 1e-24
+        errors = [float(abs((mpmath.mpf(g) - exact) / exact)) for g in got]
+    for name, value, error, figure in zip(("summary", "emitted"), got, errors, figures):
+        pin = 2.0 * max(figure, 2.0**-53)
+        assert error <= pin, (f"alpha={alpha:g}, m={m}, {name}: got {value!r}, "
+                              f"exact {float(exact)!r}, error {error:.3g}")

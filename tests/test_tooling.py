@@ -49,11 +49,11 @@ def test_setup_probe_runs(tmp_path, command):
 
 
 def test_chrb_objective_calls_stay_batched(tmp_path, monkeypatch):
-    # fig2 hands its whole sweep to one block, whose ChRB searches step in
-    # lock-step: one coarse call plus ~45 golden-section calls
-    # for all 300 m, where one search per m made ~13,000; and the Barankin
-    # coordinate search evaluates its placements as stacks, so one
-    # hierarchy_report calls barankin_at only for its start and its result
+    # fig2 hands its whole sweep to one chrb and one echrb call, each a traced
+    # span, whose ChRB searches step in lock-step: one coarse call plus ~45
+    # golden-section calls for all 300 m, where one search per m made ~13,000;
+    # and the Barankin coordinate search evaluates its placements as stacks, so
+    # one hierarchy_report calls barankin_at only for its start and its result
     import phasebound.cli as cli
     from phasebound import GhzParityModel, fbound
 
@@ -68,9 +68,25 @@ def test_chrb_objective_calls_stay_batched(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert fig2_calls["numerics.maximize_1d"] == 1
+    assert (fig2_calls["fbound.chrb"], fig2_calls["fbound.echrb"]) == (1, 1)
     assert 1 < fig2_calls[tracer_module.OBJECTIVE] <= 60
     assert tracer.calls["fbound.barankin_at"] <= 2
     assert tracer.calls["numerics.maximize_1d"] >= 3    # chrb and the coordinate searches
+
+
+def test_bounds_reaches_the_estimator_chain(tmp_path):
+    # bounds asserts variance >= aCRLB >= fVTB for both estimators, so the pmf
+    # derivative kernel behind aCRLB and fVTB is reached by a command
+    import phasebound.cli as cli
+
+    tracer = _perfbench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["bounds", "--prior.alpha", "10", "--m.list", "3", "--grid.nodes", "401",
+                         "--out", str(tmp_path / "bounds.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["model.tally_pmf_dtheta_matrix"] >= 4    # aCRLB and fVTB, two each
 
 
 # Fixed grid sizes and tolerances, each a constant of the module that owns it.
@@ -81,8 +97,7 @@ CONSTANTS = [
     ("numerics", "_PRIOR_MASS_TOL"), ("numerics", "_GOLDEN_REL_TOL"), ("numerics", "_RIDGE_SCALE"),
     ("numerics", "_CONDITION_CAP"), ("rbound", "_OUTER_NODES"),
     ("fbound", "_CHRB_COARSE"), ("fbound", "_ECHRB_GRID"), ("fbound", "_ECHRB_REFINE_ROUNDS"),
-    ("fbound", "_OFFSET_SEPARATION"), ("fbound", "_OFFSET_FLOOR"), ("fbound", "_CHAIN_SLACK"),
-    ("fbound", "_SEARCH_CELLS"),
+    ("fbound", "_OFFSET_SEPARATION"), ("fbound", "_CHAIN_SLACK"), ("fbound", "_SEARCH_CELLS"),
 ]
 
 
@@ -97,13 +112,30 @@ def test_constant_is_read(module, name):
     assert reads > 0, f"{module}.{name} is never read"
 
 
+_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def _readme_value(cell: str) -> float:
+    """A value cell of README's constants table: ``1e-9``, ``−745.2`` or a power ``2¹⁶``."""
+    cell = cell.replace("−", "-")
+    if cell[:1] == "2" and not cell[1:].isascii():
+        return float(2 ** int(cell[1:].translate(_SUPERSCRIPTS)))
+    return float(cell)
+
+
 def test_readme_lists_every_constant():
-    # README's "Numerical notes" table names each constant as `module.name`
+    # README's "Numerical notes" table names each constant as `module.name`, and no
+    # other, with the constant's own value in its first cell
     readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
     notes = readme.split("## Numerical notes", 1)[1].split("\n## ", 1)[0]
     table = [line for line in notes.splitlines() if line.lstrip().startswith("|")]
-    cells = {cell.strip() for line in table for cell in line.split("|")}
-    assert [f"{m}.{n}" for m, n in CONSTANTS if f"`{m}.{n}`" not in cells] == []
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")] for line in table[2:]]
+    listed = {row[-1].strip("`"): row[0] for row in rows}
+    values = {f"{m}.{n}": getattr(importlib.import_module(f"phasebound.{m}"), n)
+              for m, n in CONSTANTS}
+    assert sorted(listed) == sorted(values)
+    assert {name: (listed[name], value) for name, value in values.items()
+            if _readme_value(listed[name]) != value} == {}
 
 
 @pytest.mark.parametrize("setting", ["tol", "config"])
